@@ -157,14 +157,14 @@ func BenchmarkAttach1GB(b *testing.B) {
 			b.Error(err)
 			return
 		}
-		apid, err := attSess.Get(a, segid, xpmem.PermRead)
+		apid, err := attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			b.Error(err)
 			return
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			va, err := attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+			va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 			if err != nil {
 				b.Error(err)
 				return
@@ -237,13 +237,13 @@ func guestAttachOnce(b *testing.B, kind palacios.MapKind, pages uint64, scattere
 			b.Error(err)
 			return
 		}
-		apid, err := gSess.Get(a, segid, xpmem.PermRead)
+		apid, err := gSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			b.Error(err)
 			return
 		}
 		start := a.Now()
-		if _, err := gSess.Attach(a, segid, apid, 0, pages*4096, xpmem.PermRead); err != nil {
+		if _, err := gSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: pages * 4096, Perm: xpmem.PermRead}); err != nil {
 			b.Error(err)
 			return
 		}
@@ -320,13 +320,13 @@ func BenchmarkAblationSmartmapVsDynamic(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				apid, err := att.Get(a, segid, xpmem.PermRead)
+				apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 				if err != nil {
 					b.Error(err)
 					return
 				}
 				start := a.Now()
-				if _, err := att.Attach(a, segid, apid, 0, pages*4096, xpmem.PermRead); err != nil {
+				if _, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: pages * 4096, Perm: xpmem.PermRead}); err != nil {
 					b.Error(err)
 					return
 				}
@@ -357,13 +357,13 @@ func BenchmarkAblationSmartmapVsDynamic(b *testing.B) {
 					b.Error(err)
 					return
 				}
-				apid, err := att.Get(a, segid, xpmem.PermRead)
+				apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 				if err != nil {
 					b.Error(err)
 					return
 				}
 				start := a.Now()
-				if _, err := att.Attach(a, segid, apid, 0, pages*4096, xpmem.PermRead); err != nil {
+				if _, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: pages * 4096, Perm: xpmem.PermRead}); err != nil {
 					b.Error(err)
 					return
 				}
@@ -418,12 +418,12 @@ func BenchmarkAblationIPIDistribution(b *testing.B) {
 					// detach → release, so every cycle pushes several
 					// responses through the management enclave's
 					// handlers.
-					apid, err := p.att.Get(a, segid, xpmem.PermRead)
+					apid, err := p.att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 					if err != nil {
 						b.Error(err)
 						return
 					}
-					va, err := p.att.Attach(a, segid, apid, 0, 4096, xpmem.PermRead)
+					va, err := p.att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: 4096, Perm: xpmem.PermRead})
 					if err != nil {
 						b.Error(err)
 						return
@@ -498,13 +498,13 @@ func BenchmarkAblationRoutingDepth(b *testing.B) {
 						b.Error(err)
 						return
 					}
-					apid, err := att.Get(a, segid, xpmem.PermRead)
+					apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 					if err != nil {
 						b.Error(err)
 						return
 					}
 					start := a.Now()
-					if _, err := att.Attach(a, segid, apid, 0, 4096, xpmem.PermRead); err != nil {
+					if _, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: 4096, Perm: xpmem.PermRead}); err != nil {
 						b.Error(err)
 						return
 					}

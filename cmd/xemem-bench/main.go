@@ -28,8 +28,8 @@ func main() {
 	exp := flag.String("experiment", "all", "which experiment to run: fig5, fig6, fig7, fig8, fig9, table2, all")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
-	jsonOut := flag.Bool("json", false, "run the engine benchmark and write BENCH_engine.json (host wall-clock of the fast paths vs their reference implementations)")
-	sweepJSON := flag.Bool("sweep-json", false, "run the sweep benchmark and write BENCH_sweep.json (serial vs parallel wall-clock, allocs/op on the hot paths)")
+	jsonOut := flag.Bool("json", false, "run the engine benchmark and write BENCH_engine.json (host wall-clock of scheduler dispatch, a 1 GB attach, and the fig9 sweep)")
+	sweepJSON := flag.Bool("sweep-json", false, "run the sweep benchmark and write BENCH_sweep.json (serial vs parallel wall-clock, allocs/op of dispatch and a 1 GB attach)")
 	faultJSON := flag.Bool("fault-json", false, "run the fault-injection sweep and write BENCH_fault.json (protocol degradation, failure attribution, and per-cell trace digests across drop rates and enclave crashes)")
 	clusterJSON := flag.Bool("cluster-json", false, "run the cluster-scale name-service sweep and write BENCH_cluster.json (flat vs sharded lookup latency across node counts, lease-cache counters, churn cells, and per-cell trace digests)")
 	collJSON := flag.Bool("coll-json", false, "run the hierarchical-collective sweep and write BENCH_coll.json (bcast/allreduce latency across hierarchy depth, enclave mix, and message size; zero-copy vs CICO switchover; registration-cache counters and per-level time attribution)")

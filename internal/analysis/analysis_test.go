@@ -56,17 +56,16 @@ var fixtureTests = []struct {
 	{
 		fixture: "paircheck",
 		wants: []want{
-			{"internal/app/app.go", 9, "paircheck", "Get result discarded"},
-			{"internal/app/app.go", 14, "paircheck", "Attach handle bound to _"},
-			{"internal/app/app.go", 20, "paircheck", `Get handle "apid" is never used again`},
-			{"internal/app/app.go", 57, "paircheck", `GetWith handle "apid" is never used again`},
-			{"internal/app/app.go", 62, "paircheck", "AttachWith result discarded"},
+			{"internal/app/app.go", 9, "paircheck", "GetWith result discarded"},
+			{"internal/app/app.go", 14, "paircheck", "AttachWith handle bound to _"},
+			{"internal/app/app.go", 20, "paircheck", `GetWith handle "apid" is never used again`},
+			{"internal/app/app.go", 57, "paircheck", "AttachWith result discarded"},
 			{"internal/app/coll.go", 19, "paircheck", "AttachCached handle bound to _"},
 			{"internal/app/coll.go", 35, "paircheck", `register handle "b" is never used again`},
 			{"internal/app/helper.go", 33, "paircheck", "is only ever read"},
-			// LeakExcused is suppressed; Paired/Transfers/TransfersVar/
-			// PairedOpts release or transfer ownership and must stay
-			// silent — as must PairedViaHelper, whose release happens
+			// LeakExcused is suppressed; Paired/Transfers/TransfersVar
+			// release or transfer ownership and must stay silent — as
+			// must PairedViaHelper, whose release happens
 			// inside the retire helper. The registration-cache pairs:
 			// PairedCached detaches, PairedBinding unregisters, and
 			// TransfersBinding parks the binding in caller-owned state —

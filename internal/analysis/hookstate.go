@@ -16,7 +16,7 @@ import (
 // The rule is mechanical: assignments to package-level variables of
 // function type are allowed only in package main — the driver binaries
 // that own process configuration and install registration closures
-// (trace.Set.Hook/CellHook/CellPartitionHook) at startup. Everywhere
+// (trace.Set.CellHook/CellPartitionHook) at startup. Everywhere
 // else, observers must be threaded explicitly (World.SetObserver,
 // function parameters). Per-partition hook *tables* — package-level
 // slices, arrays, or maps with function elements, the natural shape for

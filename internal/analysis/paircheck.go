@@ -6,8 +6,8 @@ import (
 )
 
 // The paircheck analyzer guards resource pairing on the XPMEM API
-// surface: a Get returns an access permit (apid) that Release must
-// retire, an Attach returns a mapping (va) that Detach must unmap.
+// surface: a GetWith returns an access permit (apid) that Release must
+// retire, an AttachWith returns a mapping (va) that Detach must unmap.
 // sim.Resource/Core acquisitions are self-releasing by construction
 // (Acquire occupies the resource for a fixed virtual duration and
 // returns only when it ends), so the leak-prone handles in this
@@ -36,16 +36,6 @@ type pairSpec struct {
 var pairs = []pairSpec{
 	{
 		recv:    pairRecvSet,
-		acquire: "Get", release: "Release", noun: "access permit (apid)",
-	},
-	{
-		recv:    pairRecvSet,
-		acquire: "Attach", release: "Detach", noun: "attachment address",
-	},
-	// The option-struct forms acquire the same handles as their
-	// positional counterparts and retire through the same calls.
-	{
-		recv:    pairRecvSet,
 		acquire: "GetWith", release: "Release", noun: "access permit (apid)",
 	},
 	{
@@ -56,7 +46,7 @@ var pairs = []pairSpec{
 	// mapping address as AttachWith (possibly recovered from the
 	// attacher-side cache) and retires through the same Detach, which
 	// also invalidates the cache entry. The collective communicator's
-	// register wraps a Get + AttachCached into one binding that must be
+	// register wraps a GetWith + AttachCached into one binding that must be
 	// unregistered on teardown.
 	{
 		recv:    pairRecvSet,
@@ -71,8 +61,8 @@ var pairs = []pairSpec{
 func newPaircheck() *Analyzer {
 	return &Analyzer{
 		Name:    "paircheck",
-		Doc:     "flags XPMEM Get/Attach/AttachCached handles and coll registration-cache bindings no path can release (directly or via a summarized helper); escaped handles transfer ownership and are exempt",
-		Version: 3,
+		Doc:     "flags XPMEM GetWith/AttachWith/AttachCached handles and coll registration-cache bindings no path can release (directly or via a summarized helper); escaped handles transfer ownership and are exempt",
+		Version: 4,
 		Run: func(pass *Pass) any {
 			for _, f := range pass.Pkg.Files {
 				for _, decl := range f.Decls {

@@ -14,7 +14,7 @@ func retire(s *xpmem.Session, apid int) {
 // PairedViaHelper retires through the helper: the summary must carry
 // the release back to the acquire site.
 func PairedViaHelper(s *xpmem.Session) {
-	apid, _ := s.Get(7)
+	apid, _ := s.GetWith(7)
 	retire(s, apid)
 }
 
@@ -30,7 +30,7 @@ func classify(apid int) bool {
 // reads defeat the syntactic "never used again" rule, so the
 // interprocedural verdict must catch it.
 func ReadOnly(s *xpmem.Session) {
-	apid, _ := s.Get(7)
+	apid, _ := s.GetWith(7)
 	if classify(apid) {
 		return
 	}

@@ -5,24 +5,18 @@ package xpmem
 // Session mirrors the real API's handle-returning surface.
 type Session struct{}
 
-// Get returns an access permit.
-func (s *Session) Get(segid int) (int, error) { return segid + 1, nil }
-
 // Release retires a permit.
 func (s *Session) Release(apid int) error { return nil }
-
-// Attach returns a mapping address.
-func (s *Session) Attach(apid int) (uintptr, error) { return uintptr(apid), nil }
 
 // Detach unmaps an attachment.
 func (s *Session) Detach(va uintptr) error { return nil }
 
-// GetWith is the option-struct form of Get.
+// GetWith returns an access permit.
 func (s *Session) GetWith(segid int) (int, error) { return segid + 1, nil }
 
-// AttachWith is the option-struct form of Attach.
+// AttachWith returns a mapping address.
 func (s *Session) AttachWith(apid int) (uintptr, error) { return uintptr(apid), nil }
 
-// AttachCached is the registration-cache form of Attach: same handle,
-// same Detach.
+// AttachCached is the registration-cache form of AttachWith: same
+// handle, same Detach.
 func (s *Session) AttachCached(apid int) (uintptr, error) { return uintptr(apid), nil }

@@ -68,12 +68,12 @@ func runExchange(t *testing.T, seed uint64, nodes, shards, workers int, keepEven
 				t.Errorf("segid %d homes to shard %d of %d", segid, home, shards)
 			}
 		}
-		apid, err := consSess.Get(a, segid, xpmem.PermRead)
+		apid, err := consSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := consSess.Attach(a, segid, apid, 0, segBytes, xpmem.PermRead)
+		va, err := consSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: segBytes, Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -93,7 +93,7 @@ func runExchange(t *testing.T, seed uint64, nodes, shards, workers int, keepEven
 			return
 		}
 		// A second get within the lease TTL must resolve from the cache.
-		apid2, err := consSess.Get(a, segid, xpmem.PermRead)
+		apid2, err := consSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return

@@ -336,12 +336,6 @@ func (m *Module) Remove(a *sim.Actor, p *proc.Process, segid xproto.Segid) error
 	return nil
 }
 
-// Get requests access to a segment (xpmem_get) and returns the permission
-// grant (apid) — the positional form of GetWith with default options.
-func (m *Module) Get(a *sim.Actor, p *proc.Process, segid xproto.Segid, perm xproto.Perm) (xproto.Apid, error) {
-	return m.GetWith(a, p, segid, GetOpts{Perm: perm})
-}
-
 // GetWith requests access to a segment (xpmem_get) with explicit options
 // and returns the permission grant. For locally owned segments the grant
 // is immediate; for remote segments the request routes to the owner via
@@ -440,17 +434,10 @@ func (m *Module) notifyOwner(a *sim.Actor, owner xproto.EnclaveID, msg *xproto.M
 	m.sendOn(a, l, msg)
 }
 
-// Attach maps bytes of the segment starting at the given byte offset into
-// process p (xpmem_attach) and returns the new virtual address — the
-// positional form of AttachWith with default options. bytes == AttachAll
-// (or 0) maps the whole segment from offset onward, matching
-// xpmem_attach's "size of segment" convention.
-func (m *Module) Attach(a *sim.Actor, p *proc.Process, segid xproto.Segid, apid xproto.Apid, offset, bytes uint64, perm xproto.Perm) (pagetable.VA, error) {
-	return m.AttachWith(a, p, segid, apid, AttachOpts{Offset: offset, Bytes: bytes, Perm: perm})
-}
-
 // AttachWith maps part of a segment into process p (xpmem_attach) with
-// explicit options and returns the new virtual address. Local segments
+// explicit options and returns the new virtual address. Opts.Bytes ==
+// AttachAll (or 0) maps the whole segment from Opts.Offset onward,
+// matching xpmem_attach's "size of segment" convention. Local segments
 // use the kernel's local sharing facility; remote segments run the
 // Fig. 3 protocol: the request routes through the name server to the
 // owner, the owner's frame list routes back (translated across VM

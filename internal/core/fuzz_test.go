@@ -107,12 +107,12 @@ func TestProtocolRandomizedWorkload(t *testing.T) {
 					t.Errorf("%s: lookup %s: %v", name, segName, err)
 					return
 				}
-				apid, err := mod.Get(a, p, segid, xproto.PermRead)
+				apid, err := mod.GetWith(a, p, segid, core.GetOpts{Perm: xproto.PermRead})
 				if err != nil {
 					t.Errorf("%s: get: %v", name, err)
 					return
 				}
-				va, err := mod.Attach(a, p, segid, apid, 0, 8*extent.PageSize, xproto.PermRead)
+				va, err := mod.AttachWith(a, p, segid, apid, core.AttachOpts{Bytes: 8 * extent.PageSize, Perm: xproto.PermRead})
 				if err != nil {
 					t.Errorf("%s: attach %s: %v", name, segName, err)
 					return

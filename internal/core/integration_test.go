@@ -100,12 +100,12 @@ func TestCrossEnclaveAttachKittenToLinux(t *testing.T) {
 				return
 			}
 		}
-		apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead|xproto.PermWrite)
+		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead | xproto.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, lp, segid, apid, 0, pages*extent.PageSize, xproto.PermRead|xproto.PermWrite)
+		va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead | xproto.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
@@ -172,12 +172,12 @@ func TestAttachPinsFramesWhileMapped(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, lp, segid, apid, 0, 16*extent.PageSize, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: 16 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -216,24 +216,24 @@ func TestPermissionEnforcement(t *testing.T) {
 			return
 		}
 		// Requesting write permission must be denied.
-		if _, err := n.lmod.Get(a, lp, segid, xproto.PermRead|xproto.PermWrite); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead | xproto.PermWrite}); !errors.Is(err, core.ErrDenied) {
 			t.Errorf("write get on read-only segment: %v", err)
 		}
-		apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// Attaching with more permission than granted must be denied.
-		if _, err := n.lmod.Attach(a, lp, segid, apid, 0, extent.PageSize, xproto.PermRead|xproto.PermWrite); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead | xproto.PermWrite}); !errors.Is(err, core.ErrDenied) {
 			t.Errorf("over-privileged attach: %v", err)
 		}
 		// A bogus apid must be denied.
-		if _, err := n.lmod.Attach(a, lp, segid, apid+999, 0, extent.PageSize, xproto.PermRead); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.AttachWith(a, lp, segid, apid+999, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead}); !errors.Is(err, core.ErrDenied) {
 			t.Errorf("bogus apid attach: %v", err)
 		}
 		// Out-of-range attach must fail.
-		if _, err := n.lmod.Attach(a, lp, segid, apid, 0, 9*extent.PageSize, xproto.PermRead); err == nil {
+		if _, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: 9 * extent.PageSize, Perm: xproto.PermRead}); err == nil {
 			t.Error("out-of-range attach succeeded")
 		}
 		// After release, the apid is dead.
@@ -241,7 +241,7 @@ func TestPermissionEnforcement(t *testing.T) {
 			t.Error(err)
 		}
 		a.Advance(100 * sim.Microsecond) // let the notify land
-		if _, err := n.lmod.Attach(a, lp, segid, apid, 0, extent.PageSize, xproto.PermRead); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead}); !errors.Is(err, core.ErrDenied) {
 			t.Errorf("attach with released apid: %v", err)
 		}
 		// After remove, gets fail.
@@ -249,7 +249,7 @@ func TestPermissionEnforcement(t *testing.T) {
 			t.Error(err)
 		}
 		a.Advance(100 * sim.Microsecond)
-		if _, err := n.lmod.Get(a, lp, segid, xproto.PermRead); !errors.Is(err, core.ErrNotFound) {
+		if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("get on removed segment: %v", err)
 		}
 	})
@@ -278,12 +278,12 @@ func TestLocalAttachLinuxFaultSemantics(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, att, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, att, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, att, segid, apid, 0, 32*extent.PageSize, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, att, segid, apid, core.AttachOpts{Bytes: 32 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -340,14 +340,14 @@ func TestLocalAttachKittenSmartmap(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := ck.Module.Get(a, p2, segid, xproto.PermRead)
+		apid, err := ck.Module.GetWith(a, p2, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		sentBefore := ck.Module.Stats.MsgsSent
 		start := a.Now()
-		va, err := ck.Module.Attach(a, p2, segid, apid, 0, 32*extent.PageSize, xproto.PermRead)
+		va, err := ck.Module.AttachWith(a, p2, segid, apid, core.AttachOpts{Bytes: 32 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -422,12 +422,12 @@ func TestDeepTopologyRouting(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, lp, segid, apid, 0, 4*extent.PageSize, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: 4 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -478,13 +478,13 @@ func TestSubRangeAttachment(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// Attach only pages [10, 14) of the segment.
-		va, err := n.lmod.Attach(a, lp, segid, apid, 10*extent.PageSize, 4*extent.PageSize, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Offset: 10 * extent.PageSize, Bytes: 4 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -514,7 +514,7 @@ func TestAttachUnknownSegid(t *testing.T) {
 	_ = ck
 	lp := n.linux.NewProcess("an", 1)
 	n.w.Spawn("driver", func(a *sim.Actor) {
-		if _, err := n.lmod.Get(a, lp, xproto.Segid(0xdead), xproto.PermRead); !errors.Is(err, core.ErrNotFound) {
+		if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xdead), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
 			t.Errorf("get of unknown segid: %v", err)
 		}
 		if _, err := n.lmod.Lookup(a, "no-such-name"); !errors.Is(err, core.ErrNotFound) {

@@ -39,12 +39,12 @@ func TestFig3MessageSequence(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, lp, segid, apid, 0, core.AttachAll, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: core.AttachAll, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return

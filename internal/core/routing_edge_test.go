@@ -43,13 +43,13 @@ func TestUnknownSegidAcrossDepths(t *testing.T) {
 	}{
 		{"get-forged-segid/direct", 1, func(t *testing.T, n *testNode, a *sim.Actor, _ *pisces.CoKernel, _ *proc.Process, _ xproto.Segid) {
 			lp := n.linux.NewProcess("req", 1)
-			if _, err := n.lmod.Get(a, lp, xproto.Segid(0xbadf00d), xproto.PermRead); !errors.Is(err, core.ErrNotFound) {
+			if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xbadf00d), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
 				t.Errorf("forged segid: %v", err)
 			}
 		}},
 		{"get-forged-segid/two-hops", 2, func(t *testing.T, n *testNode, a *sim.Actor, _ *pisces.CoKernel, _ *proc.Process, _ xproto.Segid) {
 			lp := n.linux.NewProcess("req", 1)
-			if _, err := n.lmod.Get(a, lp, xproto.Segid(0xbadf00d), xproto.PermRead); !errors.Is(err, core.ErrNotFound) {
+			if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xbadf00d), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
 				t.Errorf("forged segid: %v", err)
 			}
 		}},
@@ -59,7 +59,7 @@ func TestUnknownSegidAcrossDepths(t *testing.T) {
 				return
 			}
 			lp := n.linux.NewProcess("req", 1)
-			if _, err := n.lmod.Get(a, lp, segid, xproto.PermRead); !errors.Is(err, core.ErrNotFound) {
+			if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
 				t.Errorf("get after remove: %v", err)
 			}
 		}},
@@ -70,7 +70,7 @@ func TestUnknownSegidAcrossDepths(t *testing.T) {
 		}},
 		{"attach-without-get", 1, func(t *testing.T, n *testNode, a *sim.Actor, _ *pisces.CoKernel, _ *proc.Process, segid xproto.Segid) {
 			lp := n.linux.NewProcess("req", 1)
-			if _, err := n.lmod.Attach(a, lp, segid, xproto.Apid(0x7777), 0, extent.PageSize, xproto.PermRead); err == nil {
+			if _, err := n.lmod.AttachWith(a, lp, segid, xproto.Apid(0x7777), core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead}); err == nil {
 				t.Error("attach with forged apid accepted")
 			}
 		}},
@@ -126,12 +126,12 @@ func TestDetachMidRoute(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, lp, vsegid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, lp, vsegid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, lp, vsegid, apid, 0, 4*extent.PageSize, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, lp, vsegid, apid, core.AttachOpts{Bytes: 4 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -163,12 +163,12 @@ func TestDetachMidRoute(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		sapid, err := n.lmod.Get(a, lp, ssegid, xproto.PermRead)
+		sapid, err := n.lmod.GetWith(a, lp, ssegid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		sva, err := n.lmod.Attach(a, lp, ssegid, sapid, 0, 4*extent.PageSize, xproto.PermRead)
+		sva, err := n.lmod.AttachWith(a, lp, ssegid, sapid, core.AttachOpts{Bytes: 4 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"xemem/internal/core"
 	"xemem/internal/extent"
 	"xemem/internal/pisces"
 	"xemem/internal/sim"
@@ -31,12 +32,12 @@ func TestDynamicTeardown(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, lp, segid, apid, 0, 16*extent.PageSize, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: 16 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -148,12 +149,12 @@ func TestDistributedKernelWorkers(t *testing.T) {
 				return true
 			})
 			for r := 0; r < 20; r++ {
-				apid, err := n.lmod.Get(a, lp, segid, xproto.PermRead)
+				apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				va, err := n.lmod.Attach(a, lp, segid, apid, 0, 64*extent.PageSize, xproto.PermRead)
+				va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: 64 * extent.PageSize, Perm: xproto.PermRead})
 				if err != nil {
 					t.Error(err)
 					return

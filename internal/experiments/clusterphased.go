@@ -11,10 +11,11 @@ package experiments
 // tables and shard maps are host pointers), stands in for the warm
 // actors, overlays the prefix-advanced state — including the lease/shard
 // tail the module overlay restores — verifies the re-encoded sections
-// byte-match the image, and continues the trace digest at the cut.
+// byte-match the image, and continues the trace digest at the cut. Both
+// sides of the boundary run through the shared snapshotPhase and
+// forkPhase helpers (phased.go).
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"xemem/internal/cluster"
@@ -48,14 +49,11 @@ type clusterOutcome struct {
 // boundary, plus the warm producer/consumer process handles the suffix
 // workload reuses.
 type clusterPhased struct {
-	w    *sim.World
-	tr   *trace.Tracer
+	phasedWorld
 	cl   *cluster.Cluster
 	prod *xpmem.Session
 	heap *proc.Region
 	cons *xpmem.Session
-	p    clusterPrefixParams
-	cut  sim.Time
 }
 
 func clusterPhasedLabel(p clusterPrefixParams, seed uint64) string {
@@ -80,47 +78,53 @@ func clusterPhasedBuild(w *sim.World, seed uint64, p clusterPrefixParams) (*clus
 		return nil, err
 	}
 	cons, _ := cl.Nodes[0].X.LinuxProcess("warm-cons", 1)
-	return &clusterPhased{w: w, cl: cl, prod: prod, heap: heap, cons: cons, p: p}, nil
+	return &clusterPhased{cl: cl, prod: prod, heap: heap, cons: cons}, nil
 }
 
 // clusterSnapshot builds a cluster world, runs the warm prefix to
-// quiescence (serial engine — RunPhase is the fork primitive), and
-// returns the world positioned at the cut. The warm exchange fully
-// retires its segment: the consumer's lease cache entry and every
-// module's shard counters are the only live prefix state, and those are
-// exactly what the module overlay restores on the fork side.
+// quiescence, and returns the world positioned at the cut. The warm
+// exchange fully retires its segment: the consumer's lease cache entry
+// and every module's shard counters are the only live prefix state, and
+// those are exactly what the module overlay restores on the fork side.
 func clusterSnapshot(seed uint64, p clusterPrefixParams) (*clusterPhased, error) {
-	w := sim.NewWorld(seed)
-	params, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
-	}
-	w.SetRecipe("cluster-prefix", params)
-	tr := trace.NewTracer(clusterPhasedLabel(p, seed))
-	tr.SetKeepEvents(false)
-	w.SetObserver(tr)
-	ph, err := clusterPhasedBuild(w, seed, p)
-	if err != nil {
-		return nil, err
-	}
-	ph.tr = tr
-
+	var ph *clusterPhased
 	var runErr error
+	pw, err := snapshotPhase("cluster", clusterPhasedLabel(p, seed), seed, p, func(w *sim.World) error {
+		var err error
+		if ph, err = clusterPhasedBuild(w, seed, p); err != nil {
+			return err
+		}
+		spawnClusterWarm(w, ph, &runErr)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	ph.phasedWorld = pw
+	return ph, nil
+}
+
+// spawnClusterWarm spawns the prefix's warm exchange between the
+// producer and consumer; the first failure lands in runErr.
+func spawnClusterWarm(w *sim.World, ph *clusterPhased, runErr *error) {
 	var done bool
 	w.Spawn("cluster/warm-prod", func(a *sim.Actor) {
 		ph.cl.WaitReady(a)
 		if _, err := ph.prod.Write(ph.heap.Base, []byte(clusterWarmPayload)); err != nil {
-			runErr = err
+			*runErr = err
 			return
 		}
 		segid, err := ph.prod.Make(a, ph.heap.Base, clusterSegBytes, xpmem.PermRead, "warm-seg")
 		if err != nil {
-			runErr = err
+			*runErr = err
 			return
 		}
 		a.Poll(20*sim.Microsecond, func() bool { return done })
 		if err := ph.prod.Remove(a, segid); err != nil {
-			runErr = err
+			*runErr = err
 		}
 	})
 	w.Spawn("cluster/warm-cons", func(a *sim.Actor) {
@@ -135,56 +139,43 @@ func clusterSnapshot(seed uint64, p clusterPrefixParams) (*clusterPhased, error)
 			segid = s
 			return true
 		}) {
-			runErr = fmt.Errorf("cluster prefix: warm-seg never published")
+			*runErr = fmt.Errorf("cluster prefix: warm-seg never published")
 			return
 		}
-		apid, err := ph.cons.Get(a, segid, xpmem.PermRead)
+		apid, err := ph.cons.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
-			runErr = err
+			*runErr = err
 			return
 		}
-		va, err := ph.cons.Attach(a, segid, apid, 0, clusterSegBytes, xpmem.PermRead)
+		va, err := ph.cons.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: clusterSegBytes, Perm: xpmem.PermRead})
 		if err != nil {
-			runErr = err
+			*runErr = err
 			return
 		}
 		buf := make([]byte, len(clusterWarmPayload))
 		if _, err := ph.cons.Read(va, buf); err != nil || string(buf) != clusterWarmPayload {
-			runErr = fmt.Errorf("cluster prefix: read %q over the fabric (%v)", buf, err)
+			*runErr = fmt.Errorf("cluster prefix: read %q over the fabric (%v)", buf, err)
 			return
 		}
 		if err := ph.cons.Detach(a, va); err != nil {
-			runErr = err
+			*runErr = err
 			return
 		}
 		if err := ph.cons.Release(a, segid, apid); err != nil {
-			runErr = err
+			*runErr = err
 			return
 		}
 		// A second get inside the lease TTL: the warmed image must carry a
 		// lease-cache hit, not just a miss-and-fill.
-		apid2, err := ph.cons.Get(a, segid, xpmem.PermRead)
+		apid2, err := ph.cons.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
-			runErr = err
+			*runErr = err
 			return
 		}
 		if err := ph.cons.Release(a, segid, apid2); err != nil {
-			runErr = err
+			*runErr = err
 		}
 	})
-	if err := w.RunPhase(); err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	// Drain daemon dispatches already queued at the instant the last
-	// prefix actor finished, so the cut is a pure function of the prefix.
-	if err := w.DrainDaemons(); err != nil {
-		return nil, err
-	}
-	ph.cut = w.Now()
-	return ph, nil
 }
 
 // runSuffix attaches the suffix workload at the cut — a fresh cross-node
@@ -269,49 +260,26 @@ func clusterLoaders(cl *cluster.Cluster) []sectionLoader {
 	return ls
 }
 
-// clusterFork reconstructs a phased cluster world from a snapshot image:
-// re-run the build recipe under the image's seed (cluster setup executes
-// for real — the routing mesh and shard layout are host state the
-// overlay verifies against, not restores), spawn stand-ins in the warm
-// actors' scheduler slots, quiesce, overlay the prefix-advanced state,
-// verify, and position the tracer at the image's watermark.
+// clusterFork reconstructs a phased cluster world from a snapshot image
+// (see forkPhase). Cluster setup executes for real on the fork side: the
+// routing mesh and shard layout are host state the overlay verifies
+// against, not restores.
 func clusterFork(img *snapshot.Image) (*clusterPhased, error) {
-	if img.Recipe != "cluster-prefix" {
-		return nil, fmt.Errorf("cluster fork: image recipe is %q", img.Recipe)
-	}
-	if img.Kind != "serial" {
-		return nil, fmt.Errorf("cluster fork: phase boundaries are a serial-engine construct, image is %q", img.Kind)
-	}
-	var p clusterPrefixParams
-	if err := json.Unmarshal(img.Params, &p); err != nil {
-		return nil, fmt.Errorf("cluster fork: params: %w", err)
-	}
-	w := sim.NewWorld(img.Seed)
-	ph, err := clusterPhasedBuild(w, img.Seed, p)
+	var ph *clusterPhased
+	pw, _, err := forkPhase(img, "cluster", clusterPhasedLabel, func(w *sim.World, p clusterPrefixParams) ([]sectionLoader, error) {
+		var err error
+		if ph, err = clusterPhasedBuild(w, img.Seed, p); err != nil {
+			return nil, err
+		}
+		// Stand-ins in the warm pair's spawn slots. Cluster setup is the
+		// actor that drives bootstrap to completion on this side too.
+		w.Spawn("cluster/warm-prod", func(a *sim.Actor) { ph.cl.WaitReady(a) })
+		w.Spawn("cluster/warm-cons", func(a *sim.Actor) {})
+		return clusterLoaders(ph.cl), nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Stand-ins in the warm pair's spawn slots: same actor ids, no trace
-	// events (the tracer is installed after they run). Cluster setup is
-	// the actor that drives bootstrap to completion on this side too.
-	w.Spawn("cluster/warm-prod", func(a *sim.Actor) { ph.cl.WaitReady(a) })
-	w.Spawn("cluster/warm-cons", func(a *sim.Actor) {})
-	if err := w.RunPhase(); err != nil {
-		return nil, err
-	}
-	if err := w.DrainDaemons(); err != nil {
-		return nil, err
-	}
-	tr := trace.NewTracer(clusterPhasedLabel(p, img.Seed))
-	tr.SetKeepEvents(false)
-	w.SetObserver(tr)
-	ph.tr = tr
-	if err := overlaySections(w, tr, img, clusterLoaders(ph.cl)); err != nil {
-		return nil, fmt.Errorf("cluster fork: %w", err)
-	}
-	if err := verifyFork(w, img); err != nil {
-		return nil, fmt.Errorf("cluster fork: %w", err)
-	}
-	ph.cut = sim.Time(img.CutNs)
+	ph.phasedWorld = pw
 	return ph, nil
 }

@@ -11,31 +11,25 @@ import (
 
 	"xemem"
 	"xemem/internal/experiments/sweep"
-	"xemem/internal/proc"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
 )
 
 // EngineBenchResult reports host wall-clock performance of the simulator
-// engine itself: scheduler dispatch with the indexed min-heap vs the
-// original linear scan, a 1 GB cross-enclave attach with batched page
-// operations vs the original per-page loops, and the Fig. 9 sweep as an
-// end-to-end composite. All numbers are host nanoseconds; simulated
-// results are bit-identical across every variant.
+// engine itself: scheduler dispatch, a 1 GB cross-enclave attach, and the
+// Fig. 9 sweep as an end-to-end composite. All numbers are host
+// nanoseconds; simulated results are bit-identical across sweep worker
+// counts.
 type EngineBenchResult struct {
 	Host HostInfo `json:"host"`
 
 	SchedulerActors     int     `json:"scheduler_actors"`
 	SchedulerDispatches int     `json:"scheduler_dispatches"`
 	SchedulerHeapNs     float64 `json:"scheduler_heap_ns_per_dispatch"`
-	SchedulerLinearNs   float64 `json:"scheduler_linear_ns_per_dispatch"`
-	SchedulerSpeedup    float64 `json:"scheduler_speedup"`
 
-	AttachBytes    uint64  `json:"attach_bytes"`
-	AttachReps     int     `json:"attach_reps"`
-	AttachFastNs   float64 `json:"attach_fast_ns_per_op"`
-	AttachLegacyNs float64 `json:"attach_legacy_ns_per_op"`
-	AttachSpeedup  float64 `json:"attach_speedup"`
+	AttachBytes  uint64  `json:"attach_bytes"`
+	AttachReps   int     `json:"attach_reps"`
+	AttachFastNs float64 `json:"attach_fast_ns_per_op"`
 
 	Fig9SweepNs float64 `json:"fig9_sweep_ns_per_run"`
 
@@ -48,9 +42,8 @@ type EngineBenchResult struct {
 	SweepSpeedup    float64 `json:"sweep_speedup"`
 }
 
-// EngineBench measures the engine fast paths against their retained
-// reference implementations and, when jsonPath is non-empty, writes the
-// result there as JSON.
+// EngineBench measures the engine fast paths and, when jsonPath is
+// non-empty, writes the result there as JSON.
 func EngineBench(seed uint64, jsonPath string) (*EngineBenchResult, error) {
 	const (
 		actors = 256
@@ -66,35 +59,20 @@ func EngineBench(seed uint64, jsonPath string) (*EngineBenchResult, error) {
 	}
 
 	// Each scheduler run is short (~0.5 s), so take the best of a few
-	// trials per mode. Min-tracking starts from +Inf (never from trial
-	// zero's sentinel value) so the loop cannot mistake an uninitialized
-	// field for a measurement.
+	// trials. Min-tracking starts from +Inf (never from trial zero's
+	// sentinel value) so the loop cannot mistake an uninitialized field
+	// for a measurement.
 	const trials = 3
-	res.SchedulerHeapNs, res.SchedulerLinearNs = math.MaxFloat64, math.MaxFloat64
+	res.SchedulerHeapNs = math.MaxFloat64
 	for i := 0; i < trials; i++ {
-		if heapNs := schedulerBench(seed, actors, steps, false); heapNs < res.SchedulerHeapNs {
-			res.SchedulerHeapNs = heapNs
+		if ns, _ := schedulerBench(seed, actors, steps); ns < res.SchedulerHeapNs {
+			res.SchedulerHeapNs = ns
 		}
-		if linearNs := schedulerBench(seed, actors, steps, true); linearNs < res.SchedulerLinearNs {
-			res.SchedulerLinearNs = linearNs
-		}
-	}
-	if res.SchedulerHeapNs > 0 {
-		res.SchedulerSpeedup = res.SchedulerLinearNs / res.SchedulerHeapNs
 	}
 
-	fastNs, err := attachBench(seed, reps, false)
-	if err != nil {
+	var err error
+	if res.AttachFastNs, _, err = attachBench(seed, reps); err != nil {
 		return nil, err
-	}
-	legacyNs, err := attachBench(seed, reps, true)
-	if err != nil {
-		return nil, err
-	}
-	res.AttachFastNs = fastNs
-	res.AttachLegacyNs = legacyNs
-	if fastNs > 0 {
-		res.AttachSpeedup = legacyNs / fastNs
 	}
 
 	start := time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
@@ -135,18 +113,9 @@ func EngineBench(seed uint64, jsonPath string) (*EngineBenchResult, error) {
 // schedulerBench times pure dispatch over a mixed-clock actor pool,
 // reporting host ns and heap allocations per dispatch. Each actor
 // advances by its own pseudorandom strides, so the ready queue is
-// constantly reordered — the worst case for the scan, the common case for
-// the heap.
-func schedulerBench(seed uint64, actors, steps int, linear bool) float64 {
-	ns, _ := schedulerBenchAllocs(seed, actors, steps, linear)
-	return ns
-}
-
-func schedulerBenchAllocs(seed uint64, actors, steps int, linear bool) (nsPerOp, allocsPerOp float64) {
+// constantly reordered.
+func schedulerBench(seed uint64, actors, steps int) (nsPerOp, allocsPerOp float64) {
 	w := sim.NewWorld(seed)
-	if linear {
-		w.SetLinearScan(true)
-	}
 	w.Reserve(actors)
 	for i := 0; i < actors; i++ {
 		w.Spawn(fmt.Sprintf("a%d", i), func(a *sim.Actor) {
@@ -170,17 +139,9 @@ func schedulerBenchAllocs(seed uint64, actors, steps int, linear bool) (nsPerOp,
 
 // attachBench times the host cost of serving and mapping a whole-segment
 // 1 GB attach (Fig. 5's topology: Kitten exporter, Linux attacher),
-// measured around the Attach call only so enclave boot stays out of the
-// number. legacy selects the original per-page demand-population loop.
-func attachBench(seed uint64, reps int, legacy bool) (float64, error) {
-	ns, _, err := attachBenchAllocs(seed, reps, legacy)
-	return ns, err
-}
-
-func attachBenchAllocs(seed uint64, reps int, legacy bool) (nsPerOp, allocsPerOp float64, err error) {
-	proc.SetLegacyPerPageOps(legacy)
-	defer proc.SetLegacyPerPageOps(false)
-
+// measured around the AttachWith call only so enclave boot stays out of
+// the number. It reports host ns and heap allocations per attach.
+func attachBench(seed uint64, reps int) (nsPerOp, allocsPerOp float64, err error) {
 	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 32 << 30, LinuxCores: 4})
 	ck, err := node.BootCoKernel("kitten0", 2<<30)
 	if err != nil {
@@ -202,7 +163,7 @@ func attachBenchAllocs(seed uint64, reps int, legacy bool) (nsPerOp, allocsPerOp
 			runErr = err
 			return
 		}
-		apid, err := attSess.Get(a, segid, xpmem.PermRead)
+		apid, err := attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			runErr = err
 			return
@@ -211,7 +172,7 @@ func attachBenchAllocs(seed uint64, reps int, legacy bool) (nsPerOp, allocsPerOp
 		for i := 0; i < reps; i++ {
 			runtime.ReadMemStats(&before)
 			start := time.Now() //xemem:wallclock -- measures host cost of the attach fast path
-			va, err := attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+			va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 			hostNs += time.Since(start).Nanoseconds() //xemem:wallclock -- measures host cost of the attach fast path
 			runtime.ReadMemStats(&after)
 			mallocs += after.Mallocs - before.Mallocs
@@ -240,13 +201,10 @@ func attachBenchAllocs(seed uint64, reps int, legacy bool) (nsPerOp, allocsPerOp
 // String renders the benchmark for the terminal.
 func (r *EngineBenchResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Engine benchmark (host wall-clock; simulated results identical in all modes)\n")
-	fmt.Fprintf(&b, "  scheduler dispatch (%d actors, %d dispatches):\n", r.SchedulerActors, r.SchedulerDispatches)
-	fmt.Fprintf(&b, "    heap   %8.1f ns/dispatch\n", r.SchedulerHeapNs)
-	fmt.Fprintf(&b, "    linear %8.1f ns/dispatch   (%.2fx speedup)\n", r.SchedulerLinearNs, r.SchedulerSpeedup)
-	fmt.Fprintf(&b, "  1 GB attach (%d reps):\n", r.AttachReps)
-	fmt.Fprintf(&b, "    batched  %12.0f ns/attach\n", r.AttachFastNs)
-	fmt.Fprintf(&b, "    per-page %12.0f ns/attach   (%.2fx speedup)\n", r.AttachLegacyNs, r.AttachSpeedup)
+	fmt.Fprintf(&b, "Engine benchmark (host wall-clock)\n")
+	fmt.Fprintf(&b, "  scheduler dispatch (%d actors, %d dispatches): %.1f ns/dispatch\n",
+		r.SchedulerActors, r.SchedulerDispatches, r.SchedulerHeapNs)
+	fmt.Fprintf(&b, "  1 GB attach (%d reps): %.0f ns/attach\n", r.AttachReps, r.AttachFastNs)
 	fmt.Fprintf(&b, "  fig9 sweep: %.2f s/run\n", r.Fig9SweepNs/1e9)
 	fmt.Fprintf(&b, "  fig9 sweep via runner: serial %.2f s, %d workers %.2f s   (%.2fx speedup)\n",
 		r.SweepSerialNs/1e9, r.SweepWorkers, r.SweepParallelNs/1e9, r.SweepSpeedup)

@@ -95,7 +95,7 @@ func fig5Attach(obs observeFn, seed uint64, sizes []int, reps int) ([]Fig5Row, e
 				runErr = err
 				return
 			}
-			apid, err := attSess.Get(a, segid, xpmem.PermRead)
+			apid, err := attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 			if err != nil {
 				runErr = err
 				return
@@ -104,7 +104,7 @@ func fig5Attach(obs observeFn, seed uint64, sizes []int, reps int) ([]Fig5Row, e
 				var total sim.Time
 				for i := 0; i < reps; i++ {
 					start := a.Now()
-					va, err := attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+					va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 					if err != nil {
 						return 0, err
 					}

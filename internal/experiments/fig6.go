@@ -117,7 +117,7 @@ func fig6Point(obs observeFn, seed uint64, enclaves, szMB, reps int) (float64, s
 				runErr = err
 				return
 			}
-			apid, err := p.att.Get(a, segid, xpmem.PermRead)
+			apid, err := p.att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 			if err != nil {
 				runErr = err
 				return
@@ -125,7 +125,7 @@ func fig6Point(obs observeFn, seed uint64, enclaves, szMB, reps int) (float64, s
 			var total sim.Time
 			for r := 0; r < reps; r++ {
 				start := a.Now()
-				va, err := p.att.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+				va, err := p.att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 				if err != nil {
 					runErr = err
 					return

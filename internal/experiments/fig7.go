@@ -89,7 +89,7 @@ func fig7Phase(obs observeFn, seed uint64, name string, bytes uint64) (Fig7Phase
 			runErr = err
 			return
 		}
-		apid, err := attSess.Get(a, segid, xpmem.PermRead)
+		apid, err := attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			runErr = err
 			return
@@ -97,7 +97,7 @@ func fig7Phase(obs observeFn, seed uint64, name string, bytes uint64) (Fig7Phase
 		ck.OS.Core().StartRecording()
 		// Attach, sleep one second, repeat, for ten seconds (§5.5).
 		for t := 0; t < 10; t++ {
-			va, err := attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+			va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 			if err != nil {
 				runErr = err
 				return

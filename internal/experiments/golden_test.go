@@ -18,6 +18,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
 )
 
@@ -30,7 +31,7 @@ func runTraced(t *testing.T, fn func() error) []trace.Digest {
 	s := trace.NewSet()
 	s.SetKeepEvents(false)
 	saved := Observe
-	Observe = s.Hook()
+	Observe = func(label string, w *sim.World) { w.SetObserver(s.Get(label)) }
 	defer func() { Observe = saved }()
 	if err := fn(); err != nil {
 		t.Fatal(err)

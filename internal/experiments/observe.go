@@ -11,10 +11,10 @@ import (
 // Observe, when non-nil, is invoked for every simulation world an
 // experiment constructs, with a label identifying the configuration the
 // world runs (e.g. "fig6/enclaves=2/size=1024MB"). Installing a
-// sim.Observer on the world — typically via trace.Set.Hook() — captures
-// that configuration's full event stream. Leave nil for zero overhead;
-// the simulated results are bit-identical either way. The hook is a
-// package variable because experiments construct their worlds
+// sim.Observer on the world — typically the trace.Set.Get(label) tracer —
+// captures that configuration's full event stream. Leave nil for zero
+// overhead; the simulated results are bit-identical either way. The hook
+// is a package variable because experiments construct their worlds
 // internally, one per configuration point; set it before an experiment
 // starts and leave it alone until the experiment returns — under the
 // parallel sweep runner it is read from worker goroutines. With more

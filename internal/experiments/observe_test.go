@@ -19,7 +19,7 @@ func traced(fn func() error) (*trace.Set, error) {
 	s := trace.NewSet()
 	s.SetKeepEvents(false)
 	saved := Observe
-	Observe = s.Hook()
+	Observe = func(label string, w *sim.World) { w.SetObserver(s.Get(label)) }
 	defer func() { Observe = saved }()
 	return s, fn()
 }

@@ -128,7 +128,7 @@ func TestParallelWorldIdentity(t *testing.T) {
 // TestParallelMatchesGolden ties the parallel runner back to the
 // checked-in golden digests: a parallel Fig. 7 sweep traced through the
 // cell-aware hook must reproduce testdata/golden/fig7.json exactly —
-// the same bytes the serial legacy-hook harness is held to.
+// the same bytes the serial creation-order harness is held to.
 func TestParallelMatchesGolden(t *testing.T) {
 	_, got := runCellTraced(t, runtime.NumCPU(), func(w int) (any, error) {
 		return Fig7(1, w)

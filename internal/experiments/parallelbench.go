@@ -113,13 +113,13 @@ func buildParallelBenchWorld(seed uint64, partitions, actors int) (*sim.World, f
 				errs[errIdx] = err
 				return
 			}
-			apid, err := attSess.Get(a, segid, xpmem.PermRead)
+			apid, err := attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 			if err != nil {
 				errs[errIdx] = err
 				return
 			}
 			for round := 0; round < 4; round++ {
-				va, err := attSess.Attach(a, segid, apid, 0, window, xpmem.PermRead)
+				va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: window, Perm: xpmem.PermRead})
 				if err != nil {
 					errs[errIdx] = err
 					return

@@ -20,6 +20,11 @@ package experiments
 // tracer watermark the image carries — so equality of the end-to-end
 // digests is a machine-checked proof that the fork is behaviorally
 // indistinguishable from the bootstrap.
+//
+// The phase boundary itself is shared with the cluster tier
+// (clusterphased.go): snapshotPhase and forkPhase run both sides of it,
+// and each driver supplies only its build, prefix, stand-in and suffix
+// bodies.
 
 import (
 	"bytes"
@@ -65,15 +70,21 @@ type fig9Outcome struct {
 	Digest    trace.Digest `json:"digest"`
 }
 
-// fig9Phased is a world positioned at the prefix/suffix boundary: the
+// phasedWorld is a world positioned at a prefix/suffix boundary: the
 // quiesced engine, the tracer that observed everything so far, and the
-// per-node substrate handles the suffix wires into.
+// virtual time of the cut.
+type phasedWorld struct {
+	w   *sim.World
+	tr  *trace.Tracer
+	cut sim.Time
+}
+
+// fig9Phased is a Figure 9 world at the boundary, plus the per-node
+// substrate handles the suffix wires into.
 type fig9Phased struct {
-	w     *sim.World
-	tr    *trace.Tracer
+	phasedWorld
 	nodes []*fig9Node
 	p     fig9PrefixParams
-	cut   sim.Time
 }
 
 func fig9PhasedLabel(p fig9PrefixParams, seed uint64) string {
@@ -82,46 +93,32 @@ func fig9PhasedLabel(p fig9PrefixParams, seed uint64) string {
 }
 
 // fig9Snapshot builds a Figure 9 world, runs the bootstrap prefix to
-// quiescence (serial engine — RunPhase is the fork primitive), and
-// returns the world positioned at the cut. SnapshotImage may be taken
-// from it, and runSuffix continues it as the bootstrap path.
+// quiescence, and returns the world positioned at the cut. SnapshotImage
+// may be taken from it, and runSuffix continues it as the bootstrap path.
 func fig9Snapshot(seed uint64, p fig9PrefixParams) (*fig9Phased, error) {
-	w := sim.NewWorld(seed)
-	params, err := json.Marshal(p)
+	nodes := make([]*fig9Node, p.Nodes)
+	pw, err := snapshotPhase("fig9", fig9PhasedLabel(p, seed), seed, p, func(w *sim.World) error {
+		costs := sim.DefaultCosts()
+		bar := cluster.NewAllreduce(p.Nodes, fig9AllreduceNs)
+		for i := range nodes {
+			n, err := fig9BuildNode(w, costs, i, seed, p.MultiEnclave)
+			if err != nil {
+				return err
+			}
+			// The prefix retires every segment it creates (CleanExit), so the
+			// quiesced world carries no live XEMEM state a fork would have to
+			// reconstruct actors for.
+			if _, err := fig9Insitu(w, n, i, p.MultiEnclave, p.Recurring, bar, p.PrefixIters, 0, true); err != nil {
+				return err
+			}
+			nodes[i] = n
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	w.SetRecipe("fig9-prefix", params)
-	tr := trace.NewTracer(fig9PhasedLabel(p, seed))
-	tr.SetKeepEvents(false)
-	w.SetObserver(tr)
-
-	costs := sim.DefaultCosts()
-	bar := cluster.NewAllreduce(p.Nodes, fig9AllreduceNs)
-	nodes := make([]*fig9Node, p.Nodes)
-	for i := range nodes {
-		n, err := fig9BuildNode(w, costs, i, seed, p.MultiEnclave)
-		if err != nil {
-			return nil, err
-		}
-		// The prefix retires every segment it creates (CleanExit), so the
-		// quiesced world carries no live XEMEM state a fork would have to
-		// reconstruct actors for.
-		if _, err := fig9Insitu(w, n, i, p.MultiEnclave, p.Recurring, bar, p.PrefixIters, 0, true); err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-	}
-	if err := w.RunPhase(); err != nil {
-		return nil, err
-	}
-	// Drain daemon dispatches already queued at the instant the last
-	// prefix actor finished, so the cut is a pure function of the prefix
-	// (the fork performs the same drain on its side of the boundary).
-	if err := w.DrainDaemons(); err != nil {
-		return nil, err
-	}
-	return &fig9Phased{w: w, tr: tr, nodes: nodes, p: p, cut: w.Now()}, nil
+	return &fig9Phased{phasedWorld: pw, nodes: nodes, p: p}, nil
 }
 
 // runSuffix attaches the tail workload at the cut and runs the world to
@@ -148,6 +145,77 @@ func (ph *fig9Phased) runSuffix(tail fig9Tail) (fig9Outcome, error) {
 		out.Points += r.Points
 	}
 	return out, nil
+}
+
+// snapshotPhase is the snapshot side of a warm-fork driver: build a world
+// for recipe name+"-prefix" with a digest-only tracer, let prefix build
+// the substrate and spawn the warm-up actors, run them to quiescence
+// (serial engine — RunPhase is the fork primitive), and drain the daemon
+// dispatches queued at that instant so the cut is a pure function of the
+// prefix (forkPhase drains the same way on its side).
+func snapshotPhase(name, label string, seed uint64, params any, prefix func(*sim.World) error) (phasedWorld, error) {
+	w := sim.NewWorld(seed)
+	blob, err := json.Marshal(params)
+	if err != nil {
+		return phasedWorld{}, err
+	}
+	w.SetRecipe(name+"-prefix", blob)
+	tr := trace.NewTracer(label)
+	tr.SetKeepEvents(false)
+	w.SetObserver(tr)
+	if err := prefix(w); err != nil {
+		return phasedWorld{}, err
+	}
+	if err := w.RunPhase(); err != nil {
+		return phasedWorld{}, err
+	}
+	if err := w.DrainDaemons(); err != nil {
+		return phasedWorld{}, err
+	}
+	return phasedWorld{w: w, tr: tr, cut: w.Now()}, nil
+}
+
+// forkPhase is the fork side of a warm-fork driver. After checking img's
+// recipe and engine kind and decoding its params, rebuild re-runs the
+// build recipe under the image's seed and spawns one stand-in per prefix
+// actor, holding their scheduler ids. The stand-ins run before the tracer
+// is installed, and the drain removes bootstrap residue the prefix world
+// executed long before the cut. The prefix-advanced state is then
+// overlaid onto the components rebuild returned and verified against the
+// image, leaving the world at the image's cut, ready for the suffix.
+func forkPhase[P any](img *snapshot.Image, name string, label func(P, uint64) string,
+	rebuild func(*sim.World, P) ([]sectionLoader, error)) (phasedWorld, P, error) {
+	var p P
+	if img.Recipe != name+"-prefix" {
+		return phasedWorld{}, p, fmt.Errorf("%s fork: image recipe is %q", name, img.Recipe)
+	}
+	if img.Kind != "serial" {
+		return phasedWorld{}, p, fmt.Errorf("%s fork: phase boundaries are a serial-engine construct, image is %q", name, img.Kind)
+	}
+	if err := json.Unmarshal(img.Params, &p); err != nil {
+		return phasedWorld{}, p, fmt.Errorf("%s fork: params: %w", name, err)
+	}
+	w := sim.NewWorld(img.Seed)
+	comps, err := rebuild(w, p)
+	if err != nil {
+		return phasedWorld{}, p, err
+	}
+	if err := w.RunPhase(); err != nil {
+		return phasedWorld{}, p, err
+	}
+	if err := w.DrainDaemons(); err != nil {
+		return phasedWorld{}, p, err
+	}
+	tr := trace.NewTracer(label(p, img.Seed))
+	tr.SetKeepEvents(false)
+	w.SetObserver(tr)
+	if err := overlaySections(w, tr, img, comps); err != nil {
+		return phasedWorld{}, p, fmt.Errorf("%s fork: %w", name, err)
+	}
+	if err := verifyFork(w, img); err != nil {
+		return phasedWorld{}, p, fmt.Errorf("%s fork: %w", name, err)
+	}
+	return phasedWorld{w: w, tr: tr, cut: sim.Time(img.CutNs)}, p, nil
 }
 
 // sectionLoader pairs a component snapshot section name with the
@@ -297,74 +365,37 @@ func verifyFork(w *sim.World, img *snapshot.Image) error {
 	return nil
 }
 
-// fig9ForkBytes decodes an encoded snapshot image (integrity-checking
-// its trailing hash) and forks a world from it.
-func fig9ForkBytes(enc []byte) (*fig9Phased, error) {
-	img, err := sim.Restore(bytes.NewReader(enc))
+// fig9Fork reconstructs a phased Figure 9 world from a snapshot image
+// (see forkPhase). The returned world is ready for runSuffix.
+func fig9Fork(img *snapshot.Image) (*fig9Phased, error) {
+	var nodes []*fig9Node
+	pw, p, err := forkPhase(img, "fig9", fig9PhasedLabel, func(w *sim.World, p fig9PrefixParams) ([]sectionLoader, error) {
+		costs := sim.DefaultCosts()
+		nodes = make([]*fig9Node, p.Nodes)
+		var comps []sectionLoader
+		for i := range nodes {
+			n, err := fig9BuildNode(w, costs, i, img.Seed, p.MultiEnclave)
+			if err != nil {
+				return nil, err
+			}
+			nodes[i] = n
+			comps = append(comps, n.loaders()...)
+			// Stand-ins in the prefix pair's spawn slots. The sim stand-in
+			// waits for the node's enclaves to bootstrap — kernel daemons
+			// only advance while a non-daemon is runnable, and the fork
+			// needs the same registered identities and learned routes the
+			// prefix world had before the overlay can verify against them.
+			w.Spawn(n.simSide.Mod.Name()+"/sim", func(a *sim.Actor) {
+				for _, m := range n.mods {
+					m.WaitReady(a)
+				}
+			})
+			w.Spawn(n.anSide.Mod.Name()+"/analytics", func(a *sim.Actor) {})
+		}
+		return comps, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	return fig9Fork(img)
-}
-
-// fig9Fork reconstructs a phased Figure 9 world from a snapshot image:
-// re-run the build recipe under the image's seed, spawn one stand-in per
-// prefix actor (holding their scheduler ids), quiesce, overlay the
-// prefix-advanced state, verify, and position the tracer at the image's
-// watermark. The returned world is ready for runSuffix.
-func fig9Fork(img *snapshot.Image) (*fig9Phased, error) {
-	if img.Recipe != "fig9-prefix" {
-		return nil, fmt.Errorf("fig9 fork: image recipe is %q", img.Recipe)
-	}
-	if img.Kind != "serial" {
-		return nil, fmt.Errorf("fig9 fork: phase boundaries are a serial-engine construct, image is %q", img.Kind)
-	}
-	var p fig9PrefixParams
-	if err := json.Unmarshal(img.Params, &p); err != nil {
-		return nil, fmt.Errorf("fig9 fork: params: %w", err)
-	}
-	w := sim.NewWorld(img.Seed)
-	costs := sim.DefaultCosts()
-	nodes := make([]*fig9Node, p.Nodes)
-	var comps []sectionLoader
-	for i := range nodes {
-		n, err := fig9BuildNode(w, costs, i, img.Seed, p.MultiEnclave)
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-		comps = append(comps, n.loaders()...)
-		// Stand-ins in the prefix pair's spawn slots: same actor ids, no
-		// trace events (the tracer is installed after they run). The sim
-		// stand-in waits for the node's enclaves to bootstrap — kernel
-		// daemons only advance while a non-daemon is runnable, and the
-		// fork needs the same registered identities and learned routes the
-		// prefix world had before the overlay can verify against them.
-		w.Spawn(n.simSide.Mod.Name()+"/sim", func(a *sim.Actor) {
-			for _, m := range n.mods {
-				m.WaitReady(a)
-			}
-		})
-		w.Spawn(n.anSide.Mod.Name()+"/analytics", func(a *sim.Actor) {})
-	}
-	if err := w.RunPhase(); err != nil {
-		return nil, err
-	}
-	// The stand-ins finish the moment the enclaves report ready, which can
-	// leave bootstrap residue queued (the prefix world executed it long
-	// before the cut): drain it before the watermark restore so it is not
-	// re-observed in the suffix.
-	if err := w.DrainDaemons(); err != nil {
-		return nil, err
-	}
-	tr := trace.NewTracer(fig9PhasedLabel(p, img.Seed))
-	tr.SetKeepEvents(false)
-	w.SetObserver(tr)
-	if err := overlaySections(w, tr, img, comps); err != nil {
-		return nil, fmt.Errorf("fig9 fork: %w", err)
-	}
-	if err := verifyFork(w, img); err != nil {
-		return nil, fmt.Errorf("fig9 fork: %w", err)
-	}
-	return &fig9Phased{w: w, tr: tr, nodes: nodes, p: p, cut: sim.Time(img.CutNs)}, nil
+	return &fig9Phased{phasedWorld: pw, nodes: nodes, p: p}, nil
 }

@@ -41,7 +41,11 @@ func TestSnapshotFork(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fk, err := fig9ForkBytes(buf.Bytes())
+			decoded, err := sim.Restore(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fk, err := fig9Fork(decoded)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,10 +13,9 @@ import (
 // SweepBenchResult records the parallel sweep runner's end-to-end win on
 // the full Fig. 5–9 + Table 2 sweep (reduced repetition counts, the
 // -fast profile) plus the allocation-diet numbers for the two hot paths:
-// heap allocations per scheduler dispatch and per 1 GB attach, for the
-// fast paths and their retained reference implementations (linear-scan
-// scheduler, per-page populate loop). All host-side; simulated results
-// are byte-identical across every worker count and both path variants.
+// heap allocations per scheduler dispatch and per 1 GB attach. All
+// host-side; simulated results are byte-identical across every worker
+// count.
 type SweepBenchResult struct {
 	Host HostInfo `json:"host"`
 
@@ -25,10 +24,8 @@ type SweepBenchResult struct {
 	ParallelNs float64 `json:"parallel_ns"`
 	Speedup    float64 `json:"speedup"`
 
-	DispatchAllocsPerOp       float64 `json:"dispatch_allocs_per_op"`
-	DispatchAllocsPerOpLinear float64 `json:"dispatch_allocs_per_op_linear"`
-	AttachAllocsPerOp         float64 `json:"attach_allocs_per_op"`
-	AttachAllocsPerOpLegacy   float64 `json:"attach_allocs_per_op_legacy"`
+	DispatchAllocsPerOp float64 `json:"dispatch_allocs_per_op"`
+	AttachAllocsPerOp   float64 `json:"attach_allocs_per_op"`
 }
 
 // SweepBench runs the full figure sweep serially (workers=1) and with
@@ -73,13 +70,9 @@ func SweepBench(seed uint64, jsonPath string) (*SweepBenchResult, error) {
 		res.Speedup = res.SerialNs / res.ParallelNs
 	}
 
-	_, res.DispatchAllocsPerOp = schedulerBenchAllocs(seed, 256, 2000, false)
-	_, res.DispatchAllocsPerOpLinear = schedulerBenchAllocs(seed, 256, 2000, true)
+	_, res.DispatchAllocsPerOp = schedulerBench(seed, 256, 2000)
 	var err error
-	if _, res.AttachAllocsPerOp, err = attachBenchAllocs(seed, 3, false); err != nil {
-		return nil, err
-	}
-	if _, res.AttachAllocsPerOpLegacy, err = attachBenchAllocs(seed, 3, true); err != nil {
+	if _, res.AttachAllocsPerOp, err = attachBench(seed, 3); err != nil {
 		return nil, err
 	}
 
@@ -101,9 +94,7 @@ func (r *SweepBenchResult) String() string {
 	fmt.Fprintf(&b, "Sweep benchmark (full Fig. 5-9 + Table 2, fast repetition counts)\n")
 	fmt.Fprintf(&b, "  serial (1 worker)    %8.2f s\n", r.SerialNs/1e9)
 	fmt.Fprintf(&b, "  parallel (%d workers) %7.2f s   (%.2fx speedup)\n", r.Workers, r.ParallelNs/1e9, r.Speedup)
-	fmt.Fprintf(&b, "  dispatch allocs/op:  heap %.3f   linear %.3f\n",
-		r.DispatchAllocsPerOp, r.DispatchAllocsPerOpLinear)
-	fmt.Fprintf(&b, "  1 GB attach allocs/op: batched %.0f   per-page %.0f\n",
-		r.AttachAllocsPerOp, r.AttachAllocsPerOpLegacy)
+	fmt.Fprintf(&b, "  dispatch allocs/op:    %.3f\n", r.DispatchAllocsPerOp)
+	fmt.Fprintf(&b, "  1 GB attach allocs/op: %.0f\n", r.AttachAllocsPerOp)
 	return b.String()
 }

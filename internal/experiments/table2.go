@@ -170,14 +170,14 @@ func attachLoop(node *xemem.Node, expSess, attSess *xpmem.Session, base pagetabl
 			runErr = err
 			return
 		}
-		apid, err := attSess.Get(a, segid, xpmem.PermRead)
+		apid, err := attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			runErr = err
 			return
 		}
 		for i := 0; i < reps; i++ {
 			start := a.Now()
-			va, err := attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+			va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 			if err != nil {
 				runErr = err
 				return

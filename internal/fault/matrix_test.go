@@ -273,12 +273,12 @@ func TestCrashSurvivorsKeepWorking(t *testing.T) {
 			t.Errorf("Make on survivor after crash: %v", err)
 			return
 		}
-		apid, err := taker.Get(a, segid, xpmem.PermRead)
+		apid, err := taker.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Errorf("Get on survivor after crash: %v", err)
 			return
 		}
-		va, err := taker.Attach(a, segid, apid, 0, segBytes, xpmem.PermRead)
+		va, err := taker.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: segBytes, Perm: xpmem.PermRead})
 		if err != nil {
 			t.Errorf("Attach on survivor after crash: %v", err)
 			return

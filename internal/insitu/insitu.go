@@ -324,11 +324,11 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 			ctrlSeg = s
 			return true
 		})
-		ctrlApid, err := mod.Get(a, p, ctrlSeg, xproto.PermRead|xproto.PermWrite)
+		ctrlApid, err := mod.GetWith(a, p, ctrlSeg, core.GetOpts{Perm: xproto.PermRead | xproto.PermWrite})
 		if err != nil {
 			panic("insitu analytics: " + err.Error())
 		}
-		ctrl, err := mod.Attach(a, p, ctrlSeg, ctrlApid, 0, ctrlPages*pageSize, xproto.PermRead|xproto.PermWrite)
+		ctrl, err := mod.AttachWith(a, p, ctrlSeg, ctrlApid, core.AttachOpts{Bytes: ctrlPages * pageSize, Perm: xproto.PermRead | xproto.PermWrite})
 		if err != nil {
 			panic("insitu analytics: " + err.Error())
 		}
@@ -354,11 +354,11 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 
 		attach := func(seg xproto.Segid) {
 			start := a.Now()
-			apid, err := mod.Get(a, p, seg, xproto.PermRead|xproto.PermWrite)
+			apid, err := mod.GetWith(a, p, seg, core.GetOpts{Perm: xproto.PermRead | xproto.PermWrite})
 			if err != nil {
 				panic("insitu analytics: " + err.Error())
 			}
-			va, err := mod.Attach(a, p, seg, apid, 0, cfg.DataBytes, xproto.PermRead|xproto.PermWrite)
+			va, err := mod.AttachWith(a, p, seg, apid, core.AttachOpts{Bytes: cfg.DataBytes, Perm: xproto.PermRead | xproto.PermWrite})
 			if err != nil {
 				panic("insitu analytics: " + err.Error())
 			}

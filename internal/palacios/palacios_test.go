@@ -69,13 +69,13 @@ func TestGuestAttachesHostMemory(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := vm.Module.Get(a, gp, segid, xproto.PermRead|xproto.PermWrite)
+		apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead | xproto.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		entriesBefore := vm.MapEntries()
-		va, err := vm.Module.Attach(a, gp, segid, apid, 0, pages*extent.PageSize, xproto.PermRead|xproto.PermWrite)
+		va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead | xproto.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
@@ -148,12 +148,12 @@ func TestHostAttachesGuestMemory(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.lmod.Get(a, hp, segid, xproto.PermRead)
+		apid, err := n.lmod.GetWith(a, hp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.lmod.Attach(a, hp, segid, apid, 0, pages*extent.PageSize, xproto.PermRead)
+		va, err := n.lmod.AttachWith(a, hp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -205,12 +205,12 @@ func TestVMToVMAttachment(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := vmB.Module.Get(a, pb, segid, xproto.PermRead)
+		apid, err := vmB.Module.GetWith(a, pb, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := vmB.Module.Attach(a, pb, segid, apid, 0, 8*extent.PageSize, xproto.PermRead)
+		va, err := vmB.Module.AttachWith(a, pb, segid, apid, core.AttachOpts{Bytes: 8 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -259,12 +259,12 @@ func TestVMOnKittenHost(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := vm.Module.Get(a, gp, segid, xproto.PermRead)
+		apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := vm.Module.Attach(a, gp, segid, apid, 0, 8*extent.PageSize, xproto.PermRead)
+		va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: 8 * extent.PageSize, Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -304,12 +304,12 @@ func TestRadixMapCheaperThanRBTree(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			apid, err := vm.Module.Get(a, gp, segid, xproto.PermRead)
+			apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := vm.Module.Attach(a, gp, segid, apid, 0, pages*extent.PageSize, xproto.PermRead); err != nil {
+			if _, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead}); err != nil {
 				t.Error(err)
 			}
 		})
@@ -352,7 +352,7 @@ func TestMemoizedImportChargesIdentically(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := vm.Module.Get(a, gp, segid, xproto.PermRead)
+		apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -360,7 +360,7 @@ func TestMemoizedImportChargesIdentically(t *testing.T) {
 		var durs []sim.Time
 		for i := 0; i < 3; i++ {
 			start := a.Now()
-			va, err := vm.Module.Attach(a, gp, segid, apid, 0, pages*extent.PageSize, xproto.PermRead)
+			va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
 			if err != nil {
 				t.Error(err)
 				return
@@ -401,14 +401,14 @@ func TestGuestMapGrowthAcrossAttachments(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := vm.Module.Get(a, gp, segid, xproto.PermRead)
+		apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		base := vm.MapEntries()
 		for i := 0; i < 10; i++ {
-			va, err := vm.Module.Attach(a, gp, segid, apid, 0, 32*extent.PageSize, xproto.PermRead)
+			va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: 32 * extent.PageSize, Perm: xproto.PermRead})
 			if err != nil {
 				t.Error(err)
 				return

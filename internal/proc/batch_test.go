@@ -1,6 +1,7 @@
 package proc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 // patchworkAS builds an address space with a lazy scattered-backing region
 // and a deterministic patchwork of pre-populated pages, so the populate
 // paths have to handle mapped runs, intra-node holes, and absent subtrees.
-// Both calls with the same toggle state produce identical layouts.
+// Every call produces an identical layout.
 func patchworkAS(t *testing.T) (*AddressSpace, *Region) {
 	t.Helper()
 	pm := mem.NewPhysMem("node", 64<<20)
@@ -59,6 +60,32 @@ func ptState(t *testing.T, as *AddressSpace, r *Region, pages uint64) string {
 	return b.String()
 }
 
+// populateRangeLegacy is the pre-batching reference implementation: probe
+// and install one page per iteration.
+func (as *AddressSpace) populateRangeLegacy(va pagetable.VA, npages uint64) (faults int, err error) {
+	for p := uint64(0); p < npages; p++ {
+		cur := va + pagetable.VA(p*extent.PageSize)
+		if _, _, _, ok := as.pt.Walk(cur); ok {
+			continue
+		}
+		r := as.FindRegion(cur)
+		if r == nil {
+			return faults, fmt.Errorf("proc: fault at %#x outside any region", uint64(cur))
+		}
+		idx := (cur - r.Base).Page()
+		f, err := r.Backing.Page(idx)
+		if err != nil {
+			return faults, err
+		}
+		if err := as.pt.Map(cur, f, r.Flags); err != nil {
+			return faults, err
+		}
+		r.Populated++
+		faults++
+	}
+	return faults, nil
+}
+
 // TestPopulateRangeBatchedMatchesLegacy: the batched populate path (runs
 // via MappedRun + MapRun) must produce exactly the same faults, Populated
 // count, and page-table state as the original per-page Walk+Map loop.
@@ -71,10 +98,12 @@ func TestPopulateRangeBatchedMatchesLegacy(t *testing.T) {
 		state     string
 	}
 	run := func(legacy bool) outcome {
-		SetLegacyPerPageOps(legacy)
-		defer SetLegacyPerPageOps(false)
 		as, r := patchworkAS(t)
-		faults, err := as.PopulateRange(r.Base, 1200)
+		populate := as.PopulateRange
+		if legacy {
+			populate = as.populateRangeLegacy
+		}
+		faults, err := populate(r.Base, 1200)
 		if err != nil {
 			t.Fatalf("legacy=%v: %v", legacy, err)
 		}
@@ -100,15 +129,17 @@ func TestPopulateRangeBatchedMatchesLegacy(t *testing.T) {
 	}
 }
 
-// TestPopulateRangeOutsideRegionError: both populate paths report the same
-// error for a fault landing outside any region.
+// TestPopulateRangeOutsideRegionError: the batched path reports the same
+// error as the per-page reference for a fault landing outside any region.
 func TestPopulateRangeOutsideRegionError(t *testing.T) {
 	var msgs [2]string
 	for i, legacy := range []bool{false, true} {
-		SetLegacyPerPageOps(legacy)
 		as, r := patchworkAS(t)
-		_, err := as.PopulateRange(r.Base+pagetable.VA(1195*extent.PageSize), 100)
-		SetLegacyPerPageOps(false)
+		populate := as.PopulateRange
+		if legacy {
+			populate = as.populateRangeLegacy
+		}
+		_, err := populate(r.Base+pagetable.VA(1195*extent.PageSize), 100)
 		if err == nil {
 			t.Fatalf("legacy=%v: populate past region end succeeded", legacy)
 		}

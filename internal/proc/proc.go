@@ -79,16 +79,12 @@ type AddressSpace struct {
 	dom     Domain
 	regions []*Region // sorted by Base
 	mmapCur pagetable.VA
-	// legacyPerPage is snapshotted from the package default at creation,
-	// so concurrently running worlds each see a stable setting — flipping
-	// the default mid-sweep cannot tear an address space's behavior.
-	legacyPerPage bool
 }
 
 // NewAddressSpace creates an empty address space over dom whose automatic
 // region placement starts at mmapBase and grows upward.
 func NewAddressSpace(dom Domain, mmapBase pagetable.VA) *AddressSpace {
-	return &AddressSpace{pt: pagetable.New(), dom: dom, mmapCur: mmapBase, legacyPerPage: legacyPerPage}
+	return &AddressSpace{pt: pagetable.New(), dom: dom, mmapCur: mmapBase}
 }
 
 // Domain reports the address space's physical domain.
@@ -313,20 +309,6 @@ func (as *AddressSpace) FindRegion(va pagetable.VA) *Region {
 	return nil
 }
 
-// legacyPerPage routes PopulateRange through the original page-at-a-time
-// loop (see SetLegacyPerPageOps).
-var legacyPerPage = false
-
-// SetLegacyPerPageOps selects the original per-page demand-population
-// loop instead of the batched run installer. Both produce identical page
-// tables (4 KB leaves), fault counts, and errors; the legacy path exists
-// as the reference baseline for equivalence tests and the engine
-// benchmark's before/after comparison. The setting is a package-wide
-// DEFAULT that each AddressSpace snapshots when created: set it before
-// building the world whose behavior it should govern. Address spaces
-// already created keep the path they were born with.
-func SetLegacyPerPageOps(on bool) { legacyPerPage = on }
-
 // PopulateRange installs PTEs for pages [va, va+npages) that are not yet
 // mapped, pulling frames from their regions' backing lists. It reports how
 // many demand faults (page installs) occurred — the OS layer charges fault
@@ -335,9 +317,6 @@ func SetLegacyPerPageOps(on bool) { legacyPerPage = on }
 func (as *AddressSpace) PopulateRange(va pagetable.VA, npages uint64) (faults int, err error) {
 	if va.Offset() != 0 {
 		return 0, fmt.Errorf("proc: unaligned populate at %#x", uint64(va))
-	}
-	if as.legacyPerPage {
-		return as.populateRangeLegacy(va, npages)
 	}
 	for npages > 0 {
 		run, mapped := as.pt.MappedRun(va, npages)
@@ -372,32 +351,6 @@ func (as *AddressSpace) PopulateRange(va pagetable.VA, npages uint64) (faults in
 			va += pagetable.VA(e.Count * extent.PageSize)
 			npages -= e.Count
 		}
-	}
-	return faults, nil
-}
-
-// populateRangeLegacy is the pre-batching reference implementation: probe
-// and install one page per iteration.
-func (as *AddressSpace) populateRangeLegacy(va pagetable.VA, npages uint64) (faults int, err error) {
-	for p := uint64(0); p < npages; p++ {
-		cur := va + pagetable.VA(p*extent.PageSize)
-		if _, _, _, ok := as.pt.Walk(cur); ok {
-			continue
-		}
-		r := as.FindRegion(cur)
-		if r == nil {
-			return faults, fmt.Errorf("proc: fault at %#x outside any region", uint64(cur))
-		}
-		idx := (cur - r.Base).Page()
-		f, err := r.Backing.Page(idx)
-		if err != nil {
-			return faults, err
-		}
-		if err := as.pt.Map(cur, f, r.Flags); err != nil {
-			return faults, err
-		}
-		r.Populated++
-		faults++
 	}
 	return faults, nil
 }

@@ -124,27 +124,20 @@ func (a *Actor) run(fn func(*Actor)) {
 	if !a.daemon {
 		a.w.liveNonDaemons--
 	}
-	if a.w.linearScan {
-		a.w.yield <- a
-		return
-	}
-	// Heap mode: hand control onward directly; this goroutine then exits.
+	// Hand control onward directly; this goroutine then exits.
 	// A done actor is never re-enqueued, so dispatchFrom cannot pick it.
 	a.w.dispatchFrom(a)
 }
 
-// pause hands control onward and waits to be dispatched again. Heap mode
-// dispatches the next actor directly (or keeps running when this actor is
-// still the minimum); linear mode yields to the scheduler loop.
+// pause hands control onward and waits to be dispatched again: it
+// dispatches the next actor directly, or keeps running when this actor is
+// still the minimum.
 func (a *Actor) pause() {
 	a.dirty = false
 	if p := a.part; p != nil {
 		if !p.dispatchFrom(a) {
 			<-a.resume
 		}
-	} else if a.w.linearScan {
-		a.w.yield <- a
-		<-a.resume
 	} else if !a.w.dispatchFrom(a) {
 		<-a.resume
 	}

@@ -15,7 +15,6 @@ import (
 // Dispatch-benchmark engine variants.
 const (
 	benchSerial = iota // heap scheduler, serial engine
-	benchLinear        // retained linear-scan reference scheduler
 	benchPar1          // parallel engine, one partition (run-to-completion path)
 )
 
@@ -24,8 +23,6 @@ const (
 func runDispatchWorld(seed uint64, actors, steps, mode int) error {
 	w := NewWorld(seed)
 	switch mode {
-	case benchLinear:
-		w.SetLinearScan(true)
 	case benchPar1:
 		w.SetParallel(1)
 		w.SetBatchedAdvances(true)
@@ -63,10 +60,6 @@ func BenchmarkWorldDispatch(b *testing.B) { benchDispatch(b, benchPar1) }
 // BenchmarkWorldDispatchSerial is the same workload on the serial
 // reference engine.
 func BenchmarkWorldDispatchSerial(b *testing.B) { benchDispatch(b, benchSerial) }
-
-// BenchmarkWorldDispatchLinear is the same workload on the retained
-// linear-scan reference scheduler.
-func BenchmarkWorldDispatchLinear(b *testing.B) { benchDispatch(b, benchLinear) }
 
 // dispatchAllocCeiling is the checked-in allocation budget for the
 // dispatch path, in heap allocations per dispatch, world construction

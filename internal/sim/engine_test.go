@@ -52,120 +52,97 @@ func mixedWorkload(w *World) {
 	})
 }
 
-// runTraced runs mixedWorkload under the given scheduler mode and returns
-// the full dispatch trace.
-func runTraced(t *testing.T, linear bool) string {
-	t.Helper()
-	w := NewWorld(99)
-	w.SetLinearScan(linear)
-	var b strings.Builder
-	w.Trace = func(format string, args ...any) {
-		fmt.Fprintf(&b, format+"\n", args...)
-	}
-	mixedWorkload(w)
-	if err := w.Run(); err != nil {
-		t.Fatalf("linear=%v: %v", linear, err)
-	}
-	return b.String()
+// orderOracle is an Observer that checks every dispatch against the
+// scheduler's pick rule by brute force: the dispatched actor must have
+// the minimal (now, id) key over every ready actor in the world. It is
+// the O(n) scan the heap replaced, run as a check instead of an engine.
+type orderOracle struct {
+	w          *World
+	dispatches int
+	violations []string
 }
 
-// TestHeapLinearTracesIdentical is the determinism regression test for the
-// heap scheduler: the indexed min-heap and the original linear scan must
-// produce byte-identical dispatch sequences for a workload that mixes
-// every scheduling primitive.
-func TestHeapLinearTracesIdentical(t *testing.T) {
-	heap := runTraced(t, false)
-	linear := runTraced(t, true)
-	if heap != linear {
-		hl := strings.Split(heap, "\n")
-		ll := strings.Split(linear, "\n")
-		for i := 0; i < len(hl) && i < len(ll); i++ {
-			if hl[i] != ll[i] {
-				t.Fatalf("traces diverge at line %d:\n  heap:   %s\n  linear: %s", i, hl[i], ll[i])
-			}
+func (o *orderOracle) Span(*Actor, string, Time, Time)                             {}
+func (o *orderOracle) AcquireRes(*Resource, *Actor, string, Time, Time, Time, int) {}
+func (o *orderOracle) QueueWait(string, *Actor, Time, Time, int)                   {}
+func (o *orderOracle) Count(string, *Actor, Time)                                  {}
+
+func (o *orderOracle) Dispatch(next *Actor, t Time) {
+	o.dispatches++
+	for _, a := range o.w.actors {
+		if a != next && a.state == ready && actorLess(a, next) {
+			o.violations = append(o.violations, fmt.Sprintf(
+				"t=%v dispatched %s(%v,#%d) ahead of %s(%v,#%d)",
+				t, next.name, next.now, next.id, a.name, a.now, a.id))
 		}
-		t.Fatalf("trace lengths differ: heap %d lines, linear %d lines", len(hl), len(ll))
 	}
-	if len(heap) == 0 {
-		t.Fatal("empty trace — Trace hook not firing")
+}
+
+// TestDispatchOrderOracle is the determinism regression test for the heap
+// scheduler: over a workload that mixes every scheduling primitive, each
+// dispatch must pick the ready actor with minimal (time, id).
+func TestDispatchOrderOracle(t *testing.T) {
+	w := NewWorld(99)
+	o := &orderOracle{w: w}
+	w.SetObserver(o)
+	mixedWorkload(w)
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if o.dispatches == 0 {
+		t.Fatal("no dispatches observed — Observer not firing")
+	}
+	if n := len(o.violations); n > 0 {
+		t.Fatalf("%d of %d dispatches broke (time, id) order; first: %s", n, o.dispatches, o.violations[0])
 	}
 }
 
 // TestKillAllTeardownOrder pins the end-of-run teardown contract: killAll
-// terminates unfinished actors in spawn order, in both scheduler modes, so
-// daemon cleanup (deferred in the actor function, run during the errKilled
-// unwind) is deterministic.
+// terminates unfinished actors in spawn order, so daemon cleanup
+// (deferred in the actor function, run during the errKilled unwind) is
+// deterministic.
 func TestKillAllTeardownOrder(t *testing.T) {
-	for _, linear := range []bool{false, true} {
-		w := NewWorld(1)
-		w.SetLinearScan(linear)
-		var torn []string
-		for i := 0; i < 3; i++ {
-			name := fmt.Sprintf("d%d", i)
-			w.Spawn(name, func(a *Actor) {
-				a.SetDaemon()
-				defer func() { torn = append(torn, name) }()
-				a.Block("wait-forever")
-			})
-		}
-		w.Spawn("worker", func(a *Actor) { a.Advance(5 * Nanosecond) })
-		if err := w.Run(); err != nil {
-			t.Fatalf("linear=%v: %v", linear, err)
-		}
-		want := "d0,d1,d2"
-		if got := strings.Join(torn, ","); got != want {
-			t.Fatalf("linear=%v: teardown order %s, want %s", linear, got, want)
-		}
+	w := NewWorld(1)
+	var torn []string
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("d%d", i)
+		w.Spawn(name, func(a *Actor) {
+			a.SetDaemon()
+			defer func() { torn = append(torn, name) }()
+			a.Block("wait-forever")
+		})
+	}
+	w.Spawn("worker", func(a *Actor) { a.Advance(5 * Nanosecond) })
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := "d0,d1,d2"
+	if got := strings.Join(torn, ","); got != want {
+		t.Fatalf("teardown order %s, want %s", got, want)
 	}
 }
 
 // TestSpawnDuringRunScheduling verifies a child spawned mid-run inherits
-// the parent's clock and is scheduled against it correctly — in both
-// scheduler modes (Actor.Spawn must fix the child's heap position after
-// setting its start time).
+// the parent's clock and is scheduled against it correctly (Actor.Spawn
+// must fix the child's heap position after setting its start time).
 func TestSpawnDuringRunScheduling(t *testing.T) {
-	for _, linear := range []bool{false, true} {
-		w := NewWorld(1)
-		w.SetLinearScan(linear)
-		var events []string
-		w.Spawn("parent", func(a *Actor) {
-			a.Advance(10 * Nanosecond)
-			a.Spawn("child", func(c *Actor) {
-				events = append(events, fmt.Sprintf("child-start@%v", c.Now()))
-				c.Advance(Nanosecond)
-				events = append(events, fmt.Sprintf("child@%v", c.Now()))
-			})
-			a.Advance(5 * Nanosecond)
-			events = append(events, fmt.Sprintf("parent@%v", a.Now()))
-		})
-		if err := w.Run(); err != nil {
-			t.Fatalf("linear=%v: %v", linear, err)
-		}
-		want := "child-start@10ns,child@11ns,parent@15ns"
-		if got := strings.Join(events, ","); got != want {
-			t.Fatalf("linear=%v: events %s, want %s", linear, got, want)
-		}
-	}
-}
-
-// TestSetLinearScanRebuildsHeap covers the mode flip itself: actors
-// spawned while linear must be enqueued when the heap is re-enabled.
-func TestSetLinearScanRebuildsHeap(t *testing.T) {
 	w := NewWorld(1)
-	w.SetLinearScan(true)
-	var order []string
-	for _, n := range []string{"a", "b"} {
-		name := n
-		w.Spawn(name, func(a *Actor) {
-			a.Advance(Nanosecond)
-			order = append(order, name)
+	var events []string
+	w.Spawn("parent", func(a *Actor) {
+		a.Advance(10 * Nanosecond)
+		a.Spawn("child", func(c *Actor) {
+			events = append(events, fmt.Sprintf("child-start@%v", c.Now()))
+			c.Advance(Nanosecond)
+			events = append(events, fmt.Sprintf("child@%v", c.Now()))
 		})
-	}
-	w.SetLinearScan(false) // back to heap: ready queue must be rebuilt
+		a.Advance(5 * Nanosecond)
+		events = append(events, fmt.Sprintf("parent@%v", a.Now()))
+	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(order, ","); got != "a,b" {
-		t.Fatalf("order = %s", got)
+	want := "child-start@10ns,child@11ns,parent@15ns"
+	if got := strings.Join(events, ","); got != want {
+		t.Fatalf("events %s, want %s", got, want)
 	}
 }

@@ -418,8 +418,8 @@ func expectActorPanic(t *testing.T, name string, fn func()) {
 }
 
 // TestParallelGuards checks the misuse panics: cross-partition Unblock,
-// mid-run spawn in multi-partition worlds, engine-mode conflicts, and
-// mailbox contract violations.
+// mid-run spawn in multi-partition worlds, and mailbox contract
+// violations.
 func TestParallelGuards(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		t.Helper()
@@ -433,16 +433,6 @@ func TestParallelGuards(t *testing.T) {
 
 	mustPanic("zero mailbox latency", func() {
 		NewWorld(1).NewMailbox("bad", 0, 0)
-	})
-	mustPanic("linear then parallel", func() {
-		w := NewWorld(1)
-		w.SetLinearScan(true)
-		w.SetParallel(2)
-	})
-	mustPanic("parallel then linear", func() {
-		w := NewWorld(1)
-		w.SetParallel(2)
-		w.SetLinearScan(true)
 	})
 	mustPanic("negative partition", func() {
 		NewWorld(1).SetDefaultPartition(-1)

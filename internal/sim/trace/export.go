@@ -22,10 +22,10 @@ import (
 // index, partition distinguishes nested or partitioned worlds registered
 // under one cell, and seq counts registrations within a (cell,
 // partition) lane — construction inside one lane is sequential, so seq
-// is deterministic. Legacy Hook/Get registrations auto-assign one cell
-// per tracer in call order, so a serial run's export order is exactly
-// its creation order — and a parallel run sorts back to the identical
-// order, whatever order the workers reached the registrations in.
+// is deterministic. Get registrations auto-assign one cell per tracer
+// in call order, so a serial run's export order is exactly its creation
+// order — and a parallel run sorts back to the identical order, whatever
+// order the workers reached the registrations in.
 // Individual Tracers still belong to exactly one world and are not
 // locked.
 type Set struct {
@@ -33,7 +33,7 @@ type Set struct {
 	entries []setEntry
 	m       map[string]*Tracer
 	keep    bool
-	auto    int             // next auto-assigned cell (Get/Hook path)
+	auto    int             // next auto-assigned cell (Get path)
 	cellSeq map[cellKey]int // next within-lane sequence number
 }
 
@@ -121,15 +121,6 @@ func (s *Set) Tracers() []*Tracer {
 		out = append(out, e.t)
 	}
 	return out
-}
-
-// Hook returns an observer-installing callback in the shape the
-// experiments package consumes (experiments.Observe): it creates one
-// tracer per labelled world and installs it.
-func (s *Set) Hook() func(label string, w *sim.World) {
-	return func(label string, w *sim.World) {
-		w.SetObserver(s.Get(label))
-	}
 }
 
 // CellHook returns a cell-aware observer-installing callback (the shape

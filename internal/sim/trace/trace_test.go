@@ -366,7 +366,7 @@ func TestWatermarkRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// Set-level plumbing the experiment runners use: Hook/CellHook install
+// Set-level plumbing the experiment runners use: CellHook and Get install
 // tracers per labelled world, Digests lists them in lane order, and
 // SetKeepEvents governs retention for tracers created afterwards.
 func TestSetHooksAndDigests(t *testing.T) {
@@ -375,9 +375,8 @@ func TestSetHooksAndDigests(t *testing.T) {
 	cellHook := s.CellHook()
 	w1 := sim.NewWorld(3)
 	cellHook(1, "cell1", w1)
-	hook := s.Hook()
 	w0 := sim.NewWorld(3)
-	hook("auto", w0) // auto-assigned cell 2: after the explicit cell 1
+	w0.SetObserver(s.Get("auto")) // auto-assigned cell 2: after the explicit cell 1
 	for _, w := range []*sim.World{w0, w1} {
 		w.Spawn("a", func(a *sim.Actor) { a.Charge("op", 10*sim.Nanosecond) })
 		if err := w.Run(); err != nil {

@@ -19,11 +19,11 @@ var resumePool = sync.Pool{New: func() any { return make(chan struct{}) }}
 // and call Run to execute the simulation to completion.
 //
 // Dispatch order is defined by the minimal (time, id) pair over all ready
-// actors, ties broken by the lower actor id. The default scheduler keeps
-// ready actors in an indexed min-heap so each dispatch is O(log n); the
-// original O(n) linear scan is retained behind SetLinearScan as a
-// reference implementation for determinism regression tests and
-// benchmarking. Both produce bit-identical schedules.
+// actors, ties broken by the lower actor id. The scheduler keeps ready
+// actors in an indexed min-heap so each dispatch is O(log n); an
+// in-package Observer test checks every dispatch against that rule by
+// scanning the whole actor table, and the golden trace digests pin the
+// resulting schedules.
 //
 // A World is not safe for concurrent use from multiple host goroutines;
 // actors themselves never need synchronization because the scheduler
@@ -35,8 +35,8 @@ var resumePool = sync.Pool{New: func() any { return make(chan struct{}) }}
 // physical memory, inboxes, routers, nameservers, tracers — is reachable
 // from exactly one World and is mutated only while that World's scheduler
 // has dispatched one of its actors. Nothing in this module tree keeps
-// package-level mutable state that two Worlds could share (configuration
-// knobs like SetLinearScan are snapshotted per instance at creation).
+// package-level mutable state that two Worlds could share; every
+// configuration knob is a method on the World or on an object it owns.
 // Consequently, distinct Worlds may run concurrently on distinct host
 // goroutines with no synchronization whatsoever, and a sweep of N
 // independent Worlds is embarrassingly parallel while remaining
@@ -53,16 +53,13 @@ type World struct {
 	stopped bool
 
 	// heap is the ready queue: an indexed min-heap on (time, id). Running,
-	// blocked, and finished actors are not in it. Unused when linearScan,
-	// and empty while the partitioned parallel engine is active (each
-	// partition then owns its own actorHeap).
+	// blocked, and finished actors are not in it. It is empty while the
+	// partitioned parallel engine is active (each partition then owns its
+	// own actorHeap).
 	heap actorHeap
 	// liveNonDaemons counts non-daemon actors that have not finished, so
 	// the run loop's termination check is O(1) instead of a scan.
 	liveNonDaemons int
-	// linearScan selects the pre-heap O(n) scheduler (reference
-	// implementation, see SetLinearScan).
-	linearScan bool
 
 	// Partitioning state for the conservative parallel engine (see
 	// parallel.go). nparts counts the partition labels in use (always
@@ -123,35 +120,6 @@ func NewWorld(seed uint64) *World {
 	}
 }
 
-// SetLinearScan switches the scheduler to the original O(n)
-// linear-scan dispatch loop. The schedule is bit-identical to the default
-// heap scheduler — both pick the ready actor with minimal (time, id) — so
-// this exists only as the reference baseline for determinism regression
-// tests and for the engine benchmark's before/after comparison. It must
-// be called before Run.
-func (w *World) SetLinearScan(on bool) {
-	if w.running {
-		panic("sim: SetLinearScan while running")
-	}
-	if on && w.parWorkers > 0 {
-		panic("sim: SetLinearScan is incompatible with SetParallel")
-	}
-	if on == w.linearScan {
-		return
-	}
-	w.linearScan = on
-	w.heap = w.heap[:0]
-	if !on {
-		// Rebuild the ready queue for any actors spawned while linear.
-		for _, a := range w.actors {
-			a.heapIdx = -1
-			if a.state == ready {
-				w.heapPush(a)
-			}
-		}
-	}
-}
-
 // SetParallel selects the conservative windowed parallel engine for Run,
 // with up to workers host goroutines executing partition windows
 // concurrently (see parallel.go for the model). workers <= 0 reverts to
@@ -162,9 +130,6 @@ func (w *World) SetLinearScan(on bool) {
 func (w *World) SetParallel(workers int) {
 	if w.running {
 		panic("sim: SetParallel while running")
-	}
-	if workers > 0 && w.linearScan {
-		panic("sim: SetParallel is incompatible with SetLinearScan")
 	}
 	if workers < 0 {
 		workers = 0
@@ -315,13 +280,11 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // Remaining daemon actors are then terminated. Run reports a deadlock if
 // no actor is runnable while non-daemon actors are still blocked.
 //
-// In heap mode dispatch is mostly actor-to-actor: a yielding actor picks
-// the next one from the ready queue and resumes it directly (or keeps
-// running when it is itself the minimum), so the common case costs one
-// goroutine handoff instead of the two a scheduler round-trip takes.
-// Control returns here only for termination and deadlock handling. Linear
-// mode routes every yield through this loop, exactly as the pre-heap
-// engine did.
+// Dispatch is mostly actor-to-actor: a yielding actor picks the next one
+// from the ready queue and resumes it directly (or keeps running when it
+// is itself the minimum), so the common case costs one goroutine handoff
+// instead of the two a scheduler round-trip takes. Control returns here
+// only for termination and deadlock handling.
 func (w *World) Run() error {
 	if w.running {
 		return errors.New("sim: world already running")
@@ -384,12 +347,7 @@ func (w *World) DrainDaemons() error {
 	w.running = true
 	defer func() { w.running = false }()
 	for {
-		var next *Actor
-		if w.linearScan {
-			next = w.pickNextLinear()
-		} else {
-			next = w.heapPop()
-		}
+		next := w.heapPop()
 		if next == nil {
 			return nil
 		}
@@ -404,25 +362,13 @@ func (w *World) DrainDaemons() error {
 // a later phase (RunPhase); deadlocks tear the world down either way.
 func (w *World) runSerial(kill bool) error {
 	for {
-		if w.linearScan {
-			if !w.nonDaemonAlive() {
-				if kill {
-					w.killAll()
-				}
-				return nil
-			}
-		} else if w.liveNonDaemons == 0 {
+		if w.liveNonDaemons == 0 {
 			if kill {
 				w.killAll()
 			}
 			return nil
 		}
-		var next *Actor
-		if w.linearScan {
-			next = w.pickNextLinear()
-		} else {
-			next = w.heapPop()
-		}
+		next := w.heapPop()
 		if next == nil {
 			if blocked := w.blockedNonDaemons(); len(blocked) > 0 {
 				w.killAll()
@@ -440,7 +386,7 @@ func (w *World) runSerial(kill bool) error {
 
 // dispatch advances the global clock to the dispatched actor's and emits
 // the trace line. It runs on whichever goroutine performs the handoff —
-// the scheduler or, in heap mode, the yielding actor — always under the
+// the scheduler or the yielding actor — always under the
 // one-runnable-goroutine guarantee.
 func (w *World) dispatch(next *Actor) {
 	// The checkpoint fires the instant the next dispatch would reach the
@@ -463,7 +409,7 @@ func (w *World) dispatch(next *Actor) {
 }
 
 // dispatchFrom hands control onward from a, which has just updated its
-// own state and clock (heap mode only). It returns true when a is itself
+// own state and clock. It returns true when a is itself
 // the minimal ready actor and should simply keep running — no handoff at
 // all. Otherwise it resumes the next actor directly, or wakes the
 // scheduler loop when termination or deadlock handling is needed, and
@@ -490,27 +436,12 @@ func (w *World) dispatchFrom(a *Actor) bool {
 	return false
 }
 
-// pickNextLinear is the original O(n) dispatch scan, kept as the
-// reference implementation behind SetLinearScan.
-func (w *World) pickNextLinear() *Actor {
-	var best *Actor
-	for _, a := range w.actors {
-		if a.state != ready {
-			continue
-		}
-		if best == nil || a.now < best.now || (a.now == best.now && a.id < best.id) {
-			best = a
-		}
-	}
-	return best
-}
-
 // --- ready-queue heap ---------------------------------------------------
 //
 // Invariant: heap[i] is a ready actor with heap[i].heapIdx == i, and the
 // key (now, id) of every node is <= its children's. Ids are unique, so
-// the minimum is unique and the heap's pop order equals the linear scan's
-// pick order exactly.
+// the minimum is unique and the pop order is the (time, id) dispatch
+// order exactly.
 
 // actorLess orders actors by (time, id) — the dispatch priority.
 func actorLess(a, b *Actor) bool {
@@ -630,14 +561,10 @@ func (h actorHeap) siftDown(i int) {
 
 // heapPush enqueues a ready actor in whichever ready queue owns it: the
 // actor's partition heap under the parallel engine, otherwise the
-// world's. No-op in linear mode, where the scan consults actor state
-// directly.
+// world's.
 func (w *World) heapPush(a *Actor) {
 	if a.part != nil {
 		a.part.heap.push(a)
-		return
-	}
-	if w.linearScan {
 		return
 	}
 	w.heap.push(a)
@@ -656,22 +583,7 @@ func (w *World) heapFix(a *Actor) {
 		a.part.heap.fix(a)
 		return
 	}
-	if w.linearScan {
-		return
-	}
 	w.heap.fix(a)
-}
-
-// nonDaemonAlive reports whether any non-daemon actor has not finished
-// (linear-mode termination check; heap mode uses the liveNonDaemons
-// counter).
-func (w *World) nonDaemonAlive() bool {
-	for _, a := range w.actors {
-		if !a.daemon && a.state != done && a.state != killed {
-			return true
-		}
-	}
-	return false
 }
 
 func (w *World) blockedNonDaemons() []string {
@@ -688,7 +600,7 @@ func (w *World) blockedNonDaemons() []string {
 // killAll terminates every actor that has not finished, including daemons
 // blocked on message loops, so their goroutines do not leak. Termination
 // follows spawn order, which keeps teardown deterministic regardless of
-// scheduler mode. Once every goroutine has exited the resume channels are
+// engine. Once every goroutine has exited the resume channels are
 // recycled for future worlds.
 func (w *World) killAll() {
 	for _, a := range w.actors {
@@ -722,7 +634,7 @@ func (w *World) Reserve(n int) {
 		copy(actors, w.actors)
 		w.actors = actors
 	}
-	if !w.linearScan && cap(w.heap) < n {
+	if cap(w.heap) < n {
 		heap := make(actorHeap, len(w.heap), n)
 		copy(heap, w.heap)
 		w.heap = heap

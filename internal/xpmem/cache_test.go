@@ -70,13 +70,13 @@ func TestFrameCacheHitMissDetach(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.attSess.Get(a, segid, xpmem.PermRead|xpmem.PermWrite)
+		apid, err := n.attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead | xpmem.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 
-		va1, err := n.attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead|xpmem.PermWrite)
+		va1, err := n.attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead | xpmem.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
@@ -86,7 +86,7 @@ func TestFrameCacheHitMissDetach(t *testing.T) {
 		}
 
 		// Same window again, without detaching the first: a cache hit.
-		va2, err := n.attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead|xpmem.PermWrite)
+		va2, err := n.attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead | xpmem.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
@@ -124,7 +124,7 @@ func TestFrameCacheHitMissDetach(t *testing.T) {
 		}
 
 		// A different window is a different key: miss, not hit.
-		va3, err := n.attSess.Attach(a, segid, apid, 4*extent.PageSize, 4*extent.PageSize, xpmem.PermRead)
+		va3, err := n.attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Offset: 4 * extent.PageSize, Bytes: 4 * extent.PageSize, Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -156,7 +156,7 @@ func TestFrameCacheHitMissDetach(t *testing.T) {
 		}
 
 		// Next attach of the original window must re-walk: a fresh miss.
-		va4, err := n.attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+		va4, err := n.attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -188,12 +188,12 @@ func TestFrameCacheInvalidationOnReExport(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := n.attSess.Get(a, segid, xpmem.PermRead)
+		apid, err := n.attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := n.attSess.Attach(a, segid, apid, 0, bytes, xpmem.PermRead)
+		va, err := n.attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -226,12 +226,12 @@ func TestFrameCacheInvalidationOnReExport(t *testing.T) {
 		if segid2 == segid {
 			t.Error("re-export reused the removed segid")
 		}
-		apid2, err := n.attSess.Get(a, segid2, xpmem.PermRead)
+		apid2, err := n.attSess.GetWith(a, segid2, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		if _, err := n.attSess.Attach(a, segid2, apid2, 0, bytes, xpmem.PermRead); err != nil {
+		if _, err := n.attSess.AttachWith(a, segid2, apid2, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead}); err != nil {
 			t.Error(err)
 			return
 		}

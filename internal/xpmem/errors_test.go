@@ -41,12 +41,12 @@ func TestTypedErrorLifecycle(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		apid, err := att.Get(a, segid, xpmem.PermRead)
+		apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := att.Attach(a, segid, apid, 0, 16<<12, xpmem.PermRead)
+		va, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: 16 << 12, Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -97,7 +97,7 @@ func TestTypedErrorLifecycle(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		lapid, err := local.Get(a, lsegid, xpmem.PermRead)
+		lapid, err := local.GetWith(a, lsegid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -110,7 +110,7 @@ func TestTypedErrorLifecycle(t *testing.T) {
 		}
 		// A foreign process releasing someone else's grant: permission,
 		// not existence — the apid is real, the caller just doesn't own it.
-		lapid2, err := local.Get(a, lsegid, xpmem.PermRead)
+		lapid2, err := local.GetWith(a, lsegid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return

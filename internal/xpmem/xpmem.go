@@ -60,11 +60,10 @@ var (
 	ErrBadRange = core.ErrBadRange
 )
 
-// Option structs for the *With operation forms. The zero values request
+// Option structs for GetWith and AttachWith. The zero values request
 // read permission (and, for AttachOpts, the whole segment) under the
 // default timeout/retry policy — which only takes effect when the world
-// has a fault injector; without one, requests block until answered,
-// exactly as the positional forms always have.
+// has a fault injector; without one, requests block until answered.
 type (
 	// GetOpts parameterizes GetWith: permission plus timeout/retry policy.
 	GetOpts = core.GetOpts
@@ -118,15 +117,10 @@ func (s *Session) Remove(a *sim.Actor, segid Segid) error {
 	return s.mod.Remove(a, s.p, segid)
 }
 
-// Get requests access to a segment and returns a permission grant
-// (xpmem_get) — the positional form of GetWith.
-func (s *Session) Get(a *sim.Actor, segid Segid, perm Perm) (Apid, error) {
-	return s.mod.Get(a, s.p, segid, perm)
-}
-
-// GetWith is Get with explicit options: permission plus the
-// timeout/retry policy bounding the cross-enclave request when fault
-// injection is active.
+// GetWith requests access to a segment and returns a permission grant
+// (xpmem_get). The options carry the permission plus the timeout/retry
+// policy bounding the cross-enclave request when fault injection is
+// active.
 func (s *Session) GetWith(a *sim.Actor, segid Segid, opts GetOpts) (Apid, error) {
 	return s.mod.GetWith(a, s.p, segid, opts)
 }
@@ -136,16 +130,10 @@ func (s *Session) Release(a *sim.Actor, segid Segid, apid Apid) error {
 	return s.mod.Release(a, s.p, segid, apid)
 }
 
-// Attach maps bytes of the segment at the given byte offset into the
-// process and returns the new virtual address (xpmem_attach) — the
-// positional form of AttachWith.
-func (s *Session) Attach(a *sim.Actor, segid Segid, apid Apid, offset, bytes uint64, perm Perm) (pagetable.VA, error) {
-	return s.mod.Attach(a, s.p, segid, apid, offset, bytes, perm)
-}
-
-// AttachWith is Attach with explicit options: window and permission plus
-// the timeout/retry policy bounding the cross-enclave request when fault
-// injection is active.
+// AttachWith maps a window of the segment into the process and returns
+// the new virtual address (xpmem_attach). The options carry the window
+// and permission plus the timeout/retry policy bounding the cross-enclave
+// request when fault injection is active.
 func (s *Session) AttachWith(a *sim.Actor, segid Segid, apid Apid, opts AttachOpts) (pagetable.VA, error) {
 	return s.mod.AttachWith(a, s.p, segid, apid, opts)
 }

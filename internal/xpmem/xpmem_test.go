@@ -52,13 +52,13 @@ func TestTable1APISurface(t *testing.T) {
 			return
 		}
 		// xpmem_get.
-		apid, err := att.Get(a, segid, xpmem.PermRead|xpmem.PermWrite)
+		apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead | xpmem.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
 		}
 		// xpmem_attach with an offset.
-		va, err := att.Attach(a, segid, apid, 4*extent.PageSize, 4*extent.PageSize, xpmem.PermRead|xpmem.PermWrite)
+		va, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Offset: 4 * extent.PageSize, Bytes: 4 * extent.PageSize, Perm: xpmem.PermRead | xpmem.PermWrite})
 		if err != nil {
 			t.Error(err)
 			return
@@ -91,7 +91,7 @@ func TestTable1APISurface(t *testing.T) {
 		if _, err := att.Lookup(a, "table1"); err == nil {
 			t.Error("removed segment still discoverable")
 		}
-		if _, err := att.Get(a, segid, xpmem.PermRead); err == nil {
+		if _, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead}); err == nil {
 			t.Error("removed segment still gettable")
 		}
 	})

@@ -74,12 +74,12 @@ func TestFigure1Topology(t *testing.T) {
 			segid = s
 			return true
 		})
-		apid, err := attSess.Get(a, segid, xpmem.PermRead)
+		apid, err := attSess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		va, err := attSess.Attach(a, segid, apid, 0, 64<<12, xpmem.PermRead)
+		va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: 64 << 12, Perm: xpmem.PermRead})
 		if err != nil {
 			t.Error(err)
 			return
@@ -176,12 +176,12 @@ func TestManyEnclavesMixed(t *testing.T) {
 			}
 			// The matching Linux attacher.
 			att, attProc := node.LinuxProcess("att"+e.name, 1+i)
-			apid, err := xpmem.NewSession(node.LinuxModule(), attProc).Get(a, segid, xpmem.PermRead)
+			apid, err := xpmem.NewSession(node.LinuxModule(), attProc).GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			va, err := att.Attach(a, segid, apid, 0, 16<<12, xpmem.PermRead)
+			va, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: 16 << 12, Perm: xpmem.PermRead})
 			if err != nil {
 				t.Error(err)
 				return
@@ -295,12 +295,12 @@ func TestTwoNodesOneWorld(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			apid, err := att.Get(a, segid, xpmem.PermRead)
+			apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			if _, err := att.Attach(a, segid, apid, 0, 4096, xpmem.PermRead); err != nil {
+			if _, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: 4096, Perm: xpmem.PermRead}); err != nil {
 				t.Error(err)
 			}
 		})
