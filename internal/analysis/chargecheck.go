@@ -39,9 +39,9 @@ var chargeSinks = map[string]bool{
 	"Advance": true, "AdvanceN": true, "AdvanceTo": true, "Sleep": true,
 	"Acquire": true, "AcquireOp": true, "TryAcquire": true, "Exec": true,
 	"CopyTime": true, "advanceSync": true,
-	// The fault-era timeout primitive: interval and deadline both become
+	// The timeout primitives: interval and deadline both become
 	// virtual-time advances on the polling actor.
-	"PollDeadline": true,
+	"PollDeadline": true, "Await": true,
 }
 
 // clockPath are the sim functions allowed to write Actor.now directly:

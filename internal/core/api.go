@@ -73,10 +73,10 @@ const (
 )
 
 // rpc issues a request from a process actor and waits for the routed
-// response. In the zero-fault world (no injector installed) it blocks
-// until the response arrives — bit-identical to the pre-fault engine. With
-// an injector, each attempt arms a virtual-time timeout and lost
-// responses are retried with exponential backoff per pol.
+// response under pol, resolved for this world (RetryPolicy.resolve): each
+// attempt waits up to its timeout, and timed-out attempts are retried
+// with exponential backoff. In the zero-fault world the single attempt
+// has no deadline, so the requester blocks until the response wakes it.
 func (m *Module) rpc(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xproto.Message, error) {
 	msg.Src = m.R.Self()
 	origDst := msg.Dst
@@ -87,10 +87,7 @@ func (m *Module) rpc(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xprot
 	if err != nil {
 		return nil, err
 	}
-	if m.w.Injector() == nil {
-		return m.rpcBlocking(a, msg, l)
-	}
-	pol = pol.withDefaults()
+	pol = pol.resolve(m.w.Injector() != nil)
 	timeout := pol.Timeout
 	for attempt := 0; ; attempt++ {
 		resp, err := m.rpcOnce(a, msg, l, timeout)
@@ -121,40 +118,23 @@ func (m *Module) rpc(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xprot
 	}
 }
 
-// rpcBlocking is the original wait-forever request path, kept verbatim so
-// runs without fault injection charge exactly the same virtual time they
-// always did.
-func (m *Module) rpcBlocking(a *sim.Actor, msg *xproto.Message, l xproto.Link) (*xproto.Message, error) {
-	msg.ReqID = m.newReqID()
-	p := &pendingReq{waiter: a, dst: msg.Dst}
-	m.pending[msg.ReqID] = p
-	m.sendOn(a, l, msg)
-	for p.resp == nil {
-		a.Block("rpc:" + msg.Type.String())
-	}
-	delete(m.pending, msg.ReqID)
-	if err := statusErr(p.resp.Status); err != nil {
-		return nil, opErr(msg.Type.String(), err, msg.Segid, msg.Apid)
-	}
-	return p.resp, nil
-}
-
-// rpcOnce sends one attempt with a fresh ReqID and polls for its response
-// until timeout. A late response to an abandoned attempt finds no pending
-// entry and is counted as dropped — the retry carries a new ReqID, so
-// stale responses can never complete the wrong attempt.
+// rpcOnce sends one attempt with a fresh ReqID and waits for its response
+// until timeout: polling when the timeout is finite, blocking until
+// complete or failPending wakes it when it is sim.Forever. A late
+// response to an abandoned attempt finds no pending entry and is counted
+// as dropped — the retry carries a new ReqID, so stale responses can
+// never complete the wrong attempt.
 func (m *Module) rpcOnce(a *sim.Actor, msg *xproto.Message, l xproto.Link, timeout sim.Time) (*xproto.Message, error) {
 	msg.ReqID = m.newReqID()
 	p := &pendingReq{waiter: a, dst: msg.Dst}
 	m.pending[msg.ReqID] = p
 	m.sendOn(a, l, msg)
-	deadline := a.Now() + timeout
-	if !a.PollDeadline(rpcPollInterval, deadline, func() bool { return p.resp != nil }) {
-		delete(m.pending, msg.ReqID)
+	answered := a.Await("rpc:"+msg.Type.String(), rpcPollInterval, a.Deadline(timeout), func() bool { return p.resp != nil })
+	delete(m.pending, msg.ReqID)
+	if !answered {
 		m.Stats.Timeouts++
 		return nil, opErr(msg.Type.String(), ErrTimeout, msg.Segid, msg.Apid)
 	}
-	delete(m.pending, msg.ReqID)
 	if err := statusErr(p.resp.Status); err != nil {
 		return nil, opErr(msg.Type.String(), err, msg.Segid, msg.Apid)
 	}

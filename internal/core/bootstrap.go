@@ -7,12 +7,13 @@ import (
 	"xemem/internal/xproto"
 )
 
-// Bootstrap retry parameters (fault-injected worlds only): each attempt
-// rebroadcasts and waits one window, doubling the window each time. Eight
-// attempts ride out even a 10% loss rate with overwhelming probability;
-// an enclave that still cannot reach the name server marks itself
-// crashed so its processes fail with ErrEnclaveDown instead of polling a
-// kernel that will never come up.
+// Bootstrap retry parameters: each attempt rebroadcasts and waits one
+// window, doubling the window each time (fault-injected worlds only — the
+// zero-fault window is unbounded, see bootWindow). Eight attempts ride
+// out even a 10% loss rate with overwhelming probability; an enclave that
+// still cannot reach the name server marks itself crashed so its
+// processes fail with ErrEnclaveDown instead of polling a kernel that
+// will never come up.
 const (
 	bootAttempts = 8
 	bootBaseWait = 200 * sim.Microsecond
@@ -33,34 +34,30 @@ const (
 //     response retraces the path, with each hop learning a route to the
 //     new enclave as it passes (§3.2's map maintenance).
 //
-// While waiting, the kernel keeps handling other traffic — it may itself
-// be a forwarding hop for enclaves deeper in the tree.
+// While waiting, the kernel runs its normal message handler, which also
+// takes the pong and the ID response (see handle) — it may itself be a
+// forwarding hop for enclaves deeper in the tree.
 //
-// With a fault injector installed, both waits are bounded: lost pings or
-// ID requests are rebroadcast with fresh request IDs (duplicate pongs
-// are ignored; a duplicate ID allocation wastes an enclave ID at the
-// name server, which is harmless), and an enclave that exhausts its
-// attempts marks itself crashed.
+// Under fault injection both waits are bounded: lost pings or ID
+// requests are rebroadcast with fresh request IDs (duplicate pongs are
+// ignored; a duplicate ID allocation wastes an enclave ID at the name
+// server, which is harmless), and an enclave that exhausts its attempts
+// marks itself crashed. In the zero-fault world the first attempt's
+// window is unbounded, so it always completes.
 func (m *Module) bootstrap(a *sim.Actor) {
 	if len(m.links) == 0 {
 		panic(fmt.Sprintf("core: enclave %s has no channels and does not host the name server", m.name))
 	}
-	if m.w.Injector() == nil {
-		m.bootstrapBlocking(a)
-		return
-	}
 
 	// Phase 1: find a path to the name server.
-	wait := bootBaseWait
 	for attempt := 0; attempt < bootAttempts && m.R.NSLink() == nil; attempt++ {
 		pingReq := m.newReqID()
 		for _, l := range m.links {
 			m.sendOn(a, l, &xproto.Message{Type: xproto.MsgPingNS, ReqID: pingReq})
 		}
-		if !m.drainUntil(a, wait, func() bool { return m.R.NSLink() != nil }) {
+		if !m.drainUntil(a, m.bootWindow(attempt), func() bool { return m.R.NSLink() != nil }) {
 			return // crashed mid-boot
 		}
-		wait *= 2
 	}
 	if m.R.NSLink() == nil {
 		m.failBoot()
@@ -68,15 +65,13 @@ func (m *Module) bootstrap(a *sim.Actor) {
 	}
 
 	// Phase 2: obtain an enclave ID over the learned path.
-	wait = bootBaseWait
 	for attempt := 0; attempt < bootAttempts && m.R.Self() == xproto.NoEnclave; attempt++ {
 		idReq := m.newReqID()
 		m.bootIDReq = idReq
 		m.sendOn(a, m.R.NSLink(), &xproto.Message{Type: xproto.MsgEnclaveIDReq, ReqID: idReq})
-		if !m.drainUntil(a, wait, func() bool { return m.R.Self() != xproto.NoEnclave }) {
+		if !m.drainUntil(a, m.bootWindow(attempt), func() bool { return m.R.Self() != xproto.NoEnclave }) {
 			return
 		}
-		wait *= 2
 	}
 	m.bootIDReq = 0
 	if m.R.Self() == xproto.NoEnclave {
@@ -84,53 +79,25 @@ func (m *Module) bootstrap(a *sim.Actor) {
 	}
 }
 
-// bootstrapBlocking is the original wait-forever joining protocol, kept
-// verbatim for the zero-fault world so boot timing stays bit-identical.
-func (m *Module) bootstrapBlocking(a *sim.Actor) {
-	pingReq := m.newReqID()
-	for _, l := range m.links {
-		m.sendOn(a, l, &xproto.Message{Type: xproto.MsgPingNS, ReqID: pingReq})
+// bootWindow is how long bootstrap attempt waits for its answer:
+// bootBaseWait doubled per attempt under fault injection, sim.Forever in
+// the zero-fault world, where nothing is ever lost.
+func (m *Module) bootWindow(attempt int) sim.Time {
+	if m.w.Injector() == nil {
+		return sim.Forever
 	}
-	for m.R.NSLink() == nil {
-		msg, via, ok := m.receive(a)
-		if !ok {
-			if m.stopped {
-				return
-			}
-			continue
-		}
-		if msg.Type == xproto.MsgPongNS && msg.ReqID == pingReq {
-			m.R.SetNSLink(via)
-			break
-		}
-		m.handle(a, msg, via)
-	}
-
-	idReq := m.newReqID()
-	m.sendOn(a, m.R.NSLink(), &xproto.Message{Type: xproto.MsgEnclaveIDReq, ReqID: idReq})
-	for m.R.Self() == xproto.NoEnclave {
-		msg, via, ok := m.receive(a)
-		if !ok {
-			if m.stopped {
-				return
-			}
-			continue
-		}
-		if msg.Type == xproto.MsgEnclaveIDResp && msg.ReqID == idReq {
-			m.R.SetSelf(xproto.EnclaveID(msg.Value))
-			break
-		}
-		m.handle(a, msg, via)
-	}
+	return bootBaseWait << attempt
 }
 
 // drainUntil serves arriving messages for up to window, returning early
 // once done() holds. It reports false when the enclave crashed (shutdown
 // poison) — the caller must unwind.
 func (m *Module) drainUntil(a *sim.Actor, window sim.Time, done func() bool) bool {
-	deadline := a.Now() + window
+	deadline := a.Deadline(window)
 	for !done() {
-		if !a.PollDeadline(bootPoll, deadline, func() bool { return m.In.Len() > 0 }) {
+		// A bounded window polls the inbox; an unbounded one lets the
+		// receive below block on it.
+		if deadline != sim.Forever && !a.PollDeadline(bootPoll, deadline, func() bool { return m.In.Len() > 0 }) {
 			return true // window expired; caller decides whether to retry
 		}
 		msg, via, ok := m.receive(a)
@@ -140,29 +107,9 @@ func (m *Module) drainUntil(a *sim.Actor, window sim.Time, done func() bool) boo
 			}
 			continue
 		}
-		m.handleBoot(a, msg, via)
-	}
-	return true
-}
-
-// handleBoot dispatches one message received during a fault-injected
-// bootstrap: pongs (any attempt's) select the name-server link, ID
-// responses matching the outstanding request assign our identity, and
-// everything else takes the normal handling path — this kernel may
-// already be a forwarding hop for enclaves deeper in the tree.
-func (m *Module) handleBoot(a *sim.Actor, msg *xproto.Message, via xproto.Link) {
-	switch {
-	case msg.Type == xproto.MsgPongNS:
-		if m.R.NSLink() == nil {
-			m.R.SetNSLink(via)
-		}
-	case msg.Type == xproto.MsgEnclaveIDResp && msg.ReqID == m.bootIDReq:
-		if m.R.Self() == xproto.NoEnclave {
-			m.R.SetSelf(xproto.EnclaveID(msg.Value))
-		}
-	default:
 		m.handle(a, msg, via)
 	}
+	return true
 }
 
 // failBoot marks the enclave dead after an unbootstrappable fault plan.

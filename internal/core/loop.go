@@ -23,7 +23,11 @@ func (m *Module) handle(a *sim.Actor, msg *xproto.Message, via xproto.Link) {
 		}
 
 	case xproto.MsgPongNS:
-		// A late or duplicate pong (we already picked a channel): ignore.
+		// The first pong (of any bootstrap attempt) picks the channel
+		// toward the name server; late or duplicate pongs are ignored.
+		if !m.R.HasPathToNS() {
+			m.R.SetNSLink(via)
+		}
 
 	case xproto.MsgEnclaveIDReq:
 		if m.nsRoot {
@@ -43,6 +47,10 @@ func (m *Module) handle(a *sim.Actor, msg *xproto.Message, via xproto.Link) {
 		m.forward(a, msg, xproto.NoEnclave)
 
 	case xproto.MsgEnclaveIDResp:
+		if m.bootIDReq != 0 && msg.ReqID == m.bootIDReq {
+			m.R.SetSelf(xproto.EnclaveID(msg.Value)) // our bootstrap's answer
+			return
+		}
 		if hopVia, ok := m.R.TakeHop(msg.ReqID); ok {
 			// A response passing through: learn the route to the new
 			// enclave and retrace the request path (§3.2).
@@ -52,7 +60,7 @@ func (m *Module) handle(a *sim.Actor, msg *xproto.Message, via xproto.Link) {
 			m.sendOn(a, hopVia, msg)
 			return
 		}
-		m.complete(a, msg) // our own bootstrap response (handled in bootstrap normally)
+		m.complete(a, msg) // a late duplicate of our own bootstrap response: dropped
 
 	default:
 		switch {

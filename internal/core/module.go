@@ -231,8 +231,8 @@ type Module struct {
 	stopped      bool
 	crashed      bool
 	pendingPings []pendingPing //xemem:nosnap -- bootstrap-transient: drained the moment the kernel turns ready, before the world can quiesce for a snapshot
-	// bootIDReq is the outstanding enclave-ID request during a
-	// fault-injected bootstrap (0 otherwise).
+	// bootIDReq is the outstanding enclave-ID request during bootstrap (0
+	// otherwise).
 	bootIDReq uint64 //xemem:nosnap -- bootstrap-transient: zeroed when the enclave ID arrives, before the world can quiesce for a snapshot
 
 	segs         map[xproto.Segid]*Segment

@@ -32,16 +32,22 @@ const (
 // the timeout between attempts. The zero value selects the defaults
 // above. The policy only takes effect when the world has a fault
 // injector installed; in the zero-fault world requests block until their
-// response arrives, exactly as before the fault subsystem existed.
+// response arrives (see resolve).
 type RetryPolicy struct {
 	Timeout sim.Time
 	Retries int
 	Backoff float64
 }
 
-// withDefaults resolves zero fields to the package defaults. Retries < 0
-// means "no retries" (a single attempt).
-func (p RetryPolicy) withDefaults() RetryPolicy {
+// resolve returns the policy a request actually runs under. In the
+// zero-fault world (faulty false) nothing is ever lost, so the request is
+// one attempt with a sim.Forever timeout: it blocks until the response
+// wakes it. Under fault injection zero fields take the package defaults,
+// and Retries < 0 means "no retries" (a single attempt).
+func (p RetryPolicy) resolve(faulty bool) RetryPolicy {
+	if !faulty {
+		return RetryPolicy{Timeout: sim.Forever}
+	}
 	if p.Timeout <= 0 {
 		p.Timeout = DefaultRPCTimeout
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"xemem/internal/core"
@@ -80,6 +81,71 @@ func TestFig3MessageSequence(t *testing.T) {
 	}
 	if !sameTypes(linuxSent, wantLinux) {
 		t.Errorf("linux sent %v, want %v", linuxSent, wantLinux)
+	}
+}
+
+// noFaults is an injector that never injects anything: installing it
+// turns on the bounded request and bootstrap waits without perturbing a
+// single delivery.
+type noFaults struct{}
+
+func (noFaults) DeliveryFault(string, *sim.Actor, int) (bool, sim.Time) { return false, 0 }
+func (noFaults) ServiceDown(string, sim.Time) bool                      { return false }
+
+// TestRequestBoundOnlyUnderInjection pins the one request path's policy
+// resolution. In the zero-fault world a request's wait is unbounded: a
+// 1 ns timeout is ignored and the requester wakes the instant its
+// response is handled. With an injector installed, the same path arms
+// the timeout (1 ns expires before any answer) and, with the default
+// policy, polls — landing within one poll quantum of the unbounded
+// latency.
+func TestRequestBoundOnlyUnderInjection(t *testing.T) {
+	get := func(inj sim.Injector, opts core.GetOpts) (sim.Time, *core.Module, error) {
+		n := newTestNode(t)
+		if inj != nil {
+			n.w.SetInjector(inj)
+		}
+		n.lmod.Start()
+		ck := n.addKitten(t, "kitten0", 64<<20)
+		kp, heap, err := ck.OS.NewProcess("exp", 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp := n.linux.NewProcess("att", 1)
+		var took sim.Time
+		var gerr error
+		n.w.Spawn("driver", func(a *sim.Actor) {
+			segid, err := ck.Module.Make(a, kp, heap.Base, 8*extent.PageSize, xproto.PermRead, "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			n.lmod.WaitReady(a)
+			start := a.Now()
+			_, gerr = n.lmod.GetWith(a, lp, segid, opts)
+			took = a.Now() - start
+		})
+		if err := n.w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return took, n.lmod, gerr
+	}
+
+	tiny := core.GetOpts{Timeout: sim.Nanosecond, Retries: -1}
+	unbounded, _, err := get(nil, tiny)
+	if err != nil {
+		t.Fatalf("zero-fault get with a 1ns timeout: %v", err)
+	}
+	if _, mod, err := get(noFaults{}, tiny); !errors.Is(err, core.ErrTimeout) || mod.Stats.Timeouts != 1 {
+		t.Fatalf("injected get with a 1ns timeout: err=%v timeouts=%d, want ErrTimeout once", err, mod.Stats.Timeouts)
+	}
+	bounded, _, err := get(noFaults{}, core.GetOpts{})
+	if err != nil {
+		t.Fatalf("injected get with the default policy: %v", err)
+	}
+	t.Logf("get latency: blocking %v, polled %v", unbounded, bounded)
+	if d := bounded - unbounded; d < 0 || d >= 2*sim.Microsecond {
+		t.Fatalf("polled get took %v, blocking get %v: want at most one 2µs poll quantum more", bounded, unbounded)
 	}
 }
 

@@ -153,53 +153,68 @@ func (m *Module) dropLease(a *sim.Actor, segid xproto.Segid) {
 	countShard(a, "lease-stale")
 }
 
-// shardLookup resolves segid→owner at the segid's home shard, failing
-// over along the replica list. Replicas known dead are skipped; a
-// replica that times out or turns out down advances to the next.
-func (m *Module) shardLookup(a *sim.Actor, segid xproto.Segid, pol RetryPolicy) (xproto.EnclaveID, error) {
-	k := nameserver.ShardOf(segid, m.shardCount())
-	m.ShardStats.ShardLookups++
-	countShard(a, fmt.Sprintf("shard-route:%d", k))
-	err := errTimeout("shard-lookup", segid)
+// shardCall is the one request path of the sharded name service: it
+// sends req to shard k's replicas in order until one answers. Replicas
+// known dead are skipped; a replica that times out or turns out down
+// advances to the next. A replica this module hosts serves the request
+// through local instead of the wire (nil local: never). Every
+// failover-worthy error — ErrTimeout for an exhausted list,
+// ErrEnclaveDown for a dead replica, the wire error otherwise — is
+// attributed to the caller's operation by fail, and the last one is
+// returned when the list runs out.
+func (m *Module) shardCall(a *sim.Actor, k int, req xproto.Message, pol RetryPolicy,
+	fail func(error) error, local func() (*xproto.Message, error)) (*xproto.Message, error) {
+	err := fail(ErrTimeout)
 	for i, rep := range m.shards.Replicas[k] {
 		if i > 0 {
 			m.ShardStats.ShardFailovers++
 			countShard(a, "shard-failover")
 		}
-		if rep == m.R.Self() && m.localShardServe(k) {
-			if werr := m.nsWait(a); werr != nil {
-				return xproto.NoEnclave, opErr("shard-lookup", werr, segid, xproto.NoApid)
-			}
-			a.Charge("ns-op", m.c.NSOp)
-			owner, ok := m.NS.Owner(segid)
-			if !ok {
-				return xproto.NoEnclave, opErr("shard-lookup", ErrNoSuchSegid, segid, xproto.NoApid)
-			}
-			if m.NS.EnclaveDown(owner) || m.dead[owner] {
-				return xproto.NoEnclave, opErr("shard-lookup", ErrEnclaveDown, segid, xproto.NoApid)
-			}
-			return owner, nil
+		if local != nil && rep == m.R.Self() && m.localShardServe(k) {
+			return local()
 		}
 		if m.dead[rep] {
-			err = opErr("shard-lookup", ErrEnclaveDown, segid, xproto.NoApid)
+			err = fail(ErrEnclaveDown)
 			continue
 		}
-		resp, rerr := m.rpc(a, &xproto.Message{Type: xproto.MsgShardLookupReq, Dst: rep, Segid: segid}, pol)
-		if rerr != nil {
-			if errors.Is(rerr, ErrTimeout) || errors.Is(rerr, ErrEnclaveDown) {
-				err = rerr
-				continue // replica unreachable or freshly marked down: try the next
-			}
-			return xproto.NoEnclave, rerr
+		msg := req
+		msg.Dst = rep
+		resp, rerr := m.rpc(a, &msg, pol)
+		if rerr == nil {
+			return resp, nil
 		}
-		return xproto.EnclaveID(resp.Value), nil
+		if !errors.Is(rerr, ErrTimeout) && !errors.Is(rerr, ErrEnclaveDown) {
+			return nil, rerr
+		}
+		err = fail(rerr)
 	}
-	return xproto.NoEnclave, err
+	return nil, err
 }
 
-// errTimeout is the all-replicas-unreachable verdict.
-func errTimeout(op string, segid xproto.Segid) error {
-	return opErr(op, ErrTimeout, segid, xproto.NoApid)
+// shardLookup resolves segid→owner at the segid's home shard.
+func (m *Module) shardLookup(a *sim.Actor, segid xproto.Segid, pol RetryPolicy) (xproto.EnclaveID, error) {
+	k := nameserver.ShardOf(segid, m.shardCount())
+	m.ShardStats.ShardLookups++
+	countShard(a, fmt.Sprintf("shard-route:%d", k))
+	fail := func(err error) error { return opErr("shard-lookup", err, segid, xproto.NoApid) }
+	resp, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgShardLookupReq, Segid: segid}, pol, fail, func() (*xproto.Message, error) {
+		if werr := m.nsWait(a); werr != nil {
+			return nil, fail(werr)
+		}
+		a.Charge("ns-op", m.c.NSOp)
+		owner, ok := m.NS.Owner(segid)
+		if !ok {
+			return nil, fail(ErrNoSuchSegid)
+		}
+		if m.NS.EnclaveDown(owner) || m.dead[owner] {
+			return nil, fail(ErrEnclaveDown)
+		}
+		return &xproto.Message{Value: uint64(owner)}, nil
+	})
+	if err != nil {
+		return xproto.NoEnclave, err
+	}
+	return xproto.EnclaveID(resp.Value), nil
 }
 
 // shardRPC resolves the segment's owner and issues a direct request to
@@ -254,64 +269,31 @@ func (m *Module) shardAllocSegid(a *sim.Actor, pol RetryPolicy) (xproto.Segid, e
 		return segid, nil
 	}
 	k := int(uint64(m.R.Self()) % uint64(m.shardCount()))
-	err := errTimeout("make", xproto.NoSegid)
-	for i, rep := range m.shards.Replicas[k] {
-		if i > 0 {
-			m.ShardStats.ShardFailovers++
-			countShard(a, "shard-failover")
-		}
-		if m.dead[rep] {
-			err = opErr("make", ErrEnclaveDown, xproto.NoSegid, xproto.NoApid)
-			continue
-		}
-		resp, rerr := m.rpc(a, &xproto.Message{Type: xproto.MsgSegidAllocReq, Dst: rep}, pol)
-		if rerr != nil {
-			if errors.Is(rerr, ErrTimeout) || errors.Is(rerr, ErrEnclaveDown) {
-				err = rerr
-				continue
-			}
-			return xproto.NoSegid, rerr
-		}
-		return xproto.Segid(resp.Value), nil
+	fail := func(err error) error { return opErr("make", err, xproto.NoSegid, xproto.NoApid) }
+	resp, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgSegidAllocReq}, pol, fail, nil)
+	if err != nil {
+		return xproto.NoSegid, err
 	}
-	return xproto.NoSegid, err
+	return xproto.Segid(resp.Value), nil
 }
 
-// shardPublish binds name→segid at the name's home shard.
+// shardPublish binds name→segid at the name's home shard. Failures are
+// attributed to the publish even when a replica's wire request failed.
 func (m *Module) shardPublish(a *sim.Actor, segid xproto.Segid, name string, pol RetryPolicy) error {
 	k := nameserver.ShardOfName(name, m.shardCount())
 	countShard(a, fmt.Sprintf("shard-route:%d", k))
-	err := &OpError{Op: "publish", Segid: segid, Name: name, Err: ErrTimeout}
-	for i, rep := range m.shards.Replicas[k] {
-		if i > 0 {
-			m.ShardStats.ShardFailovers++
-			countShard(a, "shard-failover")
+	fail := func(err error) error { return &OpError{Op: "publish", Segid: segid, Name: name, Err: sentinelOf(err)} }
+	_, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgNamePublish, Segid: segid, Name: name}, pol, fail, func() (*xproto.Message, error) {
+		if werr := m.nsWait(a); werr != nil {
+			return nil, fail(werr)
 		}
-		if rep == m.R.Self() && m.localShardServe(k) {
-			if werr := m.nsWait(a); werr != nil {
-				return &OpError{Op: "publish", Segid: segid, Name: name, Err: werr}
-			}
-			a.Charge("ns-op", m.c.NSOp)
-			if berr := m.NS.BindName(name, segid); berr != nil {
-				return berr
-			}
-			m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncPublish, Segid: segid, Name: name})
-			return nil
+		a.Charge("ns-op", m.c.NSOp)
+		if berr := m.NS.BindName(name, segid); berr != nil {
+			return nil, berr
 		}
-		if m.dead[rep] {
-			err = &OpError{Op: "publish", Segid: segid, Name: name, Err: ErrEnclaveDown}
-			continue
-		}
-		_, rerr := m.rpc(a, &xproto.Message{Type: xproto.MsgNamePublish, Dst: rep, Segid: segid, Name: name}, pol)
-		if rerr != nil {
-			if errors.Is(rerr, ErrTimeout) || errors.Is(rerr, ErrEnclaveDown) {
-				err = &OpError{Op: "publish", Segid: segid, Name: name, Err: sentinelOf(rerr)}
-				continue
-			}
-			return rerr
-		}
-		return nil
-	}
+		m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncPublish, Segid: segid, Name: name})
+		return nil, nil
+	})
 	return err
 }
 
@@ -332,37 +314,27 @@ func (m *Module) shardNameLookup(a *sim.Actor, name string, pol RetryPolicy) (xp
 	k := nameserver.ShardOfName(name, m.shardCount())
 	m.ShardStats.ShardLookups++
 	countShard(a, fmt.Sprintf("shard-route:%d", k))
-	err := error(&OpError{Op: "lookup", Name: name, Err: ErrTimeout})
-	for i, rep := range m.shards.Replicas[k] {
-		if i > 0 {
-			m.ShardStats.ShardFailovers++
-			countShard(a, "shard-failover")
+	fail := func(err error) error {
+		var oe *OpError
+		if errors.As(err, &oe) {
+			return err // a replica's wire error, already attributed
 		}
-		if rep == m.R.Self() && m.localShardServe(k) {
-			if werr := m.nsWait(a); werr != nil {
-				return xproto.NoSegid, &OpError{Op: "lookup", Name: name, Err: werr}
-			}
-			a.Charge("ns-op", m.c.NSOp)
-			if segid, ok := m.NS.Lookup(name); ok {
-				return segid, nil
-			}
-			return xproto.NoSegid, &OpError{Op: "lookup", Name: name, Err: ErrNoSuchSegid}
-		}
-		if m.dead[rep] {
-			err = &OpError{Op: "lookup", Name: name, Err: ErrEnclaveDown}
-			continue
-		}
-		resp, rerr := m.rpc(a, &xproto.Message{Type: xproto.MsgNameLookupReq, Dst: rep, Name: name}, pol)
-		if rerr != nil {
-			if errors.Is(rerr, ErrTimeout) || errors.Is(rerr, ErrEnclaveDown) {
-				err = rerr
-				continue
-			}
-			return xproto.NoSegid, rerr
-		}
-		return resp.Segid, nil
+		return &OpError{Op: "lookup", Name: name, Err: err}
 	}
-	return xproto.NoSegid, err
+	resp, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgNameLookupReq, Name: name}, pol, fail, func() (*xproto.Message, error) {
+		if werr := m.nsWait(a); werr != nil {
+			return nil, fail(werr)
+		}
+		a.Charge("ns-op", m.c.NSOp)
+		if segid, ok := m.NS.Lookup(name); ok {
+			return &xproto.Message{Segid: segid}, nil
+		}
+		return nil, fail(ErrNoSuchSegid)
+	})
+	if err != nil {
+		return xproto.NoSegid, err
+	}
+	return resp.Segid, nil
 }
 
 // shardRemove retires a segid at its home shard. The caller is the

@@ -63,3 +63,32 @@ func (a *Actor) PollDeadline(interval, deadline Time, cond func() bool) bool {
 		a.Advance(step)
 	}
 }
+
+// Await waits until cond holds or the actor's clock reaches deadline,
+// reporting which: false means the deadline passed first. A bounded wait
+// polls cond every interval, exactly as PollDeadline. An unbounded one —
+// deadline Forever — blocks instead: the actor charges no poll quantum
+// and wakes only when another actor Unblocks it after making cond true,
+// so it cannot fail. reason names the wait in deadlock reports.
+//
+// Every cross-enclave request waits here: the zero-fault world, where
+// nothing is ever lost, waits Forever; a fault-injected one bounds each
+// attempt.
+func (a *Actor) Await(reason string, interval, deadline Time, cond func() bool) bool {
+	if deadline == Forever {
+		for !cond() {
+			a.Block(reason)
+		}
+		return true
+	}
+	return a.PollDeadline(interval, deadline, cond)
+}
+
+// Deadline returns the absolute time timeout from the actor's clock; a
+// Forever timeout stays Forever.
+func (a *Actor) Deadline(timeout Time) Time {
+	if timeout >= Forever-a.now {
+		return Forever
+	}
+	return a.now + timeout
+}

@@ -49,10 +49,6 @@ import (
 // during a window and replayed to the real observer at the barrier in
 // the serial engine's dispatch order (see sliceBuffer and replay).
 
-// infTime is the "no event / no bound" sentinel used by the LBTS
-// computation.
-const infTime = Time(math.MaxInt64)
-
 // evKey is a full scheduler ordering key — the (virtual time, actor id)
 // pair the ready-queue heaps compare. The termination cut-off needs full
 // keys, not just times: two events at the same nanosecond are ordered by
@@ -64,7 +60,7 @@ type evKey struct {
 }
 
 // infKey is the "no bound" sentinel: every real key is less than it.
-var infKey = evKey{t: infTime, id: math.MaxInt}
+var infKey = evKey{t: Forever, id: math.MaxInt}
 
 func (k evKey) less(o evKey) bool { return k.t < o.t || (k.t == o.t && k.id < o.id) }
 
@@ -88,7 +84,7 @@ type partition struct {
 	// horizon is the exclusive virtual-time bound of the current window.
 	horizon Time
 	// outLA is the partition's outgoing lookahead: the smallest minimum
-	// latency among mailboxes owned by other partitions, infTime when the
+	// latency among mailboxes owned by other partitions, Forever when the
 	// partition cannot affect any other.
 	outLA Time
 	// clamp is the current window's daemon dispatch bound (exclusive, a
@@ -246,7 +242,7 @@ func (p *partition) runWindow() {
 func (w *World) runParallel() error {
 	parts := make([]*partition, w.nparts)
 	for i := range parts {
-		parts[i] = &partition{id: i, w: w, yield: make(chan *Actor), outLA: infTime}
+		parts[i] = &partition{id: i, w: w, yield: make(chan *Actor), outLA: Forever}
 	}
 	w.parts = parts
 
@@ -333,7 +329,7 @@ func (w *World) runParallel() error {
 		// tail.t == floor.t < horizon (deliveries are strictly future in
 		// time), so with the horizon promise in force it is never blocked
 		// and every window dispatches at least one event.
-		minNext, horizon := infTime, infTime
+		minNext, horizon := Forever, Forever
 		maxND, blockedFloor := evKey{}, evKey{}
 		anyBlocked := false
 		for _, p := range parts {
@@ -364,13 +360,13 @@ func (w *World) runParallel() error {
 			if top.now < minNext {
 				minNext = top.now
 			}
-			if p.outLA != infTime {
+			if p.outLA != Forever {
 				if h := top.now + p.outLA; h < horizon {
 					horizon = h
 				}
 			}
 		}
-		if minNext == infTime {
+		if minNext == Forever {
 			// Every heap is empty and every staged send was applied at the
 			// previous barrier: remaining non-daemons are blocked forever.
 			if blocked := w.blockedNonDaemons(); len(blocked) > 0 {
@@ -478,10 +474,10 @@ func (w *World) drainParallel(parts []*partition, pool *windowPool, runnable []*
 	}
 	w.draining = true
 	for {
-		horizon := infTime
+		horizon := Forever
 		for _, p := range parts {
 			top := p.heap.peek()
-			if top == nil || p.outLA == infTime {
+			if top == nil || p.outLA == Forever {
 				continue
 			}
 			if h := top.now + p.outLA; h < horizon {

@@ -17,7 +17,10 @@
 // that contention introduced.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Time is a point in simulated time, in nanoseconds since the start of the
 // simulation. A Time is also used for durations; the arithmetic is the
@@ -31,6 +34,10 @@ const (
 	Millisecond Time = 1000 * Microsecond
 	Second      Time = 1000 * Millisecond
 )
+
+// Forever is the "no bound" time: the deadline of a wait that cannot
+// expire (see Actor.Await) and the parallel engine's "no event" sentinel.
+const Forever = Time(math.MaxInt64)
 
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }

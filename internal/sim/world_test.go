@@ -171,6 +171,88 @@ func TestPollAdvancesUntilCond(t *testing.T) {
 	}
 }
 
+// An unbounded Await blocks: the waiter wakes at the signaller's exact
+// clock, with no poll quantum, and a missing signal is a deadlock that
+// names the wait.
+func TestAwaitForeverBlocks(t *testing.T) {
+	w := NewWorld(1)
+	flag := false
+	var waiter *Actor
+	var woke Time
+	var ok bool
+	waiter = w.Spawn("waiter", func(a *Actor) {
+		ok = a.Await("flag", 10, Forever, func() bool { return flag })
+		woke = a.Now()
+	})
+	w.Spawn("setter", func(a *Actor) {
+		a.Advance(95)
+		flag = true
+		a.Unblock(waiter)
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ok || woke != 95 {
+		t.Fatalf("Await = %v at %d, want true at 95", ok, woke)
+	}
+
+	w = NewWorld(1)
+	w.Spawn("stuck", func(a *Actor) { a.Await("never-set", 10, Forever, func() bool { return false }) })
+	if err := w.Run(); err == nil || !strings.Contains(err.Error(), "stuck(never-set)") {
+		t.Fatalf("want a deadlock naming the wait, got %v", err)
+	}
+}
+
+// A bounded Await polls: it sees the flag at the first poll tick at or
+// after it is set, and otherwise lands exactly on its deadline.
+func TestAwaitBoundedPolls(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		setAt, deadline Time
+		ok              bool
+		finished        Time
+	}{
+		{"signalled", 95, 150, true, 100},
+		{"expired", 0, 55, false, 55},
+	} {
+		w := NewWorld(1)
+		flag := false
+		var ok bool
+		var finished Time
+		w.Spawn("waiter", func(a *Actor) {
+			ok = a.Await("flag", 10, tc.deadline, func() bool { return flag })
+			finished = a.Now()
+		})
+		if tc.setAt > 0 {
+			w.Spawn("setter", func(a *Actor) {
+				a.Advance(tc.setAt)
+				flag = true // no Unblock: a bounded wait polls
+			})
+		}
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if ok != tc.ok || finished != tc.finished {
+			t.Errorf("%s: Await = %v at %d, want %v at %d", tc.name, ok, finished, tc.ok, tc.finished)
+		}
+	}
+}
+
+func TestDeadlineSaturates(t *testing.T) {
+	w := NewWorld(1)
+	var got []Time
+	w.Spawn("a", func(a *Actor) {
+		a.Advance(100)
+		got = []Time{a.Deadline(5), a.Deadline(Forever), a.Deadline(Forever - 50)}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []Time{105, Forever, Forever}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("Deadline = %v, want %v", got, want)
+	}
+}
+
 func TestDeterministicReplay(t *testing.T) {
 	run := func() []Time {
 		w := NewWorld(7)
