@@ -41,11 +41,9 @@ benchmark-build:
 # and the tracer (invoked from every dispatch) are the
 # concurrency-sensitive parts: run their packages under the race
 # detector explicitly, plus the trace-enabled experiment suites.
-# The TestParallel* family runs under -race: the sweep runner
-# (TestParallelIdentity), the per-world conservative parallel engine
-# (TestParallelWorldIdentity), and the fault × parallel matrix
-# (TestParallelFaultMatrix), each held byte-identical to its serial
-# reference.
+# TestParallel* is the sweep runner's family (TestParallelIdentity,
+# TestParallelMatchesGolden): worlds built on concurrent host workers,
+# held byte-identical to the one-worker run.
 race:
 	$(GO) test -race ./internal/sim ./internal/sim/trace ./internal/xpmem ./internal/coll ./internal/experiments/sweep ./internal/fault ./internal/cluster ./internal/rdma
 	$(GO) test -race ./internal/experiments -run 'TestGolden|TestTracing|TestFig6Explain|TestParallel|TestFaultSweep|TestClusterSweep|TestCollSweep'
@@ -94,12 +92,10 @@ replay:
 # (serial vs parallel wall-clock plus hot-path allocs/op,
 # BENCH_sweep.json), the fault-injection sweep (protocol degradation
 # under message loss and enclave crashes, BENCH_fault.json — fully
-# deterministic: reruns are byte-identical), the parallel-engine
-# scaling grid (partition-count × actor-count, serial vs parallel
-# wall-clock with digest identity, BENCH_parallel.json), the
-# cluster-scale name-service sweep (flat vs sharded lookup latency
-# across node counts, BENCH_cluster.json — also byte-identical on
-# rerun), and the hierarchical-collective sweep (bcast/allreduce
+# deterministic: reruns are byte-identical), the cluster-scale
+# name-service sweep (flat vs sharded lookup latency across node
+# counts, BENCH_cluster.json — also byte-identical on rerun), the
+# hierarchical-collective sweep (bcast/allreduce
 # latency across hierarchy depth × enclave mix × message size with the
 # zero-copy/CICO switchover and registration-cache counters,
 # BENCH_coll.json — byte-identical on rerun at any worker count), and
@@ -109,7 +105,6 @@ bench:
 	$(GO) run ./cmd/xemem-bench -json
 	$(GO) run ./cmd/xemem-bench -sweep-json
 	$(GO) run ./cmd/xemem-bench -fault-json
-	$(GO) run ./cmd/xemem-bench -parallel-json
 	$(GO) run ./cmd/xemem-bench -cluster-json
 	$(GO) run ./cmd/xemem-bench -coll-json
 	$(GO) run ./cmd/xemem-bench -snapshot-json

@@ -33,7 +33,6 @@ func main() {
 	faultJSON := flag.Bool("fault-json", false, "run the fault-injection sweep and write BENCH_fault.json (protocol degradation, failure attribution, and per-cell trace digests across drop rates and enclave crashes)")
 	clusterJSON := flag.Bool("cluster-json", false, "run the cluster-scale name-service sweep and write BENCH_cluster.json (flat vs sharded lookup latency across node counts, lease-cache counters, churn cells, and per-cell trace digests)")
 	collJSON := flag.Bool("coll-json", false, "run the hierarchical-collective sweep and write BENCH_coll.json (bcast/allreduce latency across hierarchy depth, enclave mix, and message size; zero-copy vs CICO switchover; registration-cache counters and per-level time attribution)")
-	parallelJSON := flag.Bool("parallel-json", false, "run the parallel-engine scaling grid and write BENCH_parallel.json (partition-count × actor-count, serial vs parallel wall-clock, digest identity)")
 	snapshotJSON := flag.Bool("snapshot-json", false, "run the snapshot-fork benchmark and write BENCH_snapshot.json (snapshot-forked vs re-bootstrapped fig9 sweep cells, digest identity)")
 	replayPath := flag.String("replay", "", "re-run the repro bundle at this path and verify its snapshot hash and trace digest")
 	reproPath := flag.String("repro", "", "capture a repro bundle to this path (see -recipe, -recipe-params, -cut-frac)")
@@ -41,7 +40,6 @@ func main() {
 	recipeParams := flag.String("recipe-params", "", "JSON parameter blob for -repro (recipe defaults when empty)")
 	cutFrac := flag.Float64("cut-frac", 0.5, "where -repro places the snapshot cut, as a fraction of the run's virtual duration")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the figure sweeps (1 = serial runner; results are byte-identical at any value)")
-	partitions := flag.Int("partitions", 0, "run every experiment world on the conservative parallel engine with this many workers (0 = serial reference engine; results are byte-identical at any value)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of every simulated world to this file (open in chrome://tracing or Perfetto; combine with -fast)")
 	metricsOut := flag.String("metrics", "", "write per-world contention metrics JSON to this file and print the per-figure breakdown tables")
 	flag.Parse()
@@ -102,21 +100,6 @@ func main() {
 		}
 		fmt.Println(res.String())
 		fmt.Println("wrote BENCH_sweep.json")
-		return
-	}
-
-	// The engine selection applies to every world the experiments below
-	// construct; digests and printed figures do not change with it.
-	experiments.EngineWorkers = *partitions
-
-	if *parallelJSON {
-		res, err := experiments.ParallelBench(*seed, "BENCH_parallel.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "parallel bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Println("wrote BENCH_parallel.json")
 		return
 	}
 

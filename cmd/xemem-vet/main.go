@@ -6,7 +6,7 @@
 // Get/Attach handles are releasable, including via the module's own
 // helpers), maporder (no unsorted map iteration on exporter paths),
 // hookstate (package-level hook variables are written only by driver
-// binaries), partition (actor state stays inside the owning partition's
+// binaries), partition (actor state stays inside its own actor's
 // dispatch, closures included), and snapshotcheck (every mutable field
 // of a registered snapshot component is encoded and restored).
 //

@@ -3,7 +3,7 @@
 // plus the domain analyzers that mechanically enforce the simulator's
 // correctness invariants — determinism of virtual time, cost-model
 // charging, resource pairing, exporter map ordering, hook-variable
-// discipline, partition isolation under the parallel engine, and
+// discipline, per-dispatch actor isolation, and
 // snapshot completeness. The cmd/xemem-vet driver loads the module,
 // type-checks every package, builds interprocedural function summaries,
 // runs the analyzers (concurrently, one worker per package), applies

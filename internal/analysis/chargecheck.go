@@ -38,7 +38,7 @@ var chargeSinks = map[string]bool{
 	"Charge": true, "ChargeN": true,
 	"Advance": true, "AdvanceN": true, "AdvanceTo": true, "Sleep": true,
 	"Acquire": true, "AcquireOp": true, "TryAcquire": true, "Exec": true,
-	"CopyTime": true, "advanceSync": true,
+	"CopyTime": true,
 	// The timeout primitives: interval and deadline both become
 	// virtual-time advances on the polling actor.
 	"PollDeadline": true, "Await": true,
@@ -49,10 +49,6 @@ var chargeSinks = map[string]bool{
 // re-baseline a woken or newborn actor.
 var clockPath = map[string]bool{
 	"Advance": true, "AdvanceN": true, "Unblock": true, "Spawn": true, "SpawnAt": true,
-	// Mailbox delivery is a wake primitive like Unblock: it re-baselines a
-	// blocked receiver's clock to the delivery time. advanceSync is the
-	// non-batched advance primitive used by revisable waits.
-	"deliver": true, "advanceSync": true,
 }
 
 // chargeFacts is chargecheck's per-package contribution to the
@@ -77,7 +73,7 @@ func newChargecheck() *Analyzer {
 	return &Analyzer{
 		Name:    "chargecheck",
 		Doc:     "flags sim.Costs fields never charged through Charge/ChargeN/AdvanceN or a resource acquisition (flow tracked through helpers via summaries), and Actor clock writes that bypass the charge path",
-		Version: 2,
+		Version: 3,
 		Run:     chargecheckRun,
 		Finish:  chargecheckFinish,
 	}

@@ -16,11 +16,11 @@ import (
 // The rule is mechanical: assignments to package-level variables of
 // function type are allowed only in package main — the driver binaries
 // that own process configuration and install registration closures
-// (trace.Set.CellHook/CellPartitionHook) at startup. Everywhere
-// else, observers must be threaded explicitly (World.SetObserver,
-// function parameters). Per-partition hook *tables* — package-level
-// slices, arrays, or maps with function elements, the natural shape for
-// one-observer-per-engine-partition registration — are hooks too:
+// (trace.Set.CellHook) at startup. Everywhere else, observers must be
+// threaded explicitly (World.SetObserver, function parameters). Hook
+// *tables* — package-level slices, arrays, or maps with function
+// elements, the natural shape for one-observer-per-cell registration —
+// are hooks too:
 // writing an element (or appending) from library code couples worlds
 // exactly the same way, so those writes are flagged as well. Tests are
 // outside xemem-vet's scope and may save/restore hooks freely.
@@ -57,8 +57,7 @@ func checkHookWrites(pass *Pass, f *ast.File) {
 			case *ast.SelectorExpr:
 				id = l.Sel
 			case *ast.IndexExpr:
-				// Element write into a per-partition hook table:
-				// Hooks[part] = f.
+				// Element write into a hook table: Hooks[i] = f.
 				switch x := ast.Unparen(l.X).(type) {
 				case *ast.Ident:
 					id = x
@@ -85,9 +84,8 @@ func checkHookWrites(pass *Pass, f *ast.File) {
 	})
 }
 
-// isHookType reports whether t is a hook shape: a function, or a
-// per-partition hook table (slice, array, or map with function
-// elements).
+// isHookType reports whether t is a hook shape: a function, or a hook
+// table (slice, array, or map with function elements).
 func isHookType(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Signature:

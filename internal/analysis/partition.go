@@ -5,16 +5,17 @@ import (
 	"go/types"
 )
 
-// The partition analyzer guards the parallel engine's isolation
-// contract: under sim.World.SetParallel, partitions run concurrently
-// between barriers, and the only actor whose mutable state a dispatch
-// may touch is the running actor itself (plus whatever the engine's own
-// partition-local primitives — Unblock, Spawn, resources, mailboxes —
-// do on its behalf). Code that reaches into *another* actor's state
-// from inside an actor closure (reading its clock, drawing from its RNG
-// stream, advancing it) is a data race the moment the two actors land
-// in different partitions, and a determinism leak even when it happens
-// to be safe today.
+// The partition analyzer guards the engine's one-runnable-goroutine
+// invariant: exactly one actor runs at a time, and the only actor whose
+// mutable state a dispatch may touch is the running actor itself (plus
+// whatever the engine's own primitives — Unblock, Spawn, resources — do
+// on its behalf). Code that reaches into *another* actor's state from
+// inside an actor closure (reading its clock, drawing from its RNG
+// stream, advancing it) couples the result to dispatch order behind the
+// scheduler's back, and a running-actor capture that escapes into a
+// goroutine touches actor state outside any dispatch at all. The name
+// is historical: the rule keeps each actor's state private to its own
+// dispatch.
 //
 // Two rules, both conservative:
 //
@@ -22,7 +23,7 @@ import (
 //     receives a *sim.Actor parameter (an actor body, in this codebase's
 //     idiom), a method call on an actor *other than* one of those
 //     parameters is flagged — except the immutable identity methods
-//     (ID, Name, Partition, World), which are set at spawn and safe to
+//     (ID, Name, World), which are set at spawn and safe to
 //     read from anywhere. A nested actor closure resets the scope; plain
 //     closures inherit it; build-time and post-run code (no actor
 //     parameter in scope) is exempt.
@@ -32,14 +33,14 @@ import (
 //     it. Launching one on a goroutine (`go`), handing it to a scheduler
 //     spawn, or passing it to *any* helper whose summary says the
 //     matching parameter may run on another goroutine is flagged — the
-//     captured actor would be touched from a different partition's
-//     dispatch. Known same-partition pairings may carry an
-//     //xemem:allow partition directive with the reason.
+//     captured actor would be touched outside its own dispatch. Known
+//     safe pairings may carry an //xemem:allow partition directive
+//     with the reason.
 func newPartition() *Analyzer {
 	return &Analyzer{
 		Name:    "partition",
-		Doc:     "flags actor-state access on an actor other than the running one inside actor closures, and running-actor captures that escape into other goroutines (directly or through a helper); cross-partition interaction must go through a Mailbox",
-		Version: 2,
+		Doc:     "flags actor-state access on an actor other than the running one inside actor closures, and running-actor captures that escape into other goroutines (directly or through a helper); actors interact only through the engine's primitives",
+		Version: 3,
 		Run: func(pass *Pass) any {
 			if pass.Pkg.Types == nil || pass.Pkg.Types.Name() == "main" || isSimPackage(pass.Module, pass.Pkg) {
 				return nil
@@ -59,7 +60,7 @@ func newPartition() *Analyzer {
 // partitionSafeMethods are the Actor methods readable on any actor:
 // immutable identity, fixed at spawn.
 var partitionSafeMethods = map[string]bool{
-	"ID": true, "Name": true, "Partition": true, "World": true,
+	"ID": true, "Name": true, "World": true,
 }
 
 // actorParams collects the *sim.Actor-typed parameters of a function
@@ -137,7 +138,7 @@ func checkPartitionScope(pass *Pass, body ast.Node, own map[types.Object]bool) {
 		case *ast.GoStmt:
 			if len(own) > 0 && usesAnyOf(info, n.Call, own) {
 				pass.Reportf(n.Pos(),
-					"goroutine launched from an actor body captures the running actor: its state would be touched outside the owning partition's dispatch; route the work through the scheduler (Spawn) or a Mailbox")
+					"goroutine launched from an actor body captures the running actor: its state would be touched outside its own dispatch; route the work through the scheduler (Spawn)")
 				return false
 			}
 		case *ast.CallExpr:
@@ -171,7 +172,7 @@ func checkPartitionCall(pass *Pass, call *ast.CallExpr, own map[types.Object]boo
 		}
 	}
 	pass.Reportf(sel.Pos(),
-		"%s called on an actor other than the running one: actor state is partition-local under the parallel engine; route cross-partition interaction through a Mailbox (or pass the actor in as the running parameter)",
+		"%s called on an actor other than the running one: actor state is private to its own dispatch; interact through the engine's primitives (or pass the actor in as the running parameter)",
 		sel.Sel.Name)
 }
 
@@ -208,7 +209,7 @@ func checkClosureEscape(pass *Pass, call *ast.CallExpr, own map[types.Object]boo
 			return
 		}
 		pass.Reportf(arg.Pos(),
-			"closure capturing the running actor escapes into another goroutine via %s: the captured actor's state would be touched outside the owning partition's dispatch; pass data through a Mailbox instead of capturing the actor", how)
+			"closure capturing the running actor escapes into another goroutine via %s: the captured actor's state would be touched outside its own dispatch; pass data instead of capturing the actor", how)
 	}
 	if spawn {
 		for _, arg := range call.Args {

@@ -444,9 +444,9 @@ func (s *Summaries) classifyCallArg(info *types.Info, call *ast.CallExpr, arg as
 }
 
 // spawnNames are the scheduler entry points that run a function value
-// as (part of) another partition's dispatch: handing a closure to one
-// is handing it to another goroutine under the parallel engine.
-var spawnNames = map[string]bool{"Spawn": true, "SpawnAt": true, "SpawnIn": true, "Go": true}
+// on another goroutine: handing a closure to one runs it outside the
+// caller's dispatch.
+var spawnNames = map[string]bool{"Spawn": true, "SpawnAt": true, "Go": true}
 
 // goEscapes reports whether the func-typed obj may be invoked on
 // another goroutine.

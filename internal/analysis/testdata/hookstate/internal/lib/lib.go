@@ -16,11 +16,11 @@ func InstallExcused(f func(int)) {
 	Hook = f //xemem:allow hookstate -- fixture: registration helper invoked only by driver binaries before any world runs
 }
 
-// PartHooks is a per-partition hook table: one observer slot per
-// engine partition. Element writes are hook installs.
+// PartHooks is an array-shaped hook table: one observer slot per
+// index. Element writes are hook installs.
 var PartHooks [4]func(int)
 
-// HookByPart is the map-shaped per-partition table.
+// HookByPart is the map-shaped hook table.
 var HookByPart = map[int]func(int){}
 
 // Chain is a slice-shaped hook chain.

@@ -10,13 +10,13 @@ import "fixture/internal/sim"
 // the worker reads and mutates the waiter's state directly.
 func Peers(spawn func(func(*sim.Actor)), waiter *sim.Actor) {
 	spawn(func(a *sim.Actor) {
-		_ = waiter.Now()       // flagged: foreign clock read
-		waiter.Advance(5)      // flagged: foreign clock mutation
-		_ = waiter.RNG()       // flagged: foreign RNG stream draw
-		a.Unblock(waiter)      // silent: the running actor's own primitive
-		_ = waiter.ID()        // silent: immutable identity
-		_ = waiter.Name()      // silent
-		_ = waiter.Partition() // silent
+		_ = waiter.Now()   // flagged: foreign clock read
+		waiter.Advance(5)  // flagged: foreign clock mutation
+		_ = waiter.RNG()   // flagged: foreign RNG stream draw
+		a.Unblock(waiter)  // silent: the running actor's own primitive
+		_ = waiter.ID()    // silent: immutable identity
+		_ = waiter.Name()  // silent
+		_ = waiter.World() // silent
 	})
 }
 
@@ -42,14 +42,14 @@ func Nested(spawn func(func(*sim.Actor))) {
 	})
 }
 
-// Excused documents a known same-partition pairing.
+// Excused documents a known safe pairing.
 func Excused(spawn func(func(*sim.Actor)), peer *sim.Actor) {
 	spawn(func(a *sim.Actor) {
-		_ = peer.Now() //xemem:allow partition -- fixture: both actors pinned to one partition by construction
+		_ = peer.Now() //xemem:allow partition -- fixture: the peer is quiescent by construction
 	})
 }
 
-// Build runs before any window exists: no actor scope, no findings.
+// Build runs before any actor does: no actor scope, no findings.
 func Build(actors []*sim.Actor) int64 {
 	var total int64
 	for _, a := range actors {

@@ -6,24 +6,18 @@ package sim
 type Actor struct{ id int }
 
 // Identity methods — immutable, safe to read on any actor.
-func (a *Actor) ID() int        { return a.id }
-func (a *Actor) Name() string   { return "" }
-func (a *Actor) Partition() int { return 0 }
+func (a *Actor) ID() int      { return a.id }
+func (a *Actor) Name() string { return "" }
+func (a *Actor) World() any   { return nil }
 
-// State methods — partition-local.
+// State methods — private to the actor's own dispatch.
 func (a *Actor) Now() int64       { return 0 }
 func (a *Actor) Advance(d int64)  {}
 func (a *Actor) Unblock(b *Actor) {}
 func (a *Actor) RNG() int         { return 0 }
 
-// Pool is the stub scheduler surface: Go runs a closure as part of
-// another partition's dispatch.
+// Pool is the stub scheduler surface: Go runs a closure on another
+// goroutine.
 type Pool struct{}
 
 func (p *Pool) Go(f func()) {}
-
-// Mailbox is the stub cross-partition channel.
-type Mailbox struct{}
-
-func (m *Mailbox) Send(a *Actor, v any, lat int64) {}
-func (m *Mailbox) Recv(a *Actor) any               { return nil }

@@ -105,12 +105,10 @@ func TestAllreduceAmplifiesTailNoise(t *testing.T) {
 // generation completes. Without the `for gen == myGen` re-block loop, a
 // spuriously woken waiter would release immediately with a stale (zero)
 // releaseAt instead of at max(arrivals) + latency. A noise actor spams
-// Unblock at the blocked waiters — under the conservative parallel
-// engine, which is where an unguarded wait would also race — and every
-// party must still leave at exactly the collective's completion time.
+// Unblock at the blocked waiters, and every party must still leave at
+// exactly the collective's completion time.
 func TestAllreduceSpuriousWakeup(t *testing.T) {
 	w := sim.NewWorld(3)
-	w.SetParallel(2)
 	b := NewAllreduce(3, 30*sim.Microsecond)
 	parties := make([]*sim.Actor, 3)
 	var outs []sim.Time

@@ -19,12 +19,9 @@ const exchangePayload = "bytes across the interconnect"
 // it back, and re-gets it to exercise the lease cache. It returns the
 // run's tracer (digest plus, when keepEvents is set, the event stream)
 // and the built cluster for stats assertions.
-func runExchange(t *testing.T, seed uint64, nodes, shards, workers int, keepEvents bool) (*trace.Tracer, *Cluster) {
+func runExchange(t *testing.T, seed uint64, nodes, shards int, keepEvents bool) (*trace.Tracer, *Cluster) {
 	t.Helper()
 	w := sim.NewWorld(seed)
-	if workers > 1 {
-		w.SetParallel(workers)
-	}
 	tr := trace.NewTracer(fmt.Sprintf("cluster/n%d/s%d", nodes, shards))
 	tr.SetKeepEvents(keepEvents)
 	w.SetObserver(tr)
@@ -112,7 +109,7 @@ func runExchange(t *testing.T, seed uint64, nodes, shards, workers int, keepEven
 }
 
 func TestClusterFlatExchange(t *testing.T) {
-	_, cl := runExchange(t, 7, 2, 0, 0, false)
+	_, cl := runExchange(t, 7, 2, 0, false)
 	root := cl.Nodes[0].X.LinuxModule()
 	if root.NS == nil || root.NS.SegidAllocs == 0 {
 		t.Fatal("flat cluster did not allocate through the root name server")
@@ -123,7 +120,7 @@ func TestClusterFlatExchange(t *testing.T) {
 }
 
 func TestClusterShardedExchange(t *testing.T) {
-	_, cl := runExchange(t, 7, 4, 2, 0, false)
+	_, cl := runExchange(t, 7, 4, 2, false)
 	cons := cl.Nodes[0].X.LinuxModule()
 	ss := cons.ShardStats
 	if ss.LeaseMisses == 0 {
@@ -153,7 +150,7 @@ func TestClusterShardedExchange(t *testing.T) {
 // so they are part of the hashed digest, and a run whose lease behaviour
 // changes cannot digest identically.
 func TestShardCountersReachTrace(t *testing.T) {
-	tr, cl := runExchange(t, 7, 4, 2, 0, true)
+	tr, cl := runExchange(t, 7, 4, 2, true)
 	counts := map[string]int{}
 	for _, e := range tr.Events() {
 		if e.Kind == trace.EvCount {
@@ -187,18 +184,12 @@ func TestShardCountersReachTrace(t *testing.T) {
 }
 
 // TestClusterDigestStability pins the determinism contract: identical
-// configurations replay byte-identically, and the conservative parallel
-// engine produces the serial digest (every cluster actor lives in
-// partition 0, so the window barrier changes nothing).
+// configurations replay byte-identically.
 func TestClusterDigestStability(t *testing.T) {
-	tr1, _ := runExchange(t, 11, 4, 2, 0, false)
-	tr2, _ := runExchange(t, 11, 4, 2, 0, false)
+	tr1, _ := runExchange(t, 11, 4, 2, false)
+	tr2, _ := runExchange(t, 11, 4, 2, false)
 	d1, d2 := tr1.Digest(), tr2.Digest()
 	if d1 != d2 {
 		t.Fatalf("replay diverged:\n%+v\n%+v", d1, d2)
-	}
-	trp, _ := runExchange(t, 11, 4, 2, 2, false)
-	if dp := trp.Digest(); d1 != dp {
-		t.Fatalf("SetParallel(2) diverged from serial:\n%+v\n%+v", d1, dp)
 	}
 }

@@ -36,8 +36,7 @@
 // between them — need no explicit Barrier.
 //
 // Control flags live host-side in the Communicator and are safe under
-// the world's one-runnable-goroutine guarantee; all rank actors must
-// share one partition (they do by default). Every rank must issue the
+// the world's one-runnable-goroutine guarantee. Every rank must issue the
 // same sequence of collective calls, as in MPI.
 package coll
 

@@ -9,7 +9,6 @@ import (
 	"xemem/internal/mem"
 	"xemem/internal/pagetable"
 	"xemem/internal/sim"
-	"xemem/internal/sim/trace"
 )
 
 // pat is the deterministic per-rank buffer fill the reference results
@@ -372,45 +371,6 @@ func TestRegistrationCacheLifecycle(t *testing.T) {
 	if st.Misses != wantMiss || st.Hits != wantHit || st.Invalidations != wantMiss {
 		t.Fatalf("cache stats hits=%d misses=%d invalidations=%d, want %d/%d/%d",
 			st.Hits, st.Misses, st.Invalidations, wantHit, wantMiss, wantMiss)
-	}
-}
-
-// collDigest runs the full mixed-enclave workload under the given
-// engine and returns the trace digest.
-func collDigest(t *testing.T, workers int) trace.Digest {
-	t.Helper()
-	rg := buildRig(t, 29, "kitten,kitten,vm,kitten,vm,kitten", 64<<10, coll.Opts{
-		ChunkBytes: chunkBytes})
-	tr := trace.NewTracer(fmt.Sprintf("coll-par-%d", workers))
-	tr.SetKeepEvents(false)
-	rg.node.World().SetObserver(tr)
-	if workers > 1 {
-		rg.node.World().SetParallel(workers)
-	}
-	rg.fill(t)
-	rg.run(t, func(a *sim.Actor, rank int) error {
-		if err := rg.comm.Bcast(a, rank, 1, 48<<10); err != nil {
-			return err
-		}
-		if err := rg.comm.Allreduce(a, rank, 8<<10); err != nil {
-			return err
-		}
-		if err := rg.comm.Barrier(a, rank); err != nil {
-			return err
-		}
-		return rg.comm.Close(a, rank)
-	})
-	return tr.Digest()
-}
-
-// TestParallelEngineDigestIdentity: the collective layer keeps its
-// control flags host-side, so the parallel engine must replay the
-// serial engine's trace bit for bit.
-func TestParallelEngineDigestIdentity(t *testing.T) {
-	serial := collDigest(t, 1)
-	parallel := collDigest(t, 2)
-	if serial.SHA256 != parallel.SHA256 {
-		t.Fatalf("parallel digest %s != serial %s", parallel.SHA256, serial.SHA256)
 	}
 }
 

@@ -129,6 +129,9 @@ func (c *Communicator) opWindow(a *sim.Actor, rank, src int, op *opState) (paget
 	return va, nil
 }
 
+// chunkOff reports the byte offset of chunk (or arena slot) chk.
+func (c *Communicator) chunkOff(chk int) pagetable.VA { return pagetable.VA(uint64(chk) * c.chunk) }
+
 // chunkLen reports the byte length of chunk chk of a bytes-long message.
 func (c *Communicator) chunkLen(bytes uint64, chk int) int {
 	off := uint64(chk) * c.chunk
@@ -143,12 +146,11 @@ func (c *Communicator) chunkLen(bytes uint64, chk int) int {
 func (c *Communicator) copyIn(a *sim.Actor, rank int, g *group, slot, chk int, op *opState) error {
 	m := c.members[rank]
 	nb := c.chunkLen(op.bytes, chk)
-	off := pagetable.VA(uint64(chk) * c.chunk)
 	tmp := make([]byte, nb)
-	if _, err := m.Sess.Read(m.Buf+off, tmp); err != nil {
+	if _, err := m.Sess.Read(m.Buf+c.chunkOff(chk), tmp); err != nil {
 		return err
 	}
-	dst := c.arenaFor(rank, g) + pagetable.VA(uint64(slot)*c.chunk)
+	dst := c.arenaFor(rank, g) + c.chunkOff(slot)
 	if _, err := m.Sess.Write(dst, tmp); err != nil {
 		return err
 	}
@@ -156,59 +158,28 @@ func (c *Communicator) copyIn(a *sim.Actor, rank int, g *group, slot, chk int, o
 	return nil
 }
 
-// copyOut moves an arena slot into rank's buffer chunk (reduce=false) or
-// folds it into the chunk byte-wise (reduce=true), charging the level's
-// CICO-out or reduce cost.
-func (c *Communicator) copyOut(a *sim.Actor, rank int, g *group, slot, chk int, op *opState, reduce bool) error {
+// copyOut copies chunk chk from src — a zero-copy window onto a peer's
+// buffer or a CICO arena slot — into rank's buffer chunk (reduce=false)
+// or folds it into that chunk byte-wise (reduce=true), charging label at
+// level lvl's copy bandwidth.
+func (c *Communicator) copyOut(a *sim.Actor, rank int, src pagetable.VA, chk int, op *opState, lvl int, label string, reduce bool) error {
 	m := c.members[rank]
 	nb := c.chunkLen(op.bytes, chk)
-	off := pagetable.VA(uint64(chk) * c.chunk)
-	src := c.arenaFor(rank, g) + pagetable.VA(uint64(slot)*c.chunk)
+	dst := m.Buf + c.chunkOff(chk)
 	tmp := make([]byte, nb)
 	if _, err := m.Sess.Read(src, tmp); err != nil {
 		return err
 	}
-	label := c.labels[g.lvl].cicoOut
 	if reduce {
-		label = c.labels[g.lvl].reduce
 		own := make([]byte, nb)
-		if _, err := m.Sess.Read(m.Buf+off, own); err != nil {
+		if _, err := m.Sess.Read(dst, own); err != nil {
 			return err
 		}
 		for i := range tmp {
 			tmp[i] += own[i]
 		}
 	}
-	if _, err := m.Sess.Write(m.Buf+off, tmp); err != nil {
-		return err
-	}
-	a.Charge(label, sim.CopyTime(nb, c.bw(g.lvl)))
-	return nil
-}
-
-// pull copies chunk chk out of a zero-copy window into rank's buffer
-// (reduce=false) or folds it in byte-wise (reduce=true), charging level
-// lvl's copy or reduce cost.
-func (c *Communicator) pull(a *sim.Actor, rank int, win pagetable.VA, chk int, op *opState, lvl int, reduce bool) error {
-	m := c.members[rank]
-	nb := c.chunkLen(op.bytes, chk)
-	off := pagetable.VA(uint64(chk) * c.chunk)
-	tmp := make([]byte, nb)
-	if _, err := m.Sess.Read(win+off, tmp); err != nil {
-		return err
-	}
-	label := c.labels[lvl].copyOp
-	if reduce {
-		label = c.labels[lvl].reduce
-		own := make([]byte, nb)
-		if _, err := m.Sess.Read(m.Buf+off, own); err != nil {
-			return err
-		}
-		for i := range tmp {
-			tmp[i] += own[i]
-		}
-	}
-	if _, err := m.Sess.Write(m.Buf+off, tmp); err != nil {
+	if _, err := m.Sess.Write(dst, tmp); err != nil {
 		return err
 	}
 	a.Charge(label, sim.CopyTime(nb, c.bw(lvl)))
@@ -281,11 +252,11 @@ func (c *Communicator) recvDown(a *sim.Actor, rank, chk int, op *opState, copy b
 		if err != nil {
 			return err
 		}
-		return c.pull(a, rank, win, chk, op, g.lvl, false)
+		return c.copyOut(a, rank, win+c.chunkOff(chk), chk, op, g.lvl, c.labels[g.lvl].copyOp, false)
 	}
 	a.Poll(pollInterval, func() bool { return op.slotIn[g.id] > uint64(chk) })
 	if copy {
-		if err := c.copyOut(a, rank, g, 0, chk, op, false); err != nil {
+		if err := c.copyOut(a, rank, c.arenaFor(rank, g), chk, op, g.lvl, c.labels[g.lvl].cicoOut, false); err != nil {
 			return err
 		}
 	}
@@ -329,7 +300,7 @@ func (c *Communicator) Bcast(a *sim.Actor, rank, root int, bytes uint64) error {
 			if err != nil {
 				return err
 			}
-			if err := c.pull(a, rank, win, chk, op, top, false); err != nil {
+			if err := c.copyOut(a, rank, win+c.chunkOff(chk), chk, op, top, c.labels[top].copyOp, false); err != nil {
 				return err
 			}
 			op.have[rank] = uint64(chk) + 1
@@ -382,12 +353,12 @@ func (c *Communicator) Allreduce(a *sim.Actor, rank int, bytes uint64) error {
 					if err != nil {
 						return err
 					}
-					if err := c.pull(a, rank, win, chk, op, g.lvl, true); err != nil {
+					if err := c.copyOut(a, rank, win+c.chunkOff(chk), chk, op, g.lvl, c.labels[g.lvl].reduce, true); err != nil {
 						return err
 					}
 				} else {
 					a.Poll(pollInterval, func() bool { return op.redIn[g.id][i] > uint64(chk) })
-					if err := c.copyOut(a, rank, g, 1+i, chk, op, true); err != nil {
+					if err := c.copyOut(a, rank, c.arenaFor(rank, g)+c.chunkOff(1+i), chk, op, g.lvl, c.labels[g.lvl].reduce, true); err != nil {
 						return err
 					}
 					op.redAck[g.id][i] = uint64(chk) + 1

@@ -340,32 +340,6 @@ func (m *Module) OS() OS { return m.os }
 // bootstrap completes).
 func (m *Module) EnclaveID() xproto.EnclaveID { return m.R.Self() }
 
-// PartitionID reports the engine partition this module's kernel actor
-// runs in (see sim.World.SpawnIn) — 0 before Start and on serial worlds.
-// Partitioned builds place each enclave's module, cores, and processes in
-// one partition; the partition ID is then the enclave's placement label.
-func (m *Module) PartitionID() int {
-	if m.kernel == nil {
-		return 0
-	}
-	return m.kernel.Partition()
-}
-
-// MessageLookahead reports the minimum virtual time a cross-enclave
-// message spends in flight over hops channel hops under cost model c:
-// every hop pays at least the IPI wire latency plus the fixed kernel
-// receive cost before any forwarded copy can be observed. The parallel
-// engine uses this as the conservative lookahead bound for
-// cross-partition mailboxes — an enclave partitioned away from its peers
-// can safely run that far past the global horizon. hops values below 1
-// are treated as 1 (a direct channel).
-func MessageLookahead(c *sim.Costs, hops int) sim.Time {
-	if hops < 1 {
-		hops = 1
-	}
-	return sim.Time(hops) * (c.IPILatency + c.MsgFixed)
-}
-
 // AddLink wires a communication channel endpoint into the module. Links
 // must be added before Start.
 func (m *Module) AddLink(l xproto.Link) { m.links = append(m.links, l) }

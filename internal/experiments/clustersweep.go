@@ -81,16 +81,6 @@ type ClusterCell struct {
 	Digest string `json:"digest"` // SHA-256 of the cell's full event stream
 }
 
-// EngineIdentity records the serial-vs-parallel digest check on one
-// representative cell: the conservative parallel engine must reproduce
-// the serial reference event stream bit for bit.
-type EngineIdentity struct {
-	Label          string `json:"label"`
-	SerialDigest   string `json:"serial_digest"`
-	ParallelDigest string `json:"parallel_digest"`
-	Match          bool   `json:"match"`
-}
-
 // ClusterSweepResult is the regenerated cluster sweep
 // (BENCH_cluster.json).
 type ClusterSweepResult struct {
@@ -109,16 +99,13 @@ type ClusterSweepResult struct {
 	FlatP99Collapse  float64 `json:"flat_p99_collapse"`
 	FlatP99Growth    float64 `json:"flat_p99_growth"`
 	ShardedP99Growth float64 `json:"sharded_p99_growth"`
-
-	Engine EngineIdentity `json:"engine_identity"`
 }
 
 // ClusterSweep runs the cluster-scale name-service sweep: every node
 // count × {flat, sharded} × {quiet, churn}, each cell a closed world
 // with its own fabric, injector, and tracer. The result is a pure
 // function of (seed, rounds): rerunning writes a byte-identical
-// BENCH_cluster.json at any sweep worker count and under any
-// EngineWorkers selection. When jsonPath is non-empty the result is
+// BENCH_cluster.json at any sweep worker count. When jsonPath is non-empty the result is
 // written there as JSON.
 func ClusterSweep(seed uint64, rounds, workers int, jsonPath string) (*ClusterSweepResult, error) {
 	if rounds <= 0 {
@@ -141,7 +128,7 @@ func ClusterSweep(seed uint64, rounds, workers int, jsonPath string) (*ClusterSw
 				cells = append(cells, sweep.Cell[ClusterCell]{
 					Label: fmt.Sprintf("cluster nodes=%d shards=%d churn=%v", n, shards, churn),
 					Run: func() (ClusterCell, error) {
-						return clusterRun(obs, seed, n, shards, churn, rounds, 0)
+						return clusterRun(obs, seed, n, shards, churn, rounds)
 					},
 				})
 			}
@@ -181,23 +168,6 @@ func ClusterSweep(seed uint64, rounds, workers int, jsonPath string) (*ClusterSw
 		res.ShardedP99Growth = float64(shardMax) / float64(shardMin)
 	}
 
-	// Engine-identity probe: the same cell under the serial reference and
-	// the conservative parallel engine, bypassing the announce hooks so
-	// the probe's engine choice cannot be overridden.
-	idLabel := "cluster/n=4/s=2/churn=true"
-	ser, err := clusterRun(nil, seed, 4, 2, true, rounds, 1)
-	if err != nil {
-		return nil, err
-	}
-	par, err := clusterRun(nil, seed, 4, 2, true, rounds, 2)
-	if err != nil {
-		return nil, err
-	}
-	res.Engine = EngineIdentity{
-		Label: idLabel, SerialDigest: ser.Digest, ParallelDigest: par.Digest,
-		Match: ser.Digest == par.Digest,
-	}
-
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
@@ -211,19 +181,11 @@ func ClusterSweep(seed uint64, rounds, workers int, jsonPath string) (*ClusterSw
 }
 
 // clusterRun executes one cluster-sweep cell in a fresh world.
-// forceWorkers selects the engine-identity probe path: 0 runs the normal
-// announced world, 1 forces the serial engine, >1 forces the parallel
-// engine with that many workers (both skipping the announce hooks).
-func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, rounds, forceWorkers int) (ClusterCell, error) {
+func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, rounds int) (ClusterCell, error) {
 	cell := ClusterCell{Nodes: nodes, Shards: shards, Churn: churn}
 	label := fmt.Sprintf("cluster/n=%d/s=%d/churn=%v", nodes, shards, churn)
 	w := sim.NewWorld(seed)
-	switch {
-	case forceWorkers > 1:
-		w.SetParallel(forceWorkers)
-	case forceWorkers == 0:
-		announce(obs, label, w)
-	}
+	announce(obs, label, w)
 	tr, ok := w.Observer().(*trace.Tracer)
 	if !ok {
 		tr = trace.NewTracer(label)
@@ -384,6 +346,5 @@ func (r *ClusterSweepResult) String() string {
 	fmt.Fprintf(&b, "flat p99 collapse at %d nodes: %.1fx vs sharded (growth %d->%d nodes: flat %.1fx, sharded %.1fx)\n",
 		r.NodeCounts[len(r.NodeCounts)-1], r.FlatP99Collapse,
 		r.NodeCounts[0], r.NodeCounts[len(r.NodeCounts)-1], r.FlatP99Growth, r.ShardedP99Growth)
-	fmt.Fprintf(&b, "engine identity (%s): serial=parallel %v\n", r.Engine.Label, r.Engine.Match)
 	return b.String()
 }

@@ -11,9 +11,8 @@ import (
 // sweep: a fixed (seed, rounds) pair produces a byte-identical
 // BENCH_cluster.json — every per-cell digest included — across reruns
 // and worker counts; the flat deployment's tail latency collapses with
-// node count while the sharded one stays flat; the lease cache and
-// shard counters actually move; and the conservative parallel engine
-// reproduces the serial digest on the representative cell.
+// node count while the sharded one stays flat; and the lease cache and
+// shard counters actually move.
 func TestClusterSweepDeterministic(t *testing.T) {
 	dir := t.TempDir()
 	p1 := filepath.Join(dir, "a.json")
@@ -67,10 +66,6 @@ func TestClusterSweepDeterministic(t *testing.T) {
 	}
 	if r1.ShardedP99Growth > 2 {
 		t.Errorf("sharded p99 grew %.1fx with node count — not flat", r1.ShardedP99Growth)
-	}
-	if !r1.Engine.Match {
-		t.Errorf("parallel engine diverged from serial on %s: %s vs %s",
-			r1.Engine.Label, r1.Engine.SerialDigest, r1.Engine.ParallelDigest)
 	}
 
 	for _, c := range r1.Cells {

@@ -103,14 +103,13 @@ type CollCrossover struct {
 
 // CollSweepResult is the regenerated collective sweep (BENCH_coll.json).
 type CollSweepResult struct {
-	Host      HostInfo       `json:"host"`
-	Seed      uint64         `json:"seed"`
-	Ranks     int            `json:"ranks"`
-	Iters     int            `json:"iters"`
-	Sizes     []uint64       `json:"sizes"`
-	Cells     []CollCell     `json:"cells"`
-	Crossover CollCrossover  `json:"crossover"`
-	Engine    EngineIdentity `json:"engine_identity"`
+	Host      HostInfo      `json:"host"`
+	Seed      uint64        `json:"seed"`
+	Ranks     int           `json:"ranks"`
+	Iters     int           `json:"iters"`
+	Sizes     []uint64      `json:"sizes"`
+	Cells     []CollCell    `json:"cells"`
+	Crossover CollCrossover `json:"crossover"`
 }
 
 // CollSweep runs the hierarchical-collective sweep: hierarchy depth
@@ -134,7 +133,7 @@ func CollSweep(seed uint64, workers int, jsonPath string) (*CollSweepResult, err
 					cells = append(cells, sweep.Cell[CollCell]{
 						Label: fmt.Sprintf("coll depth=%d mix=%s bytes=%d mode=%s", depth, mix, bytes, collModeName(mode)),
 						Run: func() (CollCell, error) {
-							return collRun(obs, seed, depth, mix, bytes, mode, 0)
+							return collRun(obs, seed, depth, mix, bytes, mode)
 						},
 					})
 				}
@@ -166,21 +165,6 @@ func CollSweep(seed uint64, workers int, jsonPath string) (*CollSweepResult, err
 	res.Crossover.CICOWinsSmall = res.Crossover.SmallCICONs < res.Crossover.SmallZCNs
 	res.Crossover.ZCWinsLarge = res.Crossover.LargeZCNs < res.Crossover.LargeCICONs
 
-	// Engine-identity probe on the deepest mixed cell: the conservative
-	// parallel engine must replay the serial event stream bit for bit.
-	ser, err := collRun(nil, seed, 3, "mixed", CollSizes[len(CollSizes)-1], coll.ModeZeroCopy, 1)
-	if err != nil {
-		return nil, err
-	}
-	par, err := collRun(nil, seed, 3, "mixed", CollSizes[len(CollSizes)-1], coll.ModeZeroCopy, 2)
-	if err != nil {
-		return nil, err
-	}
-	res.Engine = EngineIdentity{
-		Label: "coll/depth=3/mix=mixed/zc", SerialDigest: ser.Digest, ParallelDigest: par.Digest,
-		Match: ser.Digest == par.Digest,
-	}
-
 	if jsonPath != "" {
 		buf, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
@@ -194,20 +178,12 @@ func CollSweep(seed uint64, workers int, jsonPath string) (*CollSweepResult, err
 }
 
 // collRun executes one collective-sweep cell in a fresh world.
-// forceWorkers selects the engine-identity probe path exactly as in
-// clusterRun: 0 announces normally, 1 forces serial, >1 forces the
-// parallel engine.
-func collRun(obs observeFn, seed uint64, depth int, mix string, bytes uint64, mode coll.Mode, forceWorkers int) (CollCell, error) {
+func collRun(obs observeFn, seed uint64, depth int, mix string, bytes uint64, mode coll.Mode) (CollCell, error) {
 	cell := CollCell{Depth: depth, Mix: mix, Bytes: bytes, Mode: collModeName(mode)}
 	label := fmt.Sprintf("coll/d=%d/%s/b=%d/%s", depth, mix, bytes, cell.Mode)
 	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 8 << 30})
 	w := node.World()
-	switch {
-	case forceWorkers > 1:
-		w.SetParallel(forceWorkers)
-	case forceWorkers == 0:
-		announce(obs, label, w)
-	}
+	announce(obs, label, w)
 	tr, ok := w.Observer().(*trace.Tracer)
 	if !ok {
 		tr = trace.NewTracer(label)
@@ -362,6 +338,5 @@ func (r *CollSweepResult) String() string {
 	fmt.Fprintf(&b, "switchover (uniform, depth 3): %dB cico %.1fµs vs zc %.1fµs (cico wins: %v); %dB zc %.1fµs vs cico %.1fµs (zc wins: %v)\n",
 		r.Sizes[0], float64(x.SmallCICONs)/1e3, float64(x.SmallZCNs)/1e3, x.CICOWinsSmall,
 		r.Sizes[len(r.Sizes)-1], float64(x.LargeZCNs)/1e3, float64(x.LargeCICONs)/1e3, x.ZCWinsLarge)
-	fmt.Fprintf(&b, "engine identity (%s): serial=parallel %v\n", r.Engine.Label, r.Engine.Match)
 	return b.String()
 }

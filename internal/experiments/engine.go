@@ -31,9 +31,7 @@ type EngineBenchResult struct {
 	AttachReps   int     `json:"attach_reps"`
 	AttachFastNs float64 `json:"attach_fast_ns_per_op"`
 
-	Fig9SweepNs float64 `json:"fig9_sweep_ns_per_run"`
-
-	// The Fig. 9 sweep again, through the parallel sweep runner: serial
+	// The Fig. 9 sweep through the parallel sweep runner: serial
 	// (workers=1) vs one worker per host core. Simulated results are
 	// byte-identical; only host wall-clock changes.
 	SweepWorkers    int     `json:"sweep_workers"`
@@ -75,16 +73,10 @@ func EngineBench(seed uint64, jsonPath string) (*EngineBenchResult, error) {
 		return nil, err
 	}
 
-	start := time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
-	if _, err := Fig9(seed, 1, 1); err != nil {
-		return nil, err
-	}
-	res.Fig9SweepNs = float64(time.Since(start).Nanoseconds()) //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
-
-	// The same sweep through the parallel runner: serial reference, then
-	// one worker per host core.
+	// The Fig. 9 sweep through the parallel runner: serial reference,
+	// then one worker per host core.
 	res.SweepWorkers = sweep.Workers(0)
-	start = time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
+	start := time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
 	if _, err := Fig9(seed, 1, 1); err != nil {
 		return nil, err
 	}
@@ -205,7 +197,6 @@ func (r *EngineBenchResult) String() string {
 	fmt.Fprintf(&b, "  scheduler dispatch (%d actors, %d dispatches): %.1f ns/dispatch\n",
 		r.SchedulerActors, r.SchedulerDispatches, r.SchedulerHeapNs)
 	fmt.Fprintf(&b, "  1 GB attach (%d reps): %.0f ns/attach\n", r.AttachReps, r.AttachFastNs)
-	fmt.Fprintf(&b, "  fig9 sweep: %.2f s/run\n", r.Fig9SweepNs/1e9)
 	fmt.Fprintf(&b, "  fig9 sweep via runner: serial %.2f s, %d workers %.2f s   (%.2fx speedup)\n",
 		r.SweepSerialNs/1e9, r.SweepWorkers, r.SweepParallelNs/1e9, r.SweepSpeedup)
 	return b.String()

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"runtime"
-
-	"xemem/internal/sim"
-)
+import "runtime"
 
 // HostInfo is the host-parallelism header every BENCH_*.json carries:
 // without it, a ~1.0x sweep speedup recorded on a single-core CI
@@ -19,23 +15,4 @@ type HostInfo struct {
 // CaptureHost snapshots the current host's parallelism context.
 func CaptureHost() HostInfo {
 	return HostInfo{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
-}
-
-// EngineWorkers, when positive, switches every world an experiment
-// constructs onto the conservative parallel engine with that many worker
-// goroutines (sim.World.SetParallel). The engine is digest-identical to
-// the serial reference at any worker count, so every figure, table, and
-// golden artifact is byte-identical whatever this is set to — the
-// identity tests assert exactly that. Zero (the default) keeps the
-// serial reference engine. Like Observe, set it before an experiment
-// starts and leave it alone until the experiment returns.
-var EngineWorkers int
-
-// engineHook applies the package-level engine selection to one freshly
-// constructed world. Called from announce, which every experiment world
-// passes through before it runs.
-func engineHook(w *sim.World) {
-	if n := EngineWorkers; n > 0 {
-		w.SetParallel(n)
-	}
 }

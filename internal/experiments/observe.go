@@ -45,12 +45,8 @@ func cellObserve(cell int) observeFn {
 
 // announce invokes obs, falling back to the package Observe hook when
 // obs is nil (the path for direct calls to per-cell run functions, e.g.
-// from the golden-trace tests). It is also the seam through which the
-// package-level engine selection (EngineWorkers) reaches every
-// experiment world: announce runs right after world construction,
-// before any actor is dispatched.
+// from the golden-trace tests).
 func announce(obs observeFn, label string, w *sim.World) {
-	engineHook(w)
 	if obs == nil {
 		obs = Observe
 	}

@@ -84,47 +84,6 @@ func TestParallelIdentity(t *testing.T) {
 	}
 }
 
-// TestParallelWorldIdentity checks the per-world conservative parallel
-// engine (sim.World.SetParallel, selected through EngineWorkers) the
-// same way TestParallelIdentity checks the sweep runner: every figure
-// on the serial reference engine, then with every world running on the
-// parallel engine at 1, 2, and NumCPU workers. Result JSON and every
-// world's trace digest must be byte-identical — the golden artifacts
-// cannot depend on which engine produced them.
-func TestParallelWorldIdentity(t *testing.T) {
-	counts := []int{1, 2, runtime.NumCPU()}
-	saved := EngineWorkers
-	defer func() { EngineWorkers = saved }()
-	for _, fig := range parallelFigures {
-		fig := fig
-		t.Run(fig.name, func(t *testing.T) {
-			EngineWorkers = 0
-			wantJSON, wantDigests := runCellTraced(t, 1, fig.run)
-			if len(wantDigests) == 0 {
-				t.Fatal("serial run traced no worlds")
-			}
-			for _, workers := range counts {
-				EngineWorkers = workers
-				gotJSON, gotDigests := runCellTraced(t, 1, fig.run)
-				if string(gotJSON) != string(wantJSON) {
-					t.Errorf("engine workers=%d: JSON diverged from serial engine\n got  %s\n want %s",
-						workers, gotJSON, wantJSON)
-				}
-				if len(gotDigests) != len(wantDigests) {
-					t.Fatalf("engine workers=%d: traced %d worlds, serial traced %d",
-						workers, len(gotDigests), len(wantDigests))
-				}
-				for i := range gotDigests {
-					if gotDigests[i] != wantDigests[i] {
-						t.Errorf("engine workers=%d: world %d digest diverged\n got  %+v\n want %+v",
-							workers, i, gotDigests[i], wantDigests[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestParallelMatchesGolden ties the parallel runner back to the
 // checked-in golden digests: a parallel Fig. 7 sweep traced through the
 // cell-aware hook must reproduce testdata/golden/fig7.json exactly —

@@ -150,7 +150,7 @@ func (ph *fig9Phased) runSuffix(tail fig9Tail) (fig9Outcome, error) {
 // snapshotPhase is the snapshot side of a warm-fork driver: build a world
 // for recipe name+"-prefix" with a digest-only tracer, let prefix build
 // the substrate and spawn the warm-up actors, run them to quiescence
-// (serial engine — RunPhase is the fork primitive), and drain the daemon
+// (RunPhase is the fork primitive), and drain the daemon
 // dispatches queued at that instant so the cut is a pure function of the
 // prefix (forkPhase drains the same way on its side).
 func snapshotPhase(name, label string, seed uint64, params any, prefix func(*sim.World) error) (phasedWorld, error) {
@@ -248,10 +248,10 @@ func (n *fig9Node) loaders() []sectionLoader {
 
 // overlaySections walks the image's sections in order, dispatching each
 // to its owner: the engine scalars and tracer watermark to the world and
-// tracer, component sections positionally to comps. The actor and
-// mailbox sections are checked, not overlaid — the stand-ins already
-// hold the prefix actors' scheduler slots, and a clean cut must carry no
-// pending messages (a fork from a non-quiesced image is refused).
+// tracer, component sections positionally to comps. The actor section
+// is skipped — the stand-ins already hold the prefix actors' scheduler
+// slots — and the mailbox section must be the empty table this engine
+// writes.
 func overlaySections(w *sim.World, tr *trace.Tracer, img *snapshot.Image, comps []sectionLoader) error {
 	ci := 0
 	for _, s := range img.Sections {
@@ -263,9 +263,8 @@ func overlaySections(w *sim.World, tr *trace.Tracer, img *snapshot.Image, comps 
 		case "sim/actors":
 			// Stand-ins take the ids; prefix actors' final state is moot.
 		case "sim/mailboxes":
-			if n := pendingMessages(s.Data); n != 0 {
-				return fmt.Errorf("%w: image has %d pending messages — not a quiesced phase boundary",
-					snapshot.ErrCorrupt, n)
+			if d := snapshot.NewDec(s.Data); d.U64() != 0 || d.Err() != nil {
+				return fmt.Errorf("%w: image carries mailbox state this engine cannot restore", snapshot.ErrCorrupt)
 			}
 		case "obs/watermark":
 			if err := tr.RestoreWatermark(s.Data); err != nil {
@@ -291,33 +290,6 @@ func overlaySections(w *sim.World, tr *trace.Tracer, img *snapshot.Image, comps 
 			snapshot.ErrCorrupt, ci, len(comps))
 	}
 	return nil
-}
-
-// pendingMessages sums the pending-message counts of a "sim/mailboxes"
-// section (-1 on parse failure, which the caller reports as non-zero).
-func pendingMessages(data []byte) int {
-	d := snapshot.NewDec(data)
-	total := 0
-	n := d.U64()
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		d.Str() // name
-		d.U64() // owner
-		d.I64() // min latency
-		d.U64() // sent
-		d.U64() // received
-		d.U64() // max depth
-		pend := d.U64()
-		total += int(pend)
-		for j := uint64(0); j < pend && d.Err() == nil; j++ {
-			d.I64()
-			d.U64()
-			d.U64()
-		}
-	}
-	if d.Err() != nil {
-		return -1
-	}
-	return total
 }
 
 // forkVerifySkip reports whether a section is excluded from the fork's

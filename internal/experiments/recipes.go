@@ -148,7 +148,7 @@ var recipes = map[string]recipeFn{
 		if err := decodeParams(params, &p); err != nil {
 			return err
 		}
-		_, err := clusterRun(obs, seed, p.Nodes, p.Shards, p.Churn, p.Rounds, 0)
+		_, err := clusterRun(obs, seed, p.Nodes, p.Shards, p.Churn, p.Rounds)
 		return err
 	},
 }

@@ -30,11 +30,9 @@ type Bundle struct {
 	Digest         trace.Digest    `json:"digest"`
 }
 
-// reproProbe observes one recipe run: it forces the serial engine (cut
-// placement is a serial-dispatch construct, and bundles must verify
-// regardless of the replayer's -partitions setting), installs a
-// digest-only tracer, and — when armed — a checkpoint that hashes the
-// world's snapshot image at the cut.
+// reproProbe observes one recipe run: it installs a digest-only tracer
+// and — when armed — a checkpoint that hashes the world's snapshot image
+// at the cut.
 type reproProbe struct {
 	worlds int
 	tr     *trace.Tracer
@@ -47,7 +45,6 @@ func (p *reproProbe) hook(cut sim.Time, armed bool) observeFn {
 		if p.worlds > 1 {
 			return // CaptureBundle/RunBundle reject this after the run
 		}
-		w.SetParallel(0)
 		tr := trace.NewTracer(label)
 		tr.SetKeepEvents(false)
 		w.SetObserver(tr)

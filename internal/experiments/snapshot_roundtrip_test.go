@@ -8,9 +8,7 @@ package experiments
 // the wire format bit-exactly (Snapshot→Restore), and replaying the
 // recipe to the same cut must regenerate the image byte-for-byte: that
 // replay IS the restore path (checkpoint.go), so byte-equality here is
-// the restore-correctness property. TestParallelSnapshotRoundtrip
-// repeats the capture on the conservative parallel engine
-// (SetParallel(2)) and runs under -race via the Makefile race target.
+// the restore-correctness property.
 
 import (
 	"bytes"
@@ -45,10 +43,10 @@ var roundtripCases = []struct {
 const roundtripSeed = 11
 
 // runRoundtrip executes one recipe with a digest-only tracer on its
-// world, the engine selected by workers (0 = serial), and — when armed —
+// world and — when armed —
 // a checkpoint at cut that hands the world's snapshot image to onImage.
 // It returns the run's trace digest.
-func runRoundtrip(t *testing.T, recipe, params string, workers int, cut sim.Time, armed bool, onImage func(*snapshot.Image)) trace.Digest {
+func runRoundtrip(t *testing.T, recipe, params string, cut sim.Time, armed bool, onImage func(*snapshot.Image)) trace.Digest {
 	t.Helper()
 	fn, ok := recipes[recipe]
 	if !ok {
@@ -61,7 +59,6 @@ func runRoundtrip(t *testing.T, recipe, params string, workers int, cut sim.Time
 		if worlds > 1 {
 			return
 		}
-		w.SetParallel(workers)
 		tr = trace.NewTracer(label)
 		tr.SetKeepEvents(false)
 		w.SetObserver(tr)
@@ -78,12 +75,12 @@ func runRoundtrip(t *testing.T, recipe, params string, workers int, cut sim.Time
 	return tr.Digest()
 }
 
-// TestSnapshotRoundtrip is the serial-engine property.
+// TestSnapshotRoundtrip is the round-trip property.
 func TestSnapshotRoundtrip(t *testing.T) {
 	for _, tc := range roundtripCases {
 		tc := tc
 		t.Run(tc.recipe, func(t *testing.T) {
-			base := runRoundtrip(t, tc.recipe, tc.params, 0, 0, false, nil)
+			base := runRoundtrip(t, tc.recipe, tc.params, 0, false, nil)
 			if base.FinalNs == 0 {
 				t.Fatal("uninterrupted run ended at virtual time 0")
 			}
@@ -94,7 +91,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 
 					// Capture: the checkpoint must not perturb the run.
 					var enc []byte
-					d := runRoundtrip(t, tc.recipe, tc.params, 0, cut, true, func(img *snapshot.Image) {
+					d := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(img *snapshot.Image) {
 						enc = img.Encode()
 					})
 					if d != base {
@@ -121,7 +118,7 @@ func TestSnapshotRoundtrip(t *testing.T) {
 					// to the same cut must regenerate the serialized state
 					// byte-for-byte, and still finish with the base digest.
 					replayed := false
-					d2 := runRoundtrip(t, tc.recipe, tc.params, 0, cut, true, func(img2 *snapshot.Image) {
+					d2 := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(img2 *snapshot.Image) {
 						replayed = true
 						if !bytes.Equal(img2.Encode(), enc) {
 							t.Error("replayed world's state diverged from the snapshot at the cut")
@@ -134,44 +131,6 @@ func TestSnapshotRoundtrip(t *testing.T) {
 						t.Errorf("replay digest diverged\n got  %+v\n want %+v", d2, base)
 					}
 				})
-			}
-		})
-	}
-}
-
-// TestParallelSnapshotRoundtrip captures at 50% on the conservative
-// parallel engine: the checkpoint (a barrier quiesce there) must leave
-// the digest identical to the serial uninterrupted run, and the image —
-// taken at a barrier, so not byte-comparable to a serial-cut image —
-// must still round-trip the wire format bit-exactly.
-func TestParallelSnapshotRoundtrip(t *testing.T) {
-	for _, tc := range roundtripCases {
-		tc := tc
-		t.Run(tc.recipe, func(t *testing.T) {
-			base := runRoundtrip(t, tc.recipe, tc.params, 0, 0, false, nil)
-			if base.FinalNs == 0 {
-				t.Fatal("uninterrupted run ended at virtual time 0")
-			}
-			cut := sim.Time(base.FinalNs / 2)
-			var enc []byte
-			d := runRoundtrip(t, tc.recipe, tc.params, 2, cut, true, func(img *snapshot.Image) {
-				enc = img.Encode()
-			})
-			if d != base {
-				t.Errorf("parallel checkpointed digest diverged\n got  %+v\n want %+v", d, base)
-			}
-			if enc == nil {
-				t.Fatal("checkpoint never fired on the parallel engine")
-			}
-			img, err := sim.Restore(bytes.NewReader(enc))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if img.Kind != "parallel" {
-				t.Errorf("image kind %q, want parallel", img.Kind)
-			}
-			if !bytes.Equal(img.Encode(), enc) {
-				t.Error("restored image re-encodes differently")
 			}
 		})
 	}

@@ -13,14 +13,11 @@
 package fault
 
 import (
-	"fmt"
 	"sort"
-	"sync"
 
 	"xemem/internal/core"
 	"xemem/internal/sim"
 	"xemem/internal/sim/snapshot"
-	"xemem/internal/xproto"
 )
 
 // Window is a half-open virtual-time interval [Start, End) during which
@@ -72,35 +69,12 @@ type Stats struct {
 // Injector implements sim.Injector for one world. Create it with New
 // (which installs it on the world), Register the modules that should
 // learn about crashes, and Arm it to start the crash schedule.
-//
-// Partitioned worlds (sim.World.SpawnIn) get one deterministic RNG
-// stream and one Stats accumulator per partition: delivery-fault draws
-// in partition p depend only on p's own delivery sequence, never on how
-// windows from other partitions interleave on host threads. Partition
-// 0's stream is the legacy injector stream, so single-partition worlds
-// keep bit-identical fault schedules with builds that predate the
-// parallel engine.
 type Injector struct {
-	w    *sim.World
-	plan Plan
-	rng  *sim.RNG // partition 0's stream — the legacy derivation
-	// forkBase is a frozen fork of the injector stream's initial state;
-	// per-partition streams derive from it so they are independent of how
-	// far partition 0 has already drawn when a partition first faults.
-	forkBase *sim.RNG
-	mods     []*core.Module //xemem:nosnap -- module registry wired by Register at world build; restore recipes rebuild the same topology
-
-	// mu guards the lazily grown partition table. The per-partition state
-	// itself needs no lock: the engine runs at most one actor of a
-	// partition at a time, and each partition touches only its own entry.
-	mu    sync.Mutex
-	parts map[int]*partitionState
-}
-
-// partitionState is one partition's share of the injector.
-type partitionState struct {
+	w     *sim.World
+	plan  Plan
 	rng   *sim.RNG
 	stats Stats
+	mods  []*core.Module //xemem:nosnap -- module registry wired by Register at world build; restore recipes rebuild the same topology
 }
 
 // New creates an injector for plan and installs it on w. The injector
@@ -111,14 +85,7 @@ func New(w *sim.World, plan Plan) *Injector {
 	if plan.DelayProb > 0 && plan.DelayMax <= 0 {
 		plan.DelayMax = 10 * sim.Microsecond
 	}
-	rng := w.NewRNG()
-	inj := &Injector{
-		w:        w,
-		plan:     plan,
-		rng:      rng,
-		forkBase: rng.Fork(0), // capture pre-draw state for partition streams
-		parts:    map[int]*partitionState{0: {rng: rng}},
-	}
+	inj := &Injector{w: w, plan: plan, rng: w.NewRNG()}
 	w.SetInjector(inj)
 	w.AddSnapshotComponent("fault/injector", inj.EncodeSnapshot)
 	return inj
@@ -126,9 +93,7 @@ func New(w *sim.World, plan Plan) *Injector {
 
 // EncodeSnapshot appends the injector's state to e: the plan summary
 // (shape only — the schedule is a pure function of plan and seed), then
-// every partition's RNG stream position and statistics in partition
-// order. The parts map grows lazily on host threads, so it is collected
-// and sorted under the lock.
+// the RNG stream position and statistics.
 func (i *Injector) EncodeSnapshot(e *snapshot.Enc) {
 	e.F64(i.plan.DropProb)
 	e.F64(i.plan.DelayProb)
@@ -143,41 +108,18 @@ func (i *Injector) EncodeSnapshot(e *snapshot.Enc) {
 		e.I64(int64(c.At))
 		e.Str(c.Module)
 	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	ids := make([]int, 0, len(i.parts))
-	for p := range i.parts {
-		ids = append(ids, p)
-	}
-	sort.Ints(ids)
-	e.U64(uint64(len(ids)))
-	for _, p := range ids {
-		ps := i.parts[p]
-		e.U64(uint64(p))
-		state, spare, spareOK := ps.rng.State()
-		e.U64(state)
-		e.F64(spare)
-		e.Bool(spareOK)
-		e.U64(uint64(ps.stats.Deliveries))
-		e.U64(uint64(ps.stats.Drops))
-		e.U64(uint64(ps.stats.Delays))
-		e.I64(int64(ps.stats.DelayTime))
-		e.U64(uint64(ps.stats.Crashes))
-	}
-}
-
-// partition returns partition p's injector state, creating it on first
-// use. Streams fork from the injector's initial state keyed by p alone,
-// so first-use order across partitions cannot perturb them.
-func (i *Injector) partition(p int) *partitionState {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	ps := i.parts[p]
-	if ps == nil {
-		ps = &partitionState{rng: i.forkBase.Fork(uint64(p))}
-		i.parts[p] = ps
-	}
-	return ps
+	// The image format's stream table, written as its one entry keyed 0.
+	e.U64(1)
+	e.U64(0)
+	state, spare, spareOK := i.rng.State()
+	e.U64(state)
+	e.F64(spare)
+	e.Bool(spareOK)
+	e.U64(uint64(i.stats.Deliveries))
+	e.U64(uint64(i.stats.Drops))
+	e.U64(uint64(i.stats.Delays))
+	e.I64(int64(i.stats.DelayTime))
+	e.U64(uint64(i.stats.Crashes))
 }
 
 // Register tells the injector which modules exist, so a crash can fan
@@ -188,29 +130,10 @@ func (i *Injector) Register(mods ...*core.Module) {
 	i.mods = append(i.mods, mods...)
 }
 
-// crashNoticeLat is the virtual latency of the cross-partition crash
-// notification in a partitioned world: the victim's partition kills the
-// enclave at the scheduled instant, and partitions hosting survivors
-// learn of the death this much later over a fault mailbox. It doubles as
-// the mailbox's lookahead contribution, so it must stay positive.
-const crashNoticeLat = sim.Microsecond
-
-// Arm spawns the crash-schedule daemons. Call after the victims are
-// Registered and Started (a module's partition is known only once its
-// kernel actor exists) and before the run; with no planned crashes it is
-// a no-op.
-//
-// Single-partition worlds keep the original shape — one "fault/injector"
-// daemon that kills each victim and fans OnEnclaveDown out to every
-// survivor at the crash instant — bit-identical to pre-parallel builds.
-// Partitioned worlds get one schedule daemon per partition with victims
-// plus one notify daemon per partition with modules: the victim's
-// partition crashes it and fans out to same-partition survivors at the
-// crash instant, and broadcasts the dead enclave's ID to the other
-// partitions' fault mailboxes, whose notify daemons run the fanout
-// crashNoticeLat later. Cross-partition module state is never touched
-// directly, so the schedule stays race-free and digest-identical between
-// the serial and parallel engines for the same world build.
+// Arm spawns the crash-schedule daemon: one "fault/injector" actor that
+// kills each victim and fans OnEnclaveDown out to every survivor at the
+// crash instant. Call after the victims are Registered and before the
+// run; with no planned crashes it is a no-op.
 func (i *Injector) Arm() {
 	if len(i.plan.Crashes) == 0 {
 		return
@@ -222,85 +145,18 @@ func (i *Injector) Arm() {
 		}
 		return crashes[a].Module < crashes[b].Module
 	})
-	if i.w.NumPartitions() <= 1 {
-		i.w.Spawn("fault/injector", func(a *sim.Actor) {
-			a.SetDaemon()
-			for _, c := range crashes {
-				a.AdvanceTo(c.At)
-				i.crash(a, c.Module, i.mods)
-			}
-		})
-		return
-	}
-
-	byPart := make(map[int][]*core.Module)
-	for _, m := range i.mods {
-		p := m.PartitionID()
-		byPart[p] = append(byPart[p], m)
-	}
-	parts := make([]int, 0, len(byPart))
-	for p := range byPart {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-
-	// One crash mailbox per module-hosting partition, created in sorted
-	// order so construction is deterministic.
-	boxes := make(map[int]*sim.Mailbox, len(parts))
-	for _, p := range parts {
-		boxes[p] = i.w.NewMailbox(fmt.Sprintf("fault/down%d", p), p, crashNoticeLat)
-	}
-
-	moduleOf := make(map[string]*core.Module, len(i.mods))
-	for _, m := range i.mods {
-		moduleOf[m.Name()] = m
-	}
-
-	for _, p := range parts {
-		p := p
-		local := byPart[p]
-
-		var sched []Crash
+	i.w.Spawn("fault/injector", func(a *sim.Actor) {
+		a.SetDaemon()
 		for _, c := range crashes {
-			if v := moduleOf[c.Module]; v != nil && v.PartitionID() == p {
-				sched = append(sched, c)
-			}
+			a.AdvanceTo(c.At)
+			i.crash(a, c.Module)
 		}
-		if len(sched) > 0 {
-			i.w.SpawnIn(p, fmt.Sprintf("fault/injector%d", p), func(a *sim.Actor) {
-				a.SetDaemon()
-				for _, c := range sched {
-					a.AdvanceTo(c.At)
-					dead := i.crash(a, c.Module, local)
-					if dead == xproto.NoEnclave {
-						continue
-					}
-					for _, q := range parts {
-						if q != p {
-							boxes[q].Send(a, dead, crashNoticeLat)
-						}
-					}
-				}
-			})
-		}
-
-		i.w.SpawnIn(p, fmt.Sprintf("fault/notify%d", p), func(a *sim.Actor) {
-			a.SetDaemon()
-			for {
-				dead := boxes[p].Recv(a).(xproto.EnclaveID)
-				for _, m := range local {
-					m.OnEnclaveDown(a, dead)
-				}
-			}
-		})
-	}
+	})
 }
 
-// crash kills the named module and fans the death out to the survivors
-// in scope (every registered module on the single-partition path, the
-// victim's partition peers on the partitioned path). It reports the dead
-// enclave's ID, NoEnclave when the victim was unknown or already down.
-func (i *Injector) crash(a *sim.Actor, name string, scope []*core.Module) xproto.EnclaveID {
+// crash kills the named module and fans the death out to every other
+// registered module. Unknown or already-down victims are ignored.
+func (i *Injector) crash(a *sim.Actor, name string) {
 	var victim *core.Module
 	for _, m := range i.mods {
 		if m.Name() == name {
@@ -309,36 +165,34 @@ func (i *Injector) crash(a *sim.Actor, name string, scope []*core.Module) xproto
 		}
 	}
 	if victim == nil || victim.Stopped() {
-		return xproto.NoEnclave
+		return
 	}
 	dead := victim.EnclaveID()
 	victim.Crash(a)
-	i.partition(a.Partition()).stats.Crashes++
+	i.stats.Crashes++
 	if obs := a.Observer(); obs != nil {
 		obs.Count("fault-crash:"+name, a, 0)
 	}
-	for _, m := range scope {
+	for _, m := range i.mods {
 		if m != victim {
 			m.OnEnclaveDown(a, dead)
 		}
 	}
-	return dead
 }
 
 // DeliveryFault implements sim.Injector: one RNG draw per configured
 // hazard per delivery, in a fixed order, so the schedule of faults is a
 // deterministic function of the delivery sequence.
 func (i *Injector) DeliveryFault(queue string, a *sim.Actor, bytes int) (drop bool, delay sim.Time) {
-	ps := i.partition(a.Partition())
-	ps.stats.Deliveries++
-	if i.plan.DropProb > 0 && ps.rng.Float64() < i.plan.DropProb {
-		ps.stats.Drops++
+	i.stats.Deliveries++
+	if i.plan.DropProb > 0 && i.rng.Float64() < i.plan.DropProb {
+		i.stats.Drops++
 		return true, 0
 	}
-	if i.plan.DelayProb > 0 && ps.rng.Float64() < i.plan.DelayProb {
-		delay = sim.Time(ps.rng.Float64()*float64(i.plan.DelayMax)) + 1
-		ps.stats.Delays++
-		ps.stats.DelayTime += delay
+	if i.plan.DelayProb > 0 && i.rng.Float64() < i.plan.DelayProb {
+		delay = sim.Time(i.rng.Float64()*float64(i.plan.DelayMax)) + 1
+		i.stats.Delays++
+		i.stats.DelayTime += delay
 	}
 	return false, delay
 }
@@ -356,20 +210,7 @@ func (i *Injector) ServiceDown(service string, t sim.Time) bool {
 	return false
 }
 
-// Stats reports what the injector has done so far, summed over every
-// partition's accumulator.
-func (i *Injector) Stats() Stats {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	var s Stats
-	for _, ps := range i.parts {
-		s.Deliveries += ps.stats.Deliveries
-		s.Drops += ps.stats.Drops
-		s.Delays += ps.stats.Delays
-		s.DelayTime += ps.stats.DelayTime
-		s.Crashes += ps.stats.Crashes
-	}
-	return s
-}
+// Stats reports what the injector has done so far.
+func (i *Injector) Stats() Stats { return i.stats }
 
 var _ sim.Injector = (*Injector)(nil)

@@ -111,10 +111,7 @@ func (r *Router) TakeHop(reqID uint64) (xproto.Link, bool) {
 // MinHops reports a conservative lower bound on the number of channel
 // hops a message for dst traverses from this enclave: 1 when a direct
 // route is learned, 2 otherwise (the default route detours via the name
-// server before the eventual owner — at least one forwarding hop). The
-// parallel engine multiplies this by the per-hop floor to derive
-// cross-partition lookahead; underestimating is safe (a smaller
-// lookahead only shrinks the window), overestimating is not.
+// server before the eventual owner — at least one forwarding hop).
 func (r *Router) MinHops(dst xproto.EnclaveID) int {
 	if _, ok := r.routes[dst]; ok {
 		return 1

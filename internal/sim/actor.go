@@ -31,49 +31,6 @@ type Actor struct {
 	// heapIdx is the actor's slot in the owning ready-queue heap, or -1
 	// when the actor is not enqueued (running, blocked, or finished).
 	heapIdx int
-	// partID is the actor's partition label (see World.SpawnIn); part is
-	// the live partition object while the parallel engine is running, nil
-	// otherwise.
-	partID int
-	part   *partition
-	// mseq numbers the actor's mailbox sends, making (delivery, sender,
-	// mseq) a total order on messages.
-	mseq uint64
-	// dirty marks a clock moved by an elided advance (run-to-completion
-	// batching, see World.SetBatchedAdvances) that has not yet been
-	// committed by a scheduler yield.
-	dirty bool
-	// wakeEK is the effective position of the actor's current enqueue in
-	// the serial dispatch order (parallel engine only). It differs from
-	// the plain (now, id) scheduler key only when the enqueue was created
-	// at the creator's own timestamp — an Unblock or Spawn at time t made
-	// during a dispatch positioned at (t, bigger id) trails that dispatch
-	// in serial order even though its own key sorts earlier. Mailbox
-	// wakes never inherit: delivery latencies are strictly positive, so
-	// the wake key strictly dominates every sender position.
-	wakeEK evKey
-	// stretch counts the actor's dispatches under the parallel engine.
-	// Together with madeBy/madeSeq it identifies events created by a
-	// specific dispatch — the drain phase must block exactly the events
-	// the final non-daemon completion dispatch created (see
-	// daemonBlocked). Every creation primitive settles first, so a
-	// stretch spans one serial dispatch even under advance batching.
-	stretch uint64
-	// madeBy/madeSeq record the creating dispatch of the actor's current
-	// enqueue: the actor (nil after the enqueue is dispatched or when
-	// self-scheduled) and its stretch counter at creation time.
-	madeBy  *Actor
-	madeSeq uint64
-}
-
-// posKey is the actor's current effective serial position: every event
-// it creates from here dispatches after this key in the serial order.
-func (a *Actor) posKey() evKey {
-	k := evKey{t: a.now, id: a.id}
-	if k.less(a.wakeEK) {
-		k = a.wakeEK
-	}
-	return k
 }
 
 // run is the goroutine body wrapping the user function.
@@ -82,11 +39,7 @@ func (a *Actor) run(fn func(*Actor)) {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(errKilled); ok {
-				if p := a.part; p != nil {
-					p.yield <- a
-				} else {
-					a.w.yield <- a
-				}
+				a.w.yield <- a
 				return
 			}
 			panic(r) // real panic: propagate (crashes the test, as it should)
@@ -97,30 +50,6 @@ func (a *Actor) run(fn func(*Actor)) {
 	}
 	fn(a)
 	a.state = done
-	if p := a.part; p != nil {
-		// Elided advances never dispatched, so the partition clock may lag
-		// the final clock the serial engine would have dispatched at.
-		if a.now > p.now {
-			p.now = a.now
-		}
-		if !a.daemon {
-			p.live--
-			// In serial (and under batching, which preserves a.now while
-			// eliding yields) the final dispatch of a completing actor is
-			// at (a.now, a.id): this partition's candidate for the global
-			// termination cut-off K_done (see drainParallel). Record the
-			// dispatch identity too — the drain must block exactly the
-			// events the winning dispatch created.
-			if k := (evKey{t: a.now, id: a.id}); p.lastND.less(k) {
-				p.lastND = k
-				p.lastNDActor = a
-				p.lastNDStretch = a.stretch
-			}
-		}
-		// Parallel engine: hand control onward within the partition.
-		p.dispatchFrom(a)
-		return
-	}
 	if !a.daemon {
 		a.w.liveNonDaemons--
 	}
@@ -133,12 +62,7 @@ func (a *Actor) run(fn func(*Actor)) {
 // dispatches the next actor directly, or keeps running when this actor is
 // still the minimum.
 func (a *Actor) pause() {
-	a.dirty = false
-	if p := a.part; p != nil {
-		if !p.dispatchFrom(a) {
-			<-a.resume
-		}
-	} else if !a.w.dispatchFrom(a) {
+	if !a.w.dispatchFrom(a) {
 		<-a.resume
 	}
 	if a.state == killed {
@@ -162,85 +86,29 @@ func (a *Actor) World() *World { return a.w }
 // non-daemon actors finish, terminating daemons. Kernel message loops and
 // noise generators are daemons.
 func (a *Actor) SetDaemon() {
-	a.Settle() // the live counter feeds the termination check
 	if !a.daemon {
 		a.daemon = true
-		if p := a.part; p != nil {
-			p.live--
-		} else {
-			a.w.liveNonDaemons--
-		}
+		a.w.liveNonDaemons--
 	}
 }
 
-// Partition reports the actor's partition label (see World.SpawnIn).
-func (a *Actor) Partition() int { return a.partID }
-
 // RNG returns the actor's private deterministic random stream, creating
-// it on first use. In single-partition worlds the stream comes from the
-// world's creation-order counter (the legacy derivation every golden
-// digest was produced with). Multi-partition worlds derive the seed from
-// the actor id instead: first-use order differs across partition
-// interleavings, but the id does not — and windows running concurrently
-// could not share the counter anyway. See World.SetStableActorRNG for
-// opting single-partition builds into the id derivation.
+// it on first use from the world's creation-order counter.
 func (a *Actor) RNG() *RNG {
 	if a.rng == nil {
-		if a.w.nparts > 1 || a.w.stableRNG {
-			a.rng = NewRNG(a.w.seed ^ (uint64(a.id)+1)*0x9e3779b97f4a7c15 ^ 0x5bf0363508b19383)
-		} else {
-			a.Settle() // the creation-order counter is shared state
-			a.rng = a.w.NewRNG()
-		}
+		a.rng = a.w.NewRNG()
 	}
 	return a.rng
 }
 
-// elides reports whether the actor's pure advances may skip the
-// scheduler yield (run-to-completion batching): the world opted in via
-// SetBatchedAdvances, the parallel engine is running, the actor is not a
-// daemon (daemons must dispatch every advance so the termination cut-off
-// stays serial-exact), and nothing is observing the dispatch stream.
-func (a *Actor) elides() bool {
-	w := a.w
-	return a.part != nil && w.batchAdvances && !a.daemon && w.obs == nil && w.Trace == nil
-}
-
-// Settle commits any advances elided by run-to-completion batching: the
-// actor yields until every other actor below its clock has run, exactly
-// as the serial engine would have done at each elided advance. It is a
-// no-op on the serial engine and whenever batching is off. Substrate
-// code that touches state shared with other actors outside the engine's
-// own primitives (resources, mailboxes, Unblock, Spawn) must call it
-// first; the engine primitives settle internally.
-func (a *Actor) Settle() {
-	if a.dirty {
-		a.pause()
-	}
-}
-
-// advanceSync is Advance minus batching: waits whose continuation
-// depends on other actors' state (resource re-check loops, mailbox
-// parks) must always yield, even in batched worlds.
-func (a *Actor) advanceSync(d Time) {
-	a.now += d
-	a.pause()
-}
-
 // Advance charges d of virtual time to the actor and yields to the
 // scheduler so that other actors with earlier clocks may run. d must be
-// non-negative; Advance(0) is a pure yield. In worlds that opted into
-// run-to-completion batching (SetBatchedAdvances) the yield may be
-// elided until the actor next interacts with shared state.
+// non-negative; Advance(0) is a pure yield.
 func (a *Actor) Advance(d Time) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative advance %d by %s", d, a.name))
 	}
 	a.now += d
-	if a.elides() {
-		a.dirty = true
-		return
-	}
 	a.pause()
 }
 
@@ -259,10 +127,6 @@ func (a *Actor) AdvanceN(d Time, n uint64) {
 		panic(fmt.Sprintf("sim: negative advance %d by %s", d, a.name))
 	}
 	a.now += d * Time(n)
-	if a.elides() {
-		a.dirty = true
-		return
-	}
 	a.pause()
 }
 
@@ -285,16 +149,8 @@ func (a *Actor) Block(reason string) {
 
 // Unblock makes b runnable again, no earlier than the caller's current
 // time. Calling Unblock on a non-blocked actor is a no-op, which lets
-// signal-style wakeups race benignly with polling. Under the parallel
-// engine Unblock is a partition-local primitive: waking an actor in
-// another partition would mutate that partition's heap mid-window, so it
-// panics — cross-partition interaction must go through a Mailbox.
+// signal-style wakeups race benignly with polling.
 func (a *Actor) Unblock(b *Actor) {
-	a.Settle()
-	if a.part != nil && b.partID != a.partID {
-		panic(fmt.Sprintf("sim: cross-partition Unblock of %s (partition %d) by %s (partition %d); use a Mailbox",
-			b.name, b.partID, a.name, a.partID))
-	}
 	if b.state != blocked {
 		return
 	}
@@ -303,14 +159,7 @@ func (a *Actor) Unblock(b *Actor) {
 	if b.now < a.now {
 		b.now = a.now
 	}
-	// The wake is created by a's current dispatch: in serial order it
-	// trails a's position even when the wake key — id tie-break included
-	// — sorts earlier (same-timestamp wake of a smaller-id actor).
-	if pk := a.posKey(); b.wakeEK.less(pk) {
-		b.wakeEK = pk
-	}
-	b.madeBy, b.madeSeq = a, a.stretch
-	a.w.heapPush(b)
+	a.w.heap.push(b)
 }
 
 // Poll repeatedly evaluates cond, advancing by interval between checks,
@@ -320,7 +169,6 @@ func (a *Actor) Unblock(b *Actor) {
 func (a *Actor) Poll(interval Time, cond func() bool) int {
 	n := 0
 	for {
-		a.Settle() // cond typically reads state other actors write
 		if cond() {
 			return n
 		}
@@ -329,14 +177,7 @@ func (a *Actor) Poll(interval Time, cond func() bool) int {
 	}
 }
 
-// Spawn creates a child actor starting at the caller's current time. The
-// child inherits the caller's partition.
+// Spawn creates a child actor starting at the caller's current time.
 func (a *Actor) Spawn(name string, fn func(*Actor)) *Actor {
-	a.Settle()
-	child := a.w.SpawnIn(a.partID, name, fn)
-	child.now = a.now
-	child.wakeEK = a.posKey() // same-timestamp creation: trails a's dispatch
-	child.madeBy, child.madeSeq = a, a.stretch
-	a.w.heapFix(child)
-	return child
+	return a.w.SpawnAt(name, a.now, fn)
 }

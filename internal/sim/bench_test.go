@@ -12,21 +12,10 @@ import (
 	"testing"
 )
 
-// Dispatch-benchmark engine variants.
-const (
-	benchSerial = iota // heap scheduler, serial engine
-	benchPar1          // parallel engine, one partition (run-to-completion path)
-)
-
 // runDispatchWorld runs a pure scheduling workload: actors advancing by
 // pseudorandom strides so the ready queue is constantly reordered.
-func runDispatchWorld(seed uint64, actors, steps, mode int) error {
+func runDispatchWorld(seed uint64, actors, steps int) error {
 	w := NewWorld(seed)
-	switch mode {
-	case benchPar1:
-		w.SetParallel(1)
-		w.SetBatchedAdvances(true)
-	}
 	w.Reserve(actors)
 	for i := 0; i < actors; i++ {
 		w.Spawn(fmt.Sprintf("a%d", i), func(a *Actor) {
@@ -39,27 +28,19 @@ func runDispatchWorld(seed uint64, actors, steps, mode int) error {
 	return w.Run()
 }
 
-func benchDispatch(b *testing.B, mode int) {
+// BenchmarkWorldDispatch measures the dispatch hot path end to end: one
+// op is a full world run of 256 actors × 500 steps, with per-dispatch
+// cost reported as a metric.
+func BenchmarkWorldDispatch(b *testing.B) {
 	const actors, steps = 256, 500
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := runDispatchWorld(uint64(i+1), actors, steps, mode); err != nil {
+		if err := runDispatchWorld(uint64(i+1), actors, steps); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*actors*steps), "ns/dispatch")
 }
-
-// BenchmarkWorldDispatch measures the dispatch hot path end to end on
-// the parallel engine's single-partition run-to-completion path (no
-// mailboxes, so the horizon is infinite and the whole run is one
-// window): one op is a full world run of 256 actors × 500 steps, with
-// per-dispatch cost reported as a metric. Budget: under 200 ns/dispatch.
-func BenchmarkWorldDispatch(b *testing.B) { benchDispatch(b, benchPar1) }
-
-// BenchmarkWorldDispatchSerial is the same workload on the serial
-// reference engine.
-func BenchmarkWorldDispatchSerial(b *testing.B) { benchDispatch(b, benchSerial) }
 
 // dispatchAllocCeiling is the checked-in allocation budget for the
 // dispatch path, in heap allocations per dispatch, world construction
@@ -74,12 +55,12 @@ func TestDispatchAllocCeiling(t *testing.T) {
 	const actors, steps = 256, 2000
 	// Warm the resume-channel pool and runtime structures so the measured
 	// run sees the steady state a sweep's thousands of worlds see.
-	if err := runDispatchWorld(1, actors, steps, benchSerial); err != nil {
+	if err := runDispatchWorld(1, actors, steps); err != nil {
 		t.Fatal(err)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if err := runDispatchWorld(2, actors, steps, benchSerial); err != nil {
+	if err := runDispatchWorld(2, actors, steps); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)

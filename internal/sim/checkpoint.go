@@ -3,7 +3,7 @@ package sim
 // This file is the engine half of world checkpoint/restore (DESIGN.md
 // §12). A snapshot is taken at a quiesce point — an instant when no
 // actor goroutine is mid-dispatch — and serializes the engine's own
-// state (actors, mailboxes, RNG cursors, the observer's watermark) plus
+// state (actors, RNG cursors, the observer's watermark) plus
 // one section per registered component saver, into the versioned image
 // format of internal/sim/snapshot.
 //
@@ -18,7 +18,6 @@ package sim
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"xemem/internal/sim/snapshot"
 )
@@ -63,12 +62,10 @@ func (w *World) AddSnapshotComponent(name string, save func(*snapshot.Enc)) {
 }
 
 // SetCheckpoint arms a one-shot checkpoint: fn fires at the engine's
-// first quiesce point at or past virtual time t. On the serial engine
-// that is the instant the next dispatch would reach t — every dispatch
-// strictly below t has executed and been observed, none at or past t
-// has. On the parallel engine it is the first barrier whose earliest
-// pending event is at or past t. A cut beyond the end of the run fires
-// once at termination, after teardown. fn typically captures
+// first quiesce point at or past virtual time t: the instant the next
+// dispatch would reach t — every dispatch strictly below t has executed
+// and been observed, none at or past t has. A cut beyond the end of the
+// run fires once at termination, after teardown. fn typically captures
 // SnapshotImage (and, on restore runs, re-encodes and verifies).
 func (w *World) SetCheckpoint(t Time, fn func()) {
 	if w.running {
@@ -79,9 +76,7 @@ func (w *World) SetCheckpoint(t Time, fn func()) {
 }
 
 // fireCheckpoint runs the armed checkpoint exactly once. It executes
-// under the engine's quiesce guarantee: on the serial engine the
-// one-runnable-goroutine invariant, on the parallel engine the
-// coordinator between barriers with every worker parked.
+// under the engine's one-runnable-goroutine guarantee.
 func (w *World) fireCheckpoint() {
 	fn := w.ckptFn
 	w.ckptFn = nil
@@ -98,18 +93,14 @@ type SnapshotWatermarker interface {
 }
 
 // SnapshotImage serializes the world at a quiesce point: the engine
-// core, every actor's schedule-relevant state, the mailboxes, the
-// observer watermark (when the observer supports it), and one section
-// per registered component saver. Call it from a SetCheckpoint callback
+// core, every actor's schedule-relevant state, the observer watermark
+// (when the observer supports it), and one section per registered
+// component saver. Call it from a SetCheckpoint callback
 // or between RunPhase/Run phases — never from inside a running actor.
 //
 // The image's CutNs is the armed checkpoint time when one was set, else
 // the world's current clock (the RunPhase quiesce case).
 func (w *World) SnapshotImage() *snapshot.Image {
-	kind := "serial"
-	if w.parWorkers > 0 {
-		kind = "parallel"
-	}
 	cut := w.ckptT
 	if cut == 0 {
 		cut = w.now
@@ -119,12 +110,12 @@ func (w *World) SnapshotImage() *snapshot.Image {
 		Params: w.recipeParams,
 		Seed:   w.seed,
 		CutNs:  int64(cut),
-		Kind:   kind,
+		Kind:   "serial", // the engine kind field of the image format
 	}
 	img.Sections = append(img.Sections,
 		snapshot.Section{Name: "sim/world", Data: w.encodeWorld()},
 		snapshot.Section{Name: "sim/actors", Data: w.encodeActors()},
-		snapshot.Section{Name: "sim/mailboxes", Data: w.encodeMailboxes()},
+		snapshot.Section{Name: "sim/mailboxes", Data: emptyMailboxes()},
 	)
 	if wm, ok := w.obs.(SnapshotWatermarker); ok {
 		img.Sections = append(img.Sections,
@@ -157,7 +148,7 @@ func (w *World) LoadWorldOverlay(data []byte) error {
 	seed := d.U64()
 	d.I64() // clock at the cut
 	nextRNG := d.U64()
-	d.U64() // partition count (engine config, not state)
+	d.U64() // partition count (always 1)
 	nactors := d.U64()
 	if err := d.Err(); err != nil {
 		return err
@@ -189,7 +180,7 @@ func (w *World) encodeWorld() []byte {
 	e.U64(w.seed)
 	e.I64(int64(w.now))
 	e.U64(w.nextRNG)
-	e.U64(uint64(w.nparts))
+	e.U64(1) // partition count of the image format
 	e.U64(uint64(len(w.actors)))
 	return e.Data()
 }
@@ -204,12 +195,12 @@ func (w *World) encodeActors() []byte {
 	e.U64(uint64(len(w.actors)))
 	for _, a := range w.actors {
 		e.Str(a.name)
-		e.U64(uint64(a.partID))
+		e.U64(0) // partition label of the image format
 		e.I64(int64(a.now))
 		e.U64(uint64(a.state))
 		e.Bool(a.daemon)
 		e.Str(a.blockReason)
-		e.U64(a.mseq)
+		e.U64(0) // mailbox send counter of the image format
 		if a.rng != nil {
 			e.Bool(true)
 			state, spare, spareOK := a.rng.State()
@@ -223,31 +214,10 @@ func (w *World) encodeActors() []byte {
 	return e.Data()
 }
 
-// encodeMailboxes is the "sim/mailboxes" section: per mailbox, in
-// creation order, its configuration, statistics, and the metadata of
-// every pending message in (delivery, sender, seq) order — the pending
-// heap's layout is host-dependent, so it is collected and sorted first.
-// Message payloads are live host pointers and are deliberately not
-// captured (DESIGN.md §12); the timestamps alone pin the schedule, and
-// both restore paths reconstruct payloads by re-execution.
-func (w *World) encodeMailboxes() []byte {
+// emptyMailboxes is the "sim/mailboxes" section: a zero mailbox count,
+// kept so images stay byte-identical to the format's earlier writers.
+func emptyMailboxes() []byte {
 	var e snapshot.Enc
-	e.U64(uint64(len(w.mailboxes)))
-	for _, mb := range w.mailboxes {
-		e.Str(mb.name)
-		e.U64(uint64(mb.owner))
-		e.I64(int64(mb.minLat))
-		e.U64(uint64(mb.sent))
-		e.U64(uint64(mb.received))
-		e.U64(uint64(mb.maxDepth))
-		pend := append([]mailMsg(nil), mb.pending...)
-		sort.Slice(pend, func(i, j int) bool { return mailLess(&pend[i], &pend[j]) })
-		e.U64(uint64(len(pend)))
-		for i := range pend {
-			e.I64(int64(pend[i].at))
-			e.U64(uint64(pend[i].from))
-			e.U64(pend[i].seq)
-		}
-	}
+	e.U64(0)
 	return e.Data()
 }

@@ -49,7 +49,6 @@ func (w *World) Injector() Injector { return w.inj }
 // the actor lands exactly on deadline rather than overshooting.
 func (a *Actor) PollDeadline(interval, deadline Time, cond func() bool) bool {
 	for {
-		a.Settle() // cond typically reads state other actors write
 		if cond() {
 			return true
 		}

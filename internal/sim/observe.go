@@ -46,24 +46,12 @@ type Observer interface {
 // Installing one mid-run is allowed — events simply begin at that point.
 func (w *World) SetObserver(o Observer) { w.obs = o }
 
-// Observer reports the installed observer, nil when none. Code that
-// emits events on behalf of a running actor must use Actor.Observer
-// instead, which stays correct under the parallel engine.
+// Observer reports the installed observer, nil when none.
 func (w *World) Observer() Observer { return w.obs }
 
-// Observer reports the observer that should receive events attributed to
-// this actor's execution: the world's installed observer or, while the
-// parallel engine is running a multi-partition observed world, the
-// partition-local buffer that replays to the real observer in serial
-// order at the next barrier (see parallel.go). Substrate code emitting
-// events for an actor must route them here rather than through
-// World.Observer so the buffering stays transparent.
-func (a *Actor) Observer() Observer {
-	if p := a.part; p != nil && p.buf != nil {
-		return p.buf
-	}
-	return a.w.obs
-}
+// Observer reports the observer that receives events attributed to this
+// actor's execution: its world's installed observer, nil when none.
+func (a *Actor) Observer() Observer { return a.w.obs }
 
 // Charge is Advance with an operation label: it charges d of virtual
 // time to the actor exactly as Advance does, additionally reporting the
@@ -72,7 +60,6 @@ func (a *Actor) Observer() Observer {
 // goes; with no observer it is Advance.
 func (a *Actor) Charge(op string, d Time) {
 	if obs := a.Observer(); obs != nil {
-		a.Settle() // commit advances elided before a mid-run install
 		obs.Span(a, op, a.now, d)
 	}
 	a.Advance(d)
@@ -83,7 +70,6 @@ func (a *Actor) Charge(op string, d Time) {
 // d*n.
 func (a *Actor) ChargeN(op string, d Time, n uint64) {
 	if obs := a.Observer(); obs != nil {
-		a.Settle() // commit advances elided before a mid-run install
 		obs.Span(a, op, a.now, d*Time(n))
 	}
 	a.AdvanceN(d, n)

@@ -39,16 +39,13 @@ func (r *Resource) Acquire(a *Actor, d Time) (start Time) {
 // attribute the occupancy (and any queueing delay) to op. The simulated
 // outcome is identical to Acquire.
 func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
-	a.Settle()
 	r.acquires++
 	arrival := a.now
 	depth := 0
 	waitedHere := false
 	// Re-check after every advance: while we were queued, a later-queued
 	// actor cannot have overtaken us (the scheduler dispatches in global
-	// time order), but an earlier one may have extended nextFree. The
-	// advance must really yield (advanceSync): an elided wait would re-read
-	// nextFree before the earlier acquirer had run.
+	// time order), but an earlier one may have extended nextFree.
 	for r.nextFree > a.now {
 		if !waitedHere {
 			waitedHere = true
@@ -57,7 +54,7 @@ func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
 		}
 		delta := r.nextFree - a.now
 		r.waited += delta
-		a.advanceSync(delta)
+		a.Advance(delta)
 	}
 	if waitedHere {
 		r.queued--
@@ -76,7 +73,6 @@ func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
 // TryAcquire occupies the resource only if it is idle at a's current time.
 // It reports whether the acquisition happened.
 func (r *Resource) TryAcquire(a *Actor, d Time) bool {
-	a.Settle()
 	if r.nextFree > a.now {
 		return false
 	}

@@ -18,20 +18,6 @@ type RNG struct {
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// Fork derives an independent child stream from r's current position
-// without consuming from r: the child's seed is a SplitMix64-style mix
-// of the current state and k, so distinct k values give decorrelated
-// streams and forking is invisible to r's own draw sequence. The fault
-// injector uses it to pin one stream per engine partition — partition
-// draws then depend only on that partition's own delivery order, never
-// on cross-partition interleaving.
-func (r *RNG) Fork(k uint64) *RNG {
-	z := r.state ^ (k+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return &RNG{state: z ^ (z >> 31)}
-}
-
 // State exports the stream's exact position — the SplitMix64 state plus
 // the cached Marsaglia polar spare — for snapshot encoding. A stream
 // restored with SetState produces the identical draw sequence from here.

@@ -68,7 +68,7 @@ type Image struct {
 	Params []byte
 	// Seed is the world's RNG seed; CutNs is the virtual time of the
 	// checkpoint; Kind records the engine the checkpoint quiesced under
-	// ("serial" or "parallel" — the two have different cut semantics).
+	// (always "serial" for images this tree writes).
 	Seed  uint64
 	CutNs int64
 	Kind  string

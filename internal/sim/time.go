@@ -36,7 +36,7 @@ const (
 )
 
 // Forever is the "no bound" time: the deadline of a wait that cannot
-// expire (see Actor.Await) and the parallel engine's "no event" sentinel.
+// expire (see Actor.Await).
 const Forever = Time(math.MaxInt64)
 
 // Seconds reports t as a floating-point number of seconds.

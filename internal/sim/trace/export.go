@@ -18,11 +18,9 @@ import (
 //
 // Registration is safe from concurrent host goroutines: the parallel
 // sweep runner builds worlds from several workers at once. Export order
-// is keyed by (cell, partition, seq), where cell is the sweep-cell
-// index, partition distinguishes nested or partitioned worlds registered
-// under one cell, and seq counts registrations within a (cell,
-// partition) lane — construction inside one lane is sequential, so seq
-// is deterministic. Get registrations auto-assign one cell per tracer
+// is keyed by (cell, seq), where cell is the sweep-cell index and seq
+// counts registrations within a cell — construction inside one cell is
+// sequential, so seq is deterministic. Get registrations auto-assign one cell per tracer
 // in call order, so a serial run's export order is exactly its creation
 // order — and a parallel run sorts back to the identical order, whatever
 // order the workers reached the registrations in.
@@ -33,24 +31,19 @@ type Set struct {
 	entries []setEntry
 	m       map[string]*Tracer
 	keep    bool
-	auto    int             // next auto-assigned cell (Get path)
-	cellSeq map[cellKey]int // next within-lane sequence number
+	auto    int         // next auto-assigned cell (Get path)
+	cellSeq map[int]int // next within-cell sequence number
 }
 
 // setEntry is one registered tracer with its deterministic sort key.
 type setEntry struct {
-	cell, part, seq int
-	t               *Tracer
+	cell, seq int
+	t         *Tracer
 }
-
-// cellKey identifies one registration lane: sequence numbers are
-// per-(cell, partition), so two partitions of one cell registering
-// concurrently cannot perturb each other's seq values.
-type cellKey struct{ cell, part int }
 
 // NewSet returns an empty set with event retention on.
 func NewSet() *Set {
-	return &Set{m: make(map[string]*Tracer), cellSeq: make(map[cellKey]int), keep: true}
+	return &Set{m: make(map[string]*Tracer), cellSeq: make(map[int]int), keep: true}
 }
 
 // SetKeepEvents toggles event retention for tracers the set creates
@@ -67,42 +60,29 @@ func (s *Set) SetKeepEvents(on bool) {
 func (s *Set) Get(label string) *Tracer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := s.get(s.auto, 0, label)
-	return t
+	return s.get(s.auto, label)
 }
 
-// GetAt creates-or-returns the tracer for label under an explicit
-// (cell, partition) lane. Partitioned world builders register each
-// partition's nested tracers through their own lane so export order is
-// independent of which host worker registered first.
-func (s *Set) GetAt(cell, part int, label string) *Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.get(cell, part, label)
-}
-
-// get creates-or-returns the tracer for label under (cell, part).
-// Callers hold mu.
-func (s *Set) get(cell, part int, label string) *Tracer {
+// get creates-or-returns the tracer for label under cell. Callers hold
+// mu.
+func (s *Set) get(cell int, label string) *Tracer {
 	if t, ok := s.m[label]; ok {
 		return t
 	}
 	t := NewTracer(label)
 	t.SetKeepEvents(s.keep)
 	s.m[label] = t
-	k := cellKey{cell, part}
-	s.entries = append(s.entries, setEntry{cell: cell, part: part, seq: s.cellSeq[k], t: t})
-	s.cellSeq[k]++
+	s.entries = append(s.entries, setEntry{cell: cell, seq: s.cellSeq[cell], t: t})
+	s.cellSeq[cell]++
 	if cell >= s.auto {
 		s.auto = cell + 1
 	}
 	return t
 }
 
-// Tracers returns the set's tracers ordered by (cell, partition, seq) —
-// creation order for serial runs, the cell-enumeration order for
-// parallel sweeps, partition-label order within a cell for partitioned
-// worlds.
+// Tracers returns the set's tracers ordered by (cell, seq) — creation
+// order for serial runs, the cell-enumeration order for parallel
+// sweeps.
 func (s *Set) Tracers() []*Tracer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -110,9 +90,6 @@ func (s *Set) Tracers() []*Tracer {
 		a, b := s.entries[i], s.entries[j]
 		if a.cell != b.cell {
 			return a.cell < b.cell
-		}
-		if a.part != b.part {
-			return a.part < b.part
 		}
 		return a.seq < b.seq
 	})
@@ -131,26 +108,13 @@ func (s *Set) Tracers() []*Tracer {
 func (s *Set) CellHook() func(cell int, label string, w *sim.World) {
 	return func(cell int, label string, w *sim.World) {
 		s.mu.Lock()
-		t := s.get(cell, 0, label)
+		t := s.get(cell, label)
 		s.mu.Unlock()
 		w.SetObserver(t)
 	}
 }
 
-// CellPartitionHook returns the partition-aware variant of CellHook: a
-// world registered from sweep cell i under partition lane p sorts at
-// (i, p, seq) regardless of the registering goroutine. Nested-world
-// builders that construct one sub-world per engine partition hook each
-// through its partition label so the export order — and therefore
-// digests, Chrome traces, and metrics JSON — is identical at every
-// worker count.
-func (s *Set) CellPartitionHook() func(cell, part int, label string, w *sim.World) {
-	return func(cell, part int, label string, w *sim.World) {
-		w.SetObserver(s.GetAt(cell, part, label))
-	}
-}
-
-// Digests returns every tracer's digest in (cell, partition, seq) order.
+// Digests returns every tracer's digest in (cell, seq) order.
 func (s *Set) Digests() []Digest {
 	ts := s.Tracers()
 	out := make([]Digest, 0, len(ts))

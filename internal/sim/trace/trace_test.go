@@ -214,49 +214,6 @@ func TestMetricsJSONExport(t *testing.T) {
 	}
 }
 
-func TestSetPartitionLaneOrdering(t *testing.T) {
-	// Two sets registering the same (cell, partition) lanes in opposite
-	// arrival orders — as racing host workers would — must export in the
-	// same (cell, partition, seq) order.
-	labels := func(s *Set) []string {
-		var out []string
-		for _, tr := range s.Tracers() {
-			out = append(out, tr.Label())
-		}
-		return out
-	}
-	a := NewSet()
-	a.GetAt(0, 0, "c0p0-first")
-	a.GetAt(0, 0, "c0p0-second")
-	a.GetAt(0, 1, "c0p1")
-	a.GetAt(1, 0, "c1p0")
-	b := NewSet()
-	b.GetAt(1, 0, "c1p0")
-	b.GetAt(0, 1, "c0p1")
-	b.GetAt(0, 0, "c0p0-first")
-	b.GetAt(0, 0, "c0p0-second")
-	want := []string{"c0p0-first", "c0p0-second", "c0p1", "c1p0"}
-	for i, s := range []*Set{a, b} {
-		got := labels(s)
-		if len(got) != len(want) {
-			t.Fatalf("set %d: %v, want %v", i, got, want)
-		}
-		for j := range want {
-			if got[j] != want[j] {
-				t.Fatalf("set %d export order %v, want %v", i, got, want)
-			}
-		}
-	}
-	// Seq within one lane is per-lane: a second partition's registrations
-	// cannot perturb the first lane's ordering (the nested-world bug).
-	hook := a.CellPartitionHook()
-	w := sim.NewWorld(1)
-	hook(2, 3, "hooked", w)
-	if w.Observer() == nil {
-		t.Fatal("CellPartitionHook did not install the tracer")
-	}
-}
-
 func TestQueueWaitMetrics(t *testing.T) {
 	w := sim.NewWorld(3)
 	tr := NewTracer("queue")
@@ -367,7 +324,7 @@ func TestWatermarkRejectsCorrupt(t *testing.T) {
 }
 
 // Set-level plumbing the experiment runners use: CellHook and Get install
-// tracers per labelled world, Digests lists them in lane order, and
+// tracers per labelled world, Digests lists them in cell order, and
 // SetKeepEvents governs retention for tracers created afterwards.
 func TestSetHooksAndDigests(t *testing.T) {
 	s := NewSet()
@@ -388,7 +345,7 @@ func TestSetHooksAndDigests(t *testing.T) {
 		t.Fatalf("Digests() = %+v", ds)
 	}
 	if ds[0].SHA256 != ds[1].SHA256 {
-		t.Fatal("identical worlds hashed differently across lanes")
+		t.Fatal("identical worlds hashed differently across cells")
 	}
 	if s.Get("cell1").Events() != nil {
 		t.Fatal("SetKeepEvents(false) did not propagate to hook-created tracers")

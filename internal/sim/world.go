@@ -53,37 +53,11 @@ type World struct {
 	stopped bool
 
 	// heap is the ready queue: an indexed min-heap on (time, id). Running,
-	// blocked, and finished actors are not in it. It is empty while the
-	// partitioned parallel engine is active (each partition then owns its
-	// own actorHeap).
+	// blocked, and finished actors are not in it.
 	heap actorHeap
 	// liveNonDaemons counts non-daemon actors that have not finished, so
 	// the run loop's termination check is O(1) instead of a scan.
 	liveNonDaemons int
-
-	// Partitioning state for the conservative parallel engine (see
-	// parallel.go). nparts counts the partition labels in use (always
-	// >= 1); parWorkers > 0 selects the windowed engine in Run; parts is
-	// non-nil only while that engine is active; mailboxes records every
-	// Mailbox, whose minimum latencies are the lookahead the engine mines.
-	parWorkers  int
-	defaultPart int
-	nparts      int
-	parts       []*partition
-	mailboxes   []*Mailbox
-	// stableRNG selects actor-id-derived seeding for lazily created actor
-	// RNG streams (see SetStableActorRNG).
-	stableRNG bool
-	// batchAdvances opts the parallel engine into run-to-completion
-	// batching of pure advances (see SetBatchedAdvances).
-	batchAdvances bool
-	// draining flags the parallel run's drain phase, and drainCompleter/
-	// drainStretch identify the final non-daemon completion dispatch —
-	// the one dispatch whose same-timestamp creations the serial engine
-	// never reached (see drainParallel and daemonBlocked).
-	draining       bool
-	drainCompleter *Actor
-	drainStretch   uint64
 
 	// Trace, if non-nil, receives a line per scheduling decision. Used by
 	// tests; nil in normal runs.
@@ -114,81 +88,10 @@ type World struct {
 // NewWorld returns an empty world whose RNG streams derive from seed.
 func NewWorld(seed uint64) *World {
 	return &World{
-		yield:  make(chan *Actor),
-		seed:   seed,
-		nparts: 1,
+		yield: make(chan *Actor),
+		seed:  seed,
 	}
 }
-
-// SetParallel selects the conservative windowed parallel engine for Run,
-// with up to workers host goroutines executing partition windows
-// concurrently (see parallel.go for the model). workers <= 0 reverts to
-// the serial reference engine. The parallel engine produces schedules —
-// and therefore trace digests — bit-identical to the serial engine for
-// any worker count; workers only changes host-level concurrency, never
-// simulated outcomes. Must be called before Run.
-func (w *World) SetParallel(workers int) {
-	if w.running {
-		panic("sim: SetParallel while running")
-	}
-	if workers < 0 {
-		workers = 0
-	}
-	w.parWorkers = workers
-}
-
-// SetBatchedAdvances opts the parallel engine into run-to-completion
-// batching of pure advances: an Advance/AdvanceN that only moves the
-// actor's own clock skips the scheduler yield, and the actor commits the
-// accumulated virtual time the next time it touches state other actors
-// can see — a resource, a mailbox, Unblock, Spawn, a Poll condition — at
-// which point it yields until every actor below its clock has run,
-// restoring the exact serial interleaving at every coupling point. The
-// simulated outcome (final time, every interaction's timestamps, all
-// statistics) is identical to the unbatched engine; only the host-level
-// goroutine handoffs per pure advance disappear. Daemons never batch, so
-// the end-of-run termination cut-off stays serial-exact, and batching
-// disengages automatically while an Observer or Trace is installed
-// (their dispatch streams must match the serial engine event for event).
-//
-// The contract: actors must confine cross-actor interaction to the
-// engine's primitives. Code that shares raw Go state between actors
-// outside them must call Actor.Settle before touching it, or leave
-// batching off. It has no effect on the serial engine. Must be called
-// before Run.
-func (w *World) SetBatchedAdvances(on bool) {
-	if w.running {
-		panic("sim: SetBatchedAdvances while running")
-	}
-	w.batchAdvances = on
-}
-
-// SetDefaultPartition sets the partition label assigned to subsequently
-// spawned actors (see SpawnIn). World builders bracket each enclave's
-// construction with it so every actor of the enclave — kernels, apps,
-// noise sources — lands in that enclave's partition. The default is
-// partition 0, so worlds that never call it are single-partition and the
-// parallel engine degenerates to one run-to-completion window.
-func (w *World) SetDefaultPartition(p int) {
-	if p < 0 {
-		panic("sim: negative partition")
-	}
-	if w.running {
-		panic("sim: SetDefaultPartition while running")
-	}
-	w.defaultPart = p
-	if p+1 > w.nparts {
-		w.nparts = p + 1
-	}
-}
-
-// DefaultPartition reports the partition label currently assigned to
-// newly spawned actors.
-func (w *World) DefaultPartition() int { return w.defaultPart }
-
-// NumPartitions reports the number of partition labels in use (the
-// highest label ever assigned, plus one). Always at least 1.
-func (w *World) NumPartitions() int { return w.nparts }
 
 // Now reports the current global virtual time: the clock of the most
 // recently dispatched actor.
@@ -201,64 +104,22 @@ func (w *World) NewRNG() *RNG {
 	return NewRNG(w.seed ^ (w.nextRNG * 0x9e3779b97f4a7c15))
 }
 
-// SetStableActorRNG selects actor-id-derived seeding for lazily created
-// actor RNG streams (Actor.RNG) instead of the legacy creation-order
-// counter. Id-derived streams are insensitive to how actors are grouped
-// into partitions, so a workload produces identical noise whether it is
-// built as one partition or eight — the property the partition-scaling
-// benchmark relies on to compare layouts. Multi-partition worlds always
-// use the stable derivation (the counter would race across windows);
-// this knob merely extends it to the single-partition builds of the same
-// workload. Must be set before the first Actor.RNG call.
-func (w *World) SetStableActorRNG(on bool) { w.stableRNG = on }
-
 // Spawn creates an actor named name running fn. If called from within a
 // running actor, the child starts at the caller's current time; otherwise
 // it starts at time zero. Daemon actors (see Actor.SetDaemon) do not keep
-// the world alive. The actor lands in the world's default partition.
+// the world alive.
 func (w *World) Spawn(name string, fn func(*Actor)) *Actor {
-	return w.SpawnIn(w.defaultPart, name, fn)
-}
-
-// SpawnIn is Spawn with an explicit partition label. Partition labels
-// only matter to the parallel engine (SetParallel): actors in distinct
-// partitions may then execute on distinct host goroutines within a
-// window, so they must interact across partitions only through Mailbox
-// sends — never Unblock or shared mutable state. The serial engine
-// ignores labels entirely.
-//
-// Spawning mid-run is allowed in single-partition worlds (as before) but
-// panics in a multi-partition world running the parallel engine: actor
-// ids are assigned from a global table that windows would race on.
-func (w *World) SpawnIn(part int, name string, fn func(*Actor)) *Actor {
-	if part < 0 {
-		panic("sim: negative partition")
-	}
-	if w.parts != nil && w.nparts > 1 {
-		panic("sim: mid-run Spawn in a multi-partition parallel world")
-	}
-	if part+1 > w.nparts {
-		w.nparts = part + 1
-	}
 	a := &Actor{
 		id:      len(w.actors),
 		name:    name,
 		w:       w,
-		partID:  part,
 		state:   ready,
 		resume:  resumePool.Get().(chan struct{}),
 		heapIdx: -1,
 	}
-	if w.parts != nil {
-		a.part = w.parts[part]
-	}
 	w.actors = append(w.actors, a)
-	if a.part != nil {
-		a.part.live++
-	} else {
-		w.liveNonDaemons++
-	}
-	w.heapPush(a)
+	w.liveNonDaemons++
+	w.heap.push(a)
 	go a.run(fn)
 	return a
 }
@@ -268,7 +129,7 @@ func (w *World) SpawnIn(part int, name string, fn func(*Actor)) *Actor {
 func (w *World) SpawnAt(name string, start Time, fn func(*Actor)) *Actor {
 	a := w.Spawn(name, fn)
 	a.now = start
-	w.heapFix(a)
+	w.heap.fix(a)
 	return a
 }
 
@@ -292,12 +153,7 @@ func (w *World) Run() error {
 	w.running = true
 	defer func() { w.running = false }()
 
-	var err error
-	if w.parWorkers > 0 {
-		err = w.runParallel()
-	} else {
-		err = w.runSerial(true)
-	}
+	err := w.runLoop(true)
 	// A checkpoint armed at or past the end of the run fires at
 	// termination, after teardown: the caller still gets its snapshot,
 	// recognizable by actor states recording the kill.
@@ -307,24 +163,20 @@ func (w *World) Run() error {
 	return err
 }
 
-// RunPhase executes the serial engine until every current non-daemon
+// RunPhase executes the engine until every current non-daemon
 // actor has finished, then returns without terminating daemons: blocked
 // daemons stay parked in their message loops, and the caller may spawn
 // more actors and call RunPhase or Run again. It is the bootstrap
 // primitive behind snapshot forking — run a world's warm-up phase,
 // snapshot (or overlay onto) the quiesced state, then attach the
-// workload proper and Run to completion. Serial engine only: the
-// parallel engine's termination cut-off is a whole-run construct.
+// workload proper and Run to completion.
 func (w *World) RunPhase() error {
 	if w.running {
 		return errors.New("sim: world already running")
 	}
-	if w.parWorkers > 0 {
-		panic("sim: RunPhase requires the serial engine")
-	}
 	w.running = true
 	defer func() { w.running = false }()
-	return w.runSerial(false)
+	return w.runLoop(false)
 }
 
 // DrainDaemons executes every already-runnable daemon dispatch until no
@@ -335,19 +187,15 @@ func (w *World) RunPhase() error {
 // ready. A phase boundary that must be a pure function of the phase's
 // inputs (snapshot forking) drains that residue explicitly before
 // cutting, so the quiesced state does not depend on how far past the
-// daemons' last work the non-daemons happened to run. Serial engine
-// only, like RunPhase.
+// daemons' last work the non-daemons happened to run.
 func (w *World) DrainDaemons() error {
 	if w.running {
 		return errors.New("sim: world already running")
 	}
-	if w.parWorkers > 0 {
-		panic("sim: DrainDaemons requires the serial engine")
-	}
 	w.running = true
 	defer func() { w.running = false }()
 	for {
-		next := w.heapPop()
+		next := w.heap.pop()
 		if next == nil {
 			return nil
 		}
@@ -357,10 +205,10 @@ func (w *World) DrainDaemons() error {
 	}
 }
 
-// runSerial is the serial engine loop. kill selects whether daemons are
+// runLoop is the engine loop. kill selects whether daemons are
 // terminated when the last non-daemon finishes (Run) or left parked for
 // a later phase (RunPhase); deadlocks tear the world down either way.
-func (w *World) runSerial(kill bool) error {
+func (w *World) runLoop(kill bool) error {
 	for {
 		if w.liveNonDaemons == 0 {
 			if kill {
@@ -368,7 +216,7 @@ func (w *World) runSerial(kill bool) error {
 			}
 			return nil
 		}
-		next := w.heapPop()
+		next := w.heap.pop()
 		if next == nil {
 			if blocked := w.blockedNonDaemons(); len(blocked) > 0 {
 				w.killAll()
@@ -417,13 +265,13 @@ func (w *World) dispatch(next *Actor) {
 // resume channel.
 func (w *World) dispatchFrom(a *Actor) bool {
 	if a.state == ready {
-		w.heapPush(a)
+		w.heap.push(a)
 	}
 	if w.liveNonDaemons == 0 {
 		w.yield <- a
 		return false
 	}
-	next := w.heapPop()
+	next := w.heap.pop()
 	if next == nil {
 		w.yield <- a
 		return false
@@ -464,9 +312,7 @@ func entryLess(a, b *heapEntry) bool {
 }
 
 // actorHeap is an indexed 4-ary min-heap of ready actors ordered by
-// actorLess. The world's serial scheduler owns one; under the parallel
-// engine each partition owns its own, so the methods live on the slice
-// type rather than on World. Four-way branching halves the tree depth of
+// actorLess. Four-way branching halves the tree depth of
 // a binary heap — and with it the compare rounds and heapIdx writes on
 // the dispatch hot path — while heap shape never affects pop order (the
 // (now, id) key is a total order).
@@ -499,15 +345,6 @@ func (h *actorHeap) pop() *Actor {
 	}
 	top.heapIdx = -1
 	return top
-}
-
-// peek returns the minimal-(time,id) ready actor without removing it, or
-// nil when the heap is empty.
-func (h actorHeap) peek() *Actor {
-	if len(h) == 0 {
-		return nil
-	}
-	return h[0].a
 }
 
 // fix restores the heap invariant after a's clock changed while
@@ -559,33 +396,6 @@ func (h actorHeap) siftDown(i int) {
 	}
 }
 
-// heapPush enqueues a ready actor in whichever ready queue owns it: the
-// actor's partition heap under the parallel engine, otherwise the
-// world's.
-func (w *World) heapPush(a *Actor) {
-	if a.part != nil {
-		a.part.heap.push(a)
-		return
-	}
-	w.heap.push(a)
-}
-
-// heapPop removes and returns the minimal-(time,id) ready actor, or nil
-// (serial engine only).
-func (w *World) heapPop() *Actor {
-	return w.heap.pop()
-}
-
-// heapFix restores the heap invariant after a's clock changed while
-// enqueued (SpawnAt and child-spawn set the start time after Spawn).
-func (w *World) heapFix(a *Actor) {
-	if a.part != nil {
-		a.part.heap.fix(a)
-		return
-	}
-	w.heap.fix(a)
-}
-
 func (w *World) blockedNonDaemons() []string {
 	var names []string
 	for _, a := range w.actors {
@@ -599,8 +409,7 @@ func (w *World) blockedNonDaemons() []string {
 
 // killAll terminates every actor that has not finished, including daemons
 // blocked on message loops, so their goroutines do not leak. Termination
-// follows spawn order, which keeps teardown deterministic regardless of
-// engine. Once every goroutine has exited the resume channels are
+// follows spawn order, which keeps teardown deterministic. Once every goroutine has exited the resume channels are
 // recycled for future worlds.
 func (w *World) killAll() {
 	for _, a := range w.actors {
@@ -609,11 +418,7 @@ func (w *World) killAll() {
 		}
 		a.state = killed
 		a.resume <- struct{}{}
-		if a.part != nil {
-			<-a.part.yield
-		} else {
-			<-w.yield
-		}
+		<-w.yield
 	}
 	// Every actor goroutine has now exited (finished actors yielded for
 	// the last time before killAll began; killed ones were just joined via

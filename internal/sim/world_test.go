@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -111,6 +112,45 @@ func TestDeadlockDetected(t *testing.T) {
 	err := w.Run()
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Fatalf("want deadlock error, got %v", err)
+	}
+
+	// A blocked actor that outlives a peer finishing later in virtual
+	// time is still a deadlock, and the report names it with its reason.
+	w = NewWorld(1)
+	w.Spawn("stuck", func(a *Actor) {
+		a.Advance(10)
+		a.Block("waiting forever")
+	})
+	w.Spawn("busy", func(a *Actor) { a.Advance(100) })
+	err = w.Run()
+	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "stuck(waiting forever)") {
+		t.Fatalf("want deadlock naming stuck(waiting forever), got %v", err)
+	}
+}
+
+// TestParallelDeadlock checks that a blocked actor running alongside a
+// busy peer in virtual time is reported as the same deadlock, with the
+// identical message, on every run of the same world.
+func TestParallelDeadlock(t *testing.T) {
+	build := func() *World {
+		w := NewWorld(1)
+		w.Spawn("stuck", func(a *Actor) {
+			a.Advance(10)
+			a.Block("waiting forever")
+		})
+		w.Spawn("busy", func(a *Actor) { a.Advance(100) })
+		return w
+	}
+	first := build().Run()
+	if !errors.Is(first, ErrDeadlock) {
+		t.Fatalf("first run: want deadlock, got %v", first)
+	}
+	second := build().Run()
+	if !errors.Is(second, ErrDeadlock) {
+		t.Fatalf("second run: want deadlock, got %v", second)
+	}
+	if first.Error() != second.Error() {
+		t.Errorf("deadlock message differs between runs:\nfirst:  %v\nsecond: %v", first, second)
 	}
 }
 

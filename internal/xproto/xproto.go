@@ -293,7 +293,6 @@ func NewInbox(name string) *Inbox { return &Inbox{name: name} }
 // learns nothing, exactly like a lost cross-enclave interrupt. Shutdown
 // poisons (nil Buf) are local teardown control flow, never faulted.
 func (in *Inbox) Put(a *sim.Actor, buf []byte, via Link) {
-	a.Settle() // inbox order must follow virtual time, not batched host order
 	if buf != nil {
 		if inj := a.World().Injector(); inj != nil {
 			drop, delay := inj.DeliveryFault(in.name, a, len(buf))
@@ -360,7 +359,6 @@ func (in *Inbox) PutShutdown(a *sim.Actor) { in.Put(a, nil, nil) }
 // inbox is empty. Multiple actors may wait concurrently; each delivery
 // goes to exactly one. A Delivery with nil Buf is a shutdown request.
 func (in *Inbox) Get(a *sim.Actor) Delivery {
-	a.Settle() // inbox order must follow virtual time, not batched host order
 	for in.Len() == 0 {
 		in.waiters = append(in.waiters, a)
 		a.Block("inbox " + in.name)
