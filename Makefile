@@ -88,23 +88,14 @@ replay:
 		$(GO) run ./cmd/xemem-bench -replay $$b; \
 	done
 
-# Engine fast-path benchmark (BENCH_engine.json), sweep benchmark
-# (serial vs parallel wall-clock plus hot-path allocs/op,
-# BENCH_sweep.json), the fault-injection sweep (protocol degradation
-# under message loss and enclave crashes, BENCH_fault.json — fully
-# deterministic: reruns are byte-identical), the cluster-scale
-# name-service sweep (flat vs sharded lookup latency across node
-# counts, BENCH_cluster.json — also byte-identical on rerun), the
-# hierarchical-collective sweep (bcast/allreduce
-# latency across hierarchy depth × enclave mix × message size with the
-# zero-copy/CICO switchover and registration-cache counters,
-# BENCH_coll.json — byte-identical on rerun at any worker count), and
-# the snapshot-fork benchmark (snapshot-forked vs re-bootstrapped fig9
-# cells with digest identity, BENCH_snapshot.json).
+# Regenerate every checked-in BENCH_<name>.json through the -bench
+# registry in cmd/xemem-bench: engine (host ns and allocs per dispatch
+# and per 1 GB attach, serial vs parallel full-figure sweep), snapshot
+# (snapshot-forked vs re-bootstrapped fig9 cells), fault (protocol
+# degradation under message loss and enclave crashes), cluster (flat vs
+# sharded name-service lookups across node counts) and coll
+# (hierarchical bcast/allreduce across depth, enclave mix and size). The
+# fault, cluster and coll files are byte-identical on rerun at any
+# worker count, apart from the host header.
 bench:
-	$(GO) run ./cmd/xemem-bench -json
-	$(GO) run ./cmd/xemem-bench -sweep-json
-	$(GO) run ./cmd/xemem-bench -fault-json
-	$(GO) run ./cmd/xemem-bench -cluster-json
-	$(GO) run ./cmd/xemem-bench -coll-json
-	$(GO) run ./cmd/xemem-bench -snapshot-json
+	$(GO) run ./cmd/xemem-bench -bench all

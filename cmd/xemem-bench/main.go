@@ -4,6 +4,10 @@
 // Usage:
 //
 //	xemem-bench -experiment fig5|fig6|fig7|fig8|fig9|table2|all [flags]
+//	xemem-bench -bench engine|snapshot|fault|cluster|coll|all [flags]
+//
+// -bench regenerates the named BENCH_<name>.json files in the current
+// directory and takes precedence over -experiment.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
 // identical numbers. -fast trades repetition count for wall time (the
@@ -28,12 +32,7 @@ func main() {
 	exp := flag.String("experiment", "all", "which experiment to run: fig5, fig6, fig7, fig8, fig9, table2, all")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
-	jsonOut := flag.Bool("json", false, "run the engine benchmark and write BENCH_engine.json (host wall-clock of scheduler dispatch, a 1 GB attach, and the fig9 sweep)")
-	sweepJSON := flag.Bool("sweep-json", false, "run the sweep benchmark and write BENCH_sweep.json (serial vs parallel wall-clock, allocs/op of dispatch and a 1 GB attach)")
-	faultJSON := flag.Bool("fault-json", false, "run the fault-injection sweep and write BENCH_fault.json (protocol degradation, failure attribution, and per-cell trace digests across drop rates and enclave crashes)")
-	clusterJSON := flag.Bool("cluster-json", false, "run the cluster-scale name-service sweep and write BENCH_cluster.json (flat vs sharded lookup latency across node counts, lease-cache counters, churn cells, and per-cell trace digests)")
-	collJSON := flag.Bool("coll-json", false, "run the hierarchical-collective sweep and write BENCH_coll.json (bcast/allreduce latency across hierarchy depth, enclave mix, and message size; zero-copy vs CICO switchover; registration-cache counters and per-level time attribution)")
-	snapshotJSON := flag.Bool("snapshot-json", false, "run the snapshot-fork benchmark and write BENCH_snapshot.json (snapshot-forked vs re-bootstrapped fig9 sweep cells, digest identity)")
+	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+benchNames()+", all")
 	replayPath := flag.String("replay", "", "re-run the repro bundle at this path and verify its snapshot hash and trace digest")
 	reproPath := flag.String("repro", "", "capture a repro bundle to this path (see -recipe, -recipe-params, -cut-frac)")
 	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
@@ -59,58 +58,31 @@ func main() {
 		if *metricsOut != "" {
 			fmt.Println(experiments.Breakdown(set))
 		}
-		write := func(path string, fn func(*os.File) error) {
-			f, err := os.Create(path)
+		if err := set.WriteFiles(*traceOut, *metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+
+	if *benchName != "" {
+		sel, err := selectBenches(*benchName)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		for _, b := range sel {
+			res, err := b.run(*seed, *parallel)
 			if err == nil {
-				err = fn(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
+				fmt.Println(res.String())
+				err = writeJSON(b.file(), res)
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
+				fmt.Fprintf(os.Stderr, "%s bench: %v\n", b.name, err)
 				os.Exit(1)
 			}
-			fmt.Printf("wrote %s\n", path)
+			fmt.Printf("wrote %s\n", b.file())
 		}
-		if *traceOut != "" {
-			write(*traceOut, func(f *os.File) error { return set.WriteChromeTrace(f) })
-		}
-		if *metricsOut != "" {
-			write(*metricsOut, func(f *os.File) error { return set.WriteMetricsJSON(f) })
-		}
-	}
-
-	if *jsonOut {
-		res, err := experiments.EngineBench(*seed, "BENCH_engine.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "engine bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Println("wrote BENCH_engine.json")
-		return
-	}
-
-	if *sweepJSON {
-		res, err := experiments.SweepBench(*seed, "BENCH_sweep.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Println("wrote BENCH_sweep.json")
-		return
-	}
-
-	if *snapshotJSON {
-		res, err := experiments.SnapshotBench(*seed, "BENCH_snapshot.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "snapshot bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Println("wrote BENCH_snapshot.json")
+		exportTraces()
 		return
 	}
 
@@ -144,50 +116,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			os.Exit(1)
 		}
-		buf, err := json.MarshalIndent(b, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*reproPath, append(buf, '\n'), 0o644); err != nil {
+		if err := writeJSON(*reproPath, b); err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wrote %s: recipe %s seed %d, snapshot %s… at cut %v\n",
 			*reproPath, b.Recipe, b.Seed, b.SnapshotSHA256[:16], sim.Time(b.CutNs))
-		return
-	}
-
-	if *clusterJSON {
-		res, err := experiments.ClusterSweep(*seed, 0, *parallel, "BENCH_cluster.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Println("wrote BENCH_cluster.json")
-		return
-	}
-
-	if *collJSON {
-		res, err := experiments.CollSweep(*seed, *parallel, "BENCH_coll.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "coll sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Println("wrote BENCH_coll.json")
-		return
-	}
-
-	if *faultJSON {
-		res, err := experiments.FaultSweep(*seed, 0, *parallel, "BENCH_fault.json")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fault sweep: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(res.String())
-		fmt.Println("wrote BENCH_fault.json")
 		return
 	}
 

@@ -76,25 +76,9 @@ func main() {
 			fmt.Println()
 			fmt.Println(experiments.Breakdown(set))
 		}
-		write := func(path string, fn func(*os.File) error) {
-			f, err := os.Create(path)
-			if err == nil {
-				err = fn(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "writing %s: %v\n", path, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-		if *traceOut != "" {
-			write(*traceOut, func(f *os.File) error { return set.WriteChromeTrace(f) })
-		}
-		if *metricsOut != "" {
-			write(*metricsOut, func(f *os.File) error { return set.WriteMetricsJSON(f) })
+		if err := set.WriteFiles(*traceOut, *metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
 	}
 }

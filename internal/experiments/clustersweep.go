@@ -1,18 +1,13 @@
 package experiments
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"strings"
 
 	"xemem/internal/cluster"
-	"xemem/internal/core"
 	"xemem/internal/experiments/sweep"
 	"xemem/internal/fault"
 	"xemem/internal/sim"
-	"xemem/internal/sim/trace"
 	"xemem/internal/xpmem"
 )
 
@@ -56,12 +51,7 @@ type ClusterCell struct {
 	Shards int  `json:"shards"` // 0 = flat root name server
 	Churn  bool `json:"churn"`  // one exporting co-kernel crashes mid-sweep
 
-	Attempts    int     `json:"attempts"`
-	Successes   int     `json:"successes"`
-	SuccessRate float64 `json:"success_rate"`
-	Timeouts    int     `json:"timeouts"`
-	EnclaveDown int     `json:"enclave_down"`
-	OtherErrors int     `json:"other_errors"`
+	cycleTally
 
 	P50GetNs int64 `json:"p50_get_ns"` // virtual time, successful cycles
 	P99GetNs int64 `json:"p99_get_ns"`
@@ -104,10 +94,9 @@ type ClusterSweepResult struct {
 // ClusterSweep runs the cluster-scale name-service sweep: every node
 // count × {flat, sharded} × {quiet, churn}, each cell a closed world
 // with its own fabric, injector, and tracer. The result is a pure
-// function of (seed, rounds): rerunning writes a byte-identical
-// BENCH_cluster.json at any sweep worker count. When jsonPath is non-empty the result is
-// written there as JSON.
-func ClusterSweep(seed uint64, rounds, workers int, jsonPath string) (*ClusterSweepResult, error) {
+// function of (seed, rounds): rerunning yields a byte-identical
+// BENCH_cluster.json at any sweep worker count.
+func ClusterSweep(seed uint64, rounds, workers int) (*ClusterSweepResult, error) {
 	if rounds <= 0 {
 		rounds = 120
 	}
@@ -167,16 +156,6 @@ func ClusterSweep(seed uint64, rounds, workers int, jsonPath string) (*ClusterSw
 	if shardMin > 0 {
 		res.ShardedP99Growth = float64(shardMax) / float64(shardMin)
 	}
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
@@ -185,13 +164,7 @@ func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, round
 	cell := ClusterCell{Nodes: nodes, Shards: shards, Churn: churn}
 	label := fmt.Sprintf("cluster/n=%d/s=%d/churn=%v", nodes, shards, churn)
 	w := sim.NewWorld(seed)
-	announce(obs, label, w)
-	tr, ok := w.Observer().(*trace.Tracer)
-	if !ok {
-		tr = trace.NewTracer(label)
-		tr.SetKeepEvents(false)
-		w.SetObserver(tr)
-	}
+	tr := cellTracer(obs, label, w)
 
 	cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: nodes, Shards: shards, CoKernels: true, Seed: seed})
 	if err != nil {
@@ -247,23 +220,13 @@ func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, round
 				runErr = fmt.Errorf("cluster: consumer %d: cseg-%d never published", ci, target)
 				return
 			}
-			classify := func(err error) {
-				switch {
-				case errors.Is(err, core.ErrTimeout):
-					cell.Timeouts++
-				case errors.Is(err, core.ErrEnclaveDown):
-					cell.EnclaveDown++
-				default:
-					cell.OtherErrors++
-				}
-			}
 			attached := false
 			for r := 0; r < rounds; r++ {
 				cell.Attempts++
 				start := a.Now()
 				apid, err := sess.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead, Timeout: clusterGetTimeout})
 				if err != nil {
-					classify(err)
+					cell.classify(err)
 					a.Advance(clusterPace)
 					continue
 				}
@@ -277,19 +240,19 @@ func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, round
 						Bytes: clusterSegBytes, Perm: xpmem.PermRead, Timeout: clusterAttTimeout,
 					})
 					if err != nil {
-						classify(err)
+						cell.classify(err)
 					} else {
 						buf := make([]byte, len(payload))
 						if _, rerr := sess.Read(va, buf); rerr != nil || string(buf) != string(payload) {
 							runErr = fmt.Errorf("cluster: consumer %d read %q over the fabric", ci, buf)
 						}
 						if err := sess.Detach(a, va); err != nil {
-							classify(err)
+							cell.classify(err)
 						}
 					}
 				}
 				if err := sess.Release(a, segid, apid); err != nil {
-					classify(err)
+					cell.classify(err)
 				}
 				a.Advance(clusterPace)
 			}
@@ -303,9 +266,7 @@ func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, round
 		return cell, runErr
 	}
 
-	if cell.Attempts > 0 {
-		cell.SuccessRate = float64(cell.Successes) / float64(cell.Attempts)
-	}
+	cell.finish()
 	for _, m := range cl.Modules() {
 		ss := m.ShardStats
 		cell.LeaseHits += ss.LeaseHits

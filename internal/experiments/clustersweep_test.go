@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -14,26 +12,22 @@ import (
 // node count while the sharded one stays flat; and the lease cache and
 // shard counters actually move.
 func TestClusterSweepDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "a.json")
-	p2 := filepath.Join(dir, "b.json")
-
 	// Default rounds: the collapse ratio is a tail-latency statement and
 	// needs the full steady-state sample that BENCH_cluster.json ships.
 	const rounds = 0
-	r1, err := ClusterSweep(1234, rounds, 1, p1)
+	r1, err := ClusterSweep(1234, rounds, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ClusterSweep(1234, rounds, 4, p2)
+	r2, err := ClusterSweep(1234, rounds, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := os.ReadFile(p1)
+	b1, err := json.MarshalIndent(r1, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := os.ReadFile(p2)
+	b2, err := json.MarshalIndent(r2, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

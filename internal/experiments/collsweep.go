@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 
 	"xemem"
@@ -11,7 +9,6 @@ import (
 	"xemem/internal/experiments/sweep"
 	"xemem/internal/pagetable"
 	"xemem/internal/sim"
-	"xemem/internal/sim/trace"
 )
 
 // Collective sweep geometry: six ranks (one process per enclave) on the
@@ -115,10 +112,9 @@ type CollSweepResult struct {
 // CollSweep runs the hierarchical-collective sweep: hierarchy depth
 // {1,2,3} × enclave mix {uniform, mixed} × message size across the
 // switchover × forced data plane {zero-copy, CICO}, each cell a closed
-// world. The result is a pure function of seed: rerunning writes a
-// byte-identical BENCH_coll.json at any sweep worker count. When
-// jsonPath is non-empty the result is written there as JSON.
-func CollSweep(seed uint64, workers int, jsonPath string) (*CollSweepResult, error) {
+// world. The result is a pure function of seed: rerunning yields a
+// byte-identical BENCH_coll.json at any sweep worker count.
+func CollSweep(seed uint64, workers int) (*CollSweepResult, error) {
 	res := &CollSweepResult{
 		Host: CaptureHost(), Seed: seed, Ranks: 6, Iters: collIters, Sizes: CollSizes,
 	}
@@ -164,16 +160,6 @@ func CollSweep(seed uint64, workers int, jsonPath string) (*CollSweepResult, err
 	}
 	res.Crossover.CICOWinsSmall = res.Crossover.SmallCICONs < res.Crossover.SmallZCNs
 	res.Crossover.ZCWinsLarge = res.Crossover.LargeZCNs < res.Crossover.LargeCICONs
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
@@ -183,13 +169,7 @@ func collRun(obs observeFn, seed uint64, depth int, mix string, bytes uint64, mo
 	label := fmt.Sprintf("coll/d=%d/%s/b=%d/%s", depth, mix, bytes, cell.Mode)
 	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 8 << 30})
 	w := node.World()
-	announce(obs, label, w)
-	tr, ok := w.Observer().(*trace.Tracer)
-	if !ok {
-		tr = trace.NewTracer(label)
-		tr.SetKeepEvents(false)
-		w.SetObserver(tr)
-	}
+	tr := cellTracer(obs, label, w)
 
 	topo, err := xemem.ParseTopology(CollMixes[mix])
 	if err != nil {

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"strings"
 	"time"
@@ -15,34 +13,35 @@ import (
 	"xemem/internal/xpmem"
 )
 
-// EngineBenchResult reports host wall-clock performance of the simulator
-// engine itself: scheduler dispatch, a 1 GB cross-enclave attach, and the
-// Fig. 9 sweep as an end-to-end composite. All numbers are host
-// nanoseconds; simulated results are bit-identical across sweep worker
-// counts.
+// EngineBenchResult reports host performance of the simulator itself
+// (BENCH_engine.json): scheduler dispatch and a 1 GB cross-enclave attach,
+// each in host ns and heap allocations per op, and the full Fig. 5–9 +
+// Table 2 sweep as the end-to-end composite. Simulated results are
+// bit-identical across sweep worker counts; only host figures move.
 type EngineBenchResult struct {
 	Host HostInfo `json:"host"`
 
 	SchedulerActors     int     `json:"scheduler_actors"`
 	SchedulerDispatches int     `json:"scheduler_dispatches"`
 	SchedulerHeapNs     float64 `json:"scheduler_heap_ns_per_dispatch"`
+	DispatchAllocsPerOp float64 `json:"dispatch_allocs_per_op"`
 
-	AttachBytes  uint64  `json:"attach_bytes"`
-	AttachReps   int     `json:"attach_reps"`
-	AttachFastNs float64 `json:"attach_fast_ns_per_op"`
+	AttachBytes       uint64  `json:"attach_bytes"`
+	AttachReps        int     `json:"attach_reps"`
+	AttachFastNs      float64 `json:"attach_fast_ns_per_op"`
+	AttachAllocsPerOp float64 `json:"attach_allocs_per_op"`
 
-	// The Fig. 9 sweep through the parallel sweep runner: serial
-	// (workers=1) vs one worker per host core. Simulated results are
-	// byte-identical; only host wall-clock changes.
+	// The full figure sweep at -fast repetition counts through the
+	// parallel sweep runner: serial (workers=1) vs one worker per host
+	// core.
 	SweepWorkers    int     `json:"sweep_workers"`
 	SweepSerialNs   float64 `json:"sweep_serial_ns"`
 	SweepParallelNs float64 `json:"sweep_parallel_ns"`
 	SweepSpeedup    float64 `json:"sweep_speedup"`
 }
 
-// EngineBench measures the engine fast paths and, when jsonPath is
-// non-empty, writes the result there as JSON.
-func EngineBench(seed uint64, jsonPath string) (*EngineBenchResult, error) {
+// EngineBench measures the engine fast paths and the end-to-end sweep.
+func EngineBench(seed uint64) (*EngineBenchResult, error) {
 	const (
 		actors = 256
 		steps  = 2000
@@ -59,47 +58,63 @@ func EngineBench(seed uint64, jsonPath string) (*EngineBenchResult, error) {
 	// Each scheduler run is short (~0.5 s), so take the best of a few
 	// trials. Min-tracking starts from +Inf (never from trial zero's
 	// sentinel value) so the loop cannot mistake an uninitialized field
-	// for a measurement.
+	// for a measurement. The allocation rate comes from the first, cold
+	// trial.
 	const trials = 3
 	res.SchedulerHeapNs = math.MaxFloat64
 	for i := 0; i < trials; i++ {
-		if ns, _ := schedulerBench(seed, actors, steps); ns < res.SchedulerHeapNs {
+		ns, allocs := schedulerBench(seed, actors, steps)
+		if i == 0 {
+			res.DispatchAllocsPerOp = allocs
+		}
+		if ns < res.SchedulerHeapNs {
 			res.SchedulerHeapNs = ns
 		}
 	}
 
 	var err error
-	if res.AttachFastNs, _, err = attachBench(seed, reps); err != nil {
+	if res.AttachFastNs, res.AttachAllocsPerOp, err = attachBench(seed, reps); err != nil {
 		return nil, err
 	}
 
-	// The Fig. 9 sweep through the parallel runner: serial reference,
-	// then one worker per host core.
+	// The full sweep through the parallel runner: serial reference, then
+	// one worker per host core.
 	res.SweepWorkers = sweep.Workers(0)
-	start := time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
-	if _, err := Fig9(seed, 1, 1); err != nil {
+	if res.SweepSerialNs, err = timeSweep(seed, 1); err != nil {
 		return nil, err
 	}
-	res.SweepSerialNs = float64(time.Since(start).Nanoseconds()) //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
-	start = time.Now()                                           //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
-	if _, err := Fig9(seed, 1, res.SweepWorkers); err != nil {
+	if res.SweepParallelNs, err = timeSweep(seed, res.SweepWorkers); err != nil {
 		return nil, err
 	}
-	res.SweepParallelNs = float64(time.Since(start).Nanoseconds()) //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
 	if res.SweepParallelNs > 0 {
 		res.SweepSpeedup = res.SweepSerialNs / res.SweepParallelNs
 	}
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
+}
+
+// timeSweep runs every figure and Table 2 at the -fast repetition counts
+// on the given worker count and returns the host wall-clock ns.
+func timeSweep(seed uint64, workers int) (float64, error) {
+	start := time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
+	if _, err := Fig5(seed, 50, workers); err != nil {
+		return 0, err
+	}
+	if _, err := Fig6(seed, 50, workers); err != nil {
+		return 0, err
+	}
+	if _, err := Fig7(seed, workers); err != nil {
+		return 0, err
+	}
+	if _, err := Table2(seed, 5, workers); err != nil {
+		return 0, err
+	}
+	if _, err := Fig8(seed, 3, workers); err != nil {
+		return 0, err
+	}
+	if _, err := Fig9(seed, 3, workers); err != nil {
+		return 0, err
+	}
+	return float64(time.Since(start).Nanoseconds()), nil //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
 }
 
 // schedulerBench times pure dispatch over a mixed-clock actor pool,
@@ -194,10 +209,10 @@ func attachBench(seed uint64, reps int) (nsPerOp, allocsPerOp float64, err error
 func (r *EngineBenchResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Engine benchmark (host wall-clock)\n")
-	fmt.Fprintf(&b, "  scheduler dispatch (%d actors, %d dispatches): %.1f ns/dispatch\n",
-		r.SchedulerActors, r.SchedulerDispatches, r.SchedulerHeapNs)
-	fmt.Fprintf(&b, "  1 GB attach (%d reps): %.0f ns/attach\n", r.AttachReps, r.AttachFastNs)
-	fmt.Fprintf(&b, "  fig9 sweep via runner: serial %.2f s, %d workers %.2f s   (%.2fx speedup)\n",
+	fmt.Fprintf(&b, "  scheduler dispatch (%d actors, %d dispatches): %.1f ns/dispatch, %.3f allocs/dispatch\n",
+		r.SchedulerActors, r.SchedulerDispatches, r.SchedulerHeapNs, r.DispatchAllocsPerOp)
+	fmt.Fprintf(&b, "  1 GB attach (%d reps): %.0f ns/attach, %.0f allocs/attach\n", r.AttachReps, r.AttachFastNs, r.AttachAllocsPerOp)
+	fmt.Fprintf(&b, "  fig5-9 + table2 sweep (fast counts): serial %.2f s, %d workers %.2f s   (%.2fx speedup)\n",
 		r.SweepSerialNs/1e9, r.SweepWorkers, r.SweepParallelNs/1e9, r.SweepSpeedup)
 	return b.String()
 }

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 
@@ -13,7 +11,6 @@ import (
 	"xemem/internal/experiments/sweep"
 	"xemem/internal/fault"
 	"xemem/internal/sim"
-	"xemem/internal/sim/trace"
 	"xemem/internal/xpmem"
 )
 
@@ -40,12 +37,7 @@ type FaultCell struct {
 	DropProb float64 `json:"drop_prob"`
 	Crash    bool    `json:"crash"`
 
-	Attempts    int     `json:"attempts"`
-	Successes   int     `json:"successes"`
-	SuccessRate float64 `json:"success_rate"`
-	Timeouts    int     `json:"timeouts"`
-	EnclaveDown int     `json:"enclave_down"`
-	OtherErrors int     `json:"other_errors"`
+	cycleTally
 
 	Retries int `json:"retries"` // consumer-side rpc retries
 	Drops   int `json:"drops"`   // messages the injector discarded
@@ -69,9 +61,8 @@ type FaultSweepResult struct {
 // crash, mid-sweep exporter crash}, each cell a closed world with its
 // own injector and tracer. The entire result — per-cell counts,
 // latency percentiles, and digests — is a pure function of (seed,
-// rounds): rerunning writes a byte-identical BENCH_fault.json. When
-// jsonPath is non-empty the result is written there as JSON.
-func FaultSweep(seed uint64, rounds, workers int, jsonPath string) (*FaultSweepResult, error) {
+// rounds): rerunning yields a byte-identical BENCH_fault.json.
+func FaultSweep(seed uint64, rounds, workers int) (*FaultSweepResult, error) {
 	if rounds <= 0 {
 		rounds = 40
 	}
@@ -94,33 +85,14 @@ func FaultSweep(seed uint64, rounds, workers int, jsonPath string) (*FaultSweepR
 		return nil, err
 	}
 	res.Cells = out
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 
-// faultRun executes one fault-sweep cell in a fresh world. The world is
-// announced through the standard observability seam; when the installed
-// hook provides a tracer, the cell digest comes from it, otherwise a
-// private digest-only tracer is installed.
+// faultRun executes one fault-sweep cell in a fresh world.
 func faultRun(obs observeFn, seed uint64, drop float64, crash bool, rounds int) (FaultCell, error) {
 	cell := FaultCell{DropProb: drop, Crash: crash}
 	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 2 << 30})
-	announce(obs, fmt.Sprintf("fault/drop=%.2f/crash=%v", drop, crash), node.World())
-	tr, ok := node.World().Observer().(*trace.Tracer)
-	if !ok {
-		tr = trace.NewTracer(fmt.Sprintf("fault/drop=%.2f/crash=%v", drop, crash))
-		tr.SetKeepEvents(false)
-		node.World().SetObserver(tr)
-	}
+	tr := cellTracer(obs, fmt.Sprintf("fault/drop=%.2f/crash=%v", drop, crash), node.World())
 
 	plan := fault.Plan{DropProb: drop, DelayProb: drop, DelayMax: 5 * sim.Microsecond}
 	ck, err := node.BootCoKernel("victim", 256<<20)
@@ -164,27 +136,17 @@ func faultRun(obs observeFn, seed uint64, drop float64, crash bool, rounds int) 
 		}) {
 			return // never exported; every cycle is unattempted
 		}
-		classify := func(err error) {
-			switch {
-			case errors.Is(err, core.ErrTimeout):
-				cell.Timeouts++
-			case errors.Is(err, core.ErrEnclaveDown):
-				cell.EnclaveDown++
-			default:
-				cell.OtherErrors++
-			}
-		}
 		for i := 0; i < rounds; i++ {
 			cell.Attempts++
 			start := a.Now()
 			apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead, Timeout: faultGetTimeout})
 			if err != nil {
-				classify(err)
+				cell.classify(err)
 				continue
 			}
 			va, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: faultSegBytes, Perm: xpmem.PermRead, Timeout: faultAttTimeout})
 			if err != nil {
-				classify(err)
+				cell.classify(err)
 				_ = att.Release(a, segid, apid)
 				continue
 			}
@@ -192,13 +154,13 @@ func faultRun(obs observeFn, seed uint64, drop float64, crash bool, rounds int) 
 			cell.Successes++
 			buf := make([]byte, 64)
 			if _, err := att.Read(va, buf); err != nil {
-				classify(err)
+				cell.classify(err)
 			}
 			if err := att.Detach(a, va); err != nil {
-				classify(err)
+				cell.classify(err)
 			}
 			if err := att.Release(a, segid, apid); err != nil {
-				classify(err)
+				cell.classify(err)
 			}
 		}
 	})
@@ -209,9 +171,7 @@ func faultRun(obs observeFn, seed uint64, drop float64, crash bool, rounds int) 
 		return cell, runErr
 	}
 
-	if cell.Attempts > 0 {
-		cell.SuccessRate = float64(cell.Successes) / float64(cell.Attempts)
-	}
+	cell.finish()
 	cell.Retries = node.LinuxModule().Stats.Retries
 	st := inj.Stats()
 	cell.Drops, cell.Delays = st.Drops, st.Delays
@@ -219,6 +179,37 @@ func faultRun(obs observeFn, seed uint64, drop float64, crash bool, rounds int) 
 	cell.P99AttachNs = percentileNs(attachNs, 99)
 	cell.Digest = tr.Digest().SHA256
 	return cell, nil
+}
+
+// cycleTally counts one sweep cell's request cycles and attributes each
+// failure to the failure model's error classes. Embedded in a cell
+// struct, its fields marshal flat in place.
+type cycleTally struct {
+	Attempts    int     `json:"attempts"`
+	Successes   int     `json:"successes"`
+	SuccessRate float64 `json:"success_rate"`
+	Timeouts    int     `json:"timeouts"`
+	EnclaveDown int     `json:"enclave_down"`
+	OtherErrors int     `json:"other_errors"`
+}
+
+// classify attributes one failed request.
+func (t *cycleTally) classify(err error) {
+	switch {
+	case errors.Is(err, core.ErrTimeout):
+		t.Timeouts++
+	case errors.Is(err, core.ErrEnclaveDown):
+		t.EnclaveDown++
+	default:
+		t.OtherErrors++
+	}
+}
+
+// finish derives the success rate once the cell has run.
+func (t *cycleTally) finish() {
+	if t.Attempts > 0 {
+		t.SuccessRate = float64(t.Successes) / float64(t.Attempts)
+	}
 }
 
 // percentileNs returns the p-th percentile of samples (nearest-rank), 0

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -15,23 +13,19 @@ import (
 // cells attribute their failures to the dead enclave, and lossy cells
 // actually lose messages.
 func TestFaultSweepDeterministic(t *testing.T) {
-	dir := t.TempDir()
-	p1 := filepath.Join(dir, "a.json")
-	p2 := filepath.Join(dir, "b.json")
-
-	r1, err := FaultSweep(1234, 12, 1, p1)
+	r1, err := FaultSweep(1234, 12, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := FaultSweep(1234, 12, 4, p2)
+	r2, err := FaultSweep(1234, 12, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b1, err := os.ReadFile(p1)
+	b1, err := json.MarshalIndent(r1, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := os.ReadFile(p2)
+	b2, err := json.MarshalIndent(r2, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"xemem"
 	"xemem/internal/experiments/sweep"
-	"xemem/internal/extent"
 	"xemem/internal/rdma"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
@@ -188,5 +187,3 @@ func (r *Fig5Result) String() string {
 	}
 	return b.String()
 }
-
-var _ = extent.PageSize

@@ -55,6 +55,20 @@ func announce(obs observeFn, label string, w *sim.World) {
 	}
 }
 
+// cellTracer announces a sweep cell's world and returns the tracer its
+// digest comes from: the one the installed hook put on the world, else a
+// private digest-only tracer installed here.
+func cellTracer(obs observeFn, label string, w *sim.World) *trace.Tracer {
+	announce(obs, label, w)
+	if tr, ok := w.Observer().(*trace.Tracer); ok {
+		return tr
+	}
+	tr := trace.NewTracer(label)
+	tr.SetKeepEvents(false)
+	w.SetObserver(tr)
+	return tr
+}
+
 // Breakdown renders, per traced configuration, where simulated time went:
 // the top operations by charged time, every resource's busy/wait profile,
 // and every receive queue's residency — the per-figure tables the

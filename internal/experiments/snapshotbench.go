@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"strings"
 	"time"
 
@@ -72,9 +71,7 @@ var snapshotBenchTails = []fig9Tail{
 // re-bootstrapped one. Cells run serially (workers=1) so the per-cell
 // wall clocks are clean; the fork cells go through sweep.FromSnapshot,
 // sharing one lazily-decoded image exactly as a production sweep would.
-// When jsonPath is non-empty the result is written there
-// (BENCH_snapshot.json).
-func SnapshotBench(seed uint64, jsonPath string) (*SnapshotBenchResult, error) {
+func SnapshotBench(seed uint64) (*SnapshotBenchResult, error) {
 	p := fig9PrefixParams{Nodes: 2, MultiEnclave: true, PrefixIters: 480, Recurring: true}
 	res := &SnapshotBenchResult{
 		Host: CaptureHost(), Seed: seed,
@@ -189,16 +186,6 @@ func SnapshotBench(seed uint64, jsonPath string) (*SnapshotBenchResult, error) {
 		return nil, err
 	}
 	res.SweepsIdentical = bytes.Equal(bj, fj)
-
-	if jsonPath != "" {
-		buf, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-			return nil, err
-		}
-	}
 	return res, nil
 }
 

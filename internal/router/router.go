@@ -108,20 +108,6 @@ func (r *Router) TakeHop(reqID uint64) (xproto.Link, bool) {
 	return l, ok
 }
 
-// MinHops reports a conservative lower bound on the number of channel
-// hops a message for dst traverses from this enclave: 1 when a direct
-// route is learned, 2 otherwise (the default route detours via the name
-// server before the eventual owner — at least one forwarding hop).
-func (r *Router) MinHops(dst xproto.EnclaveID) int {
-	if _, ok := r.routes[dst]; ok {
-		return 1
-	}
-	if dst == xproto.NameServerID && r.nsLink != nil {
-		return 1
-	}
-	return 2
-}
-
 // KnownEnclaves lists the enclave IDs with learned routes, sorted.
 func (r *Router) KnownEnclaves() []xproto.EnclaveID {
 	out := make([]xproto.EnclaveID, 0, len(r.routes))

@@ -88,29 +88,6 @@ func TestKnownEnclavesSorted(t *testing.T) {
 	}
 }
 
-func TestMinHops(t *testing.T) {
-	r := New()
-	r.SetSelf(3)
-	if got := r.MinHops(7); got != 2 {
-		t.Fatalf("unknown enclave before bootstrap: MinHops = %d, want 2", got)
-	}
-	r.SetNSLink(stubLink("up"))
-	if got := r.MinHops(xproto.NameServerID); got != 1 {
-		t.Fatalf("NS over the default route: MinHops = %d, want 1", got)
-	}
-	if got := r.MinHops(7); got != 2 {
-		t.Fatalf("unknown enclave via NS detour: MinHops = %d, want 2", got)
-	}
-	r.Learn(7, stubLink("down"))
-	if got := r.MinHops(7); got != 1 {
-		t.Fatalf("learned route: MinHops = %d, want 1", got)
-	}
-	r.Forget(7)
-	if got := r.MinHops(7); got != 2 {
-		t.Fatalf("forgotten route: MinHops = %d, want 2", got)
-	}
-}
-
 func TestRouteTableRenders(t *testing.T) {
 	r := New()
 	r.SetSelf(4)

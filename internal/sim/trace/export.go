@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"sync"
 
@@ -296,6 +297,31 @@ func (s *Set) WriteMetricsJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(records)
+}
+
+// WriteFiles exports the set to files: a Chrome trace to tracePath and
+// the metrics JSON to metricsPath, skipping whichever path is empty.
+func (s *Set) WriteFiles(tracePath, metricsPath string) error {
+	for _, out := range []struct {
+		path  string
+		write func(io.Writer) error
+	}{{tracePath, s.WriteChromeTrace}, {metricsPath, s.WriteMetricsJSON}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			return err
+		}
+		err = out.write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("writing %s: %w", out.path, err)
+		}
+	}
+	return nil
 }
 
 // WriteMetricsJSON writes this tracer's metrics as one JSON object.
