@@ -7,7 +7,7 @@ import (
 )
 
 // TestMapRunMatchesPerPageMap: MapRun must install exactly the state that
-// the equivalent sequence of per-page Map calls would.
+// the equivalent sequence of per-page root-to-leaf installs would.
 func TestMapRunMatchesPerPageMap(t *testing.T) {
 	runs := []struct {
 		va    VA
@@ -23,10 +23,8 @@ func TestMapRunMatchesPerPageMap(t *testing.T) {
 		if err := batched.MapRun(r.va, r.f, r.count, Read|Write); err != nil {
 			t.Fatalf("MapRun(%#x): %v", uint64(r.va), err)
 		}
-		for i := uint64(0); i < r.count; i++ {
-			if err := perPage.Map(r.va+VA(i*extent.PageSize), r.f+extent.PFN(i), Read|Write); err != nil {
-				t.Fatalf("Map(%#x): %v", uint64(r.va)+i*extent.PageSize, err)
-			}
+		if err := perPage.mapRunPerPage(r.va, r.f, r.count, Read|Write); err != nil {
+			t.Fatalf("per-page map(%#x): %v", uint64(r.va), err)
 		}
 	}
 	if batched.Mapped() != perPage.Mapped() {

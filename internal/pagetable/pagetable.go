@@ -128,6 +128,7 @@ func (t *Table) MapList(va VA, l extent.List, flags Flags) error {
 		first, count := e.First, e.Count
 		for count > 0 {
 			step, err := t.mapRun(cur, first, count, flags)
+			done += step
 			if err != nil {
 				// Roll back what this call mapped so failed maps do not
 				// leave a half-populated range.
@@ -137,14 +138,16 @@ func (t *Table) MapList(va VA, l extent.List, flags Flags) error {
 			cur += VA(step * extent.PageSize)
 			first += extent.PFN(step)
 			count -= step
-			done += step
 		}
 	}
 	return nil
 }
 
-// mapRun maps the largest aligned leaf possible at va and returns how many
-// 4 KB pages it covered.
+// mapRun maps the largest aligned leaf possible at va, or failing that
+// the 4 KB leaves up to the end of va's PT node, and returns how many
+// 4 KB pages it installed (on error, the ones installed before the
+// conflict). Inside a PT node no 2 MB or 1 GB leaf can be aligned, so
+// the batch installs exactly the leaves a per-page attempt would.
 func (t *Table) mapRun(va VA, f extent.PFN, count uint64, flags Flags) (uint64, error) {
 	for level := 2; level >= 1; level-- {
 		span := pagesAtLevel[level]
@@ -155,18 +158,12 @@ func (t *Table) mapRun(va VA, f extent.PFN, count uint64, flags Flags) (uint64, 
 			return span, nil
 		}
 	}
-	if err := t.set(va, 0, f, flags); err != nil {
-		return 0, err
-	}
-	return 1, nil
+	return t.mapPT(va, f, count, flags)
 }
 
 // Map maps a single 4 KB page.
 func (t *Table) Map(va VA, f extent.PFN, flags Flags) error {
-	if va.Offset() != 0 {
-		return fmt.Errorf("pagetable: unaligned map at %#x", uint64(va))
-	}
-	return t.set(va, 0, f, flags)
+	return t.MapRun(va, f, 1, flags)
 }
 
 // MapRun maps count 4 KB pages starting at va to the physically
@@ -181,42 +178,10 @@ func (t *Table) MapRun(va VA, f extent.PFN, count uint64, flags Flags) error {
 		return fmt.Errorf("pagetable: unaligned map at %#x", uint64(va))
 	}
 	for count > 0 {
-		if err := t.guardShared(va, "map"); err != nil {
+		n, err := t.mapPT(va, f, count, flags)
+		if err != nil {
 			return err
 		}
-		node := t.root
-		for level := 3; level > 0; level-- {
-			i := index(va, level)
-			e := node.ents[i]
-			if e&entPresent == 0 {
-				child := &table{}
-				t.tables++
-				node.setChild(i, child)
-				node.ents[i] = entPresent
-				node.used++
-				node = child
-				continue
-			}
-			if e&entLeaf != 0 {
-				return fmt.Errorf("pagetable: %#x already mapped by a level-%d leaf", uint64(va), level)
-			}
-			node = node.child(i)
-		}
-		i := index(va, 0)
-		n := uint64(512 - i)
-		if n > count {
-			n = count
-		}
-		for j := uint64(0); j < n; j++ {
-			if node.ents[i+int(j)]&entPresent != 0 {
-				node.used += int(j)
-				t.mapped += j
-				return fmt.Errorf("pagetable: %#x already mapped", uint64(va)+j*extent.PageSize)
-			}
-			node.ents[i+int(j)] = entPresent | entLeaf | uint64(flags)<<flagShift | uint64(f+extent.PFN(j))<<pfnShift
-		}
-		node.used += int(n)
-		t.mapped += n
 		va += VA(n * extent.PageSize)
 		f += extent.PFN(n)
 		count -= n
@@ -224,13 +189,57 @@ func (t *Table) MapRun(va VA, f extent.PFN, count uint64, flags Flags) error {
 	return nil
 }
 
+// mapPT installs 4 KB leaves for the contiguous frames starting at f,
+// from va up to count pages or the end of va's PT node, in one descent.
+// It reports how many leaves it installed; on a conflict that is the
+// number installed before it. One shared-slot check covers the whole
+// batch: a PT node always lies inside one top-level slot.
+func (t *Table) mapPT(va VA, f extent.PFN, count uint64, flags Flags) (uint64, error) {
+	if err := t.guardShared(va, "map"); err != nil {
+		return 0, err
+	}
+	node := t.root
+	for level := 3; level > 0; level-- {
+		i := index(va, level)
+		e := node.ents[i]
+		if e&entPresent == 0 {
+			child := &table{}
+			t.tables++
+			node.setChild(i, child)
+			node.ents[i] = entPresent
+			node.used++
+			node = child
+			continue
+		}
+		if e&entLeaf != 0 {
+			return 0, fmt.Errorf("pagetable: %#x already mapped by a level-%d leaf", uint64(va), level)
+		}
+		node = node.child(i)
+	}
+	i := index(va, 0)
+	n := min(uint64(512-i), count)
+	var err error
+	for j := uint64(0); j < n; j++ {
+		if node.ents[i+int(j)]&entPresent != 0 {
+			err = fmt.Errorf("pagetable: %#x already mapped", uint64(va)+j*extent.PageSize)
+			n = j
+			break
+		}
+		node.ents[i+int(j)] = entPresent | entLeaf | uint64(flags)<<flagShift | uint64(f+extent.PFN(j))<<pfnShift
+	}
+	node.used += int(n)
+	t.mapped += n
+	return n, err
+}
+
 // MappedRun reports how many consecutive 4 KB pages starting at va, up
 // to limit, share va's mapped/unmapped state, and what that state is. A
-// mapped run never extends past the leaf that maps va; an unmapped run
-// extends to the end of the absent entry's span. Callers iterate it to
-// partition a range into per-leaf runs in O(runs) instead of probing
-// every page — the batched populate, unmap, and access paths all build
-// on it.
+// mapped run never extends past the leaf that maps va — frames are only
+// known contiguous within one leaf — so over 4 KB leaves it is a single
+// page. An unmapped run extends to the end of the absent entry's span,
+// and across consecutive absent entries of a PT node. Callers iterate it
+// to partition a range into leaves and holes without probing every page
+// of a hole: the populate, sparse-teardown, access and snapshot paths.
 func (t *Table) MappedRun(va VA, limit uint64) (n uint64, mapped bool) {
 	node := t.root
 	for level := 3; level >= 0; level-- {
@@ -375,8 +384,11 @@ func (t *Table) Unmap(va VA, npages uint64) error {
 }
 
 // unmapOne removes the leaf covering va if it fits entirely within the
-// remaining range; otherwise it splits the leaf and retries. It returns
-// how many 4 KB pages were removed.
+// remaining range; otherwise it splits the leaf and retries. A 4 KB leaf
+// takes the present leaves after it in the same PT node with it, up to
+// npages, so one walk clears a whole run: the next call reports the
+// absent entry that stopped it. It returns how many 4 KB pages were
+// removed.
 func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 	if err := t.guardShared(va, "unmap"); err != nil {
 		return 0, err
@@ -385,8 +397,8 @@ func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 	// root → current, for interior-table GC. A fixed-size array: the walk
 	// visits at most one node per level, and level-0 entries are always
 	// leaves, so the chain never exceeds the root plus three children.
-	// (Keeping this off the heap matters: unmapOne runs once per leaf of
-	// every teardown and a growing slice made it allocation-bound.)
+	// (Keeping this off the heap matters: unmapOne runs once per leaf or
+	// PT-node run of every teardown.)
 	var visited [4]*table
 	visited[0] = node
 	nv := 1
@@ -408,14 +420,21 @@ func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 				nv++
 				continue
 			}
-			node.ents[i] = 0
-			node.used--
-			if node.next != nil {
-				node.next[i] = nil
+			n := uint64(1)
+			if level == 0 {
+				limit := min(uint64(512-i), npages)
+				for n < limit && node.ents[i+int(n)]&entPresent != 0 {
+					n++
+				}
 			}
-			t.mapped -= span
+			clear(node.ents[i : i+int(n)])
+			if node.next != nil {
+				clear(node.next[i : i+int(n)])
+			}
+			node.used -= int(n)
+			t.mapped -= n * span
 			t.garbageCollect(visited[:nv])
-			return span, nil
+			return n * span, nil
 		}
 		node = node.child(i)
 		visited[nv] = node
@@ -460,49 +479,4 @@ func (t *Table) garbageCollect(visited []*table) {
 			}
 		}
 	}
-}
-
-// Protect rewrites the flags of npages mapped pages starting at va,
-// splitting large pages at the boundaries when necessary. This supports
-// the page-protection semantics fullweight enclaves need (§3.3).
-func (t *Table) Protect(va VA, npages uint64, flags Flags) error {
-	if va.Offset() != 0 {
-		return fmt.Errorf("pagetable: unaligned protect at %#x", uint64(va))
-	}
-	for npages > 0 {
-		n, err := t.protectOne(va, npages, flags)
-		if err != nil {
-			return err
-		}
-		va += VA(n * extent.PageSize)
-		npages -= n
-	}
-	return nil
-}
-
-func (t *Table) protectOne(va VA, npages uint64, flags Flags) (uint64, error) {
-	if err := t.guardShared(va, "protect"); err != nil {
-		return 0, err
-	}
-	node := t.root
-	for level := 3; level >= 0; level-- {
-		i := index(va, level)
-		e := node.ents[i]
-		if e&entPresent == 0 {
-			return 0, fmt.Errorf("pagetable: protect of unmapped address %#x", uint64(va))
-		}
-		if e&entLeaf != 0 {
-			span := pagesAtLevel[level]
-			within := va.Page() % span
-			if within != 0 || span > npages {
-				t.split(node, i, level)
-				node = node.child(i)
-				continue
-			}
-			node.ents[i] = e&^uint64(flagMask) | uint64(flags)<<flagShift
-			return span, nil
-		}
-		node = node.child(i)
-	}
-	return 0, fmt.Errorf("pagetable: protect fell through at %#x", uint64(va))
 }

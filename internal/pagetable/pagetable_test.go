@@ -206,32 +206,6 @@ func TestInteriorTableGC(t *testing.T) {
 	}
 }
 
-func TestProtect(t *testing.T) {
-	pt := New()
-	l := extent.FromExtents(extent.Extent{First: 512, Count: 512}) // 2MB leaf
-	base := VA(512 * extent.PageSize)
-	if err := pt.MapList(base, l, Read|Write); err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Protect(base+VA(10*extent.PageSize), 5, Read); err != nil {
-		t.Fatal(err)
-	}
-	_, fl, _, _ := pt.Walk(base + VA(10*extent.PageSize))
-	if fl != Read {
-		t.Fatalf("flags = %v, want r", fl)
-	}
-	_, fl, _, _ = pt.Walk(base + VA(9*extent.PageSize))
-	if fl != Read|Write {
-		t.Fatalf("untouched flags = %v", fl)
-	}
-	if pt.Mapped() != 512 {
-		t.Fatalf("protect changed mapped count: %d", pt.Mapped())
-	}
-	if err := pt.Protect(0, 1, Read); err == nil {
-		t.Fatal("protect of unmapped should fail")
-	}
-}
-
 func TestFlagsString(t *testing.T) {
 	if got := (Read | Write | User).String(); got != "rw-u" {
 		t.Fatalf("flags = %q", got)

@@ -9,7 +9,7 @@ import "fmt"
 // at virtual offset k<<39.
 //
 // A shared slot is a borrowed subtree: the borrower must never mutate it.
-// Map, Unmap, and Protect reject addresses under shared slots.
+// Map, MapRun, MapList and Unmap reject addresses under shared slots.
 
 // SlotOf reports the top-level slot index covering va.
 func SlotOf(va VA) int { return index(va, 3) }

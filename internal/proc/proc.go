@@ -416,8 +416,8 @@ func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, erro
 		f, flags, _, _ := as.pt.Walk(va)
 		// Enforce the mapping's permissions, as the MMU would: a write
 		// through a read-only XEMEM attachment is a protection fault. Flags
-		// are uniform within a leaf (Protect splits leaves at boundaries),
-		// so one check covers the whole run.
+		// are uniform within a leaf, and a mapped run never extends past
+		// one leaf, so one check covers the whole run.
 		if write && flags&pagetable.Write == 0 {
 			return faults, fmt.Errorf("proc: write protection fault at %#x (%v)", uint64(va), flags)
 		}

@@ -1,6 +1,7 @@
 package smartmap
 
 import (
+	"strings"
 	"testing"
 
 	"xemem/internal/extent"
@@ -91,6 +92,66 @@ func TestBorrowerCannotMutateWindow(t *testing.T) {
 	}
 	if err := dst.PageTable().Map(win+8*4096, 0x200, pagetable.Read); err == nil {
 		t.Fatal("borrower mapped into a shared slot")
+	}
+}
+
+// TestBorrowerCannotMutateWindowInBatches: the batched map and unmap
+// paths check the shared slot once per PT node, so a range spanning
+// several PT nodes through a borrowed window must fail as a single page
+// does, and leave the source table exactly as it was. A MapList that
+// starts below the window and runs into it rolls back its own part.
+func TestBorrowerCannotMutateWindowInBatches(t *testing.T) {
+	const pages = 1100 // three PT nodes
+	pm := mem.NewPhysMem("node", 64<<20)
+	src, srcRegion := mkProc(t, pm, pages)
+	dst, _ := mkProc(t, pm, 4)
+	s := New()
+	s.Register(src.PageTable())
+	win, err := s.Attach(dst.PageTable(), src.PageTable(), srcRegion.Base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spt, dpt := src.PageTable(), dst.PageTable()
+	// The source's translations over its region and as far again past it.
+	walk := func() []extent.PFN {
+		out := make([]extent.PFN, 2*pages)
+		for i := range out {
+			if f, _, _, ok := spt.Walk(srcRegion.Base + pagetable.VA(i*4096)); ok {
+				out[i] = f
+			}
+		}
+		return out
+	}
+	srcMapped, srcTables, srcPFNs := spt.Mapped(), spt.Tables(), walk()
+	dstMapped, dstTables := dpt.Mapped(), dpt.Tables()
+
+	past := win + pages*4096 // unmapped in the source, inside the window
+	below := pagetable.SlotBase(pagetable.SlotOf(win)) - 300*4096
+	l := extent.FromExtents(extent.Extent{First: 0x3001, Count: pages})
+	for _, c := range []struct {
+		op  string
+		err error
+	}{
+		{"Unmap", dpt.Unmap(win, pages)},
+		{"MapList", dpt.MapList(past, l, pagetable.Read)},
+		{"MapRun", dpt.MapRun(past, 0x3001, pages, pagetable.Read)},
+		{"MapList into the window", dpt.MapList(below, l, pagetable.Read)},
+	} {
+		if c.err == nil || !strings.Contains(c.err.Error(), "would mutate a shared (SMARTMAP) slot") {
+			t.Fatalf("%s of %d pages through a borrowed slot: err = %v", c.op, pages, c.err)
+		}
+	}
+	if spt.Mapped() != srcMapped || spt.Tables() != srcTables {
+		t.Fatalf("source (mapped, tables) = (%d, %d), want (%d, %d)", spt.Mapped(), spt.Tables(), srcMapped, srcTables)
+	}
+	for i, f := range walk() {
+		if f != srcPFNs[i] {
+			t.Fatalf("source page %d now → %#x, was %#x", i, uint64(f), uint64(srcPFNs[i]))
+		}
+	}
+	if dpt.Mapped() != dstMapped || dpt.Tables() != dstTables {
+		t.Fatalf("borrower (mapped, tables) = (%d, %d) after rollback, want (%d, %d)",
+			dpt.Mapped(), dpt.Tables(), dstMapped, dstTables)
 	}
 }
 
