@@ -90,10 +90,9 @@ replay:
 
 # Regenerate every checked-in BENCH_<name>.json through the -bench
 # registry in cmd/xemem-bench: engine (host ns and allocs per dispatch
-# and per 1 GB attach, serial vs parallel full-figure sweep), snapshot
-# (snapshot-forked vs re-bootstrapped fig9 cells), fault (protocol
-# degradation under message loss and enclave crashes), cluster (flat vs
-# sharded name-service lookups across node counts) and coll
+# and per 1 GB attach, serial vs parallel full-figure sweep), fault
+# (protocol degradation under message loss and enclave crashes), cluster
+# (flat vs sharded name-service lookups across node counts) and coll
 # (hierarchical bcast/allreduce across depth, enclave mix and size). The
 # fault, cluster and coll files are byte-identical on rerun at any
 # worker count, apart from the host header.

@@ -22,7 +22,6 @@ func (b bench) file() string { return "BENCH_" + b.name + ".json" }
 // benches is the -bench registry, in the order -bench all runs it.
 var benches = []bench{
 	{"engine", func(seed uint64, _ int) (fmt.Stringer, error) { return experiments.EngineBench(seed) }},
-	{"snapshot", func(seed uint64, _ int) (fmt.Stringer, error) { return experiments.SnapshotBench(seed) }},
 	{"fault", func(seed uint64, workers int) (fmt.Stringer, error) { return experiments.FaultSweep(seed, 0, workers) }},
 	{"cluster", func(seed uint64, workers int) (fmt.Stringer, error) {
 		return experiments.ClusterSweep(seed, 0, workers)

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	xemem-bench -experiment fig5|fig6|fig7|fig8|fig9|table2|all [flags]
-//	xemem-bench -bench engine|snapshot|fault|cluster|coll|all [flags]
+//	xemem-bench -bench engine|fault|cluster|coll|all [flags]
 //
 // -bench regenerates the named BENCH_<name>.json files in the current
 // directory and takes precedence over -experiment.

@@ -8,7 +8,7 @@
 // hookstate (package-level hook variables are written only by driver
 // binaries), partition (actor state stays inside its own actor's
 // dispatch, closures included), and snapshotcheck (every mutable field
-// of a registered snapshot component is encoded and restored).
+// of a registered snapshot component is encoded).
 //
 // Usage:
 //

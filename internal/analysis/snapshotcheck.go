@@ -8,37 +8,29 @@ import (
 	"strings"
 )
 
-// The snapshotcheck analyzer guards restore fidelity (DESIGN.md §12):
-// the XSNP snapshot is only trustworthy if every piece of mutable
+// The snapshotcheck analyzer guards snapshot fidelity (DESIGN.md §12):
+// an XSNP image fingerprints a world only if every piece of mutable
 // simulation state reaches it. For every type whose EncodeSnapshot is
 // registered as a snapshot component via World.AddSnapshotComponent —
 // plus every type those encoders delegate to, transitively (a module
 // encoder calls its nameserver's, an OS encoder its address spaces' and
-// cores') — the analyzer verifies:
-//
-//   - every mutable field (written anywhere in the module outside New*
-//     constructors) is read by the encoder, and
-//   - when the type has a full LoadSnapshot decoder, every such field
-//     is also written back by it. Overlay decoders
-//     (LoadSnapshotOverlay) restore a deliberate prefix and verify the
-//     rest by byte comparison, so they are exempt from the
-//     read-it-back half.
+// cores') — the analyzer verifies that every mutable field (written
+// anywhere in the module outside New* constructors) is read by the
+// encoder.
 //
 // Adding a field to a snapshotted struct therefore fails vet until the
-// codec handles it — or until the field is annotated, with a reason,
+// encoder handles it — or until the field is annotated, with a reason,
 // as deliberately outside the image:
 //
-//	links map[string]*Link //xemem:nosnap -- rebuilt from topology config on restore
+//	links map[string]*Link //xemem:nosnap -- topology config, fixed at build
 //
 // Coverage is computed over the encoder's same-package call closure
 // (helpers like encodeStats count), and a write through a field path
 // (m.Stats.MsgsSent++) marks every field on the path mutable.
 
-// snapCodecNames are the snapshot codec entry points: a call to one of
-// these on another type makes that type part of the snapshot graph.
-var snapCodecNames = map[string]bool{
-	"EncodeSnapshot": true, "LoadSnapshot": true, "LoadSnapshotOverlay": true,
-}
+// snapEncoder is the snapshot encoder's method name: a call to it on
+// another type makes that type part of the snapshot graph.
+const snapEncoder = "EncodeSnapshot"
 
 // snapshotFacts is one package's contribution to the module-wide
 // snapshot-coverage verdict.
@@ -57,12 +49,8 @@ type snapshotFacts struct {
 type snapTypeFact struct {
 	// Display is the short pkg.Type name for diagnostics.
 	Display string `json:"display"`
-	// FullDecoder is set when the type has a LoadSnapshot method (the
-	// read-back check applies only then, not to overlay decoders).
-	FullDecoder bool `json:"fullDecoder,omitempty"`
-	// Calls lists the type keys whose snapshot codecs this type's
-	// encoder/decoder closure invokes: the delegation edges of the
-	// snapshot graph.
+	// Calls lists the type keys whose encoders this type's encoder
+	// closure invokes: the delegation edges of the snapshot graph.
 	Calls []string `json:"calls,omitempty"`
 	// Fields covers every field of the type's struct, in declaration
 	// order.
@@ -74,7 +62,6 @@ type snapField struct {
 	Pos     token.Position `json:"pos"`
 	Mutable bool           `json:"mutable,omitempty"`
 	Encoded bool           `json:"encoded,omitempty"`
-	Decoded bool           `json:"decoded,omitempty"`
 }
 
 type extWrite struct {
@@ -85,8 +72,8 @@ type extWrite struct {
 func newSnapshotcheck() *Analyzer {
 	return &Analyzer{
 		Name:    "snapshotcheck",
-		Doc:     "verifies every mutable field of a registered snapshot component (and its delegates) is written by EncodeSnapshot and read back by LoadSnapshot; excuse derived/rebuilt fields with //xemem:nosnap -- <reason>",
-		Version: 1,
+		Doc:     "verifies every mutable field of a registered snapshot component (and its delegates) is written by EncodeSnapshot; excuse derived or build-time fields with //xemem:nosnap -- <reason>",
+		Version: 2,
 		Run:     snapshotcheckRun,
 		Finish:  snapshotcheckFinish,
 	}
@@ -148,20 +135,18 @@ func snapshotcheckRun(pass *Pass) any {
 	info := pass.Pkg.Info
 	sums := pass.Module.Summaries()
 
-	// Pass 1: the package's snapshot codec declarations, grouped by
-	// receiver type.
-	type codecDecls struct {
-		named   *types.Named
-		enc     *ast.FuncDecl
-		dec     *ast.FuncDecl // LoadSnapshot (full restore)
-		overlay *ast.FuncDecl // LoadSnapshotOverlay (prefix restore)
+	// Pass 1: the package's EncodeSnapshot declarations, by receiver
+	// type.
+	type codecDecl struct {
+		named *types.Named
+		enc   *ast.FuncDecl
 	}
-	codecs := make(map[string]*codecDecls)
+	codecs := make(map[string]*codecDecl)
 	var codecOrder []string
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil || !snapCodecNames[fd.Name.Name] {
+			if !ok || fd.Body == nil || fd.Recv == nil || fd.Name.Name != snapEncoder {
 				continue
 			}
 			fn, ok := info.Defs[fd.Name].(*types.Func)
@@ -173,20 +158,8 @@ func snapshotcheckRun(pass *Pass) any {
 				continue
 			}
 			key := typeKey(named)
-			c := codecs[key]
-			if c == nil {
-				c = &codecDecls{named: named}
-				codecs[key] = c
-				codecOrder = append(codecOrder, key)
-			}
-			switch fd.Name.Name {
-			case "EncodeSnapshot":
-				c.enc = fd
-			case "LoadSnapshot":
-				c.dec = fd
-			case "LoadSnapshotOverlay":
-				c.overlay = fd
-			}
+			codecs[key] = &codecDecl{named: named, enc: fd}
+			codecOrder = append(codecOrder, key)
 		}
 	}
 
@@ -198,7 +171,7 @@ func snapshotcheckRun(pass *Pass) any {
 	extSeen := make(map[extWrite]bool)
 	var facts snapshotFacts
 	hasEncoder := func(named *types.Named) bool {
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), "EncodeSnapshot")
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), snapEncoder)
 		_, ok := obj.(*types.Func)
 		return ok
 	}
@@ -262,7 +235,7 @@ func snapshotcheckRun(pass *Pass) any {
 	// closure wrappers handed to AddSnapshotComponent.
 	regSeen := make(map[string]bool)
 	register := func(fn *types.Func) {
-		if fn == nil || fn.Name() != "EncodeSnapshot" {
+		if fn == nil || fn.Name() != snapEncoder {
 			return
 		}
 		if named := recvNamed(fn); named != nil {
@@ -287,7 +260,7 @@ func snapshotcheckRun(pass *Pass) any {
 					}
 				case *ast.FuncLit:
 					ast.Inspect(arg.Body, func(x ast.Node) bool {
-						if inner, ok := x.(*ast.CallExpr); ok && calleeName(inner) == "EncodeSnapshot" {
+						if inner, ok := x.(*ast.CallExpr); ok && calleeName(inner) == snapEncoder {
 							register(resolveCallee(info, inner))
 						}
 						return true
@@ -298,19 +271,16 @@ func snapshotcheckRun(pass *Pass) any {
 		})
 	}
 
-	// Pass 4: per-type coverage over the codec call closures.
+	// Pass 4: per-type coverage over the encoder call closures.
 	sort.Strings(facts.Registered)
 	for _, key := range codecOrder {
 		c := codecs[key]
-		if c.enc == nil {
-			continue // decoder without encoder: nothing to cover
-		}
 		st, ok := c.named.Underlying().(*types.Struct)
 		if !ok {
 			continue
 		}
 		fieldObjs := make(map[types.Object]int, st.NumFields())
-		fact := snapTypeFact{Display: displayName(c.named), FullDecoder: c.dec != nil}
+		fact := snapTypeFact{Display: displayName(c.named)}
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			fieldObjs[f] = i
@@ -321,28 +291,20 @@ func snapshotcheckRun(pass *Pass) any {
 			})
 		}
 		calls := make(map[string]bool)
-		cover := func(root *ast.FuncDecl, mark func(i int)) {
-			if root == nil {
-				return
-			}
-			for _, d := range snapReach(sums, pass.Pkg, root, key, calls) {
-				ast.Inspect(d.Body, func(n ast.Node) bool {
-					sel, ok := n.(*ast.SelectorExpr)
-					if !ok {
-						return true
-					}
-					if s, ok := info.Selections[sel]; ok {
-						if i, isField := fieldObjs[s.Obj()]; isField {
-							mark(i)
-						}
-					}
+		for _, d := range snapReach(sums, pass.Pkg, c.enc, key, calls) {
+			ast.Inspect(d.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
 					return true
-				})
-			}
+				}
+				if s, ok := info.Selections[sel]; ok {
+					if i, isField := fieldObjs[s.Obj()]; isField {
+						fact.Fields[i].Encoded = true
+					}
+				}
+				return true
+			})
 		}
-		cover(c.enc, func(i int) { fact.Fields[i].Encoded = true })
-		cover(c.dec, func(i int) { fact.Fields[i].Decoded = true })
-		cover(c.overlay, func(int) {}) // for its delegation edges only
 		fact.Calls = sortedNames(calls)
 		if facts.Types == nil {
 			facts.Types = make(map[string]snapTypeFact)
@@ -358,7 +320,7 @@ func snapshotcheckRun(pass *Pass) any {
 
 // snapReach walks the same-package call closure from root, collecting
 // the reachable declarations and recording (into calls) the type keys
-// of cross-type snapshot codec invocations along the way.
+// of cross-type EncodeSnapshot invocations along the way.
 func snapReach(sums *Summaries, pkg *Package, root *ast.FuncDecl, selfKey string, calls map[string]bool) []*ast.FuncDecl {
 	seen := map[*ast.FuncDecl]bool{root: true}
 	queue := []*ast.FuncDecl{root}
@@ -376,7 +338,7 @@ func snapReach(sums *Summaries, pkg *Package, root *ast.FuncDecl, selfKey string
 			if fn == nil {
 				return true
 			}
-			if snapCodecNames[fn.Name()] {
+			if fn.Name() == snapEncoder {
 				if named := recvNamed(fn); named != nil {
 					if key := typeKey(named); key != selfKey {
 						calls[key] = true
@@ -395,7 +357,7 @@ func snapReach(sums *Summaries, pkg *Package, root *ast.FuncDecl, selfKey string
 }
 
 // snapshotcheckFinish computes the registered-reachable snapshot graph
-// and reports every mutable field its codecs miss.
+// and reports every mutable field its encoders miss.
 func snapshotcheckFinish(f *FinishPass) {
 	typesByKey := make(map[string]snapTypeFact)
 	extMutable := make(map[extWrite]bool)
@@ -415,7 +377,7 @@ func snapshotcheckFinish(f *FinishPass) {
 	}
 
 	// The snapshot graph: registered components plus everything their
-	// codecs delegate to.
+	// encoders delegate to.
 	reachable := make(map[string]bool)
 	queue := append([]string(nil), roots...)
 	for len(queue) > 0 {
@@ -443,19 +405,12 @@ func snapshotcheckFinish(f *FinishPass) {
 				continue
 			}
 			mutable := field.Mutable || extMutable[extWrite{Type: key, Field: field.Name}]
-			if !mutable {
-				continue // set once at construction: the image needs no copy
+			if !mutable || field.Encoded {
+				continue // set once at construction, or in the image
 			}
-			switch {
-			case !field.Encoded:
-				f.Reportf(field.Pos,
-					"field %s.%s is mutable simulation state but %s's EncodeSnapshot never writes it: snapshots silently drop it and restore diverges; encode it or annotate the field with //xemem:nosnap -- <reason>",
-					fact.Display, field.Name, fact.Display)
-			case fact.FullDecoder && !field.Decoded:
-				f.Reportf(field.Pos,
-					"field %s.%s is encoded by EncodeSnapshot but %s's LoadSnapshot never reads it back: restore loses the value; decode it or annotate the field with //xemem:nosnap -- <reason>",
-					fact.Display, field.Name, fact.Display)
-			}
+			f.Reportf(field.Pos,
+				"field %s.%s is mutable simulation state but %s's EncodeSnapshot never writes it: snapshots silently drop it and the image no longer fingerprints it; encode it or annotate the field with //xemem:nosnap -- <reason>",
+				fact.Display, field.Name, fact.Display)
 		}
 	}
 }

@@ -1,5 +1,5 @@
 // Package comp exercises every snapshotcheck verdict: a dropped
-// mutable field, a field the decoder never reads back, a delegated
+// mutable field, an externally written unencoded field, a delegated
 // type's dropped field, a reasoned //xemem:nosnap exception, and the
 // silent cases — immutable fields, covered fields, and an encoder that
 // is never registered or delegated to.
@@ -9,12 +9,10 @@ import "fixture/internal/sim"
 
 // Counter is the registered component.
 type Counter struct {
-	// ticks is mutable, encoded, and decoded: silent.
+	// ticks is mutable and encoded: silent.
 	ticks uint64
 	// drops is mutable but the encoder never writes it: flagged.
 	drops uint64
-	// sent is encoded but LoadSnapshot never reads it back: flagged.
-	sent uint64
 	// cache is mutable and unencoded, with a reasoned exception.
 	cache uint64 //xemem:nosnap -- fixture: derived from ticks, recomputed on the next Tick
 	// Skew is written only by the driver package: the external-write
@@ -35,7 +33,6 @@ func NewCounter(label string) *Counter {
 // Tick mutates the counted state.
 func (c *Counter) Tick() {
 	c.ticks++
-	c.sent++
 	c.cache = c.ticks * 2
 }
 
@@ -46,22 +43,13 @@ func (c *Counter) Drop() { c.drops++ }
 // nested component is delegated.
 func (c *Counter) EncodeSnapshot(w *sim.Writer) {
 	w.U64(c.ticks)
-	w.U64(c.sent)
 	c.nested.EncodeSnapshot(w)
-}
-
-// LoadSnapshot restores ticks but skips over sent's slot without
-// reading it back.
-func (c *Counter) LoadSnapshot(r *sim.Reader) {
-	c.ticks = r.U64()
-	_ = r.U64()
-	c.nested.LoadSnapshot(r)
 }
 
 // Nested is never registered itself: it enters the snapshot graph
 // through Counter's delegation.
 type Nested struct {
-	// depth is covered by both codecs: silent.
+	// depth is encoded: silent.
 	depth uint64
 	// lost is mutable but never encoded: flagged.
 	lost uint64
@@ -76,12 +64,8 @@ func (n *Nested) Bump() {
 // EncodeSnapshot writes depth only.
 func (n *Nested) EncodeSnapshot(w *sim.Writer) { w.U64(n.depth) }
 
-// LoadSnapshot restores depth.
-func (n *Nested) LoadSnapshot(r *sim.Reader) { n.depth = r.U64() }
-
 // Gauge is registered through a closure wrapper; its one mutable field
-// is covered, so it stays silent. No LoadSnapshot: the read-back check
-// does not apply.
+// is covered, so it stays silent.
 type Gauge struct{ level uint64 }
 
 // Set mutates the gauge.

@@ -1,5 +1,5 @@
 // Package sim is a snapshotcheck fixture stub: just the snapshot
-// registration and byte-stream surface the analyzer keys on.
+// registration and encoder-stream surface the analyzer keys on.
 package sim
 
 // Writer is the stub snapshot encoder stream.
@@ -7,19 +7,6 @@ type Writer struct{ buf []byte }
 
 // U64 appends one value.
 func (w *Writer) U64(v uint64) { w.buf = append(w.buf, byte(v)) }
-
-// Reader is the stub snapshot decoder stream.
-type Reader struct {
-	buf []byte
-	off int
-}
-
-// U64 consumes one value.
-func (r *Reader) U64() uint64 {
-	v := uint64(r.buf[r.off])
-	r.off++
-	return v
-}
 
 // World registers snapshot components.
 type World struct{ comps []func(*Writer) }

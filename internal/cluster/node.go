@@ -174,7 +174,7 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 
 // connect wires the fabric channel between nodes i and j's management
 // enclaves. The queue-pair setup cost is charged by the setup actor, so
-// the links themselves carry no mutable state (snapshot-fork safety).
+// the links themselves carry no mutable state for snapshots to capture.
 func (cl *Cluster) connect(i, j int) {
 	a, b := cl.Nodes[i].X.LinuxModule(), cl.Nodes[j].X.LinuxModule()
 	ij := &rlink{name: fmt.Sprintf("ib:node%d->node%d", i, j), c: cl.Costs, fab: cl.Fab, src: i, dst: j, in: b.In}

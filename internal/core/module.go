@@ -224,9 +224,9 @@ type Module struct {
 	// replicas host NS instances without being the root.
 	nsRoot bool
 
-	links        []xproto.Link //xemem:nosnap -- topology wiring installed by AddLink at build time; restore recipes rebuild the links before overlaying state
-	kernel       *sim.Actor    //xemem:nosnap -- host-side actor handle recreated by the restore recipe's world build, not serializable state
-	workers      int           //xemem:nosnap -- build-time configuration (SetKernelWorkers), re-applied by the restore recipe
+	links        []xproto.Link //xemem:nosnap -- topology wiring installed by AddLink at build time
+	kernel       *sim.Actor    //xemem:nosnap -- host-side actor handle, not serializable state
+	workers      int           //xemem:nosnap -- build-time configuration (SetKernelWorkers)
 	ready        bool
 	stopped      bool
 	crashed      bool
@@ -252,7 +252,7 @@ type Module struct {
 	// nic, when non-nil, bridges this enclave to a multi-machine
 	// interconnect: attachments whose owner lives on another machine
 	// mirror the frames over the fabric instead of mapping them.
-	nic NIC //xemem:nosnap -- fabric wiring installed by SetNIC at build time; restore recipes rebuild the interconnect
+	nic NIC //xemem:nosnap -- fabric wiring installed by SetNIC at build time
 	// shards, when non-nil, switches name resolution to the sharded
 	// protocol: segids and names resolve at their home shard replicas and
 	// resolved owners are cached under virtual-time leases.

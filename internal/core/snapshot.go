@@ -1,25 +1,23 @@
 package core
 
 // Snapshot support for the XEMEM kernel module (DESIGN.md §12). The
-// module's section serializes every piece of protocol state a restored or
-// forked world must agree on, with all maps collected and sorted before
-// encoding so the bytes are a pure function of the simulated history.
+// module's section serializes every piece of protocol state two runs must
+// agree on to fingerprint the same, with all maps collected and sorted
+// before encoding so the bytes are a pure function of the simulated
+// history.
 //
 // Two things are deliberately not captured:
 //
 //   - host pointers (links, regions, processes, actors) — encoded by
 //     stable surrogate (enclave ID, region base VA, PID);
 //   - dead segment tombstones (Removed, no attachments, no permits) —
-//     they are unreachable by the protocol, and skipping them is what
-//     lets a warm fork that never created the segments byte-match a
-//     bootstrap run that created and fully retired them.
+//     they are unreachable by the protocol, so the section holds only
+//     state a future protocol step can observe.
 
 import (
-	"fmt"
 	"sort"
 
 	"xemem/internal/extent"
-	"xemem/internal/sim"
 	"xemem/internal/sim/snapshot"
 	"xemem/internal/xproto"
 )
@@ -50,9 +48,7 @@ func (m *Module) EncodeSnapshot(e *snapshot.Enc) {
 
 	// Sharded name-service state, appended only when sharding is enabled
 	// so flat-world sections stay byte-identical to every pinned digest
-	// and repro bundle. It sits in the overlay prefix (directly after the
-	// name server) so a warm fork can restore lease caches and shard
-	// counters without decoding the verify-only remainder of the section.
+	// and repro bundle.
 	if m.shards != nil {
 		e.U64(uint64(len(m.shards.Replicas)))
 		for _, reps := range m.shards.Replicas {
@@ -253,93 +249,6 @@ func encodeList(e *snapshot.Enc, l extent.List) {
 	}
 }
 
-// LoadSnapshotOverlay reads the module section's counter prefix — name,
-// identity, flags, request/apid cursors, stats, (when both sides host
-// it) the full name-server state, and (when both sides shard) the lease
-// cache and shard counters — and overlays it onto the module. It is the
-// warm-fork path: the rest of the section (segments, attachments,
-// caches) must already match by construction and is verified by byte
-// comparison, not reloaded. The decoder is left positioned after the
-// overlay prefix; callers discard it.
-func (m *Module) LoadSnapshotOverlay(d *snapshot.Dec) error {
-	corrupt := func(what string) error {
-		return fmt.Errorf("core: %s: %w", what, snapshot.ErrCorrupt)
-	}
-	if name := d.Str(); d.Err() == nil && name != m.name {
-		return corrupt("snapshot for module " + name + ", not " + m.name)
-	}
-	self := xproto.EnclaveID(d.U64())
-	ready, stopped, crashed := d.Bool(), d.Bool(), d.Bool()
-	nextReq := d.U64()
-	nextApid := xproto.Apid(d.U64())
-	poisoned := int(d.U64())
-	var stats Stats
-	decodeStats(d, &stats)
-	hasNS := d.Bool()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if self != m.R.Self() {
-		return corrupt(fmt.Sprintf("enclave identity %d, fork has %d", self, m.R.Self()))
-	}
-	if ready != m.ready || stopped != m.stopped || crashed != m.crashed {
-		return corrupt("module lifecycle state diverged from fork")
-	}
-	if hasNS != (m.NS != nil) {
-		return corrupt("name-server hosting mismatch")
-	}
-	m.nextReq = nextReq
-	m.nextApid = nextApid
-	m.poisoned = poisoned
-	m.Stats = stats
-	if hasNS {
-		if err := m.NS.LoadSnapshot(d); err != nil {
-			return err
-		}
-	}
-	// The shard tail is present exactly when the snapshotted module was
-	// sharded; the fork must have installed the same layout during its
-	// rebuild (cluster setup runs for real on the fork side) before the
-	// leases and counters can be overlaid onto it.
-	if m.shards != nil {
-		if n := int(d.U64()); d.Err() == nil && n != len(m.shards.Replicas) {
-			return corrupt(fmt.Sprintf("shard map has %d shards, fork installed %d", n, len(m.shards.Replicas)))
-		}
-		for k := range m.shards.Replicas {
-			if nr := int(d.U64()); d.Err() == nil && nr != len(m.shards.Replicas[k]) {
-				return corrupt(fmt.Sprintf("shard %d has %d replicas, fork installed %d", k, nr, len(m.shards.Replicas[k])))
-			}
-			for r, want := range m.shards.Replicas[k] {
-				if id := xproto.EnclaveID(d.U64()); d.Err() == nil && id != want {
-					return corrupt(fmt.Sprintf("shard %d replica %d hosted by enclave %d, fork placed %d", k, r, id, want))
-				}
-			}
-		}
-		if ttl := sim.Time(d.I64()); d.Err() == nil && ttl != m.shards.LeaseTTL {
-			return corrupt(fmt.Sprintf("lease TTL %v, fork configured %v", ttl, m.shards.LeaseTTL))
-		}
-		leases := make(map[xproto.Segid]lease)
-		for i, n := 0, int(d.U64()); i < n && d.Err() == nil; i++ {
-			s := xproto.Segid(d.U64())
-			leases[s] = lease{owner: xproto.EnclaveID(d.U64()), expiry: sim.Time(d.I64())}
-		}
-		var ss ShardStats
-		ss.LeaseHits = int(d.U64())
-		ss.LeaseMisses = int(d.U64())
-		ss.LeaseStale = int(d.U64())
-		ss.ShardLookups = int(d.U64())
-		ss.ShardFailovers = int(d.U64())
-		ss.SyncsSent = int(d.U64())
-		ss.SyncsApplied = int(d.U64())
-		if d.Err() != nil {
-			return d.Err()
-		}
-		m.leases = leases
-		m.ShardStats = ss
-	}
-	return nil
-}
-
 // encodeStats appends the Stats block in fixed field order.
 func (m *Module) encodeStats(e *snapshot.Enc) {
 	s := &m.Stats
@@ -359,24 +268,4 @@ func (m *Module) encodeStats(e *snapshot.Enc) {
 	e.U64(s.FrameCache.Hits)
 	e.U64(s.FrameCache.Misses)
 	e.U64(s.FrameCache.Invalidations)
-}
-
-// decodeStats reads the Stats block encoded by encodeStats.
-func decodeStats(d *snapshot.Dec, s *Stats) {
-	s.MsgsSent = int(d.U64())
-	s.MsgsReceived = int(d.U64())
-	s.MsgsForwarded = int(d.U64())
-	s.BytesSent = int(d.U64())
-	s.AttachesServed = int(d.U64())
-	s.PagesServed = d.U64()
-	s.AttachesMade = int(d.U64())
-	s.DecodeErrors = int(d.U64())
-	s.DroppedMessages = int(d.U64())
-	s.Timeouts = int(d.U64())
-	s.Retries = int(d.U64())
-	s.NSRetries = int(d.U64())
-	s.NSOutageDrops = int(d.U64())
-	s.FrameCache.Hits = d.U64()
-	s.FrameCache.Misses = d.U64()
-	s.FrameCache.Invalidations = d.U64()
 }

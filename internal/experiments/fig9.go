@@ -6,10 +6,8 @@ import (
 
 	"xemem"
 	"xemem/internal/cluster"
-	"xemem/internal/core"
 	"xemem/internal/experiments/sweep"
 	"xemem/internal/insitu"
-	"xemem/internal/linuxos"
 	"xemem/internal/proc"
 	"xemem/internal/sim"
 )
@@ -93,43 +91,23 @@ func Fig9Run(seed uint64, nodes int, multiEnclave, recurring bool) (sim.Time, er
 	return fig9Run(nil, seed, nodes, multiEnclave, recurring)
 }
 
-// fig9Node is one node's built substrate for the composed workload: the
-// component placements, cost models, and data region the insitu phases
-// run on, plus the handles the snapshot fork path overlays state onto.
-type fig9Node struct {
-	node      *xemem.Node
-	simSide   insitu.Side
-	simModel  insitu.ComputeModel
-	simRegion *proc.Region
-	anSide    insitu.Side
-	anModel   insitu.AnalyticsModel
-	// oses and mods hold every OS instance and enclave module of this
-	// node in construction order — the order their snapshot sections were
-	// registered in.
-	oses []*linuxos.Linux
-	mods []*core.Module
-}
-
-// fig9BuildNode constructs node i of a Figure 9 world: the Linux
+// fig9BuildNode constructs node i of a Figure 9 world — the Linux
 // management enclave with the analytics process and, in the
 // multi-enclave configuration, the Kitten co-kernel hosting the
-// simulation's Palacios VM. Both fig9Run and the snapshot-forked bench
-// build through here, so a forked world reconstructs exactly the
-// substrate the snapshotted one had.
-func fig9BuildNode(w *sim.World, costs *sim.Costs, i int, seed uint64, multiEnclave bool) (*fig9Node, error) {
+// simulation's Palacios VM — and wires its composed pair with the
+// standard Figure 9 geometry. The returned function yields the pair's
+// result after the world has run.
+func fig9BuildNode(w *sim.World, costs *sim.Costs, i int, seed uint64, multiEnclave, recurring bool, bar insitu.Barrier) (func() *insitu.Result, error) {
 	node := xemem.NewNodeInWorld(w, costs, xemem.NodeConfig{
 		Name: fmt.Sprintf("node%d", i), Seed: seed, MemBytes: 32 << 30, LinuxCores: 8,
 	})
 	regionBytes := uint64(fig9DataBytes) + 64<<10
-	n := &fig9Node{
-		node: node,
-		oses: []*linuxos.Linux{node.Linux()},
-		mods: []*core.Module{node.LinuxModule()},
-	}
 	ap := node.Linux().NewProcess("analytics", 2)
-	n.anSide = insitu.Side{Mod: node.LinuxModule(), Proc: ap, Core: node.Linux().Cores()[2]}
-	n.anModel = nativeAnalytics(costs)
+	anSide := insitu.Side{Mod: node.LinuxModule(), Proc: ap, Core: node.Linux().Cores()[2]}
 
+	var simSide insitu.Side
+	var simModel insitu.ComputeModel
+	var region *proc.Region
 	if multiEnclave {
 		ckHost, err := node.BootCoKernel("kitten-host", 6<<30)
 		if err != nil {
@@ -140,44 +118,29 @@ func fig9BuildNode(w *sim.World, costs *sim.Costs, i int, seed uint64, multiEncl
 			return nil, err
 		}
 		sp := vm.Guest.NewProcess("sim", 0)
-		region, err := vm.Guest.AllocContiguous(sp, "sim-data", regionBytes/4096, true)
-		if err != nil {
+		if region, err = vm.Guest.AllocContiguous(sp, "sim-data", regionBytes/4096, true); err != nil {
 			return nil, err
 		}
-		n.simSide = insitu.Side{Mod: vm.Module, Proc: sp, Core: vm.Guest.Cores()[0]}
-		n.simModel = vmOnKittenSim(fig9IterKitten)
-		n.simRegion = region
-		n.mods = append(n.mods, ckHost.Module)
-		n.oses = append(n.oses, vm.Guest)
-		n.mods = append(n.mods, vm.Module)
+		simSide = insitu.Side{Mod: vm.Module, Proc: sp, Core: vm.Guest.Cores()[0]}
+		simModel = vmOnKittenSim(fig9IterKitten)
 	} else {
 		sp := node.Linux().NewProcess("sim", 1)
-		region, err := node.Linux().AllocContiguous(sp, "sim-data", regionBytes/4096, true)
-		if err != nil {
+		var err error
+		if region, err = node.Linux().AllocContiguous(sp, "sim-data", regionBytes/4096, true); err != nil {
 			return nil, err
 		}
-		n.simSide = insitu.Side{Mod: node.LinuxModule(), Proc: sp, Core: node.Linux().Cores()[1]}
-		n.simModel = linuxSimPinned(fig9IterLinux)
-		n.simRegion = region
+		simSide = insitu.Side{Mod: node.LinuxModule(), Proc: sp, Core: node.Linux().Cores()[1]}
+		simModel = linuxSimPinned(fig9IterLinux)
 	}
-	return n, nil
-}
-
-// fig9Insitu wires the composed pair of node i with the standard Figure
-// 9 geometry; phase selects the iteration span (full runs use
-// {0, fig9Iters, false}).
-func fig9Insitu(w *sim.World, n *fig9Node, i int, multiEnclave, recurring bool, bar insitu.Barrier, iters int, startAt sim.Time, cleanExit bool) (func() *insitu.Result, error) {
 	cfg := insitu.Config{
 		Sync: false, Recurring: recurring,
-		Iters: iters, SignalEvery: fig9SignalEvery,
+		Iters: fig9Iters, SignalEvery: fig9SignalEvery,
 		DataBytes: fig9DataBytes,
 		CtrlName:  fmt.Sprintf("fig9-ctrl-%d", i),
 		SameOS:    !multiEnclave,
 		Barrier:   bar,
-		StartAt:   startAt,
-		CleanExit: cleanExit,
 	}
-	return insitu.Run(w, cfg, n.simSide, n.simModel, n.anSide, n.anModel, n.simRegion)
+	return insitu.Run(w, cfg, simSide, simModel, anSide, nativeAnalytics(costs), region)
 }
 
 // fig9Run executes one weak-scaled run: `nodes` simulated machines in one
@@ -192,11 +155,7 @@ func fig9Run(obs observeFn, seed uint64, nodes int, multiEnclave, recurring bool
 	results := make([]func() *insitu.Result, nodes)
 
 	for i := 0; i < nodes; i++ {
-		n, err := fig9BuildNode(w, costs, i, seed, multiEnclave)
-		if err != nil {
-			return 0, err
-		}
-		get, err := fig9Insitu(w, n, i, multiEnclave, recurring, bar, fig9Iters, 0, false)
+		get, err := fig9BuildNode(w, costs, i, seed, multiEnclave, recurring, bar)
 		if err != nil {
 			return 0, err
 		}

@@ -5,10 +5,9 @@ package experiments
 // checkpoint and capturing a snapshot image must be invisible — the
 // run-to-end digest equals the uninterrupted run's — at cuts 0%, 50%,
 // and 90% of the run's virtual time. The captured image must survive
-// the wire format bit-exactly (Snapshot→Restore), and replaying the
-// recipe to the same cut must regenerate the image byte-for-byte: that
-// replay IS the restore path (checkpoint.go), so byte-equality here is
-// the restore-correctness property.
+// the wire format bit-exactly (Encode→Read), and replaying the recipe
+// to the same cut must regenerate the image byte-for-byte: that is the
+// property repro bundles rely on when they re-derive an image hash.
 
 import (
 	"bytes"
@@ -101,9 +100,9 @@ func TestSnapshotRoundtrip(t *testing.T) {
 						t.Fatal("checkpoint never fired")
 					}
 
-					// Wire format: Snapshot→Restore is bit-exact and
+					// Wire format: Encode→Read is bit-exact and
 					// integrity-checked.
-					img, err := sim.Restore(bytes.NewReader(enc))
+					img, err := snapshot.Read(bytes.NewReader(enc))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -111,11 +110,11 @@ func TestSnapshotRoundtrip(t *testing.T) {
 						t.Errorf("image cut %d, want %d", img.CutNs, int64(cut))
 					}
 					if !bytes.Equal(img.Encode(), enc) {
-						t.Error("restored image re-encodes differently")
+						t.Error("decoded image re-encodes differently")
 					}
 
-					// Restore-by-replay: rebuilding the recipe and running
-					// to the same cut must regenerate the serialized state
+					// Replay: rebuilding the recipe and running to the
+					// same cut must regenerate the serialized state
 					// byte-for-byte, and still finish with the base digest.
 					replayed := false
 					d2 := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(img2 *snapshot.Image) {

@@ -85,48 +85,6 @@ func Run[T any](cells []Cell[T], workers int) ([]T, error) {
 	return results, firstError(cells, errs)
 }
 
-// SnapCell is one continuation cell of a snapshot-forked sweep: Run
-// receives the shared bootstrap artifact instead of rebuilding it.
-type SnapCell[S, T any] struct {
-	Label string
-	Run   func(S) (T, error)
-}
-
-// FromSnapshot adapts cells that continue from a shared bootstrap
-// artifact — typically a decoded world snapshot whose cells fork fresh
-// worlds from one expensive common prefix — into ordinary sweep cells
-// for Run. prep executes at most once, lazily, on whichever worker
-// reaches a cell first; every other cell blocks on the same sync.Once
-// and receives the identical artifact. Cells must treat the artifact as
-// read-only: it is shared across workers without further
-// synchronization. When prep fails, every cell reports its error and no
-// cell body runs.
-func FromSnapshot[S, T any](prep func() (S, error), cells []SnapCell[S, T]) []Cell[T] {
-	var once sync.Once
-	var art S
-	var prepErr error
-	shared := func() (S, error) {
-		once.Do(func() { art, prepErr = prep() })
-		return art, prepErr
-	}
-	out := make([]Cell[T], len(cells))
-	for i, c := range cells {
-		c := c
-		out[i] = Cell[T]{
-			Label: c.Label,
-			Run: func() (T, error) {
-				s, err := shared()
-				if err != nil {
-					var zero T
-					return zero, fmt.Errorf("snapshot prep: %w", err)
-				}
-				return c.Run(s)
-			},
-		}
-	}
-	return out
-}
-
 // firstError reports the lowest-indexed cell failure, or nil.
 func firstError[T any](cells []Cell[T], errs []error) error {
 	for i, err := range errs {

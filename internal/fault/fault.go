@@ -74,7 +74,7 @@ type Injector struct {
 	plan  Plan
 	rng   *sim.RNG
 	stats Stats
-	mods  []*core.Module //xemem:nosnap -- module registry wired by Register at world build; restore recipes rebuild the same topology
+	mods  []*core.Module //xemem:nosnap -- module registry wired by Register at world build; topology, not run state
 }
 
 // New creates an injector for plan and installs it on w. The injector

@@ -136,17 +136,6 @@ type Config struct {
 	SameOS bool
 	// Barrier, when non-nil, is joined after every iteration (§7).
 	Barrier Barrier
-	// StartAt delays both components' first action to this virtual time.
-	// Phased runs use it to start a suffix workload where a snapshotted
-	// prefix left off.
-	StartAt sim.Time
-	// CleanExit makes the components retire every XEMEM object they
-	// created before finishing: the analytics detaches and releases the
-	// control attachment, then the simulation removes the data and
-	// control segments and zeroes the control words. A world quiesced
-	// after a CleanExit run carries no live segments, which is what lets
-	// a snapshot of it fork into fresh suffix phases.
-	CleanExit bool
 }
 
 // Result is the outcome of one composed run.
@@ -184,9 +173,6 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 	// shared Go-side flag for contention modelling: true while the
 	// analytics is actively processing on the same OS.
 	analyticsActive := false
-	// analyticsDone flags the CleanExit handshake: the analytics has
-	// released everything and the simulation may retire the segments.
-	analyticsDone := false
 
 	// The paper's components poll shared variables (§6.1). Simulating
 	// every poll of a multi-second wait is pure scheduler overhead, so
@@ -204,15 +190,8 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 			a.Block(reason)
 		}
 	}
-	spawn := func(name string, fn func(*sim.Actor)) {
-		if cfg.StartAt > 0 {
-			w.SpawnAt(name, cfg.StartAt, fn)
-		} else {
-			w.Spawn(name, fn)
-		}
-	}
 
-	spawn(simSide.Mod.Name()+"/sim", func(a *sim.Actor) {
+	w.Spawn(simSide.Mod.Name()+"/sim", func(a *sim.Actor) {
 		simActor = a
 		rng := a.RNG()
 		runFactor := 1.0
@@ -221,18 +200,13 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 		}
 		mod, p := simSide.Mod, simSide.Proc
 
-		ctrlSeg, err := mod.Make(a, p, ctrlVA, ctrlPages*pageSize, xproto.PermRead|xproto.PermWrite, cfg.CtrlName)
-		if err != nil {
+		if _, err := mod.Make(a, p, ctrlVA, ctrlPages*pageSize, xproto.PermRead|xproto.PermWrite, cfg.CtrlName); err != nil {
 			panic("insitu sim: " + err.Error())
 		}
-		var dataSegs []xproto.Segid
 		makeData := func() xproto.Segid {
 			s, err := mod.Make(a, p, dataVA, cfg.DataBytes, xproto.PermRead|xproto.PermWrite, "")
 			if err != nil {
 				panic("insitu sim: " + err.Error())
-			}
-			if cfg.CleanExit {
-				dataSegs = append(dataSegs, s)
 			}
 			return s
 		}
@@ -277,36 +251,9 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 		res.Points = point
 		writeCtrl(ctrlCmd, exitCmd)
 		wake(a, anActor)
-		if cfg.CleanExit {
-			waitUntil(a, "sim:drain", func() bool { return analyticsDone })
-			for _, s := range dataSegs {
-				if err := mod.Remove(a, p, s); err != nil {
-					panic("insitu sim: " + err.Error())
-				}
-			}
-			if err := mod.Remove(a, p, ctrlSeg); err != nil {
-				panic("insitu sim: " + err.Error())
-			}
-			// Drain the protocol: a non-NS-hosting module's removals reach
-			// the name server by notification, and those messages may still
-			// be in flight when this actor finishes. A lookup rides the
-			// same FIFO channel, so once the control name stops resolving
-			// every prior removal has been processed — the quiesced world
-			// carries no in-flight protocol state for a later phase (or a
-			// snapshot fork) to trip over.
-			a.Poll(pollInterval, func() bool {
-				_, err := mod.Lookup(a, cfg.CtrlName)
-				return err != nil
-			})
-			// Scrub the control words: a later phase reusing this region
-			// must not read this run's exit command or stale ack.
-			writeCtrl(ctrlCmd, 0)
-			writeCtrl(ctrlSegid, 0)
-			writeCtrl(ctrlAck, 0)
-		}
 	})
 
-	spawn(anSide.Mod.Name()+"/analytics", func(a *sim.Actor) {
+	w.Spawn(anSide.Mod.Name()+"/analytics", func(a *sim.Actor) {
 		anActor = a
 		mod, p := anSide.Mod, anSide.Proc
 		faultCost := anModel.FaultPerPage
@@ -417,16 +364,6 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 			next = cmd + 1
 		}
 		detach()
-		if cfg.CleanExit {
-			if err := mod.Detach(a, p, ctrl); err != nil {
-				panic("insitu analytics: " + err.Error())
-			}
-			if err := mod.Release(a, p, ctrlSeg, ctrlApid); err != nil {
-				panic("insitu analytics: " + err.Error())
-			}
-			analyticsDone = true
-			wake(a, simActor)
-		}
 		res.AnalyticsTime = a.Now()
 	})
 

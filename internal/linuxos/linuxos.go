@@ -48,7 +48,7 @@ type Linux struct {
 	cores   []*sim.Core
 	zone    *mem.Zone
 	dom     proc.Domain
-	virt    VirtHooks //xemem:nosnap -- nil when native; virtualization wiring installed by SetVirtHooks at build time, rebuilt by the restore recipe
+	virt    VirtHooks //xemem:nosnap -- nil when native; virtualization wiring installed by SetVirtHooks at build time
 	nextPID int
 
 	procCore map[*proc.Process]*sim.Core
@@ -110,9 +110,8 @@ func (l *Linux) NewProcess(name string, coreIdx int) *proc.Process {
 
 // EncodeSnapshot appends the kernel instance's state to e: every process
 // in creation order with its PID and address space, then every core's
-// scheduling state and statistics in index order. Processes come first so
-// LoadSnapshotOverlay can reach the address-space cursors and stop; the
-// zone is owned by the node's PhysMem (or the VMM) and is captured there.
+// scheduling state and statistics in index order. The zone is owned by
+// the node's PhysMem (or the VMM) and is captured there.
 func (l *Linux) EncodeSnapshot(e *snapshot.Enc) {
 	e.Str(l.name)
 	e.U64(uint64(l.nextPID))
@@ -126,45 +125,6 @@ func (l *Linux) EncodeSnapshot(e *snapshot.Enc) {
 	for _, c := range l.cores {
 		c.EncodeSnapshot(e)
 	}
-}
-
-// LoadSnapshotOverlay overlays the warm-fork state from a section encoded
-// by EncodeSnapshot: per process, the address-space placement cursor (so
-// post-fork automatic placements hand out the addresses the snapshotted
-// world would have). Identity fields are verified, not overwritten — a
-// mismatch yields snapshot.ErrCorrupt. Core scheduling statistics trail
-// the processes and are accumulated observability, not behavior; the
-// overlay stops before them.
-func (l *Linux) LoadSnapshotOverlay(d *snapshot.Dec) error {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("linuxos: "+format+": %w", append(args, snapshot.ErrCorrupt)...)
-	}
-	if name := d.Str(); d.Err() == nil && name != l.name {
-		return corrupt("snapshot for %q, instance is %q", name, l.name)
-	}
-	nextPID := int(d.U64())
-	nprocs := d.U64()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nprocs != uint64(len(l.procs)) {
-		return corrupt("snapshot has %d processes, instance has %d", nprocs, len(l.procs))
-	}
-	for _, p := range l.procs {
-		pid := int(d.U64())
-		name := d.Str()
-		if d.Err() == nil && (pid != p.PID || name != p.Name) {
-			return corrupt("snapshot process %d %q, instance has %d %q", pid, name, p.PID, p.Name)
-		}
-		if err := p.AS.LoadSnapshotOverlay(d); err != nil {
-			return err
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	l.nextPID = nextPID
-	return nil
 }
 
 // CoreOf reports the core a process's syscall work executes on.

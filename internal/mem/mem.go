@@ -36,7 +36,7 @@ type PhysMem struct {
 	// arrays instead of a make per frame. Only NEW frames draw from it —
 	// a freed-and-reallocated frame keeps its old array (and stale
 	// contents), exactly as before.
-	slab []byte //xemem:nosnap -- host-side allocator free pool; frame contents are snapshotted per-frame and a restored world carves fresh slabs on demand
+	slab []byte //xemem:nosnap -- host-side allocator free pool; frame contents are snapshotted per-frame
 	// pins counts pin references per extent. Pin/Unpin operate on whole
 	// frame lists and must be symmetric (unpin what was pinned); keeping
 	// intervals instead of per-page counts makes pinning a 1 GB region
@@ -241,7 +241,7 @@ func (m *PhysMem) pinnedOverlap(e extent.Extent) bool {
 // state, every materialized frame's contents (collected and sorted by PFN
 // — the frames map's iteration order is host-dependent), and the pin
 // table sorted by extent. The slab bump allocator is host bookkeeping and
-// is not captured; a restored memory materializes into fresh slabs.
+// is not captured.
 func (m *PhysMem) EncodeSnapshot(e *snapshot.Enc) {
 	e.Str(m.name)
 	e.U64(uint64(len(m.zones)))
@@ -282,76 +282,6 @@ func (m *PhysMem) EncodeSnapshot(e *snapshot.Enc) {
 		e.U64(p.Count)
 		e.U64(uint64(m.pins[p]))
 	}
-}
-
-// LoadSnapshot overwrites the memory's state from a section encoded by
-// EncodeSnapshot. The receiver must have been constructed with the same
-// geometry (name, zone count, zone bounds) — the recipe guarantees that;
-// a mismatch or malformed section yields snapshot.ErrCorrupt without
-// assuming anything about the remaining bytes.
-func (m *PhysMem) LoadSnapshot(d *snapshot.Dec) error {
-	corrupt := func(what string) error {
-		return fmt.Errorf("mem: %s: %w", what, snapshot.ErrCorrupt)
-	}
-	if name := d.Str(); d.Err() == nil && name != m.name {
-		return corrupt("snapshot for memory " + name + ", not " + m.name)
-	}
-	if n := d.U64(); d.Err() == nil && n != uint64(len(m.zones)) {
-		return corrupt("zone count mismatch")
-	}
-	for _, z := range m.zones {
-		start, limit := PFN(d.U64()), PFN(d.U64())
-		if d.Err() == nil && (start != z.start || limit != z.limit) {
-			return corrupt("zone geometry mismatch")
-		}
-		freePages := d.U64()
-		rotor := int(d.U64())
-		nfree := d.U64()
-		free := make([]extent.Extent, 0, min64(nfree, 1024))
-		for i := uint64(0); i < nfree && d.Err() == nil; i++ {
-			free = append(free, extent.Extent{First: PFN(d.U64()), Count: d.U64()})
-		}
-		if d.Err() != nil {
-			return d.Err()
-		}
-		z.free, z.freePages, z.rotor = free, freePages, rotor
-	}
-	nframes := d.U64()
-	// Drop current contents: frames not present in the image were never
-	// materialized at the cut.
-	m.frames = make(map[PFN][]byte, min64(nframes, framesHint))
-	for i := uint64(0); i < nframes && d.Err() == nil; i++ {
-		f := PFN(d.U64())
-		b := d.Blob()
-		if d.Err() != nil {
-			break
-		}
-		if !m.valid(f) {
-			return corrupt(fmt.Sprintf("frame %#x outside every zone", uint64(f)))
-		}
-		if len(b) != PageSize {
-			return corrupt(fmt.Sprintf("frame %#x has %d bytes", uint64(f), len(b)))
-		}
-		copy(m.Frame(f), b)
-	}
-	npins := d.U64()
-	pins := make(map[extent.Extent]int, min64(npins, 1024))
-	for i := uint64(0); i < npins && d.Err() == nil; i++ {
-		p := extent.Extent{First: PFN(d.U64()), Count: d.U64()}
-		pins[p] = int(d.U64())
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	m.pins = pins
-	return nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // ZoneFromExtent creates an allocator over an arbitrary extent of this

@@ -26,13 +26,13 @@ type NS struct {
 	// the shard count for a shard replica (ConfigureShard), so every shard
 	// allocates within its own residue class and a segid's home shard is
 	// computable locally (ShardOf) without a directory.
-	allocStep xproto.Segid //xemem:nosnap -- deployment config (ConfigureShard stride), re-applied by the restore recipe's world build
+	allocStep xproto.Segid //xemem:nosnap -- deployment config (ConfigureShard stride), fixed by the world build, not run state
 	owners    map[xproto.Segid]xproto.EnclaveID
 	names     map[string]xproto.Segid
 	// nameOf is the reverse index of names, so retiring a segid drops its
 	// bindings without scanning the whole registry. A segid can carry
 	// several names (publish is idempotent per name, first-come).
-	nameOf map[xproto.Segid][]string //xemem:nosnap -- derived reverse index; LoadSnapshot rebuilds it from the encoded names map
+	nameOf map[xproto.Segid][]string //xemem:nosnap -- derived reverse index of the encoded names map; encoding it would add no information
 	// down records crashed enclaves. Their segid registrations are kept —
 	// a lookup of a dead owner's segment must report "enclave down", not
 	// "no such segment" — but requests toward them are answered with
@@ -65,8 +65,7 @@ func New() *NS {
 // ConfigureShard turns this instance into shard k of n: segid allocation
 // starts at 0x1000·n+k and strides by n, so every segid this shard hands
 // out satisfies ShardOf(segid, n) == k. Call it once, before the first
-// allocation; a warm-fork overlay re-applies it before LoadSnapshot
-// restores the cursor (the stride is configuration, not snapshot state).
+// allocation (the stride is configuration, not snapshot state).
 func (ns *NS) ConfigureShard(k, n int) {
 	if n <= 0 || k < 0 || k >= n {
 		panic(fmt.Sprintf("nameserver: shard %d of %d", k, n))
@@ -278,54 +277,4 @@ func (ns *NS) EncodeSnapshot(e *snapshot.Enc) {
 	for _, id := range downs {
 		e.U64(uint64(id))
 	}
-}
-
-// LoadSnapshot replaces the name server's state from a section encoded by
-// EncodeSnapshot (warm-fork overlay). The nameOf index is rebuilt from
-// the decoded name registry.
-func (ns *NS) LoadSnapshot(d *snapshot.Dec) error {
-	nextEnclave := xproto.EnclaveID(d.U64())
-	nextSegid := xproto.Segid(d.U64())
-	enclaveAllocs := int(d.U64())
-	segidAllocs := int(d.U64())
-	lookups := int(d.U64())
-	forwards := int(d.U64())
-	downed := int(d.U64())
-	nowners := d.U64()
-	owners := make(map[xproto.Segid]xproto.EnclaveID, min64(nowners, 1024))
-	for i := uint64(0); i < nowners && d.Err() == nil; i++ {
-		owners[xproto.Segid(d.U64())] = xproto.EnclaveID(d.U64())
-	}
-	nnames := d.U64()
-	names := make(map[string]xproto.Segid, min64(nnames, 1024))
-	nameOf := make(map[xproto.Segid][]string, min64(nnames, 1024))
-	for i := uint64(0); i < nnames && d.Err() == nil; i++ {
-		n := d.Str()
-		s := xproto.Segid(d.U64())
-		names[n] = s
-		nameOf[s] = append(nameOf[s], n)
-	}
-	ndown := d.U64()
-	var down map[xproto.EnclaveID]bool
-	if ndown > 0 {
-		down = make(map[xproto.EnclaveID]bool, min64(ndown, 1024))
-	}
-	for i := uint64(0); i < ndown && d.Err() == nil; i++ {
-		down[xproto.EnclaveID(d.U64())] = true
-	}
-	if d.Err() != nil {
-		return d.Err()
-	}
-	ns.nextEnclave, ns.nextSegid = nextEnclave, nextSegid
-	ns.EnclaveAllocs, ns.SegidAllocs = enclaveAllocs, segidAllocs
-	ns.Lookups, ns.Forwards, ns.EnclavesDowned = lookups, forwards, downed
-	ns.owners, ns.names, ns.nameOf, ns.down = owners, names, nameOf, down
-	return nil
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }

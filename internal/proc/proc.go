@@ -101,14 +101,6 @@ func (as *AddressSpace) Regions() []*Region {
 	return out
 }
 
-// MmapCur reports the automatic-placement cursor (snapshot capture).
-func (as *AddressSpace) MmapCur() pagetable.VA { return as.mmapCur }
-
-// SetMmapCur overwrites the automatic-placement cursor (snapshot overlay
-// only: a forked world aligns its cursor with the snapshotted one so
-// post-fork ReserveVA calls hand out the same addresses).
-func (as *AddressSpace) SetMmapCur(va pagetable.VA) { as.mmapCur = va }
-
 // EncodeSnapshot appends the address space's state to e: the placement
 // cursor, then every region in base order (the slice is already sorted)
 // with its backing extents, and per region the page-table translations as
@@ -156,55 +148,6 @@ func (as *AddressSpace) EncodeSnapshot(e *snapshot.Enc) {
 		}
 		e.Bool(false)
 	}
-}
-
-// LoadSnapshotOverlay consumes one address-space encoding produced by
-// EncodeSnapshot and overlays the warm-fork state: the placement cursor.
-// Everything else — regions, backing, translations — is reachable by
-// re-running the world's build recipe, so it is verified (names, bases,
-// counts) rather than overwritten; a structural mismatch means the
-// decoder is reading a different process's state and yields
-// snapshot.ErrCorrupt.
-func (as *AddressSpace) LoadSnapshotOverlay(d *snapshot.Dec) error {
-	corrupt := func(format string, args ...any) error {
-		return fmt.Errorf("proc: "+format+": %w", append(args, snapshot.ErrCorrupt)...)
-	}
-	mmapCur := pagetable.VA(d.U64())
-	nregions := d.U64()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if nregions != uint64(len(as.regions)) {
-		return corrupt("snapshot has %d regions, address space has %d", nregions, len(as.regions))
-	}
-	for _, r := range as.regions {
-		name := d.Str()
-		base := pagetable.VA(d.U64())
-		d.U64()  // flags
-		d.Bool() // lazy
-		d.U64()  // populated
-		if d.Err() == nil && (name != r.Name || base != r.Base) {
-			return corrupt("snapshot region %q@%#x, address space has %q@%#x",
-				name, uint64(base), r.Name, uint64(r.Base))
-		}
-		next := d.U64()
-		for i := uint64(0); i < next && d.Err() == nil; i++ {
-			d.U64() // extent first
-			d.U64() // extent count
-		}
-		// Mapped runs: Bool-terminated (va, frame, count, flags) records.
-		for d.Err() == nil && d.Bool() {
-			d.U64()
-			d.U64()
-			d.U64()
-			d.U64()
-		}
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	as.mmapCur = mmapCur
-	return nil
 }
 
 // ReserveVA allocates npages of unused virtual address space from the

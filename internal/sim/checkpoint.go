@@ -1,57 +1,26 @@
 package sim
 
-// This file is the engine half of world checkpoint/restore (DESIGN.md
-// §12). A snapshot is taken at a quiesce point — an instant when no
-// actor goroutine is mid-dispatch — and serializes the engine's own
-// state (actors, RNG cursors, the observer's watermark) plus
-// one section per registered component saver, into the versioned image
-// format of internal/sim/snapshot.
+// This file is the engine half of world snapshots (DESIGN.md §12). A
+// snapshot is taken at a quiesce point — an instant when no actor
+// goroutine is mid-dispatch — and serializes the engine's own state
+// (actors, RNG cursors, the observer's watermark) plus one section per
+// registered component saver, into the versioned image format of
+// internal/sim/snapshot.
 //
-// Restore is recipe-driven rather than pointer-surgical: an image names
-// the builder ("recipe") and seed that can reconstruct the world from
-// scratch, and the restoring side re-runs that builder, then either
-// replays deterministically to the cut (verifying the re-encoded state
-// byte-matches the image) or overlays the few divergent fields for a
-// warm fork. Actor goroutine stacks therefore never need to be
-// serialized — determinism is the serialization format.
+// Snapshots are encode-only: they fingerprint a world at a cut (repro
+// bundles hash the image), and nothing decodes one back into a world.
+// A run is reproduced by rebuilding it from its recipe and seed and
+// running to the same cut, which regenerates the image byte-for-byte —
+// determinism is the serialization format, so actor goroutine stacks
+// never need to be serialized.
 
-import (
-	"fmt"
-	"io"
-
-	"xemem/internal/sim/snapshot"
-)
+import "xemem/internal/sim/snapshot"
 
 // snapComponent is one registered snapshot section saver.
 type snapComponent struct {
 	name string
 	save func(*snapshot.Enc)
 }
-
-// SetRecipe records the name and opaque parameter blob (conventionally
-// JSON) of the builder that can reconstruct this world from scratch.
-// Snapshot images embed the pair so a replay can rebuild the world
-// without out-of-band knowledge.
-func (w *World) SetRecipe(name string, params []byte) {
-	w.recipe = name
-	w.recipeParams = params
-}
-
-// Recipe reports the recipe name and parameter blob set by SetRecipe.
-func (w *World) Recipe() (string, []byte) { return w.recipe, w.recipeParams }
-
-// Seed reports the world's RNG seed.
-func (w *World) Seed() uint64 { return w.seed }
-
-// RNGCursor reports the creation-order RNG counter behind NewRNG.
-// Snapshots record it; a forked world overlays it so streams created
-// after the fork match the streams the snapshotted world would have
-// created.
-func (w *World) RNGCursor() uint64 { return w.nextRNG }
-
-// SetRNGCursor overwrites the creation-order RNG counter (snapshot
-// overlay only).
-func (w *World) SetRNGCursor(v uint64) { w.nextRNG = v }
 
 // AddSnapshotComponent registers a named snapshot section saver. Savers
 // run in registration order when SnapshotImage is called; builders
@@ -66,7 +35,7 @@ func (w *World) AddSnapshotComponent(name string, save func(*snapshot.Enc)) {
 // dispatch would reach t — every dispatch strictly below t has executed
 // and been observed, none at or past t has. A cut beyond the end of the
 // run fires once at termination, after teardown. fn typically captures
-// SnapshotImage (and, on restore runs, re-encodes and verifies).
+// SnapshotImage.
 func (w *World) SetCheckpoint(t Time, fn func()) {
 	if w.running {
 		panic("sim: SetCheckpoint while running")
@@ -84,10 +53,10 @@ func (w *World) fireCheckpoint() {
 }
 
 // SnapshotWatermarker is implemented by observers that can export their
-// accumulated state as an opaque watermark and later be rewound to it
-// (trace.Tracer). When the world's observer implements it, SnapshotImage
-// captures an "obs/watermark" section, which is what lets a forked run
-// continue a golden digest exactly where the snapshot left off.
+// accumulated state as an opaque watermark (trace.Tracer). When the
+// world's observer implements it, SnapshotImage captures an
+// "obs/watermark" section, so the image hash also fingerprints the trace
+// digest accumulated up to the cut.
 type SnapshotWatermarker interface {
 	SnapshotWatermark() []byte
 }
@@ -105,12 +74,12 @@ func (w *World) SnapshotImage() *snapshot.Image {
 	if cut == 0 {
 		cut = w.now
 	}
+	// Recipe and Params are left empty: a repro bundle carries its recipe
+	// beside the image hash, and empty fields keep every pinned hash.
 	img := &snapshot.Image{
-		Recipe: w.recipe,
-		Params: w.recipeParams,
-		Seed:   w.seed,
-		CutNs:  int64(cut),
-		Kind:   "serial", // the engine kind field of the image format
+		Seed:  w.seed,
+		CutNs: int64(cut),
+		Kind:  "serial", // the engine kind field of the image format
 	}
 	img.Sections = append(img.Sections,
 		snapshot.Section{Name: "sim/world", Data: w.encodeWorld()},
@@ -129,51 +98,6 @@ func (w *World) SnapshotImage() *snapshot.Image {
 	return img
 }
 
-// Snapshot writes the world's snapshot image to wr (see SnapshotImage).
-func (w *World) Snapshot(wr io.Writer) error {
-	_, err := w.SnapshotImage().WriteTo(wr)
-	return err
-}
-
-// LoadWorldOverlay overlays the engine-global scalars from an image's
-// "sim/world" section onto a rebuilt world (the warm-fork path): it
-// verifies the seed and the actor count — the fork must have spawned one
-// stand-in per snapshotted actor, or post-fork actor ids (and with them
-// every dispatch-ordering tie-break and trace event) would shift — and
-// overlays the RNG-creation cursor so streams created after the fork
-// match the streams the snapshotted world would have created. The clock
-// is not overlaid: it catches up at the first post-fork dispatch.
-func (w *World) LoadWorldOverlay(data []byte) error {
-	d := snapshot.NewDec(data)
-	seed := d.U64()
-	d.I64() // clock at the cut
-	nextRNG := d.U64()
-	d.U64() // partition count (always 1)
-	nactors := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if seed != w.seed {
-		return fmt.Errorf("%w: snapshot of seed %d, world has seed %d", snapshot.ErrCorrupt, seed, w.seed)
-	}
-	if nactors != uint64(len(w.actors)) {
-		return fmt.Errorf("%w: snapshot has %d actors, forked world has %d (stand-in mismatch)",
-			snapshot.ErrCorrupt, nactors, len(w.actors))
-	}
-	w.nextRNG = nextRNG
-	return nil
-}
-
-// Restore reads and integrity-checks a snapshot image from r. It
-// returns the decoded image only — reconstruction is recipe-driven:
-// rebuild the world named by img.Recipe with img.Seed, then replay to
-// img.CutNs (verifying re-encoded sections against the image) or
-// overlay the warm-fork fields. See internal/experiments for both
-// drivers.
-func Restore(r io.Reader) (*snapshot.Image, error) {
-	return snapshot.Read(r)
-}
-
 // encodeWorld is the "sim/world" section: the engine-global scalars.
 func (w *World) encodeWorld() []byte {
 	var e snapshot.Enc
@@ -186,10 +110,9 @@ func (w *World) encodeWorld() []byte {
 }
 
 // encodeActors is the "sim/actors" section: per actor, in id order, the
-// schedule-relevant state. Goroutine stacks are not captured (restore
-// re-runs the recipe); the RNG stream position is, because noise draws
-// are the one piece of actor state the re-run cannot reconstruct past
-// the cut without it.
+// schedule-relevant state. Goroutine stacks are not captured (a replay
+// re-runs the recipe); the RNG stream position is, so the image
+// fingerprints every noise draw taken before the cut.
 func (w *World) encodeActors() []byte {
 	var e snapshot.Enc
 	e.U64(uint64(len(w.actors)))

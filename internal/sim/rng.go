@@ -19,15 +19,9 @@ type RNG struct {
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
 // State exports the stream's exact position — the SplitMix64 state plus
-// the cached Marsaglia polar spare — for snapshot encoding. A stream
-// restored with SetState produces the identical draw sequence from here.
+// the cached Marsaglia polar spare — for snapshot encoding.
 func (r *RNG) State() (state uint64, spare float64, spareOK bool) {
 	return r.state, r.spare, r.spareOK
-}
-
-// SetState overwrites the stream's position (snapshot restore).
-func (r *RNG) SetState(state uint64, spare float64, spareOK bool) {
-	r.state, r.spare, r.spareOK = state, spare, spareOK
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.

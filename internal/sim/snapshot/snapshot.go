@@ -1,24 +1,24 @@
 // Package snapshot is the simulator's checkpoint codec: a versioned,
 // deterministic binary image format for the state of a quiesced
-// sim.World, plus the little-endian encoder/decoder the per-component
-// savers build their sections with.
+// sim.World, plus the little-endian encoder the per-component savers
+// build their sections with and the decoder Read parses images with.
 //
 // The package is deliberately pure: it imports nothing from the rest of
 // the repository and knows nothing about worlds, actors, or memory. A
 // snapshot Image is an ordered list of named byte sections — each
 // produced by the component that owns the state (the world core, the
 // physical-memory store, each enclave module, the fault injector) — plus
-// a small header identifying the recipe that can rebuild the world and
-// the virtual-time cut the image was taken at. Integrity is a trailing
-// SHA-256 over every preceding byte; Read verifies it before parsing
-// anything, so a truncated or bit-flipped image yields ErrCorrupt and
-// never a half-decoded structure.
+// a small header carrying the seed and the virtual-time cut the image
+// was taken at. Integrity is a trailing SHA-256 over every preceding
+// byte; Read verifies it before parsing anything, so a truncated or
+// bit-flipped image yields ErrCorrupt and never a half-decoded
+// structure.
 //
 // Determinism contract: encoders must emit canonical bytes — fixed-width
 // little-endian integers, length-prefixed strings, and map contents
 // collected and sorted before encoding (the snaporder analyzer in
 // cmd/xemem-vet enforces the latter). Two encodings of equal state are
-// then byte-identical, which is what lets restore verify itself by
+// then byte-identical, which is what lets a replay verify itself by
 // re-encoding and comparing, and what makes the image hash a stable
 // artifact to pin in repro bundles.
 package snapshot
@@ -44,10 +44,10 @@ const (
 
 var (
 	// ErrCorrupt reports an image whose bytes fail the integrity hash or
-	// whose structure does not parse. Nothing has been restored.
+	// whose structure does not parse. No image is returned.
 	ErrCorrupt = errors.New("snapshot: corrupt image")
 	// ErrVersion reports an image written by an incompatible format
-	// version. Nothing has been restored.
+	// version. No image is returned.
 	ErrVersion = errors.New("snapshot: unsupported version")
 )
 
@@ -62,8 +62,9 @@ type Section struct {
 // Image is one decoded (or to-be-encoded) world snapshot.
 type Image struct {
 	// Recipe names the builder that can reconstruct the world this image
-	// was taken from (see the recipe registry in internal/experiments);
-	// Params is the recipe's opaque parameter blob (conventionally JSON).
+	// was taken from; Params is the recipe's opaque parameter blob
+	// (conventionally JSON). sim.World writes both empty: a repro bundle
+	// carries its recipe beside the image hash.
 	Recipe string
 	Params []byte
 	// Seed is the world's RNG seed; CutNs is the virtual time of the

@@ -402,11 +402,10 @@ type Digest struct {
 // SnapshotWatermark implements sim.SnapshotWatermarker: it exports the
 // tracer's accumulated digest state — the running SHA-256's internal
 // state plus every count and time total that feeds Digest — so a
-// restored or forked run can continue the digest exactly where the
-// snapshot left off. The per-op/resource/queue metric maps are
-// deliberately not captured: they are presentation-side aggregation, and
-// a forked run's metrics cover only post-fork events, while its Digest
-// is exact end-to-end.
+// snapshot image taken at a cut fingerprints the trace digest up to that
+// cut. The per-op/resource/queue metric maps are deliberately not
+// captured: they are presentation-side aggregation of the same events
+// the digest hashes.
 func (t *Tracer) SnapshotWatermark() []byte {
 	hb, err := t.digest.(encoding.BinaryMarshaler).MarshalBinary()
 	if err != nil {
@@ -423,42 +422,6 @@ func (t *Tracer) SnapshotWatermark() []byte {
 	e.I64(int64(t.waitTime))
 	e.I64(int64(t.final))
 	return e.Data()
-}
-
-// RestoreWatermark rewinds the tracer to a watermark exported by
-// SnapshotWatermark. Events observed from here hash on top of the
-// restored digest state, so the final Digest equals an uninterrupted
-// run's. It fails (wrapping snapshot.ErrCorrupt) without modifying the
-// tracer when the watermark does not parse.
-func (t *Tracer) RestoreWatermark(data []byte) error {
-	d := snapshot.NewDec(data)
-	hb := d.Blob()
-	nSpans := d.U64()
-	nAcquires := d.U64()
-	nQueueWaits := d.U64()
-	nCounts := d.U64()
-	dispatches := d.U64()
-	spanTime := sim.Time(d.I64())
-	waitTime := sim.Time(d.I64())
-	final := sim.Time(d.I64())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if d.Remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing watermark bytes", snapshot.ErrCorrupt, d.Remaining())
-	}
-	if err := t.digest.(encoding.BinaryUnmarshaler).UnmarshalBinary(hb); err != nil {
-		return fmt.Errorf("%w: sha256 state: %v", snapshot.ErrCorrupt, err)
-	}
-	t.nSpans = nSpans
-	t.nAcquires = nAcquires
-	t.nQueueWaits = nQueueWaits
-	t.nCounts = nCounts
-	t.dispatches = dispatches
-	t.spanTime = spanTime
-	t.waitTime = waitTime
-	t.final = final
-	return nil
 }
 
 // Digest summarizes the stream observed so far.

@@ -73,16 +73,13 @@ type World struct {
 	// zero-fault world.
 	inj Injector
 
-	// Checkpoint machinery (see checkpoint.go). recipe/recipeParams name
-	// the builder that can reconstruct this world from scratch; snapComps
-	// are the registered per-component snapshot section savers; ckptT and
-	// ckptFn arm a one-shot checkpoint callback fired at the engine's
-	// first quiesce point at or past ckptT.
-	recipe       string
-	recipeParams []byte
-	snapComps    []snapComponent
-	ckptT        Time
-	ckptFn       func()
+	// Checkpoint machinery (see checkpoint.go). snapComps are the
+	// registered per-component snapshot section savers; ckptT and ckptFn
+	// arm a one-shot checkpoint callback fired at the engine's first
+	// quiesce point at or past ckptT.
+	snapComps []snapComponent
+	ckptT     Time
+	ckptFn    func()
 }
 
 // NewWorld returns an empty world whose RNG streams derive from seed.
@@ -166,10 +163,9 @@ func (w *World) Run() error {
 // RunPhase executes the engine until every current non-daemon
 // actor has finished, then returns without terminating daemons: blocked
 // daemons stay parked in their message loops, and the caller may spawn
-// more actors and call RunPhase or Run again. It is the bootstrap
-// primitive behind snapshot forking — run a world's warm-up phase,
-// snapshot (or overlay onto) the quiesced state, then attach the
-// workload proper and Run to completion.
+// more actors and call RunPhase or Run again. It splits a run into
+// phases — run a world's set-up, then attach the measured workload to
+// the quiesced world and Run to completion.
 func (w *World) RunPhase() error {
 	if w.running {
 		return errors.New("sim: world already running")
@@ -185,9 +181,9 @@ func (w *World) RunPhase() error {
 // daemon work already scheduled at that instant — a wake for a delivery
 // that was in flight, a deferred reply flushed after an enclave turned
 // ready. A phase boundary that must be a pure function of the phase's
-// inputs (snapshot forking) drains that residue explicitly before
-// cutting, so the quiesced state does not depend on how far past the
-// daemons' last work the non-daemons happened to run.
+// inputs drains that residue explicitly, so the quiesced state does not
+// depend on how far past the daemons' last work the non-daemons happened
+// to run.
 func (w *World) DrainDaemons() error {
 	if w.running {
 		return errors.New("sim: world already running")
