@@ -79,7 +79,7 @@ cover:
 	fi
 
 # Replay every checked-in repro bundle through the CLI: each bundle
-# pins a (snapshot hash, trace digest) pair the current tree must
+# pins a (state hash at a cut, trace digest) pair the current tree must
 # reproduce bit-exactly (DESIGN.md §12). TestReplayBundle runs the
 # same verification in-process; this step proves the shipping
 # xemem-bench binary does too.

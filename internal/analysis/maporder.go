@@ -19,7 +19,7 @@ import (
 // marks it as a serializer (Write*/Export*/Render*/Digest*/Summary*/
 // Marshal*/Encode*/Golden*/Breakdown*, the unexported encode* helpers,
 // or containing JSON/Chrome/Snapshot). Snapshot encoders are in scope
-// because the snapshot image hash is a golden artifact: a map-ordered
+// because the snapshot state hash is a golden artifact: a map-ordered
 // section makes the same world produce different hashes run to run.
 // Order-insensitive map walks elsewhere (teardown, accounting) are out
 // of scope by construction rather than by annotation burden.

@@ -9,7 +9,7 @@ import (
 )
 
 // The snapshotcheck analyzer guards snapshot fidelity (DESIGN.md §12):
-// an XSNP image fingerprints a world only if every piece of mutable
+// a snapshot hash fingerprints a world only if every piece of mutable
 // simulation state reaches it. For every type whose EncodeSnapshot is
 // registered as a snapshot component via World.AddSnapshotComponent —
 // plus every type those encoders delegate to, transitively (a module
@@ -20,7 +20,7 @@ import (
 //
 // Adding a field to a snapshotted struct therefore fails vet until the
 // encoder handles it — or until the field is annotated, with a reason,
-// as deliberately outside the image:
+// as deliberately outside the snapshot:
 //
 //	links map[string]*Link //xemem:nosnap -- topology config, fixed at build
 //
@@ -406,7 +406,7 @@ func snapshotcheckFinish(f *FinishPass) {
 			}
 			mutable := field.Mutable || extMutable[extWrite{Type: key, Field: field.Name}]
 			if !mutable || field.Encoded {
-				continue // set once at construction, or in the image
+				continue // set once at construction, or in the snapshot
 			}
 			f.Reportf(field.Pos,
 				"field %s.%s is mutable simulation state but %s's EncodeSnapshot never writes it: snapshots silently drop it and the image no longer fingerprints it; encode it or annotate the field with //xemem:nosnap -- <reason>",

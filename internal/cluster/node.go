@@ -44,16 +44,13 @@ type Config struct {
 	// MemBytes is each node's physical memory (default 4 GB).
 	MemBytes uint64
 	// CoKernels boots one Kitten co-kernel per node — the workload
-	// enclave the cluster experiments export segments from. CKBytes
-	// sizes its partition (default 256 MB).
+	// enclave the cluster experiments export segments from, with a
+	// ckBytes partition.
 	CoKernels bool
-	CKBytes   uint64
-	// Seed drives every random stream (New only; NewInWorld inherits
-	// the world's).
-	Seed uint64
-	// Costs overrides the calibrated cost model (nil = DefaultCosts).
-	Costs *sim.Costs
 }
+
+// ckBytes sizes each node's co-kernel partition.
+const ckBytes = 256 << 20
 
 func (cfg *Config) withDefaults() error {
 	if cfg.Nodes < 1 {
@@ -77,9 +74,6 @@ func (cfg *Config) withDefaults() error {
 	}
 	if cfg.MemBytes == 0 {
 		cfg.MemBytes = 4 << 30
-	}
-	if cfg.CKBytes == 0 {
-		cfg.CKBytes = 256 << 20
 	}
 	return nil
 }
@@ -118,11 +112,6 @@ type Cluster struct {
 	ready  bool
 }
 
-// New builds a cluster in a fresh world.
-func New(cfg Config) (*Cluster, error) {
-	return NewInWorld(sim.NewWorld(cfg.Seed), cfg)
-}
-
 // NewInWorld builds a cluster inside an existing world: the nodes, the
 // fabric mesh between their management enclaves, and a setup actor that
 // — once every enclave has bootstrapped — seeds the cross-node routing
@@ -132,10 +121,7 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	costs := cfg.Costs
-	if costs == nil {
-		costs = sim.DefaultCosts()
-	}
+	costs := sim.DefaultCosts()
 	cl := &Cluster{
 		W: w, Costs: costs, cfg: cfg,
 		Fab:    rdma.NewFabric("cluster", costs, cfg.Nodes),
@@ -148,7 +134,6 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		x := xemem.NewNodeInWorld(w, costs, xemem.NodeConfig{
 			Name:         fmt.Sprintf("node%d", i),
-			Seed:         cfg.Seed,
 			MemBytes:     cfg.MemBytes,
 			NoNameServer: i > 0,
 		})
@@ -158,7 +143,7 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 			cl.connect(j, i)
 		}
 		if cfg.CoKernels {
-			ck, err := x.BootCoKernel("ck", cfg.CKBytes)
+			ck, err := x.BootCoKernel("ck", ckBytes)
 			if err != nil {
 				return nil, err
 			}

@@ -55,7 +55,7 @@ import (
 type Mode int
 
 const (
-	// ModeAuto picks zero-copy at and above Opts.Switchover, CICO below.
+	// ModeAuto picks zero-copy at and above defaultSwitchover, CICO below.
 	ModeAuto Mode = iota
 	// ModeZeroCopy forces the zero-copy plane at every message size.
 	ModeZeroCopy
@@ -67,9 +67,6 @@ const (
 // option-struct convention (DESIGN.md §15): every zero field selects the
 // calibrated default in parentheses.
 type Opts struct {
-	// Switchover is the message size in bytes at which ModeAuto moves
-	// from CICO to zero-copy (32 KB).
-	Switchover uint64
 	// ChunkBytes is the pipelining granularity and CICO slot size; must
 	// be a page multiple (64 KB).
 	ChunkBytes uint64
@@ -184,6 +181,8 @@ type Communicator struct {
 const pollInterval = 500 * sim.Nanosecond
 
 const (
+	// defaultSwitchover is the message size in bytes at which ModeAuto
+	// moves from CICO to zero-copy.
 	defaultSwitchover = 32 << 10
 	defaultChunk      = 64 << 10
 )
@@ -196,9 +195,6 @@ func New(members []Member, bufBytes uint64, o Opts) (*Communicator, error) {
 	}
 	if bufBytes == 0 {
 		return nil, fmt.Errorf("coll: zero buffer capacity")
-	}
-	if o.Switchover == 0 {
-		o.Switchover = defaultSwitchover
 	}
 	if o.ChunkBytes == 0 {
 		o.ChunkBytes = defaultChunk
@@ -314,13 +310,6 @@ func (c *Communicator) bw(l int) float64 {
 		return c.costs.CollFlatBW
 	}
 }
-
-// CanonRoot reports the rank leading every hierarchy level — the
-// implicit root of allreduce and barrier.
-func (c *Communicator) CanonRoot() int { return c.canonRoot }
-
-// Groups reports the hierarchy's group count (diagnostics).
-func (c *Communicator) Groups() int { return len(c.groups) }
 
 // ScratchNeed reports how many scratch bytes rank's led-group arenas
 // occupy — the minimum capacity its Member.Scratch window must have.

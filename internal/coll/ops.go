@@ -80,7 +80,7 @@ func (c *Communicator) opFor(rank int, kind opKind, root int, bytes uint64) (*op
 	case ModeCICO:
 		zc = false
 	default:
-		zc = bytes >= c.opts.Switchover
+		zc = bytes >= defaultSwitchover
 	}
 	op := &opState{
 		kind: kind, root: root, bytes: bytes, zc: zc,

@@ -98,7 +98,7 @@ func (m *Module) rpc(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xprot
 			return nil, err
 		}
 		m.Stats.Retries++
-		timeout = sim.Time(float64(timeout) * pol.Backoff)
+		timeout = sim.Time(float64(timeout) * DefaultRPCBackoff)
 		// Re-resolve destination and route before retrying: the timeout may
 		// mean the target died mid-protocol. A name-server-hosting module
 		// then learns the owner is down right here (ErrEnclaveDown); others

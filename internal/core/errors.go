@@ -38,15 +38,6 @@ var (
 	ErrRemote = errors.New("xemem: remote operation failed")
 )
 
-// Legacy aliases from before the typed-error redesign; existing
-// errors.Is(err, ErrNotFound) call sites keep working.
-var (
-	// ErrNotFound is a deprecated alias for ErrNoSuchSegid.
-	ErrNotFound = ErrNoSuchSegid
-	// ErrDenied is a deprecated alias for ErrPermission.
-	ErrDenied = ErrPermission
-)
-
 // OpError is the error type the XPMEM-facing operations return: which
 // operation failed, the identifiers it failed on (zero when not
 // applicable), and the underlying sentinel cause. It matches errors.As

@@ -93,7 +93,7 @@ func TestCrossEnclaveAttachKittenToLinux(t *testing.T) {
 			s, err := n.lmod.Lookup(a, "sim-data")
 			if err == nil {
 				segid = s
-			} else if errors.Is(err, core.ErrNotFound) {
+			} else if errors.Is(err, core.ErrNoSuchSegid) {
 				a.Advance(10 * sim.Microsecond)
 			} else {
 				t.Error(err)
@@ -216,7 +216,7 @@ func TestPermissionEnforcement(t *testing.T) {
 			return
 		}
 		// Requesting write permission must be denied.
-		if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead | xproto.PermWrite}); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead | xproto.PermWrite}); !errors.Is(err, core.ErrPermission) {
 			t.Errorf("write get on read-only segment: %v", err)
 		}
 		apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
@@ -225,11 +225,11 @@ func TestPermissionEnforcement(t *testing.T) {
 			return
 		}
 		// Attaching with more permission than granted must be denied.
-		if _, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead | xproto.PermWrite}); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead | xproto.PermWrite}); !errors.Is(err, core.ErrPermission) {
 			t.Errorf("over-privileged attach: %v", err)
 		}
 		// A bogus apid must be denied.
-		if _, err := n.lmod.AttachWith(a, lp, segid, apid+999, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead}); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.AttachWith(a, lp, segid, apid+999, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead}); !errors.Is(err, core.ErrPermission) {
 			t.Errorf("bogus apid attach: %v", err)
 		}
 		// Out-of-range attach must fail.
@@ -241,7 +241,7 @@ func TestPermissionEnforcement(t *testing.T) {
 			t.Error(err)
 		}
 		a.Advance(100 * sim.Microsecond) // let the notify land
-		if _, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead}); !errors.Is(err, core.ErrDenied) {
+		if _, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: extent.PageSize, Perm: xproto.PermRead}); !errors.Is(err, core.ErrPermission) {
 			t.Errorf("attach with released apid: %v", err)
 		}
 		// After remove, gets fail.
@@ -249,7 +249,7 @@ func TestPermissionEnforcement(t *testing.T) {
 			t.Error(err)
 		}
 		a.Advance(100 * sim.Microsecond)
-		if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
+		if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNoSuchSegid) {
 			t.Errorf("get on removed segment: %v", err)
 		}
 	})
@@ -514,10 +514,10 @@ func TestAttachUnknownSegid(t *testing.T) {
 	_ = ck
 	lp := n.linux.NewProcess("an", 1)
 	n.w.Spawn("driver", func(a *sim.Actor) {
-		if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xdead), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
+		if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xdead), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNoSuchSegid) {
 			t.Errorf("get of unknown segid: %v", err)
 		}
-		if _, err := n.lmod.Lookup(a, "no-such-name"); !errors.Is(err, core.ErrNotFound) {
+		if _, err := n.lmod.Lookup(a, "no-such-name"); !errors.Is(err, core.ErrNoSuchSegid) {
 			t.Errorf("lookup of unknown name: %v", err)
 		}
 	})

@@ -28,15 +28,14 @@ const (
 )
 
 // RetryPolicy bounds a cross-enclave request: a per-attempt virtual-time
-// timeout, a retry budget, and an exponential backoff factor applied to
-// the timeout between attempts. The zero value selects the defaults
-// above. The policy only takes effect when the world has a fault
-// injector installed; in the zero-fault world requests block until their
+// timeout and a retry budget; the timeout grows by DefaultRPCBackoff
+// between attempts. The zero value selects the defaults above. The
+// policy only takes effect when the world has a fault injector
+// installed; in the zero-fault world requests block until their
 // response arrives (see resolve).
 type RetryPolicy struct {
 	Timeout sim.Time
 	Retries int
-	Backoff float64
 }
 
 // resolve returns the policy a request actually runs under. In the
@@ -56,9 +55,6 @@ func (p RetryPolicy) resolve(faulty bool) RetryPolicy {
 	} else if p.Retries < 0 {
 		p.Retries = 0
 	}
-	if p.Backoff <= 1 {
-		p.Backoff = DefaultRPCBackoff
-	}
 	return p
 }
 
@@ -67,15 +63,14 @@ func (p RetryPolicy) resolve(faulty bool) RetryPolicy {
 type GetOpts struct {
 	// Perm is the requested permission mask (0 = PermRead).
 	Perm xproto.Perm
-	// Timeout, Retries, Backoff bound the cross-enclave request; see
+	// Timeout and Retries bound the cross-enclave request; see
 	// RetryPolicy.
 	Timeout sim.Time
 	Retries int
-	Backoff float64
 }
 
 func (o GetOpts) policy() RetryPolicy {
-	return RetryPolicy{Timeout: o.Timeout, Retries: o.Retries, Backoff: o.Backoff}
+	return RetryPolicy{Timeout: o.Timeout, Retries: o.Retries}
 }
 
 // AttachOpts parameterizes AttachWith. The zero value attaches the whole
@@ -88,15 +83,14 @@ type AttachOpts struct {
 	Bytes uint64
 	// Perm is the requested permission mask (0 = PermRead).
 	Perm xproto.Perm
-	// Timeout, Retries, Backoff bound the cross-enclave request; see
+	// Timeout and Retries bound the cross-enclave request; see
 	// RetryPolicy.
 	Timeout sim.Time
 	Retries int
-	Backoff float64
 }
 
 func (o AttachOpts) policy() RetryPolicy {
-	return RetryPolicy{Timeout: o.Timeout, Retries: o.Retries, Backoff: o.Backoff}
+	return RetryPolicy{Timeout: o.Timeout, Retries: o.Retries}
 }
 
 // permOrRead defaults a zero permission mask to read-only.

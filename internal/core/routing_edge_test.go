@@ -43,13 +43,13 @@ func TestUnknownSegidAcrossDepths(t *testing.T) {
 	}{
 		{"get-forged-segid/direct", 1, func(t *testing.T, n *testNode, a *sim.Actor, _ *pisces.CoKernel, _ *proc.Process, _ xproto.Segid) {
 			lp := n.linux.NewProcess("req", 1)
-			if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xbadf00d), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
+			if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xbadf00d), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNoSuchSegid) {
 				t.Errorf("forged segid: %v", err)
 			}
 		}},
 		{"get-forged-segid/two-hops", 2, func(t *testing.T, n *testNode, a *sim.Actor, _ *pisces.CoKernel, _ *proc.Process, _ xproto.Segid) {
 			lp := n.linux.NewProcess("req", 1)
-			if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xbadf00d), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
+			if _, err := n.lmod.GetWith(a, lp, xproto.Segid(0xbadf00d), core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNoSuchSegid) {
 				t.Errorf("forged segid: %v", err)
 			}
 		}},
@@ -59,12 +59,12 @@ func TestUnknownSegidAcrossDepths(t *testing.T) {
 				return
 			}
 			lp := n.linux.NewProcess("req", 1)
-			if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNotFound) {
+			if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrNoSuchSegid) {
 				t.Errorf("get after remove: %v", err)
 			}
 		}},
 		{"lookup-unknown-name/two-hops", 2, func(t *testing.T, n *testNode, a *sim.Actor, _ *pisces.CoKernel, _ *proc.Process, _ xproto.Segid) {
-			if _, err := n.lmod.Lookup(a, "never-registered"); !errors.Is(err, core.ErrNotFound) {
+			if _, err := n.lmod.Lookup(a, "never-registered"); !errors.Is(err, core.ErrNoSuchSegid) {
 				t.Errorf("unknown name: %v", err)
 			}
 		}},

@@ -1,7 +1,7 @@
 package experiments
 
-// The recipe registry names the experiment builders a repro bundle (or a
-// snapshot image) can re-run without out-of-band knowledge: a recipe is
+// The recipe registry names the experiment builders a repro bundle can
+// re-run without out-of-band knowledge: a recipe is
 // (name, JSON parameter blob, seed) → one deterministic world, executed
 // to completion. The obs hook is announced to the world exactly as the
 // sweep runners do it, which is where a replay attaches its tracer and

@@ -2,8 +2,8 @@ package experiments
 
 // Repro bundles: a self-contained, replayable fingerprint of one
 // experiment world. A bundle pins the recipe, its parameter blob, the
-// seed, a snapshot cut, the snapshot image's integrity hash at that cut,
-// and the end-of-run trace digest. Replaying re-runs the recipe from
+// seed, a snapshot cut, the world's state hash at that cut, and the
+// end-of-run trace digest. Replaying re-runs the recipe from
 // scratch and verifies both fingerprints: the hash proves the entire
 // serialized mid-run state — allocators, page tables, protocol counters,
 // name server, RNG cursors — is bit-identical, and the digest proves the
@@ -31,8 +31,8 @@ type Bundle struct {
 }
 
 // reproProbe observes one recipe run: it installs a digest-only tracer
-// and — when armed — a checkpoint that hashes the world's snapshot image
-// at the cut.
+// and — when armed — a checkpoint that takes the world's state hash at
+// the cut.
 type reproProbe struct {
 	worlds int
 	tr     *trace.Tracer
@@ -50,7 +50,7 @@ func (p *reproProbe) hook(cut sim.Time, armed bool) observeFn {
 		w.SetObserver(tr)
 		p.tr = tr
 		if armed {
-			w.SetCheckpoint(cut, func() { p.hash = w.SnapshotImage().Hash() })
+			w.SetCheckpoint(cut, func() { p.hash = w.SnapshotHash() })
 		}
 	}
 }
@@ -73,7 +73,7 @@ func runRecipe(name string, params json.RawMessage, seed uint64, cut sim.Time, a
 
 // CaptureBundle runs a recipe twice and packages the result: the first
 // run measures the virtual duration, the second places the snapshot cut
-// at cutFrac of it and records the image hash there. The two runs must
+// at cutFrac of it and records the state hash there. The two runs must
 // produce the same digest — a recipe that fails that is not
 // deterministic and cannot be bundled.
 func CaptureBundle(recipe string, params json.RawMessage, seed uint64, cutFrac float64) (*Bundle, error) {

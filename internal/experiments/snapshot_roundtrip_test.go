@@ -2,21 +2,18 @@ package experiments
 
 // Snapshot round-trip property tests (DESIGN.md §12): for one world of
 // every figure (Fig. 5–9, Table 2) and a faulted world, arming a
-// checkpoint and capturing a snapshot image must be invisible — the
+// checkpoint and taking the world's state hash must be invisible — the
 // run-to-end digest equals the uninterrupted run's — at cuts 0%, 50%,
-// and 90% of the run's virtual time. The captured image must survive
-// the wire format bit-exactly (Encode→Read), and replaying the recipe
-// to the same cut must regenerate the image byte-for-byte: that is the
-// property repro bundles rely on when they re-derive an image hash.
+// and 90% of the run's virtual time. Replaying the recipe to the same
+// cut must regenerate the hash: that is the property repro bundles rely
+// on when they re-derive a snapshot hash.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"testing"
 
 	"xemem/internal/sim"
-	"xemem/internal/sim/snapshot"
 	"xemem/internal/sim/trace"
 )
 
@@ -42,10 +39,9 @@ var roundtripCases = []struct {
 const roundtripSeed = 11
 
 // runRoundtrip executes one recipe with a digest-only tracer on its
-// world and — when armed —
-// a checkpoint at cut that hands the world's snapshot image to onImage.
-// It returns the run's trace digest.
-func runRoundtrip(t *testing.T, recipe, params string, cut sim.Time, armed bool, onImage func(*snapshot.Image)) trace.Digest {
+// world and — when armed — a checkpoint at cut that hands the world's
+// state hash to onHash. It returns the run's trace digest.
+func runRoundtrip(t *testing.T, recipe, params string, cut sim.Time, armed bool, onHash func(string)) trace.Digest {
 	t.Helper()
 	fn, ok := recipes[recipe]
 	if !ok {
@@ -62,7 +58,7 @@ func runRoundtrip(t *testing.T, recipe, params string, cut sim.Time, armed bool,
 		tr.SetKeepEvents(false)
 		w.SetObserver(tr)
 		if armed {
-			w.SetCheckpoint(cut, func() { onImage(w.SnapshotImage()) })
+			w.SetCheckpoint(cut, func() { onHash(w.SnapshotHash()) })
 		}
 	}
 	if err := fn(json.RawMessage(params), roundtripSeed, obs); err != nil {
@@ -89,37 +85,24 @@ func TestSnapshotRoundtrip(t *testing.T) {
 					cut := sim.Time(base.FinalNs * pct / 100)
 
 					// Capture: the checkpoint must not perturb the run.
-					var enc []byte
-					d := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(img *snapshot.Image) {
-						enc = img.Encode()
+					var hash string
+					d := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(h string) {
+						hash = h
 					})
 					if d != base {
 						t.Errorf("checkpointed digest diverged\n got  %+v\n want %+v", d, base)
 					}
-					if enc == nil {
+					if hash == "" {
 						t.Fatal("checkpoint never fired")
 					}
 
-					// Wire format: Encode→Read is bit-exact and
-					// integrity-checked.
-					img, err := snapshot.Read(bytes.NewReader(enc))
-					if err != nil {
-						t.Fatal(err)
-					}
-					if img.CutNs != int64(cut) {
-						t.Errorf("image cut %d, want %d", img.CutNs, int64(cut))
-					}
-					if !bytes.Equal(img.Encode(), enc) {
-						t.Error("decoded image re-encodes differently")
-					}
-
 					// Replay: rebuilding the recipe and running to the
-					// same cut must regenerate the serialized state
-					// byte-for-byte, and still finish with the base digest.
+					// same cut must regenerate the state hash, and still
+					// finish with the base digest.
 					replayed := false
-					d2 := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(img2 *snapshot.Image) {
+					d2 := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(h2 string) {
 						replayed = true
-						if !bytes.Equal(img2.Encode(), enc) {
+						if h2 != hash {
 							t.Error("replayed world's state diverged from the snapshot at the cut")
 						}
 					})

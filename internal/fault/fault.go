@@ -108,9 +108,6 @@ func (i *Injector) EncodeSnapshot(e *snapshot.Enc) {
 		e.I64(int64(c.At))
 		e.Str(c.Module)
 	}
-	// The image format's stream table, written as its one entry keyed 0.
-	e.U64(1)
-	e.U64(0)
 	state, spare, spareOK := i.rng.State()
 	e.U64(state)
 	e.F64(spare)

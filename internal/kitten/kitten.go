@@ -68,10 +68,6 @@ func (k *Kitten) Core() *sim.Core { return k.core }
 // Zone returns the enclave's memory partition.
 func (k *Kitten) Zone() *mem.Zone { return k.zone }
 
-// Smartmap returns the enclave's SMARTMAP space (for the local-sharing
-// ablation benchmark).
-func (k *Kitten) Smartmap() *smartmap.Space { return k.smap }
-
 // NewProcess creates a Kitten process with the static layout: text,
 // stack, and a heap of heapPages, all physically contiguous and fully
 // mapped at creation (§4.3 — "all virtual address space regions for

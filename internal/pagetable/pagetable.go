@@ -328,16 +328,6 @@ func (t *Table) Walk(va VA) (f extent.PFN, flags Flags, leafBytes uint64, ok boo
 	panic("pagetable: PT entry without leaf bit") // unreachable: level-0 entries are always leaves
 }
 
-// Translate resolves va to (frame, in-page offset). It is the hot path
-// used by process-level memory access.
-func (t *Table) Translate(va VA) (extent.PFN, uint64, error) {
-	f, _, _, ok := t.Walk(va)
-	if !ok {
-		return 0, 0, fmt.Errorf("pagetable: fault at %#x", uint64(va))
-	}
-	return f, va.Offset(), nil
-}
-
 // ExtentsFor walks npages pages starting at va and returns the backing
 // frames as an extent list — the serve side of the XEMEM protocol. Any
 // hole in the range is an error.

@@ -54,9 +54,6 @@ func (t *Table) UnshareSlot(dstSlot int) error {
 	return nil
 }
 
-// SharedSlot reports whether top-level slot s is a borrowed subtree.
-func (t *Table) SharedSlot(s int) bool { return t.shared[s] }
-
 // guardShared rejects mutation under a shared slot.
 func (t *Table) guardShared(va VA, op string) error {
 	if t.shared[SlotOf(va)] {

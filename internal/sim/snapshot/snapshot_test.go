@@ -2,164 +2,37 @@ package snapshot
 
 import (
 	"bytes"
-	"errors"
+	"math"
 	"testing"
 )
 
-func sampleImage() *Image {
-	return &Image{
-		Recipe: "fig9",
-		Params: []byte(`{"nodes":1,"recurring":true}`),
-		Seed:   42,
-		CutNs:  123456789,
-		Kind:   "serial",
-		Sections: []Section{
-			{Name: "sim/world", Data: []byte{1, 2, 3, 4}},
-			{Name: "sim/actors", Data: nil},
-			{Name: "phys/node0", Data: bytes.Repeat([]byte{0xab}, 300)},
-		},
-	}
-}
-
-func TestRoundTrip(t *testing.T) {
-	img := sampleImage()
-	enc := img.Encode()
-	got, err := Decode(enc)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
-	}
-	if got.Recipe != img.Recipe || string(got.Params) != string(img.Params) ||
-		got.Seed != img.Seed || got.CutNs != img.CutNs || got.Kind != img.Kind {
-		t.Fatalf("header mismatch: %+v vs %+v", got, img)
-	}
-	if len(got.Sections) != len(img.Sections) {
-		t.Fatalf("section count %d, want %d", len(got.Sections), len(img.Sections))
-	}
-	for i := range img.Sections {
-		if got.Sections[i].Name != img.Sections[i].Name ||
-			!bytes.Equal(got.Sections[i].Data, img.Sections[i].Data) {
-			t.Errorf("section %d mismatch", i)
-		}
-	}
-	// Canonical: re-encoding the decode is byte-identical.
-	if !bytes.Equal(got.Encode(), enc) {
-		t.Error("re-encode is not byte-identical")
-	}
-	if got.Hash() != img.Hash() {
-		t.Error("hash differs across round trip")
-	}
-}
-
-func TestReadWriteTo(t *testing.T) {
-	img := sampleImage()
-	var buf bytes.Buffer
-	if _, err := img.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Hash() != img.Hash() {
-		t.Error("hash differs via Read")
-	}
-}
-
-func TestSectionLookup(t *testing.T) {
-	img := sampleImage()
-	if b, ok := img.Section("sim/world"); !ok || !bytes.Equal(b, []byte{1, 2, 3, 4}) {
-		t.Error("Section lookup failed")
-	}
-	if _, ok := img.Section("missing"); ok {
-		t.Error("Section reported a missing name")
-	}
-}
-
-func TestTruncation(t *testing.T) {
-	enc := sampleImage().Encode()
-	for n := 0; n < len(enc); n++ {
-		img, err := Decode(enc[:n])
-		if err == nil {
-			t.Fatalf("truncation to %d bytes decoded successfully", n)
-		}
-		if img != nil {
-			t.Fatalf("truncation to %d bytes returned a partial image", n)
-		}
-		if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
-			t.Fatalf("truncation to %d bytes: untyped error %v", n, err)
-		}
-	}
-}
-
-func TestBitFlips(t *testing.T) {
-	enc := sampleImage().Encode()
-	// Flip one bit at a sample of positions; every flip must be caught by
-	// the integrity hash (or the magic/version checks before it).
-	for pos := 0; pos < len(enc); pos += 7 {
-		for bit := 0; bit < 8; bit += 3 {
-			mut := append([]byte(nil), enc...)
-			mut[pos] ^= 1 << bit
-			img, err := Decode(mut)
-			if err == nil {
-				t.Fatalf("bit flip at %d.%d decoded successfully", pos, bit)
-			}
-			if img != nil {
-				t.Fatalf("bit flip at %d.%d returned a partial image", pos, bit)
-			}
-			if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrVersion) {
-				t.Fatalf("bit flip at %d.%d: untyped error %v", pos, bit, err)
-			}
-		}
-	}
-}
-
-func TestVersionRejected(t *testing.T) {
-	enc := sampleImage().Encode()
-	mut := append([]byte(nil), enc...)
-	mut[4], mut[5] = 0xff, 0x7f // version field follows the 4-byte magic
-	_, err := Decode(mut)
-	if !errors.Is(err, ErrVersion) {
-		t.Fatalf("want ErrVersion, got %v", err)
-	}
-}
-
-func TestDecSticky(t *testing.T) {
+// TestEncLayout pins the byte layout every snapshot saver relies on:
+// fixed-width little-endian integers, IEEE-754 float bits, one-byte
+// bools, and u64 length prefixes on strings and blobs.
+func TestEncLayout(t *testing.T) {
 	var e Enc
-	e.U64(7)
+	if e.Data() != nil {
+		t.Fatalf("zero Enc holds %d bytes", len(e.Data()))
+	}
+	e.U64(0x0102030405060708)
+	e.I64(-2)
+	e.F64(math.Inf(-1))
+	e.Bool(true)
+	e.Bool(false)
 	e.Str("hi")
-	d := NewDec(e.Data())
-	if got := d.U64(); got != 7 {
-		t.Fatalf("U64 = %d", got)
+	e.Blob([]byte{0xab})
+	e.Blob(nil)
+	want := []byte{
+		0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+		0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+		0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0xff,
+		0x01,
+		0x00,
+		0x02, 0, 0, 0, 0, 0, 0, 0, 'h', 'i',
+		0x01, 0, 0, 0, 0, 0, 0, 0, 0xab,
+		0x00, 0, 0, 0, 0, 0, 0, 0,
 	}
-	if got := d.Str(); got != "hi" {
-		t.Fatalf("Str = %q", got)
-	}
-	// Underflow latches an error; further reads stay zero.
-	if got := d.U64(); got != 0 {
-		t.Fatalf("underflow U64 = %d", got)
-	}
-	if d.Err() == nil || !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("underflow error = %v", d.Err())
-	}
-	if got := d.Str(); got != "" {
-		t.Fatalf("post-error Str = %q", got)
-	}
-}
-
-func TestDecBadBool(t *testing.T) {
-	d := NewDec([]byte{2})
-	d.Bool()
-	if !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("bad bool error = %v", d.Err())
-	}
-}
-
-func TestDecBoundedLengths(t *testing.T) {
-	// A huge length prefix must fail cleanly, not attempt the allocation.
-	var e Enc
-	e.U64(1 << 62)
-	d := NewDec(e.Data())
-	if b := d.Blob(); b != nil || !errors.Is(d.Err(), ErrCorrupt) {
-		t.Fatalf("oversized blob: %v, err %v", b, d.Err())
+	if got := e.Data(); !bytes.Equal(got, want) {
+		t.Fatalf("encoding\n got  % x\n want % x", got, want)
 	}
 }

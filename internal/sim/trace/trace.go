@@ -402,7 +402,7 @@ type Digest struct {
 // SnapshotWatermark implements sim.SnapshotWatermarker: it exports the
 // tracer's accumulated digest state — the running SHA-256's internal
 // state plus every count and time total that feeds Digest — so a
-// snapshot image taken at a cut fingerprints the trace digest up to that
+// snapshot hash taken at a cut fingerprints the trace digest up to that
 // cut. The per-op/resource/queue metric maps are deliberately not
 // captured: they are presentation-side aggregation of the same events
 // the digest hashes.

@@ -282,7 +282,7 @@ func TestFinalTimeAndDispatches(t *testing.T) {
 	}
 }
 
-// The watermark is what a snapshot image hashes for the trace: two
+// The watermark is what a snapshot hash covers for the trace: two
 // tracers fed the same events export byte-identical watermarks, and one
 // extra event changes the bytes.
 func TestWatermarkDeterministic(t *testing.T) {

@@ -57,12 +57,6 @@ func (s *Space) Register(pt *pagetable.Table) (int, error) {
 	return r, nil
 }
 
-// Rank reports the rank of a registered table.
-func (s *Space) Rank(pt *pagetable.Table) (int, bool) {
-	r, ok := s.ranks[pt]
-	return r, ok
-}
-
 // Window translates a source-process virtual address into the borrower's
 // window for a process of the given rank. The source address must live in
 // the source's slot 0 (user addresses below 512 GB), which is where Kitten
