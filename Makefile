@@ -16,9 +16,9 @@ check: vet build benchmark-build race test replay fuzz cover
 # xemem-vet — the in-tree analyzer suite (cmd/xemem-vet) that enforces
 # the simulator's determinism, cost-charging, resource-pairing,
 # map-ordering, hook-state, partition-isolation, and
-# snapshot-completeness invariants. -timing prints the per-analyzer
-# wall-clock and the .vetcache hit rate; a warm rerun after an edit
-# re-analyzes only the edited package and its import-graph dependents.
+# snapshot-completeness invariants. Every run loads and type-checks the
+# whole module (standard library from compiler export data, under a
+# second on 2 CPUs); -timing prints the load and per-analyzer wall-clock.
 vet:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -70,7 +70,7 @@ cover:
 	if [ "$${total%.*}" -lt "$$floor" ]; then \
 		echo "coverage $$total% is below the $$floor% floor"; exit 1; \
 	fi
-	$(GO) test -short -coverprofile=$(COVER_DIR)/analysis.out ./internal/analysis
+	$(GO) test -coverprofile=$(COVER_DIR)/analysis.out ./internal/analysis
 	$(GO) tool cover -func=$(COVER_DIR)/analysis.out | tail -1
 	@total=$$($(GO) tool cover -func=$(COVER_DIR)/analysis.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
 	floor=80; \

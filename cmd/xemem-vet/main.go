@@ -15,19 +15,16 @@
 //	go run ./cmd/xemem-vet ./...
 //	go run ./cmd/xemem-vet -list
 //	go run ./cmd/xemem-vet -json ./...
-//	go run ./cmd/xemem-vet -timing -assert-warm ./...
+//	go run ./cmd/xemem-vet -timing ./...
 //
 // Package patterns are accepted for familiarity with go vet but the
 // whole module is always loaded and analyzed: the invariants are
 // module-wide (a cost constant is "dead" only if nothing anywhere
-// charges it). Per-package results are cached under the module's
-// .vetcache/ directory, keyed by content hash and invalidated
-// transitively through the import graph; -no-cache bypasses it and
-// -assert-warm fails unless every package was served from it. Exit
-// status is 1 when any diagnostic survives the //xemem:allow,
-// //xemem:wallclock, and //xemem:nosnap suppression directives, which
-// require a " -- <reason>" string; malformed directives are themselves
-// diagnostics.
+// charges it). Exit status is 1 when any diagnostic survives the
+// //xemem:allow, //xemem:wallclock, and //xemem:nosnap suppression
+// directives, which require a " -- <reason>" string; malformed
+// directives are themselves diagnostics. Exit status is 2 when the
+// module cannot be loaded or a package does not type-check.
 package main
 
 import (
@@ -44,12 +41,9 @@ import (
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit diagnostics and stats as JSON")
-	timing := flag.Bool("timing", false, "print per-analyzer wall-clock timing and the cache hit rate")
-	noCache := flag.Bool("no-cache", false, "bypass the .vetcache result cache")
-	cacheDir := flag.String("cache-dir", "", "override the cache directory (default <module>/.vetcache)")
-	assertWarm := flag.Bool("assert-warm", false, "fail unless every package was served from the cache (CI warm-run check)")
+	timing := flag.Bool("timing", false, "print the load and per-analyzer wall-clock timing")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: xemem-vet [-list] [-json] [-timing] [-no-cache] [-cache-dir dir] [-assert-warm] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: xemem-vet [-list] [-json] [-timing] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs xemem's invariant analyzers over the enclosing module.\n")
 		flag.PrintDefaults()
 	}
@@ -67,10 +61,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xemem-vet:", err)
 		os.Exit(2)
 	}
-	diags, stats, err := analysis.RunCached(root, analysis.All(), analysis.Options{
-		CacheDir: *cacheDir,
-		NoCache:  *noCache,
-	})
+	diags, stats, err := analysis.Check(root, analysis.All())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xemem-vet:", err)
 		os.Exit(2)
@@ -99,11 +90,6 @@ func main() {
 	if *timing {
 		printTiming(stats)
 	}
-	if *assertWarm && (stats.CacheHits != stats.Packages || len(stats.Analyzed) != 0) {
-		fmt.Fprintf(os.Stderr, "xemem-vet: -assert-warm: only %d/%d packages served from cache (re-analyzed: %v)\n",
-			stats.CacheHits, stats.Packages, stats.Analyzed)
-		os.Exit(3)
-	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "xemem-vet: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
@@ -113,9 +99,8 @@ func main() {
 // printTiming renders the stats block to stderr so it never pollutes
 // parseable stdout diagnostics.
 func printTiming(stats *analysis.Stats) {
-	fmt.Fprintf(os.Stderr, "xemem-vet: %d packages, %d cache hits (%.0f%%), %d re-analyzed; load %s, total %s\n",
-		stats.Packages, stats.CacheHits, hitRate(stats), len(stats.Analyzed),
-		fmtNs(stats.LoadNs), fmtNs(stats.TotalNs))
+	fmt.Fprintf(os.Stderr, "xemem-vet: %d packages; load %s, total %s\n",
+		stats.Packages, fmtNs(stats.LoadNs), fmtNs(stats.TotalNs))
 	names := make([]string, 0, len(stats.AnalyzerNs))
 	for name := range stats.AnalyzerNs {
 		names = append(names, name)
@@ -124,13 +109,6 @@ func printTiming(stats *analysis.Stats) {
 	for _, name := range names {
 		fmt.Fprintf(os.Stderr, "xemem-vet:   %-14s %s\n", name, fmtNs(stats.AnalyzerNs[name]))
 	}
-}
-
-func hitRate(stats *analysis.Stats) float64 {
-	if stats.Packages == 0 {
-		return 0
-	}
-	return 100 * float64(stats.CacheHits) / float64(stats.Packages)
 }
 
 func fmtNs(ns int64) string {

@@ -5,16 +5,14 @@
 // charging, resource pairing, exporter map ordering, hook-variable
 // discipline, per-dispatch actor isolation, and
 // snapshot completeness. The cmd/xemem-vet driver loads the module,
-// type-checks every package, builds interprocedural function summaries,
-// runs the analyzers (concurrently, one worker per package), applies
-// //xemem: suppression directives, and reports what survives.
+// type-checks every package against compiler export data for its
+// external imports, builds interprocedural function summaries, runs the
+// analyzers (concurrently, one worker per package), applies //xemem:
+// suppression directives, and reports what survives.
 //
-// Analyzers run per package and return JSON-serializable *facts*; a
-// Finish hook draws whole-module conclusions from the union of facts.
-// That split is what makes the on-disk result cache (cache.go) sound: a
-// cached package replays its diagnostics and facts without being
-// re-type-checked, and module-level conclusions are recomputed from
-// facts alone.
+// Analyzers run per package and return *facts*; a Finish hook draws
+// whole-module conclusions (a cost constant charged nowhere, a field no
+// encoder writes) from the union of every package's facts.
 //
 // Invariants are enforced conservatively: an analyzer may miss an
 // exotic violation, but every diagnostic it does emit is intended to be
@@ -23,7 +21,6 @@
 package analysis
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"runtime"
@@ -35,7 +32,7 @@ import (
 
 // Diagnostic is one finding: an invariant violation (or directive
 // misuse) at a source position. Positions are module-root-relative so
-// diagnostics are stable across checkouts and cacheable.
+// diagnostics are stable across checkouts.
 type Diagnostic struct {
 	Pos      token.Position `json:"pos"`
 	Analyzer string         `json:"analyzer"`
@@ -67,13 +64,12 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // FinishPass is an analyzer's whole-module view: the per-package facts
-// its Run calls returned (possibly replayed from cache), and a reporter
-// for module-level diagnostics.
+// its Run calls returned, and a reporter for module-level diagnostics.
 type FinishPass struct {
 	Analyzer *Analyzer
-	// Facts maps package path → the JSON encoding of the value Run
-	// returned for that package (absent when Run returned nil).
-	Facts map[string]json.RawMessage
+	// Facts maps package path → the value Run returned for that package
+	// (absent when Run returned nil).
+	Facts map[string]any
 
 	report func(Diagnostic)
 }
@@ -88,16 +84,6 @@ func (f *FinishPass) Paths() []string {
 	return paths
 }
 
-// Fact unmarshals one package's facts into `into`, reporting whether
-// the package had any.
-func (f *FinishPass) Fact(path string, into any) bool {
-	raw, ok := f.Facts[path]
-	if !ok {
-		return false
-	}
-	return json.Unmarshal(raw, into) == nil
-}
-
 // Reportf records a module-level diagnostic at a (root-relative)
 // position carried in facts.
 func (f *FinishPass) Reportf(pos token.Position, format string, args ...any) {
@@ -108,13 +94,10 @@ func (f *FinishPass) Reportf(pos token.Position, format string, args ...any) {
 type Analyzer struct {
 	Name string
 	Doc  string
-	// Version participates in cache keys: bump it whenever the
-	// analyzer's semantics change so stale cached results die.
-	Version int
 	// Run analyzes one package and returns the analyzer's package facts
-	// (any JSON-marshalable value; nil when the package contributes
-	// none). Run is invoked concurrently for different packages and
-	// must not share mutable state across calls.
+	// (nil when the package contributes none). Run is invoked
+	// concurrently for different packages and must not share mutable
+	// state across calls.
 	Run func(*Pass) any
 	// Finish, when non-nil, draws whole-module conclusions from the
 	// union of per-package facts (e.g. "this cost constant is charged
@@ -145,27 +128,47 @@ func Names() []string {
 	return names
 }
 
-// Stats describes one driver run: how much work the cache absorbed and
-// where the remaining wall-clock went.
+// Stats describes one driver run: its size and where the wall-clock
+// went.
 type Stats struct {
-	Packages  int      `json:"packages"`
-	CacheHits int      `json:"cacheHits"`
-	Analyzed  []string `json:"analyzed,omitempty"` // packages analyzed fresh, sorted
-
+	Packages   int              `json:"packages"`
 	LoadNs     int64            `json:"loadNs"` // parse + type-check + summaries
 	AnalyzerNs map[string]int64 `json:"analyzerNs,omitempty"`
 	TotalNs    int64            `json:"totalNs"`
 }
 
-// pkgResult is one package's complete analysis product — everything the
-// driver (and the on-disk cache) needs downstream of type-checking:
-// post-suppression diagnostics, per-analyzer facts, and the suppression
-// records module-level diagnostics must honor.
+// pkgResult is one package's complete analysis product: post-suppression
+// diagnostics, per-analyzer facts, and the suppression records
+// module-level diagnostics must honor.
 type pkgResult struct {
-	Path  string                     `json:"path"`
-	Diags []Diagnostic               `json:"diags,omitempty"`
-	Facts map[string]json.RawMessage `json:"facts,omitempty"`
-	Sup   []supRecord                `json:"sup,omitempty"`
+	Path  string
+	Diags []Diagnostic
+	Facts map[string]any
+	Sup   []supRecord
+}
+
+// Check is the driver's entry point: it loads the module at root, runs
+// the analyzers over it, and times both. Unlike Load, which degrades
+// softly, Check fails when a package has type errors: degraded type
+// information would blunt every analyzer for that package while the
+// run still reported clean.
+func Check(root string, analyzers []*Analyzer) ([]Diagnostic, *Stats, error) {
+	start := time.Now() //xemem:wallclock -- driver self-timing for `make vet`, never simulation state
+	m, err := Load(root)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, pkg := range m.Pkgs {
+		if len(pkg.TypeErrors) > 0 {
+			return nil, nil, fmt.Errorf("analysis: %s does not type-check: %v", pkg.Path, pkg.TypeErrors[0])
+		}
+	}
+	m.Summaries()
+	stats := &Stats{Packages: len(m.Pkgs)}
+	stats.LoadNs = int64(time.Since(start)) //xemem:wallclock -- driver self-timing
+	diags := assemble(analyzers, runPackages(m, analyzers, stats))
+	stats.TotalNs = int64(time.Since(start)) //xemem:wallclock -- driver self-timing
+	return diags, stats, nil
 }
 
 // Run executes the given analyzers over a loaded module, applies the
@@ -174,16 +177,13 @@ type pkgResult struct {
 // reason, unknown analyzer name, misplaced wallclock) is reported under
 // the "directive" pseudo-analyzer and is never suppressible.
 func Run(m *Module, analyzers []*Analyzer) []Diagnostic {
-	results := runPackages(m, analyzers, nil, nil)
-	return assemble(analyzers, results)
+	return assemble(analyzers, runPackages(m, analyzers, nil))
 }
 
-// runPackages analyzes m's packages concurrently — all of them, or just
-// the ones in `only` when non-nil (cache misses). The result slice is
-// aligned with m.Pkgs; skipped packages leave nil slots for the caller
-// to fill from cache. stats, when non-nil, accumulates per-analyzer
+// runPackages analyzes m's packages concurrently, returning results
+// aligned with m.Pkgs. stats, when non-nil, accumulates per-analyzer
 // timing.
-func runPackages(m *Module, analyzers []*Analyzer, only map[string]bool, stats *Stats) []*pkgResult {
+func runPackages(m *Module, analyzers []*Analyzer, stats *Stats) []*pkgResult {
 	m.Summaries() // built once, up front: read-only for the workers
 
 	results := make([]*pkgResult, len(m.Pkgs))
@@ -191,9 +191,6 @@ func runPackages(m *Module, analyzers []*Analyzer, only map[string]bool, stats *
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	timing := newTimingTable(analyzers)
 	for i, pkg := range m.Pkgs {
-		if only != nil && !only[pkg.Path] {
-			continue
-		}
 		wg.Add(1)
 		go func(i int, pkg *Package) {
 			defer wg.Done()
@@ -215,7 +212,7 @@ func runPackages(m *Module, analyzers []*Analyzer, only map[string]bool, stats *
 func analyzePackage(m *Module, analyzers []*Analyzer, pkg *Package, timing *timingTable) *pkgResult {
 	sup := collectPackageDirectives(m, pkg, knownNames(analyzers))
 
-	res := &pkgResult{Path: pkg.Path, Facts: make(map[string]json.RawMessage), Sup: sup.records}
+	res := &pkgResult{Path: pkg.Path, Facts: make(map[string]any), Sup: sup.records}
 	var diags []Diagnostic
 	report := func(d Diagnostic) { diags = append(diags, d) }
 	for _, a := range analyzers {
@@ -226,9 +223,7 @@ func analyzePackage(m *Module, analyzers []*Analyzer, pkg *Package, timing *timi
 		facts := a.Run(&Pass{Analyzer: a, Module: m, Pkg: pkg, report: report})
 		timing.add(a.Name, time.Since(start)) //xemem:wallclock -- analyzer self-timing
 		if facts != nil {
-			if raw, err := json.Marshal(facts); err == nil {
-				res.Facts[a.Name] = raw
-			}
+			res.Facts[a.Name] = facts
 		}
 	}
 
@@ -248,20 +243,17 @@ func analyzePackage(m *Module, analyzers []*Analyzer, pkg *Package, timing *timi
 func assemble(analyzers []*Analyzer, results []*pkgResult) []Diagnostic {
 	var kept []Diagnostic
 	sup := &suppressions{byLine: make(map[lineKey]map[string]bool)}
-	facts := make(map[string]map[string]json.RawMessage) // analyzer → pkg path → facts
+	facts := make(map[string]map[string]any) // analyzer → pkg path → facts
 	for _, r := range results {
-		if r == nil {
-			continue
-		}
 		kept = append(kept, r.Diags...)
 		for _, s := range r.Sup {
 			sup.add(s.File, s.Line, s.Analyzer)
 		}
-		for name, raw := range r.Facts {
+		for name, fact := range r.Facts {
 			if facts[name] == nil {
-				facts[name] = make(map[string]json.RawMessage)
+				facts[name] = make(map[string]any)
 			}
-			facts[name][r.Path] = raw
+			facts[name][r.Path] = fact
 		}
 	}
 
@@ -273,7 +265,7 @@ func assemble(analyzers []*Analyzer, results []*pkgResult) []Diagnostic {
 		}
 		f := facts[a.Name]
 		if f == nil {
-			f = make(map[string]json.RawMessage)
+			f = make(map[string]any)
 		}
 		a.Finish(&FinishPass{Analyzer: a, Facts: f, report: report})
 	}

@@ -56,26 +56,25 @@ var clockPath = map[string]bool{
 type chargeFacts struct {
 	// Charged lists the Costs field names some flow in this package
 	// charges.
-	Charged []string `json:"charged,omitempty"`
+	Charged []string
 	// Fields carries the Costs field declarations themselves — emitted
 	// only by the engine package, where the struct lives.
-	Fields []fieldRef `json:"fields,omitempty"`
+	Fields []fieldRef
 }
 
 // fieldRef names a struct field at its (root-relative) declaration
 // position.
 type fieldRef struct {
-	Name string         `json:"name"`
-	Pos  token.Position `json:"pos"`
+	Name string
+	Pos  token.Position
 }
 
 func newChargecheck() *Analyzer {
 	return &Analyzer{
-		Name:    "chargecheck",
-		Doc:     "flags sim.Costs fields never charged through Charge/ChargeN/AdvanceN or a resource acquisition (flow tracked through helpers via summaries), and Actor clock writes that bypass the charge path",
-		Version: 3,
-		Run:     chargecheckRun,
-		Finish:  chargecheckFinish,
+		Name:   "chargecheck",
+		Doc:    "flags sim.Costs fields never charged through Charge/ChargeN/AdvanceN or a resource acquisition (flow tracked through helpers via summaries), and Actor clock writes that bypass the charge path",
+		Run:    chargecheckRun,
+		Finish: chargecheckFinish,
 	}
 }
 
@@ -202,8 +201,8 @@ func chargecheckFinish(f *FinishPass) {
 	charged := make(map[string]bool)
 	var fields []fieldRef
 	for _, path := range f.Paths() {
-		var facts chargeFacts
-		if !f.Fact(path, &facts) {
+		facts, ok := f.Facts[path].(chargeFacts)
+		if !ok {
 			continue
 		}
 		for _, name := range facts.Charged {

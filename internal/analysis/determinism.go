@@ -28,9 +28,8 @@ var processIdentityFuncs = map[string]bool{
 
 func newDeterminism() *Analyzer {
 	a := &Analyzer{
-		Name:    "determinism",
-		Doc:     "flags wall-clock, math/rand, and process-identity nondeterminism; excuse real benchmark timers with //xemem:wallclock -- <reason>",
-		Version: 1,
+		Name: "determinism",
+		Doc:  "flags wall-clock, math/rand, and process-identity nondeterminism; excuse real benchmark timers with //xemem:wallclock -- <reason>",
 	}
 	a.Run = func(pass *Pass) any {
 		for _, f := range pass.Pkg.Files {

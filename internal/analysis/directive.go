@@ -78,12 +78,13 @@ func ParseDirective(text string, known map[string]bool) (analyzer, reason, errMs
 }
 
 // supRecord is one applied suppression: analyzer silenced on a
-// (root-relative) file line. Serialized into cache entries so
-// module-level diagnostics honor cached packages' directives.
+// (root-relative) file line. Each package's records are merged after
+// the per-package passes so module-level diagnostics honor every
+// package's directives.
 type supRecord struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Analyzer string `json:"analyzer"`
+	File     string
+	Line     int
+	Analyzer string
 }
 
 // suppressions indexes which analyzers are silenced on which lines, plus

@@ -26,9 +26,8 @@ import (
 // outside xemem-vet's scope and may save/restore hooks freely.
 func newHookstate() *Analyzer {
 	a := &Analyzer{
-		Name:    "hookstate",
-		Doc:     "flags writes to package-level func-typed hook variables outside package main; library code must thread observers explicitly",
-		Version: 1,
+		Name: "hookstate",
+		Doc:  "flags writes to package-level func-typed hook variables outside package main; library code must thread observers explicitly",
 	}
 	a.Run = func(pass *Pass) any {
 		if pass.Pkg.Types == nil || pass.Pkg.Types.Name() == "main" {

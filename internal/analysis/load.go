@@ -1,13 +1,16 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -23,10 +26,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// TypeErrors collects soft type-check errors. With the source
-	// importer available this stays empty for a healthy tree; when a
-	// stdlib import cannot be resolved the checker degrades instead of
-	// failing and the errors land here.
+	// TypeErrors collects soft type-check errors. It stays empty for a
+	// healthy tree; when an import has no readable export data the
+	// checker degrades to a stub instead of failing and the errors land
+	// here (Check refuses such a module).
 	TypeErrors []error
 }
 
@@ -49,8 +52,7 @@ type Module struct {
 
 // Position resolves pos to a token.Position whose filename is relative
 // to the module root — the canonical form every diagnostic, directive,
-// and cached fact uses, so cache entries are relocatable and output is
-// stable across checkouts.
+// and fact uses, so output is stable across checkouts.
 func (m *Module) Position(pos token.Pos) token.Position {
 	p := m.Fset.Position(pos)
 	if rel, err := filepath.Rel(m.Root, p.Filename); err == nil {
@@ -74,10 +76,11 @@ func (m *Module) Line(filename string, n int) string {
 }
 
 // Load parses and type-checks every non-test package under root, which
-// must contain a go.mod naming the module. Stdlib imports are resolved
-// from source via go/importer; a stdlib package that cannot be loaded is
-// replaced by an empty stub and the resulting type errors are recorded
-// rather than fatal, so analysis degrades instead of dying.
+// must contain a go.mod naming the module. Module-external imports are
+// read from compiler export data located by one `go list -export`; an
+// import without export data is replaced by an empty stub and the
+// resulting type errors are recorded rather than fatal, so analysis
+// degrades instead of dying.
 func Load(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -116,11 +119,62 @@ func Load(root string) (*Module, error) {
 		return nil, err
 	}
 	m.order = order
-	imp := &moduleImporter{m: m, std: importer.ForCompiler(m.Fset, "source", nil)}
+	exports, err := m.exportFiles()
+	if err != nil {
+		return nil, err
+	}
+	lookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("analysis: no export data for %s", path)
+		}
+		return os.Open(file)
+	}
+	imp := &moduleImporter{m: m, std: importer.ForCompiler(m.Fset, "gc", lookup)}
 	for _, pkg := range order {
 		m.check(pkg, imp)
 	}
 	return m, nil
+}
+
+// exportFiles maps every module-external import path to its compiler
+// export data file, as reported by one `go list -export` in the module
+// root. -e keeps an unresolvable path from failing the listing: it comes
+// back without a file and degrades to a stub in moduleImporter.
+func (m *Module) exportFiles() (map[string]string, error) {
+	var paths []string
+	seen := make(map[string]bool)
+	for _, pkg := range m.Pkgs {
+		for _, f := range pkg.Files {
+			for _, spec := range f.Imports {
+				path := strings.Trim(spec.Path.Value, `"`)
+				if m.byPath[path] == nil && !seen[path] {
+					seen[path] = true
+					paths = append(paths, path)
+				}
+			}
+		}
+	}
+	exports := make(map[string]string)
+	if len(paths) == 0 {
+		return exports, nil
+	}
+	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, paths...)...)
+	cmd.Dir = m.Root
+	out, err := cmd.Output()
+	if err != nil {
+		var ee *exec.ExitError
+		if errors.As(err, &ee) {
+			err = fmt.Errorf("%w: %s", err, strings.TrimSpace(string(ee.Stderr)))
+		}
+		return nil, fmt.Errorf("analysis: go list -export: %w", err)
+	}
+	for _, line := range strings.Split(string(out), "\n") {
+		if path, file, ok := strings.Cut(line, " "); ok && file != "" {
+			exports[path] = file
+		}
+	}
+	return exports, nil
 }
 
 // readModulePath extracts the module path from a go.mod file.
@@ -269,8 +323,8 @@ func (m *Module) check(pkg *Package, imp types.Importer) {
 
 // moduleImporter resolves module-internal imports from the loader's own
 // packages (already type-checked, thanks to topo order) and everything
-// else through the compiler source importer, degrading to empty stub
-// packages when that fails.
+// else from compiler export data, degrading to empty stub packages when
+// that fails.
 type moduleImporter struct {
 	m     *Module
 	std   types.Importer

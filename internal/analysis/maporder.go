@@ -31,9 +31,8 @@ var exporterPrefixes = []string{
 
 func newMaporder() *Analyzer {
 	a := &Analyzer{
-		Name:    "maporder",
-		Doc:     "flags map iteration in exporter-feeding functions unless keys are collected and sorted; nondeterministic order corrupts golden digests",
-		Version: 1,
+		Name: "maporder",
+		Doc:  "flags map iteration in exporter-feeding functions unless keys are collected and sorted; nondeterministic order corrupts golden digests",
 	}
 	a.Run = func(pass *Pass) any {
 		tracePkg := hasSuffixPath(pass.Pkg.Path, "trace")

@@ -60,9 +60,8 @@ var pairs = []pairSpec{
 
 func newPaircheck() *Analyzer {
 	return &Analyzer{
-		Name:    "paircheck",
-		Doc:     "flags XPMEM GetWith/AttachWith/AttachCached handles and coll registration-cache bindings no path can release (directly or via a summarized helper); escaped handles transfer ownership and are exempt",
-		Version: 4,
+		Name: "paircheck",
+		Doc:  "flags XPMEM GetWith/AttachWith/AttachCached handles and coll registration-cache bindings no path can release (directly or via a summarized helper); escaped handles transfer ownership and are exempt",
 		Run: func(pass *Pass) any {
 			for _, f := range pass.Pkg.Files {
 				for _, decl := range f.Decls {

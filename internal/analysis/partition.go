@@ -38,9 +38,8 @@ import (
 //     with the reason.
 func newPartition() *Analyzer {
 	return &Analyzer{
-		Name:    "partition",
-		Doc:     "flags actor-state access on an actor other than the running one inside actor closures, and running-actor captures that escape into other goroutines (directly or through a helper); actors interact only through the engine's primitives",
-		Version: 3,
+		Name: "partition",
+		Doc:  "flags actor-state access on an actor other than the running one inside actor closures, and running-actor captures that escape into other goroutines (directly or through a helper); actors interact only through the engine's primitives",
 		Run: func(pass *Pass) any {
 			if pass.Pkg.Types == nil || pass.Pkg.Types.Name() == "main" || isSimPackage(pass.Module, pass.Pkg) {
 				return nil

@@ -37,45 +37,44 @@ const snapEncoder = "EncodeSnapshot"
 type snapshotFacts struct {
 	// Registered lists the type keys this package registers via
 	// AddSnapshotComponent.
-	Registered []string `json:"registered,omitempty"`
+	Registered []string
 	// Types maps type key → coverage fact for every local type
 	// declaring an EncodeSnapshot method.
-	Types map[string]snapTypeFact `json:"types,omitempty"`
+	Types map[string]snapTypeFact
 	// ExternalWrites records mutations of *other* packages' snapshotted
 	// types' fields (the owning package cannot see them).
-	ExternalWrites []extWrite `json:"externalWrites,omitempty"`
+	ExternalWrites []extWrite
 }
 
 type snapTypeFact struct {
 	// Display is the short pkg.Type name for diagnostics.
-	Display string `json:"display"`
+	Display string
 	// Calls lists the type keys whose encoders this type's encoder
 	// closure invokes: the delegation edges of the snapshot graph.
-	Calls []string `json:"calls,omitempty"`
+	Calls []string
 	// Fields covers every field of the type's struct, in declaration
 	// order.
-	Fields []snapField `json:"fields"`
+	Fields []snapField
 }
 
 type snapField struct {
-	Name    string         `json:"name"`
-	Pos     token.Position `json:"pos"`
-	Mutable bool           `json:"mutable,omitempty"`
-	Encoded bool           `json:"encoded,omitempty"`
+	Name    string
+	Pos     token.Position
+	Mutable bool
+	Encoded bool
 }
 
 type extWrite struct {
-	Type  string `json:"type"`
-	Field string `json:"field"`
+	Type  string
+	Field string
 }
 
 func newSnapshotcheck() *Analyzer {
 	return &Analyzer{
-		Name:    "snapshotcheck",
-		Doc:     "verifies every mutable field of a registered snapshot component (and its delegates) is written by EncodeSnapshot; excuse derived or build-time fields with //xemem:nosnap -- <reason>",
-		Version: 2,
-		Run:     snapshotcheckRun,
-		Finish:  snapshotcheckFinish,
+		Name:   "snapshotcheck",
+		Doc:    "verifies every mutable field of a registered snapshot component (and its delegates) is written by EncodeSnapshot; excuse derived or build-time fields with //xemem:nosnap -- <reason>",
+		Run:    snapshotcheckRun,
+		Finish: snapshotcheckFinish,
 	}
 }
 
@@ -363,8 +362,8 @@ func snapshotcheckFinish(f *FinishPass) {
 	extMutable := make(map[extWrite]bool)
 	var roots []string
 	for _, path := range f.Paths() {
-		var facts snapshotFacts
-		if !f.Fact(path, &facts) {
+		facts, ok := f.Facts[path].(snapshotFacts)
+		if !ok {
 			continue
 		}
 		roots = append(roots, facts.Registered...)

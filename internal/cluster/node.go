@@ -232,9 +232,6 @@ func (cl *Cluster) installShards() {
 	}
 }
 
-// Ready reports whether cluster setup has completed.
-func (cl *Cluster) Ready() bool { return cl.ready }
-
 // WaitReady blocks the workload actor until setup completes.
 func (cl *Cluster) WaitReady(a *sim.Actor) {
 	a.Poll(10*sim.Microsecond, func() bool { return cl.ready })

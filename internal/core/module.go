@@ -347,9 +347,6 @@ func (m *Module) AddLink(l xproto.Link) { m.links = append(m.links, l) }
 // Links reports the module's channel endpoints.
 func (m *Module) Links() []xproto.Link { return m.links }
 
-// Ready reports whether the bootstrap has completed.
-func (m *Module) Ready() bool { return m.ready }
-
 // WaitReady polls until the module's kernel finishes bootstrapping — or
 // until the enclave crashes, so callers do not poll a corpse forever
 // (the subsequent operation then fails with ErrEnclaveDown).

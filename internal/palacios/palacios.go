@@ -102,14 +102,12 @@ func (r radixMap) entries() int { return r.m.Size() }
 // physical address space translates through the VMM memory map, connected
 // to its host enclave by the virtual PCI channel.
 type VM struct {
-	name  string
-	w     *sim.World
-	c     *sim.Costs
-	pm    *mem.PhysMem
-	kind  MapKind
-	mmap  memmap
-	block extent.Extent // host memory backing guest RAM
-	host  *mem.Zone     // where the block returns on shutdown
+	name string
+	w    *sim.World
+	c    *sim.Costs
+	pm   *mem.PhysMem
+	kind MapKind
+	mmap memmap
 
 	Guest  *linuxos.Linux
 	Module *core.Module
@@ -147,7 +145,7 @@ func Launch(name string, w *sim.World, costs *sim.Costs, pm *mem.PhysMem, hostZo
 		return nil, fmt.Errorf("palacios: cannot allocate %d bytes of guest RAM for %s: %w", memBytes, name, err)
 	}
 	vm := &VM{
-		name: name, w: w, c: costs, pm: pm, kind: kind, block: block,
+		name: name, w: w, c: costs, pm: pm, kind: kind,
 		gpaNext:    importBase,
 		imports:    make(map[extent.PFN]*importRec),
 		insertMemo: make(map[memoKey]sim.Time),
@@ -167,7 +165,6 @@ func Launch(name string, w *sim.World, costs *sim.Costs, pm *mem.PhysMem, hostZo
 		return nil, err
 	}
 
-	vm.host = hostZone
 	guestZone := mem.NewDetachedZone(0, extent.Extent{First: ramBase, Count: pages})
 	vm.Guest = linuxos.New(name+"-guest", w, costs, guestZone, guestDomain{vm: vm}, guestCores)
 	vm.Guest.SetVirtHooks(vm)
@@ -179,20 +176,6 @@ func Launch(name string, w *sim.World, costs *sim.Costs, pm *mem.PhysMem, hostZo
 
 // Name reports the VM's name.
 func (vm *VM) Name() string { return vm.name }
-
-// Shutdown destroys the VM and returns its RAM to the host enclave. It
-// fails while the guest still has XEMEM imports mapped (their VMM state
-// would dangle) or while other enclaves hold attachments to guest memory
-// (the backing host frames are pinned).
-func (vm *VM) Shutdown(a *sim.Actor) error {
-	if n := len(vm.imports); n > 0 {
-		return fmt.Errorf("palacios %s: %d live import(s)", vm.name, n)
-	}
-	if err := vm.Module.Stop(a); err != nil {
-		return err
-	}
-	return vm.host.Free(extent.FromExtents(vm.block))
-}
 
 // MapEntries reports the guest memory map's current entry count.
 func (vm *VM) MapEntries() int { return vm.mmap.entries() }
