@@ -4,13 +4,13 @@ GO ?= go
 # the repo root.
 COVER_DIR ?= .cover
 
-.PHONY: check vet build benchmark-build race test fuzz cover bench replay
+.PHONY: check vet build benchmark-build race test examples fuzz cover bench replay
 
 # check runs everything CI needs: static analysis, a full build of both
 # modules, the race-sensitive engine/cache/trace suites, a short fuzz
-# smoke, the tier-1 test suite, the repro-bundle replay, and the coverage
-# floors.
-check: vet build benchmark-build race test replay fuzz cover
+# smoke, the tier-1 test suite, a run of every example program, the
+# repro-bundle replay, and the coverage floors.
+check: vet build benchmark-build race test examples replay fuzz cover
 
 # vet is three gates: formatting, the stock toolchain vet, and
 # xemem-vet — the in-tree analyzer suite (cmd/xemem-vet) that enforces
@@ -50,6 +50,14 @@ race:
 
 test:
 	$(GO) test ./...
+
+# Run every program under examples/: build compiles them, this proves
+# each still runs to a zero exit (quickstart and topology exercise
+# name-server lookups from the hosting enclave and from remote ones).
+examples:
+	@set -e; for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d; \
+	done
 
 # Short fuzz smoke over the two guest-memory-map structures (the full
 # corpora replay in `test`; this explores a little beyond them).

@@ -34,10 +34,9 @@ func main() {
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
 	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+benchNames()+", all")
 	replayPath := flag.String("replay", "", "re-run the repro bundle at this path and verify its snapshot hash and trace digest")
-	reproPath := flag.String("repro", "", "capture a repro bundle to this path (see -recipe, -recipe-params, -cut-frac)")
+	reproPath := flag.String("repro", "", "capture a repro bundle to this path, cut at mid-run (see -recipe, -recipe-params)")
 	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
 	recipeParams := flag.String("recipe-params", "", "JSON parameter blob for -repro (recipe defaults when empty)")
-	cutFrac := flag.Float64("cut-frac", 0.5, "where -repro places the snapshot cut, as a fraction of the run's virtual duration")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the figure sweeps (1 = serial runner; results are byte-identical at any value)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of every simulated world to this file (open in chrome://tracing or Perfetto; combine with -fast)")
 	metricsOut := flag.String("metrics", "", "write per-world contention metrics JSON to this file and print the per-figure breakdown tables")
@@ -111,7 +110,7 @@ func main() {
 		if *recipeParams != "" {
 			params = json.RawMessage(*recipeParams)
 		}
-		b, err := experiments.CaptureBundle(*recipeName, params, *seed, *cutFrac)
+		b, err := experiments.CaptureBundle(*recipeName, params, *seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			os.Exit(1)

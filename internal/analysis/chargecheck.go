@@ -36,7 +36,7 @@ import (
 // leaks).
 var chargeSinks = map[string]bool{
 	"Charge": true, "ChargeN": true,
-	"Advance": true, "AdvanceN": true, "AdvanceTo": true, "Sleep": true,
+	"Advance": true, "AdvanceN": true, "AdvanceTo": true,
 	"Acquire": true, "AcquireOp": true, "TryAcquire": true, "Exec": true,
 	"CopyTime": true,
 	// The timeout primitives: interval and deadline both become

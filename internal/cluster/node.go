@@ -2,7 +2,7 @@ package cluster
 
 // Multi-node cluster builder. A Cluster places N simulated machines in
 // one world, each built through the standard xemem.Node substrate (Linux
-// management enclave, optional Kitten co-kernel), and couples them with
+// management enclave and one Kitten co-kernel), and couples them with
 // an InfiniBand fabric (internal/rdma.Fabric): every pair of management
 // enclaves shares an RDMA message channel, so the §3.2 joining protocol,
 // segment commands, and page-frame lists all travel the modelled wire.
@@ -43,13 +43,10 @@ type Config struct {
 	LeaseTTL sim.Time
 	// MemBytes is each node's physical memory (default 4 GB).
 	MemBytes uint64
-	// CoKernels boots one Kitten co-kernel per node — the workload
-	// enclave the cluster experiments export segments from, with a
-	// ckBytes partition.
-	CoKernels bool
 }
 
-// ckBytes sizes each node's co-kernel partition.
+// ckBytes sizes each node's Kitten co-kernel partition: the workload
+// enclave the cluster experiments export segments from.
 const ckBytes = 256 << 20
 
 func (cfg *Config) withDefaults() error {
@@ -82,16 +79,12 @@ func (cfg *Config) withDefaults() error {
 type Node struct {
 	Index int
 	X     *xemem.Node
-	CK    *pisces.CoKernel // nil unless Config.CoKernels
+	CK    *pisces.CoKernel
 }
 
 // Modules lists the node's enclave modules in construction order.
 func (n *Node) Modules() []*core.Module {
-	mods := []*core.Module{n.X.LinuxModule()}
-	if n.CK != nil {
-		mods = append(mods, n.CK.Module)
-	}
-	return mods
+	return []*core.Module{n.X.LinuxModule(), n.CK.Module}
 }
 
 // Cluster is a built multi-node world.
@@ -142,13 +135,11 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 		for j := 0; j < i; j++ {
 			cl.connect(j, i)
 		}
-		if cfg.CoKernels {
-			ck, err := x.BootCoKernel("ck", ckBytes)
-			if err != nil {
-				return nil, err
-			}
-			n.CK = ck
+		ck, err := x.BootCoKernel("ck", ckBytes)
+		if err != nil {
+			return nil, err
 		}
+		n.CK = ck
 		for _, m := range n.Modules() {
 			m.SetNIC(&nic{cl: cl, node: i})
 		}

@@ -25,7 +25,7 @@ func runExchange(t *testing.T, seed uint64, nodes, shards int, keepEvents bool) 
 	tr := trace.NewTracer(fmt.Sprintf("cluster/n%d/s%d", nodes, shards))
 	tr.SetKeepEvents(keepEvents)
 	w.SetObserver(tr)
-	cl, err := NewInWorld(w, Config{Nodes: nodes, Shards: shards, CoKernels: true})
+	cl, err := NewInWorld(w, Config{Nodes: nodes, Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,53 +24,13 @@ func (m *Module) resolveDst(a *sim.Actor, msg *xproto.Message) error {
 	if !m.nsRoot || msg.Dst != xproto.NoEnclave {
 		return nil
 	}
-	switch msg.Type {
-	case xproto.MsgGetReq, xproto.MsgAttachReq, xproto.MsgReleaseNotify, xproto.MsgDetachNotify:
-		if err := m.nsWait(a); err != nil {
-			return err
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		owner, ok := m.NS.Owner(msg.Segid)
-		if !ok {
-			return ErrNoSuchSegid
-		}
-		if m.NS.EnclaveDown(owner) {
-			return ErrEnclaveDown
-		}
-		msg.Dst = owner
+	resp, err := m.nsLocal(a, msg)
+	if err != nil {
+		return err
 	}
+	msg.Dst = xproto.EnclaveID(resp.Value)
 	return nil
 }
-
-// nsWait gates a locally served name-server operation on injected
-// outage windows: while the name server is down, the caller backs off
-// exponentially (bounded), returning ErrTimeout if the outage outlasts
-// the budget. A nil injector — the zero-fault world — costs one branch.
-func (m *Module) nsWait(a *sim.Actor) error {
-	inj := m.w.Injector()
-	if inj == nil || !inj.ServiceDown("nameserver", a.Now()) {
-		return nil
-	}
-	wait := nsOutageBaseWait
-	for i := 0; i < nsOutageRetries; i++ {
-		a.Charge("ns-outage-wait", wait)
-		m.Stats.NSRetries++
-		if !inj.ServiceDown("nameserver", a.Now()) {
-			return nil
-		}
-		wait *= 2
-	}
-	m.Stats.Timeouts++
-	return ErrTimeout
-}
-
-// Name-server outage backoff: 20 µs doubling 10 times rides out ~20 ms
-// of unavailability — matching the default RPC retry budget — before the
-// caller gives up with ErrTimeout.
-const (
-	nsOutageBaseWait = 20 * sim.Microsecond
-	nsOutageRetries  = 10
-)
 
 // rpc issues a request from a process actor and waits for the routed
 // response under pol, resolved for this world (RetryPolicy.resolve): each
@@ -104,7 +64,7 @@ func (m *Module) rpc(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xprot
 		// then learns the owner is down right here (ErrEnclaveDown); others
 		// fall back to the name-server route, where the same verdict comes
 		// back on the wire.
-		if m.nsRoot && origDst == xproto.NoEnclave {
+		if origDst == xproto.NoEnclave {
 			msg.Dst = xproto.NoEnclave
 			if err := m.resolveDst(a, msg); err != nil {
 				return nil, opErr(msg.Type.String(), err, msg.Segid, msg.Apid)
@@ -190,32 +150,11 @@ func (m *Module) Make(a *sim.Actor, p *proc.Process, va pagetable.VA, bytes uint
 		return xproto.NoSegid, vaErr("make", ErrBadRange, va)
 	}
 
-	var segid xproto.Segid
-	switch {
-	case m.shards != nil:
-		var err error
-		segid, err = m.shardAllocSegid(a, RetryPolicy{})
-		if err != nil {
-			return xproto.NoSegid, err
-		}
-	case m.nsRoot:
-		if err := m.nsWait(a); err != nil {
-			return xproto.NoSegid, opErr("make", err, xproto.NoSegid, xproto.NoApid)
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		var err error
-		segid, err = m.NS.AllocSegid(m.R.Self())
-		if err != nil {
-			return xproto.NoSegid, err
-		}
-	default:
-		resp, err := m.rpc(a, &xproto.Message{Type: xproto.MsgSegidAllocReq, Dst: xproto.NoEnclave}, RetryPolicy{})
-		if err != nil {
-			return xproto.NoSegid, err
-		}
-		segid = xproto.Segid(resp.Value)
+	resp, err := m.nsCall(a, "make", &xproto.Message{Type: xproto.MsgSegidAllocReq}, RetryPolicy{})
+	if err != nil {
+		return xproto.NoSegid, err
 	}
-
+	segid := xproto.Segid(resp.Value)
 	seg := &Segment{
 		ID: segid, Owner: p, VA: va, PagesN: bytes / pageSize,
 		Perm: perm, permits: make(map[xproto.Apid]*Permit),
@@ -223,36 +162,16 @@ func (m *Module) Make(a *sim.Actor, p *proc.Process, va pagetable.VA, bytes uint
 	m.segs[segid] = seg
 
 	if name != "" {
-		if err := m.publish(a, segid, name); err != nil {
+		if _, err := m.nsCall(a, "publish", &xproto.Message{Type: xproto.MsgNamePublish, Segid: segid, Name: name}, RetryPolicy{}); err != nil {
 			delete(m.segs, segid)
-			switch {
-			case m.shards != nil:
-				_ = m.shardRemove(a, segid)
-			case m.nsRoot:
-				_ = m.NS.RemoveSegid(segid, m.R.Self())
-			default:
-				m.notify(a, &xproto.Message{Type: xproto.MsgSegidRemove, Dst: xproto.NoEnclave, Segid: segid})
-			}
+			// Best-effort retirement: the publish failure is what the
+			// caller needs to hear.
+			_, _ = m.nsCall(a, "remove", &xproto.Message{Type: xproto.MsgSegidRemove, Segid: segid}, RetryPolicy{})
 			return xproto.NoSegid, err
 		}
 		seg.Name = name
 	}
 	return segid, nil
-}
-
-func (m *Module) publish(a *sim.Actor, segid xproto.Segid, name string) error {
-	if m.shards != nil {
-		return m.shardPublish(a, segid, name, RetryPolicy{})
-	}
-	if m.nsRoot {
-		if err := m.nsWait(a); err != nil {
-			return &OpError{Op: "publish", Segid: segid, Name: name, Err: err}
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		return m.NS.Publish(name, segid, m.R.Self())
-	}
-	_, err := m.rpc(a, &xproto.Message{Type: xproto.MsgNamePublish, Dst: xproto.NoEnclave, Segid: segid, Name: name}, RetryPolicy{})
-	return err
 }
 
 // Lookup resolves a published segment name at the name server
@@ -263,20 +182,7 @@ func (m *Module) Lookup(a *sim.Actor, name string) (xproto.Segid, error) {
 		return xproto.NoSegid, err
 	}
 	a.Charge("syscall", m.c.Syscall)
-	if m.shards != nil {
-		return m.shardNameLookup(a, name, RetryPolicy{})
-	}
-	if m.nsRoot {
-		if err := m.nsWait(a); err != nil {
-			return xproto.NoSegid, &OpError{Op: "lookup", Name: name, Err: err}
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		if segid, ok := m.NS.Lookup(name); ok {
-			return segid, nil
-		}
-		return xproto.NoSegid, &OpError{Op: "lookup", Name: name, Err: ErrNoSuchSegid}
-	}
-	resp, err := m.rpc(a, &xproto.Message{Type: xproto.MsgNameLookupReq, Dst: xproto.NoEnclave, Name: name}, RetryPolicy{})
+	resp, err := m.nsCall(a, "lookup", &xproto.Message{Type: xproto.MsgNameLookupReq, Name: name}, RetryPolicy{})
 	if err != nil {
 		return xproto.NoSegid, err
 	}
@@ -301,19 +207,9 @@ func (m *Module) Remove(a *sim.Actor, p *proc.Process, segid xproto.Segid) error
 	}
 	seg.Removed = true
 	m.invalidateFrameCache(segid)
-	if m.shards != nil {
-		delete(m.leases, segid)
-		return m.shardRemove(a, segid)
-	}
-	if m.nsRoot {
-		if err := m.nsWait(a); err != nil {
-			return opErr("remove", err, segid, xproto.NoApid)
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		return m.NS.RemoveSegid(segid, m.R.Self())
-	}
-	m.notify(a, &xproto.Message{Type: xproto.MsgSegidRemove, Dst: xproto.NoEnclave, Segid: segid})
-	return nil
+	delete(m.leases, segid)
+	_, err := m.nsCall(a, "remove", &xproto.Message{Type: xproto.MsgSegidRemove, Segid: segid}, RetryPolicy{})
+	return err
 }
 
 // GetWith requests access to a segment (xpmem_get) with explicit options
@@ -590,11 +486,4 @@ func (m *Module) AttachmentLive(p *proc.Process, va pagetable.VA, segid xproto.S
 	}
 	att, ok := m.attachments[region]
 	return ok && !att.Poisoned && att.Segid == segid && att.Apid == apid
-}
-
-// Segment returns the owner-side record for a locally owned segid
-// (diagnostics and tests).
-func (m *Module) Segment(segid xproto.Segid) (*Segment, bool) {
-	s, ok := m.segs[segid]
-	return s, ok
 }

@@ -109,149 +109,6 @@ func (m *Module) reply(a *sim.Actor, resp *xproto.Message) {
 	m.sendOn(a, l, resp)
 }
 
-// handleNS processes commands addressed to the name server. Segment
-// commands (get/attach/release/detach) are resolved through the
-// segid→enclave map and forwarded to the owner, per Fig. 3.
-//
-// During an injected name-server outage window every request is dropped
-// on the floor — the service is down, there is no one to even say so —
-// and requesters recover via their timeout/retry policies once the
-// window passes.
-func (m *Module) handleNS(a *sim.Actor, msg *xproto.Message) {
-	if inj := m.w.Injector(); inj != nil && inj.ServiceDown("nameserver", a.Now()) {
-		m.Stats.NSOutageDrops++
-		if obs := a.Observer(); obs != nil {
-			obs.Count("fault-ns-drop", a, 0)
-		}
-		return
-	}
-	a.Charge("ns-op", m.c.NSOp)
-	switch msg.Type {
-	case xproto.MsgSegidAllocReq:
-		segid, err := m.NS.AllocSegid(msg.Src)
-		resp := &xproto.Message{Type: xproto.MsgSegidAllocResp, ReqID: msg.ReqID, Dst: msg.Src, Src: m.R.Self()}
-		if err != nil {
-			resp.Status = xproto.StatusError
-		} else {
-			resp.Value = uint64(segid)
-			m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncAlloc, Segid: segid, Value: uint64(msg.Src)})
-		}
-		m.reply(a, resp)
-
-	case xproto.MsgSegidRemove:
-		if err := m.NS.RemoveSegid(msg.Segid, msg.Src); err != nil {
-			m.Stats.DroppedMessages++
-		} else {
-			m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncRemove, Segid: msg.Segid})
-		}
-
-	case xproto.MsgNamePublish:
-		resp := &xproto.Message{Type: xproto.MsgNamePublishResp, ReqID: msg.ReqID, Dst: msg.Src, Src: m.R.Self()}
-		var err error
-		if m.shards != nil {
-			// A name's home shard generally does not hold the segid's
-			// registration, so the sharded bind skips owner validation.
-			err = m.NS.BindName(msg.Name, msg.Segid)
-		} else {
-			err = m.NS.Publish(msg.Name, msg.Segid, msg.Src)
-		}
-		if err != nil {
-			resp.Status = xproto.StatusDenied
-		} else if m.shards != nil {
-			m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncPublish, Segid: msg.Segid, Name: msg.Name})
-		}
-		m.reply(a, resp)
-
-	case xproto.MsgShardLookupReq:
-		resp := &xproto.Message{Type: xproto.MsgShardLookupResp, ReqID: msg.ReqID, Dst: msg.Src, Src: m.R.Self(), Segid: msg.Segid}
-		owner, ok := m.NS.Owner(msg.Segid)
-		switch {
-		case !ok:
-			resp.Status = xproto.StatusNotFound
-		case m.NS.EnclaveDown(owner):
-			resp.Status = xproto.StatusEnclaveDown
-		default:
-			resp.Value = uint64(owner)
-		}
-		m.reply(a, resp)
-
-	case xproto.MsgShardSyncAlloc:
-		m.NS.SyncRegister(msg.Segid, xproto.EnclaveID(msg.Value))
-		m.ShardStats.SyncsApplied++
-
-	case xproto.MsgShardSyncPublish:
-		if err := m.NS.BindName(msg.Name, msg.Segid); err != nil {
-			m.Stats.DroppedMessages++
-		} else {
-			m.ShardStats.SyncsApplied++
-		}
-
-	case xproto.MsgShardSyncRemove:
-		m.NS.SyncRemove(msg.Segid)
-		m.ShardStats.SyncsApplied++
-
-	case xproto.MsgNameLookupReq:
-		resp := &xproto.Message{Type: xproto.MsgNameLookupResp, ReqID: msg.ReqID, Dst: msg.Src, Src: m.R.Self()}
-		if segid, ok := m.NS.Lookup(msg.Name); ok {
-			resp.Segid = segid
-		} else {
-			resp.Status = xproto.StatusNotFound
-		}
-		m.reply(a, resp)
-
-	case xproto.MsgGetReq, xproto.MsgAttachReq, xproto.MsgReleaseNotify, xproto.MsgDetachNotify:
-		owner, ok := m.NS.Owner(msg.Segid)
-		if !ok {
-			if msg.Type == xproto.MsgGetReq || msg.Type == xproto.MsgAttachReq {
-				m.reply(a, &xproto.Message{
-					Type:  respType(msg.Type),
-					ReqID: msg.ReqID, Dst: msg.Src, Src: m.R.Self(),
-					Status: xproto.StatusNotFound,
-				})
-			} else {
-				m.Stats.DroppedMessages++
-			}
-			return
-		}
-		if m.NS.EnclaveDown(owner) {
-			// The segment's owner crashed: its registrations linger so the
-			// failure is attributable, but there is no one to serve the
-			// request. Tell the requester the enclave is gone.
-			if msg.Type == xproto.MsgGetReq || msg.Type == xproto.MsgAttachReq {
-				m.reply(a, &xproto.Message{
-					Type:  respType(msg.Type),
-					ReqID: msg.ReqID, Dst: msg.Src, Src: m.R.Self(),
-					Status: xproto.StatusEnclaveDown,
-				})
-			} else {
-				m.Stats.DroppedMessages++
-			}
-			return
-		}
-		if owner == m.R.Self() {
-			m.handleOwner(a, msg)
-			return
-		}
-		msg.Dst = owner
-		m.NS.Forwards++
-		m.forward(a, msg, owner)
-
-	default:
-		m.Stats.DroppedMessages++
-	}
-}
-
-func respType(req xproto.MsgType) xproto.MsgType {
-	switch req {
-	case xproto.MsgGetReq:
-		return xproto.MsgGetResp
-	case xproto.MsgAttachReq:
-		return xproto.MsgAttachResp
-	default:
-		return xproto.MsgInvalid
-	}
-}
-
 // handleOwner processes segment commands at the owning enclave.
 func (m *Module) handleOwner(a *sim.Actor, msg *xproto.Message) {
 	switch msg.Type {

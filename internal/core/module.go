@@ -333,9 +333,6 @@ func (m *Module) Costs() *sim.Costs { return m.c }
 // World exposes the simulation world.
 func (m *Module) World() *sim.World { return m.w }
 
-// OS exposes the owning kernel's hook set.
-func (m *Module) OS() OS { return m.os }
-
 // EnclaveID reports this enclave's assigned ID (NoEnclave until the
 // bootstrap completes).
 func (m *Module) EnclaveID() xproto.EnclaveID { return m.R.Self() }

@@ -153,64 +153,63 @@ func (m *Module) dropLease(a *sim.Actor, segid xproto.Segid) {
 	countShard(a, "lease-stale")
 }
 
-// shardCall is the one request path of the sharded name service: it
-// sends req to shard k's replicas in order until one answers. Replicas
-// known dead are skipped; a replica that times out or turns out down
-// advances to the next. A replica this module hosts serves the request
-// through local instead of the wire (nil local: never). Every
-// failover-worthy error — ErrTimeout for an exhausted list,
-// ErrEnclaveDown for a dead replica, the wire error otherwise — is
-// attributed to the caller's operation by fail, and the last one is
-// returned when the list runs out.
-func (m *Module) shardCall(a *sim.Actor, k int, req xproto.Message, pol RetryPolicy,
-	fail func(error) error, local func() (*xproto.Message, error)) (*xproto.Message, error) {
-	err := fail(ErrTimeout)
+// shardCall is the request path of the sharded name service: it sends
+// req to its home shard's replicas in order until one answers. A segid
+// allocation homes to a shard chosen by this module's enclave ID — or, on
+// a shard host, to the host's own instance and residue class; a publish
+// or name lookup homes to the name's shard, an owner lookup to the
+// segid's. Replicas known dead are skipped; a replica that times out or
+// turns out down advances to the next, and the last such error is
+// returned when the list runs out. A replica this module hosts serves
+// the request in place.
+func (m *Module) shardCall(a *sim.Actor, req *xproto.Message, pol RetryPolicy) (*xproto.Message, error) {
+	n := m.shardCount()
+	var k int
+	switch req.Type {
+	case xproto.MsgSegidAllocReq:
+		if m.NS != nil {
+			return m.nsLocal(a, req)
+		}
+		k = int(uint64(m.R.Self()) % uint64(n))
+	case xproto.MsgShardLookupReq:
+		k = nameserver.ShardOf(req.Segid, n)
+		m.ShardStats.ShardLookups++
+	case xproto.MsgNameLookupReq:
+		m.ShardStats.ShardLookups++
+		fallthrough
+	default: // name publish
+		k = nameserver.ShardOfName(req.Name, n)
+	}
+	if req.Type != xproto.MsgSegidAllocReq {
+		countShard(a, fmt.Sprintf("shard-route:%d", k))
+	}
+	var err error = ErrTimeout
 	for i, rep := range m.shards.Replicas[k] {
 		if i > 0 {
 			m.ShardStats.ShardFailovers++
 			countShard(a, "shard-failover")
 		}
-		if local != nil && rep == m.R.Self() && m.localShardServe(k) {
-			return local()
+		if rep == m.R.Self() && m.localShardServe(k) {
+			return m.nsLocal(a, req)
 		}
 		if m.dead[rep] {
-			err = fail(ErrEnclaveDown)
+			err = ErrEnclaveDown
 			continue
 		}
-		msg := req
+		msg := *req
 		msg.Dst = rep
 		resp, rerr := m.rpc(a, &msg, pol)
-		if rerr == nil {
-			return resp, nil
+		if rerr == nil || !errors.Is(rerr, ErrTimeout) && !errors.Is(rerr, ErrEnclaveDown) {
+			return resp, rerr
 		}
-		if !errors.Is(rerr, ErrTimeout) && !errors.Is(rerr, ErrEnclaveDown) {
-			return nil, rerr
-		}
-		err = fail(rerr)
+		err = rerr
 	}
 	return nil, err
 }
 
 // shardLookup resolves segid→owner at the segid's home shard.
 func (m *Module) shardLookup(a *sim.Actor, segid xproto.Segid, pol RetryPolicy) (xproto.EnclaveID, error) {
-	k := nameserver.ShardOf(segid, m.shardCount())
-	m.ShardStats.ShardLookups++
-	countShard(a, fmt.Sprintf("shard-route:%d", k))
-	fail := func(err error) error { return opErr("shard-lookup", err, segid, xproto.NoApid) }
-	resp, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgShardLookupReq, Segid: segid}, pol, fail, func() (*xproto.Message, error) {
-		if werr := m.nsWait(a); werr != nil {
-			return nil, fail(werr)
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		owner, ok := m.NS.Owner(segid)
-		if !ok {
-			return nil, fail(ErrNoSuchSegid)
-		}
-		if m.NS.EnclaveDown(owner) || m.dead[owner] {
-			return nil, fail(ErrEnclaveDown)
-		}
-		return &xproto.Message{Value: uint64(owner)}, nil
-	})
+	resp, err := m.nsCall(a, "shard-lookup", &xproto.Message{Type: xproto.MsgShardLookupReq, Segid: segid}, pol)
 	if err != nil {
 		return xproto.NoEnclave, err
 	}
@@ -249,127 +248,34 @@ func (m *Module) shardRPC(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*
 	return resp, err
 }
 
-// shardAllocSegid allocates a segid in a sharded world. A shard-hosting
-// module allocates from its own instance's residue class — owner-local,
-// no wire traffic — and replicates the registration to its shard
-// siblings. Other modules route the request to a home shard chosen by
-// their enclave ID, failing over along its replica list; whichever
-// replica serves it allocates from its own residue class.
-func (m *Module) shardAllocSegid(a *sim.Actor, pol RetryPolicy) (xproto.Segid, error) {
-	if m.NS != nil {
-		if err := m.nsWait(a); err != nil {
-			return xproto.NoSegid, opErr("make", err, xproto.NoSegid, xproto.NoApid)
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		segid, err := m.NS.AllocSegid(m.R.Self())
-		if err != nil {
-			return xproto.NoSegid, err
-		}
-		m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncAlloc, Segid: segid, Value: uint64(m.R.Self())})
-		return segid, nil
-	}
-	k := int(uint64(m.R.Self()) % uint64(m.shardCount()))
-	fail := func(err error) error { return opErr("make", err, xproto.NoSegid, xproto.NoApid) }
-	resp, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgSegidAllocReq}, pol, fail, nil)
-	if err != nil {
-		return xproto.NoSegid, err
-	}
-	return xproto.Segid(resp.Value), nil
-}
-
-// shardPublish binds name→segid at the name's home shard. Failures are
-// attributed to the publish even when a replica's wire request failed.
-func (m *Module) shardPublish(a *sim.Actor, segid xproto.Segid, name string, pol RetryPolicy) error {
-	k := nameserver.ShardOfName(name, m.shardCount())
-	countShard(a, fmt.Sprintf("shard-route:%d", k))
-	fail := func(err error) error { return &OpError{Op: "publish", Segid: segid, Name: name, Err: sentinelOf(err)} }
-	_, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgNamePublish, Segid: segid, Name: name}, pol, fail, func() (*xproto.Message, error) {
-		if werr := m.nsWait(a); werr != nil {
-			return nil, fail(werr)
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		if berr := m.NS.BindName(name, segid); berr != nil {
-			return nil, berr
-		}
-		m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncPublish, Segid: segid, Name: name})
-		return nil, nil
-	})
-	return err
-}
-
-// sentinelOf extracts an error's sentinel cause for rewrapping under a
-// different operation label.
-func sentinelOf(err error) error {
-	var oe *OpError
-	if errors.As(err, &oe) {
-		return oe.Err
-	}
-	return err
-}
-
-// shardNameLookup resolves a published name at its home shard, then
-// returns the bound segid (whose owner resolves separately, at the
-// segid's own home shard).
-func (m *Module) shardNameLookup(a *sim.Actor, name string, pol RetryPolicy) (xproto.Segid, error) {
-	k := nameserver.ShardOfName(name, m.shardCount())
-	m.ShardStats.ShardLookups++
-	countShard(a, fmt.Sprintf("shard-route:%d", k))
-	fail := func(err error) error {
-		var oe *OpError
-		if errors.As(err, &oe) {
-			return err // a replica's wire error, already attributed
-		}
-		return &OpError{Op: "lookup", Name: name, Err: err}
-	}
-	resp, err := m.shardCall(a, k, xproto.Message{Type: xproto.MsgNameLookupReq, Name: name}, pol, fail, func() (*xproto.Message, error) {
-		if werr := m.nsWait(a); werr != nil {
-			return nil, fail(werr)
-		}
-		a.Charge("ns-op", m.c.NSOp)
-		if segid, ok := m.NS.Lookup(name); ok {
-			return &xproto.Message{Segid: segid}, nil
-		}
-		return nil, fail(ErrNoSuchSegid)
-	})
-	if err != nil {
-		return xproto.NoSegid, err
-	}
-	return resp.Segid, nil
-}
-
-// shardRemove retires a segid at its home shard. The caller is the
-// owner; a shard-hosting owner whose instance holds the registration
-// retires it locally and replicates, others send the remove to the first
-// live replica (which replicates onward). Name bindings on other shards
-// are deliberately left to dangle — a lookup through one resolves to a
-// segid whose own shard then reports it gone (DESIGN.md §13).
-func (m *Module) shardRemove(a *sim.Actor, segid xproto.Segid) error {
-	k := nameserver.ShardOf(segid, m.shardCount())
+// shardRemove sends a segid remove to the segid's home shard. The caller
+// is the owner; a shard-hosting owner whose instance holds the
+// registration retires it in place, others send the remove to the first
+// live replica, fire-and-forget. Either way the serving replica
+// replicates onward. Name bindings on other shards are deliberately left
+// to dangle — a lookup through one resolves to a segid whose own shard
+// then reports it gone (DESIGN.md §13).
+func (m *Module) shardRemove(a *sim.Actor, req *xproto.Message) error {
+	k := nameserver.ShardOf(req.Segid, m.shardCount())
 	for _, rep := range m.shards.Replicas[k] {
 		if rep == m.R.Self() && m.localShardServe(k) {
-			if err := m.nsWait(a); err != nil {
-				return opErr("remove", err, segid, xproto.NoApid)
-			}
-			a.Charge("ns-op", m.c.NSOp)
-			if err := m.NS.RemoveSegid(segid, m.R.Self()); err != nil {
-				return err
-			}
-			m.replicateShard(a, &xproto.Message{Type: xproto.MsgShardSyncRemove, Segid: segid})
-			return nil
+			_, err := m.nsLocal(a, req)
+			return err
 		}
 		if m.dead[rep] {
 			continue
 		}
-		msg := &xproto.Message{Type: xproto.MsgSegidRemove, Dst: rep, Segid: segid, Src: m.R.Self()}
 		l, err := m.route(rep)
 		if err != nil {
 			m.Stats.DroppedMessages++
 			continue
 		}
-		m.sendOn(a, l, msg)
+		msg := *req
+		msg.Dst, msg.Src = rep, m.R.Self()
+		m.sendOn(a, l, &msg)
 		return nil
 	}
-	return opErr("remove", ErrEnclaveDown, segid, xproto.NoApid)
+	return ErrEnclaveDown
 }
 
 // replicateShard fans a mutation out to the rest of its shard's replica

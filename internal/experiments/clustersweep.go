@@ -166,7 +166,7 @@ func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, round
 	w := sim.NewWorld(seed)
 	tr := cellTracer(obs, label, w)
 
-	cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: nodes, Shards: shards, CoKernels: true})
+	cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: nodes, Shards: shards})
 	if err != nil {
 		return cell, err
 	}

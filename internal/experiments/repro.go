@@ -73,19 +73,16 @@ func runRecipe(name string, params json.RawMessage, seed uint64, cut sim.Time, a
 
 // CaptureBundle runs a recipe twice and packages the result: the first
 // run measures the virtual duration, the second places the snapshot cut
-// at cutFrac of it and records the state hash there. The two runs must
+// at its midpoint and records the state hash there. The two runs must
 // produce the same digest — a recipe that fails that is not
 // deterministic and cannot be bundled.
-func CaptureBundle(recipe string, params json.RawMessage, seed uint64, cutFrac float64) (*Bundle, error) {
-	if cutFrac < 0 || cutFrac > 1 {
-		return nil, fmt.Errorf("cut fraction %v outside [0, 1]", cutFrac)
-	}
+func CaptureBundle(recipe string, params json.RawMessage, seed uint64) (*Bundle, error) {
 	ref, err := runRecipe(recipe, params, seed, 0, false)
 	if err != nil {
 		return nil, err
 	}
 	d := ref.tr.Digest()
-	cut := sim.Time(cutFrac * float64(d.FinalNs))
+	cut := sim.Time(d.FinalNs / 2)
 	cutRun, err := runRecipe(recipe, params, seed, cut, true)
 	if err != nil {
 		return nil, err

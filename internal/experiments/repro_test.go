@@ -41,7 +41,7 @@ func TestReplayBundle(t *testing.T) {
 // captured bundle: a replay must fail loudly when either the mid-run
 // snapshot hash or the end-of-run digest no longer matches.
 func TestReplayBundleDetectsDrift(t *testing.T) {
-	b, err := CaptureBundle("fig6point", json.RawMessage(`{"size_mb":128,"reps":2}`), 5, 0.5)
+	b, err := CaptureBundle("fig6point", json.RawMessage(`{"size_mb":128,"reps":2}`), 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func TestShardOutageFailsOver(t *testing.T) {
 		tr := trace.NewTracer("cluster-matrix-failover")
 		tr.SetKeepEvents(false)
 		w.SetObserver(tr)
-		cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: 4, Shards: 2, CoKernels: true})
+		cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: 4, Shards: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func TestShardOutageExhaustsReplicas(t *testing.T) {
 		tr := trace.NewTracer("cluster-matrix-outage")
 		tr.SetKeepEvents(false)
 		w.SetObserver(tr)
-		cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: 2, Shards: 2, Replicas: 1, CoKernels: true})
+		cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: 2, Shards: 2, Replicas: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestStaleLeaseSurfacesTimeout(t *testing.T) {
 		tr.SetKeepEvents(false)
 		w.SetObserver(tr)
 		cl, err := cluster.NewInWorld(w, cluster.Config{
-			Nodes: 4, Shards: 2, CoKernels: true,
+			Nodes: 4, Shards: 2,
 			// A TTL outlasting the whole run: the lease goes stale through
 			// owner death, never through expiry.
 			LeaseTTL: sim.Second,

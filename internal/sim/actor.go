@@ -112,9 +112,6 @@ func (a *Actor) Advance(d Time) {
 	a.pause()
 }
 
-// Sleep is a readability alias for Advance.
-func (a *Actor) Sleep(d Time) { a.Advance(d) }
-
 // AdvanceN charges n repetitions of a d-cost operation as one advance of
 // d*n, yielding to the scheduler once instead of n times. It is the
 // batched cost-charging primitive for per-page work: because the actor
