@@ -4,13 +4,13 @@ GO ?= go
 # the repo root.
 COVER_DIR ?= .cover
 
-.PHONY: check vet build benchmark-build race test examples fuzz cover bench replay
+.PHONY: check vet build benchmark-build race test examples cli fuzz cover bench replay
 
 # check runs everything CI needs: static analysis, a full build of both
 # modules, the race-sensitive engine/cache/trace suites, a short fuzz
-# smoke, the tier-1 test suite, a run of every example program, the
-# repro-bundle replay, and the coverage floors.
-check: vet build benchmark-build race test examples replay fuzz cover
+# smoke, the tier-1 test suite, a run of every example program and of
+# every command, the repro-bundle replay, and the coverage floors.
+check: vet build benchmark-build race test examples cli replay fuzz cover
 
 # vet is three gates: formatting, the stock toolchain vet, and
 # xemem-vet — the in-tree analyzer suite (cmd/xemem-vet) that enforces
@@ -58,6 +58,15 @@ examples:
 	@set -e; for d in examples/*/; do \
 		echo "== $$d"; $(GO) run ./$$d; \
 	done
+
+# Run each command once at its smallest setting: a CLI that panics,
+# exits non-zero or breaks its -metrics export fails here. xemem-vet
+# already runs under vet.
+cli:
+	@mkdir -p $(COVER_DIR)
+	$(GO) run ./cmd/xemem-topo
+	$(GO) run ./cmd/xemem-insitu -runs 1
+	$(GO) run ./cmd/xemem-bench -experiment table2 -fast -metrics $(COVER_DIR)/metrics.json
 
 # Short fuzz smoke over the two guest-memory-map structures (the full
 # corpora replay in `test`; this explores a little beyond them).

@@ -13,7 +13,7 @@ import (
 // -bench writes to the entry's file.
 type bench struct {
 	name string
-	run  func(seed uint64, workers int) (fmt.Stringer, error)
+	run  func(seed uint64) (fmt.Stringer, error)
 }
 
 // file is the artifact the entry regenerates, BENCH_<name>.json.
@@ -21,12 +21,10 @@ func (b bench) file() string { return "BENCH_" + b.name + ".json" }
 
 // benches is the -bench registry, in the order -bench all runs it.
 var benches = []bench{
-	{"engine", func(seed uint64, _ int) (fmt.Stringer, error) { return experiments.EngineBench(seed) }},
-	{"fault", func(seed uint64, workers int) (fmt.Stringer, error) { return experiments.FaultSweep(seed, 0, workers) }},
-	{"cluster", func(seed uint64, workers int) (fmt.Stringer, error) {
-		return experiments.ClusterSweep(seed, 0, workers)
-	}},
-	{"coll", func(seed uint64, workers int) (fmt.Stringer, error) { return experiments.CollSweep(seed, workers) }},
+	{"engine", func(seed uint64) (fmt.Stringer, error) { return experiments.EngineBench(seed) }},
+	{"fault", func(seed uint64) (fmt.Stringer, error) { return experiments.FaultSweep(seed, 0, 0) }},
+	{"cluster", func(seed uint64) (fmt.Stringer, error) { return experiments.ClusterSweep(seed, 0, 0) }},
+	{"coll", func(seed uint64) (fmt.Stringer, error) { return experiments.CollSweep(seed, 0) }},
 }
 
 // benchNames lists the registry's entry names, comma-separated.

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"testing"
 )
@@ -73,7 +72,7 @@ func TestBenchValues(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := sel[0]
-		res, err := b.run(42, runtime.GOMAXPROCS(0))
+		res, err := b.run(42)
 		if err != nil {
 			t.Fatalf("%s bench: %v", name, err)
 		}

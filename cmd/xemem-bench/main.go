@@ -10,7 +10,9 @@
 // directory and takes precedence over -experiment.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
-// identical numbers. -fast trades repetition count for wall time (the
+// identical numbers. The figure sweeps run their independent worlds on
+// GOMAXPROCS host goroutines; GOMAXPROCS=1 runs them serially, with
+// identical output. -fast trades repetition count for wall time (the
 // shapes are unchanged; the simulator has no measurement noise to average
 // away).
 package main
@@ -20,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"xemem/internal/experiments"
@@ -37,7 +38,6 @@ func main() {
 	reproPath := flag.String("repro", "", "capture a repro bundle to this path, cut at mid-run (see -recipe, -recipe-params)")
 	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
 	recipeParams := flag.String("recipe-params", "", "JSON parameter blob for -repro (recipe defaults when empty)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the figure sweeps (1 = serial runner; results are byte-identical at any value)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of every simulated world to this file (open in chrome://tracing or Perfetto; combine with -fast)")
 	metricsOut := flag.String("metrics", "", "write per-world contention metrics JSON to this file and print the per-figure breakdown tables")
 	flag.Parse()
@@ -46,9 +46,9 @@ func main() {
 	if *traceOut != "" || *metricsOut != "" {
 		set = trace.NewSet()
 		set.SetKeepEvents(*traceOut != "") // metrics-only runs keep memory flat
-		// The cell-aware hook keeps trace export order independent of the
-		// worker count.
-		experiments.ObserveCell = set.CellHook()
+		// Each sweep cell reserves its trace slot while the cells are
+		// enumerated, so export order does not depend on the workers.
+		experiments.ObserveCell = set.Reserve
 	}
 	exportTraces := func() {
 		if set == nil {
@@ -70,7 +70,7 @@ func main() {
 			os.Exit(2)
 		}
 		for _, b := range sel {
-			res, err := b.run(*seed, *parallel)
+			res, err := b.run(*seed)
 			if err == nil {
 				fmt.Println(res.String())
 				err = writeJSON(b.file(), res)
@@ -143,22 +143,22 @@ func main() {
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
 	if want("fig5") {
-		run("fig5", func() (fmt.Stringer, error) { return experiments.Fig5(*seed, reps5, *parallel) })
+		run("fig5", func() (fmt.Stringer, error) { return experiments.Fig5(*seed, reps5, 0) })
 	}
 	if want("fig6") {
-		run("fig6", func() (fmt.Stringer, error) { return experiments.Fig6(*seed, reps6, *parallel) })
+		run("fig6", func() (fmt.Stringer, error) { return experiments.Fig6(*seed, reps6, 0) })
 	}
 	if want("table2") {
-		run("table2", func() (fmt.Stringer, error) { return experiments.Table2(*seed, t2reps, *parallel) })
+		run("table2", func() (fmt.Stringer, error) { return experiments.Table2(*seed, t2reps, 0) })
 	}
 	if want("fig7") {
-		run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(*seed, *parallel) })
+		run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(*seed, 0) })
 	}
 	if want("fig8") {
-		run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(*seed, runs8, *parallel) })
+		run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(*seed, runs8, 0) })
 	}
 	if want("fig9") {
-		run("fig9", func() (fmt.Stringer, error) { return experiments.Fig9(*seed, runs9, *parallel) })
+		run("fig9", func() (fmt.Stringer, error) { return experiments.Fig9(*seed, runs9, 0) })
 	}
 	switch *exp {
 	case "all", "fig5", "fig6", "fig7", "fig8", "fig9", "table2":

@@ -5,17 +5,17 @@
 //
 // Usage:
 //
-//	xemem-insitu -config kitten-linux -sync -recurring -iters 600
+//	xemem-insitu -config kitten-linux -sync -recurring -runs 5
 //
 // Configurations: linux-linux, kitten-linux, kitten-vm-linuxhost,
-// kitten-vm-kittenhost.
+// kitten-vm-kittenhost. The repetitions run on GOMAXPROCS host
+// goroutines; GOMAXPROCS=1 runs them serially, with identical output.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"xemem/internal/experiments"
 	"xemem/internal/sim/trace"
@@ -26,7 +26,6 @@ func main() {
 	sync := flag.Bool("sync", false, "synchronous execution model (default asynchronous)")
 	recurring := flag.Bool("recurring", false, "recurring attachment model (default one-time)")
 	runs := flag.Int("runs", 3, "repetitions (mean ± stddev reported)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for the repetitions (1 = serial runner; results are byte-identical at any value)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of every run to this file (open in chrome://tracing or Perfetto)")
 	metricsOut := flag.String("metrics", "", "write per-run contention metrics JSON to this file and print the breakdown tables")
@@ -36,9 +35,9 @@ func main() {
 	if *traceOut != "" || *metricsOut != "" {
 		set = trace.NewSet()
 		set.SetKeepEvents(*traceOut != "")
-		// The cell-aware hook keeps trace export order independent of the
-		// worker count.
-		experiments.ObserveCell = set.CellHook()
+		// Each repetition reserves its trace slot before any runs, so
+		// export order does not depend on the workers.
+		experiments.ObserveCell = set.Reserve
 	}
 
 	names := map[string]experiments.Fig8Config{
@@ -53,7 +52,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res, err := experiments.Fig8Single(*seed, cfg, *sync, *recurring, *runs, *parallel)
+	res, err := experiments.Fig8Single(*seed, cfg, *sync, *recurring, *runs, 0)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

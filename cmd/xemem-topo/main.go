@@ -14,11 +14,9 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"runtime"
 	"strings"
 
 	"xemem"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/pagetable"
 	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
@@ -29,7 +27,6 @@ func main() {
 	spec := flag.String("spec", "kitten,kitten(vm,vm),vm", "topology spec (see doc comment)")
 	demo := flag.Bool("demo", true, "run a shared-memory exchange between the first and last enclaves")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "boot this many replica worlds of the same spec concurrently and assert they bootstrap identically (1 disables the check)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the bootstrap and demo to this file (open in chrome://tracing or Perfetto)")
 	metricsOut := flag.String("metrics", "", "write contention metrics JSON to this file and print the breakdown table")
 	flag.Parse()
@@ -41,7 +38,11 @@ func main() {
 		set.SetKeepEvents(*traceOut != "")
 		node.World().SetObserver(set.Get(fmt.Sprintf("topo/%s", *spec)))
 	}
-	enclaves, err := buildTopology(node, *spec)
+	topo, err := xemem.ParseTopology(*spec)
+	var enclaves []*xemem.Enclave
+	if err == nil {
+		enclaves, err = topo.Build(node)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -59,15 +60,6 @@ func main() {
 	fmt.Printf("Topology %q: %d enclaves plus the management enclave\n\n", *spec, len(enclaves))
 	fmt.Print(fingerprint(node, enclaves))
 
-	if *parallel > 1 {
-		if err := replicaCheck(*seed, *spec, *parallel, fingerprint(node, enclaves)); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nDeterminism check: %d replica worlds bootstrapped identically (%d workers)\n",
-			*parallel, sweep.Workers(*parallel))
-	}
-
 	if set != nil {
 		if *metricsOut != "" {
 			fmt.Println()
@@ -80,18 +72,8 @@ func main() {
 	}
 }
 
-// buildTopology parses and boots the spec under node's management
-// enclave via the public Topology API.
-func buildTopology(node *xemem.Node, spec string) ([]*xemem.Enclave, error) {
-	topo, err := xemem.ParseTopology(spec)
-	if err != nil {
-		return nil, err
-	}
-	return topo.Build(node)
-}
-
-// fingerprint renders the bootstrap outcome — enclave IDs and routing
-// tables — as the text the determinism check compares across replicas.
+// fingerprint renders the bootstrap outcome: enclave IDs and routing
+// tables.
 func fingerprint(node *xemem.Node, enclaves []*xemem.Enclave) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Enclave IDs (name-server allocated):\n")
@@ -105,41 +87,6 @@ func fingerprint(node *xemem.Node, enclaves []*xemem.Enclave) string {
 		fmt.Fprintf(&b, "  %s\n", e.Module.R.RouteTable())
 	}
 	return b.String()
-}
-
-// replicaCheck boots replicas fresh worlds of the same (seed, spec)
-// concurrently via the sweep runner and verifies every one bootstraps to
-// the same fingerprint as the interactive world.
-func replicaCheck(seed uint64, spec string, replicas int, want string) error {
-	cells := make([]sweep.Cell[string], replicas)
-	for i := range cells {
-		i := i
-		cells[i] = sweep.Cell[string]{
-			Label: fmt.Sprintf("topo replica %d", i),
-			Run: func() (string, error) {
-				n := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 16 << 30})
-				encl, err := buildTopology(n, spec)
-				if err != nil {
-					return "", err
-				}
-				n.Spawn("settle", func(a *sim.Actor) { a.Advance(sim.Millisecond) })
-				if err := n.Run(); err != nil {
-					return "", err
-				}
-				return fingerprint(n, encl), nil
-			},
-		}
-	}
-	got, err := sweep.Run(cells, replicas)
-	if err != nil {
-		return err
-	}
-	for i, fp := range got {
-		if fp != want {
-			return fmt.Errorf("replica %d bootstrapped differently from the interactive world:\n%s", i, fp)
-		}
-	}
-	return nil
 }
 
 // runDemo exports from src and attaches from dst, whatever kinds they are.

@@ -15,8 +15,9 @@ import (
 //
 // The rule is mechanical: assignments to package-level variables of
 // function type are allowed only in package main — the driver binaries
-// that own process configuration and install registration closures
-// (trace.Set.CellHook) at startup. Everywhere else, observers must be
+// that own process configuration and install, at startup, the
+// slot-reserving hook (trace.Set.Reserve) that hands each sweep cell its
+// trace slot. Everywhere else, observers must be
 // threaded explicitly (World.SetObserver, function parameters). Hook
 // *tables* — package-level slices, arrays, or maps with function
 // elements, the natural shape for one-observer-per-cell registration —

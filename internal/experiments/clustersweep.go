@@ -113,7 +113,7 @@ func ClusterSweep(seed uint64, rounds, workers int) (*ClusterSweepResult, error)
 				if sharded {
 					shards = clusterShards(n)
 				}
-				obs := cellObserve(len(cells))
+				obs := cellObserve()
 				cells = append(cells, sweep.Cell[ClusterCell]{
 					Label: fmt.Sprintf("cluster nodes=%d shards=%d churn=%v", n, shards, churn),
 					Run: func() (ClusterCell, error) {

@@ -125,7 +125,7 @@ func CollSweep(seed uint64, workers int) (*CollSweepResult, error) {
 			for _, bytes := range CollSizes {
 				for _, mode := range []coll.Mode{coll.ModeZeroCopy, coll.ModeCICO} {
 					depth, mix, bytes, mode := depth, mix, bytes, mode
-					obs := cellObserve(len(cells))
+					obs := cellObserve()
 					cells = append(cells, sweep.Cell[CollCell]{
 						Label: fmt.Sprintf("coll depth=%d mix=%s bytes=%d mode=%s", depth, mix, bytes, collModeName(mode)),
 						Run: func() (CollCell, error) {

@@ -221,6 +221,14 @@ func TestFig8Shape(t *testing.T) {
 	if res.Cell(LinuxLinux, true, true).MeanS <= res.Cell(LinuxLinux, true, false).MeanS {
 		t.Error("Linux-only recurring sync not worse than one-time")
 	}
+	// xemem-insitu's single-bar runner reports exactly the figure's bar.
+	bar, err := Fig8Single(1, KittenLinux, true, false, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Cell(KittenLinux, true, false); bar != want {
+		t.Errorf("Fig8Single = %+v, Fig8 bar = %+v", bar, want)
+	}
 }
 
 func TestFig9Shape(t *testing.T) {

@@ -71,7 +71,7 @@ func FaultSweep(seed uint64, rounds, workers int) (*FaultSweepResult, error) {
 	for _, crash := range []bool{false, true} {
 		for _, drop := range FaultDropRates {
 			drop, crash := drop, crash
-			obs := cellObserve(len(cells))
+			obs := cellObserve()
 			cells = append(cells, sweep.Cell[FaultCell]{
 				Label: fmt.Sprintf("fault drop=%.2f crash=%v", drop, crash),
 				Run: func() (FaultCell, error) {

@@ -46,7 +46,7 @@ func Fig5(seed uint64, reps, workers int) (*Fig5Result, error) {
 		rows []Fig5Row
 		rdma []float64
 	}
-	obsMain, obsRDMA := cellObserve(0), cellObserve(1)
+	obsMain, obsRDMA := cellObserve(), cellObserve()
 	cells := []sweep.Cell[out]{
 		{Label: "fig5", Run: func() (out, error) {
 			rows, err := fig5Attach(obsMain, seed, sizes, reps)
@@ -99,31 +99,15 @@ func fig5Attach(obs observeFn, seed uint64, sizes []int, reps int) ([]Fig5Row, e
 				runErr = err
 				return
 			}
-			measure := func(read bool) (float64, error) {
-				var total sim.Time
-				for i := 0; i < reps; i++ {
-					start := a.Now()
-					va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
-					if err != nil {
-						return 0, err
-					}
-					if read {
-						// Stream the contents out of the mapping.
-						a.Advance(sim.CopyTime(int(bytes), costs.MemReadBW))
-					}
-					total += a.Now() - start
-					if err := attSess.Detach(a, va); err != nil {
-						return 0, err
-					}
-				}
-				return sim.PerSecond(float64(bytes)*float64(reps), total), nil
-			}
-			attachBW, err := measure(false)
+			attachT, err := timedAttaches(a, attSess, segid, apid, bytes, reps, nil)
 			if err != nil {
 				runErr = err
 				return
 			}
-			readBW, err := measure(true)
+			// Stream the contents out of the mapping.
+			readT, err := timedAttaches(a, attSess, segid, apid, bytes, reps, func() {
+				a.Advance(sim.CopyTime(int(bytes), costs.MemReadBW))
+			})
 			if err != nil {
 				runErr = err
 				return
@@ -136,7 +120,8 @@ func fig5Attach(obs observeFn, seed uint64, sizes []int, reps int) ([]Fig5Row, e
 				runErr = err
 				return
 			}
-			rows = append(rows, Fig5Row{SizeMB: szMB, AttachGBs: attachBW / 1e9, AttachReadGBs: readBW / 1e9})
+			gbs := func(t sim.Time) float64 { return sim.PerSecond(float64(bytes)*float64(reps), t) / 1e9 }
+			rows = append(rows, Fig5Row{SizeMB: szMB, AttachGBs: gbs(attachT), AttachReadGBs: gbs(readT)})
 		}
 	})
 	if err := node.Run(); err != nil {
@@ -146,6 +131,28 @@ func fig5Attach(obs observeFn, seed uint64, sizes []int, reps int) ([]Fig5Row, e
 		return nil, runErr
 	}
 	return rows, nil
+}
+
+// timedAttaches attaches segid's first bytes through apid reps times,
+// detaching after each, and returns the summed attach time. during, if
+// non-nil, runs while the window is mapped and counts toward the time.
+func timedAttaches(a *sim.Actor, sess *xpmem.Session, segid xpmem.Segid, apid xpmem.Apid, bytes uint64, reps int, during func()) (sim.Time, error) {
+	var total sim.Time
+	for i := 0; i < reps; i++ {
+		start := a.Now()
+		va, err := sess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
+		if err != nil {
+			return 0, err
+		}
+		if during != nil {
+			during()
+		}
+		total += a.Now() - start
+		if err := sess.Detach(a, va); err != nil {
+			return 0, err
+		}
+	}
+	return total, nil
 }
 
 // fig5RDMA runs the RDMA baseline: a bandwidth test between two KVM

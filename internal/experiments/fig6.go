@@ -52,7 +52,7 @@ func Fig6(seed uint64, reps, workers int) (*Fig6Result, error) {
 	for _, enclaves := range []int{1, 2, 4, 8} {
 		for _, szMB := range sizes {
 			enclaves, szMB := enclaves, szMB
-			obs := cellObserve(len(cells))
+			obs := cellObserve()
 			cells = append(cells, sweep.Cell[point]{
 				Label: fmt.Sprintf("fig6/enclaves=%d/size=%dMB", enclaves, szMB),
 				Run: func() (point, error) {
@@ -122,19 +122,10 @@ func fig6Point(obs observeFn, seed uint64, enclaves, szMB, reps int) (float64, s
 				runErr = err
 				return
 			}
-			var total sim.Time
-			for r := 0; r < reps; r++ {
-				start := a.Now()
-				va, err := p.att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
-				if err != nil {
-					runErr = err
-					return
-				}
-				total += a.Now() - start
-				if err := p.att.Detach(a, va); err != nil {
-					runErr = err
-					return
-				}
+			total, err := timedAttaches(a, p.att, segid, apid, bytes, reps, nil)
+			if err != nil {
+				runErr = err
+				return
 			}
 			bws[i] = sim.PerSecond(float64(bytes)*float64(reps), total)
 			totals[i] = total

@@ -52,7 +52,7 @@ func Fig7(seed uint64, workers int) (*Fig7Result, error) {
 	cells := make([]sweep.Cell[Fig7Phase], len(phases))
 	for i, phase := range phases {
 		phase := phase
-		obs := cellObserve(i)
+		obs := cellObserve()
 		cells[i] = sweep.Cell[Fig7Phase]{
 			Label: "fig7/" + phase.name,
 			Run: func() (Fig7Phase, error) {

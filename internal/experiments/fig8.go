@@ -57,16 +57,9 @@ func Fig8(seed uint64, runs, workers int) (*Fig8Result, error) {
 	for _, recurring := range []bool{false, true} {
 		for _, sync := range []bool{true, false} {
 			for _, cfg := range Fig8Configs {
-				for r := 0; r < runs; r++ {
-					cfg, sync, recurring, r := cfg, sync, recurring, r
-					obs := cellObserve(len(cells))
-					cells = append(cells, sweep.Cell[sim.Time]{
-						Label: fmt.Sprintf("fig8 %s sync=%v rec=%v run %d", cfg, sync, recurring, r),
-						Run: func() (sim.Time, error) {
-							return fig8Run(obs, seed+uint64(r)*7919, cfg, sync, recurring)
-						},
-					})
-				}
+				bar := Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring}
+				res.Cells = append(res.Cells, bar)
+				cells = append(cells, bar.cells(seed, runs)...)
 			}
 		}
 	}
@@ -74,23 +67,53 @@ func Fig8(seed uint64, runs, workers int) (*Fig8Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	i := 0
-	for _, recurring := range []bool{false, true} {
-		for _, sync := range []bool{true, false} {
-			for _, cfg := range Fig8Configs {
-				var s sim.Sample
-				for r := 0; r < runs; r++ {
-					s.AddTime(times[i])
-					i++
-				}
-				res.Cells = append(res.Cells, Fig8Cell{
-					Config: cfg, Sync: sync, Recurring: recurring,
-					MeanS: s.Mean(), StdS: s.Stddev(),
-				})
-			}
-		}
+	for i, bar := range res.Cells {
+		res.Cells[i] = bar.fold(times[i*runs : (i+1)*runs])
 	}
 	return res, nil
+}
+
+// Fig8Single runs one configuration/workflow combination (a single
+// Figure 8 bar) with the given repetitions — the backing for the
+// xemem-insitu command. It builds and folds the bar exactly as Fig8
+// does.
+func Fig8Single(seed uint64, cfg Fig8Config, sync, recurring bool, runs, workers int) (Fig8Cell, error) {
+	if runs <= 0 {
+		runs = 1
+	}
+	bar := Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring}
+	times, err := sweep.Run(bar.cells(seed, runs), workers)
+	if err != nil {
+		return Fig8Cell{}, err
+	}
+	return bar.fold(times), nil
+}
+
+// cells enumerates the bar's runs as sweep cells, run r seeded
+// seed+r*7919.
+func (c Fig8Cell) cells(seed uint64, runs int) []sweep.Cell[sim.Time] {
+	cells := make([]sweep.Cell[sim.Time], runs)
+	for r := range cells {
+		runSeed := seed + uint64(r)*7919
+		obs := cellObserve()
+		cells[r] = sweep.Cell[sim.Time]{
+			Label: fmt.Sprintf("fig8 %s sync=%v rec=%v run %d", c.Config, c.Sync, c.Recurring, r),
+			Run: func() (sim.Time, error) {
+				return fig8Run(obs, runSeed, c.Config, c.Sync, c.Recurring)
+			},
+		}
+	}
+	return cells
+}
+
+// fold returns the bar with the mean ± stddev of its runs' times.
+func (c Fig8Cell) fold(times []sim.Time) Fig8Cell {
+	var s sim.Sample
+	for _, t := range times {
+		s.AddTime(t)
+	}
+	c.MeanS, c.StdS = s.Mean(), s.Stddev()
+	return c
 }
 
 // fig8Run executes one composed run in a fresh world and returns the HPC
@@ -178,35 +201,6 @@ func fig8Run(obs observeFn, seed uint64, config Fig8Config, sync, recurring bool
 		return 0, err
 	}
 	return get().SimTime, nil
-}
-
-// Fig8Single runs one configuration/workflow combination (a single
-// Figure 8 bar) with the given repetitions — the backing for the
-// xemem-insitu command. Repetitions are independent sweep cells.
-func Fig8Single(seed uint64, cfg Fig8Config, sync, recurring bool, runs, workers int) (Fig8Cell, error) {
-	if runs <= 0 {
-		runs = 1
-	}
-	cells := make([]sweep.Cell[sim.Time], runs)
-	for r := 0; r < runs; r++ {
-		r := r
-		obs := cellObserve(r)
-		cells[r] = sweep.Cell[sim.Time]{
-			Label: fmt.Sprintf("fig8 %s sync=%v rec=%v run %d", cfg, sync, recurring, r),
-			Run: func() (sim.Time, error) {
-				return fig8Run(obs, seed+uint64(r)*7919, cfg, sync, recurring)
-			},
-		}
-	}
-	times, err := sweep.Run(cells, workers)
-	if err != nil {
-		return Fig8Cell{}, err
-	}
-	var s sim.Sample
-	for _, t := range times {
-		s.AddTime(t)
-	}
-	return Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring, MeanS: s.Mean(), StdS: s.Stddev()}, nil
 }
 
 // Cell fetches one bar.

@@ -50,7 +50,7 @@ func Fig9(seed uint64, runs, workers int) (*Fig9Result, error) {
 			for _, nodes := range Fig9NodeCounts {
 				for r := 0; r < runs; r++ {
 					recurring, multi, nodes, r := recurring, multi, nodes, r
-					obs := cellObserve(len(cells))
+					obs := cellObserve()
 					cells = append(cells, sweep.Cell[sim.Time]{
 						Label: fmt.Sprintf("fig9 nodes=%d multi=%v rec=%v run %d", nodes, multi, recurring, r),
 						Run: func() (sim.Time, error) {

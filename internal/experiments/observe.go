@@ -22,23 +22,24 @@ import (
 // completion order; use ObserveCell for worker-count-independent order.
 var Observe func(label string, w *sim.World)
 
-// ObserveCell is the cell-aware variant of Observe, consumed by the
-// parallel sweep runner: it additionally receives the sweep-cell index
-// of the world being announced, so a trace.Set.CellHook() can order
-// tracers by cell rather than by which worker registered first. When
-// both hooks are set, ObserveCell wins.
-var ObserveCell func(cell int, label string, w *sim.World)
+// ObserveCell, when non-nil, is called once per sweep cell while the
+// cells are enumerated, serially and before any worker starts, and
+// returns the observer for that cell's worlds. Set it to a
+// trace.Set's Reserve and the set exports tracers in enumeration order
+// whichever worker builds them. When both hooks are set, ObserveCell
+// wins.
+var ObserveCell func() func(label string, w *sim.World)
 
 // observeFn announces one world of one sweep cell to whatever hook is
 // installed; nil means no tracing.
 type observeFn = func(label string, w *sim.World)
 
-// cellObserve resolves the observer for sweep cell i from the package
-// hooks. Resolve once per cell while enumerating (before workers start);
-// the returned closure is then safe to call from a worker goroutine.
-func cellObserve(cell int) observeFn {
+// cellObserve resolves the observer for the next sweep cell from the
+// package hooks. Call it once per cell while enumerating; the returned
+// closure is then safe to call from a worker goroutine.
+func cellObserve() observeFn {
 	if oc := ObserveCell; oc != nil {
-		return func(label string, w *sim.World) { oc(cell, label, w) }
+		return oc()
 	}
 	return Observe
 }

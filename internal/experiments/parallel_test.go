@@ -4,13 +4,14 @@ package experiments
 // JSON and identical per-world trace digests no matter how many workers
 // the sweep runner uses. The serial runner (workers=1) is the reference;
 // 2 and NumCPU workers must reproduce it exactly. Digest order comes
-// from the cell-aware trace hook, which keys tracers by (cell, seq)
-// rather than creation order, so it is worker-count independent by
-// construction — this test proves the simulated content is too.
+// from trace slots reserved while the cells are enumerated, not from
+// the order workers register tracers, so it is worker-count independent
+// by construction — this test proves the simulated content is too.
 
 import (
 	"encoding/json"
 	"runtime"
+	"strings"
 	"testing"
 
 	"xemem/internal/sim/trace"
@@ -31,7 +32,7 @@ var parallelFigures = []struct {
 }
 
 // runCellTraced executes fn with a fresh metrics-only trace.Set installed
-// through the cell-aware hook and returns the figure's JSON rendering
+// through the slot-reserving hook and returns the figure's JSON rendering
 // alongside the trace digests.
 func runCellTraced(t *testing.T, workers int, fn func(workers int) (any, error)) ([]byte, []trace.Digest) {
 	t.Helper()
@@ -39,7 +40,7 @@ func runCellTraced(t *testing.T, workers int, fn func(workers int) (any, error))
 	s.SetKeepEvents(false)
 	savedObs, savedCell := Observe, ObserveCell
 	Observe = nil
-	ObserveCell = s.CellHook()
+	ObserveCell = s.Reserve
 	defer func() { Observe, ObserveCell = savedObs, savedCell }()
 	res, err := fn(workers)
 	if err != nil {
@@ -85,12 +86,33 @@ func TestParallelIdentity(t *testing.T) {
 }
 
 // TestParallelMatchesGolden ties the parallel runner back to the
-// checked-in golden digests: a parallel Fig. 7 sweep traced through the
-// cell-aware hook must reproduce testdata/golden/fig7.json exactly —
+// checked-in golden digests: a parallel Fig. 7 sweep traced through
+// reserved slots must reproduce testdata/golden/fig7.json exactly —
 // the same bytes the serial creation-order harness is held to.
 func TestParallelMatchesGolden(t *testing.T) {
 	_, got := runCellTraced(t, runtime.NumCPU(), func(w int) (any, error) {
 		return Fig7(1, w)
 	})
 	checkGolden(t, "fig7", got)
+}
+
+// TestTraceOrderFollowsRunOrder runs two sweeps into one trace set, as
+// `xemem-bench -experiment all` does: every world of the first sweep
+// must export before any world of the second, in enumeration order.
+func TestTraceOrderFollowsRunOrder(t *testing.T) {
+	_, ds := runCellTraced(t, 2, func(w int) (any, error) {
+		if _, err := Fig7(11, w); err != nil {
+			return nil, err
+		}
+		return Table2(11, 1, w)
+	})
+	want := []string{"fig7/4KB", "fig7/2MB", "fig7/1GB",
+		"table2/kitten-to-linux", "table2/kitten-to-vm", "table2/vm-to-kitten"}
+	var got []string
+	for _, d := range ds {
+		got = append(got, d.Label)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("trace order %q, want %q", got, want)
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"xemem"
 	"xemem/internal/experiments/sweep"
 	"xemem/internal/pagetable"
-	"xemem/internal/proc"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
 )
@@ -62,7 +61,7 @@ func Table2(seed uint64, reps, workers int) (*Table2Result, error) {
 	cells := make([]sweep.Cell[Table2Row], len(rows))
 	for i, row := range rows {
 		row := row
-		obs := cellObserve(i)
+		obs := cellObserve()
 		cells[i] = sweep.Cell[Table2Row]{Label: row.label, Run: func() (Table2Row, error) {
 			return row.run(obs)
 		}}
@@ -175,19 +174,7 @@ func attachLoop(node *xemem.Node, expSess, attSess *xpmem.Session, base pagetabl
 			runErr = err
 			return
 		}
-		for i := 0; i < reps; i++ {
-			start := a.Now()
-			va, err := attSess.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead})
-			if err != nil {
-				runErr = err
-				return
-			}
-			total += a.Now() - start
-			if err := attSess.Detach(a, va); err != nil {
-				runErr = err
-				return
-			}
-		}
+		total, runErr = timedAttaches(a, attSess, segid, apid, bytes, reps, nil)
 	})
 	if err := node.Run(); err != nil {
 		return 0, 0, err
@@ -212,5 +199,3 @@ func (r *Table2Result) String() string {
 	}
 	return b.String()
 }
-
-var _ = proc.Region{}

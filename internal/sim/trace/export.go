@@ -17,34 +17,22 @@ import (
 // trace process per tracer, one metrics record per tracer, digests in
 // deterministic order.
 //
-// Registration is safe from concurrent host goroutines: the parallel
-// sweep runner builds worlds from several workers at once. Export order
-// is keyed by (cell, seq), where cell is the sweep-cell index and seq
-// counts registrations within a cell — construction inside one cell is
-// sequential, so seq is deterministic. Get registrations auto-assign one cell per tracer
-// in call order, so a serial run's export order is exactly its creation
-// order — and a parallel run sorts back to the identical order, whatever
-// order the workers reached the registrations in.
-// Individual Tracers still belong to exactly one world and are not
-// locked.
+// Export order is slot order. Get and Reserve each take the next slot
+// in call order; a reserved slot holds the tracers its observer later
+// registers, in registration order. The sweep runners reserve one slot
+// per cell while enumerating, serially, so export order is enumeration
+// order even when workers build the worlds concurrently. Individual
+// Tracers still belong to exactly one world and are not locked.
 type Set struct {
-	mu      sync.Mutex
-	entries []setEntry
-	m       map[string]*Tracer
-	keep    bool
-	auto    int         // next auto-assigned cell (Get path)
-	cellSeq map[int]int // next within-cell sequence number
-}
-
-// setEntry is one registered tracer with its deterministic sort key.
-type setEntry struct {
-	cell, seq int
-	t         *Tracer
+	mu    sync.Mutex
+	slots [][]*Tracer
+	m     map[string]*Tracer
+	keep  bool
 }
 
 // NewSet returns an empty set with event retention on.
 func NewSet() *Set {
-	return &Set{m: make(map[string]*Tracer), cellSeq: make(map[int]int), keep: true}
+	return &Set{m: make(map[string]*Tracer), keep: true}
 }
 
 // SetKeepEvents toggles event retention for tracers the set creates
@@ -55,67 +43,59 @@ func (s *Set) SetKeepEvents(on bool) {
 	s.keep = on
 }
 
-// Get returns the tracer for label, creating it on first use. Tracers
-// created this way sort in creation order (each takes the next free
-// cell index).
+// Get returns the tracer for label, creating it in a new slot on first
+// use.
 func (s *Set) Get(label string) *Tracer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.get(s.auto, label)
+	if t, ok := s.m[label]; ok {
+		return t
+	}
+	s.slots = append(s.slots, nil)
+	return s.get(len(s.slots)-1, label)
 }
 
-// get creates-or-returns the tracer for label under cell. Callers hold
-// mu.
-func (s *Set) get(cell int, label string) *Tracer {
+// Reserve takes the next slot and returns an observer that installs on
+// a world the tracer for label, registered into that slot. The observer
+// is safe to call from any goroutine.
+func (s *Set) Reserve() func(label string, w *sim.World) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.slots = append(s.slots, nil)
+	slot := len(s.slots) - 1
+	return func(label string, w *sim.World) {
+		s.mu.Lock()
+		t := s.get(slot, label)
+		s.mu.Unlock()
+		w.SetObserver(t)
+	}
+}
+
+// get creates-or-returns the tracer for label, registering a new one in
+// slot. Callers hold mu.
+func (s *Set) get(slot int, label string) *Tracer {
 	if t, ok := s.m[label]; ok {
 		return t
 	}
 	t := NewTracer(label)
 	t.SetKeepEvents(s.keep)
 	s.m[label] = t
-	s.entries = append(s.entries, setEntry{cell: cell, seq: s.cellSeq[cell], t: t})
-	s.cellSeq[cell]++
-	if cell >= s.auto {
-		s.auto = cell + 1
-	}
+	s.slots[slot] = append(s.slots[slot], t)
 	return t
 }
 
-// Tracers returns the set's tracers ordered by (cell, seq) — creation
-// order for serial runs, the cell-enumeration order for parallel
-// sweeps.
+// Tracers returns the set's tracers in slot order.
 func (s *Set) Tracers() []*Tracer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sort.SliceStable(s.entries, func(i, j int) bool {
-		a, b := s.entries[i], s.entries[j]
-		if a.cell != b.cell {
-			return a.cell < b.cell
-		}
-		return a.seq < b.seq
-	})
-	out := make([]*Tracer, 0, len(s.entries))
-	for _, e := range s.entries {
-		out = append(out, e.t)
+	var out []*Tracer
+	for _, slot := range s.slots {
+		out = append(out, slot...)
 	}
 	return out
 }
 
-// CellHook returns a cell-aware observer-installing callback (the shape
-// of experiments.ObserveCell): worlds registered from sweep cell i sort
-// at position i regardless of which worker goroutine built them, making
-// trace export order — and therefore digests, Chrome traces, and metrics
-// JSON — independent of the worker count.
-func (s *Set) CellHook() func(cell int, label string, w *sim.World) {
-	return func(cell int, label string, w *sim.World) {
-		s.mu.Lock()
-		t := s.get(cell, label)
-		s.mu.Unlock()
-		w.SetObserver(t)
-	}
-}
-
-// Digests returns every tracer's digest in (cell, seq) order.
+// Digests returns every tracer's digest in slot order.
 func (s *Set) Digests() []Digest {
 	ts := s.Tracers()
 	out := make([]Digest, 0, len(ts))

@@ -300,31 +300,39 @@ func TestWatermarkDeterministic(t *testing.T) {
 	}
 }
 
-// Set-level plumbing the experiment runners use: CellHook and Get install
-// tracers per labelled world, Digests lists them in cell order, and
-// SetKeepEvents governs retention for tracers created afterwards.
+// Set-level plumbing the experiment runners use: Reserve and Get install
+// tracers per labelled world, Digests lists them in slot order whatever
+// order and goroutine they registered from, and SetKeepEvents governs
+// retention for tracers created afterwards.
 func TestSetHooksAndDigests(t *testing.T) {
 	s := NewSet()
 	s.SetKeepEvents(false)
-	cellHook := s.CellHook()
-	w1 := sim.NewWorld(3)
-	cellHook(1, "cell1", w1)
+	first, second := s.Reserve(), s.Reserve()
 	w0 := sim.NewWorld(3)
-	w0.SetObserver(s.Get("auto")) // auto-assigned cell 2: after the explicit cell 1
-	for _, w := range []*sim.World{w0, w1} {
+	w0.SetObserver(s.Get("get")) // takes the slot after both reservations
+	w1, w2 := sim.NewWorld(3), sim.NewWorld(3)
+	for _, reg := range []func(){
+		func() { second("second", w2) },
+		func() { first("first", w1) },
+	} {
+		done := make(chan struct{})
+		go func() { reg(); close(done) }()
+		<-done
+	}
+	for _, w := range []*sim.World{w0, w1, w2} {
 		w.Spawn("a", func(a *sim.Actor) { a.Charge("op", 10*sim.Nanosecond) })
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ds := s.Digests()
-	if len(ds) != 2 || ds[0].Label != "cell1" || ds[1].Label != "auto" {
+	if len(ds) != 3 || ds[0].Label != "first" || ds[1].Label != "second" || ds[2].Label != "get" {
 		t.Fatalf("Digests() = %+v", ds)
 	}
-	if ds[0].SHA256 != ds[1].SHA256 {
-		t.Fatal("identical worlds hashed differently across cells")
+	if ds[0].SHA256 != ds[1].SHA256 || ds[1].SHA256 != ds[2].SHA256 {
+		t.Fatal("identical worlds hashed differently across slots")
 	}
-	if s.Get("cell1").Events() != nil {
+	if s.Get("first").Events() != nil {
 		t.Fatal("SetKeepEvents(false) did not propagate to hook-created tracers")
 	}
 }

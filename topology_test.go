@@ -1,10 +1,12 @@
 package xemem_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"xemem"
+	"xemem/internal/sim"
 )
 
 // TestParseTopologyErrors pins the parser's diagnostics — xemem-topo
@@ -106,5 +108,39 @@ func TestLocalityKeys(t *testing.T) {
 		if l.String() != wantNames[i] {
 			t.Errorf("DefaultLevels[%d] = %q, want %q", i, l, wantNames[i])
 		}
+	}
+}
+
+// TestBuildReproducible boots Figure 1's node twice at one seed: the
+// bootstrap must allocate the same enclave IDs and learn the same route
+// tables both times.
+func TestBuildReproducible(t *testing.T) {
+	boot := func() string {
+		node := xemem.NewNode(xemem.NodeConfig{Seed: 1, MemBytes: 16 << 30})
+		topo, err := xemem.ParseTopology("kitten,kitten(vm,vm),vm")
+		if err != nil {
+			t.Fatal(err)
+		}
+		encl, err := topo.Build(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Spawn("settle", func(a *sim.Actor) { a.Advance(sim.Millisecond) })
+		if err := node.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s %d %s\n", node.LinuxModule().Name(), node.LinuxModule().EnclaveID(), node.LinuxModule().R.RouteTable())
+		for _, e := range encl {
+			fmt.Fprintf(&b, "%s %d %s\n", e.Module.Name(), e.Module.EnclaveID(), e.Module.R.RouteTable())
+		}
+		return b.String()
+	}
+	first, second := boot(), boot()
+	if first != second {
+		t.Fatalf("same seed bootstrapped differently:\n%s\nvs\n%s", first, second)
+	}
+	if n := strings.Count(first, "\n"); n != 6 {
+		t.Fatalf("rendered %d enclaves, want 6:\n%s", n, first)
 	}
 }
