@@ -18,14 +18,14 @@ check: vet build benchmark-build race test examples cli replay fuzz cover
 # map-ordering, hook-state, partition-isolation, and
 # snapshot-completeness invariants. Every run loads and type-checks the
 # whole module (standard library from compiler export data, under a
-# second on 2 CPUs); -timing prints the load and per-analyzer wall-clock.
+# second on 2 CPUs) and fails on a package that does not type-check.
 vet:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
 	fi
 	$(GO) vet ./...
-	$(GO) run ./cmd/xemem-vet -timing ./...
+	$(GO) run ./cmd/xemem-vet ./...
 
 build:
 	$(GO) build ./...

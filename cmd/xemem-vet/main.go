@@ -14,8 +14,6 @@
 //
 //	go run ./cmd/xemem-vet ./...
 //	go run ./cmd/xemem-vet -list
-//	go run ./cmd/xemem-vet -json ./...
-//	go run ./cmd/xemem-vet -timing ./...
 //
 // Package patterns are accepted for familiarity with go vet but the
 // whole module is always loaded and analyzed: the invariants are
@@ -24,26 +22,22 @@
 // //xemem:allow, //xemem:wallclock, and //xemem:nosnap suppression
 // directives, which require a " -- <reason>" string; malformed
 // directives are themselves diagnostics. Exit status is 2 when the
-// module cannot be loaded or a package does not type-check.
+// module cannot be loaded, a package that does not type-check included.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"xemem/internal/analysis"
 )
 
 func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics and stats as JSON")
-	timing := flag.Bool("timing", false, "print the load and per-analyzer wall-clock timing")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: xemem-vet [-list] [-json] [-timing] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: xemem-vet [-list] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Runs xemem's invariant analyzers over the enclosing module.\n")
 		flag.PrintDefaults()
 	}
@@ -61,64 +55,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "xemem-vet:", err)
 		os.Exit(2)
 	}
-	diags, stats, err := analysis.Check(root, analysis.All())
+	m, err := analysis.Load(root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "xemem-vet:", err)
 		os.Exit(2)
 	}
-
-	if *jsonOut {
-		out := struct {
-			Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-			Stats       *analysis.Stats       `json:"stats"`
-		}{Diagnostics: diags, Stats: stats}
-		if out.Diagnostics == nil {
-			out.Diagnostics = []analysis.Diagnostic{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "xemem-vet:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Printf("%s\n", d)
-		}
-	}
-
-	if *timing {
-		printTiming(stats)
+	diags := analysis.Run(m, analysis.All())
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "xemem-vet: %d diagnostic(s)\n", len(diags))
 		os.Exit(1)
-	}
-}
-
-// printTiming renders the stats block to stderr so it never pollutes
-// parseable stdout diagnostics.
-func printTiming(stats *analysis.Stats) {
-	fmt.Fprintf(os.Stderr, "xemem-vet: %d packages; load %s, total %s\n",
-		stats.Packages, fmtNs(stats.LoadNs), fmtNs(stats.TotalNs))
-	names := make([]string, 0, len(stats.AnalyzerNs))
-	for name := range stats.AnalyzerNs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		fmt.Fprintf(os.Stderr, "xemem-vet:   %-14s %s\n", name, fmtNs(stats.AnalyzerNs[name]))
-	}
-}
-
-func fmtNs(ns int64) string {
-	switch {
-	case ns >= 1e9:
-		return fmt.Sprintf("%.2fs", float64(ns)/1e9)
-	case ns >= 1e6:
-		return fmt.Sprintf("%.1fms", float64(ns)/1e6)
-	default:
-		return fmt.Sprintf("%.0fµs", float64(ns)/1e3)
 	}
 }
 

@@ -34,6 +34,8 @@ var fixtureTests = []struct {
 			{"internal/sim/clock.go", 14, "determinism", "time.Since reads the host clock"},
 			{"internal/sim/clock.go", 20, "determinism", "os.Getpid is host/process-dependent"},
 			// bench.go: both reads carry //xemem:wallclock — silent.
+			// shadow.go: time.Now there is a parameter's virtual clock,
+			// not the time package — silent.
 		},
 	},
 	{
@@ -58,10 +60,10 @@ var fixtureTests = []struct {
 		wants: []want{
 			{"internal/app/app.go", 9, "paircheck", "GetWith result discarded"},
 			{"internal/app/app.go", 14, "paircheck", "AttachWith handle bound to _"},
-			{"internal/app/app.go", 20, "paircheck", `GetWith handle "apid" is never used again`},
+			{"internal/app/app.go", 20, "paircheck", `GetWith handle "apid" is only ever read`},
 			{"internal/app/app.go", 57, "paircheck", "AttachWith result discarded"},
 			{"internal/app/coll.go", 19, "paircheck", "AttachCached handle bound to _"},
-			{"internal/app/coll.go", 35, "paircheck", `register handle "b" is never used again`},
+			{"internal/app/coll.go", 35, "paircheck", `register handle "b" is only ever read`},
 			{"internal/app/helper.go", 33, "paircheck", "is only ever read"},
 			// LeakExcused is suppressed; Paired/Transfers/TransfersVar
 			// release or transfer ownership and must stay silent — as

@@ -51,15 +51,12 @@ var clockPath = map[string]bool{
 	"Advance": true, "AdvanceN": true, "Unblock": true, "Spawn": true, "SpawnAt": true,
 }
 
-// chargeFacts is chargecheck's per-package contribution to the
-// module-level dead-constant verdict.
-type chargeFacts struct {
-	// Charged lists the Costs field names some flow in this package
-	// charges.
-	Charged []string
-	// Fields carries the Costs field declarations themselves — emitted
-	// only by the engine package, where the struct lives.
-	Fields []fieldRef
+// chargecheck accumulates, over the per-package passes, the Costs
+// fields some flow charges and the fields' declarations (which only the
+// engine package, where the struct lives, contributes).
+type chargecheck struct {
+	charged map[string]bool
+	fields  []fieldRef
 }
 
 // fieldRef names a struct field at its (root-relative) declaration
@@ -70,41 +67,35 @@ type fieldRef struct {
 }
 
 func newChargecheck() *Analyzer {
+	c := &chargecheck{charged: make(map[string]bool)}
 	return &Analyzer{
 		Name:   "chargecheck",
 		Doc:    "flags sim.Costs fields never charged through Charge/ChargeN/AdvanceN or a resource acquisition (flow tracked through helpers via summaries), and Actor clock writes that bypass the charge path",
-		Run:    chargecheckRun,
-		Finish: chargecheckFinish,
+		Run:    c.run,
+		Finish: c.finish,
 	}
 }
 
-func chargecheckRun(pass *Pass) any {
+func (c *chargecheck) run(pass *Pass) {
 	sums := pass.Module.Summaries()
 	sim := isSimPackage(pass.Module, pass.Pkg)
-	charged := make(map[string]bool)
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			markChargedFields(sums, pass.Pkg.Info, fd, charged)
+			markChargedFields(sums, pass.Pkg.Info, fd, c.charged)
 			if sim {
 				checkClockWrites(pass, fd)
 			}
 		}
 	}
-
-	facts := chargeFacts{Charged: sortedNames(charged)}
 	if sim {
 		for _, f := range sums.CostsFields() {
-			facts.Fields = append(facts.Fields, fieldRef{Name: f.Name(), Pos: pass.Module.Position(f.Pos())})
+			c.fields = append(c.fields, fieldRef{Name: f.Name(), Pos: pass.Module.Position(f.Pos())})
 		}
 	}
-	if facts.Charged == nil && facts.Fields == nil {
-		return nil
-	}
-	return facts
 }
 
 // markChargedFields computes, for one function, the source regions whose
@@ -195,23 +186,10 @@ func checkClockWrites(pass *Pass, fd *ast.FuncDecl) {
 	})
 }
 
-// chargecheckFinish unions every package's charged-field set against the
-// engine's Costs declaration and reports the constants nothing charges.
-func chargecheckFinish(f *FinishPass) {
-	charged := make(map[string]bool)
-	var fields []fieldRef
-	for _, path := range f.Paths() {
-		facts, ok := f.Facts[path].(chargeFacts)
-		if !ok {
-			continue
-		}
-		for _, name := range facts.Charged {
-			charged[name] = true
-		}
-		fields = append(fields, facts.Fields...)
-	}
-	for _, field := range fields {
-		if charged[field.Name] {
+// finish reports the engine's Costs constants no package charges.
+func (c *chargecheck) finish(f *FinishPass) {
+	for _, field := range c.fields {
+		if c.charged[field.Name] {
 			continue
 		}
 		f.Reportf(field.Pos,

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"strings"
 )
 
 // The determinism analyzer guards the simulator's foundational property:
@@ -31,33 +32,17 @@ func newDeterminism() *Analyzer {
 		Name: "determinism",
 		Doc:  "flags wall-clock, math/rand, and process-identity nondeterminism; excuse real benchmark timers with //xemem:wallclock -- <reason>",
 	}
-	a.Run = func(pass *Pass) any {
+	a.Run = func(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
 			runDeterminismFile(pass, f)
 		}
-		return nil
 	}
 	return a
 }
 
 func runDeterminismFile(pass *Pass, f *ast.File) {
-	// Fallback import table for degraded type information: local name of
-	// each interesting import in this file.
-	importName := make(map[string]string)
 	for _, spec := range f.Imports {
-		path := importPath(spec)
-		switch path {
-		case "time", "os", "math/rand", "math/rand/v2":
-			name := path
-			if i := lastSlash(path); i >= 0 {
-				name = path[i+1:]
-			}
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			importName[name] = path
-		}
-		switch path {
+		switch path := strings.Trim(spec.Path.Value, `"`); path {
 		case "math/rand", "math/rand/v2":
 			pass.Reportf(spec.Pos(),
 				"import of %s: its generators are seeded outside the World's control; use the deterministic per-actor stream (sim.RNG)", path)
@@ -78,9 +63,6 @@ func runDeterminismFile(pass *Pass, f *ast.File) {
 			return true
 		}
 		path := pkgNameOf(pass.Pkg.Info, id)
-		if path == "" {
-			path = importName[id.Name]
-		}
 		switch {
 		case path == "time" && wallclockFuncs[sel.Sel.Name]:
 			pass.Reportf(call.Pos(),
@@ -91,21 +73,4 @@ func runDeterminismFile(pass *Pass, f *ast.File) {
 		}
 		return true
 	})
-}
-
-func importPath(spec *ast.ImportSpec) string {
-	s := spec.Path.Value
-	if len(s) >= 2 {
-		s = s[1 : len(s)-1]
-	}
-	return s
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
 }

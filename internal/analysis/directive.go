@@ -77,22 +77,12 @@ func ParseDirective(text string, known map[string]bool) (analyzer, reason, errMs
 	return analyzer, strings.TrimSpace(reason), ""
 }
 
-// supRecord is one applied suppression: analyzer silenced on a
-// (root-relative) file line. Each package's records are merged after
-// the per-package passes so module-level diagnostics honor every
-// package's directives.
-type supRecord struct {
-	File     string
-	Line     int
-	Analyzer string
-}
-
-// suppressions indexes which analyzers are silenced on which lines, plus
-// the diagnostics produced by malformed directives.
+// suppressions indexes which analyzers are silenced on which
+// (root-relative) file lines, plus the diagnostics produced by
+// malformed directives.
 type suppressions struct {
-	byLine  map[lineKey]map[string]bool
-	records []supRecord
-	errors  []Diagnostic
+	byLine map[lineKey]map[string]bool
+	errors []Diagnostic
 }
 
 type lineKey struct {
@@ -112,27 +102,20 @@ func (s *suppressions) add(file string, line int, analyzer string) {
 	s.byLine[k][analyzer] = true
 }
 
-func (s *suppressions) record(file string, line int, analyzer string) {
-	s.add(file, line, analyzer)
-	s.records = append(s.records, supRecord{File: file, Line: line, Analyzer: analyzer})
-}
-
 func (s *suppressions) errorf(pos token.Position, format string, args ...any) {
 	s.errors = append(s.errors, Diagnostic{Pos: pos, Analyzer: "directive", Message: fmt.Sprintf(format, args...)})
 }
 
-// collectPackageDirectives scans one package's comments for //xemem:
-// directives and builds its suppression index.
-func collectPackageDirectives(m *Module, pkg *Package, known map[string]bool) *suppressions {
-	sup := &suppressions{byLine: make(map[lineKey]map[string]bool)}
+// collect scans one package's comments for //xemem: directives and adds
+// them to the index.
+func (s *suppressions) collect(m *Module, pkg *Package, known map[string]bool) {
 	for _, f := range pkg.Files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
-				sup.directive(m, c.Pos(), c.Text, known)
+				s.directive(m, c.Pos(), c.Text, known)
 			}
 		}
 	}
-	return sup
 }
 
 // directive parses one comment, recording a suppression or an error.
@@ -146,9 +129,9 @@ func (s *suppressions) directive(m *Module, pos token.Pos, text string, known ma
 		s.errorf(p, "%s", errMsg)
 		return
 	}
-	s.record(p.Filename, p.Line, analyzer)
+	s.add(p.Filename, p.Line, analyzer)
 	if wholeLine(m, p) {
-		s.record(p.Filename, p.Line+1, analyzer)
+		s.add(p.Filename, p.Line+1, analyzer)
 	}
 }
 

@@ -30,14 +30,13 @@ func newHookstate() *Analyzer {
 		Name: "hookstate",
 		Doc:  "flags writes to package-level func-typed hook variables outside package main; library code must thread observers explicitly",
 	}
-	a.Run = func(pass *Pass) any {
-		if pass.Pkg.Types == nil || pass.Pkg.Types.Name() == "main" {
-			return nil
+	a.Run = func(pass *Pass) {
+		if pass.Pkg.Types.Name() == "main" {
+			return
 		}
 		for _, f := range pass.Pkg.Files {
 			checkHookWrites(pass, f)
 		}
-		return nil
 	}
 	return a
 }

@@ -25,12 +25,6 @@ type Package struct {
 
 	Types *types.Package
 	Info  *types.Info
-
-	// TypeErrors collects soft type-check errors. It stays empty for a
-	// healthy tree; when an import has no readable export data the
-	// checker degrades to a stub instead of failing and the errors land
-	// here (Check refuses such a module).
-	TypeErrors []error
 }
 
 // Module is a fully loaded Go module: every non-test package parsed and
@@ -77,10 +71,9 @@ func (m *Module) Line(filename string, n int) string {
 
 // Load parses and type-checks every non-test package under root, which
 // must contain a go.mod naming the module. Module-external imports are
-// read from compiler export data located by one `go list -export`; an
-// import without export data is replaced by an empty stub and the
-// resulting type errors are recorded rather than fatal, so analysis
-// degrades instead of dying.
+// read from compiler export data located by one `go list -export`. Load
+// fails on the first type error, naming its package and position: the
+// analyzers read full type information and never guess around a gap.
 func Load(root string) (*Module, error) {
 	root, err := filepath.Abs(root)
 	if err != nil {
@@ -132,15 +125,18 @@ func Load(root string) (*Module, error) {
 	}
 	imp := &moduleImporter{m: m, std: importer.ForCompiler(m.Fset, "gc", lookup)}
 	for _, pkg := range order {
-		m.check(pkg, imp)
+		if err := m.check(pkg, imp); err != nil {
+			return nil, err
+		}
 	}
 	return m, nil
 }
 
 // exportFiles maps every module-external import path to its compiler
 // export data file, as reported by one `go list -export` in the module
-// root. -e keeps an unresolvable path from failing the listing: it comes
-// back without a file and degrades to a stub in moduleImporter.
+// root; a path go list cannot resolve fails the load. A path under the
+// module's own that names no loaded package gets no file, so the
+// importing package's type check reports it.
 func (m *Module) exportFiles() (map[string]string, error) {
 	var paths []string
 	seen := make(map[string]bool)
@@ -148,7 +144,7 @@ func (m *Module) exportFiles() (map[string]string, error) {
 		for _, f := range pkg.Files {
 			for _, spec := range f.Imports {
 				path := strings.Trim(spec.Path.Value, `"`)
-				if m.byPath[path] == nil && !seen[path] {
+				if m.byPath[path] == nil && !strings.HasPrefix(path, m.Path+"/") && !seen[path] {
 					seen[path] = true
 					paths = append(paths, path)
 				}
@@ -159,7 +155,7 @@ func (m *Module) exportFiles() (map[string]string, error) {
 	if len(paths) == 0 {
 		return exports, nil
 	}
-	cmd := exec.Command("go", append([]string{"list", "-e", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, paths...)...)
+	cmd := exec.Command("go", append([]string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}, paths...)...)
 	cmd.Dir = m.Root
 	out, err := cmd.Output()
 	if err != nil {
@@ -301,9 +297,8 @@ func (m *Module) topoOrder() ([]*Package, error) {
 	return order, nil
 }
 
-// check type-checks one package, recording soft errors instead of
-// failing.
-func (m *Module) check(pkg *Package, imp types.Importer) {
+// check type-checks one package, failing on its first type error.
+func (m *Module) check(pkg *Package, imp types.Importer) error {
 	pkg.Info = &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -311,48 +306,26 @@ func (m *Module) check(pkg *Package, imp types.Importer) {
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		Implicits:  make(map[ast.Node]types.Object),
 	}
-	conf := types.Config{
-		Importer: imp,
-		Error:    func(err error) { pkg.TypeErrors = append(pkg.TypeErrors, err) },
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(pkg.Path, m.Fset, pkg.Files, pkg.Info)
+	if err != nil {
+		return fmt.Errorf("analysis: %s does not type-check: %w", pkg.Path, err)
 	}
-	// Check returns the package even on soft errors; the Error hook above
-	// keeps it from aborting at the first one.
-	tpkg, _ := conf.Check(pkg.Path, m.Fset, pkg.Files, pkg.Info)
 	pkg.Types = tpkg
+	return nil
 }
 
 // moduleImporter resolves module-internal imports from the loader's own
 // packages (already type-checked, thanks to topo order) and everything
-// else from compiler export data, degrading to empty stub packages when
-// that fails.
+// else from compiler export data.
 type moduleImporter struct {
-	m     *Module
-	std   types.Importer
-	stubs map[string]*types.Package
+	m   *Module
+	std types.Importer
 }
 
 func (mi *moduleImporter) Import(path string) (*types.Package, error) {
 	if pkg := mi.m.byPath[path]; pkg != nil {
-		if pkg.Types == nil {
-			return nil, fmt.Errorf("analysis: import %s before it is checked", path)
-		}
 		return pkg.Types, nil
 	}
-	if p, err := mi.std.Import(path); err == nil {
-		return p, nil
-	}
-	if mi.stubs == nil {
-		mi.stubs = make(map[string]*types.Package)
-	}
-	if p, ok := mi.stubs[path]; ok {
-		return p, nil
-	}
-	name := path
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	p := types.NewPackage(path, name)
-	p.MarkComplete()
-	mi.stubs[path] = p
-	return p, nil
+	return mi.std.Import(path)
 }

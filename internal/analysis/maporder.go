@@ -34,7 +34,7 @@ func newMaporder() *Analyzer {
 		Name: "maporder",
 		Doc:  "flags map iteration in exporter-feeding functions unless keys are collected and sorted; nondeterministic order corrupts golden digests",
 	}
-	a.Run = func(pass *Pass) any {
+	a.Run = func(pass *Pass) {
 		tracePkg := hasSuffixPath(pass.Pkg.Path, "trace")
 		for _, f := range pass.Pkg.Files {
 			for _, decl := range f.Decls {
@@ -47,7 +47,6 @@ func newMaporder() *Analyzer {
 				}
 			}
 		}
-		return nil
 	}
 	return a
 }

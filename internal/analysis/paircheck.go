@@ -21,9 +21,7 @@ import (
 // flagged is a handle no path can ever release:
 //
 //   - the acquire's results are discarded outright (expression
-//     statement, or the handle bound to _),
-//   - the handle is bound to a local that is never mentioned again —
-//     including by a deferred release — or
+//     statement, or the handle bound to _), or
 //   - every use of the handle merely reads it (comparisons, logging,
 //     passing to module helpers that neither release nor keep it).
 type pairSpec struct {
@@ -62,7 +60,7 @@ func newPaircheck() *Analyzer {
 	return &Analyzer{
 		Name: "paircheck",
 		Doc:  "flags XPMEM GetWith/AttachWith/AttachCached handles and coll registration-cache bindings no path can release (directly or via a summarized helper); escaped handles transfer ownership and are exempt",
-		Run: func(pass *Pass) any {
+		Run: func(pass *Pass) {
 			for _, f := range pass.Pkg.Files {
 				for _, decl := range f.Decls {
 					if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
@@ -70,13 +68,12 @@ func newPaircheck() *Analyzer {
 					}
 				}
 			}
-			return nil
 		},
 	}
 }
 
-// pairFor matches a call against the pair table, requiring resolved
-// receiver type information (no types ⇒ no finding: conservative).
+// pairFor matches a call against the pair table by callee name and
+// receiver type.
 func pairFor(info *types.Info, call *ast.CallExpr) *pairSpec {
 	name := calleeName(call)
 	for i := range pairs {
@@ -127,15 +124,9 @@ func checkPairs(pass *Pass, fd *ast.FuncDecl) {
 				// captured or package-level): treat as escaping.
 				return true
 			}
-			released, escaped, reads := sums.classifyUses(info, fd.Body, obj)
-			switch {
-			case released || escaped:
-				// Paired (possibly inside a helper) or ownership
-				// transferred: fine either way.
-			case reads == 0:
-				pass.Reportf(call.Pos(),
-					"%s handle %q is never used again: no path (including defer) pairs it with %s", p.acquire, handle.Name, p.release)
-			default:
+			// Neither paired (possibly inside a helper) nor transferred:
+			// every use merely reads the handle.
+			if released, escaped := sums.classifyUses(info, fd.Body, obj); !released && !escaped {
 				pass.Reportf(call.Pos(),
 					"%s handle %q is only ever read: no path (including the module's own helpers) pairs it with %s or takes ownership", p.acquire, handle.Name, p.release)
 			}

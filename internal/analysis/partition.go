@@ -40,9 +40,9 @@ func newPartition() *Analyzer {
 	return &Analyzer{
 		Name: "partition",
 		Doc:  "flags actor-state access on an actor other than the running one inside actor closures, and running-actor captures that escape into other goroutines (directly or through a helper); actors interact only through the engine's primitives",
-		Run: func(pass *Pass) any {
-			if pass.Pkg.Types == nil || pass.Pkg.Types.Name() == "main" || isSimPackage(pass.Module, pass.Pkg) {
-				return nil
+		Run: func(pass *Pass) {
+			if pass.Pkg.Types.Name() == "main" || isSimPackage(pass.Module, pass.Pkg) {
+				return
 			}
 			for _, f := range pass.Pkg.Files {
 				for _, decl := range f.Decls {
@@ -51,7 +51,6 @@ func newPartition() *Analyzer {
 					}
 				}
 			}
-			return nil
 		},
 	}
 }

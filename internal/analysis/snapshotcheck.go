@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -32,18 +31,19 @@ import (
 // another type makes that type part of the snapshot graph.
 const snapEncoder = "EncodeSnapshot"
 
-// snapshotFacts is one package's contribution to the module-wide
-// snapshot-coverage verdict.
-type snapshotFacts struct {
-	// Registered lists the type keys this package registers via
-	// AddSnapshotComponent.
-	Registered []string
-	// Types maps type key → coverage fact for every local type
-	// declaring an EncodeSnapshot method.
-	Types map[string]snapTypeFact
-	// ExternalWrites records mutations of *other* packages' snapshotted
-	// types' fields (the owning package cannot see them).
-	ExternalWrites []extWrite
+// snapshotcheck accumulates, over the per-package passes, the snapshot
+// graph (its registered roots and every encoder-declaring type) and the
+// field writes each package makes to other packages' snapshotted types.
+type snapshotcheck struct {
+	// roots lists the type keys registered via AddSnapshotComponent.
+	roots []string
+	// types maps type key → coverage fact for every type declaring an
+	// EncodeSnapshot method.
+	types map[string]snapTypeFact
+	// extMutable records mutations of snapshotted types' fields from
+	// outside their own package (the owning package's pass cannot see
+	// them).
+	extMutable map[extWrite]bool
 }
 
 type snapTypeFact struct {
@@ -70,11 +70,12 @@ type extWrite struct {
 }
 
 func newSnapshotcheck() *Analyzer {
+	sc := &snapshotcheck{types: make(map[string]snapTypeFact), extMutable: make(map[extWrite]bool)}
 	return &Analyzer{
 		Name:   "snapshotcheck",
 		Doc:    "verifies every mutable field of a registered snapshot component (and its delegates) is written by EncodeSnapshot; excuse derived or build-time fields with //xemem:nosnap -- <reason>",
-		Run:    snapshotcheckRun,
-		Finish: snapshotcheckFinish,
+		Run:    sc.run,
+		Finish: sc.finish,
 	}
 }
 
@@ -127,10 +128,7 @@ func recvNamed(fn *types.Func) *types.Named {
 	return namedType(sig.Recv().Type())
 }
 
-func snapshotcheckRun(pass *Pass) any {
-	if pass.Pkg.Info == nil || pass.Pkg.Types == nil {
-		return nil
-	}
+func (sc *snapshotcheck) run(pass *Pass) {
 	info := pass.Pkg.Info
 	sums := pass.Module.Summaries()
 
@@ -167,8 +165,6 @@ func snapshotcheckRun(pass *Pass) any {
 	// Writes to other packages' snapshotted types are recorded for their
 	// owners.
 	localMutable := make(map[string]map[string]bool) // type key → field name
-	extSeen := make(map[extWrite]bool)
-	var facts snapshotFacts
 	hasEncoder := func(named *types.Named) bool {
 		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), snapEncoder)
 		_, ok := obj.(*types.Func)
@@ -198,11 +194,7 @@ func snapshotcheckRun(pass *Pass) any {
 					localMutable[key][field] = true
 				}
 			} else if strings.HasPrefix(owner.Obj().Pkg().Path(), pass.Module.Path) && hasEncoder(owner) {
-				w := extWrite{Type: key, Field: field}
-				if !extSeen[w] {
-					extSeen[w] = true
-					facts.ExternalWrites = append(facts.ExternalWrites, w)
-				}
+				sc.extMutable[extWrite{Type: key, Field: field}] = true
 			}
 			return true
 		})
@@ -232,16 +224,12 @@ func snapshotcheckRun(pass *Pass) any {
 
 	// Pass 3: registrations — method values (pm.EncodeSnapshot) or
 	// closure wrappers handed to AddSnapshotComponent.
-	regSeen := make(map[string]bool)
 	register := func(fn *types.Func) {
 		if fn == nil || fn.Name() != snapEncoder {
 			return
 		}
 		if named := recvNamed(fn); named != nil {
-			if key := typeKey(named); !regSeen[key] {
-				regSeen[key] = true
-				facts.Registered = append(facts.Registered, key)
-			}
+			sc.roots = append(sc.roots, typeKey(named))
 		}
 	}
 	for _, f := range pass.Pkg.Files {
@@ -271,7 +259,6 @@ func snapshotcheckRun(pass *Pass) any {
 	}
 
 	// Pass 4: per-type coverage over the encoder call closures.
-	sort.Strings(facts.Registered)
 	for _, key := range codecOrder {
 		c := codecs[key]
 		st, ok := c.named.Underlying().(*types.Struct)
@@ -305,16 +292,8 @@ func snapshotcheckRun(pass *Pass) any {
 			})
 		}
 		fact.Calls = sortedNames(calls)
-		if facts.Types == nil {
-			facts.Types = make(map[string]snapTypeFact)
-		}
-		facts.Types[key] = fact
+		sc.types[key] = fact
 	}
-
-	if facts.Registered == nil && facts.Types == nil && facts.ExternalWrites == nil {
-		return nil
-	}
-	return facts
 }
 
 // snapReach walks the same-package call closure from root, collecting
@@ -355,55 +334,26 @@ func snapReach(sums *Summaries, pkg *Package, root *ast.FuncDecl, selfKey string
 	return out
 }
 
-// snapshotcheckFinish computes the registered-reachable snapshot graph
-// and reports every mutable field its encoders miss.
-func snapshotcheckFinish(f *FinishPass) {
-	typesByKey := make(map[string]snapTypeFact)
-	extMutable := make(map[extWrite]bool)
-	var roots []string
-	for _, path := range f.Paths() {
-		facts, ok := f.Facts[path].(snapshotFacts)
-		if !ok {
-			continue
-		}
-		roots = append(roots, facts.Registered...)
-		for key, fact := range facts.Types {
-			typesByKey[key] = fact
-		}
-		for _, w := range facts.ExternalWrites {
-			extMutable[w] = true
-		}
-	}
-
-	// The snapshot graph: registered components plus everything their
-	// encoders delegate to.
-	reachable := make(map[string]bool)
-	queue := append([]string(nil), roots...)
+// finish walks the snapshot graph — registered components plus
+// everything their encoders delegate to — and reports every mutable
+// field its encoders miss.
+func (sc *snapshotcheck) finish(f *FinishPass) {
+	reached := make(map[string]bool)
+	queue := append([]string(nil), sc.roots...)
 	for len(queue) > 0 {
 		key := queue[0]
 		queue = queue[1:]
-		if reachable[key] {
+		if reached[key] {
 			continue
 		}
-		reachable[key] = true
-		queue = append(queue, typesByKey[key].Calls...)
-	}
-
-	keys := make([]string, 0, len(reachable))
-	for key := range reachable {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
-		fact, ok := typesByKey[key]
-		if !ok {
-			continue
-		}
+		reached[key] = true
+		fact := sc.types[key]
+		queue = append(queue, fact.Calls...)
 		for _, field := range fact.Fields {
 			if field.Name == "_" {
 				continue
 			}
-			mutable := field.Mutable || extMutable[extWrite{Type: key, Field: field.Name}]
+			mutable := field.Mutable || sc.extMutable[extWrite{Type: key, Field: field.Name}]
 			if !mutable || field.Encoded {
 				continue // set once at construction, or in the snapshot
 			}

@@ -51,8 +51,7 @@ type FuncSummary struct {
 }
 
 // Summaries indexes every declared function of a module with its
-// summary. Built once per load, read-only afterwards (safe for
-// concurrent analyzer passes).
+// summary. Built once per load, read-only afterwards.
 type Summaries struct {
 	decls map[*types.Func]*ast.FuncDecl
 	pkgOf map[*types.Func]*Package
@@ -63,8 +62,7 @@ type Summaries struct {
 }
 
 // Summaries returns the module's interprocedural summary index,
-// building it on first use. Not safe to call for the first time from
-// concurrent goroutines; the driver builds it before fanning out.
+// building it on first use.
 func (m *Module) Summaries() *Summaries {
 	if m.summaries == nil {
 		m.summaries = buildSummaries(m)
@@ -112,9 +110,6 @@ func buildSummaries(m *Module) *Summaries {
 	s.initCosts(m)
 
 	for _, pkg := range m.order {
-		if pkg.Info == nil {
-			continue
-		}
 		var fns []*types.Func
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -156,7 +151,7 @@ func buildSummaries(m *Module) *Summaries {
 // mini-modules alike) and records its fields.
 func (s *Summaries) initCosts(m *Module) {
 	pkg := m.Lookup(m.Path + "/internal/sim")
-	if pkg == nil || pkg.Types == nil {
+	if pkg == nil {
 		return
 	}
 	obj := pkg.Types.Scope().Lookup("Costs")
@@ -199,7 +194,7 @@ func (s *Summaries) compute(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 		if p == nil {
 			continue
 		}
-		released, escaped, _ := s.classifyUses(info, fd.Body, p)
+		released, escaped := s.classifyUses(info, fd.Body, p)
 		sum.Released[i] = released
 		sum.Escaped[i] = escaped
 		if _, ok := p.Type().Underlying().(*types.Signature); ok {
@@ -305,9 +300,8 @@ var pairRecvSet = map[string]bool{"Session": true, "Module": true, "Communicator
 // released: some path passes obj to a Release/Detach or to a callee
 // releasing the matching parameter. escaped: obj is returned, stored,
 // aliased, sent, address-taken, or passed to a callee the module cannot
-// see into (assumed ownership transfer). reads counts the uses that
-// read the value (writes to obj are not reads).
-func (s *Summaries) classifyUses(info *types.Info, body ast.Node, obj types.Object) (released, escaped bool, reads int) {
+// see into (assumed ownership transfer).
+func (s *Summaries) classifyUses(info *types.Info, body ast.Node, obj types.Object) (released, escaped bool) {
 	var stack []ast.Node
 	ast.Inspect(body, func(n ast.Node) bool {
 		if n == nil {
@@ -316,21 +310,18 @@ func (s *Summaries) classifyUses(info *types.Info, body ast.Node, obj types.Obje
 		}
 		stack = append(stack, n)
 		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			r, e, isRead := s.classifyUse(info, stack)
+			r, e := s.classifyUse(info, stack)
 			released = released || r
 			escaped = escaped || e
-			if isRead {
-				reads++
-			}
 		}
 		return true
 	})
-	return released, escaped, reads
+	return released, escaped
 }
 
 // classifyUse judges one use by walking from the identifier (stack top)
 // up through its syntactic context.
-func (s *Summaries) classifyUse(info *types.Info, stack []ast.Node) (released, escaped, isRead bool) {
+func (s *Summaries) classifyUse(info *types.Info, stack []ast.Node) (released, escaped bool) {
 	cur := stack[len(stack)-1]
 	for i := len(stack) - 2; i >= 0; i-- {
 		parent := stack[i]
@@ -339,29 +330,26 @@ func (s *Summaries) classifyUse(info *types.Info, stack []ast.Node) (released, e
 			// Transparent: the value (or a view of it) keeps flowing.
 		case *ast.UnaryExpr:
 			if p.Op == token.AND {
-				return false, true, true // address taken: aliases escape
+				return false, true // address taken: aliases escape
 			}
 		case *ast.IndexExpr:
 			if p.Index == cur {
-				return false, false, true // used as a key: a read
+				return false, false // used as a key: a read
 			}
 		case *ast.CallExpr:
 			if p.Fun == cur {
-				return false, false, true // invoking a func-typed handle
+				return false, false // invoking a func-typed handle
 			}
 			if tv, ok := info.Types[p.Fun]; ok && tv.IsType() {
 				break // conversion: transparent
 			}
 			return s.classifyCallArg(info, p, cur)
 		case *ast.ReturnStmt:
-			return false, true, true
+			return false, true
 		case *ast.SendStmt:
-			if p.Value == cur {
-				return false, true, true
-			}
-			return false, false, true
+			return false, p.Value == cur // sent: escapes; the channel: a read
 		case *ast.CompositeLit, *ast.KeyValueExpr:
-			return false, true, true
+			return false, true
 		case *ast.AssignStmt:
 			for ri, r := range p.Rhs {
 				if r != cur {
@@ -369,42 +357,38 @@ func (s *Summaries) classifyUse(info *types.Info, stack []ast.Node) (released, e
 				}
 				if len(p.Lhs) == len(p.Rhs) {
 					if id, ok := ast.Unparen(p.Lhs[ri]).(*ast.Ident); ok && id.Name == "_" {
-						return false, false, true
+						return false, false
 					}
 				}
-				return false, true, true // aliased into another name or stored
+				return false, true // aliased into another name or stored
 			}
-			return false, false, false // on the left-hand side: a write
+			return false, false // on the left-hand side: a write
 		case *ast.ValueSpec:
 			for _, v := range p.Values {
 				if v == cur {
-					return false, true, true
+					return false, true
 				}
 			}
-			return false, false, false
-		case *ast.IncDecStmt:
-			return false, false, false
-		case ast.Stmt:
-			return false, false, true // consumed by control flow or discarded
-		case ast.Decl:
-			return false, false, true
+			return false, false
+		case ast.Stmt, ast.Decl:
+			return false, false // consumed by control flow, discarded, or incremented
 		}
 		cur = parent
 	}
-	return false, false, true
+	return false, false
 }
 
 // classifyCallArg judges a handle passed as a call argument (or method
 // receiver), consulting the callee's summary when the module declares
 // it and assuming ownership transfer when it does not.
-func (s *Summaries) classifyCallArg(info *types.Info, call *ast.CallExpr, arg ast.Node) (released, escaped, isRead bool) {
+func (s *Summaries) classifyCallArg(info *types.Info, call *ast.CallExpr, arg ast.Node) (released, escaped bool) {
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.X == arg {
 		// Method call on the handle itself: the receiver occupies
 		// summary index 0.
 		if cs := s.Of(resolveCallee(info, call)); cs != nil && len(cs.Released) > 0 {
-			return cs.Released[0], cs.Escaped[0], true
+			return cs.Released[0], cs.Escaped[0]
 		}
-		return false, false, true
+		return false, false
 	}
 	idx := -1
 	for i, a := range call.Args {
@@ -414,17 +398,17 @@ func (s *Summaries) classifyCallArg(info *types.Info, call *ast.CallExpr, arg as
 		}
 	}
 	if idx < 0 {
-		return false, false, true
+		return false, false
 	}
 	if releaseNames[calleeName(call)] && pairRecvSet[recvTypeName(info, call)] {
-		return true, false, true
+		return true, false
 	}
 	callee := resolveCallee(info, call)
 	cs := s.Of(callee)
 	if cs == nil {
 		// Builtin, stdlib, or dynamic callee: assume the handle's
 		// ownership transfers.
-		return false, true, true
+		return false, true
 	}
 	pi := idx
 	if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
@@ -438,9 +422,9 @@ func (s *Summaries) classifyCallArg(info *types.Info, call *ast.CallExpr, arg as
 		pi = len(cs.Released) - 1 // variadic tail
 	}
 	if pi < 0 {
-		return false, false, true
+		return false, false
 	}
-	return cs.Released[pi], cs.Escaped[pi], true
+	return cs.Released[pi], cs.Escaped[pi]
 }
 
 // spawnNames are the scheduler entry points that run a function value

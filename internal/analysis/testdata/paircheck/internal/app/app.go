@@ -15,14 +15,16 @@ func LeakBlank(s *xpmem.Session) error {
 	return err
 }
 
-// LeakUnused never mentions the permit again.
+// LeakUnused only discards the permit.
 func LeakUnused(s *xpmem.Session) {
 	apid, _ := s.GetWith(7)
+	_ = apid
 }
 
 // LeakExcused is LeakUnused with a reasoned suppression.
 func LeakExcused(s *xpmem.Session) {
 	apid, _ := s.GetWith(7) //xemem:allow paircheck -- fixture: teardown is exercised by the world's end-of-run sweep
+	_ = apid
 }
 
 // Paired releases on every path, one of them deferred.
@@ -41,9 +43,7 @@ func Paired(s *xpmem.Session) error {
 
 // Transfers hands the permit to its caller: ownership escapes, so the
 // analyzer must stay silent.
-func Transfers(s *xpmem.Session) (int, error) {
-	return s.GetWith(7)
-}
+func Transfers(s *xpmem.Session) (int, error) { return s.GetWith(7) }
 
 // TransfersVar stores the permit into a struct the caller owns.
 func TransfersVar(s *xpmem.Session, out *struct{ Apid int }) error {

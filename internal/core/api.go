@@ -54,7 +54,7 @@ func (m *Module) rpc(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xprot
 		if err == nil {
 			return resp, nil
 		}
-		if !errors.Is(err, ErrTimeout) || attempt >= pol.Retries {
+		if !errors.Is(err, ErrTimeout) || attempt >= DefaultRPCRetries {
 			return nil, err
 		}
 		m.Stats.Retries++

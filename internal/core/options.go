@@ -28,32 +28,26 @@ const (
 )
 
 // RetryPolicy bounds a cross-enclave request: a per-attempt virtual-time
-// timeout and a retry budget; the timeout grows by DefaultRPCBackoff
-// between attempts. The zero value selects the defaults above. The
-// policy only takes effect when the world has a fault injector
-// installed; in the zero-fault world requests block until their
-// response arrives (see resolve).
+// timeout, reissued DefaultRPCRetries times and grown by
+// DefaultRPCBackoff between attempts. The zero value selects
+// DefaultRPCTimeout. The policy only takes effect when the world has a
+// fault injector installed; in the zero-fault world requests block
+// until their response arrives (see resolve).
 type RetryPolicy struct {
 	Timeout sim.Time
-	Retries int
 }
 
 // resolve returns the policy a request actually runs under. In the
 // zero-fault world (faulty false) nothing is ever lost, so the request is
 // one attempt with a sim.Forever timeout: it blocks until the response
-// wakes it. Under fault injection zero fields take the package defaults,
-// and Retries < 0 means "no retries" (a single attempt).
+// wakes it. Under fault injection a zero Timeout takes the package
+// default.
 func (p RetryPolicy) resolve(faulty bool) RetryPolicy {
 	if !faulty {
 		return RetryPolicy{Timeout: sim.Forever}
 	}
 	if p.Timeout <= 0 {
 		p.Timeout = DefaultRPCTimeout
-	}
-	if p.Retries == 0 {
-		p.Retries = DefaultRPCRetries
-	} else if p.Retries < 0 {
-		p.Retries = 0
 	}
 	return p
 }
@@ -63,14 +57,13 @@ func (p RetryPolicy) resolve(faulty bool) RetryPolicy {
 type GetOpts struct {
 	// Perm is the requested permission mask (0 = PermRead).
 	Perm xproto.Perm
-	// Timeout and Retries bound the cross-enclave request; see
+	// Timeout bounds each attempt of the cross-enclave request; see
 	// RetryPolicy.
 	Timeout sim.Time
-	Retries int
 }
 
 func (o GetOpts) policy() RetryPolicy {
-	return RetryPolicy{Timeout: o.Timeout, Retries: o.Retries}
+	return RetryPolicy{Timeout: o.Timeout}
 }
 
 // AttachOpts parameterizes AttachWith. The zero value attaches the whole
@@ -83,14 +76,13 @@ type AttachOpts struct {
 	Bytes uint64
 	// Perm is the requested permission mask (0 = PermRead).
 	Perm xproto.Perm
-	// Timeout and Retries bound the cross-enclave request; see
+	// Timeout bounds each attempt of the cross-enclave request; see
 	// RetryPolicy.
 	Timeout sim.Time
-	Retries int
 }
 
 func (o AttachOpts) policy() RetryPolicy {
-	return RetryPolicy{Timeout: o.Timeout, Retries: o.Retries}
+	return RetryPolicy{Timeout: o.Timeout}
 }
 
 // permOrRead defaults a zero permission mask to read-only.

@@ -96,7 +96,8 @@ func (noFaults) ServiceDown(string, sim.Time) bool                      { return
 // resolution. In the zero-fault world a request's wait is unbounded: a
 // 1 ns timeout is ignored and the requester wakes the instant its
 // response is handled. With an injector installed, the same path arms
-// the timeout (1 ns expires before any answer) and, with the default
+// the timeout (1 ns expires before any answer, on the first attempt and
+// on each of the DefaultRPCRetries reissues) and, with the default
 // policy, polls — landing within one poll quantum of the unbounded
 // latency.
 func TestRequestBoundOnlyUnderInjection(t *testing.T) {
@@ -131,13 +132,13 @@ func TestRequestBoundOnlyUnderInjection(t *testing.T) {
 		return took, n.lmod, gerr
 	}
 
-	tiny := core.GetOpts{Timeout: sim.Nanosecond, Retries: -1}
+	tiny := core.GetOpts{Timeout: sim.Nanosecond}
 	unbounded, _, err := get(nil, tiny)
 	if err != nil {
 		t.Fatalf("zero-fault get with a 1ns timeout: %v", err)
 	}
-	if _, mod, err := get(noFaults{}, tiny); !errors.Is(err, core.ErrTimeout) || mod.Stats.Timeouts != 1 {
-		t.Fatalf("injected get with a 1ns timeout: err=%v timeouts=%d, want ErrTimeout once", err, mod.Stats.Timeouts)
+	if _, mod, err := get(noFaults{}, tiny); !errors.Is(err, core.ErrTimeout) || mod.Stats.Timeouts != 1+core.DefaultRPCRetries {
+		t.Fatalf("injected get with a 1ns timeout: err=%v timeouts=%d, want ErrTimeout after %d attempts", err, mod.Stats.Timeouts, 1+core.DefaultRPCRetries)
 	}
 	bounded, _, err := get(noFaults{}, core.GetOpts{})
 	if err != nil {

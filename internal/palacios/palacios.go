@@ -184,6 +184,17 @@ func (vm *VM) MapEntries() int { return vm.mmap.entries() }
 // walking the memory map (Fig. 4(b)), charging a per-run map walk plus a
 // per-page translation cost to the acting actor.
 func (vm *VM) translateOut(a *sim.Actor, gpa extent.List) (extent.List, error) {
+	out, visits, err := vm.walk(gpa)
+	if err != nil {
+		return extent.List{}, err
+	}
+	a.Charge("gpa-xlate", sim.Time(visits)*vm.visitCost()+sim.Time(gpa.Pages())*vm.c.PalaciosXlatePerPage)
+	return out, nil
+}
+
+// walk resolves a guest-physical frame list run by run through the
+// memory map, reporting the map nodes (or levels) the lookups visited.
+func (vm *VM) walk(gpa extent.List) (extent.List, int, error) {
 	var out extent.List
 	visits := 0
 	for _, e := range gpa.Extents() {
@@ -193,20 +204,15 @@ func (vm *VM) translateOut(a *sim.Actor, gpa extent.List) (extent.List, error) {
 			hpa, runStart, runCount, v, ok := vm.mmap.lookupRun(g)
 			visits += v
 			if !ok {
-				return extent.List{}, fmt.Errorf("palacios %s: guest frame %#x unmapped", vm.name, g)
+				return extent.List{}, visits, fmt.Errorf("palacios %s: guest frame %#x unmapped", vm.name, g)
 			}
-			avail := runCount - (g - runStart)
-			take := avail
-			if take > rem {
-				take = rem
-			}
+			take := min(runCount-(g-runStart), rem)
 			out.Append(extent.PFN(hpa), take)
 			g += take
 			rem -= take
 		}
 	}
-	a.Charge("gpa-xlate", sim.Time(visits)*vm.visitCost()+sim.Time(gpa.Pages())*vm.c.PalaciosXlatePerPage)
-	return out, nil
+	return out, visits, nil
 }
 
 // visitCost is the per-node (rb-tree, §5.3) or per-level (radix, §5.4)
@@ -329,26 +335,8 @@ type guestDomain struct{ vm *VM }
 
 // TranslateList resolves every run through the memory map.
 func (d guestDomain) TranslateList(l extent.List) (extent.List, error) {
-	var out extent.List
-	for _, e := range l.Extents() {
-		g := uint64(e.First)
-		rem := e.Count
-		for rem > 0 {
-			hpa, runStart, runCount, _, ok := d.vm.mmap.lookupRun(g)
-			if !ok {
-				return extent.List{}, fmt.Errorf("palacios %s: guest frame %#x unmapped", d.vm.name, g)
-			}
-			avail := runCount - (g - runStart)
-			take := avail
-			if take > rem {
-				take = rem
-			}
-			out.Append(extent.PFN(hpa), take)
-			g += take
-			rem -= take
-		}
-	}
-	return out, nil
+	out, _, err := d.vm.walk(l)
+	return out, err
 }
 
 // Host returns the node's host physical memory.
