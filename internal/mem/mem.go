@@ -49,26 +49,13 @@ type PhysMem struct {
 // materialization from 262144 allocations to 4096.
 const slabPages = 64
 
-// framesHint caps the frames map's pre-sized bucket count. Most worlds
-// touch a tiny fraction of their simulated memory; the hint only needs to
-// cover the common warm-up so early growth rehashes disappear.
-const framesHint = 4096
-
 // NewPhysMem creates physical memory with one zone per given size (in
 // bytes, rounded down to whole pages), modelling NUMA sockets. Frame
 // numbers start at 0x100 to catch null-frame bugs.
 func NewPhysMem(name string, zoneBytes ...uint64) *PhysMem {
-	var pages uint64
-	for _, zb := range zoneBytes {
-		pages += zb / PageSize
-	}
-	hint := uint64(framesHint)
-	if pages < hint {
-		hint = pages
-	}
 	m := &PhysMem{
 		name:   name,
-		frames: make(map[PFN][]byte, hint),
+		frames: make(map[PFN][]byte),
 		pins:   make(map[extent.Extent]int),
 	}
 	// Zones start 2 MB-aligned (512 frames) so aligned allocations within

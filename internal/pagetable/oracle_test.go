@@ -9,10 +9,13 @@ import (
 )
 
 // The per-page references below are the map and unmap paths as they were
-// before the batched PT-node descent: one root-to-leaf set per 4 KB page
-// and one walk per leaf. They are kept as oracles for the batched paths,
-// which must leave exactly the same leaves, Mapped() and Tables(), and
-// fail with exactly the same errors.
+// before the batched PT-node descent: one root-to-leaf set per 4 KB page,
+// one walk per leaf, and an unlink that finds an emptied node by scanning
+// its parent's 512 slots. They are kept as oracles for the batched paths
+// (with their O(1) unlink and whole-PT-node drop), which must leave
+// exactly the same leaves, Mapped() and Tables(), and fail with exactly
+// the same errors. The oracle never recycles a node: every one it
+// allocates is fresh.
 
 // mapListPerPage is MapList with a per-page install for 4 KB stretches
 // and a per-leaf rollback.
@@ -105,7 +108,7 @@ func (t *Table) unmapLeaf(va VA, npages uint64) (uint64, error) {
 				node.next[i] = nil
 			}
 			t.mapped -= span
-			t.garbageCollect(visited[:nv])
+			t.unlinkScan(visited[:nv])
 			return span, nil
 		}
 		node = node.child(i)
@@ -113,6 +116,30 @@ func (t *Table) unmapLeaf(va VA, npages uint64) (uint64, error) {
 		nv++
 	}
 	return 0, fmt.Errorf("pagetable: walk fell through at %#x", uint64(va))
+}
+
+// unlinkScan is the oracle's interior-table GC: it frees the tables an
+// unmap emptied, bottom-up along the visited chain, finding each in its
+// parent by a scan of all 512 slots. Like garbageCollect it never frees
+// the root or a node lent to a SMARTMAP borrower; unlike it, it drops
+// the node instead of recycling it.
+func (t *Table) unlinkScan(visited []*table) {
+	for i := len(visited) - 1; i > 0; i-- {
+		n := visited[i]
+		if n.used > 0 || n.lent > 0 {
+			return
+		}
+		parent := visited[i-1]
+		for j := 0; j < 512; j++ {
+			if parent.child(j) == n {
+				parent.ents[j] = 0
+				parent.next[j] = nil
+				parent.used--
+				t.tables--
+				break
+			}
+		}
+	}
 }
 
 const gbPages = 512 * 512
@@ -127,9 +154,11 @@ func errText(err error) string {
 }
 
 // sameState fails the test unless the batched and reference tables agree
-// on Mapped(), Tables(), and the Walk of every page in [first, first+n).
+// on Mapped(), Tables(), and the Walk of every page in [first, first+n),
+// and every node on the batched table's free list is all-zero.
 func sameState(t *testing.T, what string, batched, ref *Table, first, n uint64) {
 	t.Helper()
+	recyclable(t, what, batched)
 	if batched.Mapped() != ref.Mapped() || batched.Tables() != ref.Tables() {
 		t.Fatalf("%s: (mapped, tables) batched (%d, %d), reference (%d, %d)",
 			what, batched.Mapped(), batched.Tables(), ref.Mapped(), ref.Tables())
@@ -149,8 +178,11 @@ func sameState(t *testing.T, what string, batched, ref *Table, first, n uint64) 
 // over a 1 GB-plus window: unaligned-PFN extents that cross PT-node and
 // 1 GB boundaries, 2 MB- and 1 GB-aligned extents, partial unmaps that
 // split large leaves, and unmaps and maps that run into holes and
-// conflicts. After every operation both tables must hold the same
-// leaves and counts, and each operation must fail the same way.
+// conflicts. Four compound cases aim at the node-lifetime paths: full PT
+// nodes unmapped whole, a full range with one hole, a re-map after an
+// unmap (recycled nodes), and a split 2 MB leaf refilled and dropped
+// whole. After every operation both tables must hold the same leaves and
+// counts, and each operation must fail the same way.
 func TestBatchedPathsMatchPerPageOracle(t *testing.T) {
 	// Pages [lo, hi): the 1 GB slot at 1 GB plus a margin either side, so
 	// runs cross both 1 GB boundaries.
@@ -183,13 +215,37 @@ func TestBatchedPathsMatchPerPageOracle(t *testing.T) {
 			sameState(t, what, batched, ref, first, n)
 		}
 
+		// vacate unmaps every mapped page of [p, p+n) from both tables,
+		// one MappedRun at a time, so a map that follows lands on a hole.
+		vacate := func(i int, p, n uint64) {
+			t.Helper()
+			for q := p; q < p+n; {
+				run, mapped := batched.MappedRun(pageVA(q), p+n-q)
+				if mapped {
+					check(i, "Unmap", q, run, batched.Unmap(pageVA(q), run), ref.unmapPerLeaf(pageVA(q), run))
+				}
+				q += run
+			}
+		}
+		mapList := func(i int, p uint64, l extent.List) {
+			t.Helper()
+			check(i, "MapList", p, l.Pages(),
+				batched.MapList(pageVA(p), l, Read), ref.mapListPerPage(pageVA(p), l, Read))
+		}
+		unmap := func(i int, p, n uint64) {
+			t.Helper()
+			check(i, "Unmap", p, n, batched.Unmap(pageVA(p), n), ref.unmapPerLeaf(pageVA(p), n))
+		}
+
 		// Start from a 1 GB leaf so the partial unmaps below split it.
 		gb := extent.FromExtents(extent.Extent{First: 3 * gbPages, Count: gbPages})
 		check(-1, "MapList", gbPages, gbPages,
 			batched.MapList(pageVA(gbPages), gb, Read|Write), ref.mapListPerPage(pageVA(gbPages), gb, Read|Write))
 		for i := 0; i < 300; i++ {
 			first := start()
-			switch rng.Intn(5) {
+			// Whole PT nodes: a 512-aligned start and 1-3 nodes' worth.
+			p, pn := first&^511, uint64(512*(1+rng.Intn(3)))
+			switch rng.Intn(9) {
 			case 0, 1: // MapList of 1-3 extents, unaligned or 2 MB-aligned
 				var l extent.List
 				for k := rng.Intn(3); k >= 0; k-- {
@@ -206,13 +262,34 @@ func TestBatchedPathsMatchPerPageOracle(t *testing.T) {
 				f, n := unalignedPFN(), uint64(1+rng.Intn(1500))
 				check(i, "MapRun", first, n,
 					batched.MapRun(pageVA(first), f, n, Read), ref.mapRunPerPage(pageVA(first), f, n, Read))
-			default: // Unmap: sparse holes, partial large leaves, or both
+			case 3, 4: // Unmap: sparse holes, partial large leaves, or both
 				n := uint64(1 + rng.Intn(3000))
 				if rng.Intn(10) == 0 {
 					n = uint64(rng.Intn(gbPages))
 				}
-				check(i, "Unmap", first, n,
-					batched.Unmap(pageVA(first), n), ref.unmapPerLeaf(pageVA(first), n))
+				unmap(i, first, n)
+			case 5: // full PT nodes, unmapped whole
+				vacate(i, p, pn)
+				mapList(i, p, extent.FromExtents(extent.Extent{First: unalignedPFN(), Count: pn}))
+				unmap(i, p, pn)
+			case 6: // full PT nodes but one hole: the scan path and its error
+				vacate(i, p, pn)
+				mapList(i, p, extent.FromExtents(extent.Extent{First: unalignedPFN(), Count: pn}))
+				unmap(i, p+uint64(rng.Intn(int(pn))), 1)
+				unmap(i, p, pn)
+			case 7: // re-map after unmap, onto recycled nodes
+				n := uint64(1 + rng.Intn(1500))
+				vacate(i, first, n)
+				mapList(i, first, extent.FromExtents(extent.Extent{First: unalignedPFN(), Count: n}))
+				unmap(i, first, n)
+				mapList(i, first, extent.FromExtents(extent.Extent{First: unalignedPFN(), Count: n}))
+			case 8: // a 2 MB leaf split by a one-page unmap, refilled, dropped whole
+				vacate(i, p, 512)
+				mapList(i, p, extent.FromExtents(extent.Extent{First: extent.PFN(0x200000 + rng.Intn(1<<10)*512), Count: 512}))
+				hole, f := p+uint64(rng.Intn(512)), unalignedPFN()
+				unmap(i, hole, 1)
+				check(i, "MapRun", hole, 1, batched.MapRun(pageVA(hole), f, 1, Read), ref.mapRunPerPage(pageVA(hole), f, 1, Read))
+				unmap(i, p, 512)
 			}
 		}
 		// Every page any operation above can reach.
@@ -284,4 +361,58 @@ func TestUnmapHoleMidPTNode(t *testing.T) {
 		t.Fatalf("mapped = %d, want %d", got, want)
 	}
 	sameState(t, "unmap into hole", batched, ref, base, l.Pages())
+}
+
+// FuzzMapUnmap decodes its input, four bytes per operation, into
+// MapList, MapRun and Unmap calls over the sixteen PT nodes around the
+// 1 GB boundary, and drives the production table and the per-page oracle
+// side by side. After each operation both must report the same error
+// text, Mapped() and Tables(), and the same Walk on every page the
+// operation touched; the production free list must stay all-zero.
+//
+// Operation bytes: op%3 picks the call and op>>2 its flags; a puts the
+// start on a 64-page grid; b and c give the length (1-4096 pages, or a
+// whole number of PT nodes when c&0x10 is set); c&0x20 picks 2 MB-aligned
+// frames, which admit 2 MB leaves, over unaligned ones.
+func FuzzMapUnmap(f *testing.F) {
+	f.Add([]byte{0, 32, 31, 0x10, 2, 32, 31, 0x10})                                 // whole PT nodes mapped, then dropped whole
+	f.Add([]byte{0, 32, 31, 0x30, 2, 36, 0, 0, 2, 32, 31, 0x10})                    // 2 MB leaf split, then unmapped into the hole
+	f.Add([]byte{0, 32, 255, 0x1f, 2, 40, 100, 3, 1, 40, 100, 3, 2, 32, 255, 0x1f}) // unmap, refill, drop whole across 1 GB
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const lo = gbPages - 8*512
+		batched, ref := New(), New()
+		for i := 0; len(data) >= 4; i++ {
+			op, a, b, c := data[0], data[1], data[2], data[3]
+			data = data[4:]
+			first := lo + uint64(a)%128*64
+			n := 1 + (uint64(b)<<4 | uint64(c&15))
+			if c&0x10 != 0 {
+				n = max(512, n&^511)
+			}
+			pfn := extent.PFN(0x100001 + uint64(op)*1031)
+			if c&0x20 != 0 {
+				pfn = extent.PFN(0x200000 + uint64(c>>6)*512)
+			}
+			flags := Flags(1 + op>>2%15)
+			var berr, rerr error
+			var name string
+			switch op % 3 {
+			case 0:
+				name = "MapList"
+				l := extent.FromExtents(extent.Extent{First: pfn, Count: n})
+				berr, rerr = batched.MapList(pageVA(first), l, flags), ref.mapListPerPage(pageVA(first), l, flags)
+			case 1:
+				name = "MapRun"
+				berr, rerr = batched.MapRun(pageVA(first), pfn, n, flags), ref.mapRunPerPage(pageVA(first), pfn, n, flags)
+			default:
+				name = "Unmap"
+				berr, rerr = batched.Unmap(pageVA(first), n), ref.unmapPerLeaf(pageVA(first), n)
+			}
+			what := fmt.Sprintf("op %d %s(%#x, %d)", i, name, uint64(pageVA(first)), n)
+			if errText(berr) != errText(rerr) {
+				t.Fatalf("%s: error batched %q, reference %q", what, errText(berr), errText(rerr))
+			}
+			sameState(t, what, batched, ref, first, n)
+		}
+	})
 }

@@ -70,10 +70,14 @@ const (
 // level i (0 = PT, 1 = PD, 2 = PDPT, 3 = PML4).
 var pagesAtLevel = [4]uint64{1, 512, 512 * 512, 512 * 512 * 512}
 
+// table is one radix node. next[i] is non-nil exactly when ents[i] is an
+// interior entry, so a node whose used count is 0 has every entry zero
+// and every next slot nil: it can be recycled as it is.
 type table struct {
 	ents [512]uint64
 	next []*table // allocated lazily; index-aligned with ents
 	used int      // number of present entries
+	lent int      // SMARTMAP borrowers whose top-level slot points here
 }
 
 func (t *table) child(i int) *table {
@@ -96,6 +100,7 @@ type Table struct {
 	mapped uint64       // total 4 KB pages mapped (excluding shared slots)
 	tables int          // number of table nodes allocated (diagnostics)
 	shared map[int]bool // top-level slots borrowed via ShareSlot
+	free   []*table     // emptied nodes, all-zero, reused before allocating
 }
 
 // New returns an empty table.
@@ -108,6 +113,21 @@ func (t *Table) Mapped() uint64 { return t.mapped }
 
 // Tables reports the number of radix nodes allocated.
 func (t *Table) Tables() int { return t.tables }
+
+// newTable returns an empty node, recycled from the free list when it
+// holds one. Freed nodes are already all-zero (see table), so a recycled
+// node needs no clearing, and one address space's page-table memory is
+// reused across map/unmap cycles instead of going back to the GC.
+func (t *Table) newTable() *table {
+	t.tables++
+	n := len(t.free)
+	if n == 0 {
+		return &table{}
+	}
+	c := t.free[n-1]
+	t.free = t.free[:n-1]
+	return c
+}
 
 func index(va VA, level int) int {
 	return int(uint64(va) >> (12 + 9*level) & 511)
@@ -203,8 +223,7 @@ func (t *Table) mapPT(va VA, f extent.PFN, count uint64, flags Flags) (uint64, e
 		i := index(va, level)
 		e := node.ents[i]
 		if e&entPresent == 0 {
-			child := &table{}
-			t.tables++
+			child := t.newTable()
 			node.setChild(i, child)
 			node.ents[i] = entPresent
 			node.used++
@@ -218,14 +237,17 @@ func (t *Table) mapPT(va VA, f extent.PFN, count uint64, flags Flags) (uint64, e
 	}
 	i := index(va, 0)
 	n := min(uint64(512-i), count)
+	ents := node.ents[i : i+int(n)]
+	leaf := entPresent | entLeaf | uint64(flags)<<flagShift | uint64(f)<<pfnShift
 	var err error
-	for j := uint64(0); j < n; j++ {
-		if node.ents[i+int(j)]&entPresent != 0 {
-			err = fmt.Errorf("pagetable: %#x already mapped", uint64(va)+j*extent.PageSize)
-			n = j
+	for j := range ents {
+		if ents[j]&entPresent != 0 {
+			err = fmt.Errorf("pagetable: %#x already mapped", uint64(va)+uint64(j)*extent.PageSize)
+			n = uint64(j)
 			break
 		}
-		node.ents[i+int(j)] = entPresent | entLeaf | uint64(flags)<<flagShift | uint64(f+extent.PFN(j))<<pfnShift
+		ents[j] = leaf
+		leaf += 1 << pfnShift
 	}
 	node.used += int(n)
 	t.mapped += n
@@ -283,8 +305,7 @@ func (t *Table) set(va VA, leafLevel int, f extent.PFN, flags Flags) error {
 		i := index(va, level)
 		e := node.ents[i]
 		if e&entPresent == 0 {
-			child := &table{}
-			t.tables++
+			child := t.newTable()
 			node.setChild(i, child)
 			node.ents[i] = entPresent
 			node.used++
@@ -377,19 +398,23 @@ func (t *Table) Unmap(va VA, npages uint64) error {
 // remaining range; otherwise it splits the leaf and retries. A 4 KB leaf
 // takes the present leaves after it in the same PT node with it, up to
 // npages, so one walk clears a whole run: the next call reports the
-// absent entry that stopped it. It returns how many 4 KB pages were
+// absent entry that stopped it. A full PT node that the range covers
+// whole is dropped without reading its entries: none can be absent, so
+// the scan would clear all 512. It returns how many 4 KB pages were
 // removed.
 func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 	if err := t.guardShared(va, "unmap"); err != nil {
 		return 0, err
 	}
 	node := t.root
-	// root → current, for interior-table GC. A fixed-size array: the walk
-	// visits at most one node per level, and level-0 entries are always
-	// leaves, so the chain never exceeds the root plus three children.
-	// (Keeping this off the heap matters: unmapOne runs once per leaf or
-	// PT-node run of every teardown.)
+	// root → current, for interior-table GC, with slots[k] the index of
+	// visited[k] in visited[k-1]. Fixed-size arrays: the walk visits at
+	// most one node per level, and level-0 entries are always leaves, so
+	// the chain never exceeds the root plus three children. (Keeping this
+	// off the heap matters: unmapOne runs once per leaf or PT-node run of
+	// every teardown.)
 	var visited [4]*table
+	var slots [4]int
 	visited[0] = node
 	nv := 1
 	for level := 3; level >= 0; level-- {
@@ -406,7 +431,7 @@ func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 				// level down and descend.
 				t.split(node, i, level)
 				node = node.child(i)
-				visited[nv] = node
+				visited[nv], slots[nv] = node, i
 				nv++
 				continue
 			}
@@ -418,17 +443,21 @@ func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 				}
 			}
 			clear(node.ents[i : i+int(n)])
-			if node.next != nil {
-				clear(node.next[i : i+int(n)])
-			}
 			node.used -= int(n)
 			t.mapped -= n * span
-			t.garbageCollect(visited[:nv])
+			t.garbageCollect(visited[:nv], slots[:nv])
 			return n * span, nil
 		}
 		node = node.child(i)
-		visited[nv] = node
+		visited[nv], slots[nv] = node, i
 		nv++
+		if level == 1 && node.used == 512 && npages >= 512 && va.Page()%512 == 0 {
+			clear(node.ents[:])
+			node.used = 0
+			t.mapped -= 512
+			t.garbageCollect(visited[:nv], slots[:nv])
+			return 512, nil
+		}
 	}
 	return 0, fmt.Errorf("pagetable: walk fell through at %#x", uint64(va))
 }
@@ -439,8 +468,7 @@ func (t *Table) split(node *table, i, level int) {
 	e := node.ents[i]
 	base := extent.PFN(e >> pfnShift)
 	fl := uint64(e & flagMask)
-	child := &table{}
-	t.tables++
+	child := t.newTable()
 	childSpan := pagesAtLevel[level-1]
 	for j := 0; j < 512; j++ {
 		child.ents[j] = entPresent | entLeaf | fl | uint64(base+extent.PFN(uint64(j)*childSpan))<<pfnShift
@@ -450,23 +478,22 @@ func (t *Table) split(node *table, i, level int) {
 	node.ents[i] = entPresent // interior entry now
 }
 
-// garbageCollect frees interior tables emptied by an unmap, walking the
-// visited chain (root first) bottom-up. The root is never freed.
-func (t *Table) garbageCollect(visited []*table) {
-	for i := len(visited) - 1; i > 0; i-- {
-		n := visited[i]
-		if n.used > 0 {
+// garbageCollect unlinks the interior tables an unmap emptied, walking
+// the visited chain (root first) bottom-up, and puts them on the free
+// list. slots[k] is visited[k]'s index in its parent, so each unlink is
+// O(1). The root is never freed, and neither is a node lent to a
+// SMARTMAP borrower (see ShareSlot): the walk stops there.
+func (t *Table) garbageCollect(visited []*table, slots []int) {
+	for k := len(visited) - 1; k > 0; k-- {
+		n := visited[k]
+		if n.used > 0 || n.lent > 0 {
 			return
 		}
-		parent := visited[i-1]
-		for j := 0; j < 512; j++ {
-			if parent.child(j) == n {
-				parent.ents[j] = 0
-				parent.next[j] = nil
-				parent.used--
-				t.tables--
-				break
-			}
-		}
+		parent, j := visited[k-1], slots[k]
+		parent.ents[j] = 0
+		parent.next[j] = nil
+		parent.used--
+		t.tables--
+		t.free = append(t.free, n)
 	}
 }

@@ -10,6 +10,12 @@ import "fmt"
 //
 // A shared slot is a borrowed subtree: the borrower must never mutate it.
 // Map, MapRun, MapList and Unmap reject addresses under shared slots.
+//
+// The borrowed PDPT node counts its borrowers (table.lent), and the
+// source never unlinks a lent node, even when an unmap empties it. The
+// window thus keeps following the source's slot through an empty-and-
+// refill, and a freed node recycled elsewhere in the source can never be
+// one a borrower still points at.
 
 // SlotOf reports the top-level slot index covering va.
 func SlotOf(va VA) int { return index(va, 3) }
@@ -31,8 +37,10 @@ func (t *Table) ShareSlot(dstSlot int, src *Table, srcSlot int) error {
 	if t.root.ents[dstSlot]&entPresent != 0 {
 		return fmt.Errorf("pagetable: destination slot %d already in use", dstSlot)
 	}
+	sub := src.root.child(srcSlot)
+	sub.lent++
 	t.root.ents[dstSlot] = entPresent
-	t.root.setChild(dstSlot, src.root.child(srcSlot))
+	t.root.setChild(dstSlot, sub)
 	t.root.used++
 	if t.shared == nil {
 		t.shared = make(map[int]bool)
@@ -42,11 +50,15 @@ func (t *Table) ShareSlot(dstSlot int, src *Table, srcSlot int) error {
 }
 
 // UnshareSlot detaches a previously shared top-level slot. The borrowed
-// subtree is untouched — it still belongs to the source table.
+// subtree is untouched — it still belongs to the source table — apart
+// from its borrower count. A node the source emptied while it was lent
+// stays linked in the source until an unmap under that slot empties it
+// again.
 func (t *Table) UnshareSlot(dstSlot int) error {
 	if !t.shared[dstSlot] {
 		return fmt.Errorf("pagetable: slot %d is not shared", dstSlot)
 	}
+	t.root.next[dstSlot].lent--
 	t.root.ents[dstSlot] = 0
 	t.root.next[dstSlot] = nil
 	t.root.used--
