@@ -37,9 +37,8 @@ build:
 benchmark-build:
 	cd benchmark && $(GO) build ./... && $(GO) vet ./...
 
-# The scheduler's direct actor-to-actor handoff, the frame-list cache,
-# and the tracer (invoked from every dispatch) are the
-# concurrency-sensitive parts: run their packages under the race
+# The scheduler's direct actor-to-actor handoff and the tracer (invoked
+# from every dispatch) are the concurrency-sensitive parts: run their packages under the race
 # detector explicitly, plus the trace-enabled experiment suites.
 # TestParallel* is the sweep runner's family (TestParallelIdentity,
 # TestParallelMatchesGolden): worlds built on concurrent host workers,

@@ -169,9 +169,8 @@ func BenchmarkAttach1GB(b *testing.B) {
 				b.Error(err)
 				return
 			}
-			// Detach between reps so every serve re-walks (detach
-			// invalidates the frame-list cache): the benchmark measures
-			// the walk and map paths, not the cache.
+			// Detach between reps so each rep attaches into an empty
+			// address space, and the pins never pile up.
 			if err := attSess.Detach(a, va); err != nil {
 				b.Error(err)
 				return

@@ -34,12 +34,13 @@ func main() {
 	// brownout early on, and the co-kernel dying at t = 100 ms — late
 	// enough that the export's own retry budget (50 ms first-attempt
 	// timeout) can ride out a dropped publish first.
+	const crashAt = 100 * sim.Millisecond
 	inj := fault.New(node.World(), fault.Plan{
 		DropProb:  0.05,
 		DelayProb: 0.05,
 		DelayMax:  5 * sim.Microsecond,
 		NSOutages: []fault.Window{{Start: 200 * sim.Microsecond, End: 400 * sim.Microsecond}},
-		Crashes:   []fault.Crash{{At: 100 * sim.Millisecond, Module: ck.Module.Name()}},
+		Crashes:   []fault.Crash{{At: crashAt, Module: ck.Module.Name()}},
 	})
 	inj.Register(node.LinuxModule(), ck.Module)
 	inj.Arm()
@@ -62,8 +63,10 @@ func main() {
 	})
 
 	node.Spawn("consumer", func(a *sim.Actor) {
+		// The export can only appear before its enclave crashes, so the
+		// lookup wait ends there.
 		var segid xpmem.Segid
-		a.Poll(20*sim.Microsecond, func() bool {
+		found := a.PollDeadline(20*sim.Microsecond, crashAt, func() bool {
 			s, err := consumer.Lookup(a, "faulty-data")
 			if err != nil {
 				return false
@@ -71,6 +74,9 @@ func main() {
 			segid = s
 			return true
 		})
+		if !found {
+			log.Fatalf("consumer: export %q not found before the crash at %v", "faulty-data", crashAt)
+		}
 		ok, down := 0, 0
 		for i := 0; ; i++ {
 			apid, err := consumer.GetWith(a, segid, xpmem.GetOpts{
@@ -81,7 +87,7 @@ func main() {
 				if down == 1 {
 					fmt.Printf("[consumer ] cycle %d: owner enclave is down (typed, not a hang) at t=%v\n", i, a.Now())
 				}
-				if a.Now() > 101*sim.Millisecond {
+				if a.Now() > crashAt+sim.Millisecond {
 					break
 				}
 				continue

@@ -98,7 +98,7 @@ func main() {
 			write64(ctrlCmd, point)
 			// Synchronous model: wait for the analytics to finish.
 			pt := point
-			a.Poll(50*sim.Microsecond, func() bool { return read64(ctrlAck) >= pt })
+			a.PollDeadline(50*sim.Microsecond, sim.Forever, func() bool { return read64(ctrlAck) >= pt })
 			fmt.Printf("[hpccg    ] iter %3d residual %.3e — analytics acked point %d at t=%v\n", it, r, pt, a.Now())
 			return true
 		})
@@ -112,7 +112,7 @@ func main() {
 	// ---- Analytics: attach, copy out, run real STREAM ----------------
 	node.Spawn("analytics", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		a.Poll(50*sim.Microsecond, func() bool {
+		a.PollDeadline(50*sim.Microsecond, sim.Forever, func() bool {
 			s, err := anSess.Lookup(a, "insitu-region")
 			if err != nil {
 				return false
@@ -148,7 +148,7 @@ func main() {
 		next := uint64(1)
 		for {
 			cmd := uint64(0)
-			a.Poll(50*sim.Microsecond, func() bool {
+			a.PollDeadline(50*sim.Microsecond, sim.Forever, func() bool {
 				cmd = read64(ctrlCmd)
 				return cmd >= next || cmd == exitFlag
 			})

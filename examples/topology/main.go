@@ -45,7 +45,7 @@ func main() {
 	})
 	node.Spawn("consumer", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		a.Poll(20*sim.Microsecond, func() bool {
+		a.PollDeadline(20*sim.Microsecond, sim.Forever, func() bool {
 			s, err := consumerSess.Lookup(a, "topo-demo")
 			if err != nil {
 				return false

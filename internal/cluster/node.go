@@ -225,7 +225,7 @@ func (cl *Cluster) installShards() {
 
 // WaitReady blocks the workload actor until setup completes.
 func (cl *Cluster) WaitReady(a *sim.Actor) {
-	a.Poll(10*sim.Microsecond, func() bool { return cl.ready })
+	a.PollDeadline(10*sim.Microsecond, sim.Forever, func() bool { return cl.ready })
 }
 
 // Modules lists every enclave module in the cluster, node-major in

@@ -345,7 +345,7 @@ func (c *Communicator) Setup(a *sim.Actor, rank int) error {
 		g.seg = arenaSeg
 	}
 	st.exported = true
-	a.Poll(pollInterval, func() bool {
+	a.PollDeadline(pollInterval, sim.Forever, func() bool {
 		for _, other := range c.st {
 			if !other.exported {
 				return false
@@ -367,7 +367,7 @@ func (c *Communicator) Setup(a *sim.Actor, rank int) error {
 		st.arenaSeg, st.arenaApid, st.arenaVA, st.arenaAttached = g.seg, apid, va, true
 	}
 	st.ready = true
-	a.Poll(pollInterval, func() bool {
+	a.PollDeadline(pollInterval, sim.Forever, func() bool {
 		for _, other := range c.st {
 			if !other.ready {
 				return false

@@ -203,14 +203,14 @@ func (c *Communicator) sync(a *sim.Actor, lvl int) {
 func (c *Communicator) fence(a *sim.Actor, rank int, op *opState) {
 	for _, gid := range c.led[rank] {
 		g := c.groups[gid]
-		a.Poll(pollInterval, func() bool { return op.arrive[g.id] == uint64(g.readers()) })
+		a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.arrive[g.id] == uint64(g.readers()) })
 		c.sync(a, g.lvl)
 	}
 	if e := c.edge[rank]; e >= 0 {
 		g := c.groups[e]
 		op.arrive[g.id]++
 		c.sync(a, g.lvl)
-		a.Poll(pollInterval, func() bool { return op.release[g.id] == 1 })
+		a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.release[g.id] == 1 })
 	}
 	for i := len(c.led[rank]) - 1; i >= 0; i-- {
 		g := c.groups[c.led[rank][i]]
@@ -225,7 +225,7 @@ func (c *Communicator) fence(a *sim.Actor, rank int, op *opState) {
 func (c *Communicator) serveDown(a *sim.Actor, rank, chk int, op *opState) error {
 	for _, gid := range c.led[rank] {
 		g := c.groups[gid]
-		a.Poll(pollInterval, func() bool {
+		a.PollDeadline(pollInterval, sim.Forever, func() bool {
 			return op.slotIn[g.id] == uint64(chk) && op.slotAck[g.id] == uint64(chk)*uint64(g.readers())
 		})
 		if err := c.copyIn(a, rank, g, 0, chk, op); err != nil {
@@ -247,14 +247,14 @@ func (c *Communicator) recvDown(a *sim.Actor, rank, chk int, op *opState, copy b
 			return nil
 		}
 		s := c.parent[rank]
-		a.Poll(pollInterval, func() bool { return op.have[s] > uint64(chk) })
+		a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.have[s] > uint64(chk) })
 		win, err := c.opWindow(a, rank, s, op)
 		if err != nil {
 			return err
 		}
 		return c.copyOut(a, rank, win+c.chunkOff(chk), chk, op, g.lvl, c.labels[g.lvl].copyOp, false)
 	}
-	a.Poll(pollInterval, func() bool { return op.slotIn[g.id] > uint64(chk) })
+	a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.slotIn[g.id] > uint64(chk) })
 	if copy {
 		if err := c.copyOut(a, rank, c.arenaFor(rank, g), chk, op, g.lvl, c.labels[g.lvl].cicoOut, false); err != nil {
 			return err
@@ -295,7 +295,7 @@ func (c *Communicator) Bcast(a *sim.Actor, rank, root int, bytes uint64) error {
 		case rank == c.canonRoot && root != c.canonRoot:
 			// Root relocation: the canonical root pulls straight from
 			// the original root's buffer at the top tier.
-			a.Poll(pollInterval, func() bool { return op.have[root] > uint64(chk) })
+			a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.have[root] > uint64(chk) })
 			win, err := c.opWindow(a, rank, root, op)
 			if err != nil {
 				return err
@@ -348,7 +348,7 @@ func (c *Communicator) Allreduce(a *sim.Actor, rank int, bytes uint64) error {
 			g := c.groups[gid]
 			for i, m := range g.members[1:] {
 				if op.zc {
-					a.Poll(pollInterval, func() bool { return op.red[m] > uint64(chk) })
+					a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.red[m] > uint64(chk) })
 					win, err := c.opWindow(a, rank, m, op)
 					if err != nil {
 						return err
@@ -357,7 +357,7 @@ func (c *Communicator) Allreduce(a *sim.Actor, rank int, bytes uint64) error {
 						return err
 					}
 				} else {
-					a.Poll(pollInterval, func() bool { return op.redIn[g.id][i] > uint64(chk) })
+					a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.redIn[g.id][i] > uint64(chk) })
 					if err := c.copyOut(a, rank, c.arenaFor(rank, g)+c.chunkOff(1+i), chk, op, g.lvl, c.labels[g.lvl].reduce, true); err != nil {
 						return err
 					}
@@ -372,7 +372,7 @@ func (c *Communicator) Allreduce(a *sim.Actor, rank int, bytes uint64) error {
 		if e := c.edge[rank]; e >= 0 && !op.zc {
 			g := c.groups[e]
 			mi := g.slotIdx(rank)
-			a.Poll(pollInterval, func() bool { return op.redAck[g.id][mi] == uint64(chk) })
+			a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.redAck[g.id][mi] == uint64(chk) })
 			if err := c.copyIn(a, rank, g, 1+mi, chk, op); err != nil {
 				return err
 			}

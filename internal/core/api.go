@@ -206,7 +206,6 @@ func (m *Module) Remove(a *sim.Actor, p *proc.Process, segid xproto.Segid) error
 		return opErr("remove", ErrPermission, segid, xproto.NoApid)
 	}
 	seg.Removed = true
-	m.invalidateFrameCache(segid)
 	delete(m.leases, segid)
 	_, err := m.nsCall(a, "remove", &xproto.Message{Type: xproto.MsgSegidRemove, Segid: segid}, RetryPolicy{})
 	return err

@@ -95,7 +95,7 @@ func TestProtocolRandomizedWorkload(t *testing.T) {
 		n.w.Spawn(name, func(a *sim.Actor) {
 			rng := a.RNG()
 			// Wait for all 16 exports.
-			a.Poll(50*sim.Microsecond, func() bool {
+			a.PollDeadline(50*sim.Microsecond, sim.Forever, func() bool {
 				_, err0 := mod.Lookup(a, "seg0-7")
 				_, err1 := mod.Lookup(a, "seg1-7")
 				return err0 == nil && err1 == nil
@@ -155,7 +155,7 @@ func TestProtocolRandomizedWorkload(t *testing.T) {
 
 	// Drain: once every attacker has finished, remove all exports.
 	n.w.Spawn("cleanup", func(a *sim.Actor) {
-		a.Poll(100*sim.Microsecond, func() bool { return attackersDone == 3 })
+		a.PollDeadline(100*sim.Microsecond, sim.Forever, func() bool { return attackersDone == 3 })
 		for i := 0; i < 8; i++ {
 			s0, err := ck0.Module.Lookup(a, fmt.Sprintf("seg0-%d", i))
 			if err == nil {

@@ -71,7 +71,7 @@ func TestCrossEnclaveAttachKittenToLinux(t *testing.T) {
 		}
 		// Wait for the attacher's reply written through shared memory.
 		buf := make([]byte, 5)
-		a.Poll(5*sim.Microsecond, func() bool {
+		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool {
 			if _, err := kp.AS.Read(heap.Base+extent.PageSize, buf); err != nil {
 				t.Error(err)
 				return true
@@ -132,7 +132,7 @@ func TestCrossEnclaveAttachKittenToLinux(t *testing.T) {
 		// The detach notification is asynchronous; wait until the owner
 		// has released the pins before the world shuts down.
 		f, _ := heap.Backing.Page(0)
-		a.Poll(5*sim.Microsecond, func() bool { return n.pm.Pinned(f) == 0 })
+		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool { return n.pm.Pinned(f) == 0 })
 	})
 
 	if err := n.w.Run(); err != nil {
@@ -192,7 +192,7 @@ func TestAttachPinsFramesWhileMapped(t *testing.T) {
 		}
 		// Detach notification is asynchronous: poll until the owner
 		// processes it.
-		a.Poll(5*sim.Microsecond, func() bool { return n.pm.Pinned(f) == 0 })
+		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool { return n.pm.Pinned(f) == 0 })
 	})
 	if err := n.w.Run(); err != nil {
 		t.Fatal(err)

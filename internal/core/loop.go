@@ -180,41 +180,24 @@ func (m *Module) serveAttach(a *sim.Actor, msg *xproto.Message) {
 
 	m.os.KernelCore().Exec(a, m.c.ServeFixed, "xemem-serve")
 	va := seg.VA + pagetable.VA(msg.Offset)
-	key := frameKey{offPages: offPages, pages: pages}
-	ent, hit := m.frameCache[msg.Segid][key]
-	if hit {
-		// Repeat attachment of a window we already served: reuse the walked
-		// frame list. A cached window is still pinned, so the exporter's
-		// mappings cannot have changed; the charge is what a repeat walk of
-		// populated pages costs, keeping simulated time bit-identical.
-		m.Stats.FrameCache.Hits++
-		m.os.ExportWalkCost(a, pages)
-	} else {
-		m.Stats.FrameCache.Misses++
-		list, err := m.os.WalkForExport(a, seg.Owner.AS, va, pages)
-		if err != nil {
-			fail(xproto.StatusError)
-			return
-		}
-		host, err := seg.Owner.AS.Domain().TranslateList(list)
-		if err != nil {
-			fail(xproto.StatusError)
-			return
-		}
-		ent = frameEntry{list: list, host: host}
-		if m.frameCache[msg.Segid] == nil {
-			m.frameCache[msg.Segid] = make(map[frameKey]frameEntry)
-		}
-		m.frameCache[msg.Segid][key] = ent
+	list, err := m.os.WalkForExport(a, seg.Owner.AS, va, pages)
+	if err != nil {
+		fail(xproto.StatusError)
+		return
+	}
+	host, err := seg.Owner.AS.Domain().TranslateList(list)
+	if err != nil {
+		fail(xproto.StatusError)
+		return
 	}
 	// Pin the backing host frames so the exporter's OS cannot free them
 	// while the remote attachment lives (the get_user_pages rationale).
-	seg.Owner.AS.Domain().Host().Pin(ent.host)
+	seg.Owner.AS.Domain().Host().Pin(host)
 	seg.attaches++
 	m.Stats.AttachesServed++
 	m.Stats.PagesServed += pages
 
-	resp.List = ent.list
+	resp.List = list
 	m.reply(a, resp)
 }
 
@@ -248,10 +231,6 @@ func (m *Module) finishDetach(msg *xproto.Message) {
 		return
 	}
 	seg.attaches--
-	// With the pins for this window released, the exporter's OS may free
-	// or remap the frames, so any cached frame lists are no longer
-	// trustworthy.
-	m.invalidateFrameCache(msg.Segid)
 }
 
 // complete matches a response to its pending request and wakes the

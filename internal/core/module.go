@@ -47,12 +47,6 @@ type OS interface {
 	// pinning/populating as required.
 	WalkForExport(a *sim.Actor, as *proc.AddressSpace, va pagetable.VA, pages uint64) (extent.List, error)
 
-	// ExportWalkCost charges exactly what a repeat WalkForExport over
-	// pages already-populated pages would charge, without doing the
-	// host-side walk. The module's frame-list cache calls it on a hit so
-	// cached serves keep simulated time bit-identical to re-walking.
-	ExportWalkCost(a *sim.Actor, pages uint64)
-
 	// MapRemote maps a frame list received from a remote enclave into the
 	// process and returns the new region. The list is already in this
 	// kernel's physical domain (cross-domain translation happens in the
@@ -181,22 +175,6 @@ type Stats struct {
 	// discarded while down.
 	NSRetries     int
 	NSOutageDrops int
-	// FrameCache counts serve-side frame-list cache traffic.
-	FrameCache sim.CacheStats
-}
-
-// frameKey identifies one attach window of a segment in the serve-side
-// frame-list cache.
-type frameKey struct {
-	offPages uint64
-	pages    uint64
-}
-
-// frameEntry is a memoized serve: the exported frame list and its host
-// translation, exactly as the walk produced them.
-type frameEntry struct {
-	list extent.List
-	host extent.List
 }
 
 type pendingReq struct {
@@ -261,13 +239,6 @@ type Module struct {
 	// Entries drop on expiry, on local Remove, and on owner-crash fanout.
 	leases map[xproto.Segid]lease
 
-	// frameCache memoizes serve-side walks per segment: repeat attaches of
-	// the same window reuse the frame list instead of re-walking the
-	// exporter's page tables. Entries are dropped when a remote attachment
-	// detaches or the segment is removed — the two events after which the
-	// exporter's pins or the segment itself may change.
-	frameCache map[xproto.Segid]map[frameKey]frameEntry
-
 	Stats Stats
 	// ShardStats counts sharded name-service activity; always zero (and
 	// absent from snapshots) in flat worlds.
@@ -299,7 +270,6 @@ func New(name string, w *sim.World, costs *sim.Costs, os OS, hostNS bool) *Modul
 		remoteGrants: make(map[grantKey]*remoteGrant),
 		pending:      make(map[uint64]*pendingReq),
 		dead:         make(map[xproto.EnclaveID]bool),
-		frameCache:   make(map[xproto.Segid]map[frameKey]frameEntry),
 		nextReq:      w.NewRNG().Uint64(), // per-module base avoids cross-enclave ReqID collisions
 	}
 	if hostNS {
@@ -314,18 +284,10 @@ func New(name string, w *sim.World, costs *sim.Costs, os OS, hostNS bool) *Modul
 // Name reports the module's diagnostic name.
 func (m *Module) Name() string { return m.name }
 
-// FrameCacheStats reports the serve-side frame-list cache counters.
-func (m *Module) FrameCacheStats() sim.CacheStats { return m.Stats.FrameCache }
-
-// invalidateFrameCache drops every cached frame list of segid.
-func (m *Module) invalidateFrameCache(segid xproto.Segid) {
-	if ents, ok := m.frameCache[segid]; ok {
-		if len(ents) > 0 {
-			m.Stats.FrameCache.Invalidations++
-		}
-		delete(m.frameCache, segid)
-	}
-}
+// FrameCacheStats returns zero counters: every serve walks the exporter's
+// page tables (DESIGN.md §6.3), so there is no frame-list cache to count.
+// It stays for the repository benchmark's layer report, which reads it.
+func (m *Module) FrameCacheStats() sim.CacheStats { return sim.CacheStats{} }
 
 // Costs exposes the cost model (used by channel implementations).
 func (m *Module) Costs() *sim.Costs { return m.c }
@@ -348,7 +310,7 @@ func (m *Module) Links() []xproto.Link { return m.links }
 // until the enclave crashes, so callers do not poll a corpse forever
 // (the subsequent operation then fails with ErrEnclaveDown).
 func (m *Module) WaitReady(a *sim.Actor) {
-	a.Poll(10*sim.Microsecond, func() bool { return m.ready || m.crashed })
+	a.PollDeadline(10*sim.Microsecond, sim.Forever, func() bool { return m.ready || m.crashed })
 }
 
 // SetKernelWorkers configures how many kernel actors serve the message

@@ -146,7 +146,7 @@ func TestDetachMidRoute(t *testing.T) {
 			return
 		}
 		f, _ := vheap.Backing.Page(0)
-		a.Poll(5*sim.Microsecond, func() bool { return n.pm.Pinned(f) == 0 })
+		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool { return n.pm.Pinned(f) == 0 })
 		if err := victim.Destroy(a); err != nil {
 			t.Errorf("destroy after drain: %v", err)
 			return

@@ -17,7 +17,6 @@ package core
 import (
 	"sort"
 
-	"xemem/internal/extent"
 	"xemem/internal/sim/snapshot"
 	"xemem/internal/xproto"
 )
@@ -207,46 +206,6 @@ func (m *Module) EncodeSnapshot(e *snapshot.Enc) {
 	for _, id := range deads {
 		e.U64(uint64(id))
 	}
-
-	// Frame cache, sorted by segid then window.
-	csegs := make([]xproto.Segid, 0, len(m.frameCache))
-	for id := range m.frameCache {
-		csegs = append(csegs, id)
-	}
-	sort.Slice(csegs, func(i, j int) bool { return csegs[i] < csegs[j] })
-	e.U64(uint64(len(csegs)))
-	for _, id := range csegs {
-		ents := m.frameCache[id]
-		keys := make([]frameKey, 0, len(ents))
-		for k := range ents {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].offPages != keys[j].offPages {
-				return keys[i].offPages < keys[j].offPages
-			}
-			return keys[i].pages < keys[j].pages
-		})
-		e.U64(uint64(id))
-		e.U64(uint64(len(keys)))
-		for _, k := range keys {
-			ent := ents[k]
-			e.U64(k.offPages)
-			e.U64(k.pages)
-			encodeList(e, ent.list)
-			encodeList(e, ent.host)
-		}
-	}
-}
-
-// encodeList appends a frame list as its extent runs.
-func encodeList(e *snapshot.Enc, l extent.List) {
-	exts := l.Extents()
-	e.U64(uint64(len(exts)))
-	for _, x := range exts {
-		e.U64(uint64(x.First))
-		e.U64(x.Count)
-	}
 }
 
 // encodeStats appends the Stats block in fixed field order.
@@ -265,7 +224,4 @@ func (m *Module) encodeStats(e *snapshot.Enc) {
 	e.U64(uint64(s.Retries))
 	e.U64(uint64(s.NSRetries))
 	e.U64(uint64(s.NSOutageDrops))
-	e.U64(s.FrameCache.Hits)
-	e.U64(s.FrameCache.Misses)
-	e.U64(s.FrameCache.Invalidations)
 }

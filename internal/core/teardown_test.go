@@ -54,7 +54,7 @@ func TestDynamicTeardown(t *testing.T) {
 		}
 		// Let the detach notification drain (the owner must unpin).
 		f, _ := heap.Backing.Page(0)
-		a.Poll(5*sim.Microsecond, func() bool { return n.pm.Pinned(f) == 0 })
+		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool { return n.pm.Pinned(f) == 0 })
 		if err := ck.Destroy(a); err != nil {
 			t.Errorf("destroy after detach: %v", err)
 			return
@@ -140,7 +140,7 @@ func TestDistributedKernelWorkers(t *testing.T) {
 		lp := n.linux.NewProcess("an", 1+i)
 		n.w.Spawn("attacher", func(a *sim.Actor) {
 			var segid xproto.Segid
-			a.Poll(10*sim.Microsecond, func() bool {
+			a.PollDeadline(10*sim.Microsecond, sim.Forever, func() bool {
 				s, err := n.lmod.Lookup(a, "mw-data")
 				if err != nil {
 					return false

@@ -187,9 +187,8 @@ func attachBench(seed uint64, reps int) (nsPerOp, allocsPerOp float64, err error
 				runErr = err
 				return
 			}
-			// Detach between reps so every serve re-walks (the detach
-			// invalidates the frame-list cache): the benchmark measures the
-			// walk and map paths, not the cache.
+			// Detach between reps so each rep attaches into an empty
+			// address space, and the pins never pile up.
 			if err := attSess.Detach(a, va); err != nil {
 				runErr = err
 				return

@@ -263,7 +263,7 @@ func Run(w *sim.World, cfg Config, simSide Side, simModel ComputeModel, anSide S
 
 		// Discover the control segment by name (§3.1 discoverability).
 		var ctrlSeg xproto.Segid
-		a.Poll(pollInterval, func() bool {
+		a.PollDeadline(pollInterval, sim.Forever, func() bool {
 			s, err := mod.Lookup(a, cfg.CtrlName)
 			if err != nil {
 				return false

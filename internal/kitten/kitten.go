@@ -136,13 +136,6 @@ func (k *Kitten) WalkForExport(a *sim.Actor, as *proc.AddressSpace, va pagetable
 	return list, nil
 }
 
-// ExportWalkCost charges what a repeat WalkForExport would: Kitten walks
-// never fault, so it is the per-page walk price alone. The module's
-// frame-list cache uses it on hits.
-func (k *Kitten) ExportWalkCost(a *sim.Actor, pages uint64) {
-	k.core.Exec(a, sim.Time(pages)*k.c.WalkPerPage, "xemem-serve")
-}
-
 // MapRemote maps a remote frame list through the dynamic heap-extension
 // mechanism: a new fully populated region in the extension area.
 func (k *Kitten) MapRemote(a *sim.Actor, p *proc.Process, list extent.List, perm xproto.Perm) (*proc.Region, error) {

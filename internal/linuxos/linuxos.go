@@ -191,13 +191,6 @@ func (l *Linux) WalkForExport(a *sim.Actor, as *proc.AddressSpace, va pagetable.
 	return list, nil
 }
 
-// ExportWalkCost charges what a repeat WalkForExport would: a cached
-// window was walked (and so populated) by a previous serve, so the
-// repeat takes zero demand faults and costs the per-page pin+walk price.
-func (l *Linux) ExportWalkCost(a *sim.Actor, pages uint64) {
-	l.cores[0].Exec(a, sim.Time(pages)*(l.c.WalkPerPage+l.c.PinPerPage), "xemem-serve")
-}
-
 // MapRemote maps a remote frame list with vm_mmap + remap_pfn_range:
 // eager per-page population at fullweight cost, plus the coherence
 // penalty when other processes are concurrently updating memory maps, and

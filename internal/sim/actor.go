@@ -159,21 +159,6 @@ func (a *Actor) Unblock(b *Actor) {
 	a.w.heap.push(b)
 }
 
-// Poll repeatedly evaluates cond, advancing by interval between checks,
-// until cond is true. It models the polling-on-shared-memory signalling
-// that the paper's composed workloads use (§6.1). It returns the number of
-// polls performed.
-func (a *Actor) Poll(interval Time, cond func() bool) int {
-	n := 0
-	for {
-		if cond() {
-			return n
-		}
-		a.Advance(interval)
-		n++
-	}
-}
-
 // Spawn creates a child actor starting at the caller's current time.
 func (a *Actor) Spawn(name string, fn func(*Actor)) *Actor {
 	return a.w.SpawnAt(name, a.now, fn)

@@ -44,9 +44,10 @@ func (w *World) Injector() Injector { return w.inj }
 // completion flag with a deadline and turns the miss into a typed
 // timeout error.
 //
-// Like Poll, the wait is busy in virtual time (the paper's workloads
-// signal by polling shared memory, §6.1); the final step is truncated so
-// the actor lands exactly on deadline rather than overshooting.
+// The wait is busy in virtual time (the paper's workloads signal by
+// polling shared memory, §6.1); the final step is truncated so the actor
+// lands exactly on deadline rather than overshooting. A Forever deadline
+// polls until cond holds, every step exactly interval.
 func (a *Actor) PollDeadline(interval, deadline Time, cond func() bool) bool {
 	for {
 		if cond() {

@@ -6,9 +6,9 @@ import (
 )
 
 // CacheStats counts the traffic of a memoization cache — hits, misses,
-// and invalidations. The XEMEM serve path uses one for its segid →
-// frame-list cache; experiment harnesses read the counters to verify
-// cache behaviour without affecting simulated time.
+// and invalidations. The attacher-side registration cache
+// (xpmem.Session.RegCacheStats) reports one; harnesses read the
+// counters to check cache behaviour.
 type CacheStats struct {
 	Hits          uint64
 	Misses        uint64

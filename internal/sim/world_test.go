@@ -187,6 +187,8 @@ func TestSpawnDuringRunInheritsTime(t *testing.T) {
 	}
 }
 
+// An unbounded PollDeadline checks cond every interval, each step exactly
+// interval, and returns at the first check that sees it hold.
 func TestPollAdvancesUntilCond(t *testing.T) {
 	w := NewWorld(1)
 	flag := false
@@ -194,10 +196,15 @@ func TestPollAdvancesUntilCond(t *testing.T) {
 		a.Advance(95)
 		flag = true
 	})
+	var checks []Time
 	var seen Time
-	var polls int
 	w.Spawn("poller", func(a *Actor) {
-		polls = a.Poll(10, func() bool { return flag })
+		if !a.PollDeadline(10, Forever, func() bool {
+			checks = append(checks, a.Now())
+			return flag
+		}) {
+			t.Error("unbounded poll reported a missed deadline")
+		}
 		seen = a.Now()
 	})
 	if err := w.Run(); err != nil {
@@ -206,8 +213,13 @@ func TestPollAdvancesUntilCond(t *testing.T) {
 	if seen != 100 {
 		t.Fatalf("poller finished at %d, want 100", seen)
 	}
-	if polls != 10 {
-		t.Fatalf("polls = %d, want 10", polls)
+	for i, at := range checks {
+		if at != Time(10*i) {
+			t.Fatalf("check %d at %d, want %d", i, at, 10*i)
+		}
+	}
+	if len(checks) != 11 {
+		t.Fatalf("%d checks, want 11 (at 0, 10, ..., 100)", len(checks))
 	}
 }
 

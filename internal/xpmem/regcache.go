@@ -5,12 +5,12 @@ import (
 	"xemem/internal/sim"
 )
 
-// The attacher-side registration cache (the client half of the caching
-// story; the PR-1 frame-list cache on the owner is the server half).
-// XHC-style collectives re-attach the same peer buffers on every
-// operation; AttachCached makes the repeat attaches free of protocol
-// traffic: attach on first appearance, recover the window from the
-// cache after. Entries are keyed by the full attach request — segid,
+// The attacher-side registration cache, the only cache on the attach
+// path: the owner walks the exporter's page tables on every serve
+// (DESIGN.md §6.3). XHC-style collectives re-attach the same peer
+// buffers on every operation; AttachCached makes the repeat attaches
+// free of protocol traffic: attach on first appearance, recover the
+// window from the cache after. Entries are keyed by the full attach request — segid,
 // apid, window, permission — so differently-sized windows onto one
 // segment cache independently, exactly as separate xpmem_attach calls
 // would.
@@ -82,7 +82,6 @@ func (s *Session) count(a *sim.Actor, name string) {
 }
 
 // RegCacheStats reports the session's attacher-side registration-cache
-// counters (hits, misses, invalidations). Like the server-side
-// FrameCacheStats the counters are diagnostics; unlike it, a hit here
-// does change simulated time — that is the cache's whole point.
+// counters (hits, misses, invalidations). A hit changes simulated time:
+// it skips the attach protocol, which is the cache's whole point.
 func (s *Session) RegCacheStats() sim.CacheStats { return s.regStats }

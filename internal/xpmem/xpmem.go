@@ -99,12 +99,6 @@ func (s *Session) Process() *proc.Process { return s.p }
 // Module returns the enclave module (diagnostics).
 func (s *Session) Module() *core.Module { return s.mod }
 
-// FrameCacheStats reports the enclave's serve-side frame-list cache
-// counters (hits, misses, invalidations). The counters are host-side
-// diagnostics only: cached serves charge the same simulated time as
-// re-walking.
-func (s *Session) FrameCacheStats() sim.CacheStats { return s.mod.FrameCacheStats() }
-
 // Make exports [va, va+bytes) as shared memory and returns its segid
 // (xpmem_make). If name is non-empty the segment is discoverable via
 // Lookup from any enclave.

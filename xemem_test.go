@@ -66,7 +66,7 @@ func TestFigure1Topology(t *testing.T) {
 	var got string
 	node.Spawn("consumer", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		a.Poll(20*sim.Microsecond, func() bool {
+		a.PollDeadline(20*sim.Microsecond, sim.Forever, func() bool {
 			s, err := attSess.Lookup(a, "fig1-data")
 			if err != nil {
 				return false
