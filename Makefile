@@ -39,12 +39,15 @@ benchmark-build:
 
 # The scheduler's direct actor-to-actor handoff and the tracer (invoked
 # from every dispatch) are the concurrency-sensitive parts: run their packages under the race
-# detector explicitly, plus the trace-enabled experiment suites.
+# detector explicitly, plus the trace-enabled experiment suites. xproto
+# and core are here because a delivered message is a pointer handed from
+# the sending actor's goroutine to the receiving kernel's, so the race
+# detector watches that handoff.
 # TestParallel* is the sweep runner's family (TestParallelIdentity,
 # TestParallelMatchesGolden): worlds built on concurrent host workers,
 # held byte-identical to the one-worker run.
 race:
-	$(GO) test -race ./internal/sim ./internal/sim/trace ./internal/xpmem ./internal/coll ./internal/experiments/sweep ./internal/fault ./internal/cluster ./internal/rdma
+	$(GO) test -race ./internal/sim ./internal/sim/trace ./internal/xproto ./internal/core ./internal/xpmem ./internal/coll ./internal/experiments/sweep ./internal/fault ./internal/cluster ./internal/rdma
 	$(GO) test -race ./internal/experiments -run 'TestGolden|TestTracing|TestFig6Explain|TestParallel|TestFaultSweep|TestClusterSweep|TestCollSweep'
 
 test:

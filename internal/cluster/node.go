@@ -285,10 +285,10 @@ func (n *nic) FreeMirror(list extent.List) {
 }
 
 // rlink is one direction of a cross-node RDMA message channel: the
-// encoded message crosses the fabric (source HCA egress, switch hop,
-// destination ingress) and lands in the peer enclave's inbox with a
-// completion interrupt. Queue-pair setup is paid once at cluster setup,
-// so the link is stateless.
+// message crosses the fabric (source HCA egress, switch hop, destination
+// ingress) and lands in the peer enclave's inbox with a completion
+// interrupt. Queue-pair setup is paid once at cluster setup, so the link
+// is stateless.
 type rlink struct {
 	name     string
 	c        *sim.Costs
@@ -298,15 +298,14 @@ type rlink struct {
 	in       *xproto.Inbox
 }
 
-// Send moves the encoded message over the fabric and raises the
+// Send moves the message's wire bytes over the fabric and raises the
 // completion interrupt at the destination.
 func (l *rlink) Send(a *sim.Actor, m *xproto.Message) {
-	buf := m.AppendEncode(l.in.GetBuf(m.EncodedSize()))
-	if err := l.fab.Transfer(a, l.src, l.dst, len(buf)); err != nil {
+	if err := l.fab.Transfer(a, l.src, l.dst, m.WireSize()); err != nil {
 		panic(fmt.Sprintf("cluster: %s: %v", l.name, err)) // static topology: unreachable
 	}
 	a.Charge("ipi", l.c.IPILatency)
-	l.in.Put(a, buf, l.peer)
+	l.in.Put(a, m, l.peer)
 }
 
 // String names the link.

@@ -25,8 +25,7 @@ func pv(off uint64) pagetable.VA { return pagetable.VA(off) }
 //   - after all actors detach and release everything, no frame pin
 //     survives anywhere on the node;
 //   - the name server's live-segment registry drains to empty after
-//     removals;
-//   - no kernel dropped or failed to decode a message.
+//     removals.
 func TestProtocolRandomizedWorkload(t *testing.T) {
 	n := newTestNode(t)
 	n.lmod.Start()
@@ -189,10 +188,5 @@ func TestProtocolRandomizedWorkload(t *testing.T) {
 	}
 	if live := n.lmod.NS.LiveSegids(); live != 0 {
 		t.Fatalf("%d segids survive removal", live)
-	}
-	for _, m := range []*core.Module{n.lmod, ck0.Module, ck1.Module, vm.Module} {
-		if m.Stats.DecodeErrors != 0 {
-			t.Fatalf("%s: %d decode errors", m.Name(), m.Stats.DecodeErrors)
-		}
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"xemem/internal/xproto"
 )
 
-// handle processes one decoded message on the kernel actor. It implements
+// handle processes one delivered message on the kernel actor. It implements
 // the §3.2 routing rule: commands for other enclaves are forwarded on the
 // learned route when one exists and toward the name server otherwise;
 // commands addressed to the name server are resolved there and forwarded

@@ -164,7 +164,6 @@ type Stats struct {
 	AttachesServed  int
 	PagesServed     uint64
 	AttachesMade    int
-	DecodeErrors    int
 	DroppedMessages int
 	// Timeouts counts request attempts abandoned at their virtual-time
 	// deadline; Retries counts the reissues those timeouts triggered.
@@ -245,8 +244,8 @@ type Module struct {
 	ShardStats ShardStats
 
 	// Trace, when non-nil, observes every message this module sends
-	// (after routing, before encoding). Tests use it to assert protocol
-	// sequences; it costs nothing when nil.
+	// (after routing, before the link copies it). Tests use it to assert
+	// protocol sequences; it costs nothing when nil.
 	Trace func(msg *xproto.Message)
 }
 
@@ -499,8 +498,9 @@ func (m *Module) newReqID() uint64 {
 	return m.nextReq
 }
 
-// receive blocks for the next delivery, charges receive-side handling on
-// the kernel core, and decodes it.
+// receive blocks for the next delivery, charges receive-side handling
+// (IPI handler plus copying the message out of the channel) on the kernel
+// core, and returns the delivered message.
 func (m *Module) receive(a *sim.Actor) (*xproto.Message, xproto.Link, bool) {
 	return m.receiveOn(a, m.os.KernelCore())
 }
@@ -509,28 +509,19 @@ func (m *Module) receive(a *sim.Actor) (*xproto.Message, xproto.Link, bool) {
 // interrupt handling runs workers on several cores).
 func (m *Module) receiveOn(a *sim.Actor, core *sim.Core) (*xproto.Message, xproto.Link, bool) {
 	d := m.In.Get(a)
-	if d.Buf == nil {
+	if d.Msg == nil {
 		return nil, nil, false // shutdown poison
 	}
 	m.Stats.MsgsReceived++
-	core.Exec(a, m.c.IPIHandler+sim.CopyTime(len(d.Buf), m.c.ChanBW), "xemem-msg")
-	msg, err := xproto.Decode(d.Buf)
-	// Decode copies every variable-length field, so the wire buffer is
-	// dead either way — hand it back to this inbox's senders.
-	m.In.Recycle(d.Buf)
-	if err != nil {
-		m.Stats.DecodeErrors++
-		return nil, nil, false
-	}
-	return msg, d.Via, true
+	core.Exec(a, m.c.IPIHandler+sim.CopyTime(d.Msg.WireSize(), m.c.ChanBW), "xemem-msg")
+	return d.Msg, d.Via, true
 }
 
-// sendOn encodes and transmits msg on the given link, charging the acting
-// actor the fixed per-message kernel cost; the link charges its own
-// transfer costs.
+// sendOn transmits msg on the given link, charging the acting actor the
+// fixed per-message kernel cost; the link charges its own transfer costs.
 func (m *Module) sendOn(a *sim.Actor, l xproto.Link, msg *xproto.Message) {
 	m.Stats.MsgsSent++
-	m.Stats.BytesSent += msg.EncodedSize()
+	m.Stats.BytesSent += msg.WireSize()
 	if m.Trace != nil {
 		m.Trace(msg)
 	}

@@ -218,7 +218,6 @@ func (m *Module) encodeStats(e *snapshot.Enc) {
 	e.U64(uint64(s.AttachesServed))
 	e.U64(s.PagesServed)
 	e.U64(uint64(s.AttachesMade))
-	e.U64(uint64(s.DecodeErrors))
 	e.U64(uint64(s.DroppedMessages))
 	e.U64(uint64(s.Timeouts))
 	e.U64(uint64(s.Retries))

@@ -3,17 +3,15 @@
 // Page-frame lists are the payload of the XEMEM attachment protocol
 // (Fig. 3 of the paper): the exporting enclave walks its page tables and
 // produces the list of physical frames backing a segment, and the
-// attaching enclave maps that list into a process address space. Encoding
-// the list as (first, count) extents instead of one entry per page is what
-// real implementations ship over kernel channels, and it is what makes the
-// per-page cost accounting of the simulation affordable: a physically
-// contiguous 1 GB co-kernel region is a single extent even though it spans
-// 262,144 frames.
+// attaching enclave maps that list into a process address space.
+// Representing the list as (first, count) extents instead of one entry per
+// page is what real implementations ship over kernel channels, and it is
+// what makes the per-page cost accounting of the simulation affordable: a
+// physically contiguous 1 GB co-kernel region is a single extent even
+// though it spans 262,144 frames.
 package extent
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"strings"
 )
@@ -179,44 +177,7 @@ func (l List) String() string {
 	return b.String()
 }
 
-// EncodedSize reports the wire size of the list in bytes: an 8-byte
-// header plus 16 bytes per extent. Channel implementations charge copy
-// costs against this size.
-func (l List) EncodedSize() int { return 8 + 16*len(l.exts) }
-
-// Encode appends the wire form of the list to buf and returns it.
-func (l List) Encode(buf []byte) []byte {
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(l.exts)))
-	for _, e := range l.exts {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.First))
-		buf = binary.LittleEndian.AppendUint64(buf, e.Count)
-	}
-	return buf
-}
-
-// ErrTruncated reports a malformed wire message.
-var ErrTruncated = errors.New("extent: truncated encoding")
-
-// Decode parses a wire-form list from buf, returning the list and the
-// remaining bytes.
-func Decode(buf []byte) (List, []byte, error) {
-	if len(buf) < 8 {
-		return List{}, nil, ErrTruncated
-	}
-	n := binary.LittleEndian.Uint64(buf)
-	buf = buf[8:]
-	if uint64(len(buf)) < 16*n {
-		return List{}, nil, ErrTruncated
-	}
-	var l List
-	for i := uint64(0); i < n; i++ {
-		first := PFN(binary.LittleEndian.Uint64(buf))
-		count := binary.LittleEndian.Uint64(buf[8:])
-		buf = buf[16:]
-		if count == 0 {
-			return List{}, nil, fmt.Errorf("extent: zero-length extent in encoding")
-		}
-		l.Append(first, count)
-	}
-	return l, buf, nil
-}
+// WireSize reports the modelled wire size of the list in bytes: an
+// 8-byte header plus 16 bytes per extent. Channel implementations charge
+// copy costs against this size.
+func (l List) WireSize() int { return 8 + 16*len(l.exts) }

@@ -87,41 +87,15 @@ func TestSlice(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	l := FromExtents(Extent{0xdeadb, 17}, Extent{1, 1}, Extent{0xffff0, 512})
-	buf := l.Encode(nil)
-	if len(buf) != l.EncodedSize() {
-		t.Fatalf("encoded %d bytes, EncodedSize says %d", len(buf), l.EncodedSize())
+// TestWireSize checks that the wire size counts coalesced extents: an
+// 8-byte header plus 16 bytes per extent, whatever the page counts.
+func TestWireSize(t *testing.T) {
+	if got := (List{}).WireSize(); got != 8 {
+		t.Fatalf("empty list: %d bytes, want 8", got)
 	}
-	got, rest, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rest) != 0 {
-		t.Fatalf("%d bytes left over", len(rest))
-	}
-	if !got.Equal(l) {
-		t.Fatalf("round trip: %v != %v", got, l)
-	}
-}
-
-func TestDecodeTruncated(t *testing.T) {
-	l := FromExtents(Extent{1, 2})
-	buf := l.Encode(nil)
-	for i := 0; i < len(buf); i++ {
-		if _, _, err := Decode(buf[:i]); err == nil {
-			t.Fatalf("Decode of %d/%d bytes should fail", i, len(buf))
-		}
-	}
-}
-
-func TestDecodeRejectsZeroExtent(t *testing.T) {
-	// Hand-craft an encoding with a zero-count extent.
-	var l List
-	l.exts = append(l.exts, Extent{First: 1, Count: 0})
-	buf := l.Encode(nil)
-	if _, _, err := Decode(buf); err == nil {
-		t.Fatal("zero-count extent should be rejected")
+	l := FromExtents(Extent{0xdeadb, 17}, Extent{1, 1}, Extent{2, 511}, Extent{0xffff0, 512})
+	if got := l.WireSize(); got != 8+16*3 {
+		t.Fatalf("3 extents after coalescing: %d bytes, want %d", got, 8+16*3)
 	}
 }
 
@@ -154,25 +128,6 @@ func TestSliceConcatProperty(t *testing.T) {
 		}
 		a.AppendList(b)
 		return a.Equal(l)
-	}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: encode/decode round-trips arbitrary generated lists.
-func TestEncodeDecodeProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200}
-	err := quick.Check(func(seeds []uint32) bool {
-		var l List
-		base := PFN(0)
-		for _, s := range seeds {
-			base += PFN(s%1000) + 1
-			l.Append(base, uint64(s%500)+1)
-			base += PFN(s%500) + 1
-		}
-		got, rest, err := Decode(l.Encode(nil))
-		return err == nil && len(rest) == 0 && got.Equal(l)
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)

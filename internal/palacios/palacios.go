@@ -380,14 +380,13 @@ func (l *pciLink) Send(a *sim.Actor, m *xproto.Message) {
 			m = &cp
 		}
 	}
-	buf := m.AppendEncode(l.in.GetBuf(m.EncodedSize()))
-	a.Charge("pci-copy", sim.CopyTime(len(buf), c.PCICopyBW))
+	a.Charge("pci-copy", sim.CopyTime(m.WireSize(), c.PCICopyBW))
 	if l.toGuest {
 		a.Charge("irq-inject", c.IRQInject) // raise a virtual IRQ on the device
 	} else {
 		a.Charge("hypercall", c.Hypercall) // trigger an exit into the host
 	}
-	l.in.Put(a, buf, l.peer)
+	l.in.Put(a, m, l.peer)
 }
 
 // String names the link.

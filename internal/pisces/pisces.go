@@ -31,15 +31,14 @@ type link struct {
 	wire *sim.Resource // the shared message region, serializing transfers
 }
 
-// Send copies the encoded message into the shared region and raises an
-// IPI toward the peer (§4.5: "the source enclave then copies the message
+// Send copies the message into the shared region and raises an IPI
+// toward the peer (§4.5: "the source enclave then copies the message
 // into the shared memory region…").
 func (l *link) Send(a *sim.Actor, m *xproto.Message) {
-	buf := m.AppendEncode(l.in.GetBuf(m.EncodedSize()))
 	// The shared region admits one in-flight message at a time.
-	l.wire.AcquireOp(a, sim.CopyTime(len(buf), l.c.ChanBW), "chan-copy")
+	l.wire.AcquireOp(a, sim.CopyTime(m.WireSize(), l.c.ChanBW), "chan-copy")
 	a.Charge("ipi", l.c.IPILatency)
-	l.in.Put(a, buf, l.peer)
+	l.in.Put(a, m, l.peer)
 }
 
 // String names the link.

@@ -19,7 +19,7 @@ type Injector interface {
 	// Returning drop discards the message (the sender is not told — lost
 	// IPIs look exactly like this); a positive delay charges the sending
 	// actor that much extra wire time first, modelling a stalled or
-	// retried interrupt. bytes is the encoded wire size.
+	// retried interrupt. bytes is the message's modelled wire size.
 	DeliveryFault(queue string, a *Actor, bytes int) (drop bool, delay Time)
 
 	// ServiceDown reports whether the named service ("nameserver") is

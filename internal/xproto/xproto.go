@@ -1,18 +1,18 @@
 // Package xproto defines the XEMEM kernel-to-kernel protocol: enclave and
-// segment identifiers, the command messages of Fig. 3 and §4.5, their wire
-// encoding, and the Link/Inbox primitives cross-enclave channels plug
-// into.
+// segment identifiers, the command messages of Fig. 3 and §4.5, their
+// modelled wire size, and the Link/Inbox primitives cross-enclave
+// channels plug into.
 //
-// Messages are really encoded to bytes and decoded on receipt. That keeps
-// the channels honest: a channel charges copy time for the actual wire
-// size of what it carries (a command header is tens of bytes; an
-// attachment response carrying a page-frame list is 16 bytes per extent),
-// and malformed forwarding shows up as decode errors rather than silent
-// structure sharing.
+// Messages cross enclaves as values, not bytes. A real channel copies
+// each message into a shared region (§4.4–4.5); the model keeps what that
+// costs and what it isolates. Every channel charges copy time for
+// Message.WireSize (a command header is tens of bytes; an attachment
+// response carrying a page-frame list is 16 bytes per extent), and
+// Inbox.Put stores a copy of the message, so sender and receiver never
+// see each other's later writes.
 package xproto
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"xemem/internal/extent"
@@ -149,7 +149,7 @@ func (s Status) String() string {
 }
 
 // Message is one protocol command. Fields beyond the header are used per
-// type; unused fields encode as zero.
+// type; unused fields stay zero.
 type Message struct {
 	Type   MsgType
 	Status Status
@@ -166,78 +166,16 @@ type Message struct {
 	List   extent.List // page-frame list (attach responses)
 }
 
-// EncodedSize reports the wire size in bytes.
-func (m *Message) EncodedSize() int {
-	return 1 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1 + 8 + 2 + len(m.Name) + m.List.EncodedSize()
-}
-
-// Encode serializes the message into a fresh buffer.
-func (m *Message) Encode() []byte {
-	return m.AppendEncode(make([]byte, 0, m.EncodedSize()))
-}
-
-// AppendEncode serializes the message onto buf (normally a recycled
-// buffer, see Inbox.GetBuf) and returns the extended slice.
-func (m *Message) AppendEncode(buf []byte) []byte {
-	buf = append(buf, byte(m.Type), byte(m.Status))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Src))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(m.Dst))
-	buf = binary.LittleEndian.AppendUint64(buf, m.ReqID)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Segid))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.Apid))
-	buf = binary.LittleEndian.AppendUint64(buf, m.Offset)
-	buf = binary.LittleEndian.AppendUint64(buf, m.Pages)
-	buf = append(buf, byte(m.Perm))
-	buf = binary.LittleEndian.AppendUint64(buf, m.Value)
-	if len(m.Name) > 0xffff {
-		panic("xproto: name too long")
-	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Name)))
-	buf = append(buf, m.Name...)
-	buf = m.List.Encode(buf)
-	return buf
-}
-
-// Decode parses a wire message.
-func Decode(buf []byte) (*Message, error) {
-	const fixed = 1 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1 + 8 + 2
-	if len(buf) < fixed {
-		return nil, fmt.Errorf("xproto: short message (%d bytes)", len(buf))
-	}
-	m := &Message{
-		Type:   MsgType(buf[0]),
-		Status: Status(buf[1]),
-		Src:    EnclaveID(binary.LittleEndian.Uint32(buf[2:])),
-		Dst:    EnclaveID(binary.LittleEndian.Uint32(buf[6:])),
-		ReqID:  binary.LittleEndian.Uint64(buf[10:]),
-		Segid:  Segid(binary.LittleEndian.Uint64(buf[18:])),
-		Apid:   Apid(binary.LittleEndian.Uint64(buf[26:])),
-		Offset: binary.LittleEndian.Uint64(buf[34:]),
-		Pages:  binary.LittleEndian.Uint64(buf[42:]),
-		Perm:   Perm(buf[50]),
-		Value:  binary.LittleEndian.Uint64(buf[51:]),
-	}
-	nameLen := int(binary.LittleEndian.Uint16(buf[59:]))
-	rest := buf[61:]
-	if len(rest) < nameLen {
-		return nil, fmt.Errorf("xproto: truncated name")
-	}
-	m.Name = string(rest[:nameLen])
-	rest = rest[nameLen:]
-	list, rest, err := extent.Decode(rest)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("xproto: %d trailing bytes", len(rest))
-	}
-	m.List = list
-	return m, nil
+// WireSize reports the modelled wire size in bytes: a 61-byte fixed
+// header, the name, and the frame list. Channels charge copy time against
+// it, so it is the only part of a message's layout the model depends on.
+func (m *Message) WireSize() int {
+	return 1 + 1 + 4 + 4 + 8 + 8 + 8 + 8 + 8 + 1 + 8 + 2 + len(m.Name) + m.List.WireSize()
 }
 
 // Link is one direction-agnostic endpoint pair between two enclave
-// kernels. Send transfers an encoded message to the peer, charging the
-// sending actor the channel's costs and waking the peer's kernel.
+// kernels. Send copies a message to the peer, charging the sending actor
+// the channel's costs and waking the peer's kernel.
 type Link interface {
 	// Send delivers m to the peer kernel's inbox.
 	Send(a *sim.Actor, m *Message)
@@ -245,12 +183,11 @@ type Link interface {
 	String() string
 }
 
-// Delivery is a received wire message together with the link it arrived
-// on — hop-by-hop routing state is keyed by arrival link (§3.2). The
-// payload stays encoded until the receiving kernel decodes it, so receive
-// costs can be charged against the real wire size.
+// Delivery is a received message together with the link it arrived on —
+// hop-by-hop routing state is keyed by arrival link (§3.2). Msg is the
+// receiver's own copy (see Inbox.Put); nil is a shutdown request.
 type Delivery struct {
-	Buf []byte
+	Msg *Message
 	Via Link
 	// At is the virtual time the delivery entered the inbox; the dequeue
 	// reports the enqueue→dequeue delay to the world's observer. This is
@@ -273,29 +210,33 @@ type Inbox struct {
 	q       []Delivery
 	head    int
 	waiters []*sim.Actor
-	// free recycles wire buffers between the inbox's senders and its
-	// receiver: a delivered buffer is dead once decoded (Decode copies the
-	// name and frame list out), so the receiver Recycles it and the next
-	// sender GetBufs it back instead of allocating.
-	free [][]byte
 }
 
 // NewInbox returns an empty inbox with a diagnostic name.
 func NewInbox(name string) *Inbox { return &Inbox{name: name} }
 
-// Put enqueues an encoded message and wakes one waiting kernel actor, if
-// any. The caller is the sending/forwarding actor.
+// Put enqueues a copy of m and wakes one waiting kernel actor, if any.
+// The caller is the sending/forwarding actor.
+//
+// The copy is what the channel's shared region holds: later writes to
+// either side's Message never reach the other, which matters because
+// senders keep and rewrite theirs (a retried request gets a new ReqID, a
+// forwarded one a new Dst). The frame list's extents are shared between
+// the two copies; that is safe because no holder appends to a list after
+// sending it: the owner drops its list after the attach reply, the
+// Palacios link sends a freshly translated list, and forwarders never
+// touch List.
 //
 // When the world has a fault injector, Put is the wire-fault point: the
 // injector may delay the delivery (the sender absorbs the extra wire
-// time, as a stalled IPI would make it) or drop it outright — the buffer
-// is recycled, a fault-drop counter lands in the trace, and the sender
-// learns nothing, exactly like a lost cross-enclave interrupt. Shutdown
-// poisons (nil Buf) are local teardown control flow, never faulted.
-func (in *Inbox) Put(a *sim.Actor, buf []byte, via Link) {
-	if buf != nil {
+// time, as a stalled IPI would make it) or drop it outright — a
+// fault-drop counter lands in the trace, and the sender learns nothing,
+// exactly like a lost cross-enclave interrupt. Shutdown poisons (nil m)
+// are local teardown control flow, never faulted.
+func (in *Inbox) Put(a *sim.Actor, m *Message, via Link) {
+	if m != nil {
 		if inj := a.World().Injector(); inj != nil {
-			drop, delay := inj.DeliveryFault(in.name, a, len(buf))
+			drop, delay := inj.DeliveryFault(in.name, a, m.WireSize())
 			if delay > 0 {
 				a.Charge("fault-delay", delay)
 			}
@@ -303,16 +244,17 @@ func (in *Inbox) Put(a *sim.Actor, buf []byte, via Link) {
 				if obs := a.Observer(); obs != nil {
 					obs.Count("fault-drop:"+in.name, a, 0)
 				}
-				in.Recycle(buf)
 				return
 			}
 		}
+		cp := *m
+		m = &cp
 	}
 	if in.head > 0 && in.head == len(in.q) {
 		in.q = in.q[:0]
 		in.head = 0
 	}
-	in.q = append(in.q, Delivery{Buf: buf, Via: via, At: a.Now()})
+	in.q = append(in.q, Delivery{Msg: m, Via: via, At: a.Now()})
 	if n := len(in.waiters); n > 0 {
 		w := in.waiters[0]
 		in.waiters = in.waiters[1:]
@@ -320,44 +262,13 @@ func (in *Inbox) Put(a *sim.Actor, buf []byte, via Link) {
 	}
 }
 
-// maxFreeBufs bounds the per-inbox buffer free list. Kernel inboxes see
-// at most a handful of in-flight messages, so a small cache captures the
-// steady state without hoarding the occasional large attach response.
-const maxFreeBufs = 8
-
-// GetBuf returns a recycled encode buffer of length 0 and capacity >= n,
-// or a fresh one. Senders targeting this inbox use it with
-// Message.AppendEncode so request/response traffic reuses the same few
-// buffers instead of allocating per message.
-func (in *Inbox) GetBuf(n int) []byte {
-	for i := len(in.free) - 1; i >= 0; i-- {
-		if b := in.free[i]; cap(b) >= n {
-			in.free[i] = in.free[len(in.free)-1]
-			in.free[len(in.free)-1] = nil
-			in.free = in.free[:len(in.free)-1]
-			return b[:0]
-		}
-	}
-	return make([]byte, 0, n)
-}
-
-// Recycle returns a delivered wire buffer to the free list. Only call it
-// once the delivery's bytes are dead — i.e. after Decode, which copies
-// every variable-length field out of the buffer.
-func (in *Inbox) Recycle(buf []byte) {
-	if buf == nil || len(in.free) >= maxFreeBufs {
-		return
-	}
-	in.free = append(in.free, buf)
-}
-
-// PutShutdown enqueues a poison delivery (nil Buf): the receiving kernel
+// PutShutdown enqueues a poison delivery (nil Msg): the receiving kernel
 // worker exits its loop. Enclave teardown sends one per worker.
 func (in *Inbox) PutShutdown(a *sim.Actor) { in.Put(a, nil, nil) }
 
 // Get dequeues the next delivery, blocking the calling actor while the
 // inbox is empty. Multiple actors may wait concurrently; each delivery
-// goes to exactly one. A Delivery with nil Buf is a shutdown request.
+// goes to exactly one. A Delivery with nil Msg is a shutdown request.
 func (in *Inbox) Get(a *sim.Actor) Delivery {
 	for in.Len() == 0 {
 		in.waiters = append(in.waiters, a)
@@ -371,13 +282,13 @@ func (in *Inbox) Get(a *sim.Actor) Delivery {
 		}
 	}
 	d := in.q[in.head]
-	in.q[in.head] = Delivery{} // drop the buffer reference at the consumed slot
+	in.q[in.head] = Delivery{} // drop the message reference at the consumed slot
 	in.head++
 	if in.head == len(in.q) {
 		in.q = in.q[:0]
 		in.head = 0
 	}
-	if d.Buf != nil {
+	if d.Msg != nil {
 		if obs := a.Observer(); obs != nil {
 			obs.QueueWait("inbox:"+in.name, a, d.At, a.Now(), in.Len())
 		}

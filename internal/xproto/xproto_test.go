@@ -2,84 +2,57 @@ package xproto
 
 import (
 	"testing"
-	"testing/quick"
 
 	"xemem/internal/extent"
 	"xemem/internal/sim"
 )
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// TestWireSize pins the modelled wire size every channel copy is charged
+// against: a 61-byte header, the name, an 8-byte list header and 16 bytes
+// per extent.
+func TestWireSize(t *testing.T) {
+	if got := (&Message{Type: MsgGetReq, ReqID: 3}).WireSize(); got != 69 {
+		t.Fatalf("header-only message: %d bytes, want 69", got)
+	}
 	m := &Message{
-		Type:   MsgAttachResp,
-		Status: StatusOK,
-		Src:    7,
-		Dst:    2,
-		ReqID:  0xdeadbeef,
-		Segid:  1234,
-		Apid:   99,
-		Offset: 4096,
-		Pages:  262144,
-		Perm:   PermRead | PermWrite,
-		Value:  42,
-		Name:   "hpccg-output",
-		List:   extent.FromExtents(extent.Extent{First: 0x100, Count: 262144}),
+		Type: MsgAttachResp,
+		Name: "hpccg-output",
+		List: extent.FromExtents(
+			extent.Extent{First: 0x100, Count: 4},
+			extent.Extent{First: 0x200, Count: 1},
+			extent.Extent{First: 0x300, Count: 262144},
+		),
 	}
-	buf := m.Encode()
-	if len(buf) != m.EncodedSize() {
-		t.Fatalf("encoded %d bytes, EncodedSize %d", len(buf), m.EncodedSize())
-	}
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Type != m.Type || got.Status != m.Status || got.Src != m.Src ||
-		got.Dst != m.Dst || got.ReqID != m.ReqID || got.Segid != m.Segid ||
-		got.Apid != m.Apid || got.Offset != m.Offset || got.Pages != m.Pages ||
-		got.Perm != m.Perm || got.Value != m.Value || got.Name != m.Name {
-		t.Fatalf("header mismatch: %+v vs %+v", got, m)
-	}
-	if !got.List.Equal(m.List) {
-		t.Fatalf("list mismatch")
+	if got := m.WireSize(); got != 129 {
+		t.Fatalf("named message with 3 extents: %d bytes, want 129", got)
 	}
 }
 
-func TestDecodeTruncated(t *testing.T) {
-	m := &Message{Type: MsgGetReq, Name: "x", List: extent.FromExtents(extent.Extent{First: 1, Count: 1})}
-	buf := m.Encode()
-	for i := 0; i < len(buf); i++ {
-		if _, err := Decode(buf[:i]); err == nil {
-			t.Fatalf("decode of %d/%d bytes succeeded", i, len(buf))
+// TestPutCopiesMessage checks the copy contract of Inbox.Put: the sender's
+// later writes never reach the delivery, and the receiver's writes never
+// reach the sender's message.
+func TestPutCopiesMessage(t *testing.T) {
+	w := sim.NewWorld(1)
+	in := NewInbox("copy")
+	sent := &Message{Type: MsgAttachReq, Dst: 2, ReqID: 7}
+	w.Spawn("sender", func(a *sim.Actor) {
+		in.Put(a, sent, nil)
+		// rpc rewrites ReqID and Dst on the message it keeps for retries.
+		sent.Dst, sent.ReqID = 9, 8
+	})
+	w.Spawn("kernel", func(a *sim.Actor) {
+		a.Advance(10)
+		got := in.Get(a).Msg
+		if got.Dst != 2 || got.ReqID != 7 {
+			t.Errorf("delivery saw the sender's later write: Dst %d ReqID %d, want 2 and 7", got.Dst, got.ReqID)
 		}
-	}
-	// Trailing garbage also rejected.
-	if _, err := Decode(append(buf, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
-	}
-}
-
-func TestEncodeDecodeProperty(t *testing.T) {
-	err := quick.Check(func(ty, st uint8, src, dst uint32, reqid, segid, apid, off, pages, val uint64, name string) bool {
-		if len(name) > 1000 {
-			name = name[:1000]
-		}
-		m := &Message{
-			Type: MsgType(ty), Status: Status(st),
-			Src: EnclaveID(src), Dst: EnclaveID(dst),
-			ReqID: reqid, Segid: Segid(segid), Apid: Apid(apid),
-			Offset: off, Pages: pages, Value: val, Name: name,
-		}
-		got, err := Decode(m.Encode())
-		if err != nil {
-			return false
-		}
-		same := got.Type == m.Type && got.Status == m.Status &&
-			got.Src == m.Src && got.Dst == m.Dst && got.ReqID == m.ReqID &&
-			got.Segid == m.Segid && got.Apid == m.Apid && got.Offset == m.Offset &&
-			got.Pages == m.Pages && got.Value == m.Value && got.Name == m.Name
-		return same && got.List.Pages() == 0
-	}, &quick.Config{MaxCount: 300})
-	if err != nil {
+		got.Dst, got.ReqID = 5, 6
+	})
+	if err := w.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if sent.Dst != 9 || sent.ReqID != 8 {
+		t.Fatalf("sender saw the receiver's write: Dst %d ReqID %d, want 9 and 8", sent.Dst, sent.ReqID)
 	}
 }
 
@@ -104,7 +77,7 @@ type fakeLink struct {
 	name string
 }
 
-func (f *fakeLink) Send(a *sim.Actor, m *Message) { f.in.Put(a, m.Encode(), f) }
+func (f *fakeLink) Send(a *sim.Actor, m *Message) { f.in.Put(a, m, f) }
 func (f *fakeLink) String() string                { return f.name }
 
 func TestInboxBlockingDelivery(t *testing.T) {
@@ -115,12 +88,7 @@ func TestInboxBlockingDelivery(t *testing.T) {
 	var when sim.Time
 	w.Spawn("kernel", func(a *sim.Actor) {
 		d := in.Get(a)
-		m, err := Decode(d.Buf)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got = m
+		got = d.Msg
 		when = a.Now()
 		if d.Via != link {
 			t.Error("wrong arrival link")
@@ -155,12 +123,7 @@ func TestInboxQueuesMultiple(t *testing.T) {
 	w.Spawn("kernel", func(a *sim.Actor) {
 		a.Advance(100) // let them queue
 		for i := 0; i < 3; i++ {
-			m, err := Decode(in.Get(a).Buf)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			order = append(order, m.ReqID)
+			order = append(order, in.Get(a).Msg.ReqID)
 		}
 	})
 	if err := w.Run(); err != nil {
