@@ -9,9 +9,12 @@
 package xemem_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"xemem"
+	"xemem/internal/coll"
 	"xemem/internal/experiments"
 	"xemem/internal/pagetable"
 	"xemem/internal/palacios"
@@ -180,6 +183,62 @@ func BenchmarkAttach1GB(b *testing.B) {
 	if err := node.Run(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkCollAllreduce measures the host cost of the collective data
+// plane: a warm 256 KB allreduce over six co-kernel ranks (zero-copy
+// plane, four 64 KB chunks per rank), with allocations reported so the
+// reused per-rank chunk scratch and the one-translate access path stay
+// regression-visible. Set-up and the first operation, which attaches
+// every peer window, run before the timer starts.
+func BenchmarkCollAllreduce(b *testing.B) {
+	const ranks, bytes = 6, 256 << 10
+	node := xemem.NewNode(xemem.NodeConfig{Seed: 7, MemBytes: 8 << 30})
+	topo, err := xemem.ParseTopology(strings.TrimSuffix(strings.Repeat("kitten,", ranks), ","))
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo.KittenBytes = 64 << 20
+	encl, err := topo.Build(node)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Every rank's heap holds its buffer, then room for the CICO arenas
+	// a leader carves out at Setup (one 64 KB slot per rank per level).
+	scratch := uint64(ranks*len(xemem.DefaultLevels)) * (64 << 10)
+	members := make([]coll.Member, ranks)
+	for i, e := range encl {
+		s, heap, err := node.KittenProcess(e.Kitten, fmt.Sprintf("rank%d", i), bytes+scratch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		members[i] = coll.Member{Sess: s, Buf: heap.Base, Scratch: heap.Base + bytes, Loc: e.Loc}
+	}
+	comm, err := coll.New(members, bytes, coll.Opts{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := node.World()
+	allreduce := func(reps int) {
+		for r := range members {
+			r := r
+			w.SpawnAt(fmt.Sprintf("rank%d", r), w.Now(), func(a *sim.Actor) {
+				for i := 0; i < reps; i++ {
+					if err := comm.Allreduce(a, r, bytes); err != nil {
+						b.Error(err)
+						return
+					}
+				}
+			})
+		}
+		if err := w.Run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	allreduce(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	allreduce(b.N)
 }
 
 // BenchmarkFig9Cell measures one Figure 9 sweep cell — a full 2-node

@@ -140,6 +140,11 @@ type rankState struct {
 	arenaApid     xpmem.Apid
 	arenaVA       pagetable.VA
 	arenaAttached bool
+
+	// in and own are the rank's chunk-sized copy buffers, made on first
+	// use and reused by every later copyIn/copyOut: in carries the
+	// chunk being moved, own the rank's chunk a reduce folds it into.
+	in, own []byte
 }
 
 // lvlLabels are the precomputed trace op names of one hierarchy level.

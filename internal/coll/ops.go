@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"xemem/internal/pagetable"
@@ -141,12 +142,42 @@ func (c *Communicator) chunkLen(bytes uint64, chk int) int {
 	return int(c.chunk)
 }
 
+// chunkBuf returns *buf sliced to nb bytes, making it one chunk long on
+// first use.
+func (c *Communicator) chunkBuf(buf *[]byte, nb int) []byte {
+	if *buf == nil {
+		*buf = make([]byte, c.chunk)
+	}
+	return (*buf)[:nb]
+}
+
+// addBytes adds src into dst byte-wise, mod 256, over len(dst) bytes.
+// It sums eight lanes per step: clearing each lane's top bit (H) before
+// the 64-bit add leaves at most 0x7f+0x7f = 0xfe per lane, so no carry
+// crosses into the next lane; xoring the top bits back in, (a^b)&H,
+// completes each lane's top bit mod 2 and drops its carry out. Every
+// lane therefore holds exactly (a+b) mod 256. The tail past the last
+// whole word goes byte by byte.
+func addBytes(dst, src []byte) {
+	const h = 0x8080808080808080
+	src = src[:len(dst)]
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		a := binary.LittleEndian.Uint64(dst[i:])
+		b := binary.LittleEndian.Uint64(src[i:])
+		binary.LittleEndian.PutUint64(dst[i:], ((a&^h)+(b&^h))^((a^b)&h))
+	}
+	for ; i < len(dst); i++ {
+		dst[i] += src[i]
+	}
+}
+
 // copyIn moves rank's buffer chunk into an arena slot, charging the
 // level's CICO-in copy.
 func (c *Communicator) copyIn(a *sim.Actor, rank int, g *group, slot, chk int, op *opState) error {
 	m := c.members[rank]
 	nb := c.chunkLen(op.bytes, chk)
-	tmp := make([]byte, nb)
+	tmp := c.chunkBuf(&c.st[rank].in, nb)
 	if _, err := m.Sess.Read(m.Buf+c.chunkOff(chk), tmp); err != nil {
 		return err
 	}
@@ -166,18 +197,17 @@ func (c *Communicator) copyOut(a *sim.Actor, rank int, src pagetable.VA, chk int
 	m := c.members[rank]
 	nb := c.chunkLen(op.bytes, chk)
 	dst := m.Buf + c.chunkOff(chk)
-	tmp := make([]byte, nb)
+	st := c.st[rank]
+	tmp := c.chunkBuf(&st.in, nb)
 	if _, err := m.Sess.Read(src, tmp); err != nil {
 		return err
 	}
 	if reduce {
-		own := make([]byte, nb)
+		own := c.chunkBuf(&st.own, nb)
 		if _, err := m.Sess.Read(dst, own); err != nil {
 			return err
 		}
-		for i := range tmp {
-			tmp[i] += own[i]
-		}
+		addBytes(tmp, own)
 	}
 	if _, err := m.Sess.Write(dst, tmp); err != nil {
 		return err

@@ -338,13 +338,23 @@ func (as *AddressSpace) Write(va pagetable.VA, p []byte) (int, error) {
 	return as.access(va, p, true)
 }
 
+// access resolves [va, va+len(p)) leaf by leaf — demand-populating
+// unmapped runs, counting the faults, and checking each leaf's
+// permissions as the MMU would — while appending every leaf's frames to
+// one domain frame list. The data then moves with one TranslateList and
+// one ReadAt/WriteAt per call, however many leaves the access spans. A
+// protection fault or populate error still copies the prefix resolved
+// before it, then returns that error.
 func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, error) {
 	faults := 0
-	host := as.dom.Host()
-	for len(p) > 0 {
-		pageVA := va - pagetable.VA(va.Offset())
-		// Pages the remaining access touches, counted from va's page.
-		touched := (va.Offset() + uint64(len(p)) + extent.PageSize - 1) / extent.PageSize
+	var frames extent.List // domain frames of the leaves resolved so far
+	done := uint64(0)      // bytes of p those leaves cover
+	for done < uint64(len(p)) {
+		cur := va + pagetable.VA(done)
+		rest := uint64(len(p)) - done
+		pageVA := cur - pagetable.VA(cur.Offset())
+		// Pages the remaining access touches, counted from cur's page.
+		touched := (cur.Offset() + rest + extent.PageSize - 1) / extent.PageSize
 		run, mapped := as.pt.MappedRun(pageVA, touched)
 		if !mapped {
 			// Demand-populate the unmapped run (clamped to the pages this
@@ -352,45 +362,55 @@ func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, erro
 			n, err := as.PopulateRange(pageVA, run)
 			faults += n
 			if err != nil {
-				return faults, err
+				return faults, as.copyPrefix(frames, va.Offset(), p[:done], write, err)
 			}
 			continue
 		}
-		f, flags, _, _ := as.pt.Walk(va)
+		f, flags, _, _ := as.pt.Walk(cur)
 		// Enforce the mapping's permissions, as the MMU would: a write
 		// through a read-only XEMEM attachment is a protection fault. Flags
 		// are uniform within a leaf, and a mapped run never extends past
 		// one leaf, so one check covers the whole run.
 		if write && flags&pagetable.Write == 0 {
-			return faults, fmt.Errorf("proc: write protection fault at %#x (%v)", uint64(va), flags)
+			return faults, as.copyPrefix(frames, va.Offset(), p[:done], write,
+				fmt.Errorf("proc: write protection fault at %#x (%v)", uint64(cur), flags))
 		}
 		if !write && flags&pagetable.Read == 0 {
-			return faults, fmt.Errorf("proc: read protection fault at %#x (%v)", uint64(va), flags)
+			return faults, as.copyPrefix(frames, va.Offset(), p[:done], write,
+				fmt.Errorf("proc: read protection fault at %#x (%v)", uint64(cur), flags))
 		}
-		// Copy through the whole leaf run at once: frames inside a leaf are
-		// physically contiguous, so one extent covers it.
-		n := run*extent.PageSize - va.Offset()
-		if n > uint64(len(p)) {
-			n = uint64(len(p))
-		}
-		pages := (va.Offset() + n + extent.PageSize - 1) / extent.PageSize
-		hostList, err := as.dom.TranslateList(extent.FromExtents(extent.Extent{First: f, Count: pages}))
-		if err != nil {
-			return faults, err
-		}
-		if write {
-			if err := host.WriteAt(hostList, va.Offset(), p[:n]); err != nil {
-				return faults, err
-			}
-		} else {
-			if err := host.ReadAt(hostList, va.Offset(), p[:n]); err != nil {
-				return faults, err
-			}
-		}
-		p = p[n:]
-		va += pagetable.VA(n)
+		// Frames inside a leaf are physically contiguous, so one extent
+		// covers the part of the run this access touches.
+		n := min(run*extent.PageSize-cur.Offset(), rest)
+		frames.Append(f, (cur.Offset()+n+extent.PageSize-1)/extent.PageSize)
+		done += n
 	}
-	return faults, nil
+	return faults, as.copyFrames(frames, va.Offset(), p, write)
+}
+
+// copyPrefix copies the prefix an access resolved before it stopped on
+// cause, then reports cause (or the copy's own error).
+func (as *AddressSpace) copyPrefix(frames extent.List, off uint64, p []byte, write bool, cause error) error {
+	if err := as.copyFrames(frames, off, p, write); err != nil {
+		return err
+	}
+	return cause
+}
+
+// copyFrames moves p to (write) or from the domain frames, starting off
+// bytes into the first frame.
+func (as *AddressSpace) copyFrames(frames extent.List, off uint64, p []byte, write bool) error {
+	if len(p) == 0 {
+		return nil
+	}
+	hostList, err := as.dom.TranslateList(frames)
+	if err != nil {
+		return err
+	}
+	if write {
+		return as.dom.Host().WriteAt(hostList, off, p)
+	}
+	return as.dom.Host().ReadAt(hostList, off, p)
 }
 
 // Process is a schedulable program instance inside one enclave OS.

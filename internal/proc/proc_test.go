@@ -2,6 +2,8 @@ package proc
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"xemem/internal/extent"
@@ -264,5 +266,41 @@ func TestFindRegion(t *testing.T) {
 	}
 	if as.FindRegion(r1.End()) != nil {
 		t.Fatal("gap address matched a region")
+	}
+}
+
+// TestWriteStopsAtReadOnlyPage pins the partial-copy semantics of one
+// access that crosses from a writable mapping into a read-only one: the
+// bytes up to the read-only page land, nothing past it does, and the
+// error names the first read-only page.
+func TestWriteStopsAtReadOnlyPage(t *testing.T) {
+	as, _, z := newAS(t)
+	const base = pagetable.VA(0x40_0000)
+	rwBacking, _ := z.AllocScattered(3, 1)
+	roBacking, _ := z.AllocScattered(2, 1)
+	if _, err := as.AddRegion("rw", base, rwBacking, pagetable.Read|pagetable.Write, false); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := as.AddRegion("ro", base+3*extent.PageSize, roBacking, pagetable.Read, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := base + extent.PageSize + 100
+	data := bytes.Repeat([]byte("xemem"), 2*extent.PageSize/5)
+	_, err = as.Write(start, data)
+	want := fmt.Sprintf("proc: write protection fault at %#x (", uint64(ro.Base))
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("err = %v, want prefix %q", err, want)
+	}
+	prefix := int(ro.Base - start)
+	got := make([]byte, len(data))
+	if _, err := as.Read(start, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:prefix], data[:prefix]) {
+		t.Fatal("writable prefix before the read-only page not written")
+	}
+	if !bytes.Equal(got[prefix:], make([]byte, len(data)-prefix)) {
+		t.Fatal("bytes past the protection fault were written")
 	}
 }
