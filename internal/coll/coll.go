@@ -174,10 +174,11 @@ type Communicator struct {
 	parent    []int   // per rank: leader of its edge group, -1 for the canonical root
 	canonRoot int
 
-	st   []*rankState
-	seq  []uint64            // per rank: next collective sequence number
-	ops  map[uint64]*opState // in-flight collectives by sequence number
-	need []uint64            // per rank: scratch bytes its led arenas occupy
+	st    []*rankState
+	seq   []uint64            // per rank: next collective sequence number
+	ops   map[uint64]*opState // in-flight collectives by sequence number
+	spare []*opState          // retired control states, reused by opFor
+	need  []uint64            // per rank: scratch bytes its led arenas occupy
 }
 
 // pollInterval is the granularity at which ranks poll the host-side

@@ -83,9 +83,37 @@ func (c *Communicator) opFor(rank int, kind opKind, root int, bytes uint64) (*op
 	default:
 		zc = bytes >= defaultSwitchover
 	}
+	op := c.newOp()
+	op.kind, op.root, op.bytes, op.zc = kind, root, bytes, zc
+	op.nchunks = int((bytes + c.chunk - 1) / c.chunk)
+	c.ops[seq] = op
+	return op, seq, nil
+}
+
+// newOp returns control state with every counter zero and no window
+// memoized: a retired one from the spare list, cleared in place (its
+// window maps emptied but kept), or else a fresh one.
+func (c *Communicator) newOp() *opState {
+	if n := len(c.spare); n > 0 {
+		op := c.spare[n-1]
+		c.spare = c.spare[:n-1]
+		clear(op.have)
+		clear(op.red)
+		clear(op.slotIn)
+		clear(op.slotAck)
+		clear(op.arrive)
+		clear(op.release)
+		for i := range op.redIn {
+			clear(op.redIn[i])
+			clear(op.redAck[i])
+		}
+		for _, m := range op.wins {
+			clear(m)
+		}
+		op.done = 0
+		return op
+	}
 	op := &opState{
-		kind: kind, root: root, bytes: bytes, zc: zc,
-		nchunks: int((bytes + c.chunk - 1) / c.chunk),
 		have:    make([]uint64, len(c.members)),
 		red:     make([]uint64, len(c.members)),
 		slotIn:  make([]uint64, len(c.groups)),
@@ -100,16 +128,17 @@ func (c *Communicator) opFor(rank int, kind opKind, root int, bytes uint64) (*op
 		op.redIn[i] = make([]uint64, g.readers())
 		op.redAck[i] = make([]uint64, g.readers())
 	}
-	c.ops[seq] = op
-	return op, seq, nil
+	return op
 }
 
 // finish retires rank's participation; the last rank out drops the
-// control state.
+// control state onto the spare list. Every rank has passed the
+// operation's drain fence by then, so none can still read it.
 func (c *Communicator) finish(seq uint64, op *opState) {
 	op.done++
 	if op.done == len(c.members) {
 		delete(c.ops, seq)
+		c.spare = append(c.spare, op)
 	}
 }
 

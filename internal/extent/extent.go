@@ -86,6 +86,15 @@ func (l *List) Append(first PFN, count uint64) {
 	l.exts = append(l.exts, Extent{First: first, Count: count})
 }
 
+// Reset empties l but keeps its storage, so a list rebuilt on every call
+// allocates only when it outgrows its largest earlier self. Copies of l
+// share that storage and see it overwritten by later appends: reset only
+// a list no one else holds.
+func (l *List) Reset() {
+	l.exts = l.exts[:0]
+	l.pages = 0
+}
+
 // AppendList appends every extent of other, coalescing at the seam.
 func (l *List) AppendList(other List) {
 	for _, e := range other.exts {

@@ -29,6 +29,30 @@ func TestAppendZeroIgnored(t *testing.T) {
 	}
 }
 
+// TestResetKeepsStorage: a reset list is empty, does not coalesce with
+// what it held before, and refills without allocating.
+func TestResetKeepsStorage(t *testing.T) {
+	var l List
+	fill := func() {
+		l.Reset()
+		l.Append(10, 5)
+		l.Append(30, 2)
+		l.Append(40, 1)
+	}
+	fill()
+	l.Reset()
+	if l.Len() != 0 || l.Pages() != 0 {
+		t.Fatalf("after Reset: %v", l)
+	}
+	l.Append(41, 1) // would coalesce with the old tail [40,+1)
+	if !l.Equal(FromExtents(Extent{First: 41, Count: 1})) {
+		t.Fatalf("after Reset and Append: %v", l)
+	}
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Fatalf("refilling a reset list allocated %v times, want 0", allocs)
+	}
+}
+
 func TestFromPagesCoalesces(t *testing.T) {
 	l := FromPages([]PFN{1, 2, 3, 7, 8, 100})
 	if l.Len() != 3 {

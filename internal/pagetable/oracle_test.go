@@ -15,7 +15,9 @@ import (
 // (with their O(1) unlink and whole-PT-node drop), which must leave
 // exactly the same leaves, Mapped() and Tables(), and fail with exactly
 // the same errors. The oracle never recycles a node: every one it
-// allocates is fresh.
+// allocates is fresh. Nor does it write run entries: every PT node it
+// builds is a node, so a reference table must be built by these paths
+// alone.
 
 // mapListPerPage is MapList with a per-page install for 4 KB stretches
 // and a per-leaf rollback.
@@ -144,6 +146,17 @@ func (t *Table) unlinkScan(visited []*table) {
 
 const gbPages = 512 * 512
 
+// isRun reports whether va's PD slot holds a run entry.
+func isRun(t *Table, va VA) bool {
+	node := t.root
+	for level := 3; level > 1; level-- {
+		if node = node.child(index(va, level)); node == nil {
+			return false
+		}
+	}
+	return node.ents[index(va, 1)]&entRun != 0
+}
+
 func pageVA(p uint64) VA { return VA(p * extent.PageSize) }
 
 func errText(err error) string {
@@ -178,11 +191,12 @@ func sameState(t *testing.T, what string, batched, ref *Table, first, n uint64) 
 // over a 1 GB-plus window: unaligned-PFN extents that cross PT-node and
 // 1 GB boundaries, 2 MB- and 1 GB-aligned extents, partial unmaps that
 // split large leaves, and unmaps and maps that run into holes and
-// conflicts. Four compound cases aim at the node-lifetime paths: full PT
+// conflicts. Five compound cases aim at the node-lifetime paths: full PT
 // nodes unmapped whole, a full range with one hole, a re-map after an
-// unmap (recycled nodes), and a split 2 MB leaf refilled and dropped
-// whole. After every operation both tables must hold the same leaves and
-// counts, and each operation must fail the same way.
+// unmap (recycled nodes), a split 2 MB leaf refilled and dropped whole,
+// and run entries mapped, conflicted with, expanded, refilled and
+// dropped. After every operation both tables must hold the same leaves
+// and counts, and each operation must fail the same way.
 func TestBatchedPathsMatchPerPageOracle(t *testing.T) {
 	// Pages [lo, hi): the 1 GB slot at 1 GB plus a margin either side, so
 	// runs cross both 1 GB boundaries.
@@ -245,7 +259,7 @@ func TestBatchedPathsMatchPerPageOracle(t *testing.T) {
 			first := start()
 			// Whole PT nodes: a 512-aligned start and 1-3 nodes' worth.
 			p, pn := first&^511, uint64(512*(1+rng.Intn(3)))
-			switch rng.Intn(9) {
+			switch rng.Intn(10) {
 			case 0, 1: // MapList of 1-3 extents, unaligned or 2 MB-aligned
 				var l extent.List
 				for k := rng.Intn(3); k >= 0; k-- {
@@ -290,6 +304,31 @@ func TestBatchedPathsMatchPerPageOracle(t *testing.T) {
 				unmap(i, hole, 1)
 				check(i, "MapRun", hole, 1, batched.MapRun(pageVA(hole), f, 1, Read), ref.mapRunPerPage(pageVA(hole), f, 1, Read))
 				unmap(i, p, 512)
+			case 9: // two run entries, one by MapRun and one by MapList; a one-page map into one, a one-page unmap from the other, a refill, a whole drop
+				vacate(i, p, 1024)
+				f := unalignedPFN()
+				check(i, "MapRun", p, 512, batched.MapRun(pageVA(p), f, 512, Read), ref.mapRunPerPage(pageVA(p), f, 512, Read))
+				mapList(i, p+512, extent.FromExtents(extent.Extent{First: unalignedPFN(), Count: 512}))
+				for _, q := range []uint64{p, p + 512} {
+					if !isRun(batched, pageVA(q)) {
+						t.Fatalf("seed %d op %d: full PT node at %#x not stored as a run entry", seed, i, uint64(pageVA(q)))
+					}
+				}
+				mapAt, unmapAt := p+uint64(rng.Intn(512)), p+512+uint64(rng.Intn(512))
+				if rng.Intn(2) == 0 {
+					mapAt, unmapAt = unmapAt, mapAt
+				}
+				// Map goes through mapPT, the per-page set through set:
+				// both expand the run entry and fail on its first page.
+				g := unalignedPFN()
+				berr := batched.Map(pageVA(mapAt), g, Read)
+				if rng.Intn(2) == 0 {
+					berr = batched.mapRunPerPage(pageVA(mapAt), g, 1, Read)
+				}
+				check(i, "Map", mapAt, 1, berr, ref.mapRunPerPage(pageVA(mapAt), g, 1, Read))
+				unmap(i, unmapAt, 1)
+				check(i, "MapRun", unmapAt, 1, batched.MapRun(pageVA(unmapAt), g, 1, Read), ref.mapRunPerPage(pageVA(unmapAt), g, 1, Read))
+				unmap(i, p, 1024)
 			}
 		}
 		// Every page any operation above can reach.
@@ -341,13 +380,19 @@ func TestUnmapHoleMidPTNode(t *testing.T) {
 	)
 	hole := uint64(base + 512 + 700) // entry 188 of its PT node
 	batched, ref := New(), New()
-	for _, pt := range []*Table{batched, ref} {
-		if err := pt.MapList(pageVA(base), l, Read); err != nil {
-			t.Fatal(err)
-		}
-		if err := pt.Unmap(pageVA(hole), 1); err != nil {
-			t.Fatal(err)
-		}
+	if err := batched.MapList(pageVA(base), l, Read); err != nil {
+		t.Fatal(err)
+	}
+	if err := batched.Unmap(pageVA(hole), 1); err != nil {
+		t.Fatal(err)
+	}
+	// The reference is built by the per-page paths only, so it holds no
+	// run entries the per-leaf unmap cannot account for.
+	if err := ref.mapListPerPage(pageVA(base), l, Read); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.unmapPerLeaf(pageVA(hole), 1); err != nil {
+		t.Fatal(err)
 	}
 	berr := batched.Unmap(pageVA(base+100), 1400)
 	rerr := ref.unmapPerLeaf(pageVA(base+100), 1400)
@@ -378,6 +423,12 @@ func FuzzMapUnmap(f *testing.F) {
 	f.Add([]byte{0, 32, 31, 0x10, 2, 32, 31, 0x10})                                 // whole PT nodes mapped, then dropped whole
 	f.Add([]byte{0, 32, 31, 0x30, 2, 36, 0, 0, 2, 32, 31, 0x10})                    // 2 MB leaf split, then unmapped into the hole
 	f.Add([]byte{0, 32, 255, 0x1f, 2, 40, 100, 3, 1, 40, 100, 3, 2, 32, 255, 0x1f}) // unmap, refill, drop whole across 1 GB
+	// Run entries by MapList and MapRun, a one-page map into the first,
+	// a one-page unmap from the second and its refill, a whole drop.
+	f.Add([]byte{0, 32, 31, 0x10, 1, 40, 31, 0x10, 4, 36, 0, 0, 2, 44, 0, 0, 1, 44, 0, 0, 2, 32, 64, 0x10})
+	// An unaligned MapList over partial and whole PT nodes, a hole in a
+	// whole one, then an unmap that runs into it and a drop of the rest.
+	f.Add([]byte{0, 30, 200, 0, 2, 50, 0, 0, 2, 30, 200, 0, 2, 51, 150, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const lo = gbPages - 8*512
 		batched, ref := New(), New()

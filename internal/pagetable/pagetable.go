@@ -4,9 +4,13 @@
 // Tables are real radix structures (PML4 → PDPT → PD → PT) with 512
 // entries per level and large-page leaves at the 1 GB and 2 MB levels when
 // virtual and physical alignment allow, exactly as a kernel would build
-// them. Every enclave OS in the reproduction — Kitten, Linux, and Linux
-// guests inside Palacios — owns one Table per process address space; the
-// XEMEM serve path walks them to generate page-frame lists (§4.3), and the
+// them. The one storage difference is the run entry (see entRun): a full
+// PT node of 4 KB leaves over consecutive frames is kept as one PD entry,
+// which every query answers for as the node it stands for.
+//
+// Every enclave OS in the reproduction — Kitten, Linux, and Linux guests
+// inside Palacios — owns one Table per process address space; the XEMEM
+// serve path walks them to generate page-frame lists (§4.3), and the
 // attach path populates them with remote frame lists.
 //
 // The package is purely functional: simulated-time costs for walks and
@@ -57,22 +61,33 @@ func (f Flags) String() string {
 	return string(b)
 }
 
-// Entry encoding: bit0 present, bit1 leaf, bits2-5 flags, frame<<12.
+// Entry encoding: bit0 present, bit1 leaf, bits2-5 flags, bit6 run,
+// frame<<12.
+//
+// A run entry is a level-1 leaf that stands for a full PT node of 4 KB
+// leaves over consecutive frames with one flag set: entry j of that node
+// would map frame+j. The frame need not be 2 MB-aligned. It is a storage
+// form only: Walk, MappedRun, ExtentsFor, Mapped() and Tables() answer
+// exactly as for the PT node it stands for, and a descent that must go
+// below it expands it into that node first (see split).
 const (
 	entPresent = 1 << 0
 	entLeaf    = 1 << 1
 	flagShift  = 2
 	flagMask   = 0xf << flagShift
+	entRun     = 1 << 6
 	pfnShift   = 12
 )
 
 // pagesAtLevel[i] is the number of 4 KB pages covered by one entry at
-// level i (0 = PT, 1 = PD, 2 = PDPT, 3 = PML4).
+// level i (0 = PT, 1 = PD, 2 = PDPT, 3 = PML4). Every span is a power of
+// two, so the hot paths take offsets within one with a mask.
 var pagesAtLevel = [4]uint64{1, 512, 512 * 512, 512 * 512 * 512}
 
 // table is one radix node. next[i] is non-nil exactly when ents[i] is an
 // interior entry, so a node whose used count is 0 has every entry zero
-// and every next slot nil: it can be recycled as it is.
+// and every next slot nil: it can be recycled as it is. A PD node's
+// run entries (see entRun) are leaves and have no child.
 type table struct {
 	ents [512]uint64
 	next []*table // allocated lazily; index-aligned with ents
@@ -98,7 +113,7 @@ func (t *table) setChild(i int, c *table) {
 type Table struct {
 	root   *table
 	mapped uint64       // total 4 KB pages mapped (excluding shared slots)
-	tables int          // number of table nodes allocated (diagnostics)
+	tables int          // radix nodes allocated, plus one per run entry
 	shared map[int]bool // top-level slots borrowed via ShareSlot
 	free   []*table     // emptied nodes, all-zero, reused before allocating
 }
@@ -111,7 +126,8 @@ func New() *Table {
 // Mapped reports the number of 4 KB pages currently mapped.
 func (t *Table) Mapped() uint64 { return t.mapped }
 
-// Tables reports the number of radix nodes allocated.
+// Tables reports the number of radix nodes allocated, counting each run
+// entry as the PT node it stands for.
 func (t *Table) Tables() int { return t.tables }
 
 // newTable returns an empty node, recycled from the free list when it
@@ -213,7 +229,8 @@ func (t *Table) MapRun(va VA, f extent.PFN, count uint64, flags Flags) error {
 // from va up to count pages or the end of va's PT node, in one descent.
 // It reports how many leaves it installed; on a conflict that is the
 // number installed before it. One shared-slot check covers the whole
-// batch: a PT node always lies inside one top-level slot.
+// batch: a PT node always lies inside one top-level slot. A batch that
+// would fill a whole absent PT node is stored as one run entry instead.
 func (t *Table) mapPT(va VA, f extent.PFN, count uint64, flags Flags) (uint64, error) {
 	if err := t.guardShared(va, "map"); err != nil {
 		return 0, err
@@ -223,6 +240,13 @@ func (t *Table) mapPT(va VA, f extent.PFN, count uint64, flags Flags) (uint64, e
 		i := index(va, level)
 		e := node.ents[i]
 		if e&entPresent == 0 {
+			if level == 1 && count >= 512 && va.Page()%512 == 0 {
+				node.ents[i] = entPresent | entLeaf | entRun | uint64(flags)<<flagShift | uint64(f)<<pfnShift
+				node.used++
+				t.tables++
+				t.mapped += 512
+				return 512, nil
+			}
 			child := t.newTable()
 			node.setChild(i, child)
 			node.ents[i] = entPresent
@@ -230,7 +254,9 @@ func (t *Table) mapPT(va VA, f extent.PFN, count uint64, flags Flags) (uint64, e
 			node = child
 			continue
 		}
-		if e&entLeaf != 0 {
+		if e&entRun != 0 {
+			t.split(node, i, level) // conflicts fail below, page by page
+		} else if e&entLeaf != 0 {
 			return 0, fmt.Errorf("pagetable: %#x already mapped by a level-%d leaf", uint64(va), level)
 		}
 		node = node.child(i)
@@ -283,8 +309,11 @@ func (t *Table) MappedRun(va VA, limit uint64) (n uint64, mapped bool) {
 			}
 			return run, false
 		}
+		if e&entRun != 0 {
+			span = 1 // a run entry's leaves are 4 KB
+		}
 		if e&entPresent == 0 || e&entLeaf != 0 {
-			run := span - va.Page()%span
+			run := span - va.Page()&(span-1)
 			if run > limit {
 				run = limit
 			}
@@ -312,7 +341,9 @@ func (t *Table) set(va VA, leafLevel int, f extent.PFN, flags Flags) error {
 			node = child
 			continue
 		}
-		if e&entLeaf != 0 {
+		if e&entRun != 0 {
+			t.split(node, i, level) // conflicts fail below, page by page
+		} else if e&entLeaf != 0 {
 			return fmt.Errorf("pagetable: %#x already mapped by a level-%d leaf", uint64(va), level)
 		}
 		node = node.child(i)
@@ -341,8 +372,12 @@ func (t *Table) Walk(va VA) (f extent.PFN, flags Flags, leafBytes uint64, ok boo
 		if e&entLeaf != 0 {
 			base := extent.PFN(e >> pfnShift)
 			span := pagesAtLevel[level]
-			within := va.Page() % span
-			return base + extent.PFN(within), Flags(e >> flagShift & 0xf), span * extent.PageSize, true
+			within := va.Page() & (span - 1)
+			leafBytes := span * extent.PageSize
+			if e&entRun != 0 {
+				leafBytes = extent.PageSize
+			}
+			return base + extent.PFN(within), Flags(e >> flagShift & 0xf), leafBytes, true
 		}
 		node = node.child(i)
 	}
@@ -364,7 +399,7 @@ func (t *Table) ExtentsFor(va VA, npages uint64) (extent.List, error) {
 		}
 		// Take the rest of this leaf (or the rest of the request).
 		leafPages := leafBytes / extent.PageSize
-		within := va.Page() % leafPages
+		within := va.Page() & (leafPages - 1)
 		take := leafPages - within
 		if take > npages {
 			take = npages
@@ -400,8 +435,8 @@ func (t *Table) Unmap(va VA, npages uint64) error {
 // npages, so one walk clears a whole run: the next call reports the
 // absent entry that stopped it. A full PT node that the range covers
 // whole is dropped without reading its entries: none can be absent, so
-// the scan would clear all 512. It returns how many 4 KB pages were
-// removed.
+// the scan would clear all 512; a run entry it covers whole is cleared
+// like any large leaf. It returns how many 4 KB pages were removed.
 func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 	if err := t.guardShared(va, "unmap"); err != nil {
 		return 0, err
@@ -425,7 +460,7 @@ func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 		}
 		if e&entLeaf != 0 {
 			span := pagesAtLevel[level]
-			within := va.Page() % span
+			within := va.Page() & (span - 1)
 			if within != 0 || span > npages {
 				// Partial coverage: split this leaf into 512 children one
 				// level down and descend.
@@ -441,6 +476,9 @@ func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 				for n < limit && node.ents[i+int(n)]&entPresent != 0 {
 					n++
 				}
+			}
+			if e&entRun != 0 {
+				t.tables-- // the PT node it stood for
 			}
 			clear(node.ents[i : i+int(n)])
 			node.used -= int(n)
@@ -463,9 +501,13 @@ func (t *Table) unmapOne(va VA, npages uint64) (uint64, error) {
 }
 
 // split converts the large leaf at node.ents[i] (level >= 1) into a child
-// table of 512 leaves one level down.
+// table of 512 leaves one level down. A run entry becomes the PT node it
+// stands for, which Tables() already counts.
 func (t *Table) split(node *table, i, level int) {
 	e := node.ents[i]
+	if e&entRun != 0 {
+		t.tables--
+	}
 	base := extent.PFN(e >> pfnShift)
 	fl := uint64(e & flagMask)
 	child := t.newTable()

@@ -25,9 +25,9 @@ func recyclable(t *testing.T, what string, pt *Table) {
 
 // TestMapUnmapCycleReusesNodes: once a 1 GB map/unmap cycle has built
 // its radix nodes, the next cycle allocates nothing. Frames one page off
-// 2 MB alignment force 4 KB leaves, so the range fills 512 PT nodes
-// under one PD (and its PDPT); unmapping it frees all 514 back onto the
-// table's free list, and mapping again draws them off it.
+// 2 MB alignment force 4 KB leaves, so the range covers 512 full PT
+// nodes under one PD (and its PDPT): Tables() grows by 514 and an unmap
+// gives all 514 back.
 func TestMapUnmapCycleReusesNodes(t *testing.T) {
 	pt := New()
 	l := extent.FromExtents(extent.Extent{First: 0x100001, Count: gbPages})
@@ -49,11 +49,30 @@ func TestMapUnmapCycleReusesNodes(t *testing.T) {
 		}
 	}
 	cycle()
-	if len(pt.free) != 514 {
-		t.Fatalf("free list holds %d nodes after the warm-up cycle, want 514", len(pt.free))
-	}
 	if allocs := testing.AllocsPerRun(1, cycle); allocs != 0 {
 		t.Fatalf("a warm map/unmap cycle allocated %v times, want 0", allocs)
 	}
 	recyclable(t, "after cycles", pt)
+}
+
+// TestColdFullNodesAllocateNoPTNodes: a cold 1 GB MapList of 4 KB leaves
+// stores each full PT node as one run entry in the PD, so it allocates
+// only the PDPT and PD nodes and the child slices of the root and PDPT —
+// no PT node, and no child slice for the PD.
+func TestColdFullNodesAllocateNoPTNodes(t *testing.T) {
+	l := extent.FromExtents(extent.Extent{First: 0x100001, Count: gbPages})
+	va := pageVA(gbPages)
+	var pt *Table
+	allocs := testing.AllocsPerRun(1, func() {
+		pt = New() // the Table and its root node
+		if err := pt.MapList(va, l, Read|Write); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := 2.0 + 4; allocs != want {
+		t.Fatalf("New plus a cold 1 GB MapList allocated %v times, want %v", allocs, want)
+	}
+	if pt.Tables() != 1+514 || pt.Mapped() != gbPages {
+		t.Fatalf("(tables, mapped) = (%d, %d), want (515, %d)", pt.Tables(), pt.Mapped(), gbPages)
+	}
 }

@@ -64,3 +64,54 @@ func TestWindowSurvivesSourceRefill(t *testing.T) {
 		}
 	})
 }
+
+// TestWindowOverRunEntries: a SMARTMAP window onto a slot whose PT nodes
+// are stored as run entries resolves every page to the source's frame as
+// a 4 KB leaf, and still does after a one-page source unmap expands one
+// of them.
+func TestWindowOverRunEntries(t *testing.T) {
+	const base, hole = 512 * 8, 512*8 + 700 // two whole PT nodes; the hole is in the second
+	src, dst := New(), New()
+	l := extent.FromExtents(extent.Extent{First: 0x100001, Count: 1024})
+	if err := src.MapList(pageVA(base), l, Read|Write); err != nil {
+		t.Fatal(err)
+	}
+	if !isRun(src, pageVA(base)) || !isRun(src, pageVA(hole)) {
+		t.Fatal("full PT nodes not stored as run entries")
+	}
+	if err := dst.ShareSlot(1, src, 0); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, holed bool) {
+		t.Helper()
+		for p := uint64(base); p < base+1024; p++ {
+			sf, sfl, sl, sok := src.Walk(pageVA(p))
+			df, dfl, dl, dok := dst.Walk(SlotBase(1) + pageVA(p))
+			if df != sf || dfl != sfl || dl != sl || dok != sok {
+				t.Fatalf("%s: window walk(%#x) = (%#x,%v,%d,%v), source (%#x,%v,%d,%v)",
+					what, uint64(pageVA(p)), uint64(df), dfl, dl, dok, uint64(sf), sfl, sl, sok)
+			}
+			if holed && p == hole {
+				if dok {
+					t.Fatalf("%s: window resolves the unmapped page", what)
+				}
+				continue
+			}
+			if !dok || df != extent.PFN(0x100001+p-base) || dl != extent.PageSize {
+				t.Fatalf("%s: window walk(%#x) = (%#x, %d B, ok=%v), want (%#x, 4096 B, ok=true)",
+					what, uint64(pageVA(p)), uint64(df), dl, dok, 0x100001+p-base)
+			}
+		}
+		if n, mapped := dst.MappedRun(SlotBase(1)+pageVA(base), 1024); n != 1 || !mapped {
+			t.Fatalf("%s: window MappedRun = (%d, %v), want (1, true)", what, n, mapped)
+		}
+	}
+	check("whole", false)
+	if err := src.Unmap(pageVA(hole), 1); err != nil {
+		t.Fatal(err)
+	}
+	if isRun(src, pageVA(hole)) || !isRun(src, pageVA(base)) {
+		t.Fatal("a one-page unmap did not expand exactly its own run entry")
+	}
+	check("after a one-page source unmap", true)
+}

@@ -79,6 +79,7 @@ type AddressSpace struct {
 	dom     Domain
 	regions []*Region // sorted by Base
 	mmapCur pagetable.VA
+	frames  extent.List //xemem:nosnap -- access's frame-list scratch, reset at the start of every Read/Write
 }
 
 // NewAddressSpace creates an empty address space over dom whose automatic
@@ -344,11 +345,14 @@ func (as *AddressSpace) Write(va pagetable.VA, p []byte) (int, error) {
 // one domain frame list. The data then moves with one TranslateList and
 // one ReadAt/WriteAt per call, however many leaves the access spans. A
 // protection fault or populate error still copies the prefix resolved
-// before it, then returns that error.
+// before it, then returns that error. The frame list is the address
+// space's own scratch, so a warm access allocates nothing; access never
+// yields, so no other access can reach it mid-call.
 func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, error) {
 	faults := 0
-	var frames extent.List // domain frames of the leaves resolved so far
-	done := uint64(0)      // bytes of p those leaves cover
+	frames := &as.frames // domain frames of the leaves resolved so far
+	frames.Reset()
+	done := uint64(0) // bytes of p those leaves cover
 	for done < uint64(len(p)) {
 		cur := va + pagetable.VA(done)
 		rest := uint64(len(p)) - done
@@ -362,7 +366,7 @@ func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, erro
 			n, err := as.PopulateRange(pageVA, run)
 			faults += n
 			if err != nil {
-				return faults, as.copyPrefix(frames, va.Offset(), p[:done], write, err)
+				return faults, as.copyPrefix(*frames, va.Offset(), p[:done], write, err)
 			}
 			continue
 		}
@@ -372,11 +376,11 @@ func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, erro
 		// are uniform within a leaf, and a mapped run never extends past
 		// one leaf, so one check covers the whole run.
 		if write && flags&pagetable.Write == 0 {
-			return faults, as.copyPrefix(frames, va.Offset(), p[:done], write,
+			return faults, as.copyPrefix(*frames, va.Offset(), p[:done], write,
 				fmt.Errorf("proc: write protection fault at %#x (%v)", uint64(cur), flags))
 		}
 		if !write && flags&pagetable.Read == 0 {
-			return faults, as.copyPrefix(frames, va.Offset(), p[:done], write,
+			return faults, as.copyPrefix(*frames, va.Offset(), p[:done], write,
 				fmt.Errorf("proc: read protection fault at %#x (%v)", uint64(cur), flags))
 		}
 		// Frames inside a leaf are physically contiguous, so one extent
@@ -385,7 +389,7 @@ func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, erro
 		frames.Append(f, (cur.Offset()+n+extent.PageSize-1)/extent.PageSize)
 		done += n
 	}
-	return faults, as.copyFrames(frames, va.Offset(), p, write)
+	return faults, as.copyFrames(*frames, va.Offset(), p, write)
 }
 
 // copyPrefix copies the prefix an access resolved before it stopped on

@@ -304,3 +304,28 @@ func TestWriteStopsAtReadOnlyPage(t *testing.T) {
 		t.Fatal("bytes past the protection fault were written")
 	}
 }
+
+// TestWarmReadAllocatesNothing: once an access has sized the address
+// space's frame-list scratch, a host-domain Read over the same scattered
+// pages allocates nothing.
+func TestWarmReadAllocatesNothing(t *testing.T) {
+	as, _, z := newAS(t)
+	backing, err := z.AllocScattered(16, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := as.AddRegion("heap", 0, backing, pagetable.Read|pagetable.Write, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 16*extent.PageSize-100)
+	read := func() {
+		if _, err := as.Read(r.Base+50, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read()
+	if allocs := testing.AllocsPerRun(10, read); allocs != 0 {
+		t.Fatalf("a warm Read over %d extents allocated %v times, want 0", backing.Len(), allocs)
+	}
+}
