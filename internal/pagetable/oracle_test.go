@@ -144,6 +144,23 @@ func (t *Table) unlinkScan(visited []*table) {
 	}
 }
 
+// extentsPerPage is ExtentsFor as one Walk per 4 KB page, whatever leaf
+// maps it.
+func (t *Table) extentsPerPage(va VA, npages uint64) (extent.List, error) {
+	if va.Offset() != 0 {
+		return extent.List{}, fmt.Errorf("pagetable: unaligned walk at %#x", uint64(va))
+	}
+	var out extent.List
+	for p := uint64(0); p < npages; p++ {
+		f, _, _, ok := t.Walk(va + VA(p*extent.PageSize))
+		if !ok {
+			return extent.List{}, fmt.Errorf("pagetable: hole at %#x during walk", uint64(va)+p*extent.PageSize)
+		}
+		out.Append(f, 1)
+	}
+	return out, nil
+}
+
 const gbPages = 512 * 512
 
 // isRun reports whether va's PD slot holds a run entry.
@@ -167,7 +184,8 @@ func errText(err error) string {
 }
 
 // sameState fails the test unless the batched and reference tables agree
-// on Mapped(), Tables(), and the Walk of every page in [first, first+n),
+// on Mapped(), Tables(), the Walk of every page in [first, first+n) and
+// the ExtentsFor of that range (against the reference's per-page walk),
 // and every node on the batched table's free list is all-zero.
 func sameState(t *testing.T, what string, batched, ref *Table, first, n uint64) {
 	t.Helper()
@@ -175,6 +193,12 @@ func sameState(t *testing.T, what string, batched, ref *Table, first, n uint64) 
 	if batched.Mapped() != ref.Mapped() || batched.Tables() != ref.Tables() {
 		t.Fatalf("%s: (mapped, tables) batched (%d, %d), reference (%d, %d)",
 			what, batched.Mapped(), batched.Tables(), ref.Mapped(), ref.Tables())
+	}
+	bl, berr := batched.ExtentsFor(pageVA(first), n)
+	rl, rerr := ref.extentsPerPage(pageVA(first), n)
+	if errText(berr) != errText(rerr) || !bl.Equal(rl) {
+		t.Fatalf("%s: ExtentsFor batched (%v, %q), reference per-page walk (%v, %q)",
+			what, bl, errText(berr), rl, errText(rerr))
 	}
 	for p := first; p < first+n; p++ {
 		bf, bfl, bl, bok := batched.Walk(pageVA(p))
@@ -334,6 +358,47 @@ func TestBatchedPathsMatchPerPageOracle(t *testing.T) {
 		// Every page any operation above can reach.
 		sameState(t, fmt.Sprintf("seed %d final", seed), batched, ref, lo-600, hi-lo+5600)
 	}
+}
+
+// TestExtentsForOverRunEntries: ExtentsFor takes a run entry's 512
+// frames in one step, and its list and errors equal a per-page Walk's
+// over ranges that start, end and break inside run entries and cross
+// into 2 MB leaves and 4 KB PT nodes.
+func TestExtentsForOverRunEntries(t *testing.T) {
+	const base = gbPages - 3*512 + 17 // mid-PT-node start
+	l := extent.FromExtents(
+		extent.Extent{First: 0x123457, Count: 3000},      // run entries between partial PT nodes
+		extent.Extent{First: 0x300000, Count: 1024},      // 2 MB-aligned frames, but base+3000 is not
+		extent.Extent{First: 0x777001, Count: 2*512 + 5}, // consecutive run entries, a 1 GB crossing
+	)
+	pt := New()
+	if err := pt.MapList(pageVA(base), l, Read); err != nil {
+		t.Fatal(err)
+	}
+	if !isRun(pt, pageVA(base+495)) {
+		t.Fatalf("full PT node at %#x not stored as a run entry", uint64(pageVA(base+495)))
+	}
+	ref := New()
+	if err := ref.mapListPerPage(pageVA(base), l, Read); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 200; i++ {
+		first := base - 3 + uint64(rng.Intn(int(l.Pages())))
+		n := uint64(rng.Intn(int(base+l.Pages()+3-first))) + 1
+		sameState(t, fmt.Sprintf("range %d", i), pt, ref, first, n)
+	}
+	got, err := pt.ExtentsFor(pageVA(base), l.Pages())
+	if err != nil || !got.Equal(l) {
+		t.Fatalf("whole range = (%v, %v), want %v", got, err, l)
+	}
+	if err := pt.Unmap(pageVA(base+1000), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.unmapPerLeaf(pageVA(base+1000), 1); err != nil {
+		t.Fatal(err)
+	}
+	sameState(t, "hole in an expanded run entry", pt, ref, base, l.Pages())
 }
 
 // TestMapListConflictAfterLargeLeavesRollsBack: a MapList that lays a

@@ -362,22 +362,29 @@ func (t *Table) set(va VA, leafLevel int, f extent.PFN, flags Flags) error {
 // mapping's flags, the size in bytes of the leaf that mapped it, and
 // whether the address is mapped at all.
 func (t *Table) Walk(va VA) (f extent.PFN, flags Flags, leafBytes uint64, ok bool) {
+	f, flags, span, run, ok := t.leaf(va)
+	if run {
+		span = 1 // a run entry's leaves are 4 KB
+	}
+	return f, flags, span * extent.PageSize, ok
+}
+
+// leaf resolves va to its backing frame through the entry that maps it,
+// reporting the mapping's flags, the entry's span in 4 KB pages, and
+// whether the entry is a run entry. Unlike Walk it reports a run entry
+// as its whole span of 512 consecutive frames.
+func (t *Table) leaf(va VA) (f extent.PFN, flags Flags, span uint64, run, ok bool) {
 	node := t.root
 	for level := 3; level >= 0; level-- {
 		i := index(va, level)
 		e := node.ents[i]
 		if e&entPresent == 0 {
-			return 0, 0, 0, false
+			return 0, 0, 0, false, false
 		}
 		if e&entLeaf != 0 {
-			base := extent.PFN(e >> pfnShift)
-			span := pagesAtLevel[level]
+			span = pagesAtLevel[level]
 			within := va.Page() & (span - 1)
-			leafBytes := span * extent.PageSize
-			if e&entRun != 0 {
-				leafBytes = extent.PageSize
-			}
-			return base + extent.PFN(within), Flags(e >> flagShift & 0xf), leafBytes, true
+			return extent.PFN(e>>pfnShift) + extent.PFN(within), Flags(e >> flagShift & 0xf), span, e&entRun != 0, true
 		}
 		node = node.child(i)
 	}
@@ -393,14 +400,14 @@ func (t *Table) ExtentsFor(va VA, npages uint64) (extent.List, error) {
 	}
 	var out extent.List
 	for npages > 0 {
-		f, _, leafBytes, ok := t.Walk(va)
+		f, _, span, _, ok := t.leaf(va)
 		if !ok {
 			return extent.List{}, fmt.Errorf("pagetable: hole at %#x during walk", uint64(va))
 		}
-		// Take the rest of this leaf (or the rest of the request).
-		leafPages := leafBytes / extent.PageSize
-		within := va.Page() & (leafPages - 1)
-		take := leafPages - within
+		// Take the rest of this entry (or the rest of the request): a run
+		// entry's 512 leaves map consecutive frames, so they come in one
+		// step.
+		take := span - va.Page()&(span-1)
 		if take > npages {
 			take = npages
 		}

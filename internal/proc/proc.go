@@ -318,7 +318,11 @@ func (as *AddressSpace) PopulateAll(r *Region) (uint64, error) {
 // WalkExtents produces the frame list (in the OS's domain) backing
 // [va, va+npages), populating lazy pages first — the serve side of the
 // XEMEM protocol. It reports demand faults taken during population.
+// A fully mapped range is walked once: population would install nothing.
 func (as *AddressSpace) WalkExtents(va pagetable.VA, npages uint64) (extent.List, int, error) {
+	if l, err := as.pt.ExtentsFor(va, npages); err == nil {
+		return l, 0, nil
+	}
 	faults, err := as.PopulateRange(va, npages)
 	if err != nil {
 		return extent.List{}, faults, err

@@ -154,6 +154,40 @@ func TestWalkExtentsServePath(t *testing.T) {
 	}
 }
 
+// TestWalkExtentsMappedRange: a serve over a fully mapped range takes no
+// faults and returns the list the populating serve returned; a partly
+// mapped range still faults in exactly its missing pages.
+func TestWalkExtentsMappedRange(t *testing.T) {
+	as, _, z := newAS(t)
+	backing, _ := z.AllocScattered(2048, 700) // runs long enough for run entries
+	r, _ := as.AddRegion("export", 0, backing, pagetable.Read|pagetable.Write, true)
+
+	if _, faults, err := as.WalkExtents(r.Base+100*extent.PageSize, 600); err != nil || faults != 600 {
+		t.Fatalf("partial serve: faults = %d, err = %v; want 600", faults, err)
+	}
+	first, faults, err := as.WalkExtents(r.Base, 2048)
+	if err != nil || faults != 2048-600 {
+		t.Fatalf("populating serve: faults = %d, err = %v; want %d", faults, err, 2048-600)
+	}
+	if !first.Equal(backing) {
+		t.Fatalf("populating serve = %v, want %v", first, backing)
+	}
+	again, faults, err := as.WalkExtents(r.Base, 2048)
+	if err != nil || faults != 0 || !again.Equal(first) {
+		t.Fatalf("mapped serve = (%v, %d faults, %v), want (%v, 0 faults)", again, faults, err, first)
+	}
+
+	eager, _ := z.AllocScattered(64, 8)
+	e, _ := as.AddRegion("eager", 0, eager, pagetable.Read, false)
+	got, faults, err := as.WalkExtents(e.Base, 64)
+	if err != nil || faults != 0 || !got.Equal(eager) {
+		t.Fatalf("eager serve = (%v, %d faults, %v), want (%v, 0 faults)", got, faults, err, eager)
+	}
+	if _, _, err := as.WalkExtents(e.Base+1, 1); err == nil || !strings.Contains(err.Error(), "unaligned populate") {
+		t.Fatalf("unaligned serve error = %v, want the populate path's", err)
+	}
+}
+
 func TestRemoveRegion(t *testing.T) {
 	as, _, z := newAS(t)
 	backing, _ := z.AllocScattered(8, 4)

@@ -10,6 +10,19 @@
 // time going to rb-tree updates. Every operation reports exactly how many
 // node visits and rotations it performed so the simulation can charge
 // virtual time for the real work done.
+//
+// Palacios takes guest addresses for an import from a bump allocator, so
+// nearly every insert adds a new maximum, and its descent walks the right
+// spine: it goes right at every node and overlaps none, since the
+// intervals are disjoint and sorted. The Map therefore caches the
+// rightmost node and the length of the spine. An insert at or past the
+// maximum's end links the node under it directly and reports the spine
+// length as its visits — the count the descent would have made. The
+// fixup after such an insert only ever rotates left at a spine node,
+// which shortens the spine by one, so the cache follows as spine+1 minus
+// the rotations. Any other insert and every delete drop the length; the
+// descent of the next maximum insert counts it again. Deleted nodes go on
+// a free list that later inserts take from before allocating.
 package rbtree
 
 import (
@@ -49,6 +62,9 @@ type Map struct {
 	nilNode *node // shared sentinel leaf
 	root    *node
 	size    int
+	max     *node // rightmost node; meaningful only while spine > 0
+	spine   int   // nodes on the path from root to max; 0 means unknown
+	free    *node // deleted nodes, zeroed, linked through r
 }
 
 // New returns an empty map.
@@ -69,22 +85,27 @@ func (m *Map) Insert(start, count, val uint64) (OpStats, error) {
 	if count == 0 {
 		return st, errors.New("rbtree: zero-length interval")
 	}
-	z := &node{start: start, count: count, val: val, c: red, l: m.nilNode, r: m.nilNode}
 	y := m.nilNode
-	x := m.root
-	for x != m.nilNode {
-		st.Visits++
-		y = x
-		if start < x.end() && x.start < start+count {
-			return st, fmt.Errorf("%w: [%#x,+%d) vs [%#x,+%d)", ErrOverlap, start, count, x.start, x.count)
-		}
-		if start < x.start {
-			x = x.l
-		} else {
-			x = x.r
+	rightmost := true // the descent goes right at every node
+	if m.spine > 0 && start >= m.max.end() {
+		// A new maximum: the descent would visit exactly the spine.
+		y, st.Visits = m.max, m.spine
+	} else {
+		for x := m.root; x != m.nilNode; {
+			st.Visits++
+			y = x
+			if start < x.end() && x.start < start+count {
+				return st, fmt.Errorf("%w: [%#x,+%d) vs [%#x,+%d)", ErrOverlap, start, count, x.start, x.count)
+			}
+			if start < x.start {
+				x = x.l
+				rightmost = false
+			} else {
+				x = x.r
+			}
 		}
 	}
-	z.p = y
+	z := m.newNode(start, count, val, y)
 	switch {
 	case y == m.nilNode:
 		m.root = z
@@ -94,8 +115,30 @@ func (m *Map) Insert(start, count, val uint64) (OpStats, error) {
 		y.r = z
 	}
 	m.size++
+	descent := st.Visits
 	m.insertFixup(z, &st)
+	if rightmost {
+		// z is the new maximum. The fixup can only have rotated left at
+		// spine nodes, each taking one off the spine.
+		m.max = z
+		m.spine = descent + 1 - st.Rotations
+	} else {
+		m.spine = 0
+	}
 	return st, nil
+}
+
+// newNode returns a red node under parent p, reusing a deleted node when
+// there is one.
+func (m *Map) newNode(start, count, val uint64, p *node) *node {
+	z := m.free
+	if z != nil {
+		m.free = z.r
+	} else {
+		z = new(node)
+	}
+	*z = node{start: start, count: count, val: val, c: red, l: m.nilNode, r: m.nilNode, p: p}
+	return z
 }
 
 func (m *Map) leftRotate(x *node, st *OpStats) {
@@ -244,6 +287,9 @@ func (m *Map) Delete(start uint64) (OpStats, error) {
 	if yOrig == black {
 		m.deleteFixup(x, &st)
 	}
+	m.spine = 0
+	*z = node{r: m.free}
+	m.free = z
 	return st, nil
 }
 
@@ -343,8 +389,21 @@ func (m *Map) InOrder(fn func(start, count, val uint64) bool) {
 
 // Validate checks every red-black and interval invariant: BST order,
 // disjoint intervals, black root, no red node with a red child, and equal
-// black height on every root-to-leaf path. It returns the first violation.
+// black height on every root-to-leaf path; and, while the spine length is
+// known, that it and the cached maximum match a walk of the right spine.
+// It returns the first violation.
 func (m *Map) Validate() error {
+	if m.spine > 0 {
+		n, last := 0, m.nilNode
+		for x := m.root; x != m.nilNode; x = x.r {
+			n++
+			last = x
+		}
+		if n != m.spine || last != m.max {
+			return fmt.Errorf("rbtree: cached spine %d ending at %#x, walk finds %d ending at %#x",
+				m.spine, m.max.start, n, last.start)
+		}
+	}
 	if m.root.c != black {
 		return errors.New("rbtree: root is red")
 	}
