@@ -37,12 +37,15 @@ build:
 benchmark-build:
 	cd benchmark && $(GO) build ./... && $(GO) vet ./...
 
-# The scheduler's direct actor-to-actor handoff and the tracer (invoked
-# from every dispatch) are the concurrency-sensitive parts: run their packages under the race
-# detector explicitly, plus the trace-enabled experiment suites. xproto
-# and core are here because a delivered message is a pointer handed from
-# the sending actor's goroutine to the receiving kernel's, so the race
-# detector watches that handoff.
+# The scheduler's coroutine handoff and the tracer (invoked from every
+# dispatch) are the concurrency-sensitive parts: run their packages under
+# the race detector explicitly, plus the trace-enabled experiment suites.
+# Each actor is a coroutine on its own goroutine, resumed only from the
+# goroutine that called Run; the detector treats every coroutine switch
+# as a synchronization point, so state touched outside one shows up as a
+# race. xproto and core are here
+# because a delivered message is a pointer handed from the sending
+# actor's coroutine to the receiving kernel's.
 # TestParallel* is the sweep runner's family (TestParallelIdentity,
 # TestParallelMatchesGolden): worlds built on concurrent host workers,
 # held byte-identical to the one-worker run.

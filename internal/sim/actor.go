@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"runtime/debug"
+)
 
 type actorState int
 
@@ -26,44 +29,42 @@ type Actor struct {
 	state       actorState
 	daemon      bool
 	blockReason string
-	resume      chan struct{}
 	rng         *RNG
+	// next and yield are the two ends of the actor's coroutine (start):
+	// next runs the actor until it calls yield or finishes.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
 	// heapIdx is the actor's slot in the owning ready-queue heap, or -1
 	// when the actor is not enqueued (running, blocked, or finished).
 	heapIdx int
 }
 
-// run is the goroutine body wrapping the user function.
+// run is the coroutine body wrapping the user function. An actor killed
+// before its first dispatch never starts fn. The coroutine re-raises a
+// panic in World.Run's goroutine with its value only, so run wraps any
+// panic but errKilled with the actor's name and stack.
 func (a *Actor) run(fn func(*Actor)) {
-	<-a.resume // wait for first dispatch
+	if a.state == killed {
+		return
+	}
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(errKilled); ok {
-				a.w.yield <- a
-				return
-			}
-			panic(r) // real panic: propagate (crashes the test, as it should)
+		if r := recover(); r != nil && r != (errKilled{}) {
+			panic(fmt.Sprintf("sim: actor %s panicked: %v\n%s", a.name, r, debug.Stack()))
 		}
 	}()
-	if a.state == killed {
-		panic(errKilled{})
-	}
 	fn(a)
 	a.state = done
 	if !a.daemon {
 		a.w.liveNonDaemons--
 	}
-	// Hand control onward directly; this goroutine then exits.
-	// A done actor is never re-enqueued, so dispatchFrom cannot pick it.
-	a.w.dispatchFrom(a)
 }
 
-// pause hands control onward and waits to be dispatched again: it
-// dispatches the next actor directly, or keeps running when this actor is
-// still the minimum.
+// pause hands control onward and waits to be dispatched again: it keeps
+// running when this actor is still the minimum, and otherwise yields to
+// World.resume, which runs the successor dispatchFrom picked.
 func (a *Actor) pause() {
 	if !a.w.dispatchFrom(a) {
-		<-a.resume
+		a.yield(struct{}{})
 	}
 	if a.state == killed {
 		panic(errKilled{})

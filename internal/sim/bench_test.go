@@ -2,8 +2,8 @@ package sim
 
 // Dispatch-path benchmarks and the checked-in allocation budget. The
 // scheduler's steady state — advance, reschedule, handoff — must not
-// allocate: the heap is index-swapped in place, resume channels are
-// pooled, and the ready queue is pre-sized. The ceiling test turns that
+// allocate: the heap is index-swapped in place, a handoff is a coroutine
+// switch, and the ready queue is pre-sized. The ceiling test turns that
 // property into a regression gate.
 
 import (
@@ -44,7 +44,7 @@ func BenchmarkWorldDispatch(b *testing.B) {
 
 // dispatchAllocCeiling is the checked-in allocation budget for the
 // dispatch path, in heap allocations per dispatch, world construction
-// included. Per-world setup (actor structs, goroutines, RNG streams)
+// included. Per-world setup (actor structs, coroutines, RNG streams)
 // amortizes to well under 0.01 allocs per dispatch at this scale;
 // dispatch itself must contribute zero. The ceiling leaves headroom for
 // runtime-internal noise only — an added make/append on the hot path
@@ -53,8 +53,8 @@ const dispatchAllocCeiling = 0.05
 
 func TestDispatchAllocCeiling(t *testing.T) {
 	const actors, steps = 256, 2000
-	// Warm the resume-channel pool and runtime structures so the measured
-	// run sees the steady state a sweep's thousands of worlds see.
+	// Warm the runtime's goroutine free list and other structures so the
+	// measured run sees the steady state a sweep's thousands of worlds see.
 	if err := runDispatchWorld(1, actors, steps); err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // mixedWorkload builds a workload exercising every scheduler entry point:
@@ -144,5 +146,74 @@ func TestSpawnDuringRunScheduling(t *testing.T) {
 	want := "child-start@10ns,child@11ns,parent@15ns"
 	if got := strings.Join(events, ","); got != want {
 		t.Fatalf("events %s, want %s", got, want)
+	}
+}
+
+// explodeInActor panics from a named frame, so the test can look for it
+// in the stack the engine attaches.
+func explodeInActor() { panic("boom") }
+
+// TestActorPanicReachesRunCaller pins where an actor's panic surfaces: in
+// the goroutine that called Run, wrapped with the actor's name and the
+// stack of the frame that panicked, which the coroutine switch would
+// otherwise drop.
+func TestActorPanicReachesRunCaller(t *testing.T) {
+	w := NewWorld(1)
+	w.Spawn("bystander", func(a *Actor) { a.Advance(Nanosecond) })
+	w.Spawn("faulty", func(a *Actor) {
+		a.Advance(10 * Nanosecond)
+		explodeInActor()
+	})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = w.Run()
+	}()
+	msg, ok := got.(string)
+	if !ok {
+		t.Fatalf("Run's caller recovered %T %v, want the wrapped panic string", got, got)
+	}
+	for _, want := range []string{"actor faulty", "boom", "sim.explodeInActor("} {
+		if !strings.Contains(msg, want) {
+			t.Errorf("recovered panic lacks %q:\n%s", want, msg)
+		}
+	}
+}
+
+// TestWorldTeardownLeavesNoGoroutines checks that every actor coroutine
+// exits by the end of Run: blocked daemons carried across a RunPhase and
+// DrainDaemons, finished actors, and a daemon that was never dispatched
+// at all.
+func TestWorldTeardownLeavesNoGoroutines(t *testing.T) {
+	base := runtime.NumGoroutine()
+	w := NewWorld(1)
+	for i := 0; i < 3; i++ {
+		w.Spawn(fmt.Sprintf("daemon%d", i), func(a *Actor) {
+			a.SetDaemon()
+			for {
+				a.Block("wait-message")
+			}
+		})
+	}
+	w.Spawn("setup", func(a *Actor) { a.Advance(5 * Nanosecond) })
+	if err := w.RunPhase(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.DrainDaemons(); err != nil {
+		t.Fatal(err)
+	}
+	// An actor only marks itself a daemon once it runs; this one is
+	// marked from outside so that Run ends with it still queued.
+	w.SpawnAt("never", Second, func(a *Actor) { t.Error("never-dispatched actor ran") }).SetDaemon()
+	w.Spawn("worker", func(a *Actor) { a.Advance(10 * Nanosecond) })
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after teardown, %d before the world", n, base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

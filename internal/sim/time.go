@@ -2,7 +2,7 @@
 // every XEMEM substrate runs on.
 //
 // The simulator is a cooperative, conservative, virtual-time scheduler: the
-// unit of concurrency is an Actor (a goroutine with a private simulated
+// unit of concurrency is an Actor (a coroutine with a private simulated
 // clock), and the World guarantees that exactly one actor executes at a
 // time — always the one whose clock is globally minimal (ties broken by
 // actor ID). Because execution is exclusive and the dispatch order is a

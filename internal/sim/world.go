@@ -4,15 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 )
-
-// resumePool recycles actor resume channels across Worlds. A channel is
-// only returned to the pool after its actor's goroutine has provably
-// exited (Run's teardown), so a pooled channel is always idle. This
-// matters for sweeps: each of thousands of short-lived worlds would
-// otherwise allocate a fresh channel per actor.
-var resumePool = sync.Pool{New: func() any { return make(chan struct{}) }}
 
 // World owns a set of actors and dispatches them in virtual-time order.
 // Create one with NewWorld, add actors with Spawn (before or during Run),
@@ -45,7 +37,6 @@ var resumePool = sync.Pool{New: func() any { return make(chan struct{}) }}
 // World (or an object created per World), never in a package variable.
 type World struct {
 	actors  []*Actor
-	yield   chan *Actor // actors hand control back to the scheduler here
 	now     Time
 	running bool
 	seed    uint64
@@ -58,6 +49,9 @@ type World struct {
 	// liveNonDaemons counts non-daemon actors that have not finished, so
 	// the run loop's termination check is O(1) instead of a scan.
 	liveNonDaemons int
+	// handoff is the successor a yielding actor's dispatchFrom already
+	// dispatched; resume runs it next.
+	handoff *Actor
 
 	// Trace, if non-nil, receives a line per scheduling decision. Used by
 	// tests; nil in normal runs.
@@ -84,10 +78,7 @@ type World struct {
 
 // NewWorld returns an empty world whose RNG streams derive from seed.
 func NewWorld(seed uint64) *World {
-	return &World{
-		yield: make(chan *Actor),
-		seed:  seed,
-	}
+	return &World{seed: seed}
 }
 
 // Now reports the current global virtual time: the clock of the most
@@ -111,13 +102,12 @@ func (w *World) Spawn(name string, fn func(*Actor)) *Actor {
 		name:    name,
 		w:       w,
 		state:   ready,
-		resume:  resumePool.Get().(chan struct{}),
 		heapIdx: -1,
 	}
+	a.start(fn)
 	w.actors = append(w.actors, a)
 	w.liveNonDaemons++
 	w.heap.push(a)
-	go a.run(fn)
 	return a
 }
 
@@ -138,11 +128,11 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // Remaining daemon actors are then terminated. Run reports a deadlock if
 // no actor is runnable while non-daemon actors are still blocked.
 //
-// Dispatch is mostly actor-to-actor: a yielding actor picks the next one
-// from the ready queue and resumes it directly (or keeps running when it
-// is itself the minimum), so the common case costs one goroutine handoff
-// instead of the two a scheduler round-trip takes. Control returns here
-// only for termination and deadlock handling.
+// Each actor is a coroutine resumed from Run's goroutine. A yielding
+// actor picks its successor itself (or keeps running when it is still the
+// minimum), so a handoff is two coroutine switches — actor to Run's loop,
+// loop to successor — with no Go-scheduler involvement. The loop pops the
+// queue itself at a phase start, after an actor finishes, and at the end.
 func (w *World) Run() error {
 	if w.running {
 		return errors.New("sim: world already running")
@@ -196,8 +186,7 @@ func (w *World) DrainDaemons() error {
 			return nil
 		}
 		w.dispatch(next)
-		next.resume <- struct{}{}
-		<-w.yield
+		w.resume(next)
 	}
 }
 
@@ -223,15 +212,23 @@ func (w *World) runLoop(kill bool) error {
 			return nil
 		}
 		w.dispatch(next)
-		next.resume <- struct{}{}
-		<-w.yield
+		w.resume(next)
+	}
+}
+
+// resume is the only caller of an actor coroutine's next. It runs a until
+// a yields or finishes, then runs the successor a's dispatchFrom stored
+// in w.handoff, and so on until an actor yields without one.
+func (w *World) resume(a *Actor) {
+	for a != nil {
+		a.next()
+		a, w.handoff = w.handoff, nil
 	}
 }
 
 // dispatch advances the global clock to the dispatched actor's and emits
-// the trace line. It runs on whichever goroutine performs the handoff —
-// the scheduler or the yielding actor — always under the
-// one-runnable-goroutine guarantee.
+// the trace line. It runs in Run's loop or in the yielding actor's
+// coroutine, always under the one-runnable-goroutine guarantee.
 func (w *World) dispatch(next *Actor) {
 	// The checkpoint fires the instant the next dispatch would reach the
 	// cut: every dispatch strictly below ckptT has executed and been
@@ -252,31 +249,25 @@ func (w *World) dispatch(next *Actor) {
 	}
 }
 
-// dispatchFrom hands control onward from a, which has just updated its
-// own state and clock. It returns true when a is itself
-// the minimal ready actor and should simply keep running — no handoff at
-// all. Otherwise it resumes the next actor directly, or wakes the
-// scheduler loop when termination or deadlock handling is needed, and
-// returns false: a finished actor then exits, a yielding one waits on its
-// resume channel.
+// dispatchFrom picks the successor of a, which has just updated its own
+// state and clock and is about to yield. It returns true when a is itself
+// the minimal ready actor and should simply keep running — no switch at
+// all. Otherwise it returns false and a yields: the successor, already
+// dispatched, waits in w.handoff for resume, or w.handoff stays nil when
+// termination or deadlock handling falls to the run loop.
 func (w *World) dispatchFrom(a *Actor) bool {
 	if a.state == ready {
 		w.heap.push(a)
 	}
-	if w.liveNonDaemons == 0 {
-		w.yield <- a
+	if w.liveNonDaemons == 0 || len(w.heap) == 0 {
 		return false
 	}
 	next := w.heap.pop()
-	if next == nil {
-		w.yield <- a
-		return false
-	}
 	w.dispatch(next)
 	if next == a {
 		return true
 	}
-	next.resume <- struct{}{}
+	w.handoff = next
 	return false
 }
 
@@ -404,26 +395,17 @@ func (w *World) blockedNonDaemons() []string {
 }
 
 // killAll terminates every actor that has not finished, including daemons
-// blocked on message loops, so their goroutines do not leak. Termination
-// follows spawn order, which keeps teardown deterministic. Once every goroutine has exited the resume channels are
-// recycled for future worlds.
+// blocked on message loops and actors never dispatched, so no coroutine
+// outlives the run. It resumes each in spawn order, which keeps teardown
+// deterministic: a suspended actor unwinds through errKilled (running its
+// deferred cleanup) and a never-started one returns without running.
 func (w *World) killAll() {
 	for _, a := range w.actors {
 		if a.state == done || a.state == killed {
 			continue
 		}
 		a.state = killed
-		a.resume <- struct{}{}
-		<-w.yield
-	}
-	// Every actor goroutine has now exited (finished actors yielded for
-	// the last time before killAll began; killed ones were just joined via
-	// w.yield), so no channel below can ever be touched again.
-	for _, a := range w.actors {
-		if a.resume != nil {
-			resumePool.Put(a.resume)
-			a.resume = nil
-		}
+		w.resume(a)
 	}
 }
 
