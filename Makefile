@@ -74,14 +74,14 @@ cli:
 	$(GO) run ./cmd/xemem-bench -experiment table2 -fast -metrics $(COVER_DIR)/metrics.json
 
 # Short fuzz smoke over the two guest-memory-map structures, the page
-# table against its per-page oracle, and the collectives' eight-lane
-# reduce against the byte loop (the full corpora replay in `test`; this
-# explores a little beyond them).
+# table against its per-page oracle, and physical memory's eight-lane
+# in-place add (the collectives' reduce) against the byte loop (the full
+# corpora replay in `test`; this explores a little beyond them).
 fuzz:
 	$(GO) test ./internal/rbtree -fuzz=FuzzOps -fuzztime=10s
 	$(GO) test ./internal/radix -fuzz=FuzzOps -fuzztime=10s
 	$(GO) test ./internal/pagetable -fuzz=FuzzMapUnmap -fuzztime=10s
-	$(GO) test ./internal/coll -fuzz=FuzzAddBytes -fuzztime=10s
+	$(GO) test ./internal/mem -fuzz=FuzzAddBytes -fuzztime=10s
 
 # Coverage floors for the load-bearing packages: the sim engine, the
 # XPMEM API layer, the cross-enclave plumbing (router, nameserver), and

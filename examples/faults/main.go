@@ -66,7 +66,7 @@ func main() {
 		// The export can only appear before its enclave crashes, so the
 		// lookup wait ends there.
 		var segid xpmem.Segid
-		found := a.PollDeadline(20*sim.Microsecond, crashAt, func() bool {
+		found := a.Retry(20*sim.Microsecond, crashAt, func() bool {
 			s, err := consumer.Lookup(a, "faulty-data")
 			if err != nil {
 				return false

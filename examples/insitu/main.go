@@ -112,7 +112,7 @@ func main() {
 	// ---- Analytics: attach, copy out, run real STREAM ----------------
 	node.Spawn("analytics", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		a.PollDeadline(50*sim.Microsecond, sim.Forever, func() bool {
+		a.Retry(50*sim.Microsecond, sim.Forever, func() bool {
 			s, err := anSess.Lookup(a, "insitu-region")
 			if err != nil {
 				return false

@@ -47,7 +47,7 @@ func main() {
 	// Consumer: discover by name, get a permit, attach, read — zero-copy.
 	node.Spawn("consumer", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		a.PollDeadline(20*sim.Microsecond, sim.Forever, func() bool {
+		a.Retry(20*sim.Microsecond, sim.Forever, func() bool {
 			s, err := consumer.Lookup(a, "quickstart-data")
 			if err != nil {
 				return false

@@ -45,7 +45,7 @@ func main() {
 	})
 	node.Spawn("consumer", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		a.PollDeadline(20*sim.Microsecond, sim.Forever, func() bool {
+		a.Retry(20*sim.Microsecond, sim.Forever, func() bool {
 			s, err := consumerSess.Lookup(a, "topo-demo")
 			if err != nil {
 				return false

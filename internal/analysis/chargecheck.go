@@ -25,8 +25,9 @@ import (
 //
 //  2. Clock bypasses: inside the engine package, an Actor's virtual
 //     clock (the `now` field) may only be mutated by the charge path —
-//     Advance/AdvanceN — and the scheduler's handoff points
-//     (Unblock/Spawn). Any other write desynchronizes actors from the
+//     Advance/AdvanceN — the scheduler's handoff points (Unblock/Spawn)
+//     and the poll tick the scheduler takes for a parked PollDeadline
+//     (pollTick). Any other write desynchronizes actors from the
 //     ready-queue ordering invariant.
 
 // chargeSinks are the call names whose arguments constitute "being
@@ -41,14 +42,16 @@ var chargeSinks = map[string]bool{
 	"CopyTime": true,
 	// The timeout primitives: interval and deadline both become
 	// virtual-time advances on the polling actor.
-	"PollDeadline": true, "Await": true,
+	"PollDeadline": true, "Await": true, "Retry": true,
 }
 
 // clockPath are the sim functions allowed to write Actor.now directly:
-// the two advance primitives plus the scheduler handoffs that
-// re-baseline a woken or newborn actor.
+// the two advance primitives, the scheduler handoffs that re-baseline a
+// woken or newborn actor, and the scheduler's poll tick, which advances
+// a parked poller by the step its own Advance would have taken.
 var clockPath = map[string]bool{
 	"Advance": true, "AdvanceN": true, "Unblock": true, "Spawn": true, "SpawnAt": true,
+	"pollTick": true,
 }
 
 // chargecheck accumulates, over the per-package passes, the Costs

@@ -1,6 +1,6 @@
 // Package sim is a chargecheck fixture: a miniature cost model and
 // actor with one live constant, one dead constant, one excused
-// constant, and one clock-bypassing method.
+// constant, two clock-bypassing methods, and the allowed poll tick.
 package sim
 
 // Time is simulated nanoseconds.
@@ -50,6 +50,14 @@ func (a *Actor) Charge(op string, d Time) { a.Advance(d) }
 
 // Warp writes the clock directly: the analyzer must flag it.
 func (a *Actor) Warp(t Time) { a.now = t }
+
+// pollTick is the scheduler's poll tick, the one clock writer outside
+// the charge path and the handoffs: the analyzer must stay silent.
+func (a *Actor) pollTick(step Time) { a.now += step }
+
+// next pops like the scheduler but steps the clock itself: the analyzer
+// must flag it, as it flags any writer not on the clock path.
+func (a *Actor) next(step Time) { a.now += step }
 
 // WarpExcused also writes the clock directly, with a reasoned
 // suppression.

@@ -63,10 +63,11 @@ func (b *Allreduce) Arrive(a *sim.Actor) {
 	b.maxT = 0
 	b.gen++
 	b.Rounds++
-	ws := b.waiters
-	b.waiters = nil
-	for _, w := range ws {
+	// Unblock never yields, so no waiter re-arrives mid-loop, and the
+	// next generation reuses the emptied slice.
+	for _, w := range b.waiters {
 		a.Unblock(w)
 	}
+	b.waiters = b.waiters[:0]
 	a.AdvanceTo(b.releaseAt)
 }

@@ -62,6 +62,37 @@ func TestAllreduceManyRounds(t *testing.T) {
 	}
 }
 
+// TestAllreduceRoundAllocatesNothing checks that a barrier generation
+// allocates nothing once warm: the waiter list is reused, so a thousand
+// more rounds allocate as much as a few.
+func TestAllreduceRoundAllocatesNothing(t *testing.T) {
+	run := func(rounds int) func() {
+		return func() {
+			w := sim.NewWorld(1)
+			b := NewAllreduce(3, 30*sim.Microsecond)
+			for i := 0; i < 3; i++ {
+				stride := sim.Time(i+1) * sim.Microsecond
+				w.Spawn(fmt.Sprintf("n%d", i), func(a *sim.Actor) {
+					for r := 0; r < rounds; r++ {
+						a.Advance(stride)
+						b.Arrive(a)
+					}
+				})
+			}
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A per-round allocation would cost 1,000 here; the slack absorbs the
+	// few the runtime makes on its own, as it does under the race detector.
+	few := testing.AllocsPerRun(5, run(10))
+	many := testing.AllocsPerRun(5, run(1010))
+	if many-few >= 10 {
+		t.Fatalf("1000 more rounds cost %v allocations (%v vs %v), want none per round", many-few, many, few)
+	}
+}
+
 func TestAllreduceAmplifiesTailNoise(t *testing.T) {
 	// The §7 mechanism: a coupled group finishes at the max of its
 	// members' noise, so E[iteration] grows with N for noisy members.

@@ -52,7 +52,7 @@ func runExchange(t *testing.T, seed uint64, nodes, shards int, keepEvents bool) 
 	w.Spawn("consumer", func(a *sim.Actor) {
 		cl.WaitReady(a)
 		var segid xpmem.Segid
-		a.PollDeadline(20*sim.Microsecond, sim.Forever, func() bool {
+		a.Retry(20*sim.Microsecond, sim.Forever, func() bool {
 			s, err := consSess.Lookup(a, "cseg")
 			if err != nil {
 				return false

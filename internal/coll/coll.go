@@ -21,13 +21,13 @@
 //     edge, but no per-buffer attach traffic — cheaper below the
 //     message-size switchover, where attach latency dominates copy cost.
 //
-// Allreduce runs reduce-up (leaders fold members' chunks into their own
-// buffer, byte-wise sum) and broadcast-down over the same tree, with the
-// phases interleaved per chunk: chunk c broadcasts down while chunk c+1
-// is still reducing up. Copies are charged against per-level bandwidth
-// tiers (sim.Costs.CollNUMABW/CollSocketBW/CollFlatBW) under trace op
-// labels that name the hierarchy level, so a contention observer
-// attributes collective time level by level.
+// Allreduce runs reduce-up (leaders add members' chunks into their own
+// buffer in place, byte-wise sum) and broadcast-down over the same tree,
+// with the phases interleaved per chunk: chunk c broadcasts down while
+// chunk c+1 is still reducing up. Copies are charged against per-level
+// bandwidth tiers (sim.Costs.CollNUMABW/CollSocketBW/CollFlatBW) under
+// trace op labels that name the hierarchy level, so a contention
+// observer attributes collective time level by level.
 //
 // Every data collective ends with an internal drain fence (a tree
 // barrier on the operation's own counters): no rank returns from an
@@ -42,6 +42,7 @@ package coll
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"xemem"
@@ -141,11 +142,28 @@ type rankState struct {
 	arenaVA       pagetable.VA
 	arenaAttached bool
 
-	// in and own are the rank's chunk-sized copy buffers, made on first
-	// use and reused by every later copyIn/copyOut: in carries the
-	// chunk being moved, own the rank's chunk a reduce folds it into.
-	in, own []byte
+	// in is the rank's chunk-sized copy buffer, made on first use and
+	// reused by every later copyIn/copyOut: it carries the chunk being
+	// moved, which a reduce then adds into the rank's buffer in place.
+	in []byte
+
+	// wait is the rank's control-flag poll condition (await).
+	wait flagWait
 }
+
+// flagWait is a rank's poll condition on one control counter: it holds
+// while *p lies in [lo, hi]. Its cond is made once per rank and re-aimed
+// before every wait, because the scheduler keeps a parked condition
+// (sim.Actor.PollDeadline), so a closure made per wait would be a heap
+// allocation per wait.
+type flagWait struct {
+	p      *uint64
+	lo, hi uint64
+	cond   func() bool
+}
+
+// noLimit is the open upper end of an await range.
+const noLimit = math.MaxUint64
 
 // lvlLabels are the precomputed trace op names of one hierarchy level.
 type lvlLabels struct {
@@ -243,7 +261,10 @@ func New(members []Member, bufBytes uint64, o Opts) (*Communicator, error) {
 		return nil, err
 	}
 	for range members {
-		c.st = append(c.st, &rankState{binds: make(map[int]*binding)})
+		st := &rankState{binds: make(map[int]*binding)}
+		fw := &st.wait
+		fw.cond = func() bool { return *fw.p >= fw.lo && *fw.p <= fw.hi }
+		c.st = append(c.st, st)
 	}
 	return c, nil
 }

@@ -1,7 +1,6 @@
 package coll
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"xemem/internal/pagetable"
@@ -180,27 +179,6 @@ func (c *Communicator) chunkBuf(buf *[]byte, nb int) []byte {
 	return (*buf)[:nb]
 }
 
-// addBytes adds src into dst byte-wise, mod 256, over len(dst) bytes.
-// It sums eight lanes per step: clearing each lane's top bit (H) before
-// the 64-bit add leaves at most 0x7f+0x7f = 0xfe per lane, so no carry
-// crosses into the next lane; xoring the top bits back in, (a^b)&H,
-// completes each lane's top bit mod 2 and drops its carry out. Every
-// lane therefore holds exactly (a+b) mod 256. The tail past the last
-// whole word goes byte by byte.
-func addBytes(dst, src []byte) {
-	const h = 0x8080808080808080
-	src = src[:len(dst)]
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		a := binary.LittleEndian.Uint64(dst[i:])
-		b := binary.LittleEndian.Uint64(src[i:])
-		binary.LittleEndian.PutUint64(dst[i:], ((a&^h)+(b&^h))^((a^b)&h))
-	}
-	for ; i < len(dst); i++ {
-		dst[i] += src[i]
-	}
-}
-
 // copyIn moves rank's buffer chunk into an arena slot, charging the
 // level's CICO-in copy.
 func (c *Communicator) copyIn(a *sim.Actor, rank int, g *group, slot, chk int, op *opState) error {
@@ -220,29 +198,33 @@ func (c *Communicator) copyIn(a *sim.Actor, rank int, g *group, slot, chk int, o
 
 // copyOut copies chunk chk from src — a zero-copy window onto a peer's
 // buffer or a CICO arena slot — into rank's buffer chunk (reduce=false)
-// or folds it into that chunk byte-wise (reduce=true), charging label at
-// level lvl's copy bandwidth.
+// or adds it into that chunk in place, byte-wise (reduce=true), charging
+// label at level lvl's copy bandwidth.
 func (c *Communicator) copyOut(a *sim.Actor, rank int, src pagetable.VA, chk int, op *opState, lvl int, label string, reduce bool) error {
 	m := c.members[rank]
 	nb := c.chunkLen(op.bytes, chk)
 	dst := m.Buf + c.chunkOff(chk)
-	st := c.st[rank]
-	tmp := c.chunkBuf(&st.in, nb)
+	tmp := c.chunkBuf(&c.st[rank].in, nb)
 	if _, err := m.Sess.Read(src, tmp); err != nil {
 		return err
 	}
+	put := m.Sess.Write
 	if reduce {
-		own := c.chunkBuf(&st.own, nb)
-		if _, err := m.Sess.Read(dst, own); err != nil {
-			return err
-		}
-		addBytes(tmp, own)
+		put = m.Sess.Add
 	}
-	if _, err := m.Sess.Write(dst, tmp); err != nil {
+	if _, err := put(dst, tmp); err != nil {
 		return err
 	}
 	a.Charge(label, sim.CopyTime(nb, c.bw(lvl)))
 	return nil
+}
+
+// await polls, on rank's actor, until the control counter *p lies in
+// [lo, hi], through the rank's reusable condition.
+func (c *Communicator) await(a *sim.Actor, rank int, p *uint64, lo, hi uint64) {
+	fw := &c.st[rank].wait
+	fw.p, fw.lo, fw.hi = p, lo, hi
+	a.PollDeadline(pollInterval, sim.Forever, fw.cond)
 }
 
 // sync charges one control-flag transfer at level lvl.
@@ -262,14 +244,14 @@ func (c *Communicator) sync(a *sim.Actor, lvl int) {
 func (c *Communicator) fence(a *sim.Actor, rank int, op *opState) {
 	for _, gid := range c.led[rank] {
 		g := c.groups[gid]
-		a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.arrive[g.id] == uint64(g.readers()) })
+		c.await(a, rank, &op.arrive[g.id], uint64(g.readers()), uint64(g.readers()))
 		c.sync(a, g.lvl)
 	}
 	if e := c.edge[rank]; e >= 0 {
 		g := c.groups[e]
 		op.arrive[g.id]++
 		c.sync(a, g.lvl)
-		a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.release[g.id] == 1 })
+		c.await(a, rank, &op.release[g.id], 1, 1)
 	}
 	for i := len(c.led[rank]) - 1; i >= 0; i-- {
 		g := c.groups[c.led[rank][i]]
@@ -284,9 +266,10 @@ func (c *Communicator) fence(a *sim.Actor, rank int, op *opState) {
 func (c *Communicator) serveDown(a *sim.Actor, rank, chk int, op *opState) error {
 	for _, gid := range c.led[rank] {
 		g := c.groups[gid]
-		a.PollDeadline(pollInterval, sim.Forever, func() bool {
-			return op.slotIn[g.id] == uint64(chk) && op.slotAck[g.id] == uint64(chk)*uint64(g.readers())
-		})
+		// slotIn[g.id] is this leader's own counter and already equals
+		// chk here, so only the readers' acknowledgements are awaited.
+		drained := uint64(chk) * uint64(g.readers())
+		c.await(a, rank, &op.slotAck[g.id], drained, drained)
 		if err := c.copyIn(a, rank, g, 0, chk, op); err != nil {
 			return err
 		}
@@ -306,14 +289,14 @@ func (c *Communicator) recvDown(a *sim.Actor, rank, chk int, op *opState, copy b
 			return nil
 		}
 		s := c.parent[rank]
-		a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.have[s] > uint64(chk) })
+		c.await(a, rank, &op.have[s], uint64(chk)+1, noLimit)
 		win, err := c.opWindow(a, rank, s, op)
 		if err != nil {
 			return err
 		}
 		return c.copyOut(a, rank, win+c.chunkOff(chk), chk, op, g.lvl, c.labels[g.lvl].copyOp, false)
 	}
-	a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.slotIn[g.id] > uint64(chk) })
+	c.await(a, rank, &op.slotIn[g.id], uint64(chk)+1, noLimit)
 	if copy {
 		if err := c.copyOut(a, rank, c.arenaFor(rank, g), chk, op, g.lvl, c.labels[g.lvl].cicoOut, false); err != nil {
 			return err
@@ -354,7 +337,7 @@ func (c *Communicator) Bcast(a *sim.Actor, rank, root int, bytes uint64) error {
 		case rank == c.canonRoot && root != c.canonRoot:
 			// Root relocation: the canonical root pulls straight from
 			// the original root's buffer at the top tier.
-			a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.have[root] > uint64(chk) })
+			c.await(a, rank, &op.have[root], uint64(chk)+1, noLimit)
 			win, err := c.opWindow(a, rank, root, op)
 			if err != nil {
 				return err
@@ -407,7 +390,7 @@ func (c *Communicator) Allreduce(a *sim.Actor, rank int, bytes uint64) error {
 			g := c.groups[gid]
 			for i, m := range g.members[1:] {
 				if op.zc {
-					a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.red[m] > uint64(chk) })
+					c.await(a, rank, &op.red[m], uint64(chk)+1, noLimit)
 					win, err := c.opWindow(a, rank, m, op)
 					if err != nil {
 						return err
@@ -416,7 +399,7 @@ func (c *Communicator) Allreduce(a *sim.Actor, rank int, bytes uint64) error {
 						return err
 					}
 				} else {
-					a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.redIn[g.id][i] > uint64(chk) })
+					c.await(a, rank, &op.redIn[g.id][i], uint64(chk)+1, noLimit)
 					if err := c.copyOut(a, rank, c.arenaFor(rank, g)+c.chunkOff(1+i), chk, op, g.lvl, c.labels[g.lvl].reduce, true); err != nil {
 						return err
 					}
@@ -431,7 +414,7 @@ func (c *Communicator) Allreduce(a *sim.Actor, rank int, bytes uint64) error {
 		if e := c.edge[rank]; e >= 0 && !op.zc {
 			g := c.groups[e]
 			mi := g.slotIdx(rank)
-			a.PollDeadline(pollInterval, sim.Forever, func() bool { return op.redAck[g.id][mi] == uint64(chk) })
+			c.await(a, rank, &op.redAck[g.id][mi], uint64(chk), uint64(chk))
 			if err := c.copyIn(a, rank, g, 1+mi, chk, op); err != nil {
 				return err
 			}

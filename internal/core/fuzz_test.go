@@ -94,7 +94,7 @@ func TestProtocolRandomizedWorkload(t *testing.T) {
 		n.w.Spawn(name, func(a *sim.Actor) {
 			rng := a.RNG()
 			// Wait for all 16 exports.
-			a.PollDeadline(50*sim.Microsecond, sim.Forever, func() bool {
+			a.Retry(50*sim.Microsecond, sim.Forever, func() bool {
 				_, err0 := mod.Lookup(a, "seg0-7")
 				_, err1 := mod.Lookup(a, "seg1-7")
 				return err0 == nil && err1 == nil

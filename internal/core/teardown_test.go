@@ -140,7 +140,7 @@ func TestDistributedKernelWorkers(t *testing.T) {
 		lp := n.linux.NewProcess("an", 1+i)
 		n.w.Spawn("attacher", func(a *sim.Actor) {
 			var segid xproto.Segid
-			a.PollDeadline(10*sim.Microsecond, sim.Forever, func() bool {
+			a.Retry(10*sim.Microsecond, sim.Forever, func() bool {
 				s, err := n.lmod.Lookup(a, "mw-data")
 				if err != nil {
 					return false

@@ -209,7 +209,7 @@ func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, round
 		w.Spawn(fmt.Sprintf("node%d/consumer%d", ci%nodes, ci/nodes), func(a *sim.Actor) {
 			cl.WaitReady(a)
 			var segid xpmem.Segid
-			if !a.PollDeadline(clusterLookupEvery, a.Now()+2*sim.Millisecond, func() bool {
+			if !a.Retry(clusterLookupEvery, a.Now()+2*sim.Millisecond, func() bool {
 				s, err := sess.Lookup(a, fmt.Sprintf("cseg-%d", target))
 				if err != nil {
 					return false

@@ -126,7 +126,7 @@ func faultRun(obs observeFn, seed uint64, drop float64, crash bool, rounds int) 
 	var attachNs []int64
 	node.Spawn("consumer", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		if !a.PollDeadline(20*sim.Microsecond, a.Now()+faultCrashAt/2, func() bool {
+		if !a.Retry(20*sim.Microsecond, a.Now()+faultCrashAt/2, func() bool {
 			s, err := att.Lookup(a, "fault-sweep")
 			if err != nil {
 				return false

@@ -78,7 +78,7 @@ func TestShardOutageFailsOver(t *testing.T) {
 		w.Spawn("cons", func(a *sim.Actor) {
 			cl.WaitReady(a)
 			// Pre-crash: the lookup resolves at the primary.
-			if !a.PollDeadline(20*sim.Microsecond, a.Now()+sim.Millisecond, func() bool {
+			if !a.Retry(20*sim.Microsecond, a.Now()+sim.Millisecond, func() bool {
 				_, err := cons.Lookup(a, name)
 				return err == nil
 			}) {
@@ -151,7 +151,7 @@ func TestShardOutageExhaustsReplicas(t *testing.T) {
 		})
 		w.Spawn("cons", func(a *sim.Actor) {
 			cl.WaitReady(a)
-			if !a.PollDeadline(20*sim.Microsecond, a.Now()+sim.Millisecond, func() bool {
+			if !a.Retry(20*sim.Microsecond, a.Now()+sim.Millisecond, func() bool {
 				_, err := cons.Lookup(a, name)
 				return err == nil
 			}) {
@@ -215,7 +215,7 @@ func TestStaleLeaseSurfacesTimeout(t *testing.T) {
 		w.Spawn("cons", func(a *sim.Actor) {
 			cl.WaitReady(a)
 			var segid xpmem.Segid
-			if !a.PollDeadline(20*sim.Microsecond, a.Now()+sim.Millisecond, func() bool {
+			if !a.Retry(20*sim.Microsecond, a.Now()+sim.Millisecond, func() bool {
 				s, err := cons.Lookup(a, "stale-lease")
 				if err != nil {
 					return false

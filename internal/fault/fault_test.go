@@ -68,7 +68,7 @@ func runScenario(t *testing.T, seed uint64, plan fault.Plan, rounds int) scenari
 	att, _ := node.LinuxProcess("consumer", 1)
 	node.Spawn("consumer", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		if !a.PollDeadline(20*sim.Microsecond, a.Now()+50*sim.Millisecond, func() bool {
+		if !a.Retry(20*sim.Microsecond, a.Now()+50*sim.Millisecond, func() bool {
 			s, err := att.Lookup(a, "fault-data")
 			if err != nil {
 				return false

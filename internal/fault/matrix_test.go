@@ -201,7 +201,7 @@ func runMatrixCell(t *testing.T, kind string, mc matrixCase) trace.Digest {
 	})
 	node.Spawn("probe", func(a *sim.Actor) {
 		var segid xpmem.Segid
-		if !a.PollDeadline(10*sim.Microsecond, a.Now()+crashAt/2, func() bool {
+		if !a.Retry(10*sim.Microsecond, a.Now()+crashAt/2, func() bool {
 			s, err := att.Lookup(a, "matrix-data")
 			if err != nil {
 				return false

@@ -1,12 +1,14 @@
-package coll
+package mem
 
 import (
 	"bytes"
 	"math/rand"
 	"testing"
+
+	"xemem/internal/extent"
 )
 
-// addBytesRef is the byte-at-a-time reduce addBytes replaces.
+// addBytesRef is the byte-at-a-time add addBytes must match.
 func addBytesRef(dst, src []byte) {
 	for i := range dst {
 		dst[i] += src[i]
@@ -98,4 +100,32 @@ func FuzzAddBytes(f *testing.F) {
 		}
 		checkAddBytes(t, dst, src)
 	})
+}
+
+// TestAccessAddInPlace checks OpAdd on physical memory across a page
+// boundary: an add into never-written frames stores the operand (a fresh
+// frame is zero), and a second add sums byte-wise mod 256.
+func TestAccessAddInPlace(t *testing.T) {
+	m := newTestMem()
+	a, _ := m.Zone(0).AllocContig(3)
+	l := extent.FromExtents(a)
+	p := bytes.Repeat([]byte{0x81, 0x7f, 0x01}, 100)
+	off := uint64(PageSize - 150)
+	for round := 1; round <= 2; round++ {
+		if err := m.Access(l, off, p, OpAdd); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(p))
+		if err := m.ReadAt(l, off, got); err != nil {
+			t.Fatal(err)
+		}
+		for i := range p {
+			if want := byte(round) * p[i]; got[i] != want {
+				t.Fatalf("round %d: byte %d = %#x, want %#x", round, i, got[i], want)
+			}
+		}
+	}
+	if m.Materialized(a.First + 2) {
+		t.Fatal("an add materialized a frame it does not touch")
+	}
 }

@@ -10,6 +10,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -125,17 +126,35 @@ func (m *PhysMem) Materialized(f PFN) bool {
 	return ok
 }
 
+// Op is what an access does with the bytes it addresses.
+type Op uint8
+
+const (
+	// OpRead copies memory out into the caller's buffer.
+	OpRead Op = iota
+	// OpWrite copies the caller's buffer into memory.
+	OpWrite
+	// OpAdd adds the caller's buffer into memory in place, byte-wise mod
+	// 256: a reduce's fold, with no read-back into a host buffer.
+	OpAdd
+)
+
 // ReadAt copies bytes out of the frame list l starting at byte offset off.
 func (m *PhysMem) ReadAt(l extent.List, off uint64, p []byte) error {
-	return m.access(l, off, p, false)
+	return m.Access(l, off, p, OpRead)
 }
 
 // WriteAt copies p into the frame list l starting at byte offset off.
 func (m *PhysMem) WriteAt(l extent.List, off uint64, p []byte) error {
-	return m.access(l, off, p, true)
+	return m.Access(l, off, p, OpWrite)
 }
 
-func (m *PhysMem) access(l extent.List, off uint64, p []byte, write bool) error {
+// Access applies op to the bytes of the frame list l starting at byte
+// offset off, p long: a read into p, or a write or add of p. Reading an
+// unmaterialized frame yields zeros without materializing it, at one
+// frames lookup per page; writes and adds materialize (a fresh frame is
+// zero, so an add into it stores p).
+func (m *PhysMem) Access(l extent.List, off uint64, p []byte, op Op) error {
 	if off+uint64(len(p)) > l.Bytes() {
 		return fmt.Errorf("mem: access [%d,+%d) beyond %d-byte region", off, len(p), l.Bytes())
 	}
@@ -160,14 +179,17 @@ func (m *PhysMem) access(l extent.List, off uint64, p []byte, write bool) error 
 			if n > uint64(len(p)) {
 				n = uint64(len(p))
 			}
-			if write {
-				copy(m.Frame(f)[inPage:inPage+n], p[:n])
-			} else if m.Materialized(f) {
-				copy(p[:n], m.Frame(f)[inPage:inPage+n])
-			} else {
-				for i := range p[:n] {
-					p[i] = 0
+			switch op {
+			case OpRead:
+				if b, ok := m.frames[f]; ok {
+					copy(p[:n], b[inPage:inPage+n])
+				} else {
+					clear(p[:n])
 				}
+			case OpWrite:
+				copy(m.Frame(f)[inPage:inPage+n], p[:n])
+			default:
+				addBytes(m.Frame(f)[inPage:inPage+n], p[:n])
 			}
 			p = p[n:]
 			inPage = 0
@@ -176,6 +198,41 @@ func (m *PhysMem) access(l extent.List, off uint64, p []byte, write bool) error 
 		off = 0
 	}
 	return nil
+}
+
+// addBytes adds src into dst byte-wise, mod 256, over len(dst) bytes.
+// It sums eight lanes per word: clearing each lane's top bit (h) before
+// the 64-bit add leaves at most 0x7f+0x7f = 0xfe per lane, so no carry
+// crosses into the next lane; xoring the top bits back in, (a^b)&h,
+// completes each lane's top bit mod 2 and drops its carry out. Every
+// lane therefore holds exactly (a+b) mod 256. The main loop takes four
+// words per step through 32-byte array pointers, so one bounds check
+// covers each step; the tail goes a word, then a byte, at a time.
+func addBytes(dst, src []byte) {
+	le := binary.LittleEndian // any order works: each lane sums on its own
+	n := len(dst)
+	src = src[:n]
+	i := 0
+	for ; i+32 <= n; i += 32 {
+		d := (*[32]byte)(dst[i:])
+		s := (*[32]byte)(src[i:])
+		le.PutUint64(d[0:], add8(le.Uint64(d[0:]), le.Uint64(s[0:])))
+		le.PutUint64(d[8:], add8(le.Uint64(d[8:]), le.Uint64(s[8:])))
+		le.PutUint64(d[16:], add8(le.Uint64(d[16:]), le.Uint64(s[16:])))
+		le.PutUint64(d[24:], add8(le.Uint64(d[24:]), le.Uint64(s[24:])))
+	}
+	for ; i+8 <= n; i += 8 {
+		le.PutUint64(dst[i:], add8(le.Uint64(dst[i:]), le.Uint64(src[i:])))
+	}
+	for ; i < n; i++ {
+		dst[i] += src[i]
+	}
+}
+
+// add8 sums the eight byte lanes of a and b, each mod 256 (see addBytes).
+func add8(a, b uint64) uint64 {
+	const h = 0x8080808080808080
+	return ((a &^ h) + (b &^ h)) ^ ((a ^ b) & h)
 }
 
 // Pin increments the pin count of every extent in l, preventing the

@@ -334,25 +334,33 @@ func (as *AddressSpace) WalkExtents(va pagetable.VA, npages uint64) (extent.List
 // Read copies len(p) bytes from va into p, demand-populating lazy pages.
 // It reports the number of faults taken.
 func (as *AddressSpace) Read(va pagetable.VA, p []byte) (int, error) {
-	return as.access(va, p, false)
+	return as.access(va, p, mem.OpRead)
 }
 
 // Write copies p into the address space at va, demand-populating lazy
 // pages. It reports the number of faults taken.
 func (as *AddressSpace) Write(va pagetable.VA, p []byte) (int, error) {
-	return as.access(va, p, true)
+	return as.access(va, p, mem.OpWrite)
 }
 
-// access resolves [va, va+len(p)) leaf by leaf — demand-populating
-// unmapped runs, counting the faults, and checking each leaf's
-// permissions as the MMU would — while appending every leaf's frames to
-// one domain frame list. The data then moves with one TranslateList and
-// one ReadAt/WriteAt per call, however many leaves the access spans. A
-// protection fault or populate error still copies the prefix resolved
-// before it, then returns that error. The frame list is the address
-// space's own scratch, so a warm access allocates nothing; access never
-// yields, so no other access can reach it mid-call.
-func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, error) {
+// Add adds p into the address space at va in place, byte-wise mod 256,
+// demand-populating lazy pages; the pages must be readable and writable.
+// It reports the number of faults taken.
+func (as *AddressSpace) Add(va pagetable.VA, p []byte) (int, error) {
+	return as.access(va, p, mem.OpAdd)
+}
+
+// access applies op to [va, va+len(p)). It resolves the range leaf by
+// leaf — demand-populating unmapped runs, counting the faults, and
+// checking each leaf's permissions as the MMU would — while appending
+// every leaf's frames to one domain frame list. The data then moves with
+// one TranslateList and one PhysMem.Access (read, write or in-place add)
+// per call, however many leaves the access spans. A protection fault or
+// populate error still applies op to the prefix resolved before it, then
+// returns that error. The frame list is the address space's own scratch,
+// so a warm access allocates nothing; access never yields, so no other
+// access can reach it mid-call.
+func (as *AddressSpace) access(va pagetable.VA, p []byte, op mem.Op) (int, error) {
 	faults := 0
 	frames := &as.frames // domain frames of the leaves resolved so far
 	frames.Reset()
@@ -370,21 +378,22 @@ func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, erro
 			n, err := as.PopulateRange(pageVA, run)
 			faults += n
 			if err != nil {
-				return faults, as.copyPrefix(*frames, va.Offset(), p[:done], write, err)
+				return faults, as.copyPrefix(*frames, va.Offset(), p[:done], op, err)
 			}
 			continue
 		}
 		f, flags, _, _ := as.pt.Walk(cur)
 		// Enforce the mapping's permissions, as the MMU would: a write
-		// through a read-only XEMEM attachment is a protection fault. Flags
-		// are uniform within a leaf, and a mapped run never extends past
-		// one leaf, so one check covers the whole run.
-		if write && flags&pagetable.Write == 0 {
-			return faults, as.copyPrefix(*frames, va.Offset(), p[:done], write,
+		// through a read-only XEMEM attachment is a protection fault, and
+		// an add both reads and writes. Flags are uniform within a leaf,
+		// and a mapped run never extends past one leaf, so one check
+		// covers the whole run.
+		if op != mem.OpRead && flags&pagetable.Write == 0 {
+			return faults, as.copyPrefix(*frames, va.Offset(), p[:done], op,
 				fmt.Errorf("proc: write protection fault at %#x (%v)", uint64(cur), flags))
 		}
-		if !write && flags&pagetable.Read == 0 {
-			return faults, as.copyPrefix(*frames, va.Offset(), p[:done], write,
+		if op != mem.OpWrite && flags&pagetable.Read == 0 {
+			return faults, as.copyPrefix(*frames, va.Offset(), p[:done], op,
 				fmt.Errorf("proc: read protection fault at %#x (%v)", uint64(cur), flags))
 		}
 		// Frames inside a leaf are physically contiguous, so one extent
@@ -393,21 +402,21 @@ func (as *AddressSpace) access(va pagetable.VA, p []byte, write bool) (int, erro
 		frames.Append(f, (cur.Offset()+n+extent.PageSize-1)/extent.PageSize)
 		done += n
 	}
-	return faults, as.copyFrames(*frames, va.Offset(), p, write)
+	return faults, as.copyFrames(*frames, va.Offset(), p, op)
 }
 
-// copyPrefix copies the prefix an access resolved before it stopped on
-// cause, then reports cause (or the copy's own error).
-func (as *AddressSpace) copyPrefix(frames extent.List, off uint64, p []byte, write bool, cause error) error {
-	if err := as.copyFrames(frames, off, p, write); err != nil {
+// copyPrefix applies op to the prefix an access resolved before it
+// stopped on cause, then reports cause (or the copy's own error).
+func (as *AddressSpace) copyPrefix(frames extent.List, off uint64, p []byte, op mem.Op, cause error) error {
+	if err := as.copyFrames(frames, off, p, op); err != nil {
 		return err
 	}
 	return cause
 }
 
-// copyFrames moves p to (write) or from the domain frames, starting off
+// copyFrames applies op between p and the domain frames, starting off
 // bytes into the first frame.
-func (as *AddressSpace) copyFrames(frames extent.List, off uint64, p []byte, write bool) error {
+func (as *AddressSpace) copyFrames(frames extent.List, off uint64, p []byte, op mem.Op) error {
 	if len(p) == 0 {
 		return nil
 	}
@@ -415,10 +424,7 @@ func (as *AddressSpace) copyFrames(frames extent.List, off uint64, p []byte, wri
 	if err != nil {
 		return err
 	}
-	if write {
-		return as.dom.Host().WriteAt(hostList, off, p)
-	}
-	return as.dom.Host().ReadAt(hostList, off, p)
+	return as.dom.Host().Access(hostList, off, p, op)
 }
 
 // Process is a schedulable program instance inside one enclave OS.

@@ -286,6 +286,50 @@ func TestPermissionFaults(t *testing.T) {
 	}
 }
 
+// TestAddInPlace checks the in-place add: it demand-populates a lazy
+// region like a write, sums byte-wise into what is there, and needs both
+// read and write permission.
+func TestAddInPlace(t *testing.T) {
+	as, _, z := newAS(t)
+	backing, _ := z.AllocScattered(4, 2)
+	r, err := as.AddRegion("lazy", 0, backing, pagetable.Read|pagetable.Write, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := r.Base + extent.PageSize - 3
+	if _, err := as.Write(start, []byte{1, 2, 3, 0xff}); err != nil {
+		t.Fatal(err)
+	}
+	faults, err := as.Add(start, []byte{0xff, 2, 3, 0x01, 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if faults != 0 {
+		t.Fatalf("add over populated pages faulted %d times", faults)
+	}
+	got := make([]byte, 5)
+	if _, err := as.Read(start, got); err != nil {
+		t.Fatal(err)
+	}
+	if want := []byte{0, 4, 6, 0, 9}; !bytes.Equal(got, want) {
+		t.Fatalf("after add: % x, want % x", got, want)
+	}
+	if faults, err := as.Add(r.Base+3*extent.PageSize, []byte{7}); err != nil || faults != 1 {
+		t.Fatalf("add into an unpopulated page: %d faults, %v; want 1 fault", faults, err)
+	}
+
+	for _, flags := range []pagetable.Flags{pagetable.Read, pagetable.Write} {
+		b, _ := z.AllocScattered(1, 1)
+		reg, err := as.AddRegion(fmt.Sprintf("perm-%v", flags), 0, b, flags, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := as.Add(reg.Base, []byte{1}); err == nil || !strings.Contains(err.Error(), "protection fault") {
+			t.Errorf("add through a %v mapping: %v, want a protection fault", flags, err)
+		}
+	}
+}
+
 func TestFindRegion(t *testing.T) {
 	as, _, z := newAS(t)
 	b1, _ := z.AllocScattered(4, 4)

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"runtime/debug"
-)
+import "fmt"
 
 type actorState int
 
@@ -37,19 +34,26 @@ type Actor struct {
 	// heapIdx is the actor's slot in the owning ready-queue heap, or -1
 	// when the actor is not enqueued (running, blocked, or finished).
 	heapIdx int
+	// poll, pollEvery and pollUntil are a PollDeadline wait parked while
+	// the actor is queued (nil poll: none), for the scheduler to take its
+	// ticks (World.next); pollHit records that a tick saw poll hold.
+	poll      func() bool
+	pollEvery Time
+	pollUntil Time
+	pollHit   bool
 }
 
 // run is the coroutine body wrapping the user function. An actor killed
 // before its first dispatch never starts fn. The coroutine re-raises a
 // panic in World.Run's goroutine with its value only, so run wraps any
-// panic but errKilled with the actor's name and stack.
+// panic but errKilled with its raiser's name and stack (World.blame).
 func (a *Actor) run(fn func(*Actor)) {
 	if a.state == killed {
 		return
 	}
 	defer func() {
 		if r := recover(); r != nil && r != (errKilled{}) {
-			panic(fmt.Sprintf("sim: actor %s panicked: %v\n%s", a.name, r, debug.Stack()))
+			panic(a.w.blame(a, r))
 		}
 	}()
 	fn(a)
@@ -63,6 +67,7 @@ func (a *Actor) run(fn func(*Actor)) {
 // running when this actor is still the minimum, and otherwise yields to
 // World.resume, which runs the successor dispatchFrom picked.
 func (a *Actor) pause() {
+	a.w.checkPure("yield")
 	if !a.w.dispatchFrom(a) {
 		a.yield(struct{}{})
 	}
@@ -149,6 +154,7 @@ func (a *Actor) Block(reason string) {
 // time. Calling Unblock on a non-blocked actor is a no-op, which lets
 // signal-style wakeups race benignly with polling.
 func (a *Actor) Unblock(b *Actor) {
+	a.w.checkPure("unblock an actor")
 	if b.state != blocked {
 		return
 	}

@@ -156,10 +156,19 @@ func explodeInActor() { panic("boom") }
 // TestActorPanicReachesRunCaller pins where an actor's panic surfaces: in
 // the goroutine that called Run, wrapped with the actor's name and the
 // stack of the frame that panicked, which the coroutine switch would
-// otherwise drop.
+// otherwise drop. The world is torn down first: a bystander still
+// suspended at the panic unwinds through its deferred cleanup, and no
+// actor's coroutine outlives the run.
 func TestActorPanicReachesRunCaller(t *testing.T) {
+	base := runtime.NumGoroutine()
 	w := NewWorld(1)
 	w.Spawn("bystander", func(a *Actor) { a.Advance(Nanosecond) })
+	unwound := false
+	w.Spawn("suspended", func(a *Actor) {
+		defer func() { unwound = true }()
+		a.Advance(Second)
+		t.Error("suspended bystander ran past the panic")
+	})
 	w.Spawn("faulty", func(a *Actor) {
 		a.Advance(10 * Nanosecond)
 		explodeInActor()
@@ -177,6 +186,23 @@ func TestActorPanicReachesRunCaller(t *testing.T) {
 		if !strings.Contains(msg, want) {
 			t.Errorf("recovered panic lacks %q:\n%s", want, msg)
 		}
+	}
+	if !unwound {
+		t.Error("the suspended bystander was not unwound")
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines waits up to five seconds for the goroutine count to
+// drop back to base, the count before the world was built.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after teardown, %d before the world", n, base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -209,11 +235,5 @@ func TestWorldTeardownLeavesNoGoroutines(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for n := runtime.NumGoroutine(); n > base; n = runtime.NumGoroutine() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after teardown, %d before the world", n, base)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitGoroutines(t, base)
 }

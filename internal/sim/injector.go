@@ -48,20 +48,50 @@ func (w *World) Injector() Injector { return w.inj }
 // polling shared memory, §6.1); the final step is truncated so the actor
 // lands exactly on deadline rather than overshooting. A Forever deadline
 // polls until cond holds, every step exactly interval.
+//
+// Between checks the wait is parked on the actor, and the scheduler takes
+// each tick itself (World.next): it evaluates cond when it pops the
+// actor and, while cond is false, steps the actor forward without
+// resuming its coroutine. Every tick is still one dispatch at the same
+// virtual time as a resumed check, so schedules are unchanged. The price
+// is the condition contract: cond runs on whatever stack popped the
+// poller, so it may only read state. A condition that charges time,
+// sends a message, wakes or spawns an actor panics, at its first
+// evaluation; such a wait belongs in Retry.
 func (a *Actor) PollDeadline(interval, deadline Time, cond func() bool) bool {
-	for {
-		if cond() {
-			return true
-		}
+	for !a.w.holds(a, cond) {
 		if a.now >= deadline {
 			return false
 		}
-		step := interval
-		if rem := deadline - a.now; rem < step {
-			step = rem
+		a.poll, a.pollEvery, a.pollUntil = cond, interval, deadline
+		a.Advance(a.pollStep())
+		a.poll = nil
+		if a.pollHit {
+			a.pollHit = false
+			return true
 		}
-		a.Advance(step)
 	}
+	return true
+}
+
+// pollStep is the parked wait's next advance: interval, truncated onto
+// the deadline.
+func (a *Actor) pollStep() Time { return min(a.pollEvery, a.pollUntil-a.now) }
+
+// Retry calls try every interval until it reports success or the actor's
+// clock reaches deadline, reporting which, with PollDeadline's steps.
+// Unlike a poll condition, try runs in the actor's own coroutine, so it
+// may act: charge time, or send a request and wait for its reply, as a
+// name-server Lookup does. Each attempt resumes the actor, so a wait
+// that only reads state belongs in PollDeadline.
+func (a *Actor) Retry(interval, deadline Time, try func() bool) bool {
+	for !try() {
+		if a.now >= deadline {
+			return false
+		}
+		a.Advance(min(interval, deadline-a.now))
+	}
+	return true
 }
 
 // Await waits until cond holds or the actor's clock reaches deadline,

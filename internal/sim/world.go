@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sort"
 )
 
@@ -52,6 +53,10 @@ type World struct {
 	// handoff is the successor a yielding actor's dispatchFrom already
 	// dispatched; resume runs it next.
 	handoff *Actor
+	// polling is the poller whose condition is being evaluated (holds),
+	// nil otherwise. While it is set, pause, Unblock and Spawn panic: a
+	// condition may only read state.
+	polling *Actor
 
 	// Trace, if non-nil, receives a line per scheduling decision. Used by
 	// tests; nil in normal runs.
@@ -97,6 +102,7 @@ func (w *World) NewRNG() *RNG {
 // it starts at time zero. Daemon actors (see Actor.SetDaemon) do not keep
 // the world alive.
 func (w *World) Spawn(name string, fn func(*Actor)) *Actor {
+	w.checkPure("spawn")
 	a := &Actor{
 		id:      len(w.actors),
 		name:    name,
@@ -133,12 +139,15 @@ var ErrDeadlock = errors.New("sim: deadlock")
 // minimum), so a handoff is two coroutine switches — actor to Run's loop,
 // loop to successor — with no Go-scheduler involvement. The loop pops the
 // queue itself at a phase start, after an actor finishes, and at the end.
+//
+// An actor's panic reaches Run's caller with the actor's name and stack,
+// after every other actor has been torn down (see exit).
 func (w *World) Run() error {
 	if w.running {
 		return errors.New("sim: world already running")
 	}
 	w.running = true
-	defer func() { w.running = false }()
+	defer w.exit()
 
 	err := w.runLoop(true)
 	// A checkpoint armed at or past the end of the run fires at
@@ -161,7 +170,7 @@ func (w *World) RunPhase() error {
 		return errors.New("sim: world already running")
 	}
 	w.running = true
-	defer func() { w.running = false }()
+	defer w.exit()
 	return w.runLoop(false)
 }
 
@@ -179,15 +188,45 @@ func (w *World) DrainDaemons() error {
 		return errors.New("sim: world already running")
 	}
 	w.running = true
-	defer func() { w.running = false }()
+	defer w.exit()
 	for {
-		next := w.heap.pop()
+		next := w.next(nil)
 		if next == nil {
 			return nil
 		}
-		w.dispatch(next)
 		w.resume(next)
 	}
+}
+
+// exit ends Run, RunPhase and DrainDaemons. When a panic is unwinding
+// out of the engine — an actor's, re-raised by its coroutine, or a poll
+// condition's that the scheduler was evaluating on this goroutine — it
+// tears the world down first, so no other actor's coroutine stays
+// suspended, then re-raises the panic.
+func (w *World) exit() {
+	w.running = false
+	r := recover()
+	if r == nil {
+		return
+	}
+	if p := w.polling; p != nil {
+		r = w.blame(p, r)
+	}
+	w.handoff = nil
+	w.killAll()
+	panic(r)
+}
+
+// blame wraps a panic with who raised it and the stack of the frame that
+// panicked: the poller whose condition the scheduler was evaluating, when
+// there was one, else actor a, on whose coroutine the panic unwound.
+func (w *World) blame(a *Actor, r any) string {
+	who := "actor " + a.name
+	if p := w.polling; p != nil {
+		w.polling = nil
+		who = "poll condition of actor " + p.name
+	}
+	return fmt.Sprintf("sim: %s panicked: %v\n%s", who, r, debug.Stack())
 }
 
 // runLoop is the engine loop. kill selects whether daemons are
@@ -201,7 +240,7 @@ func (w *World) runLoop(kill bool) error {
 			}
 			return nil
 		}
-		next := w.heap.pop()
+		next := w.next(nil)
 		if next == nil {
 			if blocked := w.blockedNonDaemons(); len(blocked) > 0 {
 				w.killAll()
@@ -211,7 +250,6 @@ func (w *World) runLoop(kill bool) error {
 			w.killAll()
 			return nil
 		}
-		w.dispatch(next)
 		w.resume(next)
 	}
 }
@@ -223,6 +261,60 @@ func (w *World) resume(a *Actor) {
 	for a != nil {
 		a.next()
 		a, w.handoff = w.handoff, nil
+	}
+}
+
+// next pops the minimal ready actor and dispatches it, returning nil when
+// none is ready. It is the one pop of the run loop, DrainDaemons and
+// dispatchFrom (yielding is the actor calling from dispatchFrom, nil from
+// the loops). A popped poller parked in PollDeadline, other than the
+// yielding actor and short of its deadline, is not resumed: next takes
+// its tick itself (pollTick) — still one dispatch at the same time, in
+// the same order — and, while the condition is false, pushes it back and
+// pops again.
+func (w *World) next(yielding *Actor) *Actor {
+	for {
+		a := w.heap.pop()
+		if a == nil {
+			return nil
+		}
+		w.dispatch(a)
+		if a.poll == nil || a == yielding || a.state != ready || a.now >= a.pollUntil || w.pollTick(a) {
+			return a
+		}
+		w.heap.push(a)
+	}
+}
+
+// pollTick is the tick PollDeadline's coroutine would take, taken by the
+// scheduler: it evaluates p's condition once and, when it holds, records
+// the hit for the coroutine to return; otherwise it advances p one step
+// without resuming it.
+func (w *World) pollTick(p *Actor) bool {
+	if w.holds(p, p.poll) {
+		p.pollHit = true
+		return true
+	}
+	p.now += p.pollStep()
+	return false
+}
+
+// holds evaluates poller p's condition under the read-only guard
+// (checkPure). PollDeadline's own checks go through it too, so an acting
+// condition fails on its first evaluation, whoever takes it.
+func (w *World) holds(p *Actor, cond func() bool) bool {
+	w.polling = p
+	ok := cond()
+	w.polling = nil
+	return ok
+}
+
+// checkPure panics while a poll condition is being evaluated: the
+// scheduler runs conditions on whatever stack popped their poller, so a
+// condition may only read state, never yield, wake or spawn an actor.
+func (w *World) checkPure(what string) {
+	if w.polling != nil {
+		panic("sim: a poll condition may only read state, but it tried to " + what)
 	}
 }
 
@@ -262,8 +354,7 @@ func (w *World) dispatchFrom(a *Actor) bool {
 	if w.liveNonDaemons == 0 || len(w.heap) == 0 {
 		return false
 	}
-	next := w.heap.pop()
-	w.dispatch(next)
+	next := w.next(a)
 	if next == a {
 		return true
 	}

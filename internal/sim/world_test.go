@@ -188,38 +188,58 @@ func TestSpawnDuringRunInheritsTime(t *testing.T) {
 }
 
 // An unbounded PollDeadline checks cond every interval, each step exactly
-// interval, and returns at the first check that sees it hold.
+// interval, and returns at the first check that sees it hold — whether
+// the poller takes its checks itself (alone with the setter) or the
+// scheduler takes them (beside a busy actor that pops it at every tick).
 func TestPollAdvancesUntilCond(t *testing.T) {
-	w := NewWorld(1)
-	flag := false
-	w.Spawn("setter", func(a *Actor) {
-		a.Advance(95)
-		flag = true
-	})
-	var checks []Time
-	var seen Time
-	w.Spawn("poller", func(a *Actor) {
-		if !a.PollDeadline(10, Forever, func() bool {
-			checks = append(checks, a.Now())
-			return flag
-		}) {
-			t.Error("unbounded poll reported a missed deadline")
+	for _, busy := range []bool{false, true} {
+		w := NewWorld(1)
+		flag := false
+		if busy {
+			w.Spawn("busy", func(a *Actor) {
+				for a.Now() < 200 {
+					a.Advance(1)
+				}
+			})
 		}
-		seen = a.Now()
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if seen != 100 {
-		t.Fatalf("poller finished at %d, want 100", seen)
-	}
-	for i, at := range checks {
-		if at != Time(10*i) {
-			t.Fatalf("check %d at %d, want %d", i, at, 10*i)
+		w.Spawn("setter", func(a *Actor) {
+			a.Advance(95)
+			flag = true
+		})
+		var checks []Time
+		var seen Time
+		ticks := 0
+		w.Spawn("poller", func(a *Actor) {
+			if !a.PollDeadline(10, Forever, func() bool {
+				checks = append(checks, a.Now())
+				if a.poll != nil {
+					ticks++
+				}
+				return flag
+			}) {
+				t.Error("unbounded poll reported a missed deadline")
+			}
+			seen = a.Now()
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(checks) != 11 {
-		t.Fatalf("%d checks, want 11 (at 0, 10, ..., 100)", len(checks))
+		if seen != 100 {
+			t.Fatalf("busy=%v: poller finished at %d, want 100", busy, seen)
+		}
+		for i, at := range checks {
+			if at != Time(10*i) {
+				t.Fatalf("busy=%v: check %d at %d, want %d", busy, i, at, 10*i)
+			}
+		}
+		if len(checks) != 11 {
+			t.Fatalf("busy=%v: %d checks, want 11 (at 0, 10, ..., 100)", busy, len(checks))
+		}
+		// Beside the busy actor, every check after the poller's first is
+		// a scheduler tick.
+		if busy && ticks != 10 {
+			t.Fatalf("the scheduler took %d of the checks, want 10", ticks)
+		}
 	}
 }
 

@@ -177,3 +177,13 @@ func (s *Session) Write(va pagetable.VA, data []byte) (int, error) {
 	}
 	return s.p.AS.Write(va, data)
 }
+
+// Add adds data into the process's memory at va in place, byte-wise mod
+// 256 — a reduce's fold — with the same crashed-owner poisoning check as
+// Read and Write.
+func (s *Session) Add(va pagetable.VA, data []byte) (int, error) {
+	if err := s.mod.CheckAccess(s.p, va); err != nil {
+		return 0, err
+	}
+	return s.p.AS.Add(va, data)
+}

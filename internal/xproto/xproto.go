@@ -203,17 +203,24 @@ type Delivery struct {
 // blocking while empty.
 type Inbox struct {
 	name string
+	// reason and queue are the block reason a waiting Get reports and
+	// the queue name it gives the observer, built once.
+	reason, queue string
 	// q[head:] holds the pending deliveries. Dequeue advances head instead
 	// of re-slicing q away from its array, so the backing array (and its
 	// Delivery slots) is reused once the queue drains — the steady state of
 	// a kernel worker that keeps up with its senders.
-	q       []Delivery
-	head    int
+	q    []Delivery
+	head int
+	// waiters holds the blocked Gets in arrival order; Put takes the
+	// first by shifting the rest down, so the backing array is reused.
 	waiters []*sim.Actor
 }
 
 // NewInbox returns an empty inbox with a diagnostic name.
-func NewInbox(name string) *Inbox { return &Inbox{name: name} }
+func NewInbox(name string) *Inbox {
+	return &Inbox{name: name, reason: "inbox " + name, queue: "inbox:" + name}
+}
 
 // Put enqueues a copy of m and wakes one waiting kernel actor, if any.
 // The caller is the sending/forwarding actor.
@@ -257,7 +264,8 @@ func (in *Inbox) Put(a *sim.Actor, m *Message, via Link) {
 	in.q = append(in.q, Delivery{Msg: m, Via: via, At: a.Now()})
 	if n := len(in.waiters); n > 0 {
 		w := in.waiters[0]
-		in.waiters = in.waiters[1:]
+		copy(in.waiters, in.waiters[1:])
+		in.waiters = in.waiters[:n-1]
 		a.Unblock(w)
 	}
 }
@@ -272,7 +280,7 @@ func (in *Inbox) PutShutdown(a *sim.Actor) { in.Put(a, nil, nil) }
 func (in *Inbox) Get(a *sim.Actor) Delivery {
 	for in.Len() == 0 {
 		in.waiters = append(in.waiters, a)
-		a.Block("inbox " + in.name)
+		a.Block(in.reason)
 		// Remove ourselves if a spurious wakeup left us queued twice.
 		for i, w := range in.waiters {
 			if w == a {
@@ -290,7 +298,7 @@ func (in *Inbox) Get(a *sim.Actor) Delivery {
 	}
 	if d.Msg != nil {
 		if obs := a.Observer(); obs != nil {
-			obs.QueueWait("inbox:"+in.name, a, d.At, a.Now(), in.Len())
+			obs.QueueWait(in.queue, a, d.At, a.Now(), in.Len())
 		}
 	}
 	return d

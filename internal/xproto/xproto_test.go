@@ -133,3 +133,38 @@ func TestInboxQueuesMultiple(t *testing.T) {
 		t.Fatalf("order = %v", order)
 	}
 }
+
+// TestWarmGetAllocatesNothing checks that a Get that waits on an empty
+// inbox allocates nothing once warm: a world with a thousand more waits
+// allocates as much as one with a few. The deliveries are
+// shutdown poisons, whose Put copies no message.
+func TestWarmGetAllocatesNothing(t *testing.T) {
+	run := func(n int) func() {
+		return func() {
+			w := sim.NewWorld(1)
+			in := NewInbox("warm")
+			w.Spawn("kernel", func(a *sim.Actor) {
+				a.SetDaemon()
+				for {
+					in.Get(a)
+				}
+			})
+			w.Spawn("sender", func(a *sim.Actor) {
+				for i := 0; i < n; i++ {
+					a.Advance(10)
+					in.PutShutdown(a)
+				}
+			})
+			if err := w.Run(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// A per-wait allocation would cost 1,000 here; the slack absorbs the
+	// few the runtime makes on its own, as it does under the race detector.
+	few := testing.AllocsPerRun(5, run(10))
+	many := testing.AllocsPerRun(5, run(1010))
+	if many-few >= 10 {
+		t.Fatalf("1000 more waiting Gets cost %v allocations (%v vs %v), want none per wait", many-few, many, few)
+	}
+}
