@@ -15,8 +15,8 @@ check: vet build benchmark-build race test examples cli replay fuzz cover
 # vet is three gates: formatting, the stock toolchain vet, and
 # xemem-vet — the in-tree analyzer suite (cmd/xemem-vet) that enforces
 # the simulator's determinism, cost-charging, resource-pairing,
-# map-ordering, hook-state, partition-isolation, and
-# snapshot-completeness invariants. Every run loads and type-checks the
+# map-ordering (exporters and world-end audits), hook-state, and
+# partition-isolation invariants. Every run loads and type-checks the
 # whole module (standard library from compiler export data, under a
 # second on 2 CPUs) and fails on a package that does not type-check.
 vet:
@@ -105,10 +105,11 @@ cover:
 	fi
 
 # Replay every checked-in repro bundle through the CLI: each bundle
-# pins a (state hash at a cut, trace digest) pair the current tree must
-# reproduce bit-exactly (DESIGN.md §12). TestReplayBundle runs the
-# same verification in-process; this step proves the shipping
-# xemem-bench binary does too.
+# pins the trace digest at the end of each of 16 virtual-time windows
+# and at the end of the run, which the current tree must reproduce
+# bit-exactly, and each replay audits the ended world (DESIGN.md §12).
+# TestReplayBundle runs the same verification in-process; this step
+# proves the shipping xemem-bench binary does too.
 replay:
 	@set -e; for b in internal/experiments/testdata/repro/*.json; do \
 		$(GO) run ./cmd/xemem-bench -replay $$b; \

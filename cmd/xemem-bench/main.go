@@ -34,8 +34,8 @@ func main() {
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
 	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+benchNames()+", all")
-	replayPath := flag.String("replay", "", "re-run the repro bundle at this path and verify its snapshot hash and trace digest")
-	reproPath := flag.String("repro", "", "capture a repro bundle to this path, cut at mid-run (see -recipe, -recipe-params)")
+	replayPath := flag.String("replay", "", "re-run the repro bundle at this path, verify its window and final trace digests, and audit the ended world")
+	reproPath := flag.String("repro", "", "capture a repro bundle to this path: the trace digest at the end of each of 16 equal windows of the run (see -recipe, -recipe-params)")
 	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
 	recipeParams := flag.String("recipe-params", "", "JSON parameter blob for -repro (recipe defaults when empty)")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of every simulated world to this file (open in chrome://tracing or Perfetto; combine with -fast)")
@@ -86,22 +86,16 @@ func main() {
 	}
 
 	if *replayPath != "" {
-		buf, err := os.ReadFile(*replayPath)
+		b, err := experiments.LoadBundle(*replayPath)
+		if err == nil {
+			err = experiments.RunBundle(b)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 			os.Exit(1)
 		}
-		var b experiments.Bundle
-		if err := json.Unmarshal(buf, &b); err != nil {
-			fmt.Fprintf(os.Stderr, "replay: %s: %v\n", *replayPath, err)
-			os.Exit(1)
-		}
-		if err := experiments.RunBundle(&b); err != nil {
-			fmt.Fprintf(os.Stderr, "replay: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("replay ok: recipe %s seed %d reproduced snapshot %s… at cut %v and digest %s…\n",
-			b.Recipe, b.Seed, b.SnapshotSHA256[:16], sim.Time(b.CutNs), b.Digest.SHA256[:16])
+		fmt.Printf("replay ok: recipe %s seed %d reproduced %d windows of %v and digest %s…, audit passed\n",
+			b.Recipe, b.Seed, len(b.Windows), sim.Time(b.WindowNs), b.Digest.SHA256[:16])
 		return
 	}
 
@@ -119,8 +113,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("wrote %s: recipe %s seed %d, snapshot %s… at cut %v\n",
-			*reproPath, b.Recipe, b.Seed, b.SnapshotSHA256[:16], sim.Time(b.CutNs))
+		fmt.Printf("wrote %s: recipe %s seed %d, %d windows of %v, digest %s…\n",
+			*reproPath, b.Recipe, b.Seed, len(b.Windows), sim.Time(b.WindowNs), b.Digest.SHA256[:16])
 		return
 	}
 

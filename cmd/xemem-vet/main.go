@@ -6,9 +6,9 @@
 // Get/Attach handles are releasable, including via the module's own
 // helpers), maporder (no unsorted map iteration on exporter paths),
 // hookstate (package-level hook variables are written only by driver
-// binaries), partition (actor state stays inside its own actor's
-// dispatch, closures included), and snapshotcheck (every mutable field
-// of a registered snapshot component is encoded).
+// binaries), and partition (actor state stays inside its own actor's
+// dispatch, closures included). maporder also covers world-end audits,
+// so an audit names the same first violation on every run.
 //
 // Usage:
 //
@@ -19,8 +19,8 @@
 // whole module is always loaded and analyzed: the invariants are
 // module-wide (a cost constant is "dead" only if nothing anywhere
 // charges it). Exit status is 1 when any diagnostic survives the
-// //xemem:allow, //xemem:wallclock, and //xemem:nosnap suppression
-// directives, which require a " -- <reason>" string; malformed
+// //xemem:allow and //xemem:wallclock suppression directives, which
+// require a " -- <reason>" string; malformed
 // directives are themselves diagnostics. Exit status is 2 when the
 // module cannot be loaded, a package that does not type-check included.
 package main

@@ -3,8 +3,7 @@
 // plus the domain analyzers that mechanically enforce the simulator's
 // correctness invariants — determinism of virtual time, cost-model
 // charging, resource pairing, exporter map ordering, hook-variable
-// discipline, per-dispatch actor isolation, and
-// snapshot completeness. The cmd/xemem-vet driver loads the module,
+// discipline, and per-dispatch actor isolation. The cmd/xemem-vet driver loads the module,
 // type-checks every package against compiler export data for its
 // external imports (a package that does not type-check fails the load),
 // builds interprocedural function summaries, runs the analyzers over
@@ -12,8 +11,7 @@
 // reports what survives.
 //
 // Analyzers run per package; an analyzer that draws whole-module
-// conclusions (a cost constant charged nowhere, a field no encoder
-// writes) accumulates what each package contributes and reports from
+// conclusions (a cost constant charged nowhere) accumulates what each package contributes and reports from
 // its Finish hook once every package has been seen.
 //
 // Invariants are enforced conservatively: an analyzer may miss an
@@ -98,7 +96,6 @@ func All() []*Analyzer {
 		newMaporder(),
 		newHookstate(),
 		newPartition(),
-		newSnapshotcheck(),
 	}
 }
 

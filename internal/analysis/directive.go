@@ -8,29 +8,23 @@ import (
 
 // Suppression directives.
 //
-// Three comment forms silence diagnostics, all requiring a reason:
+// Two comment forms silence diagnostics, both requiring a reason:
 //
 //	//xemem:allow <analyzer> -- <reason>
 //	//xemem:wallclock -- <reason>
-//	//xemem:nosnap -- <reason>
 //
 // A directive written at the end of a code line suppresses that line's
 // findings; a directive on a line of its own (including the last line of
-// a doc comment) suppresses the line below it. Two analyzers are
-// special-cased per the invariants they guard: determinism findings are
-// real uses of host time and may only be excused as deliberate
-// wall-clock measurement via //xemem:wallclock, and snapshotcheck
-// findings are per-field coverage gaps excused only by annotating the
-// field itself with //xemem:nosnap (for derived, rebuilt, or transient
-// state the snapshot deliberately omits) — //xemem:allow is rejected
-// for both. Malformed directives (missing " -- ", empty reason, unknown
-// analyzer) are themselves reported under the "directive" name and
-// cannot be suppressed.
+// a doc comment) suppresses the line below it. Determinism findings are
+// special-cased: they are real uses of host time and may only be excused
+// as deliberate wall-clock measurement via //xemem:wallclock, so
+// //xemem:allow is rejected for them. Malformed directives (missing
+// " -- ", empty reason, unknown analyzer or verb) are themselves
+// reported under the "directive" name and cannot be suppressed.
 
 const (
 	allowPrefix     = "//xemem:allow"
 	wallclockPrefix = "//xemem:wallclock"
-	nosnapPrefix    = "//xemem:nosnap"
 )
 
 // ParseDirective parses one comment's //xemem: directive. known is the
@@ -50,9 +44,6 @@ func ParseDirective(text string, known map[string]bool) (analyzer, reason, errMs
 	case strings.HasPrefix(text, wallclockPrefix):
 		analyzer = "determinism"
 		body = strings.TrimSpace(strings.TrimPrefix(text, wallclockPrefix))
-	case strings.HasPrefix(text, nosnapPrefix):
-		analyzer = "snapshotcheck"
-		body = strings.TrimSpace(strings.TrimPrefix(text, nosnapPrefix))
 	case strings.HasPrefix(text, allowPrefix):
 		body = strings.TrimSpace(strings.TrimPrefix(text, allowPrefix))
 		analyzer, body, _ = strings.Cut(body, " ")
@@ -62,8 +53,6 @@ func ParseDirective(text string, known map[string]bool) (analyzer, reason, errMs
 			return "", "", "//xemem:allow needs an analyzer name: //xemem:allow <analyzer> -- <reason>"
 		case analyzer == "determinism":
 			return "", "", "determinism findings may only be excused via //xemem:wallclock -- <reason>"
-		case analyzer == "snapshotcheck":
-			return "", "", "snapshot exceptions are per-field: annotate the field with //xemem:nosnap -- <reason>"
 		case !known[analyzer]:
 			return "", "", fmt.Sprintf("//xemem:allow names unknown analyzer %q", analyzer)
 		}

@@ -29,15 +29,13 @@ func TestParseDirective(t *testing.T) {
 		{"//xemem:allow maporder -- unordered by design", "maporder", "unordered by design", ""},
 		{"//xemem:allow paircheck --  padded  ", "paircheck", "padded", ""},
 		{"//xemem:wallclock -- timing the host build", "determinism", "timing the host build", ""},
-		{"//xemem:nosnap -- derived index, rebuilt on load", "snapshotcheck", "derived index, rebuilt on load", ""},
 		{"//xemem:allow maporder", "", "", "needs a ' -- <reason>'"},
 		{"//xemem:allow maporder -- ", "", "", "needs a ' -- <reason>'"},
 		{"//xemem:allow -- no analyzer", "", "", "needs an analyzer name"},
 		{"//xemem:allow frobcheck -- nope", "", "", `unknown analyzer "frobcheck"`},
 		{"//xemem:allow determinism -- nope", "", "", "only be excused via //xemem:wallclock"},
-		{"//xemem:allow snapshotcheck -- nope", "", "", "per-field"},
+		{"//xemem:allow snapshotcheck -- nope", "", "", `unknown analyzer "snapshotcheck"`},
 		{"//xemem:wallclock", "", "", "needs a ' -- <reason>'"},
-		{"//xemem:nosnap", "", "", "needs a ' -- <reason>'"},
 		{"//xemem:frobnicate -- nonsense", "", "", `unknown //xemem: directive`},
 	}
 	for _, tt := range tests {
@@ -65,12 +63,12 @@ func FuzzDirective(f *testing.F) {
 	f.Add("//xemem:allow determinism -- sneak")
 	f.Add("//xemem:allow snapshotcheck -- sneak")
 	f.Add("//xemem:wallclock -- bench")
-	f.Add("//xemem:nosnap -- derived")
-	f.Add("//xemem:nosnap--glued")
 	f.Add("//xemem:")
 	f.Add("//xemem:allow")
 	f.Add("// not a directive")
 	f.Add("//xemem:allow \x00 -- \xff")
+	f.Add("//xemem:wallclock--glued")
+	f.Add("//xemem:allow partition -- reason")
 	known := knownSet()
 	f.Fuzz(func(t *testing.T, text string) {
 		analyzer, reason, errMsg := analysis.ParseDirective(text, known)
@@ -87,15 +85,15 @@ func FuzzDirective(f *testing.F) {
 			return
 		}
 		// A well-formed directive must name a known analyzer and carry a
-		// non-empty reason; determinism and snapshotcheck are reachable
-		// only through their dedicated verbs.
+		// non-empty reason; determinism is reachable only through its
+		// dedicated verb.
 		if !known[analyzer] {
 			t.Fatalf("directive %q silenced unknown analyzer %q", text, analyzer)
 		}
 		if strings.TrimSpace(reason) == "" {
 			t.Fatalf("directive %q accepted with empty reason", text)
 		}
-		if strings.HasPrefix(text, "//xemem:allow") && (analyzer == "determinism" || analyzer == "snapshotcheck") {
+		if strings.HasPrefix(text, "//xemem:allow") && analyzer == "determinism" {
 			t.Fatalf("//xemem:allow reached %s: %q", analyzer, text)
 		}
 	})

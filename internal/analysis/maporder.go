@@ -18,21 +18,23 @@ import (
 // graph: every function in a trace package, plus any function whose name
 // marks it as a serializer (Write*/Export*/Render*/Digest*/Summary*/
 // Marshal*/Encode*/Golden*/Breakdown*, the unexported encode* helpers,
-// or containing JSON/Chrome/Snapshot). Snapshot encoders are in scope
-// because the snapshot state hash is a golden artifact: a map-ordered
-// section makes the same world produce different hashes run to run.
+// or containing JSON/Chrome) or as a world-end audit (Audit*, audit*).
+// Audits are in scope because the violation an audit names first must
+// be the same on every run, and a check that returns at the first bad
+// entry of a raw map walk names a different one run to run.
 // Order-insensitive map walks elsewhere (teardown, accounting) are out
 // of scope by construction rather than by annotation burden.
 
 var exporterPrefixes = []string{
 	"Write", "Export", "Render", "Digest", "Summary",
 	"Marshal", "Encode", "Golden", "Breakdown", "encode",
+	"Audit", "audit",
 }
 
 func newMaporder() *Analyzer {
 	a := &Analyzer{
 		Name: "maporder",
-		Doc:  "flags map iteration in exporter-feeding functions unless keys are collected and sorted; nondeterministic order corrupts golden digests",
+		Doc:  "flags map iteration in exporter-feeding functions and world-end audits unless keys are collected and sorted; nondeterministic order corrupts golden digests and makes an audit name a different violation run to run",
 	}
 	a.Run = func(pass *Pass) {
 		tracePkg := hasSuffixPath(pass.Pkg.Path, "trace")
@@ -57,8 +59,7 @@ func exporterFunc(name string) bool {
 			return true
 		}
 	}
-	return strings.Contains(name, "JSON") || strings.Contains(name, "Chrome") ||
-		strings.Contains(name, "Snapshot")
+	return strings.Contains(name, "JSON") || strings.Contains(name, "Chrome")
 }
 
 func checkMapOrder(pass *Pass, fd *ast.FuncDecl) {
@@ -105,8 +106,8 @@ func checkMapOrder(pass *Pass, fd *ast.FuncDecl) {
 
 // collectLoop reports whether the range body does nothing but append
 // (the collect-keys half of the sorted-iteration idiom). Appends may be
-// guarded by if statements — a filtered collect (snapshot encoders skip
-// tombstones this way) is still order-insensitive, because the appended
+// guarded by if statements — a filtered collect (an encoder skipping
+// tombstones) is still order-insensitive, because the appended
 // keys get sorted downstream like any other collect.
 func collectLoop(rs *ast.RangeStmt) bool {
 	return collectStmts(rs.Body.List)

@@ -54,7 +54,6 @@ type FuncSummary struct {
 // summary. Built once per load, read-only afterwards.
 type Summaries struct {
 	decls map[*types.Func]*ast.FuncDecl
-	pkgOf map[*types.Func]*Package
 	fns   map[*types.Func]*FuncSummary
 
 	costsFields map[types.Object]bool
@@ -86,15 +85,6 @@ func (s *Summaries) Of(fn *types.Func) *FuncSummary {
 	return s.fns[fn]
 }
 
-// Decl returns the declaration and package of a module function, (nil,
-// nil) for functions declared elsewhere.
-func (s *Summaries) Decl(fn *types.Func) (*ast.FuncDecl, *Package) {
-	if fn == nil {
-		return nil, nil
-	}
-	return s.decls[fn], s.pkgOf[fn]
-}
-
 // summaryRounds caps the intra-package fixpoint. Mutual recursion
 // converges in a handful of rounds; the cap guarantees termination (and
 // determinism) even if a pathological cycle oscillates.
@@ -103,7 +93,6 @@ const summaryRounds = 10
 func buildSummaries(m *Module) *Summaries {
 	s := &Summaries{
 		decls:       make(map[*types.Func]*ast.FuncDecl),
-		pkgOf:       make(map[*types.Func]*Package),
 		fns:         make(map[*types.Func]*FuncSummary),
 		costsFields: make(map[types.Object]bool),
 	}
@@ -122,7 +111,6 @@ func buildSummaries(m *Module) *Summaries {
 					continue
 				}
 				s.decls[fn] = fd
-				s.pkgOf[fn] = pkg
 				fns = append(fns, fn)
 			}
 		}

@@ -27,14 +27,3 @@ func UnknownDirective() {
 func BareWallclock() {
 	_ = 1 //xemem:wallclock
 }
-
-// BareNosnap has no reason after the nosnap verb.
-func BareNosnap() {
-	_ = 1 //xemem:nosnap
-}
-
-// AllowSnapshotcheck tries the generic form on the analyzer whose
-// exceptions are per-field.
-func AllowSnapshotcheck() {
-	_ = 1 //xemem:allow snapshotcheck -- must annotate the field instead
-}

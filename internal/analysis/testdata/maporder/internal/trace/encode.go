@@ -1,11 +1,11 @@
-// Snapshot-encoder cases for the maporder fixture: the snapshot image
-// hash is a golden artifact, so snapshot encoders (EncodeSnapshot
-// methods, unexported encode* helpers) are exporter-feeding.
+// Encoder cases for the maporder fixture: encoded state feeds golden
+// digests, so encoders (Encode* methods, unexported encode* helpers) are
+// exporter-feeding.
 package trace
 
 import "sort"
 
-// Enc stands in for the snapshot encoder.
+// Enc stands in for a byte encoder.
 type Enc struct{ data []byte }
 
 // U64 appends a value.
@@ -17,8 +17,8 @@ type World struct {
 	live   map[uint64]bool
 }
 
-// EncodeSnapshot ranges straight over a map while encoding: flagged.
-func (w *World) EncodeSnapshot(e *Enc) {
+// Encode ranges straight over a map while encoding: flagged.
+func (w *World) Encode(e *Enc) {
 	for f, v := range w.frames {
 		e.U64(f)
 		e.U64(v)
@@ -48,14 +48,4 @@ func (w *World) encodeExcused(e *Enc) {
 		total += v
 	}
 	e.U64(total)
-}
-
-// loadSnapshotHelper is on the decode side but carries the Snapshot
-// marker: a bare map range here is flagged too.
-func (w *World) RestoreSnapshot() uint64 {
-	n := uint64(0)
-	for f := range w.frames {
-		n += f
-	}
-	return n
 }

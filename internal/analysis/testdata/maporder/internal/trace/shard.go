@@ -1,7 +1,7 @@
 // Shard-map cases for the maporder fixture: a sharded name service
 // keeps per-segid lease maps and per-shard replica tables whose
-// encodings land in snapshot hashes and trace digests, so iterating
-// them raw is nondeterminism an exporter will surface.
+// encodings land in trace digests, so iterating them raw is
+// nondeterminism an exporter will surface.
 package trace
 
 import "sort"
@@ -13,9 +13,9 @@ type ShardMap struct {
 	leases   map[uint64]uint64
 }
 
-// EncodeSnapshot ranges straight over the lease map while encoding:
+// EncodeLeases ranges straight over the lease map while encoding:
 // flagged.
-func (s *ShardMap) EncodeSnapshot(e *Enc) {
+func (s *ShardMap) EncodeLeases(e *Enc) {
 	for _, reps := range s.replicas {
 		for _, id := range reps {
 			e.U64(id)

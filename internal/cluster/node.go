@@ -150,14 +150,13 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 
 // connect wires the fabric channel between nodes i and j's management
 // enclaves. The queue-pair setup cost is charged by the setup actor, so
-// the links themselves carry no mutable state for snapshots to capture.
+// the links themselves carry no mutable state.
 func (cl *Cluster) connect(i, j int) {
 	a, b := cl.Nodes[i].X.LinuxModule(), cl.Nodes[j].X.LinuxModule()
 	ij := &rlink{name: fmt.Sprintf("ib:node%d->node%d", i, j), c: cl.Costs, fab: cl.Fab, src: i, dst: j, in: b.In}
 	ji := &rlink{name: fmt.Sprintf("ib:node%d->node%d", j, i), c: cl.Costs, fab: cl.Fab, src: j, dst: i, in: a.In}
 	ij.peer, ji.peer = ji, ij
-	a.AddLink(ij)
-	b.AddLink(ji)
+	core.Connect(a, b, ij, ji)
 	cl.links[i][j], cl.links[j][i] = ij, ji
 }
 
@@ -229,7 +228,7 @@ func (cl *Cluster) WaitReady(a *sim.Actor) {
 }
 
 // Modules lists every enclave module in the cluster, node-major in
-// construction order (fault registration, snapshot loaders).
+// construction order (fault registration).
 func (cl *Cluster) Modules() []*core.Module {
 	var mods []*core.Module
 	for _, n := range cl.Nodes {

@@ -105,6 +105,9 @@ func runExchange(t *testing.T, seed uint64, nodes, shards int, keepEvents bool) 
 	if got != exchangePayload {
 		t.Fatalf("consumer read %q across the fabric", got)
 	}
+	if err := w.Audit(); err != nil {
+		t.Fatalf("world-end %v", err)
+	}
 	return tr, cl
 }
 

@@ -364,7 +364,7 @@ func (m *Module) AttachWith(a *sim.Actor, p *proc.Process, segid xproto.Segid, a
 			return 0, err
 		}
 		seg.attaches++
-		m.attachments[region] = &Attachment{Region: region, Segid: segid, Apid: apid, Local: true}
+		m.attachments[region] = &Attachment{Region: region, Segid: segid, Apid: apid, Local: true, offset: offset, holder: p}
 		m.Stats.AttachesMade++
 		return region.Base, nil
 	}

@@ -108,6 +108,7 @@ func (m *Module) drainUntil(a *sim.Actor, window sim.Time, done func() bool) boo
 			continue
 		}
 		m.handle(a, msg, via)
+		m.held[0] = nil
 	}
 	return true
 }

@@ -33,7 +33,22 @@ func newTestNode(t *testing.T) *testNode {
 	pm := mem.NewPhysMem("node0", 1<<30)
 	linux := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
 	lmod := core.New("linux", w, costs, linux, true)
+	auditAtEnd(t, w, pm)
 	return &testNode{w: w, costs: costs, pm: pm, linux: linux, lmod: lmod}
+}
+
+// auditAtEnd registers pm's audit on w and, when the test ends without
+// having failed, runs the world-end audit over everything w holds.
+func auditAtEnd(t *testing.T, w *sim.World, pm *mem.PhysMem) {
+	w.AddAudit("phys/"+pm.Name(), pm.Audit)
+	t.Cleanup(func() {
+		if t.Failed() {
+			return
+		}
+		if err := w.Audit(); err != nil {
+			t.Errorf("world-end %v", err)
+		}
+	})
 }
 
 func (n *testNode) addKitten(t *testing.T, name string, bytes uint64) *pisces.CoKernel {

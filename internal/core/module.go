@@ -106,10 +106,13 @@ type Attachment struct {
 	// reads and writes through it fail with ErrEnclaveDown (CheckAccess)
 	// and detach skips the notify there is no one left to receive.
 	Poisoned bool
-	// offset is the byte offset within the segment a remote attachment
-	// covers; the detach notification carries it so the owner can release
-	// the matching pins.
+	// offset is the byte offset within the segment the attachment
+	// covers; a remote detach notification carries it so the owner can
+	// release the matching pins.
 	offset uint64
+	// holder is the process a local attachment maps into (nil for a
+	// remote one); the world-end audit walks its page table.
+	holder *proc.Process
 	// mirror holds the locally allocated frames of a cross-machine
 	// attachment (NIC.MirrorFrames); they return to the local zone on
 	// detach. Nil for same-machine attachments.
@@ -201,16 +204,22 @@ type Module struct {
 	// replicas host NS instances without being the root.
 	nsRoot bool
 
-	links        []xproto.Link //xemem:nosnap -- topology wiring installed by AddLink at build time
-	kernel       *sim.Actor    //xemem:nosnap -- host-side actor handle, not serializable state
-	workers      int           //xemem:nosnap -- build-time configuration (SetKernelWorkers)
+	links        []xproto.Link
+	peers        []*Module // the modules at the far end of links, in order
+	order        int       // creation index among the world's modules
+	kernel       *sim.Actor
+	workers      int
 	ready        bool
 	stopped      bool
 	crashed      bool
-	pendingPings []pendingPing //xemem:nosnap -- bootstrap-transient: drained the moment the kernel turns ready, before the world can quiesce for a snapshot
+	pendingPings []pendingPing
+	// held[i] is the message kernel worker i has dequeued and not yet
+	// finished handling. A world that ends mid-handling leaves it there,
+	// and the world-end audit counts it with the inbox's queue.
+	held []*xproto.Message
 	// bootIDReq is the outstanding enclave-ID request during bootstrap (0
 	// otherwise).
-	bootIDReq uint64 //xemem:nosnap -- bootstrap-transient: zeroed when the enclave ID arrives, before the world can quiesce for a snapshot
+	bootIDReq uint64
 
 	segs         map[xproto.Segid]*Segment
 	attachments  map[*proc.Region]*Attachment
@@ -229,7 +238,7 @@ type Module struct {
 	// nic, when non-nil, bridges this enclave to a multi-machine
 	// interconnect: attachments whose owner lives on another machine
 	// mirror the frames over the fabric instead of mapping them.
-	nic NIC //xemem:nosnap -- fabric wiring installed by SetNIC at build time
+	nic NIC
 	// shards, when non-nil, switches name resolution to the sharded
 	// protocol: segids and names resolve at their home shard replicas and
 	// resolved owners are cached under virtual-time leases.
@@ -239,8 +248,8 @@ type Module struct {
 	leases map[xproto.Segid]lease
 
 	Stats Stats
-	// ShardStats counts sharded name-service activity; always zero (and
-	// absent from snapshots) in flat worlds.
+	// ShardStats counts sharded name-service activity; always zero in
+	// flat worlds.
 	ShardStats ShardStats
 
 	// Trace, when non-nil, observes every message this module sends
@@ -276,7 +285,7 @@ func New(name string, w *sim.World, costs *sim.Costs, os OS, hostNS bool) *Modul
 		m.nsRoot = true
 		m.R.SetSelf(xproto.NameServerID)
 	}
-	w.AddSnapshotComponent("mod/"+name, m.EncodeSnapshot)
+	m.join()
 	return m
 }
 
@@ -298,9 +307,16 @@ func (m *Module) World() *sim.World { return m.w }
 // bootstrap completes).
 func (m *Module) EnclaveID() xproto.EnclaveID { return m.R.Self() }
 
-// AddLink wires a communication channel endpoint into the module. Links
-// must be added before Start.
-func (m *Module) AddLink(l xproto.Link) { m.links = append(m.links, l) }
+// Connect wires a channel between modules a and b: ab carries a's
+// messages to b's inbox, ba b's to a's. Call it before either module
+// starts. The modules become peers, which is how the world-end audit
+// tells the enclaves of one name-service domain from another's.
+func Connect(a, b *Module, ab, ba xproto.Link) {
+	a.links = append(a.links, ab)
+	b.links = append(b.links, ba)
+	a.peers = append(a.peers, b)
+	b.peers = append(b.peers, a)
+}
 
 // Links reports the module's channel endpoints.
 func (m *Module) Links() []xproto.Link { return m.links }
@@ -352,6 +368,7 @@ func (m *Module) Start() {
 		m.workers = 1
 	}
 	cores := m.kernelCores()
+	m.held = make([]*xproto.Message, m.workers)
 	m.kernel = m.w.Spawn(m.name+"/kernel", func(a *sim.Actor) {
 		a.SetDaemon()
 		if m.NS == nil {
@@ -362,23 +379,23 @@ func (m *Module) Start() {
 		}
 		m.ready = true
 		m.flushPendingPings(a)
-		m.loop(a, cores[0])
+		m.loop(a, cores[0], 0)
 	})
 	for i := 1; i < m.workers; i++ {
 		core := cores[i%len(cores)]
 		m.w.Spawn(fmt.Sprintf("%s/kernel%d", m.name, i), func(a *sim.Actor) {
 			a.SetDaemon()
 			m.WaitReady(a)
-			m.loop(a, core)
+			m.loop(a, core, i)
 		})
 	}
 }
 
 // loop serves deliveries until a shutdown poison arrives, charging
-// receive handling on core.
-func (m *Module) loop(a *sim.Actor, core *sim.Core) {
+// receive handling on core. worker indexes the worker's held slot.
+func (m *Module) loop(a *sim.Actor, core *sim.Core, worker int) {
 	for {
-		msg, via, ok := m.receiveOn(a, core)
+		msg, via, ok := m.receiveOn(a, core, worker)
 		if !ok {
 			if m.stopped {
 				return
@@ -386,6 +403,7 @@ func (m *Module) loop(a *sim.Actor, core *sim.Core) {
 			continue
 		}
 		m.handle(a, msg, via)
+		m.held[worker] = nil
 	}
 }
 
@@ -502,16 +520,17 @@ func (m *Module) newReqID() uint64 {
 // (IPI handler plus copying the message out of the channel) on the kernel
 // core, and returns the delivered message.
 func (m *Module) receive(a *sim.Actor) (*xproto.Message, xproto.Link, bool) {
-	return m.receiveOn(a, m.os.KernelCore())
+	return m.receiveOn(a, m.os.KernelCore(), 0)
 }
 
 // receiveOn is receive with an explicit handling core (distributed
 // interrupt handling runs workers on several cores).
-func (m *Module) receiveOn(a *sim.Actor, core *sim.Core) (*xproto.Message, xproto.Link, bool) {
+func (m *Module) receiveOn(a *sim.Actor, core *sim.Core, worker int) (*xproto.Message, xproto.Link, bool) {
 	d := m.In.Get(a)
 	if d.Msg == nil {
 		return nil, nil, false // shutdown poison
 	}
+	m.held[worker] = d.Msg
 	m.Stats.MsgsReceived++
 	core.Exec(a, m.c.IPIHandler+sim.CopyTime(d.Msg.WireSize(), m.c.ChanBW), "xemem-msg")
 	return d.Msg, d.Via, true

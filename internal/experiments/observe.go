@@ -61,8 +61,11 @@ func announce(obs observeFn, label string, w *sim.World) {
 // private digest-only tracer installed here.
 func cellTracer(obs observeFn, label string, w *sim.World) *trace.Tracer {
 	announce(obs, label, w)
-	if tr, ok := w.Observer().(*trace.Tracer); ok {
-		return tr
+	switch o := w.Observer().(type) {
+	case *trace.Tracer:
+		return o
+	case interface{ Unwrap() *trace.Tracer }: // a repro probe's windowed tracer
+		return o.Unwrap()
 	}
 	tr := trace.NewTracer(label)
 	tr.SetKeepEvents(false)

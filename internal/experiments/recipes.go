@@ -4,8 +4,8 @@ package experiments
 // re-run without out-of-band knowledge: a recipe is
 // (name, JSON parameter blob, seed) → one deterministic world, executed
 // to completion. The obs hook is announced to the world exactly as the
-// sweep runners do it, which is where a replay attaches its tracer and
-// checkpoint.
+// sweep runners do it, which is where a replay attaches its windowed
+// tracer.
 
 import (
 	"encoding/json"

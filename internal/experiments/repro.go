@@ -2,119 +2,225 @@ package experiments
 
 // Repro bundles: a self-contained, replayable fingerprint of one
 // experiment world. A bundle pins the recipe, its parameter blob, the
-// seed, a snapshot cut, the world's state hash at that cut, and the
-// end-of-run trace digest. Replaying re-runs the recipe from
-// scratch and verifies both fingerprints: the hash proves the entire
-// serialized mid-run state — allocators, page tables, protocol counters,
-// name server, RNG cursors — is bit-identical, and the digest proves the
-// remainder of the run unfolded identically too. A bundle that verifies
-// on another machine (or another commit) is a machine-checked claim that
-// the simulated behaviour reproduced exactly; one that fails names the
-// first layer that drifted.
+// seed, the cumulative trace digest at the end of each of 16 equal
+// virtual-time windows of the run, and the end-of-run digest. Replaying
+// re-runs the recipe from scratch, audits the world once it has ended
+// (sim.World.Audit), and compares the windows in order. A bundle that
+// verifies on another machine (or another commit) is a machine-checked
+// claim that the simulated behaviour reproduced exactly; one that fails
+// names the first window whose events differ, its virtual-time range,
+// and the spans charged inside it.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
+	"sort"
+	"strings"
 
 	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
 )
 
-// Bundle is the repro bundle format (JSON on disk).
+// bundleWindows is how many equal virtual-time windows a bundle pins.
+const bundleWindows = 16
+
+// Bundle is the repro bundle format (JSON on disk). Window k covers
+// [k·WindowNs, (k+1)·WindowNs); Windows[k] is the trace digest of every
+// event recorded before the first dispatch at or past its end (the whole
+// run, for a window the run never reaches past).
 type Bundle struct {
-	Recipe         string          `json:"recipe"`
-	Params         json.RawMessage `json:"params,omitempty"`
-	Seed           uint64          `json:"seed"`
-	CutNs          int64           `json:"cut_ns"`
-	SnapshotSHA256 string          `json:"snapshot_sha256"`
-	Digest         trace.Digest    `json:"digest"`
+	Recipe   string          `json:"recipe"`
+	Params   json.RawMessage `json:"params,omitempty"`
+	Seed     uint64          `json:"seed"`
+	WindowNs int64           `json:"window_ns"`
+	Windows  []string        `json:"windows"`
+	Digest   trace.Digest    `json:"digest"`
 }
 
-// reproProbe observes one recipe run: it installs a digest-only tracer
-// and — when armed — a checkpoint that takes the world's state hash at
-// the cut.
-type reproProbe struct {
-	worlds int
-	tr     *trace.Tracer
-	hash   string
-}
-
-func (p *reproProbe) hook(cut sim.Time, armed bool) observeFn {
-	return func(label string, w *sim.World) {
-		p.worlds++
-		if p.worlds > 1 {
-			return // CaptureBundle/RunBundle reject this after the run
-		}
-		tr := trace.NewTracer(label)
-		tr.SetKeepEvents(false)
-		w.SetObserver(tr)
-		p.tr = tr
-		if armed {
-			w.SetCheckpoint(cut, func() { p.hash = w.SnapshotHash() })
-		}
+// LoadBundle reads a bundle file strictly: an unknown field, a missing
+// recipe or an empty window list is an error, so a file in an older
+// format cannot verify only part of what it pins.
+func LoadBundle(path string) (*Bundle, error) {
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
 	}
+	dec := json.NewDecoder(bytes.NewReader(buf))
+	dec.DisallowUnknownFields()
+	var b Bundle
+	if err := dec.Decode(&b); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	switch {
+	case b.Recipe == "":
+		return nil, fmt.Errorf("%s: bundle names no recipe", path)
+	case len(b.Windows) == 0 || b.WindowNs <= 0:
+		return nil, fmt.Errorf("%s: bundle pins no windows", path)
+	}
+	return &b, nil
 }
 
-// runRecipe executes a registered recipe under a probe and returns it.
-func runRecipe(name string, params json.RawMessage, seed uint64, cut sim.Time, armed bool) (*reproProbe, error) {
+// windowTracer is the probe's observer: the tracer, plus the cumulative
+// digest taken on the first dispatch at or past each window end. The
+// tracer itself is untouched; when it keeps events, marks[k] is how many
+// it held when window k closed.
+type windowTracer struct {
+	*trace.Tracer
+	ends  []sim.Time
+	sums  []string
+	marks []int
+}
+
+// Dispatch implements sim.Observer: it closes every window ending at or
+// before t, then forwards the dispatch.
+func (o *windowTracer) Dispatch(a *sim.Actor, t sim.Time) {
+	for len(o.sums) < len(o.ends) && t >= o.ends[len(o.sums)] {
+		o.close()
+	}
+	o.Tracer.Dispatch(a, t)
+}
+
+// Unwrap returns the tracer, for code that reads a world's tracer off
+// its observer (cellTracer).
+func (o *windowTracer) Unwrap() *trace.Tracer { return o.Tracer }
+
+func (o *windowTracer) close() {
+	o.sums = append(o.sums, o.Digest().SHA256)
+	o.marks = append(o.marks, len(o.Events()))
+}
+
+// windowEnds is the end of each of n windows of width ns.
+func windowEnds(n int, ns int64) []sim.Time {
+	ends := make([]sim.Time, n)
+	for k := range ends {
+		ends[k] = sim.Time(int64(k+1) * ns)
+	}
+	return ends
+}
+
+// probe is one observed recipe run: its world and its windowed tracer.
+type probe struct {
+	worlds int
+	w      *sim.World
+	tr     *windowTracer
+}
+
+// runRecipe executes a registered recipe with a windowed tracer on its
+// world (closing windows at ends; keep retains raw events) and returns
+// the probe once the world has ended.
+func runRecipe(name string, params json.RawMessage, seed uint64, ends []sim.Time, keep bool) (*probe, error) {
 	fn, ok := recipes[name]
 	if !ok {
 		return nil, fmt.Errorf("unknown recipe %q (have: %s)", name, RecipeNames())
 	}
-	p := &reproProbe{}
-	if err := fn(params, seed, p.hook(cut, armed)); err != nil {
+	p := &probe{}
+	hook := func(label string, w *sim.World) {
+		p.worlds++
+		if p.worlds > 1 {
+			return // rejected below, after the run
+		}
+		tr := trace.NewTracer(label)
+		tr.SetKeepEvents(keep)
+		p.w, p.tr = w, &windowTracer{Tracer: tr, ends: ends}
+		w.SetObserver(p.tr)
+	}
+	if err := fn(params, seed, hook); err != nil {
 		return nil, fmt.Errorf("recipe %s: %w", name, err)
 	}
 	if p.worlds != 1 {
 		return nil, fmt.Errorf("recipe %s announced %d worlds; bundles need exactly one", name, p.worlds)
 	}
+	for len(p.tr.sums) < len(ends) {
+		p.tr.close() // a window the run ended before reaching
+	}
 	return p, nil
 }
 
 // CaptureBundle runs a recipe twice and packages the result: the first
-// run measures the virtual duration, the second places the snapshot cut
-// at its midpoint and records the state hash there. The two runs must
-// produce the same digest — a recipe that fails that is not
+// run measures the virtual duration, the second records the digest at
+// the end of each of its 16 windows and audits the ended world. The two
+// runs must produce the same digest — a recipe that fails that is not
 // deterministic and cannot be bundled.
 func CaptureBundle(recipe string, params json.RawMessage, seed uint64) (*Bundle, error) {
-	ref, err := runRecipe(recipe, params, seed, 0, false)
+	ref, err := runRecipe(recipe, params, seed, nil, false)
 	if err != nil {
 		return nil, err
 	}
 	d := ref.tr.Digest()
-	cut := sim.Time(d.FinalNs / 2)
-	cutRun, err := runRecipe(recipe, params, seed, cut, true)
+	width := max(d.FinalNs/bundleWindows, 1)
+	run, err := runRecipe(recipe, params, seed, windowEnds(bundleWindows, width), false)
 	if err != nil {
 		return nil, err
 	}
-	if cd := cutRun.tr.Digest(); cd != d {
+	if rd := run.tr.Digest(); rd != d {
 		return nil, fmt.Errorf("recipe %s is not deterministic: digest %s vs %s across identical runs",
-			recipe, d.SHA256, cd.SHA256)
+			recipe, d.SHA256, rd.SHA256)
 	}
-	if cutRun.hash == "" {
-		return nil, fmt.Errorf("recipe %s: checkpoint at %v never fired", recipe, cut)
+	if err := run.w.Audit(); err != nil {
+		return nil, fmt.Errorf("recipe %s: %w", recipe, err)
 	}
 	return &Bundle{
 		Recipe: recipe, Params: params, Seed: seed,
-		CutNs: int64(cut), SnapshotSHA256: cutRun.hash, Digest: d,
+		WindowNs: width, Windows: run.tr.sums, Digest: d,
 	}, nil
 }
 
-// RunBundle replays a bundle: re-run its recipe and verify the snapshot
-// hash at the pinned cut and the end-of-run digest. nil means the run
-// reproduced the bundled behaviour bit-exactly.
+// RunBundle replays a bundle: re-run its recipe, compare each window's
+// digest in order and then the end-of-run digest, and audit the ended
+// world. nil means the run reproduced the bundled behaviour bit-exactly
+// and left its state consistent. The first window that differs is
+// named with its time range and the spans charged in it, which a second
+// run with events kept recovers.
 func RunBundle(b *Bundle) error {
-	p, err := runRecipe(b.Recipe, b.Params, b.Seed, sim.Time(b.CutNs), true)
+	ends := windowEnds(len(b.Windows), b.WindowNs)
+	p, err := runRecipe(b.Recipe, b.Params, b.Seed, ends, false)
 	if err != nil {
 		return err
 	}
-	if p.hash != b.SnapshotSHA256 {
-		return fmt.Errorf("recipe %s: snapshot at cut %v hashes %s, bundle pinned %s — mid-run state diverged",
-			b.Recipe, sim.Time(b.CutNs), p.hash, b.SnapshotSHA256)
+	for k, want := range b.Windows {
+		if got := p.tr.sums[k]; got != want {
+			spans, err := windowSpans(b, ends, k)
+			if err != nil {
+				return err
+			}
+			return fmt.Errorf("recipe %s: window %d of %d [%v, %v) digests %.16s…, bundle pinned %.16s… — behaviour first diverged there; spans in it: %s",
+				b.Recipe, k, len(ends), ends[k]-sim.Time(b.WindowNs), ends[k], got, want, spans)
+		}
 	}
 	if d := p.tr.Digest(); d != b.Digest {
-		return fmt.Errorf("recipe %s: trace digest %+v, bundle pinned %+v — post-cut behaviour diverged",
-			b.Recipe, d, b.Digest)
+		return fmt.Errorf("recipe %s: trace digest %+v, bundle pinned %+v — behaviour diverged after the last window, past %v",
+			b.Recipe, d, b.Digest, sim.Time(int64(len(ends))*b.WindowNs))
+	}
+	if err := p.w.Audit(); err != nil {
+		return fmt.Errorf("recipe %s: %w", b.Recipe, err)
 	}
 	return nil
+}
+
+// windowSpans re-runs the bundle's recipe with events kept and lists,
+// sorted, the distinct span names recorded in window k.
+func windowSpans(b *Bundle, ends []sim.Time, k int) (string, error) {
+	p, err := runRecipe(b.Recipe, b.Params, b.Seed, ends, true)
+	if err != nil {
+		return "", err
+	}
+	from := 0
+	if k > 0 {
+		from = p.tr.marks[k-1]
+	}
+	seen := make(map[string]bool)
+	var names []string
+	for _, e := range p.tr.Events()[from:p.tr.marks[k]] {
+		if e.Kind == trace.EvSpan && !seen[e.Op] {
+			seen[e.Op] = true
+			names = append(names, e.Op)
+		}
+	}
+	if len(names) == 0 {
+		return "none", nil
+	}
+	sort.Strings(names)
+	return strings.Join(names, ", "), nil
 }

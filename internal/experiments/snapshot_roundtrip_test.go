@@ -1,12 +1,12 @@
 package experiments
 
-// Snapshot round-trip property tests (DESIGN.md §12): for one world of
-// every figure (Fig. 5–9, Table 2) and a faulted world, arming a
-// checkpoint and taking the world's state hash must be invisible — the
-// run-to-end digest equals the uninterrupted run's — at cuts 0%, 50%,
-// and 90% of the run's virtual time. Replaying the recipe to the same
-// cut must regenerate the hash: that is the property repro bundles rely
-// on when they re-derive a snapshot hash.
+// Round-trip property tests (DESIGN.md §12): for one world of every
+// figure (Fig. 5–9, Table 2), a faulted world and a sharded cluster
+// world, recording a window digest and auditing the ended world must be
+// invisible — the run's digest equals the unobserved run's — and the
+// audit must pass. A window closed at a cut of 0%, 50% or 90% of the
+// run's virtual time must digest the same on a replay of the recipe:
+// that is the property repro bundles rely on when they compare windows.
 
 import (
 	"encoding/json"
@@ -14,14 +14,12 @@ import (
 	"testing"
 
 	"xemem/internal/sim"
-	"xemem/internal/sim/trace"
 )
 
 // roundtripCases drives every registered recipe with parameters reduced
 // for test runtime; together they cover each figure world, a fault world
 // with message loss and a mid-run enclave crash, and a sharded cluster
-// world whose mid-run cuts serialize live lease caches and shard
-// counters.
+// world with live lease caches and shard replicas.
 var roundtripCases = []struct {
 	recipe string
 	params string
@@ -38,79 +36,41 @@ var roundtripCases = []struct {
 
 const roundtripSeed = 11
 
-// runRoundtrip executes one recipe with a digest-only tracer on its
-// world and — when armed — a checkpoint at cut that hands the world's
-// state hash to onHash. It returns the run's trace digest.
-func runRoundtrip(t *testing.T, recipe, params string, cut sim.Time, armed bool, onHash func(string)) trace.Digest {
+// runRoundtrip runs one recipe with a window closing at each of ends,
+// audits the ended world, and returns the probe.
+func runRoundtrip(t *testing.T, recipe, params string, ends ...sim.Time) *probe {
 	t.Helper()
-	fn, ok := recipes[recipe]
-	if !ok {
-		t.Fatalf("unknown recipe %q", recipe)
-	}
-	var tr *trace.Tracer
-	worlds := 0
-	obs := func(label string, w *sim.World) {
-		worlds++
-		if worlds > 1 {
-			return
-		}
-		tr = trace.NewTracer(label)
-		tr.SetKeepEvents(false)
-		w.SetObserver(tr)
-		if armed {
-			w.SetCheckpoint(cut, func() { onHash(w.SnapshotHash()) })
-		}
-	}
-	if err := fn(json.RawMessage(params), roundtripSeed, obs); err != nil {
+	p, err := runRecipe(recipe, json.RawMessage(params), roundtripSeed, ends, false)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if worlds != 1 {
-		t.Fatalf("recipe %q announced %d worlds, want 1", recipe, worlds)
+	if err := p.w.Audit(); err != nil {
+		t.Fatalf("world-end audit: %v", err)
 	}
-	return tr.Digest()
+	return p
 }
 
-// TestSnapshotRoundtrip is the round-trip property.
+// TestSnapshotRoundtrip is the round-trip property. (The name predates
+// windowed bundles, when the cut took a state hash.)
 func TestSnapshotRoundtrip(t *testing.T) {
 	for _, tc := range roundtripCases {
 		tc := tc
 		t.Run(tc.recipe, func(t *testing.T) {
-			base := runRoundtrip(t, tc.recipe, tc.params, 0, false, nil)
+			base := runRoundtrip(t, tc.recipe, tc.params).tr.Digest()
 			if base.FinalNs == 0 {
-				t.Fatal("uninterrupted run ended at virtual time 0")
+				t.Fatal("unobserved run ended at virtual time 0")
 			}
 			for _, pct := range []int64{0, 50, 90} {
 				pct := pct
 				t.Run(fmt.Sprintf("cut=%d%%", pct), func(t *testing.T) {
 					cut := sim.Time(base.FinalNs * pct / 100)
-
-					// Capture: the checkpoint must not perturb the run.
-					var hash string
-					d := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(h string) {
-						hash = h
-					})
-					if d != base {
-						t.Errorf("checkpointed digest diverged\n got  %+v\n want %+v", d, base)
+					p := runRoundtrip(t, tc.recipe, tc.params, cut)
+					if d := p.tr.Digest(); d != base {
+						t.Errorf("windowed digest diverged\n got  %+v\n want %+v", d, base)
 					}
-					if hash == "" {
-						t.Fatal("checkpoint never fired")
-					}
-
-					// Replay: rebuilding the recipe and running to the
-					// same cut must regenerate the state hash, and still
-					// finish with the base digest.
-					replayed := false
-					d2 := runRoundtrip(t, tc.recipe, tc.params, cut, true, func(h2 string) {
-						replayed = true
-						if h2 != hash {
-							t.Error("replayed world's state diverged from the snapshot at the cut")
-						}
-					})
-					if !replayed {
-						t.Fatal("replay checkpoint never fired")
-					}
-					if d2 != base {
-						t.Errorf("replay digest diverged\n got  %+v\n want %+v", d2, base)
+					again := runRoundtrip(t, tc.recipe, tc.params, cut)
+					if again.tr.sums[0] != p.tr.sums[0] {
+						t.Errorf("the window at the cut digests %s, then %s on replay", p.tr.sums[0], again.tr.sums[0])
 					}
 				})
 			}

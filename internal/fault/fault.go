@@ -17,7 +17,6 @@ import (
 
 	"xemem/internal/core"
 	"xemem/internal/sim"
-	"xemem/internal/sim/snapshot"
 )
 
 // Window is a half-open virtual-time interval [Start, End) during which
@@ -74,7 +73,7 @@ type Injector struct {
 	plan  Plan
 	rng   *sim.RNG
 	stats Stats
-	mods  []*core.Module //xemem:nosnap -- module registry wired by Register at world build; topology, not run state
+	mods  []*core.Module
 }
 
 // New creates an injector for plan and installs it on w. The injector
@@ -87,36 +86,7 @@ func New(w *sim.World, plan Plan) *Injector {
 	}
 	inj := &Injector{w: w, plan: plan, rng: w.NewRNG()}
 	w.SetInjector(inj)
-	w.AddSnapshotComponent("fault/injector", inj.EncodeSnapshot)
 	return inj
-}
-
-// EncodeSnapshot appends the injector's state to e: the plan summary
-// (shape only — the schedule is a pure function of plan and seed), then
-// the RNG stream position and statistics.
-func (i *Injector) EncodeSnapshot(e *snapshot.Enc) {
-	e.F64(i.plan.DropProb)
-	e.F64(i.plan.DelayProb)
-	e.I64(int64(i.plan.DelayMax))
-	e.U64(uint64(len(i.plan.NSOutages)))
-	for _, w := range i.plan.NSOutages {
-		e.I64(int64(w.Start))
-		e.I64(int64(w.End))
-	}
-	e.U64(uint64(len(i.plan.Crashes)))
-	for _, c := range i.plan.Crashes {
-		e.I64(int64(c.At))
-		e.Str(c.Module)
-	}
-	state, spare, spareOK := i.rng.State()
-	e.U64(state)
-	e.F64(spare)
-	e.Bool(spareOK)
-	e.U64(uint64(i.stats.Deliveries))
-	e.U64(uint64(i.stats.Drops))
-	e.U64(uint64(i.stats.Delays))
-	e.I64(int64(i.stats.DelayTime))
-	e.U64(uint64(i.stats.Crashes))
 }
 
 // Register tells the injector which modules exist, so a crash can fan

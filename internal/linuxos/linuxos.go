@@ -27,7 +27,6 @@ import (
 	"xemem/internal/pagetable"
 	"xemem/internal/proc"
 	"xemem/internal/sim"
-	"xemem/internal/sim/snapshot"
 	"xemem/internal/xproto"
 )
 
@@ -48,17 +47,14 @@ type Linux struct {
 	cores   []*sim.Core
 	zone    *mem.Zone
 	dom     proc.Domain
-	virt    VirtHooks //xemem:nosnap -- nil when native; virtualization wiring installed by SetVirtHooks at build time
+	virt    VirtHooks
 	nextPID int
 
 	procCore map[*proc.Process]*sim.Core
-	// procs holds every process in creation order — procCore is keyed by
-	// host pointer, so snapshot encoding iterates this slice instead.
-	procs []*proc.Process
 
 	// activeMappers counts processes currently inside an address-space
 	// update; >1 means shared mm structures are bouncing between cores.
-	activeMappers int //xemem:nosnap -- reentrancy meter around one address-space update; the paired decrement runs before the actor yields for good, so it is zero whenever the world is quiescent for a snapshot
+	activeMappers int
 }
 
 // New creates a Linux instance with ncores cores over the given zone and
@@ -75,14 +71,13 @@ func New(name string, w *sim.World, costs *sim.Costs, zone *mem.Zone, dom proc.D
 	for i := 0; i < ncores; i++ {
 		l.cores = append(l.cores, sim.NewCore(fmt.Sprintf("%s/core%d", name, i)))
 	}
-	w.AddSnapshotComponent("os/"+name, l.EncodeSnapshot)
 	return l
 }
 
 // SetVirtHooks marks this instance as a Palacios guest.
 func (l *Linux) SetVirtHooks(v VirtHooks) { l.virt = v }
 
-// Name reports the instance name (also its snapshot section suffix).
+// Name reports the instance name.
 func (l *Linux) Name() string { return l.name }
 
 // Zone returns the instance's memory zone.
@@ -104,27 +99,7 @@ func (l *Linux) NewProcess(name string, coreIdx int) *proc.Process {
 		coreIdx = len(l.cores) - 1
 	}
 	l.procCore[p] = l.cores[coreIdx]
-	l.procs = append(l.procs, p)
 	return p
-}
-
-// EncodeSnapshot appends the kernel instance's state to e: every process
-// in creation order with its PID and address space, then every core's
-// scheduling state and statistics in index order. The zone is owned by
-// the node's PhysMem (or the VMM) and is captured there.
-func (l *Linux) EncodeSnapshot(e *snapshot.Enc) {
-	e.Str(l.name)
-	e.U64(uint64(l.nextPID))
-	e.U64(uint64(len(l.procs)))
-	for _, p := range l.procs {
-		e.U64(uint64(p.PID))
-		e.Str(p.Name)
-		p.AS.EncodeSnapshot(e)
-	}
-	e.U64(uint64(len(l.cores)))
-	for _, c := range l.cores {
-		c.EncodeSnapshot(e)
-	}
 }
 
 // CoreOf reports the core a process's syscall work executes on.

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"xemem/internal/extent"
-	"xemem/internal/sim/snapshot"
 )
 
 // PageSize and PageShift mirror the extent package's base granularity.
@@ -37,7 +36,7 @@ type PhysMem struct {
 	// arrays instead of a make per frame. Only NEW frames draw from it —
 	// a freed-and-reallocated frame keeps its old array (and stale
 	// contents), exactly as before.
-	slab []byte //xemem:nosnap -- host-side allocator free pool; frame contents are snapshotted per-frame
+	slab []byte
 	// pins counts pin references per extent. Pin/Unpin operate on whole
 	// frame lists and must be symmetric (unpin what was pinned); keeping
 	// intervals instead of per-page counts makes pinning a 1 GB region
@@ -281,35 +280,41 @@ func (m *PhysMem) pinnedOverlap(e extent.Extent) bool {
 	return false
 }
 
-// EncodeSnapshot appends the memory's full state to e: per-zone allocator
-// state, every materialized frame's contents (collected and sorted by PFN
-// — the frames map's iteration order is host-dependent), and the pin
-// table sorted by extent. The slab bump allocator is host bookkeeping and
-// is not captured.
-func (m *PhysMem) EncodeSnapshot(e *snapshot.Enc) {
-	e.Str(m.name)
-	e.U64(uint64(len(m.zones)))
+// Audit checks the memory's allocator and pin invariants: every zone's
+// free list is sorted, disjoint, non-adjacent and inside the zone, and
+// sums to its free-page count; every pinned extent holds a positive
+// count. It reports the first violation, zones in index order and pins
+// in extent order, so the same state always names the same one.
+func (m *PhysMem) Audit() error {
 	for _, z := range m.zones {
-		e.U64(uint64(z.start))
-		e.U64(uint64(z.limit))
-		e.U64(z.freePages)
-		e.U64(uint64(z.rotor))
-		e.U64(uint64(len(z.free)))
-		for _, fe := range z.free {
-			e.U64(uint64(fe.First))
-			e.U64(fe.Count)
+		var sum uint64
+		next := z.start
+		for i, e := range z.free {
+			switch {
+			case e.Count == 0:
+				return fmt.Errorf("zone %d: free extent %d is empty", z.id, i)
+			case e.First < next || (i > 0 && e.First == next):
+				return fmt.Errorf("zone %d: free extent %v overlaps or abuts its predecessor", z.id, e)
+			case e.End() > z.limit:
+				return fmt.Errorf("zone %d: free extent %v beyond the zone's end %#x", z.id, e, uint64(z.limit))
+			}
+			next = e.End()
+			sum += e.Count
+		}
+		if sum != z.freePages {
+			return fmt.Errorf("zone %d: free list holds %d pages but freePages is %d", z.id, sum, z.freePages)
 		}
 	}
-	pfns := make([]PFN, 0, len(m.frames))
-	for f := range m.frames {
-		pfns = append(pfns, f)
+	for _, p := range m.PinnedExtents() {
+		if n := m.pins[p]; n <= 0 {
+			return fmt.Errorf("pin count %d on extent %v", n, p)
+		}
 	}
-	sort.Slice(pfns, func(i, j int) bool { return pfns[i] < pfns[j] })
-	e.U64(uint64(len(pfns)))
-	for _, f := range pfns {
-		e.U64(uint64(f))
-		e.Blob(m.frames[f])
-	}
+	return nil
+}
+
+// PinnedExtents lists the pinned extents in frame order.
+func (m *PhysMem) PinnedExtents() []extent.Extent {
 	pins := make([]extent.Extent, 0, len(m.pins))
 	for p := range m.pins {
 		pins = append(pins, p)
@@ -320,12 +325,7 @@ func (m *PhysMem) EncodeSnapshot(e *snapshot.Enc) {
 		}
 		return pins[i].Count < pins[j].Count
 	})
-	e.U64(uint64(len(pins)))
-	for _, p := range pins {
-		e.U64(uint64(p.First))
-		e.U64(p.Count)
-		e.U64(uint64(m.pins[p]))
-	}
+	return pins
 }
 
 // ZoneFromExtent creates an allocator over an arbitrary extent of this

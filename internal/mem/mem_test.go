@@ -2,10 +2,12 @@ package mem
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"xemem/internal/extent"
+	"xemem/internal/sim"
 )
 
 func newTestMem() *PhysMem {
@@ -331,5 +333,49 @@ func TestAllocatorConservationProperty(t *testing.T) {
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAudit checks the allocator and pin invariants the world-end audit
+// reports under "phys/<node>": they hold after allocations, frees and
+// pins, and each mutation below fails naming the zone or pin it breaks.
+func TestAudit(t *testing.T) {
+	build := func() (*PhysMem, extent.List, *sim.World) {
+		m := NewPhysMem("node0", 8<<20, 8<<20)
+		z := m.Zone(1)
+		a, err := z.AllocContig(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := z.AllocScattered(40, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Pin(l)
+		if err := z.Free(extent.FromExtents(a)); err != nil {
+			t.Fatal(err)
+		}
+		w := sim.NewWorld(1)
+		w.AddAudit("phys/node0", m.Audit)
+		return m, l, w
+	}
+	if _, _, w := build(); w.Audit() != nil {
+		t.Fatalf("consistent memory failed its audit: %v", w.Audit())
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(m *PhysMem, pinned extent.List)
+		want   string
+	}{
+		{"dropped free extent", func(m *PhysMem, _ extent.List) { m.zones[1].free = m.zones[1].free[1:] }, "zone 1: free list holds"},
+		{"overlapping extents", func(m *PhysMem, _ extent.List) { m.zones[1].free = append(m.zones[1].free, m.zones[1].free[0]) }, "zone 1: free extent"},
+		{"extent past the zone", func(m *PhysMem, _ extent.List) { m.zones[0].free[0].Count++ }, "zone 0: free extent"},
+		{"zero pin count", func(m *PhysMem, l extent.List) { m.pins[l.Extents()[0]] = 0 }, "pin count 0 on extent"},
+	} {
+		m, l, w := build()
+		tc.mutate(m, l)
+		if err := w.Audit(); err == nil || !strings.Contains(err.Error(), "audit phys/node0: "+tc.want) {
+			t.Errorf("%s: audit = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 
-	"xemem/internal/sim/snapshot"
 	"xemem/internal/xproto"
 )
 
@@ -26,13 +25,13 @@ type NS struct {
 	// the shard count for a shard replica (ConfigureShard), so every shard
 	// allocates within its own residue class and a segid's home shard is
 	// computable locally (ShardOf) without a directory.
-	allocStep xproto.Segid //xemem:nosnap -- deployment config (ConfigureShard stride), fixed by the world build, not run state
+	allocStep xproto.Segid
 	owners    map[xproto.Segid]xproto.EnclaveID
 	names     map[string]xproto.Segid
 	// nameOf is the reverse index of names, so retiring a segid drops its
 	// bindings without scanning the whole registry. A segid can carry
 	// several names (publish is idempotent per name, first-come).
-	nameOf map[xproto.Segid][]string //xemem:nosnap -- derived reverse index of the encoded names map; encoding it would add no information
+	nameOf map[xproto.Segid][]string
 	// down records crashed enclaves. Their segid registrations are kept —
 	// a lookup of a dead owner's segment must report "enclave down", not
 	// "no such segment" — but requests toward them are answered with
@@ -65,7 +64,7 @@ func New() *NS {
 // ConfigureShard turns this instance into shard k of n: segid allocation
 // starts at 0x1000·n+k and strides by n, so every segid this shard hands
 // out satisfies ShardOf(segid, n) == k. Call it once, before the first
-// allocation (the stride is configuration, not snapshot state).
+// allocation (the stride is configuration).
 func (ns *NS) ConfigureShard(k, n int) {
 	if n <= 0 || k < 0 || k >= n {
 		panic(fmt.Sprintf("nameserver: shard %d of %d", k, n))
@@ -208,14 +207,11 @@ func (ns *NS) Lookup(name string) (xproto.Segid, bool) {
 	return s, ok
 }
 
-// Names lists published names, sorted (diagnostics).
-func (ns *NS) Names() []string {
-	out := make([]string, 0, len(ns.names))
-	for n := range ns.names {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+// Binding reports the segid a name is bound to. Unlike Lookup it is
+// not a served lookup and counts nothing.
+func (ns *NS) Binding(name string) (xproto.Segid, bool) {
+	s, ok := ns.names[name]
+	return s, ok
 }
 
 // LiveSegids reports the number of live segment registrations.
@@ -240,41 +236,39 @@ func (ns *NS) MarkEnclaveDown(e xproto.EnclaveID) {
 // EnclaveDown reports whether e has been marked crashed.
 func (ns *NS) EnclaveDown(e xproto.EnclaveID) bool { return ns.down[e] }
 
-// EncodeSnapshot appends the name server's full state to e: allocation
-// cursors, counters, and the registries with every map collected and
-// sorted first. The nameOf reverse index is not encoded — it is derivable
-// from the name registry.
-func (ns *NS) EncodeSnapshot(e *snapshot.Enc) {
-	e.U64(uint64(ns.nextEnclave))
-	e.U64(uint64(ns.nextSegid))
-	e.U64(uint64(ns.EnclaveAllocs))
-	e.U64(uint64(ns.SegidAllocs))
-	e.U64(uint64(ns.Lookups))
-	e.U64(uint64(ns.Forwards))
-	e.U64(uint64(ns.EnclavesDowned))
-	segids := make([]xproto.Segid, 0, len(ns.owners))
-	for s := range ns.owners {
-		segids = append(segids, s)
+// Audit checks that the name registry and its reverse index agree:
+// nameOf lists every name exactly once, under the segid names binds it
+// to. In a flat deployment (stride 1) every named segid is also
+// registered; a shard replica binds names for segids other shards
+// register, so there it need not be. It reports the first violation in
+// segid order.
+func (ns *NS) Audit() error {
+	indexed := 0
+	for _, s := range sortedSegids(ns.nameOf) {
+		for _, n := range ns.nameOf[s] {
+			if bound, ok := ns.names[n]; !ok || bound != s {
+				return fmt.Errorf("nameOf lists %q under segid %d, but names binds it to %d", n, s, bound)
+			}
+		}
+		if _, ok := ns.owners[s]; !ok && ns.allocStep == 1 {
+			return fmt.Errorf("segid %d is named but not registered", s)
+		}
+		indexed += len(ns.nameOf[s])
 	}
-	sort.Slice(segids, func(i, j int) bool { return segids[i] < segids[j] })
-	e.U64(uint64(len(segids)))
-	for _, s := range segids {
-		e.U64(uint64(s))
-		e.U64(uint64(ns.owners[s]))
+	if indexed != len(ns.names) {
+		return fmt.Errorf("nameOf indexes %d name(s), but names binds %d", indexed, len(ns.names))
 	}
-	names := ns.Names()
-	e.U64(uint64(len(names)))
-	for _, n := range names {
-		e.Str(n)
-		e.U64(uint64(ns.names[n]))
+	return nil
+}
+
+// Segids lists the registered segids, sorted.
+func (ns *NS) Segids() []xproto.Segid { return sortedSegids(ns.owners) }
+
+func sortedSegids[V any](m map[xproto.Segid]V) []xproto.Segid {
+	out := make([]xproto.Segid, 0, len(m))
+	for s := range m {
+		out = append(out, s)
 	}
-	downs := make([]xproto.EnclaveID, 0, len(ns.down))
-	for id := range ns.down {
-		downs = append(downs, id)
-	}
-	sort.Slice(downs, func(i, j int) bool { return downs[i] < downs[j] })
-	e.U64(uint64(len(downs)))
-	for _, id := range downs {
-		e.U64(uint64(id))
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }

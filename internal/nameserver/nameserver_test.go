@@ -1,12 +1,11 @@
 package nameserver
 
 import (
-	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
-	"xemem/internal/sim/snapshot"
 	"xemem/internal/xproto"
 )
 
@@ -101,8 +100,10 @@ func TestRemoveDropsNames(t *testing.T) {
 	if err := ns.RemoveSegid(s, 2); err != nil {
 		t.Fatal(err)
 	}
-	if len(ns.Names()) != 0 {
-		t.Fatalf("names survive removal: %v", ns.Names())
+	for _, n := range []string{"a", "b"} {
+		if _, ok := ns.Binding(n); ok {
+			t.Fatalf("name %q survives removal", n)
+		}
 	}
 }
 
@@ -250,36 +251,44 @@ func TestMarkEnclaveDownKeepsRegistrations(t *testing.T) {
 	}
 }
 
-// EncodeSnapshot is a pure function of the registry's contents: two
-// name servers holding the same registrations, bindings and crashed
-// enclaves encode byte-identically whatever order they were entered
-// in (every map is sorted first), and one more lookup changes the
-// bytes.
-func TestEncodeSnapshotDeterministic(t *testing.T) {
-	build := func(order []int) *NS {
-		ns := New()
-		for _, i := range order {
-			s := xproto.Segid(0x2000 + i)
-			ns.SyncRegister(s, xproto.EnclaveID(2+i))
-			if err := ns.BindName(fmt.Sprintf("seg%d", i), s); err != nil {
-				t.Fatal(err)
-			}
-			ns.MarkEnclaveDown(xproto.EnclaveID(10 + i))
+// Audit holds on a registry built through the API and after removals,
+// and names the broken index when nameOf drifts from names — a stale
+// reverse entry, a missing one, or a duplicate — or a name outlives its
+// registration.
+func TestAuditNameIndex(t *testing.T) {
+	ns := New()
+	for i := 0; i < 4; i++ {
+		s, err := ns.AllocSegid(xproto.EnclaveID(2 + i))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return ns
+		if err := ns.Publish(fmt.Sprintf("seg%d", i), s, xproto.EnclaveID(2+i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	encode := func(ns *NS) []byte {
-		var e snapshot.Enc
-		ns.EncodeSnapshot(&e)
-		return e.Data()
+	if err := ns.RemoveSegid(0x1001, 3); err != nil {
+		t.Fatal(err)
 	}
-	a, b := build([]int{0, 1, 2, 3, 4}), build([]int{3, 0, 4, 2, 1})
-	enc := encode(a)
-	if !bytes.Equal(enc, encode(b)) {
-		t.Fatal("same registry encoded differently for a different insertion order")
+	if err := ns.Audit(); err != nil {
+		t.Fatalf("consistent registry failed its audit: %v", err)
 	}
-	b.Lookup("seg1")
-	if bytes.Equal(enc, encode(b)) {
-		t.Fatal("a lookup left the encoding unchanged")
+	for name, mutate := range map[string]func(*NS){
+		"stale reverse entry": func(ns *NS) { ns.nameOf[0x1003] = append(ns.nameOf[0x1003], "ghost") },
+		"missing reverse":     func(ns *NS) { delete(ns.nameOf, 0x1000) },
+		"duplicate reverse":   func(ns *NS) { ns.nameOf[0x1002] = append(ns.nameOf[0x1002], "seg2") },
+		"unregistered name":   func(ns *NS) { delete(ns.owners, 0x1000) },
+	} {
+		c := New()
+		for _, s := range ns.Segids() {
+			c.owners[s] = ns.owners[s]
+		}
+		for n, s := range ns.names {
+			c.names[n] = s
+			c.nameOf[s] = append(c.nameOf[s], n)
+		}
+		mutate(c)
+		if err := c.Audit(); err == nil || !strings.Contains(err.Error(), "name") {
+			t.Errorf("%s: audit = %v, want a name-index violation", name, err)
+		}
 	}
 }

@@ -287,7 +287,7 @@ func (t *Table) mapPT(va VA, f extent.PFN, count uint64, flags Flags) (uint64, e
 // page. An unmapped run extends to the end of the absent entry's span,
 // and across consecutive absent entries of a PT node. Callers iterate it
 // to partition a range into leaves and holes without probing every page
-// of a hole: the populate, sparse-teardown, access and snapshot paths.
+// of a hole: the populate, sparse-teardown, access and audit paths.
 func (t *Table) MappedRun(va VA, limit uint64) (n uint64, mapped bool) {
 	node := t.root
 	for level := 3; level >= 0; level-- {

@@ -399,6 +399,5 @@ func connectPCI(vm *VM, host *core.Module) {
 	toHost := &pciLink{name: fmt.Sprintf("pci:%s->%s", vm.name, host.Name()), vm: vm, toGuest: false, in: host.In}
 	toGuest.peer = toHost
 	toHost.peer = toGuest
-	host.AddLink(toGuest)
-	vm.Module.AddLink(toHost)
+	core.Connect(host, vm.Module, toGuest, toHost)
 }

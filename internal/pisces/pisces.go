@@ -53,8 +53,7 @@ func Connect(a, b *core.Module) {
 	ba := &link{name: fmt.Sprintf("ipi:%s->%s", b.Name(), a.Name()), c: costs, in: a.In, wire: wire}
 	ab.peer = ba
 	ba.peer = ab
-	a.AddLink(ab)
-	b.AddLink(ba)
+	core.Connect(a, b, ab, ba)
 }
 
 // CoKernel is a booted Kitten co-kernel enclave.

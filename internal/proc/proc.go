@@ -23,7 +23,6 @@ import (
 	"xemem/internal/extent"
 	"xemem/internal/mem"
 	"xemem/internal/pagetable"
-	"xemem/internal/sim/snapshot"
 )
 
 // Domain translates frame lists from an OS's physical domain to host
@@ -79,7 +78,7 @@ type AddressSpace struct {
 	dom     Domain
 	regions []*Region // sorted by Base
 	mmapCur pagetable.VA
-	frames  extent.List //xemem:nosnap -- access's frame-list scratch, reset at the start of every Read/Write
+	frames  extent.List
 }
 
 // NewAddressSpace creates an empty address space over dom whose automatic
@@ -100,55 +99,6 @@ func (as *AddressSpace) Regions() []*Region {
 	out := make([]*Region, len(as.regions))
 	copy(out, as.regions)
 	return out
-}
-
-// EncodeSnapshot appends the address space's state to e: the placement
-// cursor, then every region in base order (the slice is already sorted)
-// with its backing extents, and per region the page-table translations as
-// (va, frame-extent) runs. The Table's node structure is not captured —
-// leaf translations pin the architectural state; node layout is a
-// host-side detail.
-func (as *AddressSpace) EncodeSnapshot(e *snapshot.Enc) {
-	e.U64(uint64(as.mmapCur))
-	e.U64(uint64(len(as.regions)))
-	for _, r := range as.regions {
-		e.Str(r.Name)
-		e.U64(uint64(r.Base))
-		e.U64(uint64(r.Flags))
-		e.Bool(r.Lazy)
-		e.U64(r.Populated)
-		exts := r.Backing.Extents()
-		e.U64(uint64(len(exts)))
-		for _, x := range exts {
-			e.U64(uint64(x.First))
-			e.U64(x.Count)
-		}
-		// Mapped runs within the region, in address order.
-		va := r.Base
-		rem := r.Pages()
-		for rem > 0 {
-			run, mapped := as.pt.MappedRun(va, rem)
-			if mapped {
-				l, err := as.pt.ExtentsFor(va, run)
-				if err != nil {
-					panic("proc: mapped run not walkable: " + err.Error())
-				}
-				for _, x := range l.Extents() {
-					f, flags, _, _ := as.pt.Walk(va)
-					e.Bool(true)
-					e.U64(uint64(va))
-					e.U64(uint64(f))
-					e.U64(x.Count)
-					e.U64(uint64(flags))
-					va += pagetable.VA(x.Count * extent.PageSize)
-				}
-			} else {
-				va += pagetable.VA(run * extent.PageSize)
-			}
-			rem -= run
-		}
-		e.Bool(false)
-	}
 }
 
 // ReserveVA allocates npages of unused virtual address space from the

@@ -119,7 +119,7 @@ func (r *Router) KnownEnclaves() []xproto.EnclaveID {
 }
 
 // PendingHops lists the reqIDs with outstanding hop-routed requests,
-// sorted (snapshot encoding and diagnostics).
+// sorted (the world-end audit and diagnostics).
 func (r *Router) PendingHops() []uint64 {
 	out := make([]uint64, 0, len(r.hops))
 	for id := range r.hops {

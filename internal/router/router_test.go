@@ -102,7 +102,7 @@ func TestRouteTableRenders(t *testing.T) {
 // The cluster builder's accessors: Self/NSLink expose bootstrap results,
 // Knows distinguishes learned mesh routes from the NS fallback, and
 // PendingHops lists outstanding hop-routed requests sorted for the
-// snapshot encoder.
+// world-end audit.
 func TestAccessorsAndPendingHops(t *testing.T) {
 	r := New()
 	if r.Self() != xproto.NoEnclave {

@@ -73,12 +73,6 @@ type Costs struct {
 	// already-attached region (Fig. 5 "Attach + Read").
 	MemReadBW float64
 
-	// MemCopyBW is memcpy bandwidth for bulk copies (the analytics
-	// program's shared→private copy, channel data copies).
-	//
-	//xemem:allow chargecheck -- reserved calibration anchor: the in-situ workload models its copy with per-program CopyBW params (internal/insitu) and channels charge ChanBW; kept so external cost-model consumers see the full §4 envelope
-	MemCopyBW float64
-
 	// --- Cross-enclave channels (§4.5) -----------------------------------
 
 	// IPILatency is the wire latency of an inter-processor interrupt.
@@ -220,7 +214,6 @@ func DefaultCosts() *Costs {
 		SmartmapAttach:   500 * Nanosecond,
 
 		MemReadBW: 168e9,
-		MemCopyBW: 8e9,
 
 		IPILatency: 1500 * Nanosecond,
 		IPIHandler: 4 * Microsecond,

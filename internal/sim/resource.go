@@ -1,7 +1,5 @@
 package sim
 
-import "xemem/internal/sim/snapshot"
-
 // Resource models a serially-reusable piece of hardware or a kernel lock:
 // only one actor's work occupies it at a time, and work is granted in
 // virtual-time arrival order. It is the mechanism behind every contention
@@ -97,20 +95,6 @@ func (r *Resource) Acquires() int { return r.acquires }
 
 // ContendedAcquires reports how many acquisitions had to queue.
 func (r *Resource) ContendedAcquires() int { return r.waits }
-
-// EncodeSnapshot appends the resource's scheduling state and statistics
-// to e in fixed field order. The name is excluded — component savers
-// iterate resources in construction order, so names are implied — and a
-// Core's host-side occupancy log (StartRecording) is diagnostics, not
-// simulation state, so it is deliberately not captured.
-func (r *Resource) EncodeSnapshot(e *snapshot.Enc) {
-	e.I64(int64(r.nextFree))
-	e.I64(int64(r.busy))
-	e.I64(int64(r.waited))
-	e.U64(uint64(r.acquires))
-	e.U64(uint64(r.waits))
-	e.U64(uint64(r.queued))
-}
 
 // Span records one occupancy interval of a Core, tagged with its cause.
 // The noise analysis (§5.5) reconstructs the Selfish Detour profile from

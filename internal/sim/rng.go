@@ -18,12 +18,6 @@ type RNG struct {
 // NewRNG returns a stream seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
-// State exports the stream's exact position — the SplitMix64 state plus
-// the cached Marsaglia polar spare — for snapshot encoding.
-func (r *RNG) State() (state uint64, spare float64, spareOK bool) {
-	return r.state, r.spare, r.spareOK
-}
-
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

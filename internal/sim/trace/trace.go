@@ -14,7 +14,6 @@ package trace
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"fmt"
 	"hash"
@@ -23,7 +22,6 @@ import (
 	"strings"
 
 	"xemem/internal/sim"
-	"xemem/internal/sim/snapshot"
 )
 
 // EventKind discriminates trace events.
@@ -397,31 +395,6 @@ type Digest struct {
 	WaitTimeNs int64  `json:"wait_time_ns"`
 	FinalNs    int64  `json:"final_ns"`
 	SHA256     string `json:"sha256"`
-}
-
-// SnapshotWatermark implements sim.SnapshotWatermarker: it exports the
-// tracer's accumulated digest state — the running SHA-256's internal
-// state plus every count and time total that feeds Digest — so a
-// snapshot hash taken at a cut fingerprints the trace digest up to that
-// cut. The per-op/resource/queue metric maps are deliberately not
-// captured: they are presentation-side aggregation of the same events
-// the digest hashes.
-func (t *Tracer) SnapshotWatermark() []byte {
-	hb, err := t.digest.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic("trace: sha256 state not marshalable: " + err.Error())
-	}
-	var e snapshot.Enc
-	e.Blob(hb)
-	e.U64(t.nSpans)
-	e.U64(t.nAcquires)
-	e.U64(t.nQueueWaits)
-	e.U64(t.nCounts)
-	e.U64(t.dispatches)
-	e.I64(int64(t.spanTime))
-	e.I64(int64(t.waitTime))
-	e.I64(int64(t.final))
-	return e.Data()
 }
 
 // Digest summarizes the stream observed so far.

@@ -282,24 +282,6 @@ func TestFinalTimeAndDispatches(t *testing.T) {
 	}
 }
 
-// The watermark is what a snapshot hash covers for the trace: two
-// tracers fed the same events export byte-identical watermarks, and one
-// extra event changes the bytes.
-func TestWatermarkDeterministic(t *testing.T) {
-	a, b := NewTracer("wm"), NewTracer("wm")
-	b.SetKeepEvents(false)
-	scenario(7, a)
-	scenario(7, b)
-	wm := a.SnapshotWatermark()
-	if !bytes.Equal(wm, b.SnapshotWatermark()) {
-		t.Fatal("same events exported different watermarks")
-	}
-	b.Count("extra", nil, sim.Nanosecond)
-	if bytes.Equal(wm, b.SnapshotWatermark()) {
-		t.Fatal("an extra event left the watermark unchanged")
-	}
-}
-
 // Set-level plumbing the experiment runners use: Reserve and Get install
 // tracers per labelled world, Digests lists them in slot order whatever
 // order and goroutine they registered from, and SetKeepEvents governs

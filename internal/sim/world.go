@@ -72,13 +72,10 @@ type World struct {
 	// zero-fault world.
 	inj Injector
 
-	// Checkpoint machinery (see checkpoint.go). snapComps are the
-	// registered per-component snapshot section savers; ckptT and ckptFn
-	// arm a one-shot checkpoint callback fired at the engine's first
-	// quiesce point at or past ckptT.
-	snapComps []snapComponent
-	ckptT     Time
-	ckptFn    func()
+	// audits are the registered world-end checks (see audit.go); shared
+	// holds the per-world values components meet at (World.Shared).
+	audits []audit
+	shared map[any]any
 }
 
 // NewWorld returns an empty world whose RNG streams derive from seed.
@@ -149,14 +146,7 @@ func (w *World) Run() error {
 	w.running = true
 	defer w.exit()
 
-	err := w.runLoop(true)
-	// A checkpoint armed at or past the end of the run fires at
-	// termination, after teardown: the caller still gets its snapshot,
-	// recognizable by actor states recording the kill.
-	if w.ckptFn != nil {
-		w.fireCheckpoint()
-	}
-	return err
+	return w.runLoop(true)
 }
 
 // RunPhase executes the engine until every current non-daemon
@@ -322,14 +312,6 @@ func (w *World) checkPure(what string) {
 // the trace line. It runs in Run's loop or in the yielding actor's
 // coroutine, always under the one-runnable-goroutine guarantee.
 func (w *World) dispatch(next *Actor) {
-	// The checkpoint fires the instant the next dispatch would reach the
-	// cut: every dispatch strictly below ckptT has executed and been
-	// observed, none at or past it has — the exact serial cut semantics
-	// the snapshot watermark records. Firing before the clock update and
-	// the observer call keeps the dispatch itself on the far side.
-	if w.ckptFn != nil && next.now >= w.ckptT {
-		w.fireCheckpoint()
-	}
 	if next.now > w.now {
 		w.now = next.now
 	}

@@ -44,6 +44,7 @@ func newRegNode(t *testing.T, seed uint64) *regNode {
 		t.Fatal(err)
 	}
 	lp := linux.NewProcess("attacher", 1)
+	auditAtEnd(t, w, pm)
 	return &regNode{
 		w:       w,
 		lmod:    lmod,

@@ -44,6 +44,7 @@ func newServeNode(t *testing.T) *serveNode {
 		t.Fatal(err)
 	}
 	lp := linux.NewProcess("attacher", 1)
+	auditAtEnd(t, w, pm)
 	return &serveNode{
 		w:       w,
 		pm:      pm,
@@ -51,6 +52,20 @@ func newServeNode(t *testing.T) *serveNode {
 		attSess: xpmem.NewSession(lmod, lp),
 		heap:    heap,
 	}
+}
+
+// auditAtEnd registers pm's audit on w and, when the test ends without
+// having failed, runs the world-end audit over everything w holds.
+func auditAtEnd(t *testing.T, w *sim.World, pm *mem.PhysMem) {
+	w.AddAudit("phys/"+pm.Name(), pm.Audit)
+	t.Cleanup(func() {
+		if t.Failed() {
+			return
+		}
+		if err := w.Audit(); err != nil {
+			t.Errorf("world-end %v", err)
+		}
+	})
 }
 
 // waitPinned waits, bounded, until the exporter's heap page has want pins:

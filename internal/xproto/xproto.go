@@ -304,5 +304,9 @@ func (in *Inbox) Get(a *sim.Actor) Delivery {
 	return d
 }
 
+// Queued returns the deliveries not yet dequeued, oldest first. The
+// slice aliases the queue: read it, do not keep it.
+func (in *Inbox) Queued() []Delivery { return in.q[in.head:] }
+
 // Len reports the number of queued deliveries.
 func (in *Inbox) Len() int { return len(in.q) - in.head }

@@ -100,7 +100,7 @@ func NewNodeInWorld(w *sim.World, costs *sim.Costs, cfg NodeConfig) *Node {
 		cores = 4
 	}
 	pm := mem.NewPhysMem(name, memBytes)
-	w.AddSnapshotComponent("phys/"+name, pm.EncodeSnapshot)
+	w.AddAudit("phys/"+name, pm.Audit)
 	linux := linuxos.New(name+"/linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, cores)
 	lmod := core.New(name+"/linux", w, costs, linux, !cfg.NoNameServer)
 	if cfg.KernelWorkers > 1 {
