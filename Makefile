@@ -14,9 +14,10 @@ check: vet build benchmark-build race test examples cli replay fuzz cover
 
 # vet is three gates: formatting, the stock toolchain vet, and
 # xemem-vet — the in-tree analyzer suite (cmd/xemem-vet) that enforces
-# the simulator's determinism, cost-charging, resource-pairing,
-# map-ordering (exporters and world-end audits), hook-state, and
-# partition-isolation invariants. Every run loads and type-checks the
+# the simulator's determinism (including: no go statement outside
+# tests), cost-charging, resource-pairing, map-ordering (exporters and
+# world-end audits), hook-state, and partition-isolation invariants.
+# Every run loads and type-checks the
 # whole module (standard library from compiler export data, under a
 # second on 2 CPUs) and fails on a package that does not type-check.
 vet:
@@ -46,12 +47,9 @@ benchmark-build:
 # race. xproto and core are here
 # because a delivered message is a pointer handed from the sending
 # actor's coroutine to the receiving kernel's.
-# TestParallel* is the sweep runner's family (TestParallelIdentity,
-# TestParallelMatchesGolden): worlds built on concurrent host workers,
-# held byte-identical to the one-worker run.
 race:
-	$(GO) test -race ./internal/sim ./internal/sim/trace ./internal/xproto ./internal/core ./internal/xpmem ./internal/coll ./internal/experiments/sweep ./internal/fault ./internal/cluster ./internal/rdma
-	$(GO) test -race ./internal/experiments -run 'TestGolden|TestTracing|TestFig6Explain|TestParallel|TestFaultSweep|TestClusterSweep|TestCollSweep'
+	$(GO) test -race ./internal/sim ./internal/sim/trace ./internal/xproto ./internal/core ./internal/xpmem ./internal/coll ./internal/fault ./internal/cluster ./internal/rdma
+	$(GO) test -race ./internal/experiments -run 'TestGolden|TestTracing|TestFig6Explain|TestFaultSweep|TestClusterSweep|TestCollSweep'
 
 test:
 	$(GO) test ./...
@@ -117,11 +115,11 @@ replay:
 
 # Regenerate every checked-in BENCH_<name>.json through the -bench
 # registry in cmd/xemem-bench: engine (host ns and allocs per dispatch
-# and per 1 GB attach, serial vs parallel full-figure sweep), fault
+# and per 1 GB attach, and the full-figure regeneration), fault
 # (protocol degradation under message loss and enclave crashes), cluster
 # (flat vs sharded name-service lookups across node counts) and coll
 # (hierarchical bcast/allreduce across depth, enclave mix and size). The
-# fault, cluster and coll files are byte-identical on rerun at any
-# worker count, apart from the host header.
+# fault, cluster and coll files are byte-identical on rerun, apart from
+# the host header.
 bench:
 	$(GO) run ./cmd/xemem-bench -bench all

@@ -29,7 +29,7 @@ import (
 func BenchmarkFig5AttachVsRDMA(b *testing.B) {
 	var last *experiments.Fig5Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(uint64(i+1), 50, 1)
+		res, err := experiments.Fig5(uint64(i+1), 50)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func BenchmarkFig5AttachVsRDMA(b *testing.B) {
 func BenchmarkFig6EnclaveScaling(b *testing.B) {
 	var last *experiments.Fig6Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(uint64(i+1), 30, 1)
+		res, err := experiments.Fig6(uint64(i+1), 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func BenchmarkFig6EnclaveScaling(b *testing.B) {
 func BenchmarkTable2VMThroughput(b *testing.B) {
 	var last *experiments.Table2Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table2(uint64(i+1), 5, 1)
+		res, err := experiments.Table2(uint64(i+1), 5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func BenchmarkTable2VMThroughput(b *testing.B) {
 func BenchmarkFig7NoiseProfile(b *testing.B) {
 	var last *experiments.Fig7Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(uint64(i+1), 1)
+		res, err := experiments.Fig7(uint64(i + 1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +109,7 @@ func BenchmarkFig7NoiseProfile(b *testing.B) {
 func BenchmarkFig8Composed(b *testing.B) {
 	var last *experiments.Fig8Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(uint64(i+1), 1, 1)
+		res, err := experiments.Fig8(uint64(i+1), 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func BenchmarkFig8Composed(b *testing.B) {
 func BenchmarkFig9WeakScaling(b *testing.B) {
 	var last *experiments.Fig9Result
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(uint64(i+1), 1, 1)
+		res, err := experiments.Fig9(uint64(i+1), 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -22,9 +22,9 @@ func (b bench) file() string { return "BENCH_" + b.name + ".json" }
 // benches is the -bench registry, in the order -bench all runs it.
 var benches = []bench{
 	{"engine", func(seed uint64) (fmt.Stringer, error) { return experiments.EngineBench(seed) }},
-	{"fault", func(seed uint64) (fmt.Stringer, error) { return experiments.FaultSweep(seed, 0, 0) }},
-	{"cluster", func(seed uint64) (fmt.Stringer, error) { return experiments.ClusterSweep(seed, 0, 0) }},
-	{"coll", func(seed uint64) (fmt.Stringer, error) { return experiments.CollSweep(seed, 0) }},
+	{"fault", func(seed uint64) (fmt.Stringer, error) { return experiments.FaultSweep(seed, 0) }},
+	{"cluster", func(seed uint64) (fmt.Stringer, error) { return experiments.ClusterSweep(seed, 0) }},
+	{"coll", func(seed uint64) (fmt.Stringer, error) { return experiments.CollSweep(seed) }},
 }
 
 // benchNames lists the registry's entry names, comma-separated.

@@ -10,9 +10,7 @@
 // directory and takes precedence over -experiment.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
-// identical numbers. The figure sweeps run their independent worlds on
-// GOMAXPROCS host goroutines; GOMAXPROCS=1 runs them serially, with
-// identical output. -fast trades repetition count for wall time (the
+// identical numbers. -fast trades repetition count for wall time (the
 // shapes are unchanged; the simulator has no measurement noise to average
 // away).
 package main
@@ -46,9 +44,7 @@ func main() {
 	if *traceOut != "" || *metricsOut != "" {
 		set = trace.NewSet()
 		set.SetKeepEvents(*traceOut != "") // metrics-only runs keep memory flat
-		// Each sweep cell reserves its trace slot while the cells are
-		// enumerated, so export order does not depend on the workers.
-		experiments.ObserveCell = set.Reserve
+		experiments.Observe = set.Observe
 	}
 	exportTraces := func() {
 		if set == nil {
@@ -137,22 +133,22 @@ func main() {
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
 	if want("fig5") {
-		run("fig5", func() (fmt.Stringer, error) { return experiments.Fig5(*seed, reps5, 0) })
+		run("fig5", func() (fmt.Stringer, error) { return experiments.Fig5(*seed, reps5) })
 	}
 	if want("fig6") {
-		run("fig6", func() (fmt.Stringer, error) { return experiments.Fig6(*seed, reps6, 0) })
+		run("fig6", func() (fmt.Stringer, error) { return experiments.Fig6(*seed, reps6) })
 	}
 	if want("table2") {
 		run("table2", func() (fmt.Stringer, error) { return experiments.Table2(*seed, t2reps, 0) })
 	}
 	if want("fig7") {
-		run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(*seed, 0) })
+		run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(*seed) })
 	}
 	if want("fig8") {
-		run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(*seed, runs8, 0) })
+		run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(*seed, runs8) })
 	}
 	if want("fig9") {
-		run("fig9", func() (fmt.Stringer, error) { return experiments.Fig9(*seed, runs9, 0) })
+		run("fig9", func() (fmt.Stringer, error) { return experiments.Fig9(*seed, runs9) })
 	}
 	switch *exp {
 	case "all", "fig5", "fig6", "fig7", "fig8", "fig9", "table2":

@@ -8,8 +8,7 @@
 //	xemem-insitu -config kitten-linux -sync -recurring -runs 5
 //
 // Configurations: linux-linux, kitten-linux, kitten-vm-linuxhost,
-// kitten-vm-kittenhost. The repetitions run on GOMAXPROCS host
-// goroutines; GOMAXPROCS=1 runs them serially, with identical output.
+// kitten-vm-kittenhost.
 package main
 
 import (
@@ -35,9 +34,7 @@ func main() {
 	if *traceOut != "" || *metricsOut != "" {
 		set = trace.NewSet()
 		set.SetKeepEvents(*traceOut != "")
-		// Each repetition reserves its trace slot before any runs, so
-		// export order does not depend on the workers.
-		experiments.ObserveCell = set.Reserve
+		experiments.Observe = set.Observe
 	}
 
 	names := map[string]experiments.Fig8Config{
@@ -52,7 +49,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res, err := experiments.Fig8Single(*seed, cfg, *sync, *recurring, *runs, 0)
+	res, err := experiments.Fig8Single(*seed, cfg, *sync, *recurring, *runs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -33,6 +33,9 @@ var fixtureTests = []struct {
 			{"internal/sim/clock.go", 13, "determinism", "time.Now reads the host clock"},
 			{"internal/sim/clock.go", 14, "determinism", "time.Since reads the host clock"},
 			{"internal/sim/clock.go", 20, "determinism", "os.Getpid is host/process-dependent"},
+			{"internal/sim/clock.go", 26, "determinism", "go statement"},
+			{"internal/sim/clock.go", 28, "determinism", "go statement"},
+			// clock_test.go's go statement is in a test file — silent.
 			// bench.go: both reads carry //xemem:wallclock — silent.
 			// shadow.go: time.Now there is a parameter's virtual clock,
 			// not the time package — silent.
@@ -116,12 +119,6 @@ var fixtureTests = []struct {
 			{"internal/app/app.go", 37, "partition", "Now called on an actor other than the running one"},
 			// Identity reads, own-receiver Unblock, the two-actor Helper,
 			// build-time Build, and the suppressed Excused stay silent.
-			{"internal/app/escape.go", 20, "partition", "goroutine launched from an actor body captures the running actor"},
-			{"internal/app/escape.go", 28, "partition", "escapes into another goroutine via runLater"},
-			{"internal/app/escape.go", 37, "partition", "escapes into another goroutine via runLater"},
-			{"internal/app/escape.go", 44, "partition", "escapes into another goroutine via Go"},
-			// SyncHelper (runNow invokes within the dispatch) and the
-			// suppressed EscapeExcused stay silent.
 		},
 	},
 	{

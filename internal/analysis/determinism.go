@@ -8,10 +8,13 @@ import (
 // The determinism analyzer guards the simulator's foundational property:
 // for a fixed seed, every run produces bit-identical virtual-time
 // results. Host-side nondeterminism — wall-clock reads, the global
-// math/rand stream, process identity — must never leak into simulation
-// logic. The only legitimate uses are real-time benchmark timers, which
-// must be annotated //xemem:wallclock -- <reason>; the generic
-// //xemem:allow form is deliberately rejected for this analyzer.
+// math/rand stream, process identity, host goroutines — must never leak
+// into simulation logic. One goroutine builds every world (actors are
+// engine coroutines, not goroutines), so a go statement outside tests is
+// flagged outright. The only legitimate host reads are real-time
+// benchmark timers, which must be annotated //xemem:wallclock --
+// <reason>; the generic //xemem:allow form is deliberately rejected for
+// this analyzer.
 
 // wallclockFuncs are the time-package functions that read or depend on
 // the host clock.
@@ -30,7 +33,7 @@ var processIdentityFuncs = map[string]bool{
 func newDeterminism() *Analyzer {
 	a := &Analyzer{
 		Name: "determinism",
-		Doc:  "flags wall-clock, math/rand, and process-identity nondeterminism; excuse real benchmark timers with //xemem:wallclock -- <reason>",
+		Doc:  "flags wall-clock, math/rand, process-identity, and go-statement nondeterminism; excuse real benchmark timers with //xemem:wallclock -- <reason>",
 	}
 	a.Run = func(pass *Pass) {
 		for _, f := range pass.Pkg.Files {
@@ -50,6 +53,11 @@ func runDeterminismFile(pass *Pass, f *ast.File) {
 	}
 
 	ast.Inspect(f, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			pass.Reportf(g.Pos(),
+				"go statement: one goroutine builds every world, so host scheduling never orders simulated work; run it inline or as an actor (Spawn)")
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true

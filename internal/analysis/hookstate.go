@@ -6,18 +6,17 @@ import (
 )
 
 // The hookstate analyzer guards the "a World owns everything it
-// touches" audit (PR 3): package-level hook variables — func-typed
-// globals like experiments.Observe/ObserveCell — are process-wide
-// mutable state, and library code that writes them mid-experiment
-// couples unrelated worlds together (the Fig6Explain bug class: a
-// library function swapped the package hook and broke the parallel
-// sweep's isolation).
+// touches" audit: package-level hook variables — func-typed globals
+// like experiments.Observe — are process-wide mutable state, and
+// library code that writes them mid-experiment couples unrelated worlds
+// together (the Fig6Explain bug class: a library function swapped the
+// package hook, and every world built meanwhile lost its tracer).
 //
 // The rule is mechanical: assignments to package-level variables of
 // function type are allowed only in package main — the driver binaries
-// that own process configuration and install, at startup, the
-// slot-reserving hook (trace.Set.Reserve) that hands each sweep cell its
-// trace slot. Everywhere else, observers must be
+// that own process configuration and install, at startup, the observer
+// (trace.Set.Observe) that gives each world its tracer in run order.
+// Everywhere else, observers must be
 // threaded explicitly (World.SetObserver, function parameters). Hook
 // *tables* — package-level slices, arrays, or maps with function
 // elements, the natural shape for one-observer-per-cell registration —

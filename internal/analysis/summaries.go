@@ -11,9 +11,8 @@ import (
 // This file is the interprocedural core: a call graph over the
 // type-checked module plus one FuncSummary per declared function. The
 // analyzers consume summaries instead of reasoning one function at a
-// time, so a sim.Costs value laundered through a helper, a handle
-// released in a callee, or a closure handed to a goroutine-spawning
-// wrapper are all visible at the call site.
+// time, so a sim.Costs value laundered through a helper or a handle
+// released in a callee is visible at the call site.
 //
 // Summaries are computed bottom-up: packages in dependency order (a
 // callee's package is always summarized before its importers), and
@@ -40,10 +39,6 @@ type FuncSummary struct {
 	// returned, stored, aliased, sent, or passed to a callee the module
 	// cannot see into.
 	Escaped []bool
-	// GoEscaped marks func-typed parameters that may run on another
-	// goroutine: invoked under a go statement, handed to a scheduler
-	// spawn, or passed along to a callee whose parameter go-escapes.
-	GoEscaped []bool
 	// CostsReturns lists the sim.Costs field names whose values flow
 	// into the function's results: charging the call result charges
 	// these fields.
@@ -162,10 +157,9 @@ func (s *Summaries) compute(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 	info := pkg.Info
 	params := paramObjs(info, fd)
 	sum := &FuncSummary{
-		Sunk:      make([]bool, len(params)),
-		Released:  make([]bool, len(params)),
-		Escaped:   make([]bool, len(params)),
-		GoEscaped: make([]bool, len(params)),
+		Sunk:     make([]bool, len(params)),
+		Released: make([]bool, len(params)),
+		Escaped:  make([]bool, len(params)),
 	}
 
 	// Sunk: expand charge-sink zones (syntactic sinks plus callee
@@ -185,9 +179,6 @@ func (s *Summaries) compute(pkg *Package, fd *ast.FuncDecl) *FuncSummary {
 		released, escaped := s.classifyUses(info, fd.Body, p)
 		sum.Released[i] = released
 		sum.Escaped[i] = escaped
-		if _, ok := p.Type().Underlying().(*types.Signature); ok {
-			sum.GoEscaped[i] = s.goEscapes(info, fd.Body, p)
-		}
 	}
 
 	sum.CostsReturns = s.costsReturns(info, fd)
@@ -415,49 +406,6 @@ func (s *Summaries) classifyCallArg(info *types.Info, call *ast.CallExpr, arg as
 	return cs.Released[pi], cs.Escaped[pi]
 }
 
-// spawnNames are the scheduler entry points that run a function value
-// on another goroutine: handing a closure to one runs it outside the
-// caller's dispatch.
-var spawnNames = map[string]bool{"Spawn": true, "SpawnAt": true, "Go": true}
-
-// goEscapes reports whether the func-typed obj may be invoked on
-// another goroutine.
-func (s *Summaries) goEscapes(info *types.Info, body ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			if usesObj(info, n.Call, obj) {
-				found = true
-			}
-		case *ast.CallExpr:
-			if spawnNames[calleeName(n)] {
-				for _, arg := range n.Args {
-					if usesObj(info, arg, obj) {
-						found = true
-					}
-				}
-				return true
-			}
-			callee := resolveCallee(info, n)
-			if cs := s.Of(callee); cs != nil {
-				forEachArg(info, n, callee, func(arg ast.Expr, pi int) {
-					if pi < len(cs.GoEscaped) && cs.GoEscaped[pi] {
-						if id, ok := ast.Unparen(arg).(*ast.Ident); ok && info.Uses[id] == obj {
-							found = true
-						}
-					}
-				})
-			}
-		}
-		return true
-	})
-	return found
-}
-
 // paramObjs lists a declaration's receiver (for methods) and parameter
 // objects in the unified index space. Unnamed and blank slots are nil.
 func paramObjs(info *types.Info, fd *ast.FuncDecl) []types.Object {
@@ -534,18 +482,6 @@ func resolveCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 		return f
 	}
 	return nil
-}
-
-// usesObj reports whether any identifier under n refers to obj.
-func usesObj(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(x ast.Node) bool {
-		if id, ok := x.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 // assignRec is one assignment or declaration feeding the taint flow.

@@ -98,23 +98,3 @@ func TestSummariesRelease(t *testing.T) {
 			classify.Released, classify.Escaped)
 	}
 }
-
-// TestSummariesGoEscape pins the closure-escape facts the partition
-// analyzer consumes: a helper that launches its parameter on a
-// goroutine go-escapes it, a synchronous invoker does not.
-func TestSummariesGoEscape(t *testing.T) {
-	m, err := analysis.Load(filepath.Join("testdata", "partition"))
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	sums := m.Summaries()
-
-	later := sums.Of(lookupFunc(t, m, "fixture/internal/app", "", "runLater"))
-	if want := []bool{true}; !reflect.DeepEqual(later.GoEscaped, want) {
-		t.Errorf("runLater.GoEscaped = %v, want %v", later.GoEscaped, want)
-	}
-	now := sums.Of(lookupFunc(t, m, "fixture/internal/app", "", "runNow"))
-	if want := []bool{false}; !reflect.DeepEqual(now.GoEscaped, want) {
-		t.Errorf("runNow.GoEscaped = %v, want %v", now.GoEscaped, want)
-	}
-}

@@ -19,3 +19,13 @@ func Elapsed() int64 {
 func Jitter() int {
 	return rand.Intn(10) + os.Getpid()
 }
+
+// Fanout hands work to host goroutines, whose scheduling the World does
+// not control: both go statements are flagged.
+func Fanout(work func()) {
+	go work()
+	later := func() {
+		go work()
+	}
+	later()
+}

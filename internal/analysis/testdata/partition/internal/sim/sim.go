@@ -15,9 +15,3 @@ func (a *Actor) Now() int64       { return 0 }
 func (a *Actor) Advance(d int64)  {}
 func (a *Actor) Unblock(b *Actor) {}
 func (a *Actor) RNG() int         { return 0 }
-
-// Pool is the stub scheduler surface: Go runs a closure on another
-// goroutine.
-type Pool struct{}
-
-func (p *Pool) Go(f func()) {}

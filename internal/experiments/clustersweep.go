@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xemem/internal/cluster"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/fault"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
@@ -95,8 +94,8 @@ type ClusterSweepResult struct {
 // count × {flat, sharded} × {quiet, churn}, each cell a closed world
 // with its own fabric, injector, and tracer. The result is a pure
 // function of (seed, rounds): rerunning yields a byte-identical
-// BENCH_cluster.json at any sweep worker count.
-func ClusterSweep(seed uint64, rounds, workers int) (*ClusterSweepResult, error) {
+// BENCH_cluster.json.
+func ClusterSweep(seed uint64, rounds int) (*ClusterSweepResult, error) {
 	if rounds <= 0 {
 		rounds = 120
 	}
@@ -104,35 +103,26 @@ func ClusterSweep(seed uint64, rounds, workers int) (*ClusterSweepResult, error)
 		Host: CaptureHost(), Seed: seed, Rounds: rounds,
 		ConsumersPerNode: clusterConsumers, NodeCounts: ClusterNodeCounts,
 	}
-	var cells []sweep.Cell[ClusterCell]
 	for _, churn := range []bool{false, true} {
 		for _, sharded := range []bool{false, true} {
 			for _, n := range ClusterNodeCounts {
-				n, churn := n, churn
 				shards := 0
 				if sharded {
 					shards = clusterShards(n)
 				}
-				obs := cellObserve()
-				cells = append(cells, sweep.Cell[ClusterCell]{
-					Label: fmt.Sprintf("cluster nodes=%d shards=%d churn=%v", n, shards, churn),
-					Run: func() (ClusterCell, error) {
-						return clusterRun(obs, seed, n, shards, churn, rounds)
-					},
-				})
+				c, err := clusterRun(Observe, seed, n, shards, churn, rounds)
+				if err != nil {
+					return nil, fmt.Errorf("cluster nodes=%d shards=%d churn=%v: %w", n, shards, churn, err)
+				}
+				res.Cells = append(res.Cells, c)
 			}
 		}
 	}
-	out, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Cells = out
 
 	minN := ClusterNodeCounts[0]
 	maxN := ClusterNodeCounts[len(ClusterNodeCounts)-1]
 	var flatMin, flatMax, shardMin, shardMax int64
-	for _, c := range out {
+	for _, c := range res.Cells {
 		if c.Churn {
 			continue
 		}

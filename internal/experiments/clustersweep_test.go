@@ -7,19 +7,19 @@ import (
 
 // TestClusterSweepDeterministic is the acceptance gate for the cluster
 // sweep: a fixed (seed, rounds) pair produces a byte-identical
-// BENCH_cluster.json — every per-cell digest included — across reruns
-// and worker counts; the flat deployment's tail latency collapses with
+// BENCH_cluster.json — every per-cell digest included — across reruns;
+// the flat deployment's tail latency collapses with
 // node count while the sharded one stays flat; and the lease cache and
 // shard counters actually move.
 func TestClusterSweepDeterministic(t *testing.T) {
 	// Default rounds: the collapse ratio is a tail-latency statement and
 	// needs the full steady-state sample that BENCH_cluster.json ships.
 	const rounds = 0
-	r1, err := ClusterSweep(1234, rounds, 1)
+	r1, err := ClusterSweep(1234, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ClusterSweep(1234, rounds, 4)
+	r2, err := ClusterSweep(1234, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestClusterSweepDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b1) != string(b2) {
-		t.Fatalf("BENCH_cluster.json differs across reruns/worker counts:\n%s\nvs\n%s", b1, b2)
+		t.Fatalf("BENCH_cluster.json differs across reruns:\n%s\nvs\n%s", b1, b2)
 	}
 	for i := range r1.Cells {
 		if r1.Cells[i].Digest != r2.Cells[i].Digest || r1.Cells[i].Digest == "" {

@@ -6,7 +6,6 @@ import (
 
 	"xemem"
 	"xemem/internal/coll"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/pagetable"
 	"xemem/internal/sim"
 )
@@ -113,36 +112,27 @@ type CollSweepResult struct {
 // {1,2,3} × enclave mix {uniform, mixed} × message size across the
 // switchover × forced data plane {zero-copy, CICO}, each cell a closed
 // world. The result is a pure function of seed: rerunning yields a
-// byte-identical BENCH_coll.json at any sweep worker count.
-func CollSweep(seed uint64, workers int) (*CollSweepResult, error) {
+// byte-identical BENCH_coll.json.
+func CollSweep(seed uint64) (*CollSweepResult, error) {
 	res := &CollSweepResult{
 		Host: CaptureHost(), Seed: seed, Ranks: 6, Iters: collIters, Sizes: CollSizes,
 	}
 	mixes := []string{"uniform", "mixed"}
-	var cells []sweep.Cell[CollCell]
 	for _, depth := range []int{1, 2, 3} {
 		for _, mix := range mixes {
 			for _, bytes := range CollSizes {
 				for _, mode := range []coll.Mode{coll.ModeZeroCopy, coll.ModeCICO} {
-					depth, mix, bytes, mode := depth, mix, bytes, mode
-					obs := cellObserve()
-					cells = append(cells, sweep.Cell[CollCell]{
-						Label: fmt.Sprintf("coll depth=%d mix=%s bytes=%d mode=%s", depth, mix, bytes, collModeName(mode)),
-						Run: func() (CollCell, error) {
-							return collRun(obs, seed, depth, mix, bytes, mode)
-						},
-					})
+					c, err := collRun(Observe, seed, depth, mix, bytes, mode)
+					if err != nil {
+						return nil, fmt.Errorf("coll depth=%d mix=%s bytes=%d mode=%s: %w", depth, mix, bytes, collModeName(mode), err)
+					}
+					res.Cells = append(res.Cells, c)
 				}
 			}
 		}
 	}
-	out, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Cells = out
 
-	for _, c := range out {
+	for _, c := range res.Cells {
 		if c.Mix != "uniform" || c.Depth != 3 {
 			continue
 		}

@@ -7,16 +7,16 @@ import (
 
 // TestCollSweepDeterministic is the acceptance gate for the collective
 // sweep: a fixed seed produces a byte-identical BENCH_coll.json across
-// reruns and worker counts; zero-copy beats CICO above the switchover
+// reruns; zero-copy beats CICO above the switchover
 // on the deepest hierarchy (and CICO wins below it); the registration
 // cache turns first-iteration misses into warm hits; and per-level
 // attribution actually lands time on every hierarchy tier.
 func TestCollSweepDeterministic(t *testing.T) {
-	r1, err := CollSweep(1234, 1)
+	r1, err := CollSweep(1234)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CollSweep(1234, 4)
+	r2, err := CollSweep(1234)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestCollSweepDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b1) != string(b2) {
-		t.Fatalf("BENCH_coll.json differs across worker counts:\n%s\nvs\n%s", b1, b2)
+		t.Fatalf("BENCH_coll.json differs across reruns:\n%s\nvs\n%s", b1, b2)
 	}
 	for i := range r1.Cells {
 		if r1.Cells[i].Digest != r2.Cells[i].Digest || r1.Cells[i].Digest == "" {

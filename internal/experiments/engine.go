@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"xemem"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
 )
@@ -16,8 +15,7 @@ import (
 // EngineBenchResult reports host performance of the simulator itself
 // (BENCH_engine.json): scheduler dispatch and a 1 GB cross-enclave attach,
 // each in host ns and heap allocations per op, and the full Fig. 5–9 +
-// Table 2 sweep as the end-to-end composite. Simulated results are
-// bit-identical across sweep worker counts; only host figures move.
+// Table 2 regeneration as the end-to-end composite.
 type EngineBenchResult struct {
 	Host HostInfo `json:"host"`
 
@@ -31,13 +29,8 @@ type EngineBenchResult struct {
 	AttachFastNs      float64 `json:"attach_fast_ns_per_op"`
 	AttachAllocsPerOp float64 `json:"attach_allocs_per_op"`
 
-	// The full figure sweep at -fast repetition counts through the
-	// parallel sweep runner: serial (workers=1) vs one worker per host
-	// core.
-	SweepWorkers    int     `json:"sweep_workers"`
-	SweepSerialNs   float64 `json:"sweep_serial_ns"`
-	SweepParallelNs float64 `json:"sweep_parallel_ns"`
-	SweepSpeedup    float64 `json:"sweep_speedup"`
+	// Host ns to regenerate every figure and Table 2 at -fast counts.
+	FiguresNs float64 `json:"figures_ns"`
 }
 
 // EngineBench measures the engine fast paths and the end-to-end sweep.
@@ -77,41 +70,32 @@ func EngineBench(seed uint64) (*EngineBenchResult, error) {
 		return nil, err
 	}
 
-	// The full sweep through the parallel runner: serial reference, then
-	// one worker per host core.
-	res.SweepWorkers = sweep.Workers(0)
-	if res.SweepSerialNs, err = timeSweep(seed, 1); err != nil {
+	if res.FiguresNs, err = timeFigures(seed); err != nil {
 		return nil, err
-	}
-	if res.SweepParallelNs, err = timeSweep(seed, res.SweepWorkers); err != nil {
-		return nil, err
-	}
-	if res.SweepParallelNs > 0 {
-		res.SweepSpeedup = res.SweepSerialNs / res.SweepParallelNs
 	}
 	return res, nil
 }
 
-// timeSweep runs every figure and Table 2 at the -fast repetition counts
-// on the given worker count and returns the host wall-clock ns.
-func timeSweep(seed uint64, workers int) (float64, error) {
+// timeFigures runs every figure and Table 2 at the -fast repetition
+// counts and returns the host wall-clock ns.
+func timeFigures(seed uint64) (float64, error) {
 	start := time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
-	if _, err := Fig5(seed, 50, workers); err != nil {
+	if _, err := Fig5(seed, 50); err != nil {
 		return 0, err
 	}
-	if _, err := Fig6(seed, 50, workers); err != nil {
+	if _, err := Fig6(seed, 50); err != nil {
 		return 0, err
 	}
-	if _, err := Fig7(seed, workers); err != nil {
+	if _, err := Fig7(seed); err != nil {
 		return 0, err
 	}
-	if _, err := Table2(seed, 5, workers); err != nil {
+	if _, err := Table2(seed, 5, 0); err != nil {
 		return 0, err
 	}
-	if _, err := Fig8(seed, 3, workers); err != nil {
+	if _, err := Fig8(seed, 3); err != nil {
 		return 0, err
 	}
-	if _, err := Fig9(seed, 3, workers); err != nil {
+	if _, err := Fig9(seed, 3); err != nil {
 		return 0, err
 	}
 	return float64(time.Since(start).Nanoseconds()), nil //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
@@ -211,7 +195,6 @@ func (r *EngineBenchResult) String() string {
 	fmt.Fprintf(&b, "  scheduler dispatch (%d actors, %d dispatches): %.1f ns/dispatch, %.3f allocs/dispatch\n",
 		r.SchedulerActors, r.SchedulerDispatches, r.SchedulerHeapNs, r.DispatchAllocsPerOp)
 	fmt.Fprintf(&b, "  1 GB attach (%d reps): %.0f ns/attach, %.0f allocs/attach\n", r.AttachReps, r.AttachFastNs, r.AttachAllocsPerOp)
-	fmt.Fprintf(&b, "  fig5-9 + table2 sweep (fast counts): serial %.2f s, %d workers %.2f s   (%.2fx speedup)\n",
-		r.SweepSerialNs/1e9, r.SweepWorkers, r.SweepParallelNs/1e9, r.SweepSpeedup)
+	fmt.Fprintf(&b, "  fig5-9 + table2 (fast counts): %.2f s\n", r.FiguresNs/1e9)
 	return b.String()
 }

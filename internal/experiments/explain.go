@@ -53,8 +53,8 @@ func (e *Fig6Explanation) Coverage() float64 {
 
 // Fig6Explain reruns the Figure 6 szMB point at 1 and 2 enclaves with a
 // metrics-only tracer attached and decomposes the latency dip. The
-// tracers are threaded per world, so it neither touches the package
-// Observe hooks nor conflicts with a concurrent sweep.
+// tracers are threaded per world, so it leaves the package Observe hook
+// alone and adds nothing to a trace set installed there.
 func Fig6Explain(seed uint64, szMB, reps int) (*Fig6Explanation, error) {
 	if reps <= 0 {
 		reps = 20

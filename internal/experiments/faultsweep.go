@@ -8,7 +8,6 @@ import (
 
 	"xemem"
 	"xemem/internal/core"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/fault"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
@@ -62,29 +61,20 @@ type FaultSweepResult struct {
 // own injector and tracer. The entire result — per-cell counts,
 // latency percentiles, and digests — is a pure function of (seed,
 // rounds): rerunning yields a byte-identical BENCH_fault.json.
-func FaultSweep(seed uint64, rounds, workers int) (*FaultSweepResult, error) {
+func FaultSweep(seed uint64, rounds int) (*FaultSweepResult, error) {
 	if rounds <= 0 {
 		rounds = 40
 	}
 	res := &FaultSweepResult{Host: CaptureHost(), Seed: seed, Rounds: rounds}
-	var cells []sweep.Cell[FaultCell]
 	for _, crash := range []bool{false, true} {
 		for _, drop := range FaultDropRates {
-			drop, crash := drop, crash
-			obs := cellObserve()
-			cells = append(cells, sweep.Cell[FaultCell]{
-				Label: fmt.Sprintf("fault drop=%.2f crash=%v", drop, crash),
-				Run: func() (FaultCell, error) {
-					return faultRun(obs, seed, drop, crash, rounds)
-				},
-			})
+			c, err := faultRun(Observe, seed, drop, crash, rounds)
+			if err != nil {
+				return nil, fmt.Errorf("fault drop=%.2f crash=%v: %w", drop, crash, err)
+			}
+			res.Cells = append(res.Cells, c)
 		}
 	}
-	out, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Cells = out
 	return res, nil
 }
 

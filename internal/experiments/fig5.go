@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xemem"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/rdma"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
@@ -31,39 +30,26 @@ type Fig5Result struct {
 // 128 MB–1 GB; a native Linux process attaches each region reps times
 // (the paper uses 500), once timing the attachment alone and once
 // including a full read-out; the RDMA column runs the write bandwidth
-// test between two VMs with SR-IOV virtual functions. The two worlds
-// (attach node, RDMA baseline) are independent sweep cells executed on
-// workers host goroutines (<= 0 selects GOMAXPROCS, 1 reproduces the
-// serial runner exactly).
-func Fig5(seed uint64, reps, workers int) (*Fig5Result, error) {
+// test between two VMs with SR-IOV virtual functions. The attach node
+// and the RDMA baseline are two independent worlds, run in that order.
+func Fig5(seed uint64, reps int) (*Fig5Result, error) {
 	if reps <= 0 {
 		reps = 500
 	}
 	res := &Fig5Result{Reps: reps}
 	sizes := []int{128, 256, 512, 1024}
 
-	type out struct {
-		rows []Fig5Row
-		rdma []float64
-	}
-	obsMain, obsRDMA := cellObserve(), cellObserve()
-	cells := []sweep.Cell[out]{
-		{Label: "fig5", Run: func() (out, error) {
-			rows, err := fig5Attach(obsMain, seed, sizes, reps)
-			return out{rows: rows}, err
-		}},
-		{Label: "fig5/rdma", Run: func() (out, error) {
-			bw, err := fig5RDMA(obsRDMA, seed+1, sizes)
-			return out{rdma: bw}, err
-		}},
-	}
-	outs, err := sweep.Run(cells, workers)
+	rows, err := fig5Attach(Observe, seed, sizes, reps)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fig5: %w", err)
 	}
-	res.Rows = outs[0].rows
+	rdma, err := fig5RDMA(Observe, seed+1, sizes)
+	if err != nil {
+		return nil, fmt.Errorf("fig5/rdma: %w", err)
+	}
+	res.Rows = rows
 	for i := range res.Rows {
-		res.Rows[i].RDMAGBs = outs[1].rdma[i]
+		res.Rows[i].RDMAGBs = rdma[i]
 	}
 	return res, nil
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xemem"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/pagetable"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
@@ -34,42 +33,22 @@ type Fig6Result struct {
 // enclave attaches concurrently, ≥reps times each. The 1→2 enclave dip
 // comes from contention on shared Linux memory-map structures and the
 // core-0 IPI funnel, both emergent here. Each (enclaves, size) point is
-// one sweep cell with its own fixed seed, executed on workers host
-// goroutines (<= 0 selects GOMAXPROCS, 1 reproduces the serial runner).
-func Fig6(seed uint64, reps, workers int) (*Fig6Result, error) {
+// one world with its own fixed seed.
+func Fig6(seed uint64, reps int) (*Fig6Result, error) {
 	if reps <= 0 {
 		reps = 500
 	}
 	res := &Fig6Result{Reps: reps, Core0Busy: make(map[int]sim.Time)}
-	sizes := []int{128, 256, 512, 1024}
-
-	type point struct {
-		enclaves, szMB int
-		bw             float64
-		core0          sim.Time
-	}
-	var cells []sweep.Cell[point]
 	for _, enclaves := range []int{1, 2, 4, 8} {
-		for _, szMB := range sizes {
-			enclaves, szMB := enclaves, szMB
-			obs := cellObserve()
-			cells = append(cells, sweep.Cell[point]{
-				Label: fmt.Sprintf("fig6/enclaves=%d/size=%dMB", enclaves, szMB),
-				Run: func() (point, error) {
-					bw, _, core0busy, err := fig6Point(obs, seed, enclaves, szMB, reps)
-					return point{enclaves: enclaves, szMB: szMB, bw: bw, core0: core0busy}, err
-				},
-			})
-		}
-	}
-	points, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range points {
-		res.Cells = append(res.Cells, Fig6Cell{Enclaves: p.enclaves, SizeMB: p.szMB, GBs: p.bw / 1e9})
-		if p.szMB == 1024 {
-			res.Core0Busy[p.enclaves] = p.core0
+		for _, szMB := range []int{128, 256, 512, 1024} {
+			bw, _, core0busy, err := fig6Point(Observe, seed, enclaves, szMB, reps)
+			if err != nil {
+				return nil, fmt.Errorf("fig6/enclaves=%d/size=%dMB: %w", enclaves, szMB, err)
+			}
+			res.Cells = append(res.Cells, Fig6Cell{Enclaves: enclaves, SizeMB: szMB, GBs: bw / 1e9})
+			if szMB == 1024 {
+				res.Core0Busy[enclaves] = core0busy
+			}
 		}
 	}
 	return res, nil

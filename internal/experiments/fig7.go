@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xemem"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/noise"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
@@ -38,9 +37,8 @@ type Fig7Result struct {
 // seconds while the Selfish Detour benchmark profiles the Kitten core.
 // Detours caused by XEMEM serves are classified apart from the baseline
 // hardware noise and periodic SMIs. Each size phase is an independent
-// world and therefore one sweep cell, executed on workers host
-// goroutines (<= 0 selects GOMAXPROCS, 1 reproduces the serial runner).
-func Fig7(seed uint64, workers int) (*Fig7Result, error) {
+// world.
+func Fig7(seed uint64) (*Fig7Result, error) {
 	phases := []struct {
 		name  string
 		bytes uint64
@@ -49,22 +47,15 @@ func Fig7(seed uint64, workers int) (*Fig7Result, error) {
 		{"2MB", 2 << 20},
 		{"1GB", 1 << 30},
 	}
-	cells := make([]sweep.Cell[Fig7Phase], len(phases))
-	for i, phase := range phases {
-		phase := phase
-		obs := cellObserve()
-		cells[i] = sweep.Cell[Fig7Phase]{
-			Label: "fig7/" + phase.name,
-			Run: func() (Fig7Phase, error) {
-				return fig7Phase(obs, seed, phase.name, phase.bytes)
-			},
+	res := &Fig7Result{}
+	for _, phase := range phases {
+		p, err := fig7Phase(Observe, seed, phase.name, phase.bytes)
+		if err != nil {
+			return nil, fmt.Errorf("fig7/%s: %w", phase.name, err)
 		}
+		res.Phases = append(res.Phases, p)
 	}
-	out, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Fig7Result{Phases: out}, nil
+	return res, nil
 }
 
 // fig7Phase runs the noise profile for one attachment size.

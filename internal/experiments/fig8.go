@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xemem"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/insitu"
 	"xemem/internal/proc"
 	"xemem/internal/sim"
@@ -45,75 +44,46 @@ type Fig8Result struct {
 // node, across the four Table 3 enclave configurations, the
 // synchronous/asynchronous execution models, and the one-time/recurring
 // attachment models — runs repetitions of each (the paper reports 10).
-// Every (configuration, model, repetition) run is one sweep cell with
-// its own fixed seed, executed on workers host goroutines (<= 0 selects
-// GOMAXPROCS, 1 reproduces the serial runner exactly).
-func Fig8(seed uint64, runs, workers int) (*Fig8Result, error) {
+// Every (configuration, model, repetition) run is one world with its
+// own fixed seed.
+func Fig8(seed uint64, runs int) (*Fig8Result, error) {
 	if runs <= 0 {
 		runs = 10
 	}
 	res := &Fig8Result{Runs: runs}
-	var cells []sweep.Cell[sim.Time]
 	for _, recurring := range []bool{false, true} {
 		for _, sync := range []bool{true, false} {
 			for _, cfg := range Fig8Configs {
-				bar := Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring}
+				bar, err := Fig8Single(seed, cfg, sync, recurring, runs)
+				if err != nil {
+					return nil, err
+				}
 				res.Cells = append(res.Cells, bar)
-				cells = append(cells, bar.cells(seed, runs)...)
 			}
 		}
-	}
-	times, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	for i, bar := range res.Cells {
-		res.Cells[i] = bar.fold(times[i*runs : (i+1)*runs])
 	}
 	return res, nil
 }
 
 // Fig8Single runs one configuration/workflow combination (a single
-// Figure 8 bar) with the given repetitions — the backing for the
-// xemem-insitu command. It builds and folds the bar exactly as Fig8
-// does.
-func Fig8Single(seed uint64, cfg Fig8Config, sync, recurring bool, runs, workers int) (Fig8Cell, error) {
+// Figure 8 bar) with the given repetitions, run r seeded seed+r*7919,
+// and folds them into the bar's mean ± stddev. It backs both Fig8 and
+// the xemem-insitu command.
+func Fig8Single(seed uint64, cfg Fig8Config, sync, recurring bool, runs int) (Fig8Cell, error) {
 	if runs <= 0 {
 		runs = 1
 	}
 	bar := Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring}
-	times, err := sweep.Run(bar.cells(seed, runs), workers)
-	if err != nil {
-		return Fig8Cell{}, err
-	}
-	return bar.fold(times), nil
-}
-
-// cells enumerates the bar's runs as sweep cells, run r seeded
-// seed+r*7919.
-func (c Fig8Cell) cells(seed uint64, runs int) []sweep.Cell[sim.Time] {
-	cells := make([]sweep.Cell[sim.Time], runs)
-	for r := range cells {
-		runSeed := seed + uint64(r)*7919
-		obs := cellObserve()
-		cells[r] = sweep.Cell[sim.Time]{
-			Label: fmt.Sprintf("fig8 %s sync=%v rec=%v run %d", c.Config, c.Sync, c.Recurring, r),
-			Run: func() (sim.Time, error) {
-				return fig8Run(obs, runSeed, c.Config, c.Sync, c.Recurring)
-			},
-		}
-	}
-	return cells
-}
-
-// fold returns the bar with the mean ± stddev of its runs' times.
-func (c Fig8Cell) fold(times []sim.Time) Fig8Cell {
 	var s sim.Sample
-	for _, t := range times {
+	for r := 0; r < runs; r++ {
+		t, err := fig8Run(Observe, seed+uint64(r)*7919, cfg, sync, recurring)
+		if err != nil {
+			return Fig8Cell{}, fmt.Errorf("fig8 %s sync=%v rec=%v run %d: %w", cfg, sync, recurring, r, err)
+		}
 		s.AddTime(t)
 	}
-	c.MeanS, c.StdS = s.Mean(), s.Stddev()
-	return c
+	bar.MeanS, bar.StdS = s.Mean(), s.Stddev()
+	return bar, nil
 }
 
 // fig8Run executes one composed run in a fresh world and returns the HPC

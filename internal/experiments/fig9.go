@@ -6,7 +6,6 @@ import (
 
 	"xemem"
 	"xemem/internal/cluster"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/insitu"
 	"xemem/internal/proc"
 	"xemem/internal/sim"
@@ -36,43 +35,23 @@ var Fig9NodeCounts = []int{1, 2, 4, 8}
 // against the multi-enclave one (HPC simulation in a Palacios VM on an
 // isolated Kitten co-kernel host, analytics in the native Linux enclave),
 // for both attachment models. runs repetitions (the paper reports 5).
-// Every (model, configuration, node count, repetition) run is one sweep
-// cell with its own fixed seed, executed on workers host goroutines
-// (<= 0 selects GOMAXPROCS, 1 reproduces the serial runner exactly).
-func Fig9(seed uint64, runs, workers int) (*Fig9Result, error) {
+// Every (model, configuration, node count, repetition) run is one world
+// with its own fixed seed.
+func Fig9(seed uint64, runs int) (*Fig9Result, error) {
 	if runs <= 0 {
 		runs = 5
 	}
 	res := &Fig9Result{Runs: runs}
-	var cells []sweep.Cell[sim.Time]
-	for _, recurring := range []bool{false, true} {
-		for _, multi := range []bool{false, true} {
-			for _, nodes := range Fig9NodeCounts {
-				for r := 0; r < runs; r++ {
-					recurring, multi, nodes, r := recurring, multi, nodes, r
-					obs := cellObserve()
-					cells = append(cells, sweep.Cell[sim.Time]{
-						Label: fmt.Sprintf("fig9 nodes=%d multi=%v rec=%v run %d", nodes, multi, recurring, r),
-						Run: func() (sim.Time, error) {
-							return fig9Run(obs, seed+uint64(r)*104729, nodes, multi, recurring)
-						},
-					})
-				}
-			}
-		}
-	}
-	times, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
 	for _, recurring := range []bool{false, true} {
 		for _, multi := range []bool{false, true} {
 			for _, nodes := range Fig9NodeCounts {
 				var s sim.Sample
 				for r := 0; r < runs; r++ {
-					s.AddTime(times[i])
-					i++
+					t, err := fig9Run(Observe, seed+uint64(r)*104729, nodes, multi, recurring)
+					if err != nil {
+						return nil, fmt.Errorf("fig9 nodes=%d multi=%v rec=%v run %d: %w", nodes, multi, recurring, r, err)
+					}
+					s.AddTime(t)
 				}
 				res.Cells = append(res.Cells, Fig9Cell{
 					Nodes: nodes, MultiEnclave: multi, Recurring: recurring,

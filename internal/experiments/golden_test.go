@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
 )
 
@@ -31,7 +30,7 @@ func runTraced(t *testing.T, fn func() error) []trace.Digest {
 	s := trace.NewSet()
 	s.SetKeepEvents(false)
 	saved := Observe
-	Observe = func(label string, w *sim.World) { w.SetObserver(s.Get(label)) }
+	Observe = s.Observe
 	defer func() { Observe = saved }()
 	if err := fn(); err != nil {
 		t.Fatal(err)
@@ -81,7 +80,7 @@ func checkGolden(t *testing.T, name string, got []trace.Digest) {
 
 func TestGoldenFig5(t *testing.T) {
 	checkGolden(t, "fig5", runTraced(t, func() error {
-		_, err := Fig5(1, 2, 1)
+		_, err := Fig5(1, 2)
 		return err
 	}))
 }
@@ -95,7 +94,7 @@ func TestGoldenFig6(t *testing.T) {
 
 func TestGoldenFig7(t *testing.T) {
 	checkGolden(t, "fig7", runTraced(t, func() error {
-		_, err := Fig7(1, 1)
+		_, err := Fig7(1)
 		return err
 	}))
 }
@@ -119,7 +118,7 @@ func TestGoldenFig9(t *testing.T) {
 
 func TestGoldenTable2(t *testing.T) {
 	checkGolden(t, "table2", runTraced(t, func() error {
-		_, err := Table2(1, 1, 1)
+		_, err := Table2(1, 1, 0)
 		return err
 	}))
 }

@@ -7,6 +7,7 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"xemem/internal/sim"
@@ -19,7 +20,7 @@ func traced(fn func() error) (*trace.Set, error) {
 	s := trace.NewSet()
 	s.SetKeepEvents(false)
 	saved := Observe
-	Observe = func(label string, w *sim.World) { w.SetObserver(s.Get(label)) }
+	Observe = s.Observe
 	defer func() { Observe = saved }()
 	return s, fn()
 }
@@ -71,20 +72,45 @@ func TestTracingDoesNotPerturbFig8(t *testing.T) {
 
 // TestTracingDoesNotPerturbTable2 compares whole result structs.
 func TestTracingDoesNotPerturbTable2(t *testing.T) {
-	r0, err := Table2(7, 1, 1)
+	r0, err := Table2(7, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var r1 *Table2Result
 	if _, err := traced(func() error {
 		var err error
-		r1, err = Table2(7, 1, 1)
+		r1, err = Table2(7, 1, 0)
 		return err
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r0, r1) {
 		t.Errorf("tracing changed table2:\n bare   %+v\n traced %+v", r0, r1)
+	}
+}
+
+// TestTraceOrderFollowsRunOrder runs two figures into one trace set, as
+// `xemem-bench -experiment all` does: every world of the first must
+// export before any world of the second, in run order.
+func TestTraceOrderFollowsRunOrder(t *testing.T) {
+	s, err := traced(func() error {
+		if _, err := Fig7(11); err != nil {
+			return err
+		}
+		_, err := Table2(11, 1, 0)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"fig7/4KB", "fig7/2MB", "fig7/1GB",
+		"table2/kitten-to-linux", "table2/kitten-to-vm", "table2/vm-to-kitten"}
+	var got []string
+	for _, d := range s.Digests() {
+		got = append(got, d.Label)
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("trace order %q, want %q", got, want)
 	}
 }
 

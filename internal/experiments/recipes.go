@@ -4,7 +4,7 @@ package experiments
 // re-run without out-of-band knowledge: a recipe is
 // (name, JSON parameter blob, seed) → one deterministic world, executed
 // to completion. The obs hook is announced to the world exactly as the
-// sweep runners do it, which is where a replay attaches its windowed
+// figure runners do it, which is where a replay attaches its windowed
 // tracer.
 
 import (

@@ -13,6 +13,7 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -27,9 +28,10 @@ import (
 const bundleWindows = 16
 
 // Bundle is the repro bundle format (JSON on disk). Window k covers
-// [k·WindowNs, (k+1)·WindowNs); Windows[k] is the trace digest of every
-// event recorded before the first dispatch at or past its end (the whole
-// run, for a window the run never reaches past).
+// [k·WindowNs, (k+1)·WindowNs); Windows[k] is the SHA-256 of the whole
+// trace digest — counts, dispatches, final time and event hash — as it
+// stood on the first dispatch at or past its end (the whole run, for a
+// window the run never reaches past).
 type Bundle struct {
 	Recipe   string          `json:"recipe"`
 	Params   json.RawMessage `json:"params,omitempty"`
@@ -62,8 +64,10 @@ func LoadBundle(path string) (*Bundle, error) {
 	return &b, nil
 }
 
-// windowTracer is the probe's observer: the tracer, plus the cumulative
-// digest taken on the first dispatch at or past each window end. The
+// windowTracer is the probe's observer: the tracer, plus a hash of the
+// cumulative digest taken on the first dispatch at or past each window
+// end, so a drift in dispatches or poll ticks alone shows up in the
+// window where it happens. The
 // tracer itself is untouched; when it keeps events, marks[k] is how many
 // it held when window k closed.
 type windowTracer struct {
@@ -87,7 +91,8 @@ func (o *windowTracer) Dispatch(a *sim.Actor, t sim.Time) {
 func (o *windowTracer) Unwrap() *trace.Tracer { return o.Tracer }
 
 func (o *windowTracer) close() {
-	o.sums = append(o.sums, o.Digest().SHA256)
+	d, _ := json.Marshal(o.Digest()) // a struct of strings and ints: cannot fail
+	o.sums = append(o.sums, fmt.Sprintf("%x", sha256.Sum256(d)))
 	o.marks = append(o.marks, len(o.Events()))
 }
 

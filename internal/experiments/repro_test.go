@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"xemem/internal/sim"
+	"xemem/internal/sim/trace"
 )
 
 // TestReplayBundle replays every checked-in repro bundle: the bundles
@@ -67,6 +70,38 @@ func TestReplayBundleDetectsDrift(t *testing.T) {
 	tampered.Digest.Dispatches++
 	if err := RunBundle(&tampered); err == nil || !strings.Contains(err.Error(), "after the last window") {
 		t.Errorf("final digest corrupted: replay error %v, want \"after the last window\"", err)
+	}
+}
+
+// TestWindowSeesDispatches feeds two window tracers identical events
+// but one extra event-free dispatch before window 2 ends: windows 0 and
+// 1 must match and window 2 must differ, so a drift in the schedule
+// alone is named in the window where it happens.
+func TestWindowSeesDispatches(t *testing.T) {
+	run := func(extra int) []string {
+		o := &windowTracer{Tracer: trace.NewTracer("w"), ends: windowEnds(4, 100)}
+		for _, at := range []sim.Time{10, 120, 230, 250, 330} {
+			o.Dispatch(nil, at)
+			o.Span(nil, "op", at, 5)
+			if at == 230 {
+				for i := 0; i < extra; i++ {
+					o.Dispatch(nil, at) // a poll tick that charges nothing
+				}
+			}
+		}
+		for len(o.sums) < len(o.ends) {
+			o.close()
+		}
+		return o.sums
+	}
+	a, b := run(0), run(1)
+	for k := 0; k < 2; k++ {
+		if a[k] != b[k] {
+			t.Errorf("window %d differs before the extra dispatch: %s vs %s", k, a[k], b[k])
+		}
+	}
+	if a[2] == b[2] {
+		t.Errorf("window 2 is %s in both runs: the extra dispatch went unseen", a[2])
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"xemem"
-	"xemem/internal/experiments/sweep"
 	"xemem/internal/pagetable"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
@@ -34,10 +33,9 @@ type Table2Result struct {
 // native attaching guest memory (Fig. 4(b), cheap translation). The
 // simulator is deterministic, so reps beyond a handful only confirm the
 // steady state (the paper used ≥500 to average hardware noise).
-// Each row is an independent world and therefore one sweep cell,
-// executed on workers host goroutines (<= 0 selects GOMAXPROCS, 1
-// reproduces the serial runner exactly).
-func Table2(seed uint64, reps, workers int) (*Table2Result, error) {
+// Each row is an independent world. The third parameter is ignored; it
+// remains only for the benchmark module's caller, which still passes it.
+func Table2(seed uint64, reps, _ int) (*Table2Result, error) {
 	if reps <= 0 {
 		reps = 20
 	}
@@ -46,31 +44,25 @@ func Table2(seed uint64, reps, workers int) (*Table2Result, error) {
 
 	rows := []struct {
 		label string
-		run   func(obs observeFn) (Table2Row, error)
+		run   func() (Table2Row, error)
 	}{
-		{"table2/kitten-to-linux", func(obs observeFn) (Table2Row, error) {
-			return table2KittenToLinux(obs, seed, bytes, reps)
+		{"table2/kitten-to-linux", func() (Table2Row, error) {
+			return table2KittenToLinux(Observe, seed, bytes, reps)
 		}},
-		{"table2/kitten-to-vm", func(obs observeFn) (Table2Row, error) {
-			return table2KittenToVM(obs, seed+1, bytes, reps)
+		{"table2/kitten-to-vm", func() (Table2Row, error) {
+			return table2KittenToVM(Observe, seed+1, bytes, reps)
 		}},
-		{"table2/vm-to-kitten", func(obs observeFn) (Table2Row, error) {
-			return table2VMToKitten(obs, seed+2, bytes, reps)
+		{"table2/vm-to-kitten", func() (Table2Row, error) {
+			return table2VMToKitten(Observe, seed+2, bytes, reps)
 		}},
 	}
-	cells := make([]sweep.Cell[Table2Row], len(rows))
-	for i, row := range rows {
-		row := row
-		obs := cellObserve()
-		cells[i] = sweep.Cell[Table2Row]{Label: row.label, Run: func() (Table2Row, error) {
-			return row.run(obs)
-		}}
+	for _, row := range rows {
+		r, err := row.run()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", row.label, err)
+		}
+		res.Rows = append(res.Rows, r)
 	}
-	out, err := sweep.Run(cells, workers)
-	if err != nil {
-		return nil, err
-	}
-	res.Rows = out
 	return res, nil
 }
 

@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"sync"
 
 	"xemem/internal/sim"
 )
@@ -15,19 +14,12 @@ import (
 // Set collects the tracers of a multi-world run (experiments build one
 // world per configuration point) and exports them together: one Chrome
 // trace process per tracer, one metrics record per tracer, digests in
-// deterministic order.
-//
-// Export order is slot order. Get and Reserve each take the next slot
-// in call order; a reserved slot holds the tracers its observer later
-// registers, in registration order. The sweep runners reserve one slot
-// per cell while enumerating, serially, so export order is enumeration
-// order even when workers build the worlds concurrently. Individual
-// Tracers still belong to exactly one world and are not locked.
+// deterministic order. Export order is first-Get order, which is run
+// order because one goroutine builds every world of a run.
 type Set struct {
-	mu    sync.Mutex
-	slots [][]*Tracer
-	m     map[string]*Tracer
-	keep  bool
+	tracers []*Tracer
+	m       map[string]*Tracer
+	keep    bool
 }
 
 // NewSet returns an empty set with event retention on.
@@ -37,65 +29,28 @@ func NewSet() *Set {
 
 // SetKeepEvents toggles event retention for tracers the set creates
 // later (metrics-only runs keep memory flat; Chrome export needs events).
-func (s *Set) SetKeepEvents(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.keep = on
-}
+func (s *Set) SetKeepEvents(on bool) { s.keep = on }
 
-// Get returns the tracer for label, creating it in a new slot on first
-// use.
+// Get returns the tracer for label, creating it on first use.
 func (s *Set) Get(label string) *Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if t, ok := s.m[label]; ok {
-		return t
-	}
-	s.slots = append(s.slots, nil)
-	return s.get(len(s.slots)-1, label)
-}
-
-// Reserve takes the next slot and returns an observer that installs on
-// a world the tracer for label, registered into that slot. The observer
-// is safe to call from any goroutine.
-func (s *Set) Reserve() func(label string, w *sim.World) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.slots = append(s.slots, nil)
-	slot := len(s.slots) - 1
-	return func(label string, w *sim.World) {
-		s.mu.Lock()
-		t := s.get(slot, label)
-		s.mu.Unlock()
-		w.SetObserver(t)
-	}
-}
-
-// get creates-or-returns the tracer for label, registering a new one in
-// slot. Callers hold mu.
-func (s *Set) get(slot int, label string) *Tracer {
 	if t, ok := s.m[label]; ok {
 		return t
 	}
 	t := NewTracer(label)
 	t.SetKeepEvents(s.keep)
 	s.m[label] = t
-	s.slots[slot] = append(s.slots[slot], t)
+	s.tracers = append(s.tracers, t)
 	return t
 }
 
-// Tracers returns the set's tracers in slot order.
-func (s *Set) Tracers() []*Tracer {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*Tracer
-	for _, slot := range s.slots {
-		out = append(out, slot...)
-	}
-	return out
-}
+// Observe installs the tracer for label on w; it has the shape of the
+// experiments' Observe hook.
+func (s *Set) Observe(label string, w *sim.World) { w.SetObserver(s.Get(label)) }
 
-// Digests returns every tracer's digest in slot order.
+// Tracers returns the set's tracers in export order.
+func (s *Set) Tracers() []*Tracer { return s.tracers }
+
+// Digests returns every tracer's digest in export order.
 func (s *Set) Digests() []Digest {
 	ts := s.Tracers()
 	out := make([]Digest, 0, len(ts))

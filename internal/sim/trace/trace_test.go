@@ -282,24 +282,19 @@ func TestFinalTimeAndDispatches(t *testing.T) {
 	}
 }
 
-// Set-level plumbing the experiment runners use: Reserve and Get install
-// tracers per labelled world, Digests lists them in slot order whatever
-// order and goroutine they registered from, and SetKeepEvents governs
-// retention for tracers created afterwards.
+// Set-level plumbing the experiment runners use: Observe and Get
+// install tracers per labelled world, Digests lists them in first-Get
+// order, a repeated label returns the same tracer, and SetKeepEvents
+// governs retention for tracers created afterwards.
 func TestSetHooksAndDigests(t *testing.T) {
 	s := NewSet()
 	s.SetKeepEvents(false)
-	first, second := s.Reserve(), s.Reserve()
-	w0 := sim.NewWorld(3)
-	w0.SetObserver(s.Get("get")) // takes the slot after both reservations
-	w1, w2 := sim.NewWorld(3), sim.NewWorld(3)
-	for _, reg := range []func(){
-		func() { second("second", w2) },
-		func() { first("first", w1) },
-	} {
-		done := make(chan struct{})
-		go func() { reg(); close(done) }()
-		<-done
+	w0, w1, w2 := sim.NewWorld(3), sim.NewWorld(3), sim.NewWorld(3)
+	s.Observe("second", w1)
+	s.Observe("first", w0)
+	w2.SetObserver(s.Get("get"))
+	if s.Get("first") != w0.Observer() || s.Get("second") != w1.Observer() {
+		t.Fatal("a repeated label returned a new tracer")
 	}
 	for _, w := range []*sim.World{w0, w1, w2} {
 		w.Spawn("a", func(a *sim.Actor) { a.Charge("op", 10*sim.Nanosecond) })
@@ -308,14 +303,14 @@ func TestSetHooksAndDigests(t *testing.T) {
 		}
 	}
 	ds := s.Digests()
-	if len(ds) != 3 || ds[0].Label != "first" || ds[1].Label != "second" || ds[2].Label != "get" {
+	if len(ds) != 3 || ds[0].Label != "second" || ds[1].Label != "first" || ds[2].Label != "get" {
 		t.Fatalf("Digests() = %+v", ds)
 	}
 	if ds[0].SHA256 != ds[1].SHA256 || ds[1].SHA256 != ds[2].SHA256 {
-		t.Fatal("identical worlds hashed differently across slots")
+		t.Fatal("identical worlds hashed differently across tracers")
 	}
 	if s.Get("first").Events() != nil {
-		t.Fatal("SetKeepEvents(false) did not propagate to hook-created tracers")
+		t.Fatal("SetKeepEvents(false) did not propagate to Observe-created tracers")
 	}
 }
 
