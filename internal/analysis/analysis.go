@@ -33,6 +33,8 @@ type Diagnostic struct {
 	Pos      token.Position
 	Analyzer string
 	Message  string
+
+	hostClock bool // a determinism finding //xemem:wallclock excuses
 }
 
 // String formats the diagnostic in the conventional file:line:col form.

@@ -35,6 +35,9 @@ var fixtureTests = []struct {
 			{"internal/sim/clock.go", 20, "determinism", "os.Getpid is host/process-dependent"},
 			{"internal/sim/clock.go", 26, "determinism", "go statement"},
 			{"internal/sim/clock.go", 28, "determinism", "go statement"},
+			// The wallclock directive on Detach's go statement excuses
+			// host-clock reads only.
+			{"internal/sim/clock.go", 36, "determinism", "go statement"},
 			// clock_test.go's go statement is in a test file — silent.
 			// bench.go: both reads carry //xemem:wallclock — silent.
 			// shadow.go: time.Now there is a parameter's virtual clock,

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"strings"
 )
@@ -13,8 +14,9 @@ import (
 // engine coroutines, not goroutines), so a go statement outside tests is
 // flagged outright. The only legitimate host reads are real-time
 // benchmark timers, which must be annotated //xemem:wallclock --
-// <reason>; the generic //xemem:allow form is deliberately rejected for
-// this analyzer.
+// <reason>; that directive excuses host-clock reads and nothing else, and
+// the generic //xemem:allow form is deliberately rejected for this
+// analyzer.
 
 // wallclockFuncs are the time-package functions that read or depend on
 // the host clock.
@@ -73,8 +75,12 @@ func runDeterminismFile(pass *Pass, f *ast.File) {
 		path := pkgNameOf(pass.Pkg.Info, id)
 		switch {
 		case path == "time" && wallclockFuncs[sel.Sel.Name]:
-			pass.Reportf(call.Pos(),
-				"time.%s reads the host clock: simulated time must come from Actor.Now/Charge; real benchmark timers need //xemem:wallclock -- <reason>", sel.Sel.Name)
+			pass.report(Diagnostic{
+				Pos:       pass.Module.Position(call.Pos()),
+				Analyzer:  pass.Analyzer.Name,
+				Message:   fmt.Sprintf("time.%s reads the host clock: simulated time must come from Actor.Now/Charge; real benchmark timers need //xemem:wallclock -- <reason>", sel.Sel.Name),
+				hostClock: true,
+			})
 		case path == "os" && processIdentityFuncs[sel.Sel.Name]:
 			pass.Reportf(call.Pos(),
 				"os.%s is host/process-dependent and breaks run-to-run determinism", sel.Sel.Name)

@@ -16,9 +16,11 @@ import (
 // A directive written at the end of a code line suppresses that line's
 // findings; a directive on a line of its own (including the last line of
 // a doc comment) suppresses the line below it. Determinism findings are
-// special-cased: they are real uses of host time and may only be excused
-// as deliberate wall-clock measurement via //xemem:wallclock, so
-// //xemem:allow is rejected for them. Malformed directives (missing
+// special-cased: only host-clock reads may be excused, as deliberate
+// wall-clock measurement via //xemem:wallclock, so //xemem:allow is
+// rejected for them, and a wallclock directive leaves the analyzer's
+// other findings (math/rand, process identity, go statements) standing
+// on its line. Malformed directives (missing
 // " -- ", empty reason, unknown analyzer or verb) are themselves
 // reported under the "directive" name and cannot be suppressed.
 
@@ -80,6 +82,9 @@ type lineKey struct {
 }
 
 func (s *suppressions) suppressed(d Diagnostic) bool {
+	if d.Analyzer == "determinism" && !d.hostClock {
+		return false
+	}
 	return s.byLine[lineKey{d.Pos.Filename, d.Pos.Line}][d.Analyzer]
 }
 

@@ -29,3 +29,9 @@ func Fanout(work func()) {
 	}
 	later()
 }
+
+// Detach carries a wallclock directive on a go statement. The directive
+// excuses host-clock reads only, so the go statement is still flagged.
+func Detach(work func()) {
+	go work() //xemem:wallclock -- not a clock read
+}

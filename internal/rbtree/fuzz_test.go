@@ -12,7 +12,8 @@ import (
 // start+count can never wrap uint64 (wrapping is API misuse, not a
 // tree invariant). Op 3 inserts key%4 pages past the current maximum's
 // end (at key in an empty map), so most streams take the spine
-// shortcut.
+// shortcut; op 4 deletes the finger's key (key itself while no finger
+// is set), so most streams take the release finger too.
 const (
 	fuzzKeyMask = 1<<40 - 1
 	fuzzRec     = 10
@@ -39,10 +40,11 @@ func modelLookup(model map[uint64]modelEntry, key uint64) (val, runStart, runCou
 }
 
 // FuzzOps drives the interval map with an arbitrary insert/delete/lookup
-// stream, mirrors it in a flat map and in a map whose inserts all
-// descend (insertDescent), and checks after every operation that the
-// red-black and interval invariants hold (the cached spine included),
-// that every insert and delete reports the reference's OpStats, and
+// stream, mirrors it in a flat map and in a map whose inserts and
+// deletes all descend (insertDescent, deleteDescent), and checks after
+// every operation that the red-black and interval invariants hold (the
+// cached spine and finger included), that every insert and delete
+// reports the reference's OpStats, and
 // that the tree agrees with the model — including the balanced-height
 // bound the simulator's cost model depends on (§5.4 charges per visit).
 func FuzzOps(f *testing.F) {
@@ -69,12 +71,35 @@ func FuzzOps(f *testing.F) {
 		}
 	}
 	f.Add(seq)
+	// An import of 40 pages, a release of its first half through the
+	// finger, an insert elsewhere (which drops the finger), and the rest
+	// of the release: one descent, then the finger again.
+	seq = nil
+	rec := func(op byte, key uint64) {
+		var r [fuzzRec]byte
+		r[0] = op
+		binary.LittleEndian.PutUint64(r[1:9], key)
+		seq = append(seq, r[:]...)
+	}
+	for i := 0; i < 40; i++ {
+		rec(3, 0)
+	}
+	rec(1, 0)
+	for i := 1; i < 20; i++ {
+		rec(4, 0)
+	}
+	rec(0, 1000)
+	rec(1, 20)
+	for i := 21; i < 40; i++ {
+		rec(4, 0)
+	}
+	f.Add(seq)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ref := New(), New()
 		model := make(map[uint64]modelEntry)
 		for len(data) >= fuzzRec {
-			op := data[0] % 4
+			op := data[0] % 5
 			key := binary.LittleEndian.Uint64(data[1:9]) & fuzzKeyMask
 			count := uint64(data[9]%8) + 1
 			data = data[fuzzRec:]
@@ -95,12 +120,15 @@ func FuzzOps(f *testing.F) {
 				if err == nil {
 					model[key] = modelEntry{count: count, val: val}
 				}
-			case 1: // delete
+			case 1, 4: // delete; op 4 the finger's key
+				if op == 4 && m.finger != nil {
+					key = m.finger.start
+				}
 				st, err := m.Delete(key)
 				if _, ok := model[key]; (err == nil) != ok {
 					t.Fatalf("Delete(%#x) err=%v, model has=%v", key, err, ok)
 				}
-				if rst, _ := ref.Delete(key); st != rst {
+				if rst, _ := ref.deleteDescent(key); st != rst {
 					t.Fatalf("Delete(%#x) = %+v, reference %+v", key, st, rst)
 				}
 				delete(model, key)

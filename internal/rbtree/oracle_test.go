@@ -11,8 +11,8 @@ import (
 // freshly allocated node. It is kept as the oracle for the shortcut,
 // which must report exactly the OpStats and errors this descent does and
 // leave the same intervals behind. A map driven only by insertDescent
-// and Delete never knows its spine, so Validate skips the cache check
-// on it.
+// and deleteDescent never knows its spine or its finger, so Validate
+// skips both cache checks on it.
 func (m *Map) insertDescent(start, count, val uint64) (OpStats, error) {
 	var st OpStats
 	if count == 0 {
@@ -47,6 +47,58 @@ func (m *Map) insertDescent(start, count, val uint64) (OpStats, error) {
 	return st, nil
 }
 
+// deleteDescent is Delete as it was before the release finger: every
+// delete descends from the root, and the deleted node is dropped rather
+// than kept for reuse. It is the oracle for the finger, which must report
+// exactly the OpStats and errors this descent does. The fixup is shared:
+// with no finger set, its depth bookkeeping never fires.
+func (m *Map) deleteDescent(start uint64) (OpStats, error) {
+	var st OpStats
+	z := m.root
+	for z != m.nilNode && z.start != start {
+		st.Visits++
+		if start < z.start {
+			z = z.l
+		} else {
+			z = z.r
+		}
+	}
+	if z == m.nilNode {
+		return st, fmt.Errorf("rbtree: no interval starting at %#x", start)
+	}
+	m.size--
+	y := z
+	yOrig := y.c
+	var x *node
+	switch {
+	case z.l == m.nilNode:
+		x = z.r
+		m.transplant(z, z.r)
+	case z.r == m.nilNode:
+		x = z.l
+		m.transplant(z, z.l)
+	default:
+		y = m.minimum(z.r, &st)
+		yOrig = y.c
+		x = y.r
+		if y.p == z {
+			x.p = y
+		} else {
+			m.transplant(y, y.r)
+			y.r = z.r
+			y.r.p = y
+		}
+		m.transplant(z, y)
+		y.l = z.l
+		y.l.p = y
+		y.c = z.c
+	}
+	if yOrig == black {
+		m.deleteFixup(x, false, &st)
+	}
+	return st, nil
+}
+
 type interval struct{ start, count, val uint64 }
 
 func contents(m *Map) []interval {
@@ -61,11 +113,13 @@ func contents(m *Map) []interval {
 // lockstep applies each operation to the map under test and to the
 // descent-only reference, and fails unless both report the same OpStats
 // and error, hold the same intervals, and pass Validate (which checks
-// the cached spine and maximum of the map under test).
+// the cached spine, maximum and finger of the map under test). It counts
+// the deletes that found their key at the finger.
 type lockstep struct {
 	t         *testing.T
 	got, want *Map
 	seed, op  int // named in failures
+	hits      int // deletes of the finger's key
 }
 
 func (ls *lockstep) insert(start, count uint64) {
@@ -77,8 +131,11 @@ func (ls *lockstep) insert(start, count uint64) {
 
 func (ls *lockstep) delete(start uint64) {
 	ls.t.Helper()
+	if f := ls.got.finger; f != nil && f.start == start {
+		ls.hits++
+	}
 	gst, gerr := ls.got.Delete(start)
-	wst, werr := ls.want.Delete(start)
+	wst, werr := ls.want.deleteDescent(start)
 	ls.same(func() string { return fmt.Sprintf("Delete(%#x)", start) }, gst, wst, gerr, werr)
 }
 
@@ -121,10 +178,11 @@ func maxEnd(m *Map) uint64 {
 // TestSpineCacheMatchesDescent runs seeded mixes of inserts at or past
 // the maximum (the shortcut), random inserts (overlaps included),
 // inserts that overlap the maximum, and deletes of live, ascending and
-// absent keys, in lockstep with the descent-only reference insert. A
-// second phase per seed imports and releases runs the way Palacios does:
-// ascending per-page inserts, then ascending deletes.
+// absent keys, in lockstep with the descent-only reference insert and
+// delete. A second phase per seed imports and releases runs the way
+// Palacios does: ascending per-page inserts, then ascending deletes.
 func TestSpineCacheMatchesDescent(t *testing.T) {
+	hits := 0
 	for seed := 1; seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ls := &lockstep{t: t, got: New(), want: New(), seed: seed}
@@ -159,5 +217,75 @@ func TestSpineCacheMatchesDescent(t *testing.T) {
 				ls.delete(base + p)
 			}
 		}
+		hits += ls.hits
+	}
+	if hits == 0 {
+		t.Fatal("no delete found its key at the finger")
+	}
+}
+
+// TestReleaseFingerMatchesDescent drives the finger in lockstep with the
+// descent-only reference. Per seed, a mix biased to deleting the
+// finger's key is interleaved with inserts anywhere, deletes of other
+// live keys and of absent keys; then Palacios-shaped cycles import a
+// run, release part of it, insert stray intervals elsewhere (each drops
+// the finger), and resume the release, sometimes out of order.
+func TestReleaseFingerMatchesDescent(t *testing.T) {
+	hits, ops := 0, 0
+	for seed := 1; seed <= 15; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		ls := &lockstep{t: t, got: New(), want: New(), seed: seed}
+		for i := 0; i < 200; i++ {
+			ls.insert(uint64(rng.Intn(2000)), uint64(1+rng.Intn(3)))
+		}
+		for i := 0; i < 800; i++ {
+			live := contents(ls.want)
+			switch r := rng.Intn(20); {
+			case r < 10 && ls.got.finger != nil: // the finger's key
+				ls.delete(ls.got.finger.start)
+			case r < 14: // anywhere, overlaps included
+				ls.insert(uint64(rng.Intn(2000)), uint64(1+rng.Intn(3)))
+			case r < 18 && len(live) > 0: // another live key
+				ls.delete(live[rng.Intn(len(live))].start)
+			default: // absent: between or past the intervals
+				ls.delete(maxEnd(ls.want) + uint64(rng.Intn(3)))
+			}
+		}
+		for cycle := 0; cycle < 4; cycle++ {
+			base := maxEnd(ls.want) + uint64(rng.Intn(3))
+			n := uint64(32 + rng.Intn(160))
+			for p := uint64(0); p < n; p++ {
+				ls.insert(base+p, 1)
+			}
+			half := n / 2
+			for p := uint64(0); p < half; p++ {
+				ls.delete(base + p)
+			}
+			for i := 0; i < 1+rng.Intn(3); i++ {
+				if rng.Intn(2) == 0 {
+					ls.insert(base+n+uint64(rng.Intn(16)), 1) // past the run
+				} else {
+					ls.insert(base+uint64(rng.Intn(int(half)+1)), 1) // into the released part
+				}
+			}
+			if rng.Intn(3) == 0 {
+				ls.delete(base + half + 1) // out of order: skips a page
+			}
+			for p := half; p < n; p++ {
+				ls.delete(base + p)
+			}
+			live := contents(ls.want)
+			for _, iv := range live {
+				if iv.start >= base {
+					ls.delete(iv.start)
+				}
+			}
+		}
+		hits += ls.hits
+		ops += ls.op
+	}
+	t.Logf("%d of %d operations deleted the finger's key", hits, ops)
+	if hits < ops/10 {
+		t.Fatalf("%d of %d operations deleted the finger's key; the shortcut barely ran", hits, ops)
 	}
 }

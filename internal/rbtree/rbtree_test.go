@@ -265,3 +265,56 @@ func BenchmarkInsertAscending(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/insert")
 }
+
+// TestColdImportAllocs: a fresh map importing a 1 GB window one page at
+// a time (262,144 ascending inserts) takes its nodes from chunks that
+// double up to maxChunk, so it allocates a few dozen times — 30 chunks
+// plus New's map and sentinel — rather than once per page.
+func TestColdImportAllocs(t *testing.T) {
+	const pages = 1 << 18
+	allocs := testing.AllocsPerRun(1, func() {
+		m := New()
+		for i := uint64(0); i < pages; i++ {
+			if _, err := m.Insert(i, 1, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("a cold import of %d pages allocated %v times, want at most 32", pages, allocs)
+	}
+}
+
+// BenchmarkReleaseAscending is Palacios releasing a 1 GB window one page
+// at a time: 262,144 deletes in ascending order from a map holding those
+// pages, each after the first finding its key at the finger. The map is
+// refilled off the clock between cycles. It reports ns per delete.
+func BenchmarkReleaseAscending(b *testing.B) {
+	const pages = 1 << 18
+	m := New()
+	fill := func() {
+		for i := uint64(0); i < pages; i++ {
+			if _, err := m.Insert(i, 1, i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	release := func() {
+		for i := uint64(0); i < pages; i++ {
+			if _, err := m.Delete(i); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	fill()
+	release()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fill()
+		b.StartTimer()
+		release()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/delete")
+}
