@@ -62,14 +62,14 @@ examples:
 		echo "== $$d"; $(GO) run ./$$d; \
 	done
 
-# Run each command once at its smallest setting: a CLI that panics,
-# exits non-zero or breaks its -metrics export fails here. xemem-vet
-# already runs under vet.
+# Run each command once at a small setting (xemem-bench: every figure at
+# -fast counts): a CLI that panics, exits non-zero or breaks its -metrics
+# export fails here. xemem-vet already runs under vet.
 cli:
 	@mkdir -p $(COVER_DIR)
 	$(GO) run ./cmd/xemem-topo
 	$(GO) run ./cmd/xemem-insitu -runs 1
-	$(GO) run ./cmd/xemem-bench -experiment table2 -fast -metrics $(COVER_DIR)/metrics.json
+	$(GO) run ./cmd/xemem-bench -experiment all -fast -metrics $(COVER_DIR)/metrics.json
 
 # Short fuzz smoke over the two guest-memory-map structures, the page
 # table against its per-page oracle, and physical memory's eight-lane

@@ -1,9 +1,10 @@
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation, plus ablations for the design decisions DESIGN.md calls
-// out. Each benchmark drives the deterministic simulator and reports the
-// *simulated* quantities of interest via b.ReportMetric (GB/s of
-// attachment throughput, milliseconds of detour, seconds of workload
-// completion); the wall-clock ns/op measures the simulator itself.
+// Benchmark harness: the host cost of the simulator's hot paths (a 1 GB
+// attach, a warm collective, one Figure 9 cell) and ablations for the
+// design decisions DESIGN.md calls out. The ablations report the
+// *simulated* quantities of interest via b.ReportMetric (attach latency,
+// map-insert and core-0 busy time); the wall-clock ns/op measures the
+// simulator itself. The paper's figures are regenerated by
+// `xemem-bench -experiment` and checked by internal/experiments' tests.
 //
 // Run with: go test -bench=. -benchmem
 package xemem_test
@@ -23,116 +24,6 @@ import (
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
 )
-
-// BenchmarkFig5AttachVsRDMA regenerates Figure 5 and reports the 1 GB
-// attach throughput and the RDMA baseline.
-func BenchmarkFig5AttachVsRDMA(b *testing.B) {
-	var last *experiments.Fig5Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig5(uint64(i+1), 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	row := last.Rows[len(last.Rows)-1]
-	b.ReportMetric(row.AttachGBs, "sim-attach-GB/s")
-	b.ReportMetric(row.AttachReadGBs, "sim-attach+read-GB/s")
-	b.ReportMetric(row.RDMAGBs, "sim-rdma-GB/s")
-}
-
-// BenchmarkFig6EnclaveScaling regenerates Figure 6 and reports the
-// 1-enclave and 8-enclave 1 GB throughput (the dip-then-flat shape).
-func BenchmarkFig6EnclaveScaling(b *testing.B) {
-	var last *experiments.Fig6Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(uint64(i+1), 30)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	var one, eight float64
-	for _, c := range last.Cells {
-		if c.SizeMB == 1024 && c.Enclaves == 1 {
-			one = c.GBs
-		}
-		if c.SizeMB == 1024 && c.Enclaves == 8 {
-			eight = c.GBs
-		}
-	}
-	b.ReportMetric(one, "sim-1enclave-GB/s")
-	b.ReportMetric(eight, "sim-8enclave-GB/s")
-}
-
-// BenchmarkTable2VMThroughput regenerates Table 2 and reports all three
-// pairings plus the rb-tree-excluded figure.
-func BenchmarkTable2VMThroughput(b *testing.B) {
-	var last *experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Table2(uint64(i+1), 5, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Rows[0].GBs, "sim-native-GB/s")
-	b.ReportMetric(last.Rows[1].GBs, "sim-vm-attach-GB/s")
-	b.ReportMetric(last.Rows[1].NoRBTreeGBs, "sim-vm-attach-no-rbtree-GB/s")
-	b.ReportMetric(last.Rows[2].GBs, "sim-vm-export-GB/s")
-}
-
-// BenchmarkFig7NoiseProfile regenerates Figure 7 and reports the average
-// 1 GB serve detour in milliseconds.
-func BenchmarkFig7NoiseProfile(b *testing.B) {
-	var last *experiments.Fig7Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(uint64(i + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	for _, p := range last.Phases {
-		if p.Size == "1GB" {
-			b.ReportMetric(p.Class("xemem-attach").AvgUS/1000, "sim-1GB-detour-ms")
-		}
-		if p.Size == "4KB" {
-			b.ReportMetric(p.Class("xemem-attach").AvgUS, "sim-4KB-detour-us")
-		}
-	}
-}
-
-// BenchmarkFig8Composed regenerates Figure 8 (one run per cell) and
-// reports the sync one-time completion times of the best and worst
-// configurations.
-func BenchmarkFig8Composed(b *testing.B) {
-	var last *experiments.Fig8Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig8(uint64(i+1), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Cell(experiments.KittenLinux, true, false).MeanS, "sim-kitten-linux-s")
-	b.ReportMetric(last.Cell(experiments.LinuxLinux, true, false).MeanS, "sim-linux-linux-s")
-}
-
-// BenchmarkFig9WeakScaling regenerates Figure 9 (one run per cell) and
-// reports the 8-node completion times of both configurations.
-func BenchmarkFig9WeakScaling(b *testing.B) {
-	var last *experiments.Fig9Result
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig9(uint64(i+1), 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.Cell(8, false, false).MeanS, "sim-linuxonly-8node-s")
-	b.ReportMetric(last.Cell(8, true, false).MeanS, "sim-multienclave-8node-s")
-}
 
 // --- Allocation-diet benchmarks ------------------------------------------
 
@@ -242,8 +133,7 @@ func BenchmarkCollAllreduce(b *testing.B) {
 }
 
 // BenchmarkFig9Cell measures one Figure 9 sweep cell — a full 2-node
-// multi-enclave composed run — the unit of work the parallel runner
-// distributes across cores.
+// multi-enclave composed run — the unit of work of the Figure 9 sweep.
 func BenchmarkFig9Cell(b *testing.B) {
 	b.ReportAllocs()
 	var last sim.Time

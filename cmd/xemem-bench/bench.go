@@ -27,26 +27,32 @@ var benches = []bench{
 	{"coll", func(seed uint64) (fmt.Stringer, error) { return experiments.CollSweep(seed) }},
 }
 
-// benchNames lists the registry's entry names, comma-separated.
-func benchNames() string {
-	names := make([]string, len(benches))
-	for i, b := range benches {
-		names[i] = b.name
+// nameOfBench and nameOfFigure key the -bench and -experiment tables.
+func nameOfBench(b bench) string               { return b.name }
+func nameOfFigure(f experiments.Figure) string { return f.Name }
+
+// names lists a table's entry names, comma-separated.
+func names[T any](table []T, name func(T) string) string {
+	s := make([]string, len(table))
+	for i, e := range table {
+		s[i] = name(e)
 	}
-	return strings.Join(names, ", ")
+	return strings.Join(s, ", ")
 }
 
-// selectBenches resolves a -bench value to the entries it runs.
-func selectBenches(name string) ([]bench, error) {
-	if name == "all" {
-		return benches, nil
+// selectNamed resolves a -bench or -experiment value against its table:
+// all is every entry in table order, a name is its one entry, anything
+// else is an unknown kind.
+func selectNamed[T any](kind, want string, table []T, name func(T) string) ([]T, error) {
+	if want == "all" {
+		return table, nil
 	}
-	for _, b := range benches {
-		if b.name == name {
-			return []bench{b}, nil
+	for _, e := range table {
+		if name(e) == want {
+			return []T{e}, nil
 		}
 	}
-	return nil, fmt.Errorf("unknown bench %q (want one of %s, all)", name, benchNames())
+	return nil, fmt.Errorf("unknown %s %q (want one of %s, all)", kind, want, names(table, name))
 }
 
 // writeJSON writes v to path as indented JSON with a trailing newline:

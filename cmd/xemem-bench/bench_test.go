@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"xemem/internal/experiments"
 )
 
 // TestBenchRegistry holds the -bench table and the checked-in artifacts
@@ -37,25 +39,54 @@ func TestBenchRegistry(t *testing.T) {
 	}
 }
 
-// TestSelectBenches checks -bench name resolution: all runs the whole
-// table in order, a name runs its one entry, anything else is rejected.
-func TestSelectBenches(t *testing.T) {
-	all, err := selectBenches("all")
-	if err != nil || len(all) != len(benches) {
-		t.Fatalf("selectBenches(all) = %d entries, %v; want %d", len(all), err, len(benches))
-	}
-	for i, b := range all {
-		if b.name != benches[i].name {
-			t.Fatalf("selectBenches(all)[%d] = %q, want table order %q", i, b.name, benches[i].name)
+// TestFigureTable checks the -experiment table: names are unique, a -fast
+// run never repeats more than a full one, and only Fig. 7 takes no count.
+func TestFigureTable(t *testing.T) {
+	seen := map[string]bool{}
+	for _, f := range experiments.Figures {
+		if seen[f.Name] {
+			t.Errorf("duplicate figure entry %q", f.Name)
+		}
+		seen[f.Name] = true
+		if f.Fast > f.Full {
+			t.Errorf("figure %q: fast count %d exceeds full count %d", f.Name, f.Fast, f.Full)
+		}
+		if countless := f.Full == 0 && f.Fast == 0; countless != (f.Name == "fig7") {
+			t.Errorf("figure %q: counts %d/%d; only fig7 takes none", f.Name, f.Full, f.Fast)
 		}
 	}
-	one, err := selectBenches("fault")
-	if err != nil || len(one) != 1 || one[0].name != "fault" {
-		t.Fatalf("selectBenches(fault) = %v, %v", one, err)
+}
+
+// TestSelectBenches checks name resolution for both tables: all runs the
+// whole table in order, a name runs its one entry, anything else is
+// rejected.
+func TestSelectBenches(t *testing.T) {
+	checkSelect(t, "bench", benches, nameOfBench, "sweep", "json", "ALL", "fault,coll")
+	checkSelect(t, "experiment", experiments.Figures, nameOfFigure, "sweep", "ALL", "fig5,fig6", "fig10")
+}
+
+// checkSelect resolves all, each entry's name and every unknown name
+// against one table.
+func checkSelect[T any](t *testing.T, kind string, table []T, name func(T) string, unknown ...string) {
+	t.Helper()
+	all, err := selectNamed(kind, "all", table, name)
+	if err != nil || len(all) != len(table) {
+		t.Fatalf("%s all = %d entries, %v; want %d", kind, len(all), err, len(table))
 	}
-	for _, name := range []string{"sweep", "json", "ALL", "fault,coll"} {
-		if _, err := selectBenches(name); err == nil {
-			t.Errorf("selectBenches(%q) accepted an unknown bench", name)
+	for i, e := range all {
+		if name(e) != name(table[i]) {
+			t.Fatalf("%s all[%d] = %q, want table order %q", kind, i, name(e), name(table[i]))
+		}
+	}
+	for _, e := range table {
+		one, err := selectNamed(kind, name(e), table, name)
+		if err != nil || len(one) != 1 || name(one[0]) != name(e) {
+			t.Fatalf("%s %q = %d entries, %v", kind, name(e), len(one), err)
+		}
+	}
+	for _, n := range unknown {
+		if _, err := selectNamed(kind, n, table, name); err == nil {
+			t.Errorf("%s %q accepted an unknown name", kind, n)
 		}
 	}
 }
@@ -67,7 +98,7 @@ func TestSelectBenches(t *testing.T) {
 // only part that may differ between machines, so it is dropped from both.
 func TestBenchValues(t *testing.T) {
 	for _, name := range []string{"fault", "cluster", "coll"} {
-		sel, err := selectBenches(name)
+		sel, err := selectNamed("bench", name, benches, nameOfBench)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -28,10 +28,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run: fig5, fig6, fig7, fig8, fig9, table2, all")
+	exp := flag.String("experiment", "all", "which experiment to run: "+names(experiments.Figures, nameOfFigure)+", all")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
-	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+benchNames()+", all")
+	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+names(benches, nameOfBench)+", all")
 	replayPath := flag.String("replay", "", "re-run the repro bundle at this path, verify its window and final trace digests, and audit the ended world")
 	reproPath := flag.String("repro", "", "capture a repro bundle to this path: the trace digest at the end of each of 16 equal windows of the run (see -recipe, -recipe-params)")
 	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
@@ -60,7 +60,7 @@ func main() {
 	}
 
 	if *benchName != "" {
-		sel, err := selectBenches(*benchName)
+		sel, err := selectNamed("bench", *benchName, benches, nameOfBench)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -114,47 +114,24 @@ func main() {
 		return
 	}
 
-	reps5, reps6, t2reps, runs8, runs9 := 500, 500, 20, 10, 5
-	if *fast {
-		reps5, reps6, t2reps, runs8, runs9 = 50, 50, 5, 3, 3
+	figs, err := selectNamed("experiment", *exp, experiments.Figures, nameOfFigure)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	run := func(name string, fn func() (fmt.Stringer, error)) {
+	for _, f := range figs {
+		reps := f.Full
+		if *fast {
+			reps = f.Fast
+		}
 		start := time.Now() //xemem:wallclock -- reports wall time of figure regeneration to the operator
-		res, err := fn()
+		res, err := f.Run(*seed, reps)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", f.Name, err)
 			os.Exit(1)
 		}
 		fmt.Println(res.String())
-		fmt.Printf("[%s regenerated in %.1fs wall time]\n\n", name, time.Since(start).Seconds()) //xemem:wallclock -- reports wall time of figure regeneration to the operator
-	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("fig5") {
-		run("fig5", func() (fmt.Stringer, error) { return experiments.Fig5(*seed, reps5) })
-	}
-	if want("fig6") {
-		run("fig6", func() (fmt.Stringer, error) { return experiments.Fig6(*seed, reps6) })
-	}
-	if want("table2") {
-		run("table2", func() (fmt.Stringer, error) { return experiments.Table2(*seed, t2reps, 0) })
-	}
-	if want("fig7") {
-		run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(*seed) })
-	}
-	if want("fig8") {
-		run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(*seed, runs8) })
-	}
-	if want("fig9") {
-		run("fig9", func() (fmt.Stringer, error) { return experiments.Fig9(*seed, runs9) })
-	}
-	switch *exp {
-	case "all", "fig5", "fig6", "fig7", "fig8", "fig9", "table2":
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fmt.Printf("[%s regenerated in %.1fs wall time]\n\n", f.Name, time.Since(start).Seconds()) //xemem:wallclock -- reports wall time of figure regeneration to the operator
 	}
 	exportTraces()
 }

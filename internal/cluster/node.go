@@ -125,9 +125,10 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 		cl.links[i] = make([]*rlink, cfg.Nodes)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
-		x := xemem.NewNodeInWorld(w, costs, xemem.NodeConfig{
+		x := xemem.NewNodeInWorld(w, xemem.NodeConfig{
 			Name:         fmt.Sprintf("node%d", i),
 			MemBytes:     cfg.MemBytes,
+			Costs:        costs,
 			NoNameServer: i > 0,
 		})
 		n := &Node{Index: i, X: x}

@@ -235,13 +235,7 @@ func (m *Module) GetWith(a *sim.Actor, p *proc.Process, segid xproto.Segid, opts
 		return apid, nil
 	}
 	req := &xproto.Message{Type: xproto.MsgGetReq, Dst: xproto.NoEnclave, Segid: segid, Perm: perm}
-	var resp *xproto.Message
-	var err error
-	if m.shards != nil {
-		resp, err = m.shardRPC(a, req, opts.policy())
-	} else {
-		resp, err = m.rpc(a, req, opts.policy())
-	}
+	resp, err := m.segRPC(a, req, opts.policy())
 	if err != nil {
 		return xproto.NoApid, err
 	}
@@ -373,13 +367,7 @@ func (m *Module) AttachWith(a *sim.Actor, p *proc.Process, segid xproto.Segid, a
 		Type: xproto.MsgAttachReq, Dst: xproto.NoEnclave,
 		Segid: segid, Apid: apid, Offset: offset, Pages: pages, Perm: perm,
 	}
-	var resp *xproto.Message
-	var err error
-	if m.shards != nil {
-		resp, err = m.shardRPC(a, req, opts.policy())
-	} else {
-		resp, err = m.rpc(a, req, opts.policy())
-	}
+	resp, err := m.segRPC(a, req, opts.policy())
 	if err != nil {
 		return 0, err
 	}

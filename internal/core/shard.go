@@ -216,12 +216,17 @@ func (m *Module) shardLookup(a *sim.Actor, segid xproto.Segid, pol RetryPolicy) 
 	return xproto.EnclaveID(resp.Value), nil
 }
 
-// shardRPC resolves the segment's owner and issues a direct request to
-// it. If a lease-resolved owner fails to answer, the lease is dropped as
-// stale and the request retried once against a fresh resolution — the
-// stale-lease repair path. A fresh resolution that still fails is the
-// truth: the owner is gone.
-func (m *Module) shardRPC(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xproto.Message, error) {
+// segRPC issues a segment request (get, attach) to the segment's owner.
+// A flat world sends it toward the name server, which forwards it. A
+// sharded world resolves the owner and sends it a direct request; if a
+// lease-resolved owner fails to answer, the lease is dropped as stale and
+// the request retried once against a fresh resolution — the stale-lease
+// repair path. A fresh resolution that still fails is the truth: the
+// owner is gone.
+func (m *Module) segRPC(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xproto.Message, error) {
+	if m.shards == nil {
+		return m.rpc(a, msg, pol)
+	}
 	op := msg.Type.String()
 	owner, cached, err := m.shardResolveOwner(a, msg.Segid, pol)
 	if err != nil {

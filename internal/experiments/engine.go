@@ -76,27 +76,14 @@ func EngineBench(seed uint64) (*EngineBenchResult, error) {
 	return res, nil
 }
 
-// timeFigures runs every figure and Table 2 at the -fast repetition
-// counts and returns the host wall-clock ns.
+// timeFigures runs every entry of Figures at its -fast count and returns
+// the host wall-clock ns.
 func timeFigures(seed uint64) (float64, error) {
 	start := time.Now() //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
-	if _, err := Fig5(seed, 50); err != nil {
-		return 0, err
-	}
-	if _, err := Fig6(seed, 50); err != nil {
-		return 0, err
-	}
-	if _, err := Fig7(seed); err != nil {
-		return 0, err
-	}
-	if _, err := Table2(seed, 5, 0); err != nil {
-		return 0, err
-	}
-	if _, err := Fig8(seed, 3); err != nil {
-		return 0, err
-	}
-	if _, err := Fig9(seed, 3); err != nil {
-		return 0, err
+	for _, f := range Figures {
+		if _, err := f.Run(seed, f.Fast); err != nil {
+			return 0, err
+		}
 	}
 	return float64(time.Since(start).Nanoseconds()), nil //xemem:wallclock -- host-side benchmark timer for BENCH_engine.json
 }

@@ -56,10 +56,6 @@ func (e *Fig6Explanation) Coverage() float64 {
 // tracers are threaded per world, so it leaves the package Observe hook
 // alone and adds nothing to a trace set installed there.
 func Fig6Explain(seed uint64, szMB, reps int) (*Fig6Explanation, error) {
-	if reps <= 0 {
-		reps = 20
-	}
-
 	run := func(enclaves int) (sim.Time, *trace.Tracer, error) {
 		tr := trace.NewTracer(fmt.Sprintf("fig6/enclaves=%d/size=%dMB", enclaves, szMB))
 		tr.SetKeepEvents(false)

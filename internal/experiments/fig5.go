@@ -33,9 +33,6 @@ type Fig5Result struct {
 // test between two VMs with SR-IOV virtual functions. The attach node
 // and the RDMA baseline are two independent worlds, run in that order.
 func Fig5(seed uint64, reps int) (*Fig5Result, error) {
-	if reps <= 0 {
-		reps = 500
-	}
 	res := &Fig5Result{Reps: reps}
 	sizes := []int{128, 256, 512, 1024}
 

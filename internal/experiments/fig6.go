@@ -35,9 +35,6 @@ type Fig6Result struct {
 // core-0 IPI funnel, both emergent here. Each (enclaves, size) point is
 // one world with its own fixed seed.
 func Fig6(seed uint64, reps int) (*Fig6Result, error) {
-	if reps <= 0 {
-		reps = 500
-	}
 	res := &Fig6Result{Reps: reps, Core0Busy: make(map[int]sim.Time)}
 	for _, enclaves := range []int{1, 2, 4, 8} {
 		for _, szMB := range []int{128, 256, 512, 1024} {

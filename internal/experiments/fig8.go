@@ -47,9 +47,6 @@ type Fig8Result struct {
 // Every (configuration, model, repetition) run is one world with its
 // own fixed seed.
 func Fig8(seed uint64, runs int) (*Fig8Result, error) {
-	if runs <= 0 {
-		runs = 10
-	}
 	res := &Fig8Result{Runs: runs}
 	for _, recurring := range []bool{false, true} {
 		for _, sync := range []bool{true, false} {

@@ -38,9 +38,6 @@ var Fig9NodeCounts = []int{1, 2, 4, 8}
 // Every (model, configuration, node count, repetition) run is one world
 // with its own fixed seed.
 func Fig9(seed uint64, runs int) (*Fig9Result, error) {
-	if runs <= 0 {
-		runs = 5
-	}
 	res := &Fig9Result{Runs: runs}
 	for _, recurring := range []bool{false, true} {
 		for _, multi := range []bool{false, true} {
@@ -77,8 +74,8 @@ func Fig9Run(seed uint64, nodes int, multiEnclave, recurring bool) (sim.Time, er
 // standard Figure 9 geometry. The returned function yields the pair's
 // result after the world has run.
 func fig9BuildNode(w *sim.World, costs *sim.Costs, i int, seed uint64, multiEnclave, recurring bool, bar insitu.Barrier) (func() *insitu.Result, error) {
-	node := xemem.NewNodeInWorld(w, costs, xemem.NodeConfig{
-		Name: fmt.Sprintf("node%d", i), Seed: seed, MemBytes: 32 << 30, LinuxCores: 8,
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{
+		Name: fmt.Sprintf("node%d", i), Seed: seed, MemBytes: 32 << 30, LinuxCores: 8, Costs: costs,
 	})
 	regionBytes := uint64(fig9DataBytes) + 64<<10
 	ap := node.Linux().NewProcess("analytics", 2)

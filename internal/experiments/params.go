@@ -26,8 +26,6 @@ const (
 	fig8IterKitten = 233 * sim.Millisecond
 	// Fullweight penalty: timer ticks, TLB pressure (≈1.5%).
 	fig8IterLinux = 236500 * sim.Microsecond
-	// Guest penalty on top of the host kernel (nested paging, exits).
-	fig8VirtFactor = 1.012
 
 	// Multi-node HPCCG (§7.1): 300 iterations, 10 points, 1 GB regions,
 	// weak scaling (per-node problem size constant).

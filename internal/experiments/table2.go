@@ -36,9 +36,6 @@ type Table2Result struct {
 // Each row is an independent world. The third parameter is ignored; it
 // remains only for the benchmark module's caller, which still passes it.
 func Table2(seed uint64, reps, _ int) (*Table2Result, error) {
-	if reps <= 0 {
-		reps = 20
-	}
 	res := &Table2Result{Reps: reps}
 	const bytes = 1 << 30
 

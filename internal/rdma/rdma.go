@@ -89,13 +89,6 @@ func NewFabric(name string, costs *sim.Costs, nodes int) *Fabric {
 	return f
 }
 
-// Nodes reports the number of node ports on the fabric.
-func (f *Fabric) Nodes() int { return len(f.egress) }
-
-// Device returns node i's HCA, for callers that want VF semantics on a
-// fabric port.
-func (f *Fabric) Device(i int) *Device { return f.egress[i] }
-
 // wireTime is the occupancy one n-byte transfer imposes on each wire it
 // crosses: per-MTU initiation plus serialization at the link bandwidth.
 func (f *Fabric) wireTime(n int) sim.Time {

@@ -11,10 +11,9 @@ type Resource struct {
 	nextFree Time
 
 	// Accumulated statistics.
-	busy     Time // total occupied time
-	waited   Time // total queueing delay experienced by acquirers
-	acquires int
-	waits    int // acquisitions that had to queue
+	busy   Time // total occupied time
+	waited Time // total queueing delay experienced by acquirers
+	waits  int  // acquisitions that had to queue
 	// queued counts acquirers currently waiting for the resource — the
 	// instantaneous queue depth the observer sees.
 	queued int
@@ -37,7 +36,6 @@ func (r *Resource) Acquire(a *Actor, d Time) (start Time) {
 // attribute the occupancy (and any queueing delay) to op. The simulated
 // outcome is identical to Acquire.
 func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
-	r.acquires++
 	arrival := a.now
 	depth := 0
 	waitedHere := false
@@ -74,7 +72,6 @@ func (r *Resource) TryAcquire(a *Actor, d Time) bool {
 	if r.nextFree > a.now {
 		return false
 	}
-	r.acquires++
 	if obs := a.Observer(); obs != nil {
 		obs.AcquireRes(r, a, "", a.now, a.now, d, 0)
 	}
@@ -89,9 +86,6 @@ func (r *Resource) BusyTime() Time { return r.busy }
 
 // WaitTime reports the total queueing delay acquirers experienced.
 func (r *Resource) WaitTime() Time { return r.waited }
-
-// Acquires reports the total number of acquisitions.
-func (r *Resource) Acquires() int { return r.acquires }
 
 // ContendedAcquires reports how many acquisitions had to queue.
 func (r *Resource) ContendedAcquires() int { return r.waits }

@@ -42,7 +42,6 @@ type World struct {
 	running bool
 	seed    uint64
 	nextRNG uint64
-	stopped bool
 
 	// heap is the ready queue: an indexed min-heap on (time, id). Running,
 	// blocked, and finished actors are not in it.
@@ -57,10 +56,6 @@ type World struct {
 	// nil otherwise. While it is set, pause, Unblock and Spawn panic: a
 	// condition may only read state.
 	polling *Actor
-
-	// Trace, if non-nil, receives a line per scheduling decision. Used by
-	// tests; nil in normal runs.
-	Trace func(format string, args ...any)
 
 	// obs, if non-nil, receives observability events (see Observer). It
 	// never influences scheduling or clocks.
@@ -308,15 +303,12 @@ func (w *World) checkPure(what string) {
 	}
 }
 
-// dispatch advances the global clock to the dispatched actor's and emits
-// the trace line. It runs in Run's loop or in the yielding actor's
+// dispatch advances the global clock to the dispatched actor's and tells
+// the observer. It runs in Run's loop or in the yielding actor's
 // coroutine, always under the one-runnable-goroutine guarantee.
 func (w *World) dispatch(next *Actor) {
 	if next.now > w.now {
 		w.now = next.now
-	}
-	if w.Trace != nil {
-		w.Trace("t=%v run %s", w.now, next.name)
 	}
 	if w.obs != nil {
 		w.obs.Dispatch(next, w.now)

@@ -75,18 +75,17 @@ type Node struct {
 // NewNode creates a node in a fresh world and starts its management
 // enclave.
 func NewNode(cfg NodeConfig) *Node {
-	w := sim.NewWorld(cfg.Seed)
-	costs := cfg.Costs
-	if costs == nil {
-		costs = sim.DefaultCosts()
-	}
-	return NewNodeInWorld(w, costs, cfg)
+	return NewNodeInWorld(sim.NewWorld(cfg.Seed), cfg)
 }
 
 // NewNodeInWorld creates a node inside an existing world — the multi-node
 // experiments (§7) place several nodes in one world coupled by an
-// interconnect.
-func NewNodeInWorld(w *sim.World, costs *sim.Costs, cfg NodeConfig) *Node {
+// interconnect, and share one cost model through cfg.Costs.
+func NewNodeInWorld(w *sim.World, cfg NodeConfig) *Node {
+	costs := cfg.Costs
+	if costs == nil {
+		costs = sim.DefaultCosts()
+	}
 	name := cfg.Name
 	if name == "" {
 		name = "node0"

@@ -256,8 +256,8 @@ func TestBootFailuresSurface(t *testing.T) {
 func TestTwoNodesOneWorld(t *testing.T) {
 	w := sim.NewWorld(4)
 	costs := sim.DefaultCosts()
-	nodeA := xemem.NewNodeInWorld(w, costs, xemem.NodeConfig{Name: "nodeA", MemBytes: 2 << 30})
-	nodeB := xemem.NewNodeInWorld(w, costs, xemem.NodeConfig{Name: "nodeB", MemBytes: 2 << 30})
+	nodeA := xemem.NewNodeInWorld(w, xemem.NodeConfig{Name: "nodeA", MemBytes: 2 << 30, Costs: costs})
+	nodeB := xemem.NewNodeInWorld(w, xemem.NodeConfig{Name: "nodeB", MemBytes: 2 << 30, Costs: costs})
 	ckA, err := nodeA.BootCoKernel("k", 128<<20)
 	if err != nil {
 		t.Fatal(err)
