@@ -82,9 +82,11 @@ fuzz:
 	$(GO) test ./internal/mem -fuzz=FuzzAddBytes -fuzztime=10s
 
 # Coverage floors for the load-bearing packages: the sim engine, the
-# XPMEM API layer, the cross-enclave plumbing (router, nameserver), and
-# the static-analysis framework the rest of the tree's invariants lean
-# on — each group holds its own >=80% floor.
+# XPMEM API layer, the cross-enclave plumbing (router, nameserver), the
+# static-analysis framework the rest of the tree's invariants lean on,
+# and the guest memory map (rbtree, palacios, radix), whose page runs
+# and their per-page fallbacks set the charge of every VM attach — each
+# group holds its own >=80% floor.
 cover:
 	@mkdir -p $(COVER_DIR)
 	$(GO) test -coverprofile=$(COVER_DIR)/cover.out ./internal/sim/... ./internal/xpmem ./internal/router ./internal/nameserver
@@ -100,6 +102,13 @@ cover:
 	floor=80; \
 	if [ "$${total%.*}" -lt "$$floor" ]; then \
 		echo "analysis coverage $$total% is below the $$floor% floor"; exit 1; \
+	fi
+	$(GO) test -coverprofile=$(COVER_DIR)/memmap.out ./internal/rbtree ./internal/palacios ./internal/radix
+	$(GO) tool cover -func=$(COVER_DIR)/memmap.out | tail -1
+	@total=$$($(GO) tool cover -func=$(COVER_DIR)/memmap.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
+	floor=80; \
+	if [ "$${total%.*}" -lt "$$floor" ]; then \
+		echo "guest memory map coverage $$total% is below the $$floor% floor"; exit 1; \
 	fi
 
 # Replay every checked-in repro bundle through the CLI: each bundle

@@ -45,11 +45,19 @@ const (
 	importBase = uint64(1) << 32
 )
 
-// memmap abstracts the two guest-map structures behind visit-counted ops.
+// memmap abstracts the two guest-map structures behind visit-counted
+// ops. insert maps [gpa, gpa+count) as one entry where the structure
+// holds intervals (the radix map, which does not, maps it page by page);
+// insertRun maps it one entry per page, the way Palacios imports an
+// XEMEM attachment, and removeRun releases such a run in ascending
+// order. Each run reports the summed work of the per-page operations it
+// stands for and stops, as they would, at the first page that fails.
 type memmap interface {
 	insert(gpa, count, hpa uint64) (visits, rotations int, err error)
+	insertRun(gpa, n, hpa uint64) (visits, rotations int, err error)
 	lookupRun(gpa uint64) (hpa, runStart, runCount uint64, visits int, ok bool)
 	remove(gpa uint64) (visits int, err error)
+	removeRun(gpa, n uint64) (visits int, err error)
 	entries() int
 }
 
@@ -60,6 +68,11 @@ func (r rbMap) insert(gpa, count, hpa uint64) (int, int, error) {
 	return st.Visits, st.Rotations, err
 }
 
+func (r rbMap) insertRun(gpa, n, hpa uint64) (int, int, error) {
+	st, err := r.m.InsertRun(gpa, n, hpa)
+	return st.Visits, st.Rotations, err
+}
+
 func (r rbMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
 	hpa, runStart, runCount, st, ok := r.m.Lookup(gpa)
 	return hpa, runStart, runCount, st.Visits, ok
@@ -67,6 +80,11 @@ func (r rbMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
 
 func (r rbMap) remove(gpa uint64) (int, error) {
 	st, err := r.m.Delete(gpa)
+	return st.Visits + st.Rotations, err
+}
+
+func (r rbMap) removeRun(gpa, n uint64) (int, error) {
+	st, err := r.m.DeleteRun(gpa, n)
 	return st.Visits + st.Rotations, err
 }
 
@@ -86,6 +104,8 @@ func (r radixMap) insert(gpa, count, hpa uint64) (int, int, error) {
 	return visits, 0, nil
 }
 
+func (r radixMap) insertRun(gpa, n, hpa uint64) (int, int, error) { return r.insert(gpa, n, hpa) }
+
 func (r radixMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
 	hpa, st, ok := r.m.Lookup(gpa)
 	return hpa, gpa, 1, st.Visits, ok
@@ -94,6 +114,18 @@ func (r radixMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
 func (r radixMap) remove(gpa uint64) (int, error) {
 	st, err := r.m.Delete(gpa)
 	return st.Visits, err
+}
+
+func (r radixMap) removeRun(gpa, n uint64) (int, error) {
+	visits := 0
+	for i := uint64(0); i < n; i++ {
+		v, err := r.remove(gpa + i)
+		visits += v
+		if err != nil {
+			return visits, err
+		}
+	}
+	return visits, nil
 }
 
 func (r radixMap) entries() int { return r.m.Size() }
@@ -243,8 +275,10 @@ type importRec struct {
 // importList implements Fig. 4(a): allocate a new guest-physical region
 // equal in size to the shared memory, and update the memory map to point
 // it at the host frames — one entry per page, since the frame list
-// carries no contiguity guarantee. The insert time is charged to the
-// acting actor and accumulated in MapInsertTime.
+// carries no contiguity guarantee. Each host extent goes into the map as
+// one insertRun, whose summed visits and rotations are what the per-page
+// inserts would charge. The insert time is charged to the acting actor
+// and accumulated in MapInsertTime.
 func (vm *VM) importList(a *sim.Actor, host extent.List) (extent.List, error) {
 	pages := host.Pages()
 	gpaFirst := vm.gpaNext
@@ -264,14 +298,12 @@ func (vm *VM) importList(a *sim.Actor, host extent.List) (extent.List, error) {
 	} else {
 		g := gpaFirst
 		for _, e := range host.Extents() {
-			for i := uint64(0); i < e.Count; i++ {
-				visits, rotations, err := vm.mmap.insert(g, 1, uint64(e.First)+i)
-				if err != nil {
-					return extent.List{}, err
-				}
-				spent += sim.Time(visits)*vm.visitCost() + sim.Time(rotations)*vm.c.RBRotate
-				g++
+			visits, rotations, err := vm.mmap.insertRun(g, e.Count, uint64(e.First))
+			if err != nil {
+				return extent.List{}, err
 			}
+			spent += sim.Time(visits)*vm.visitCost() + sim.Time(rotations)*vm.c.RBRotate
+			g += e.Count
 		}
 		if host.Len() == 1 {
 			vm.insertMemo[key] = spent
@@ -286,7 +318,9 @@ func (vm *VM) importList(a *sim.Actor, host extent.List) (extent.List, error) {
 }
 
 // ReleaseImport tears down the memory-map entries behind an imported
-// guest-physical list (the guest detached). Implements linuxos.VirtHooks.
+// guest-physical list (the guest detached): a live import's pages as one
+// removeRun, a memoized import's compressed entry as one remove.
+// Implements linuxos.VirtHooks.
 func (vm *VM) ReleaseImport(a *sim.Actor, list extent.List) error {
 	var spent sim.Time
 	for _, e := range list.Extents() {
@@ -306,13 +340,9 @@ func (vm *VM) ReleaseImport(a *sim.Actor, list extent.List) error {
 				spent += sim.Time(v) * vm.visitCost()
 			}
 		} else {
-			visits := 0
-			for i := uint64(0); i < e.Count; i++ {
-				v, err := vm.mmap.remove(uint64(base) + i)
-				visits += v
-				if err != nil {
-					return err
-				}
+			visits, err := vm.mmap.removeRun(uint64(base), e.Count)
+			if err != nil {
+				return err
 			}
 			cost := sim.Time(visits) * vm.visitCost()
 			spent += cost

@@ -2,6 +2,7 @@ package rbtree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 	"sort"
 	"testing"
@@ -11,9 +12,12 @@ import (
 // count selector. Keys are masked to 40 bits and counts kept small so
 // start+count can never wrap uint64 (wrapping is API misuse, not a
 // tree invariant). Op 3 inserts key%4 pages past the current maximum's
-// end (at key in an empty map), so most streams take the spine
-// shortcut; op 4 deletes the finger's key (key itself while no finger
-// is set), so most streams take the release finger too.
+// end (at key in an empty map); op 4 deletes the in-order successor of
+// the last delete's key, as long as the last operation was a delete that
+// found its key and left a successor (key itself otherwise). A count
+// selector with its high bit set turns an insert into an insert run and
+// a delete into a release run of 1–64 pages from the op's key; corpus
+// entries written before runs existed all have it clear.
 const (
 	fuzzKeyMask = 1<<40 - 1
 	fuzzRec     = 10
@@ -40,13 +44,13 @@ func modelLookup(model map[uint64]modelEntry, key uint64) (val, runStart, runCou
 }
 
 // FuzzOps drives the interval map with an arbitrary insert/delete/lookup
-// stream, mirrors it in a flat map and in a map whose inserts and
-// deletes all descend (insertDescent, deleteDescent), and checks after
-// every operation that the red-black and interval invariants hold (the
-// cached spine and finger included), that every insert and delete
-// reports the reference's OpStats, and
-// that the tree agrees with the model — including the balanced-height
-// bound the simulator's cost model depends on (§5.4 charges per visit).
+// stream, mirrors it in a flat map and in a reference map that takes
+// every run as the per-page Insert or Delete calls it replaces, and
+// checks after every operation that the red-black and interval
+// invariants hold, that every insert, delete and run reports the
+// reference's OpStats and leaves the same tree, and that the tree agrees
+// with the model — including the balanced-height bound the simulator's
+// cost model depends on (§5.4 charges per visit).
 func FuzzOps(f *testing.F) {
 	f.Add([]byte("\x00AAAAAAAA\x03\x00BBBBBBBB\x01\x02AAAAAAAA\x00\x01AAAAAAAA\x00"))
 	f.Add([]byte{})
@@ -94,44 +98,101 @@ func FuzzOps(f *testing.F) {
 		rec(4, 0)
 	}
 	f.Add(seq)
+	// The same shapes as runs: an import of 40 pages past the maximum, a
+	// release run of its first half, an insert elsewhere, a release run
+	// from the successor that overruns the import and stops, a run into
+	// the gap below the maximum, and a run starting inside a 4-page
+	// maximum, which overlaps it.
+	seq = nil
+	runRec := func(op byte, key uint64, pages byte) {
+		var r [fuzzRec]byte
+		r[0] = op
+		binary.LittleEndian.PutUint64(r[1:9], key)
+		r[9] = 0x80 | (pages - 1)
+		seq = append(seq, r[:]...)
+	}
+	runRec(3, 0, 40)
+	runRec(1, 0, 20)
+	rec(0, 1000)
+	rec(1, 20)
+	runRec(4, 0, 30)
+	runRec(0, 5, 8)
+	rec(0, 2000)
+	seq[len(seq)-1] = 3 // four pages
+	runRec(0, 2002, 4)
+	f.Add(seq)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, ref := New(), New()
 		model := make(map[uint64]modelEntry)
+		var next uint64 // op 4's key
+		haveNext := false
 		for len(data) >= fuzzRec {
 			op := data[0] % 5
 			key := binary.LittleEndian.Uint64(data[1:9]) & fuzzKeyMask
 			count := uint64(data[9]%8) + 1
+			run, pages := data[9]&0x80 != 0, uint64(data[9]&63)+1
 			data = data[fuzzRec:]
 
+			var st, rst OpStats
+			var err, rerr error
 			switch op {
 			case 0, 3: // insert; op 3 just past the maximum
+				haveNext = false
 				if op == 3 && len(model) > 0 {
 					key = maxEnd(ref) + key%4
 				}
 				val := key ^ 0xdeadbeef
-				st, err := m.Insert(key, count, val)
-				if wantErr := modelOverlaps(model, key, count); (err != nil) != wantErr {
-					t.Fatalf("Insert(%#x,+%d) err=%v, model overlap=%v", key, count, err, wantErr)
+				if run {
+					st, err = m.InsertRun(key, pages, val)
+					rst, rerr = insertPages(ref, key, pages, val)
+					count = 1
+				} else {
+					st, err = m.Insert(key, count, val)
+					rst, rerr = ref.Insert(key, count, val)
+					pages = 1
 				}
-				if rst, _ := ref.insertDescent(key, count, val); st != rst {
-					t.Fatalf("Insert(%#x,+%d) = %+v, reference descent %+v", key, count, st, rst)
+				// The model takes the run's pages, or the one interval,
+				// up to the first overlap.
+				wantErr := false
+				for i := uint64(0); i < pages && !wantErr; i++ {
+					wantErr = modelOverlaps(model, key+i, count)
+					if !wantErr {
+						model[key+i] = modelEntry{count: count, val: val + i}
+					}
 				}
+				if (err != nil) != wantErr {
+					t.Fatalf("insert(%#x, run %v, %d pages) err=%v, model overlap=%v", key, run, pages, err, wantErr)
+				}
+			case 1, 4: // delete; op 4 the last delete's successor
+				if op == 4 && haveNext {
+					key = next
+				}
+				if run {
+					st, err = m.DeleteRun(key, pages)
+					rst, rerr = deletePages(ref, key, pages)
+				} else {
+					st, err = m.Delete(key)
+					rst, rerr = ref.Delete(key)
+					pages = 1
+				}
+				wantErr := false
+				for i := uint64(0); i < pages && !wantErr; i++ {
+					_, ok := model[key+i]
+					wantErr = !ok
+					delete(model, key+i)
+				}
+				if (err != nil) != wantErr {
+					t.Fatalf("delete(%#x, run %v, %d pages) err=%v, model miss=%v", key, run, pages, err, wantErr)
+				}
+				haveNext = false
 				if err == nil {
-					model[key] = modelEntry{count: count, val: val}
+					for s := range model {
+						if s >= key+pages && (!haveNext || s < next) {
+							next, haveNext = s, true
+						}
+					}
 				}
-			case 1, 4: // delete; op 4 the finger's key
-				if op == 4 && m.finger != nil {
-					key = m.finger.start
-				}
-				st, err := m.Delete(key)
-				if _, ok := model[key]; (err == nil) != ok {
-					t.Fatalf("Delete(%#x) err=%v, model has=%v", key, err, ok)
-				}
-				if rst, _ := ref.deleteDescent(key); st != rst {
-					t.Fatalf("Delete(%#x) = %+v, reference %+v", key, st, rst)
-				}
-				delete(model, key)
 			case 2: // lookup
 				val, runStart, runCount, _, ok := m.Lookup(key)
 				wval, wstart, wcount, wok := modelLookup(model, key)
@@ -139,6 +200,13 @@ func FuzzOps(f *testing.F) {
 					t.Fatalf("Lookup(%#x) = (%#x,%#x,%d,%v), model (%#x,%#x,%d,%v)",
 						key, val, runStart, runCount, ok, wval, wstart, wcount, wok)
 				}
+			}
+			if st != rst || fmt.Sprint(err) != fmt.Sprint(rerr) {
+				t.Fatalf("op %d on %#x (run %v, %d pages) = (%+v, %v), per-page reference (%+v, %v)",
+					op, key, run, pages, st, err, rst, rerr)
+			}
+			if diff := sameTree(m, ref); diff != "" {
+				t.Fatalf("op %d on %#x (run %v, %d pages): %s", op, key, run, pages, diff)
 			}
 
 			if err := m.Validate(); err != nil {

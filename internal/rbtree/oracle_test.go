@@ -6,99 +6,6 @@ import (
 	"testing"
 )
 
-// insertDescent is Insert as it was before the spine cache and the free
-// list: every insert descends from the root, whatever its key, into a
-// freshly allocated node. It is kept as the oracle for the shortcut,
-// which must report exactly the OpStats and errors this descent does and
-// leave the same intervals behind. A map driven only by insertDescent
-// and deleteDescent never knows its spine or its finger, so Validate
-// skips both cache checks on it.
-func (m *Map) insertDescent(start, count, val uint64) (OpStats, error) {
-	var st OpStats
-	if count == 0 {
-		return st, fmt.Errorf("rbtree: zero-length interval")
-	}
-	z := &node{start: start, count: count, val: val, c: red, l: m.nilNode, r: m.nilNode}
-	y := m.nilNode
-	x := m.root
-	for x != m.nilNode {
-		st.Visits++
-		y = x
-		if start < x.end() && x.start < start+count {
-			return st, fmt.Errorf("%w: [%#x,+%d) vs [%#x,+%d)", ErrOverlap, start, count, x.start, x.count)
-		}
-		if start < x.start {
-			x = x.l
-		} else {
-			x = x.r
-		}
-	}
-	z.p = y
-	switch {
-	case y == m.nilNode:
-		m.root = z
-	case start < y.start:
-		y.l = z
-	default:
-		y.r = z
-	}
-	m.size++
-	m.insertFixup(z, &st)
-	return st, nil
-}
-
-// deleteDescent is Delete as it was before the release finger: every
-// delete descends from the root, and the deleted node is dropped rather
-// than kept for reuse. It is the oracle for the finger, which must report
-// exactly the OpStats and errors this descent does. The fixup is shared:
-// with no finger set, its depth bookkeeping never fires.
-func (m *Map) deleteDescent(start uint64) (OpStats, error) {
-	var st OpStats
-	z := m.root
-	for z != m.nilNode && z.start != start {
-		st.Visits++
-		if start < z.start {
-			z = z.l
-		} else {
-			z = z.r
-		}
-	}
-	if z == m.nilNode {
-		return st, fmt.Errorf("rbtree: no interval starting at %#x", start)
-	}
-	m.size--
-	y := z
-	yOrig := y.c
-	var x *node
-	switch {
-	case z.l == m.nilNode:
-		x = z.r
-		m.transplant(z, z.r)
-	case z.r == m.nilNode:
-		x = z.l
-		m.transplant(z, z.l)
-	default:
-		y = m.minimum(z.r, &st)
-		yOrig = y.c
-		x = y.r
-		if y.p == z {
-			x.p = y
-		} else {
-			m.transplant(y, y.r)
-			y.r = z.r
-			y.r.p = y
-		}
-		m.transplant(z, y)
-		y.l = z.l
-		y.l.p = y
-		y.c = z.c
-	}
-	if yOrig == black {
-		m.deleteFixup(x, false, &st)
-	}
-	return st, nil
-}
-
 type interval struct{ start, count, val uint64 }
 
 func contents(m *Map) []interval {
@@ -110,32 +17,113 @@ func contents(m *Map) []interval {
 	return out
 }
 
-// lockstep applies each operation to the map under test and to the
-// descent-only reference, and fails unless both report the same OpStats
-// and error, hold the same intervals, and pass Validate (which checks
-// the cached spine, maximum and finger of the map under test). It counts
-// the deletes that found their key at the finger.
+// shapeNode is one node of a tree's preorder walk. The preorder of a
+// binary search tree with distinct keys fixes its shape, so two trees
+// with equal walks have the same nodes in the same places and colours.
+type shapeNode struct {
+	start, count, val uint64
+	c                 color
+}
+
+func shape(m *Map) []shapeNode {
+	var out []shapeNode
+	var walk func(n *node)
+	walk = func(n *node) {
+		if n == m.nilNode {
+			return
+		}
+		out = append(out, shapeNode{n.start, n.count, n.val, n.c})
+		walk(n.l)
+		walk(n.r)
+	}
+	walk(m.root)
+	return out
+}
+
+// sameTree reports the first difference between two trees' shapes,
+// contents and colours, or "" when they agree.
+func sameTree(got, want *Map) string {
+	g, w := shape(got), shape(want)
+	if len(g) != len(w) {
+		return fmt.Sprintf("%d nodes, reference %d", len(g), len(w))
+	}
+	for i := range g {
+		if g[i] != w[i] {
+			return fmt.Sprintf("preorder node %d = %+v, reference %+v", i, g[i], w[i])
+		}
+	}
+	return ""
+}
+
+// insertPages is InsertRun's reference: the per-page Insert calls it
+// replaces, stopping at the first error, with their OpStats summed.
+func insertPages(m *Map, start, n, val uint64) (OpStats, error) {
+	var sum OpStats
+	for i := uint64(0); i < n; i++ {
+		st, err := m.Insert(start+i, 1, val+i)
+		sum.Add(st)
+		if err != nil {
+			return sum, err
+		}
+	}
+	return sum, nil
+}
+
+// deletePages is DeleteRun's reference: per-page Delete calls.
+func deletePages(m *Map, start, n uint64) (OpStats, error) {
+	var sum OpStats
+	for i := uint64(0); i < n; i++ {
+		st, err := m.Delete(start + i)
+		sum.Add(st)
+		if err != nil {
+			return sum, err
+		}
+	}
+	return sum, nil
+}
+
+// lockstep drives two maps with the same operations: got takes each page
+// run through InsertRun or DeleteRun, want through the per-page Insert
+// or Delete calls the run replaces. Single-interval operations go to
+// both through Insert and Delete. After every operation both must report
+// the same OpStats and error, hold the same tree (shape, contents and
+// colours), and pass Validate.
 type lockstep struct {
 	t         *testing.T
 	got, want *Map
 	seed, op  int // named in failures
-	hits      int // deletes of the finger's key
+	fast      int // insert runs that started at or past the maximum's end
+}
+
+func (ls *lockstep) insertRun(start, n uint64) {
+	ls.t.Helper()
+	if n > 0 && start >= maxEnd(ls.want) {
+		ls.fast++
+	}
+	val := start ^ 0x5a5a
+	gst, gerr := ls.got.InsertRun(start, n, val)
+	wst, werr := insertPages(ls.want, start, n, val)
+	ls.same(func() string { return fmt.Sprintf("InsertRun(%#x,%d)", start, n) }, gst, wst, gerr, werr)
+}
+
+func (ls *lockstep) deleteRun(start, n uint64) {
+	ls.t.Helper()
+	gst, gerr := ls.got.DeleteRun(start, n)
+	wst, werr := deletePages(ls.want, start, n)
+	ls.same(func() string { return fmt.Sprintf("DeleteRun(%#x,%d)", start, n) }, gst, wst, gerr, werr)
 }
 
 func (ls *lockstep) insert(start, count uint64) {
 	ls.t.Helper()
 	gst, gerr := ls.got.Insert(start, count, start^0x5a5a)
-	wst, werr := ls.want.insertDescent(start, count, start^0x5a5a)
+	wst, werr := ls.want.Insert(start, count, start^0x5a5a)
 	ls.same(func() string { return fmt.Sprintf("Insert(%#x,+%d)", start, count) }, gst, wst, gerr, werr)
 }
 
 func (ls *lockstep) delete(start uint64) {
 	ls.t.Helper()
-	if f := ls.got.finger; f != nil && f.start == start {
-		ls.hits++
-	}
 	gst, gerr := ls.got.Delete(start)
-	wst, werr := ls.want.deleteDescent(start)
+	wst, werr := ls.want.Delete(start)
 	ls.same(func() string { return fmt.Sprintf("Delete(%#x)", start) }, gst, wst, gerr, werr)
 }
 
@@ -144,7 +132,7 @@ func (ls *lockstep) same(call func() string, gst, wst OpStats, gerr, werr error)
 	ls.op++
 	what := func() string { return fmt.Sprintf("seed %d op %d %s", ls.seed, ls.op, call()) }
 	if gst != wst || fmt.Sprint(gerr) != fmt.Sprint(werr) {
-		ls.t.Fatalf("%s = (%+v, %v), reference descent (%+v, %v)", what(), gst, gerr, wst, werr)
+		ls.t.Fatalf("%s = (%+v, %v), per-page reference (%+v, %v)", what(), gst, gerr, wst, werr)
 	}
 	if err := ls.got.Validate(); err != nil {
 		ls.t.Fatalf("%s: %v", what(), err)
@@ -152,14 +140,11 @@ func (ls *lockstep) same(call func() string, gst, wst OpStats, gerr, werr error)
 	if err := ls.want.Validate(); err != nil {
 		ls.t.Fatalf("%s: reference: %v", what(), err)
 	}
-	g, w := contents(ls.got), contents(ls.want)
-	if len(g) != len(w) {
-		ls.t.Fatalf("%s: %d intervals, reference %d", what(), len(g), len(w))
+	if ls.got.Size() != ls.want.Size() {
+		ls.t.Fatalf("%s: size %d, reference %d", what(), ls.got.Size(), ls.want.Size())
 	}
-	for i := range g {
-		if g[i] != w[i] {
-			ls.t.Fatalf("%s: interval %d = %+v, reference %+v", what(), i, g[i], w[i])
-		}
+	if diff := sameTree(ls.got, ls.want); diff != "" {
+		ls.t.Fatalf("%s: %s", what(), diff)
 	}
 }
 
@@ -175,34 +160,41 @@ func maxEnd(m *Map) uint64 {
 	return x.end()
 }
 
-// TestSpineCacheMatchesDescent runs seeded mixes of inserts at or past
-// the maximum (the shortcut), random inserts (overlaps included),
-// inserts that overlap the maximum, and deletes of live, ascending and
-// absent keys, in lockstep with the descent-only reference insert and
-// delete. A second phase per seed imports and releases runs the way
-// Palacios does: ascending per-page inserts, then ascending deletes.
-func TestSpineCacheMatchesDescent(t *testing.T) {
-	hits := 0
+// TestInsertRunMatchesPerPage runs seeded mixes of insert runs at, just
+// past, below and overlapping the maximum (in gaps too, and empty runs),
+// single-interval inserts and deletes, and release runs, in lockstep
+// with the per-page reference. A second phase per seed imports and
+// releases runs the way Palacios does, onto the freed nodes. At least a
+// third of the insert runs must take the maximum-insert loop.
+func TestInsertRunMatchesPerPage(t *testing.T) {
+	fast, runs := 0, 0
 	for seed := 1; seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ls := &lockstep{t: t, got: New(), want: New(), seed: seed}
-		for i := 0; i < 1000; i++ {
+		for i := 0; i < 400; i++ {
 			live := contents(ls.want)
 			top := maxEnd(ls.want)
-			count := uint64(1 + rng.Intn(4))
+			n := uint64(rng.Intn(24))
 			switch r := rng.Intn(20); {
-			case r < 8: // at or just past the maximum
-				ls.insert(top+uint64(rng.Intn(3)), count)
-			case r < 11: // anywhere below a little past the maximum
-				ls.insert(uint64(rng.Int63n(int64(top+8))), count)
-			case r < 12: // overlapping the maximum
-				ls.insert(top-min(top, uint64(1+rng.Intn(2))), count)
-			case r < 19 && len(live) > 0: // a live interval, often the lowest
+			case r < 7: // at or just past the maximum
+				ls.insertRun(top+uint64(rng.Intn(3)), n)
+				runs++
+			case r < 10: // anywhere below a little past the maximum
+				ls.insertRun(uint64(rng.Int63n(int64(top+8))), n)
+				runs++
+			case r < 11: // overlapping the maximum
+				ls.insertRun(top-min(top, uint64(1+rng.Intn(2))), n)
+				runs++
+			case r < 13: // one interval anywhere
+				ls.insert(uint64(rng.Int63n(int64(top+8))), uint64(1+rng.Intn(4)))
+			case r < 17 && len(live) > 0: // a live interval, often the lowest
 				k := rng.Intn(len(live))
 				if rng.Intn(2) == 0 {
 					k = 0
 				}
 				ls.delete(live[k].start)
+			case r < 19 && len(live) > 0: // a release run from a live key
+				ls.deleteRun(live[rng.Intn(len(live))].start, uint64(1+rng.Intn(8)))
 			default: // absent
 				ls.delete(top + 1)
 			}
@@ -210,82 +202,71 @@ func TestSpineCacheMatchesDescent(t *testing.T) {
 		for cycle := 0; cycle < 3; cycle++ {
 			base := maxEnd(ls.want) + uint64(rng.Intn(3))
 			n := uint64(50 + rng.Intn(200))
-			for p := uint64(0); p < n; p++ {
-				ls.insert(base+p, 1)
-			}
-			for p := uint64(0); p < n; p++ {
-				ls.delete(base + p)
-			}
+			ls.insertRun(base, n)
+			runs++
+			ls.deleteRun(base, n)
 		}
-		hits += ls.hits
+		fast += ls.fast
 	}
-	if hits == 0 {
-		t.Fatal("no delete found its key at the finger")
+	t.Logf("%d of %d insert runs took the maximum-insert loop", fast, runs)
+	if fast < runs/3 {
+		t.Fatalf("%d of %d insert runs took the maximum-insert loop", fast, runs)
 	}
 }
 
-// TestReleaseFingerMatchesDescent drives the finger in lockstep with the
-// descent-only reference. Per seed, a mix biased to deleting the
-// finger's key is interleaved with inserts anywhere, deletes of other
-// live keys and of absent keys; then Palacios-shaped cycles import a
-// run, release part of it, insert stray intervals elsewhere (each drops
-// the finger), and resume the release, sometimes out of order.
-func TestReleaseFingerMatchesDescent(t *testing.T) {
-	hits, ops := 0, 0
+// TestDeleteRunMatchesPerPage drives release runs in lockstep with the
+// per-page reference. Per seed, release runs from live keys, over gaps
+// and from absent keys are interleaved with inserts anywhere and single
+// deletes; then Palacios-shaped cycles import a run, release part of it,
+// insert stray intervals past the run or into its released part, and
+// resume the release, sometimes after releasing one page out of order
+// (the resumed run then stops, with an error, at that page), before
+// releasing what is left.
+func TestDeleteRunMatchesPerPage(t *testing.T) {
 	for seed := 1; seed <= 15; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		ls := &lockstep{t: t, got: New(), want: New(), seed: seed}
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 100; i++ {
+			ls.insertRun(uint64(rng.Intn(2000)), uint64(1+rng.Intn(6)))
 			ls.insert(uint64(rng.Intn(2000)), uint64(1+rng.Intn(3)))
 		}
-		for i := 0; i < 800; i++ {
+		for i := 0; i < 400; i++ {
 			live := contents(ls.want)
 			switch r := rng.Intn(20); {
-			case r < 10 && ls.got.finger != nil: // the finger's key
-				ls.delete(ls.got.finger.start)
-			case r < 14: // anywhere, overlaps included
+			case r < 8 && len(live) > 0: // from a live key
+				ls.deleteRun(live[rng.Intn(len(live))].start, uint64(1+rng.Intn(12)))
+			case r < 12: // anywhere, overlaps included
+				ls.insertRun(uint64(rng.Intn(2000)), uint64(1+rng.Intn(6)))
+			case r < 14: // one interval anywhere
 				ls.insert(uint64(rng.Intn(2000)), uint64(1+rng.Intn(3)))
-			case r < 18 && len(live) > 0: // another live key
+			case r < 17 && len(live) > 0: // another live key
 				ls.delete(live[rng.Intn(len(live))].start)
 			default: // absent: between or past the intervals
-				ls.delete(maxEnd(ls.want) + uint64(rng.Intn(3)))
+				ls.deleteRun(maxEnd(ls.want)+uint64(rng.Intn(3)), uint64(rng.Intn(4)))
 			}
 		}
 		for cycle := 0; cycle < 4; cycle++ {
 			base := maxEnd(ls.want) + uint64(rng.Intn(3))
 			n := uint64(32 + rng.Intn(160))
-			for p := uint64(0); p < n; p++ {
-				ls.insert(base+p, 1)
-			}
+			ls.insertRun(base, n)
 			half := n / 2
-			for p := uint64(0); p < half; p++ {
-				ls.delete(base + p)
-			}
+			ls.deleteRun(base, half)
 			for i := 0; i < 1+rng.Intn(3); i++ {
 				if rng.Intn(2) == 0 {
-					ls.insert(base+n+uint64(rng.Intn(16)), 1) // past the run
+					ls.insertRun(base+n+uint64(rng.Intn(16)), uint64(1+rng.Intn(4))) // past the run
 				} else {
 					ls.insert(base+uint64(rng.Intn(int(half)+1)), 1) // into the released part
 				}
 			}
 			if rng.Intn(3) == 0 {
-				ls.delete(base + half + 1) // out of order: skips a page
+				ls.deleteRun(base+half+1, 1) // out of order: the resumed run stops there
 			}
-			for p := half; p < n; p++ {
-				ls.delete(base + p)
-			}
-			live := contents(ls.want)
-			for _, iv := range live {
+			ls.deleteRun(base+half, n-half)
+			for _, iv := range contents(ls.want) {
 				if iv.start >= base {
-					ls.delete(iv.start)
+					ls.deleteRun(iv.start, 1)
 				}
 			}
 		}
-		hits += ls.hits
-		ops += ls.op
-	}
-	t.Logf("%d of %d operations deleted the finger's key", hits, ops)
-	if hits < ops/10 {
-		t.Fatalf("%d of %d operations deleted the finger's key; the shortcut barely ran", hits, ops)
 	}
 }

@@ -11,25 +11,17 @@
 // node visits and rotations it performed so the simulation can charge
 // virtual time for the real work done.
 //
-// Palacios takes guest addresses for an import from a bump allocator, so
-// nearly every insert adds a new maximum, and its descent walks the right
-// spine: it goes right at every node and overlaps none, since the
-// intervals are disjoint and sorted. The Map therefore caches the
-// rightmost node and the length of the spine. An insert at or past the
-// maximum's end links the node under it directly and reports the spine
-// length as its visits — the count the descent would have made. The
-// fixup after such an insert only ever rotates left at a spine node,
-// which shortens the spine by one, so the cache follows as spine+1 minus
-// the rotations. Any other insert and every delete drop the length; the
-// descent of the next maximum insert counts it again.
-//
-// Palacios releases an import page by page in ascending order, so each
-// delete after the first removes the previous one's in-order successor.
-// After every delete the Map keeps that successor as a finger, with its
-// depth (the nodes above it, which is what a descent to it visits). A
-// delete of the finger's key skips the descent and reports the depth as
-// its visits. The depth stays exact through the fixup's rotations (see
-// deleteFixup); any insert and any miss drop the finger.
+// Palacios takes guest addresses for an import from a bump allocator
+// and inserts one entry per page, so an import is a run of one-page
+// inserts each adding a new maximum; it releases the run page by page in
+// ascending order. InsertRun and DeleteRun do a run in one call and
+// report exactly the summed OpStats of the per-page Insert and Delete
+// calls they replace. InsertRun walks the right spine once, which is the
+// first page's descent, and then links each page under the maximum with
+// a fixup that can only take the right-child branch; DeleteRun keeps the
+// deleted page's in-order successor and its depth, which is the next
+// page's descent, for the length of the run. The Map keeps no spine or
+// successor between calls, so Insert and Delete always descend.
 //
 // Deleted nodes go on a free list that later inserts take from. Nodes the
 // free list cannot supply come from per-Map chunks that double from one
@@ -72,16 +64,12 @@ func (n *node) end() uint64 { return n.start + n.count }
 
 // Map is a red-black interval map. The zero value is not usable; call New.
 type Map struct {
-	nilNode     *node // shared sentinel leaf
-	root        *node
-	size        int
-	max         *node  // rightmost node; meaningful only while spine > 0
-	spine       int    // nodes on the path from root to max; 0 means unknown
-	finger      *node  // last delete's in-order successor; nil when unknown
-	fingerDepth int    // nodes above finger
-	free        *node  // deleted nodes, zeroed, linked through r
-	chunk       []node // unused nodes of the newest chunk
-	chunkLen    int    // length of the newest chunk
+	nilNode  *node // shared sentinel leaf
+	root     *node
+	size     int
+	free     *node  // deleted nodes, zeroed, linked through r
+	chunk    []node // unused nodes of the newest chunk
+	chunkLen int    // length of the newest chunk
 }
 
 // maxChunk caps the chunks fresh nodes come from (16,384 nodes, 896 KB),
@@ -106,25 +94,17 @@ func (m *Map) Insert(start, count, val uint64) (OpStats, error) {
 	if count == 0 {
 		return st, errors.New("rbtree: zero-length interval")
 	}
-	m.finger = nil
 	y := m.nilNode
-	rightmost := true // the descent goes right at every node
-	if m.spine > 0 && start >= m.max.end() {
-		// A new maximum: the descent would visit exactly the spine.
-		y, st.Visits = m.max, m.spine
-	} else {
-		for x := m.root; x != m.nilNode; {
-			st.Visits++
-			y = x
-			if start < x.end() && x.start < start+count {
-				return st, fmt.Errorf("%w: [%#x,+%d) vs [%#x,+%d)", ErrOverlap, start, count, x.start, x.count)
-			}
-			if start < x.start {
-				x = x.l
-				rightmost = false
-			} else {
-				x = x.r
-			}
+	for x := m.root; x != m.nilNode; {
+		st.Visits++
+		y = x
+		if start < x.end() && x.start < start+count {
+			return st, fmt.Errorf("%w: [%#x,+%d) vs [%#x,+%d)", ErrOverlap, start, count, x.start, x.count)
+		}
+		if start < x.start {
+			x = x.l
+		} else {
+			x = x.r
 		}
 	}
 	z := m.newNode(start, count, val, y)
@@ -137,15 +117,67 @@ func (m *Map) Insert(start, count, val uint64) (OpStats, error) {
 		y.r = z
 	}
 	m.size++
-	descent := st.Visits
 	m.insertFixup(z, &st)
-	if rightmost {
-		// z is the new maximum. The fixup can only have rotated left at
-		// spine nodes, each taking one off the spine.
-		m.max = z
-		m.spine = descent + 1 - st.Rotations
-	} else {
-		m.spine = 0
+	return st, nil
+}
+
+// InsertRun inserts the n one-page intervals [start+i, start+i+1) →
+// val+i in ascending order. It reports the summed OpStats of the calls
+// Insert(start+i, 1, val+i) it replaces and, like them, stops at the
+// first page that fails, whose work is in the sum. A run starting at or
+// past the maximum's end takes a loop specialised to maximum inserts;
+// any other run makes those calls.
+func (m *Map) InsertRun(start, n, val uint64) (OpStats, error) {
+	var st OpStats
+	// The right spine: every node on it ends at or before the maximum's
+	// end, so a key at or past that end overlaps none and goes right at
+	// each. Its length is that key's descent, and the maximum its parent.
+	spine, top := 0, m.nilNode
+	for x := m.root; x != m.nilNode; x = x.r {
+		spine++
+		top = x
+	}
+	if top != m.nilNode && start < top.end() {
+		for i := uint64(0); i < n; i++ {
+			s, err := m.Insert(start+i, 1, val+i)
+			st.Add(s)
+			if err != nil {
+				return st, err
+			}
+		}
+		return st, nil
+	}
+	for i := uint64(0); i < n; i++ {
+		z := m.newNode(start+i, 1, val+i, top)
+		if top == m.nilNode {
+			m.root = z
+		} else {
+			top.r = z
+		}
+		m.size++
+		st.Visits += spine
+		spine++
+		top = z
+		// insertFixup's parent-is-a-right-child branch: z and its
+		// parent are on the spine, so z is never a left child and the
+		// one rotation, at the grandparent, takes it off the spine.
+		for z.p.c == red {
+			st.Visits++
+			g := z.p.p
+			if u := g.l; u.c == red {
+				z.p.c = black
+				u.c = black
+				g.c = red
+				z = g
+				continue
+			}
+			z.p.c = black
+			g.c = red
+			m.leftRotate(g, &st)
+			spine--
+			break
+		}
+		m.root.c = black
 	}
 	return st, nil
 }
@@ -270,33 +302,75 @@ func (m *Map) Lookup(key uint64) (val, runStart, runCount uint64, st OpStats, ok
 
 // Delete removes the interval whose start is exactly start.
 func (m *Map) Delete(start uint64) (OpStats, error) {
+	z, depth, err := m.find(start)
+	st := OpStats{Visits: depth}
+	if err == nil {
+		m.remove(z, depth, &st)
+	}
+	return st, err
+}
+
+// DeleteRun removes the intervals starting at start, start+1, …,
+// start+n-1 in ascending order. It reports the summed OpStats of the
+// Delete calls it replaces and, like them, stops at the first key no
+// interval starts at, whose descent is in the sum. After each delete it
+// keeps the deleted node's in-order successor and its depth; when the
+// next key starts there, that depth is the descent's count and the
+// descent is skipped.
+func (m *Map) DeleteRun(start, n uint64) (OpStats, error) {
 	var st OpStats
-	z := m.finger
-	if z != nil && z.start == start {
-		// The descent would visit exactly the finger's ancestors.
-		st.Visits = m.fingerDepth
-	} else {
-		z = m.root
-		for z != m.nilNode && z.start != start {
-			st.Visits++
-			if start < z.start {
-				z = z.l
-			} else {
-				z = z.r
+	var f finger
+	for i := uint64(0); i < n; i++ {
+		z := f.n
+		if z == nil || z.start != start+i {
+			var err error
+			if z, f.depth, err = m.find(start + i); err != nil {
+				st.Visits += f.depth
+				return st, err
 			}
 		}
-		if z == m.nilNode {
-			m.finger = nil
-			return st, fmt.Errorf("rbtree: no interval starting at %#x", start)
+		st.Visits += f.depth
+		f = m.remove(z, f.depth, &st)
+	}
+	return st, nil
+}
+
+// find descends to the node starting at start and reports its depth,
+// the nodes above it, which are the descent's visits (on a miss, the
+// nodes the descent passed).
+func (m *Map) find(start uint64) (*node, int, error) {
+	z, depth := m.root, 0
+	for z != m.nilNode && z.start != start {
+		depth++
+		if start < z.start {
+			z = z.l
+		} else {
+			z = z.r
 		}
 	}
-	m.size--
-	depth := st.Visits // nodes above z
+	if z == m.nilNode {
+		return nil, depth, fmt.Errorf("rbtree: no interval starting at %#x", start)
+	}
+	return z, depth, nil
+}
 
-	// The new finger is z's successor: the leftmost node of the child
-	// spliced into z's place, the nearest ancestor holding z in its left
-	// subtree, or the y that takes z's place. below records whether it
-	// sits at or under x, the node the fixup starts from.
+// finger is a node and its depth, the number of nodes above it: the
+// visits of a descent to it. n is nil when there is none.
+type finger struct {
+	n     *node
+	depth int
+}
+
+// remove splices z, at the given depth, out of the tree, rebalances, puts
+// z on the free list, and returns z's in-order successor with its depth
+// in the rebalanced tree.
+func (m *Map) remove(z *node, depth int, st *OpStats) finger {
+	m.size--
+	// The successor is the child spliced into z's place (a node with one
+	// child has a red leaf there), the nearest ancestor holding z in its
+	// left subtree, or the y that takes z's place. below records whether
+	// it sits at or under x, the node the fixup starts from.
+	var f finger
 	y := z
 	yOrig := y.c
 	var x *node
@@ -305,23 +379,18 @@ func (m *Map) Delete(start uint64) (OpStats, error) {
 	case z.l == m.nilNode:
 		x = z.r
 		if x != m.nilNode {
-			m.finger, m.fingerDepth = x, depth
-			for m.finger.l != m.nilNode {
-				m.finger = m.finger.l
-				m.fingerDepth++
-			}
-			below = true
+			f, below = finger{x, depth}, true
 		} else {
-			m.ancestorFinger(z, depth)
+			f = m.ancestorFinger(z, depth)
 		}
 		m.transplant(z, z.r)
 	case z.r == m.nilNode:
 		x = z.l
-		m.ancestorFinger(z, depth)
+		f = m.ancestorFinger(z, depth)
 		m.transplant(z, z.l)
 	default:
-		y = m.minimum(z.r, &st)
-		m.finger, m.fingerDepth = y, depth
+		y = m.minimum(z.r, st)
+		f = finger{y, depth}
 		yOrig = y.c
 		x = y.r
 		if y.p == z {
@@ -337,26 +406,24 @@ func (m *Map) Delete(start uint64) (OpStats, error) {
 		y.c = z.c
 	}
 	if yOrig == black {
-		m.deleteFixup(x, below, &st)
+		m.deleteFixup(x, below, &f, st)
 	}
-	m.spine = 0
 	*z = node{r: m.free}
 	m.free = z
-	return st, nil
+	return f
 }
 
-// ancestorFinger sets the finger to z's nearest ancestor that holds z in
-// its left subtree, or drops it when z is the maximum. depth is z's.
-// Nodes above z keep their depth when z is spliced out.
-func (m *Map) ancestorFinger(z *node, depth int) {
+// ancestorFinger returns z's nearest ancestor that holds z in its left
+// subtree, or none when z is the maximum. depth is z's. Nodes above z
+// keep their depth when z is spliced out.
+func (m *Map) ancestorFinger(z *node, depth int) finger {
 	for c := z; c.p != m.nilNode; c = c.p {
 		depth--
 		if c == c.p.l {
-			m.finger, m.fingerDepth = c.p, depth
-			return
+			return finger{c.p, depth}
 		}
 	}
-	m.finger = nil
+	return finger{}
 }
 
 func (m *Map) transplant(u, v *node) {
@@ -380,16 +447,16 @@ func (m *Map) minimum(x *node, st *OpStats) *node {
 }
 
 // deleteFixup restores the red-black properties from x upward, keeping
-// the finger's depth exact. The finger starts at or under x (below) or on
-// the path above it, and stays so: x only climbs to its parent. A
+// the depth of the successor f exact. f starts at or under x (below) or
+// on the path above it, and stays so: x only climbs to its parent. A
 // rotation at x.p moves x, its subtree and x.p itself down one level and
-// leaves every node above x.p where it was, so it deepens the finger when
-// the finger is x.p or below. Rotations at the sibling w move only w's
-// subtree, which never holds the finger.
-func (m *Map) deleteFixup(x *node, below bool, st *OpStats) {
+// leaves every node above x.p where it was, so it deepens f when f is
+// x.p or below. Rotations at the sibling w move only w's subtree, which
+// never holds f.
+func (m *Map) deleteFixup(x *node, below bool, f *finger, st *OpStats) {
 	sink := func() {
-		if below || x.p == m.finger {
-			m.fingerDepth++
+		if below || x.p == f.n {
+			f.depth++
 		}
 	}
 	for x != m.root && x.c == black {
@@ -405,7 +472,7 @@ func (m *Map) deleteFixup(x *node, below bool, st *OpStats) {
 			}
 			if w.l.c == black && w.r.c == black {
 				w.c = red
-				below = below || x.p == m.finger
+				below = below || x.p == f.n
 				x = x.p
 			} else {
 				if w.r.c == black {
@@ -432,7 +499,7 @@ func (m *Map) deleteFixup(x *node, below bool, st *OpStats) {
 			}
 			if w.r.c == black && w.l.c == black {
 				w.c = red
-				below = below || x.p == m.finger
+				below = below || x.p == f.n
 				x = x.p
 			} else {
 				if w.l.c == black {
@@ -473,33 +540,9 @@ func (m *Map) InOrder(fn func(start, count, val uint64) bool) {
 
 // Validate checks every red-black and interval invariant: BST order,
 // disjoint intervals, black root, no red node with a red child, and equal
-// black height on every root-to-leaf path; while the spine length is
-// known, that it and the cached maximum match a walk of the right spine;
-// and while the finger is set, that a walk up its parents reaches the
-// root after exactly its cached depth. It returns the first violation.
+// black height on every root-to-leaf path. It returns the first
+// violation.
 func (m *Map) Validate() error {
-	if f := m.finger; f != nil {
-		d, x := 0, f
-		for x.p != nil && x.p != m.nilNode {
-			d++
-			x = x.p
-		}
-		if x != m.root || d != m.fingerDepth {
-			return fmt.Errorf("rbtree: finger %#x cached at depth %d, parent walk finds %d (reaches root: %v)",
-				f.start, m.fingerDepth, d, x == m.root)
-		}
-	}
-	if m.spine > 0 {
-		n, last := 0, m.nilNode
-		for x := m.root; x != m.nilNode; x = x.r {
-			n++
-			last = x
-		}
-		if n != m.spine || last != m.max {
-			return fmt.Errorf("rbtree: cached spine %d ending at %#x, walk finds %d ending at %#x",
-				m.spine, m.max.start, n, last.start)
-		}
-	}
 	if m.root.c != black {
 		return errors.New("rbtree: root is red")
 	}

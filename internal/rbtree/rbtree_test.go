@@ -216,11 +216,19 @@ func TestLookupOffsetProperty(t *testing.T) {
 }
 
 // TestDeletedNodesReused: once a map has deleted n nodes, n further
-// inserts take them from its free list and allocate nothing.
+// inserts take them from its free list and allocate nothing, whether
+// they arrive as a run (the way Palacios imports and releases) or one
+// Insert and Delete at a time.
 func TestDeletedNodesReused(t *testing.T) {
 	const n = 4096
 	m := New()
 	cycle := func() {
+		if _, err := m.InsertRun(0, n, 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.DeleteRun(0, n); err != nil {
+			t.Fatal(err)
+		}
 		for i := uint64(0); i < n; i++ {
 			if _, err := m.Insert(i, 1, i); err != nil {
 				t.Fatal(err)
@@ -239,22 +247,18 @@ func TestDeletedNodesReused(t *testing.T) {
 }
 
 // BenchmarkInsertAscending is Palacios importing and releasing a 1 GB
-// window one page at a time: 262,144 inserts, each a new maximum, then
-// deletes in ascending order, on a warm map. It reports ns per insert
-// (the whole cycle's time divided by its inserts) and allocs per cycle.
+// window: an InsertRun of 262,144 pages past the maximum, then a
+// DeleteRun of them, on a warm map. It reports ns per page (the whole
+// cycle's time divided by its pages) and allocs per cycle.
 func BenchmarkInsertAscending(b *testing.B) {
 	const pages = 1 << 18
 	m := New()
 	cycle := func() {
-		for i := uint64(0); i < pages; i++ {
-			if _, err := m.Insert(i, 1, i); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := m.InsertRun(0, pages, 0); err != nil {
+			b.Fatal(err)
 		}
-		for i := uint64(0); i < pages; i++ {
-			if _, err := m.Delete(i); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := m.DeleteRun(0, pages); err != nil {
+			b.Fatal(err)
 		}
 	}
 	cycle()
@@ -266,18 +270,15 @@ func BenchmarkInsertAscending(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*pages), "ns/insert")
 }
 
-// TestColdImportAllocs: a fresh map importing a 1 GB window one page at
-// a time (262,144 ascending inserts) takes its nodes from chunks that
-// double up to maxChunk, so it allocates a few dozen times — 30 chunks
-// plus New's map and sentinel — rather than once per page.
+// TestColdImportAllocs: a fresh map importing a 1 GB window (an
+// InsertRun of 262,144 pages) takes its nodes from chunks that double up
+// to maxChunk, so it allocates a few dozen times — 30 chunks plus New's
+// map and sentinel — rather than once per page.
 func TestColdImportAllocs(t *testing.T) {
 	const pages = 1 << 18
 	allocs := testing.AllocsPerRun(1, func() {
-		m := New()
-		for i := uint64(0); i < pages; i++ {
-			if _, err := m.Insert(i, 1, i); err != nil {
-				t.Fatal(err)
-			}
+		if _, err := New().InsertRun(0, pages, 0); err != nil {
+			t.Fatal(err)
 		}
 	})
 	if allocs > 32 {
@@ -285,25 +286,21 @@ func TestColdImportAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkReleaseAscending is Palacios releasing a 1 GB window one page
-// at a time: 262,144 deletes in ascending order from a map holding those
-// pages, each after the first finding its key at the finger. The map is
-// refilled off the clock between cycles. It reports ns per delete.
+// BenchmarkReleaseAscending is Palacios releasing a 1 GB window: a
+// DeleteRun of 262,144 pages from a map holding them, each page after
+// the first found at the run's successor finger. The map is refilled off
+// the clock between cycles. It reports ns per page.
 func BenchmarkReleaseAscending(b *testing.B) {
 	const pages = 1 << 18
 	m := New()
 	fill := func() {
-		for i := uint64(0); i < pages; i++ {
-			if _, err := m.Insert(i, 1, i); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := m.InsertRun(0, pages, 0); err != nil {
+			b.Fatal(err)
 		}
 	}
 	release := func() {
-		for i := uint64(0); i < pages; i++ {
-			if _, err := m.Delete(i); err != nil {
-				b.Fatal(err)
-			}
+		if _, err := m.DeleteRun(0, pages); err != nil {
+			b.Fatal(err)
 		}
 	}
 	fill()
