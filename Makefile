@@ -122,8 +122,8 @@ replay:
 		$(GO) run ./cmd/xemem-bench -replay $$b; \
 	done
 
-# Regenerate every checked-in BENCH_<name>.json through the -bench
-# registry in cmd/xemem-bench: engine (host ns and allocs per dispatch
+# Regenerate every checked-in BENCH_<name>.json from its entry in the
+# one artifact table, experiments.Artifacts, at full counts: engine (host ns and allocs per dispatch
 # and per 1 GB attach, and the full-figure regeneration), fault
 # (protocol degradation under message loss and enclave crashes), cluster
 # (flat vs sharded name-service lookups across node counts) and coll

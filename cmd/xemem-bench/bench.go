@@ -9,50 +9,36 @@ import (
 	"xemem/internal/experiments"
 )
 
-// bench is one -bench registry entry: run produces the result that
-// -bench writes to the entry's file.
-type bench struct {
-	name string
-	run  func(seed uint64) (fmt.Stringer, error)
-}
-
-// file is the artifact the entry regenerates, BENCH_<name>.json.
-func (b bench) file() string { return "BENCH_" + b.name + ".json" }
-
-// benches is the -bench registry, in the order -bench all runs it.
-var benches = []bench{
-	{"engine", func(seed uint64) (fmt.Stringer, error) { return experiments.EngineBench(seed) }},
-	{"fault", func(seed uint64) (fmt.Stringer, error) { return experiments.FaultSweep(seed, 0) }},
-	{"cluster", func(seed uint64) (fmt.Stringer, error) { return experiments.ClusterSweep(seed, 0) }},
-	{"coll", func(seed uint64) (fmt.Stringer, error) { return experiments.CollSweep(seed) }},
-}
-
-// nameOfBench and nameOfFigure key the -bench and -experiment tables.
-func nameOfBench(b bench) string               { return b.name }
-func nameOfFigure(f experiments.Figure) string { return f.Name }
-
-// names lists a table's entry names, comma-separated.
-func names[T any](table []T, name func(T) string) string {
-	s := make([]string, len(table))
-	for i, e := range table {
-		s[i] = name(e)
+// names lists the -bench entries of the artifact table (bench) or its
+// -experiment entries, comma-separated in table order.
+func names(bench bool) string {
+	var s []string
+	for _, a := range experiments.Artifacts() {
+		if a.Bench == bench {
+			s = append(s, a.Name)
+		}
 	}
 	return strings.Join(s, ", ")
 }
 
-// selectNamed resolves a -bench or -experiment value against its table:
-// all is every entry in table order, a name is its one entry, anything
-// else is an unknown kind.
-func selectNamed[T any](kind, want string, table []T, name func(T) string) ([]T, error) {
-	if want == "all" {
-		return table, nil
-	}
-	for _, e := range table {
-		if name(e) == want {
-			return []T{e}, nil
+// selectNamed resolves a -bench (bench) or -experiment value against the
+// artifact table's entries of that kind: all is every one in table
+// order, a name is its one entry, anything else is an unknown kind.
+func selectNamed(want string, bench bool) ([]experiments.Artifact, error) {
+	var sel []experiments.Artifact
+	for _, a := range experiments.Artifacts() {
+		if a.Bench == bench && (want == "all" || want == a.Name) {
+			sel = append(sel, a)
 		}
 	}
-	return nil, fmt.Errorf("unknown %s %q (want one of %s, all)", kind, want, names(table, name))
+	if len(sel) > 0 {
+		return sel, nil
+	}
+	kind := "experiment"
+	if bench {
+		kind = "bench"
+	}
+	return nil, fmt.Errorf("unknown %s %q (want one of %s, all)", kind, want, names(bench))
 }
 
 // writeJSON writes v to path as indented JSON with a trailing newline:

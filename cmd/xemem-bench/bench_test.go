@@ -6,26 +6,40 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"xemem/internal/experiments"
 )
 
-// TestBenchRegistry holds the -bench table and the checked-in artifacts
-// in step: entry names are unique, every entry's BENCH file is checked
-// in at the repo root, and every root BENCH file has an entry that
-// regenerates it (a leftover from a retired benchmark fails here).
-func TestBenchRegistry(t *testing.T) {
+// TestArtifactTable holds the one artifact table, its name lookup and
+// the checked-in BENCH files in step. Names are unique, a fast count
+// never exceeds the full one, and only the entries that take no count
+// have zero counts. Every BENCH entry's file is checked in at the repo
+// root, and every root BENCH file has an entry that regenerates it (a
+// leftover from a retired benchmark fails here). For -experiment and
+// -bench alike, all resolves that kind's entries in table order, a name
+// its one entry, and anything else, the other kind's names included, is
+// rejected.
+func TestArtifactTable(t *testing.T) {
 	root := filepath.Join("..", "..")
-	entries := map[string]bool{}
-	for _, b := range benches {
-		if entries[b.file()] {
-			t.Errorf("duplicate bench entry %q", b.name)
+	countless := map[string]bool{"fig7": true, "engine": true, "coll": true}
+	kinds := map[bool][]string{}
+	for _, a := range experiments.Artifacts() {
+		if slices.Contains(kinds[false], a.Name) || slices.Contains(kinds[true], a.Name) {
+			t.Errorf("duplicate artifact entry %q", a.Name)
 		}
-		entries[b.file()] = true
-		if _, err := os.Stat(filepath.Join(root, b.file())); err != nil {
-			t.Errorf("bench %q: %v", b.name, err)
+		kinds[a.Bench] = append(kinds[a.Bench], a.Name)
+		if a.Fast > a.Full {
+			t.Errorf("artifact %q: fast count %d exceeds full count %d", a.Name, a.Fast, a.Full)
+		}
+		if zero := a.Full == 0 && a.Fast == 0; zero != countless[a.Name] {
+			t.Errorf("artifact %q: counts %d/%d; only %v take none", a.Name, a.Full, a.Fast, countless)
+		}
+		if _, err := os.Stat(filepath.Join(root, "BENCH_"+a.Name+".json")); a.Bench && err != nil {
+			t.Errorf("bench %q: %v", a.Name, err)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
@@ -33,90 +47,64 @@ func TestBenchRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if !entries[filepath.Base(f)] {
+		if name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json"); !slices.Contains(kinds[true], name) {
 			t.Errorf("%s has no -bench entry that regenerates it", filepath.Base(f))
 		}
 	}
-}
 
-// TestFigureTable checks the -experiment table: names are unique, a -fast
-// run never repeats more than a full one, and only Fig. 7 takes no count.
-func TestFigureTable(t *testing.T) {
-	seen := map[string]bool{}
-	for _, f := range experiments.Figures {
-		if seen[f.Name] {
-			t.Errorf("duplicate figure entry %q", f.Name)
-		}
-		seen[f.Name] = true
-		if f.Fast > f.Full {
-			t.Errorf("figure %q: fast count %d exceeds full count %d", f.Name, f.Fast, f.Full)
-		}
-		if countless := f.Full == 0 && f.Fast == 0; countless != (f.Name == "fig7") {
-			t.Errorf("figure %q: counts %d/%d; only fig7 takes none", f.Name, f.Full, f.Fast)
-		}
+	unknown := map[bool][]string{
+		false: {"sweep", "ALL", "fig5,fig6", "fig10", "engine"},
+		true:  {"sweep", "json", "ALL", "fault,coll", "fig5"},
 	}
-}
-
-// TestSelectBenches checks name resolution for both tables: all runs the
-// whole table in order, a name runs its one entry, anything else is
-// rejected.
-func TestSelectBenches(t *testing.T) {
-	checkSelect(t, "bench", benches, nameOfBench, "sweep", "json", "ALL", "fault,coll")
-	checkSelect(t, "experiment", experiments.Figures, nameOfFigure, "sweep", "ALL", "fig5,fig6", "fig10")
-}
-
-// checkSelect resolves all, each entry's name and every unknown name
-// against one table.
-func checkSelect[T any](t *testing.T, kind string, table []T, name func(T) string, unknown ...string) {
-	t.Helper()
-	all, err := selectNamed(kind, "all", table, name)
-	if err != nil || len(all) != len(table) {
-		t.Fatalf("%s all = %d entries, %v; want %d", kind, len(all), err, len(table))
-	}
-	for i, e := range all {
-		if name(e) != name(table[i]) {
-			t.Fatalf("%s all[%d] = %q, want table order %q", kind, i, name(e), name(table[i]))
+	for _, bench := range []bool{false, true} {
+		table := kinds[bench]
+		all, err := selectNamed("all", bench)
+		if err != nil || len(all) != len(table) {
+			t.Fatalf("bench=%v all = %d entries, %v; want %d", bench, len(all), err, len(table))
 		}
-	}
-	for _, e := range table {
-		one, err := selectNamed(kind, name(e), table, name)
-		if err != nil || len(one) != 1 || name(one[0]) != name(e) {
-			t.Fatalf("%s %q = %d entries, %v", kind, name(e), len(one), err)
+		for i, name := range table {
+			if all[i].Name != name {
+				t.Fatalf("bench=%v all[%d] = %q, want table order %q", bench, i, all[i].Name, name)
+			}
+			one, err := selectNamed(name, bench)
+			if err != nil || len(one) != 1 || one[0].Name != name {
+				t.Fatalf("bench=%v %q = %d entries, %v", bench, name, len(one), err)
+			}
 		}
-	}
-	for _, n := range unknown {
-		if _, err := selectNamed(kind, n, table, name); err == nil {
-			t.Errorf("%s %q accepted an unknown name", kind, n)
+		for _, name := range unknown[bench] {
+			if _, err := selectNamed(name, bench); err == nil {
+				t.Errorf("bench=%v %q accepted an unknown name", bench, name)
+			}
 		}
 	}
 }
 
-// TestBenchValues regenerates the virtual-time BENCH files — fault,
-// cluster and coll — at the `make bench` seed and checks them against
-// the checked-in copies, so a change that moves a quoted simulated number
-// must regenerate its file in the same change. The host header is the
-// only part that may differ between machines, so it is dropped from both.
+// TestBenchValues regenerates every virtual-time BENCH file (every
+// BENCH entry but engine, whose numbers are host time) at the `make
+// bench` seed and checks it against the checked-in copy, so a change
+// that moves a quoted simulated number must regenerate its file in the
+// same change. The host header is the only part that may differ between
+// machines, so it is dropped from both.
 func TestBenchValues(t *testing.T) {
-	for _, name := range []string{"fault", "cluster", "coll"} {
-		sel, err := selectNamed("bench", name, benches, nameOfBench)
-		if err != nil {
-			t.Fatal(err)
+	for _, a := range experiments.Artifacts() {
+		if !a.Bench || a.Name == "engine" {
+			continue
 		}
-		b := sel[0]
-		res, err := b.run(42)
+		res, err := a.Run(42, a.Full)
 		if err != nil {
-			t.Fatalf("%s bench: %v", name, err)
+			t.Fatalf("%s bench: %v", a.Name, err)
 		}
 		buf, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		file, err := os.ReadFile(filepath.Join("..", "..", b.file()))
+		file := "BENCH_" + a.Name + ".json"
+		want, err := os.ReadFile(filepath.Join("..", "..", file))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := firstDiff("", withoutHost(t, file), withoutHost(t, buf)); d != "" {
-			t.Errorf("%s differs from its regeneration at seed 42 at %s; rerun `make bench`", b.file(), d)
+		if d := firstDiff("", withoutHost(t, want), withoutHost(t, buf)); d != "" {
+			t.Errorf("%s differs from its regeneration at seed 42 at %s; rerun `make bench`", file, d)
 		}
 	}
 }

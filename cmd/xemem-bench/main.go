@@ -3,16 +3,18 @@
 //
 // Usage:
 //
-//	xemem-bench -experiment fig5|fig6|fig7|fig8|fig9|table2|all [flags]
+//	xemem-bench -experiment fig5|fig6|table2|fig7|fig8|fig9|all [flags]
 //	xemem-bench -bench engine|fault|cluster|coll|all [flags]
 //
-// -bench regenerates the named BENCH_<name>.json files in the current
-// directory and takes precedence over -experiment.
+// Both select from one table, experiments.Artifacts, which holds each
+// artifact's name, repetition counts and run function. -bench
+// regenerates the named BENCH_<name>.json files in the current
+// directory at full counts and takes precedence over -experiment.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
-// identical numbers. -fast trades repetition count for wall time (the
-// shapes are unchanged; the simulator has no measurement noise to average
-// away).
+// identical numbers. -experiment -fast trades repetition count for wall
+// time (the shapes are unchanged; the simulator has no measurement noise
+// to average away).
 package main
 
 import (
@@ -28,10 +30,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run: "+names(experiments.Figures, nameOfFigure)+", all")
+	exp := flag.String("experiment", "all", "which experiment to run: "+names(false)+", all")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
-	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+names(benches, nameOfBench)+", all")
+	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+names(true)+", all")
 	replayPath := flag.String("replay", "", "re-run the repro bundle at this path, verify its window and final trace digests, and audit the ended world")
 	reproPath := flag.String("repro", "", "capture a repro bundle to this path: the trace digest at the end of each of 16 equal windows of the run (see -recipe, -recipe-params)")
 	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
@@ -45,40 +47,6 @@ func main() {
 		set = trace.NewSet()
 		set.SetKeepEvents(*traceOut != "") // metrics-only runs keep memory flat
 		experiments.Observe = set.Observe
-	}
-	exportTraces := func() {
-		if set == nil {
-			return
-		}
-		if *metricsOut != "" {
-			fmt.Println(experiments.Breakdown(set))
-		}
-		if err := set.WriteFiles(*traceOut, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	if *benchName != "" {
-		sel, err := selectNamed("bench", *benchName, benches, nameOfBench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		for _, b := range sel {
-			res, err := b.run(*seed)
-			if err == nil {
-				fmt.Println(res.String())
-				err = writeJSON(b.file(), res)
-			}
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%s bench: %v\n", b.name, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", b.file())
-		}
-		exportTraces()
-		return
 	}
 
 	if *replayPath != "" {
@@ -114,24 +82,46 @@ func main() {
 		return
 	}
 
-	figs, err := selectNamed("experiment", *exp, experiments.Figures, nameOfFigure)
+	bench, want := *benchName != "", *exp
+	if bench {
+		want = *benchName
+	}
+	sel, err := selectNamed(want, bench)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	for _, f := range figs {
-		reps := f.Full
-		if *fast {
-			reps = f.Fast
+	for _, a := range sel {
+		n, file := a.Full, "BENCH_"+a.Name+".json"
+		if *fast && !bench {
+			n = a.Fast
 		}
 		start := time.Now() //xemem:wallclock -- reports wall time of figure regeneration to the operator
-		res, err := f.Run(*seed, reps)
+		res, err := a.Run(*seed, n)
+		if err == nil {
+			fmt.Println(res.String())
+			if bench {
+				err = writeJSON(file, res)
+			}
+		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", f.Name, err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", a.Name, err)
 			os.Exit(1)
 		}
-		fmt.Println(res.String())
-		fmt.Printf("[%s regenerated in %.1fs wall time]\n\n", f.Name, time.Since(start).Seconds()) //xemem:wallclock -- reports wall time of figure regeneration to the operator
+		if bench {
+			fmt.Printf("wrote %s\n", file)
+		} else {
+			fmt.Printf("[%s regenerated in %.1fs wall time]\n\n", a.Name, time.Since(start).Seconds()) //xemem:wallclock -- reports wall time of figure regeneration to the operator
+		}
 	}
-	exportTraces()
+
+	if set != nil {
+		if *metricsOut != "" {
+			fmt.Println(experiments.Breakdown(set))
+		}
+		if err := set.WriteFiles(*traceOut, *metricsOut); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 }

@@ -48,6 +48,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown config %q\n", *config)
 		os.Exit(2)
 	}
+	if *runs < 1 {
+		fmt.Fprintf(os.Stderr, "-runs %d: want at least 1\n", *runs)
+		os.Exit(2)
+	}
 
 	res, err := experiments.Fig8Single(*seed, cfg, *sync, *recurring, *runs)
 	if err != nil {

@@ -96,9 +96,6 @@ type ClusterSweepResult struct {
 // function of (seed, rounds): rerunning yields a byte-identical
 // BENCH_cluster.json.
 func ClusterSweep(seed uint64, rounds int) (*ClusterSweepResult, error) {
-	if rounds <= 0 {
-		rounds = 120
-	}
 	res := &ClusterSweepResult{
 		Host: CaptureHost(), Seed: seed, Rounds: rounds,
 		ConsumersPerNode: clusterConsumers, NodeCounts: ClusterNodeCounts,

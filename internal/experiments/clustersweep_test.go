@@ -12,9 +12,7 @@ import (
 // node count while the sharded one stays flat; and the lease cache and
 // shard counters actually move.
 func TestClusterSweepDeterministic(t *testing.T) {
-	// Default rounds: the collapse ratio is a tail-latency statement and
-	// needs the full steady-state sample that BENCH_cluster.json ships.
-	const rounds = 0
+	rounds := fastCount(t, "cluster")
 	r1, err := ClusterSweep(1234, rounds)
 	if err != nil {
 		t.Fatal(err)

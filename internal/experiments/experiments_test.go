@@ -272,3 +272,15 @@ func TestFig9Shape(t *testing.T) {
 		t.Errorf("recurring 1-node: Linux-only (%.1f±%.1f) far above multi-enclave (%.1f)", l1.MeanS, l1.StdS, m1.MeanS)
 	}
 }
+
+// fastCount is the named artifact's fast count in the artifact table.
+func fastCount(t *testing.T, name string) int {
+	t.Helper()
+	for _, a := range Artifacts() {
+		if a.Name == name {
+			return a.Fast
+		}
+	}
+	t.Fatalf("no artifact %q", name)
+	return 0
+}

@@ -62,9 +62,6 @@ type FaultSweepResult struct {
 // latency percentiles, and digests — is a pure function of (seed,
 // rounds): rerunning yields a byte-identical BENCH_fault.json.
 func FaultSweep(seed uint64, rounds int) (*FaultSweepResult, error) {
-	if rounds <= 0 {
-		rounds = 40
-	}
 	res := &FaultSweepResult{Host: CaptureHost(), Seed: seed, Rounds: rounds}
 	for _, crash := range []bool{false, true} {
 		for _, drop := range FaultDropRates {

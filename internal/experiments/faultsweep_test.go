@@ -13,11 +13,12 @@ import (
 // cells attribute their failures to the dead enclave, and lossy cells
 // actually lose messages.
 func TestFaultSweepDeterministic(t *testing.T) {
-	r1, err := FaultSweep(1234, 12)
+	rounds := fastCount(t, "fault")
+	r1, err := FaultSweep(1234, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := FaultSweep(1234, 12)
+	r2, err := FaultSweep(1234, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,9 +67,6 @@ func Fig8(seed uint64, runs int) (*Fig8Result, error) {
 // and folds them into the bar's mean ± stddev. It backs both Fig8 and
 // the xemem-insitu command.
 func Fig8Single(seed uint64, cfg Fig8Config, sync, recurring bool, runs int) (Fig8Cell, error) {
-	if runs <= 0 {
-		runs = 1
-	}
 	bar := Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring}
 	var s sim.Sample
 	for r := 0; r < runs; r++ {

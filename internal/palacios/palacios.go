@@ -47,16 +47,17 @@ const (
 
 // memmap abstracts the two guest-map structures behind visit-counted
 // ops. insert maps [gpa, gpa+count) as one entry where the structure
-// holds intervals (the radix map, which does not, maps it page by page);
-// insertRun maps it one entry per page, the way Palacios imports an
-// XEMEM attachment, and removeRun releases such a run in ascending
-// order. Each run reports the summed work of the per-page operations it
-// stands for and stops, as they would, at the first page that fails.
+// holds intervals (the radix map, which does not, maps it page by page),
+// and remove unmaps what one insert mapped; insertRun maps it one entry
+// per page, the way Palacios imports an XEMEM attachment, and removeRun
+// releases such a run in ascending order. Each run reports the summed
+// work of the per-page operations it stands for and stops, as they
+// would, at the first page that fails.
 type memmap interface {
 	insert(gpa, count, hpa uint64) (visits, rotations int, err error)
 	insertRun(gpa, n, hpa uint64) (visits, rotations int, err error)
 	lookupRun(gpa uint64) (hpa, runStart, runCount uint64, visits int, ok bool)
-	remove(gpa uint64) (visits int, err error)
+	remove(gpa, count uint64) (visits int, err error)
 	removeRun(gpa, n uint64) (visits int, err error)
 	entries() int
 }
@@ -78,7 +79,7 @@ func (r rbMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
 	return hpa, runStart, runCount, st.Visits, ok
 }
 
-func (r rbMap) remove(gpa uint64) (int, error) {
+func (r rbMap) remove(gpa, _ uint64) (int, error) {
 	st, err := r.m.Delete(gpa)
 	return st.Visits + st.Rotations, err
 }
@@ -111,22 +112,19 @@ func (r radixMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
 	return hpa, gpa, 1, st.Visits, ok
 }
 
-func (r radixMap) remove(gpa uint64) (int, error) {
-	st, err := r.m.Delete(gpa)
-	return st.Visits, err
-}
-
-func (r radixMap) removeRun(gpa, n uint64) (int, error) {
+func (r radixMap) remove(gpa, count uint64) (int, error) {
 	visits := 0
-	for i := uint64(0); i < n; i++ {
-		v, err := r.remove(gpa + i)
-		visits += v
+	for i := uint64(0); i < count; i++ {
+		st, err := r.m.Delete(gpa + i)
+		visits += st.Visits
 		if err != nil {
 			return visits, err
 		}
 	}
 	return visits, nil
 }
+
+func (r radixMap) removeRun(gpa, n uint64) (int, error) { return r.remove(gpa, n) }
 
 func (r radixMap) entries() int { return r.m.Size() }
 
@@ -330,7 +328,7 @@ func (vm *VM) ReleaseImport(a *sim.Actor, list extent.List) error {
 			return fmt.Errorf("palacios %s: release of unknown import %v", vm.name, e)
 		}
 		if rec.compressed {
-			v, err := vm.mmap.remove(uint64(base))
+			v, err := vm.mmap.remove(uint64(base), e.Count)
 			if err != nil {
 				return err
 			}

@@ -385,44 +385,54 @@ func TestMemoizedImportChargesIdentically(t *testing.T) {
 
 func TestGuestMapGrowthAcrossAttachments(t *testing.T) {
 	// Repeated attach/detach cycles return the map to its base size —
-	// no entry leaks.
-	n := newVMNode(t)
-	vm := n.launchVM(t, "vm0", 64<<20, palacios.RBTree)
-	hp := n.linux.NewProcess("exp", 1)
-	gp := vm.Guest.NewProcess("att", 1)
-	n.w.Spawn("driver", func(a *sim.Actor) {
-		region, err := n.linux.Alloc(hp, "buf", 32, true)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		segid, err := n.lmod.Make(a, hp, region.Base, 32*extent.PageSize, xproto.PermRead, "")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		base := vm.MapEntries()
-		for i := 0; i < 10; i++ {
-			va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: 32 * extent.PageSize, Perm: xproto.PermRead})
-			if err != nil {
-				t.Error(err)
-				return
+	// no entry leaks — on both map kinds, for a scattered export (live
+	// inserts every cycle) and a contiguous one (one extent, so every
+	// cycle after the first replays the import memo).
+	for _, kind := range []palacios.MapKind{palacios.RBTree, palacios.Radix} {
+		for _, contiguous := range []bool{false, true} {
+			n := newVMNode(t)
+			vm := n.launchVM(t, "vm0", 64<<20, kind)
+			hp := n.linux.NewProcess("exp", 1)
+			gp := vm.Guest.NewProcess("att", 1)
+			alloc, pages := n.linux.Alloc, uint64(600)
+			if contiguous {
+				alloc, pages = n.linux.AllocContiguous, 300
 			}
-			if err := vm.Module.Detach(a, gp, va); err != nil {
-				t.Error(err)
-				return
+			n.w.Spawn("driver", func(a *sim.Actor) {
+				region, err := alloc(hp, "buf", pages, true)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				segid, err := n.lmod.Make(a, hp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				base := vm.MapEntries()
+				for i := 0; i < 10; i++ {
+					va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if err := vm.Module.Detach(a, gp, va); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if vm.MapEntries() != base {
+					t.Errorf("kind %v contiguous %v: map leaked entries: %d vs %d", kind, contiguous, vm.MapEntries(), base)
+				}
+			})
+			if err := n.w.Run(); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if vm.MapEntries() != base {
-			t.Errorf("map leaked entries: %d vs %d", vm.MapEntries(), base)
-		}
-	})
-	if err := n.w.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
