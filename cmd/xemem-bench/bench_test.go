@@ -14,32 +14,26 @@ import (
 	"xemem/internal/experiments"
 )
 
-// TestArtifactTable holds the one artifact table, its name lookup and
-// the checked-in BENCH files in step. Names are unique, a fast count
-// never exceeds the full one, and only the entries that take no count
-// have zero counts. Every BENCH entry's file is checked in at the repo
-// root, and every root BENCH file has an entry that regenerates it (a
-// leftover from a retired benchmark fails here). For -experiment and
-// -bench alike, all resolves that kind's entries in table order, a name
-// its one entry, and anything else, the other kind's names included, is
-// rejected.
-func TestArtifactTable(t *testing.T) {
-	root := filepath.Join("..", "..")
-	countless := map[string]bool{"fig7": true, "engine": true, "coll": true}
+// artifactNames lists the artifact table's names by kind: false for
+// -experiment entries, true for -bench entries, each in table order.
+func artifactNames() map[bool][]string {
 	kinds := map[bool][]string{}
 	for _, a := range experiments.Artifacts() {
-		if slices.Contains(kinds[false], a.Name) || slices.Contains(kinds[true], a.Name) {
-			t.Errorf("duplicate artifact entry %q", a.Name)
-		}
 		kinds[a.Bench] = append(kinds[a.Bench], a.Name)
-		if a.Fast > a.Full {
-			t.Errorf("artifact %q: fast count %d exceeds full count %d", a.Name, a.Fast, a.Full)
-		}
-		if zero := a.Full == 0 && a.Fast == 0; zero != countless[a.Name] {
-			t.Errorf("artifact %q: counts %d/%d; only %v take none", a.Name, a.Full, a.Fast, countless)
-		}
-		if _, err := os.Stat(filepath.Join(root, "BENCH_"+a.Name+".json")); a.Bench && err != nil {
-			t.Errorf("bench %q: %v", a.Name, err)
+	}
+	return kinds
+}
+
+// TestBenchRegistry holds the -bench entries of the artifact table and
+// the checked-in BENCH files in step: every entry's BENCH file is
+// checked in at the repo root, and every root BENCH file has an entry
+// that regenerates it (a leftover from a retired benchmark fails here).
+func TestBenchRegistry(t *testing.T) {
+	root := filepath.Join("..", "..")
+	benchNames := artifactNames()[true]
+	for _, name := range benchNames {
+		if _, err := os.Stat(filepath.Join(root, "BENCH_"+name+".json")); err != nil {
+			t.Errorf("bench %q: %v", name, err)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
@@ -47,11 +41,38 @@ func TestArtifactTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json"); !slices.Contains(kinds[true], name) {
+		if name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json"); !slices.Contains(benchNames, name) {
 			t.Errorf("%s has no -bench entry that regenerates it", filepath.Base(f))
 		}
 	}
+}
 
+// TestFigureTable checks the artifact table: names are unique across
+// both kinds, a fast count never exceeds the full one, and only the
+// entries that take no count have zero counts.
+func TestFigureTable(t *testing.T) {
+	countless := map[string]bool{"fig7": true, "engine": true, "coll": true}
+	seen := map[string]bool{}
+	for _, a := range experiments.Artifacts() {
+		if seen[a.Name] {
+			t.Errorf("duplicate artifact entry %q", a.Name)
+		}
+		seen[a.Name] = true
+		if a.Fast > a.Full {
+			t.Errorf("artifact %q: fast count %d exceeds full count %d", a.Name, a.Fast, a.Full)
+		}
+		if zero := a.Full == 0 && a.Fast == 0; zero != countless[a.Name] {
+			t.Errorf("artifact %q: counts %d/%d; only %v take none", a.Name, a.Full, a.Fast, countless)
+		}
+	}
+}
+
+// TestSelectBenches checks name resolution for -experiment and -bench
+// alike: all resolves that kind's entries in table order, a name its one
+// entry, and anything else, the other kind's names included, is
+// rejected.
+func TestSelectBenches(t *testing.T) {
+	kinds := artifactNames()
 	unknown := map[bool][]string{
 		false: {"sweep", "ALL", "fig5,fig6", "fig10", "engine"},
 		true:  {"sweep", "json", "ALL", "fault,coll", "fig5"},
