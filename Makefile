@@ -4,13 +4,14 @@ GO ?= go
 # the repo root.
 COVER_DIR ?= .cover
 
-.PHONY: check vet build benchmark-build race test examples cli fuzz cover bench replay
+.PHONY: check vet build benchmark-build race test benchsmoke examples cli fuzz cover bench replay
 
 # check runs everything CI needs: static analysis, a full build of both
 # modules, the race-sensitive engine/cache/trace suites, a short fuzz
-# smoke, the tier-1 test suite, a run of every example program and of
-# every command, the repro-bundle replay, and the coverage floors.
-check: vet build benchmark-build race test examples cli replay fuzz cover
+# smoke, the tier-1 test suite, one pass of every benchmark, a run of
+# every example program and of every command, the repro-bundle replay,
+# and the coverage floors.
+check: vet build benchmark-build race test benchsmoke examples cli replay fuzz cover
 
 # vet is three gates: formatting, the stock toolchain vet, and
 # xemem-vet — the in-tree analyzer suite (cmd/xemem-vet) that enforces
@@ -54,6 +55,13 @@ race:
 test:
 	$(GO) test ./...
 
+# Run every go test benchmark once. They hold every host-time number of
+# the simulator (dispatch, the 1 GB attach, the -fast figure
+# regeneration, the ablations): a benchmark that fails or panics fails
+# here. About 6 s on 2 CPUs.
+benchsmoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # Run every program under examples/: build compiles them, this proves
 # each still runs to a zero exit (quickstart and topology exercise
 # name-server lookups from the hosting enclave and from remote ones).
@@ -64,12 +72,17 @@ examples:
 
 # Run each command once at a small setting (xemem-bench: every figure at
 # -fast counts): a CLI that panics, exits non-zero or breaks its -metrics
-# export fails here. xemem-vet already runs under vet.
+# export fails here, and so does an xemem-bench that accepts -trace with
+# -replay (a bundle replay cannot export a trace; it must exit 2).
+# xemem-vet already runs under vet.
 cli:
 	@mkdir -p $(COVER_DIR)
 	$(GO) run ./cmd/xemem-topo
 	$(GO) run ./cmd/xemem-insitu -runs 1
 	$(GO) run ./cmd/xemem-bench -experiment all -fast -metrics $(COVER_DIR)/metrics.json
+	$(GO) build -o $(COVER_DIR)/xemem-bench ./cmd/xemem-bench
+	@$(COVER_DIR)/xemem-bench -replay internal/experiments/testdata/repro/fault.json -trace $(COVER_DIR)/replay.json; \
+	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -replay -trace exited $$status, want 2"; exit 1; fi
 
 # Short fuzz smoke over the two guest-memory-map structures, the page
 # table against its per-page oracle, and physical memory's eight-lane
@@ -123,12 +136,12 @@ replay:
 	done
 
 # Regenerate every checked-in BENCH_<name>.json from its entry in the
-# one artifact table, experiments.Artifacts, at full counts: engine (host ns and allocs per dispatch
-# and per 1 GB attach, and the full-figure regeneration), fault
+# one artifact table, experiments.Artifacts, at full counts: fault
 # (protocol degradation under message loss and enclave crashes), cluster
 # (flat vs sharded name-service lookups across node counts) and coll
-# (hierarchical bcast/allreduce across depth, enclave mix and size). The
-# fault, cluster and coll files are byte-identical on rerun, apart from
-# the host header.
+# (hierarchical bcast/allreduce across depth, enclave mix and size).
+# Each file is a pure function of the seed and byte-identical on rerun
+# on any machine; host time lives in the go test benchmarks
+# (benchsmoke) and in benchmark/.
 bench:
 	$(GO) run ./cmd/xemem-bench -bench all

@@ -1,10 +1,11 @@
 // Benchmark harness: the host cost of the simulator's hot paths (a 1 GB
-// attach, a warm collective, one Figure 9 cell) and ablations for the
-// design decisions DESIGN.md calls out. The ablations report the
-// *simulated* quantities of interest via b.ReportMetric (attach latency,
-// map-insert and core-0 busy time); the wall-clock ns/op measures the
-// simulator itself. The paper's figures are regenerated by
-// `xemem-bench -experiment` and checked by internal/experiments' tests.
+// attach, a warm collective, one Figure 9 cell, the whole -fast figure
+// regeneration) and ablations for the design decisions DESIGN.md calls
+// out. The ablations report the *simulated* quantities of interest via
+// b.ReportMetric (attach latency, map-insert and core-0 busy time); the
+// wall-clock ns/op measures the simulator itself. The paper's figures
+// are regenerated by `xemem-bench -experiment` and checked by
+// internal/experiments' tests.
 //
 // Run with: go test -bench=. -benchmem
 package xemem_test
@@ -145,6 +146,24 @@ func BenchmarkFig9Cell(b *testing.B) {
 		last = t
 	}
 	b.ReportMetric(float64(last)/1e9, "sim-completion-s")
+}
+
+// BenchmarkFigures measures the end-to-end host cost of the evaluation:
+// one op regenerates every figure and Table 2 (each non-BENCH entry of
+// the artifact table) at its -fast count, as `xemem-bench -experiment
+// all -fast` does.
+func BenchmarkFigures(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, a := range experiments.Artifacts() {
+			if a.Bench {
+				continue
+			}
+			if _, err := a.Run(42, a.Fast); err != nil {
+				b.Fatalf("%s: %v", a.Name, err)
+			}
+		}
+	}
 }
 
 // --- Ablations (DESIGN.md §4) -------------------------------------------

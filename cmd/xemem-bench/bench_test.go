@@ -51,7 +51,7 @@ func TestBenchRegistry(t *testing.T) {
 // both kinds, a fast count never exceeds the full one, and only the
 // entries that take no count have zero counts.
 func TestFigureTable(t *testing.T) {
-	countless := map[string]bool{"fig7": true, "engine": true, "coll": true}
+	countless := map[string]bool{"fig7": true, "coll": true}
 	seen := map[string]bool{}
 	for _, a := range experiments.Artifacts() {
 		if seen[a.Name] {
@@ -70,12 +70,12 @@ func TestFigureTable(t *testing.T) {
 // TestSelectBenches checks name resolution for -experiment and -bench
 // alike: all resolves that kind's entries in table order, a name its one
 // entry, and anything else, the other kind's names included, is
-// rejected.
+// rejected. engine, a retired BENCH entry, is unknown to both kinds.
 func TestSelectBenches(t *testing.T) {
 	kinds := artifactNames()
 	unknown := map[bool][]string{
 		false: {"sweep", "ALL", "fig5,fig6", "fig10", "engine"},
-		true:  {"sweep", "json", "ALL", "fault,coll", "fig5"},
+		true:  {"sweep", "json", "ALL", "fault,coll", "fig5", "engine"},
 	}
 	for _, bench := range []bool{false, true} {
 		table := kinds[bench]
@@ -100,15 +100,13 @@ func TestSelectBenches(t *testing.T) {
 	}
 }
 
-// TestBenchValues regenerates every virtual-time BENCH file (every
-// BENCH entry but engine, whose numbers are host time) at the `make
-// bench` seed and checks it against the checked-in copy, so a change
+// TestBenchValues regenerates every BENCH file at the `make bench` seed
+// and checks it byte for byte against the checked-in copy, so a change
 // that moves a quoted simulated number must regenerate its file in the
-// same change. The host header is the only part that may differ between
-// machines, so it is dropped from both.
+// same change. A mismatch is named by its first differing key path.
 func TestBenchValues(t *testing.T) {
 	for _, a := range experiments.Artifacts() {
-		if !a.Bench || a.Name == "engine" {
+		if !a.Bench {
 			continue
 		}
 		res, err := a.Run(42, a.Full)
@@ -124,24 +122,25 @@ func TestBenchValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d := firstDiff("", withoutHost(t, want), withoutHost(t, buf)); d != "" {
+		if buf = append(buf, '\n'); !bytes.Equal(want, buf) {
+			d := firstDiff("", decode(t, want), decode(t, buf))
+			if d == "" {
+				d = "its formatting only"
+			}
 			t.Errorf("%s differs from its regeneration at seed 42 at %s; rerun `make bench`", file, d)
 		}
 	}
 }
 
-// withoutHost decodes a BENCH document, keeping numbers as their literal
-// text, and drops its top-level host key.
-func withoutHost(t *testing.T, buf []byte) any {
+// decode decodes a BENCH document, keeping numbers as their literal
+// text.
+func decode(t *testing.T, buf []byte) any {
 	t.Helper()
 	dec := json.NewDecoder(bytes.NewReader(buf))
 	dec.UseNumber()
 	var v any
 	if err := dec.Decode(&v); err != nil {
 		t.Fatal(err)
-	}
-	if m, ok := v.(map[string]any); ok {
-		delete(m, "host")
 	}
 	return v
 }

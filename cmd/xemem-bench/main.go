@@ -4,12 +4,15 @@
 // Usage:
 //
 //	xemem-bench -experiment fig5|fig6|table2|fig7|fig8|fig9|all [flags]
-//	xemem-bench -bench engine|fault|cluster|coll|all [flags]
+//	xemem-bench -bench fault|cluster|coll|all [flags]
 //
 // Both select from one table, experiments.Artifacts, which holds each
 // artifact's name, repetition counts and run function. -bench
 // regenerates the named BENCH_<name>.json files in the current
 // directory at full counts and takes precedence over -experiment.
+// Every BENCH file is a pure function of the seed: it regenerates
+// byte-for-byte on any machine. Host time is measured by the go test
+// benchmarks and the benchmark/ module, never here.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
 // identical numbers. -experiment -fast trades repetition count for wall
@@ -41,6 +44,13 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of every simulated world to this file (open in chrome://tracing or Perfetto; combine with -fast)")
 	metricsOut := flag.String("metrics", "", "write per-world contention metrics JSON to this file and print the per-figure breakdown tables")
 	flag.Parse()
+
+	// A bundle's windowed digest probe takes the place of the trace set's
+	// observer, so -replay and -repro cannot also export a trace.
+	if (*replayPath != "" || *reproPath != "") && (*traceOut != "" || *metricsOut != "") {
+		fmt.Fprintln(os.Stderr, "-trace and -metrics do not apply to -replay or -repro")
+		os.Exit(2)
+	}
 
 	var set *trace.Set
 	if *traceOut != "" || *metricsOut != "" {

@@ -2,7 +2,7 @@
 // over the module: determinism (no host clocks or global rand in
 // simulation code), chargecheck (every sim.Costs constant flows into a
 // charge — tracked through helpers via interprocedural summaries; no
-// Actor clock writes bypass Advance/AdvanceN), paircheck (XPMEM
+// Actor clock writes bypass Advance), paircheck (XPMEM
 // Get/Attach handles are releasable, including via the module's own
 // helpers), maporder (no unsorted map iteration on exporter paths),
 // hookstate (package-level hook variables are written only by driver

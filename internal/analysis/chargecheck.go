@@ -10,8 +10,8 @@ import (
 // directions:
 //
 //  1. Dead cost constants: every field of sim.Costs must somewhere flow
-//     into a charge — an Actor.Charge/ChargeN/Advance/AdvanceN, a
-//     Resource acquisition (Acquire/AcquireOp/TryAcquire/Exec), or a
+//     into a charge — an Actor.Charge/Advance/AdvanceTo, a Resource
+//     acquisition (Acquire/AcquireOp/TryAcquire/Exec), or a
 //     sim.CopyTime conversion feeding one. A calibrated constant nothing
 //     charges is drift waiting to happen: the model documents a cost the
 //     simulation silently omits. Flow is tracked through local
@@ -24,9 +24,9 @@ import (
 //     is no longer considered charged.
 //
 //  2. Clock bypasses: inside the engine package, an Actor's virtual
-//     clock (the `now` field) may only be mutated by the charge path —
-//     Advance/AdvanceN — the scheduler's handoff points (Unblock/Spawn)
-//     and the poll tick the scheduler takes for a parked PollDeadline
+//     clock (the `now` field) may only be mutated by the charge path
+//     (Advance), the scheduler's handoff points (Unblock/Spawn) and
+//     the poll tick the scheduler takes for a parked PollDeadline
 //     (pollTick). Any other write desynchronizes actors from the
 //     ready-queue ordering invariant.
 
@@ -36,8 +36,7 @@ import (
 // false-positives on plumbing style, at the price of missing exotic
 // leaks).
 var chargeSinks = map[string]bool{
-	"Charge": true, "ChargeN": true,
-	"Advance": true, "AdvanceN": true, "AdvanceTo": true,
+	"Charge": true, "Advance": true, "AdvanceTo": true,
 	"Acquire": true, "AcquireOp": true, "TryAcquire": true, "Exec": true,
 	"CopyTime": true,
 	// The timeout primitives: interval and deadline both become
@@ -46,11 +45,11 @@ var chargeSinks = map[string]bool{
 }
 
 // clockPath are the sim functions allowed to write Actor.now directly:
-// the two advance primitives, the scheduler handoffs that re-baseline a
+// the advance primitive, the scheduler handoffs that re-baseline a
 // woken or newborn actor, and the scheduler's poll tick, which advances
 // a parked poller by the step its own Advance would have taken.
 var clockPath = map[string]bool{
-	"Advance": true, "AdvanceN": true, "Unblock": true, "Spawn": true, "SpawnAt": true,
+	"Advance": true, "Unblock": true, "Spawn": true, "SpawnAt": true,
 	"pollTick": true,
 }
 
@@ -73,7 +72,7 @@ func newChargecheck() *Analyzer {
 	c := &chargecheck{charged: make(map[string]bool)}
 	return &Analyzer{
 		Name:   "chargecheck",
-		Doc:    "flags sim.Costs fields never charged through Charge/ChargeN/AdvanceN or a resource acquisition (flow tracked through helpers via summaries), and Actor clock writes that bypass the charge path",
+		Doc:    "flags sim.Costs fields never charged through Charge/Advance or a resource acquisition (flow tracked through helpers via summaries), and Actor clock writes that bypass the charge path",
 		Run:    c.run,
 		Finish: c.finish,
 	}
@@ -170,7 +169,7 @@ func checkClockWrites(pass *Pass, fd *ast.FuncDecl) {
 			return
 		}
 		pass.Reportf(sel.Pos(),
-			"%s writes Actor.now directly, bypassing the charge path; use Advance/AdvanceN (or Charge/ChargeN for attributed costs)", funcName(fd))
+			"%s writes Actor.now directly, bypassing the charge path; use Advance (or Charge for attributed costs)", funcName(fd))
 	}
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -196,7 +195,7 @@ func (c *chargecheck) finish(f *FinishPass) {
 			continue
 		}
 		f.Reportf(field.Pos,
-			"cost constant Costs.%s is never charged: no flow into Charge/ChargeN/Advance*/Acquire*/Exec/CopyTime anywhere in the module"+
+			"cost constant Costs.%s is never charged: no flow into Charge/Advance*/Acquire*/Exec/CopyTime anywhere in the module"+
 				" — wire it into a substrate cost path or document the exception with //xemem:allow chargecheck -- <reason>", field.Name)
 	}
 }

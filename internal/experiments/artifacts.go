@@ -16,10 +16,8 @@ type Artifact struct {
 }
 
 // Artifacts is the one artifact table, in the order `xemem-bench
-// -experiment all` prints the figures, `-bench all` writes the BENCH
-// files and the engine benchmark times the figures. It is a function
-// because the engine entry times the table's figures: as a package
-// variable the table would initialize through itself.
+// -experiment all` prints the figures and `-bench all` writes the BENCH
+// files.
 func Artifacts() []Artifact {
 	return []Artifact{
 		{"fig5", 500, 50, func(seed uint64, reps int) (fmt.Stringer, error) { return Fig5(seed, reps) }, false},
@@ -28,7 +26,6 @@ func Artifacts() []Artifact {
 		{"fig7", 0, 0, func(seed uint64, _ int) (fmt.Stringer, error) { return Fig7(seed) }, false},
 		{"fig8", 10, 3, func(seed uint64, runs int) (fmt.Stringer, error) { return Fig8(seed, runs) }, false},
 		{"fig9", 5, 3, func(seed uint64, runs int) (fmt.Stringer, error) { return Fig9(seed, runs) }, false},
-		{"engine", 0, 0, func(seed uint64, _ int) (fmt.Stringer, error) { return EngineBench(seed) }, true},
 		{"fault", 40, 12, func(seed uint64, rounds int) (fmt.Stringer, error) { return FaultSweep(seed, rounds) }, true},
 		// The cluster test checks a tail-latency ratio, which needs the
 		// full steady-state sample, so its fast count is the full one.

@@ -73,7 +73,6 @@ type ClusterCell struct {
 // ClusterSweepResult is the regenerated cluster sweep
 // (BENCH_cluster.json).
 type ClusterSweepResult struct {
-	Host             HostInfo      `json:"host"`
 	Seed             uint64        `json:"seed"`
 	Rounds           int           `json:"rounds"`
 	ConsumersPerNode int           `json:"consumers_per_node"`
@@ -97,7 +96,7 @@ type ClusterSweepResult struct {
 // BENCH_cluster.json.
 func ClusterSweep(seed uint64, rounds int) (*ClusterSweepResult, error) {
 	res := &ClusterSweepResult{
-		Host: CaptureHost(), Seed: seed, Rounds: rounds,
+		Seed: seed, Rounds: rounds,
 		ConsumersPerNode: clusterConsumers, NodeCounts: ClusterNodeCounts,
 	}
 	for _, churn := range []bool{false, true} {

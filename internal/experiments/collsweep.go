@@ -99,7 +99,6 @@ type CollCrossover struct {
 
 // CollSweepResult is the regenerated collective sweep (BENCH_coll.json).
 type CollSweepResult struct {
-	Host      HostInfo      `json:"host"`
 	Seed      uint64        `json:"seed"`
 	Ranks     int           `json:"ranks"`
 	Iters     int           `json:"iters"`
@@ -115,7 +114,7 @@ type CollSweepResult struct {
 // byte-identical BENCH_coll.json.
 func CollSweep(seed uint64) (*CollSweepResult, error) {
 	res := &CollSweepResult{
-		Host: CaptureHost(), Seed: seed, Ranks: 6, Iters: collIters, Sizes: CollSizes,
+		Seed: seed, Ranks: 6, Iters: collIters, Sizes: CollSizes,
 	}
 	mixes := []string{"uniform", "mixed"}
 	for _, depth := range []int{1, 2, 3} {

@@ -50,7 +50,6 @@ type FaultCell struct {
 
 // FaultSweepResult is the regenerated fault sweep (BENCH_fault.json).
 type FaultSweepResult struct {
-	Host   HostInfo    `json:"host"`
 	Seed   uint64      `json:"seed"`
 	Rounds int         `json:"rounds"`
 	Cells  []FaultCell `json:"cells"`
@@ -62,7 +61,7 @@ type FaultSweepResult struct {
 // latency percentiles, and digests — is a pure function of (seed,
 // rounds): rerunning yields a byte-identical BENCH_fault.json.
 func FaultSweep(seed uint64, rounds int) (*FaultSweepResult, error) {
-	res := &FaultSweepResult{Host: CaptureHost(), Seed: seed, Rounds: rounds}
+	res := &FaultSweepResult{Seed: seed, Rounds: rounds}
 	for _, crash := range []bool{false, true} {
 		for _, drop := range FaultDropRates {
 			c, err := faultRun(Observe, seed, drop, crash, rounds)

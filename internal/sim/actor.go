@@ -118,21 +118,6 @@ func (a *Actor) Advance(d Time) {
 	a.pause()
 }
 
-// AdvanceN charges n repetitions of a d-cost operation as one advance of
-// d*n, yielding to the scheduler once instead of n times. It is the
-// batched cost-charging primitive for per-page work: because the actor
-// performs no externally visible action between the individual unit
-// advances, collapsing them into a single advance leaves every actor's
-// timestamps — and therefore the whole simulated schedule's outcomes —
-// unchanged, while the host does O(1) work instead of O(n).
-func (a *Actor) AdvanceN(d Time, n uint64) {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative advance %d by %s", d, a.name))
-	}
-	a.now += d * Time(n)
-	a.pause()
-}
-
 // AdvanceTo moves the actor's clock forward to t (no-op if already past).
 func (a *Actor) AdvanceTo(t Time) {
 	if t > a.now {

@@ -3,8 +3,9 @@ package sim
 // Dispatch-path benchmarks and the checked-in allocation budget. The
 // scheduler's steady state — advance, reschedule, handoff — must not
 // allocate: the heap is index-swapped in place, a handoff is a coroutine
-// switch, and the ready queue is pre-sized. The ceiling test turns that
-// property into a regression gate.
+// switch, and the ready queue reuses the capacity it grew to while the
+// actors were spawned. The ceiling test turns that property into a
+// regression gate.
 
 import (
 	"fmt"
@@ -16,7 +17,6 @@ import (
 // pseudorandom strides so the ready queue is constantly reordered.
 func runDispatchWorld(seed uint64, actors, steps int) error {
 	w := NewWorld(seed)
-	w.Reserve(actors)
 	for i := 0; i < actors; i++ {
 		w.Spawn(fmt.Sprintf("a%d", i), func(a *Actor) {
 			r := a.RNG()

@@ -9,7 +9,7 @@ import (
 )
 
 // mixedWorkload builds a workload exercising every scheduler entry point:
-// random-stride advances, block/unblock pairs, batched AdvanceN charges,
+// random-stride advances, block/unblock pairs, batched charges,
 // spawn-during-run, SpawnAt staggering, and a forever-advancing daemon
 // that Run must terminate.
 func mixedWorkload(w *World) {
@@ -36,9 +36,9 @@ func mixedWorkload(w *World) {
 		}
 	})
 	w.Spawn("spawner", func(a *Actor) {
-		a.AdvanceN(7*Nanosecond, 100) // one batched charge of 700ns
+		a.Advance(7 * Nanosecond * 100) // one batched charge of 700ns
 		a.Spawn("child", func(c *Actor) {
-			c.AdvanceN(3*Nanosecond, 33)
+			c.Advance(3 * Nanosecond * 33)
 			c.Advance(Nanosecond)
 		})
 		a.Advance(500 * Nanosecond)

@@ -1,7 +1,7 @@
 package sim
 
 // Observer receives the engine's observability events: every cost charge
-// (Actor.Charge/ChargeN), every resource acquisition with its queueing
+// (Actor.Charge), every resource acquisition with its queueing
 // delay and depth, every receive-queue wait, and every scheduler
 // dispatch. Implementations must be pure observers — they may record
 // state of their own but must never call back into actors, resources, or
@@ -15,8 +15,7 @@ package sim
 // itself is deterministic for a given seed.
 type Observer interface {
 	// Span reports a cost charge: actor a performed op for dur of virtual
-	// time starting at start (charges batched by ChargeN appear as one
-	// span, matching the batched advance they charge).
+	// time starting at start.
 	Span(a *Actor, op string, start, dur Time)
 
 	// AcquireRes reports a resource acquisition: actor a arrived at
@@ -63,14 +62,4 @@ func (a *Actor) Charge(op string, d Time) {
 		obs.Span(a, op, a.now, d)
 	}
 	a.Advance(d)
-}
-
-// ChargeN is AdvanceN with an operation label: n repetitions of a d-cost
-// operation charged as one batched advance, reported as a single span of
-// d*n.
-func (a *Actor) ChargeN(op string, d Time, n uint64) {
-	if obs := a.Observer(); obs != nil {
-		obs.Span(a, op, a.now, d*Time(n))
-	}
-	a.AdvanceN(d, n)
 }

@@ -29,7 +29,7 @@ type EventKind uint8
 
 // Event kinds.
 const (
-	EvSpan      EventKind = iota // a Charge/ChargeN cost span
+	EvSpan      EventKind = iota // a Charge cost span
 	EvAcquire                    // a Resource/Core acquisition (service span + wait)
 	EvQueueWait                  // a receive-queue residency interval
 	EvCount                      // a named time attribution with no span

@@ -27,7 +27,7 @@ func scenario(seed uint64, obs sim.Observer) []sim.Time {
 			for step := 0; step < 50; step++ {
 				a.Charge("compute", sim.Time(r.Intn(500))*sim.Nanosecond)
 				core.Exec(a, 200*sim.Nanosecond, "shared")
-				a.ChargeN("per-page", 10*sim.Nanosecond, 8)
+				a.Charge("per-page", 10*sim.Nanosecond*8)
 			}
 			finals[i] = a.Now()
 		})
@@ -115,7 +115,7 @@ func TestSpanAndCounterAccounting(t *testing.T) {
 	w.SetObserver(tr)
 	w.Spawn("a", func(a *sim.Actor) {
 		a.Charge("syscall", 300*sim.Nanosecond)
-		a.ChargeN("map", 10*sim.Nanosecond, 100)
+		a.Charge("map", 10*sim.Nanosecond*100)
 		tr.Count("coherence", a, 35*sim.Nanosecond)
 	})
 	if err := w.Run(); err != nil {

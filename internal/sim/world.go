@@ -473,18 +473,3 @@ func (w *World) killAll() {
 		w.resume(a)
 	}
 }
-
-// Reserve pre-sizes the actor table and ready queue for n actors, saving
-// the append-doubling churn of worlds whose population is known up front.
-func (w *World) Reserve(n int) {
-	if cap(w.actors) < n {
-		actors := make([]*Actor, len(w.actors), n)
-		copy(actors, w.actors)
-		w.actors = actors
-	}
-	if cap(w.heap) < n {
-		heap := make(actorHeap, len(w.heap), n)
-		copy(heap, w.heap)
-		w.heap = heap
-	}
-}
