@@ -7,10 +7,10 @@ COVER_DIR ?= .cover
 .PHONY: check vet build benchmark-build race test benchsmoke examples cli fuzz cover bench replay
 
 # check runs everything CI needs: static analysis, a full build of both
-# modules, the race-sensitive engine/cache/trace suites, a short fuzz
-# smoke, the tier-1 test suite, one pass of every benchmark, a run of
-# every example program and of every command, the repro-bundle replay,
-# and the coverage floors.
+# modules and the benchmark/ module's tests, the race-sensitive
+# engine/cache/trace suites, a short fuzz smoke, the tier-1 test suite,
+# one pass of every benchmark, a run of every example program and of
+# every command, the repro-bundle replay, and the coverage floors.
 check: vet build benchmark-build race test benchsmoke examples cli replay fuzz cover
 
 # vet is three gates: formatting, the stock toolchain vet, and
@@ -33,11 +33,11 @@ build:
 	$(GO) build ./...
 
 # The benchmark/ directory is a separate module that builds against this
-# one through a replace directive, so ./... above never reaches it. Build
-# and vet it explicitly: an API change in the root module must not
-# silently break the benchmark.
+# one through a replace directive, so ./... above never reaches it. Build,
+# vet and test it explicitly (its tests take about 2 s): an API change in
+# the root module must not silently break the benchmark.
 benchmark-build:
-	cd benchmark && $(GO) build ./... && $(GO) vet ./...
+	cd benchmark && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
 
 # The scheduler's coroutine handoff and the tracer (invoked from every
 # dispatch) are the concurrency-sensitive parts: run their packages under

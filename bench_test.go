@@ -174,7 +174,7 @@ func BenchmarkFigures(b *testing.B) {
 func guestAttachOnce(b *testing.B, kind palacios.MapKind, pages uint64, scattered bool) (sim.Time, sim.Time) {
 	b.Helper()
 	node := xemem.NewNode(xemem.NodeConfig{Seed: 3, MemBytes: 8 << 30})
-	vm, err := palacios.Launch("vm0", node.World(), node.Costs(), node.Phys(), node.Linux().Zone(), 1<<30, 1, node.LinuxModule(), kind)
+	vm, err := palacios.Launch("vm0", node.World(), node.Phys(), node.Linux().Zone(), 1<<30, 1, node.LinuxModule(), kind)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func BenchmarkAblationRoutingDepth(b *testing.B) {
 				var deepest *pisces.CoKernel
 				for d := 0; d < depth; d++ {
 					ck, err := pisces.CreateCoKernel(
-						"kitten-d", node.World(), node.Costs(), node.Phys(),
+						"kitten-d", node.World(), node.Phys(),
 						parentZone, 512<<20, parentMod)
 					if err != nil {
 						b.Fatal(err)

@@ -55,10 +55,14 @@ var fixtureTests = []struct {
 			{"internal/sim/sim.go", 15, "chargecheck", "Costs.Dead is never charged"},
 			{"internal/sim/sim.go", 27, "chargecheck", "Costs.LeaseExpiry is never charged"},
 			{"internal/sim/sim.go", 39, "chargecheck", "Costs.PickedDead is never charged"},
-			{"internal/sim/sim.go", 52, "chargecheck", "writes Actor.now directly"},
+			// WorldCharged and WorldRead are both read through the
+			// World.Costs accessor (sub/world.go); only the first
+			// reaches a Charge.
+			{"internal/sim/sim.go", 47, "chargecheck", "Costs.WorldRead is never charged"},
+			{"internal/sim/sim.go", 60, "chargecheck", "writes Actor.now directly"},
 			// pollTick is on the clock path; next, a scheduler-shaped
 			// writer under any other name, is not.
-			{"internal/sim/sim.go", 60, "chargecheck", "Actor.next writes Actor.now directly"},
+			{"internal/sim/sim.go", 68, "chargecheck", "Actor.next writes Actor.now directly"},
 			// WarpExcused is suppressed end-of-line. Helper (laundered
 			// through sub.chargeAll's sunk parameter) and Picked (returned
 			// by sub.pick into a Charge) are charged interprocedurally.

@@ -37,6 +37,14 @@ type Costs struct {
 	// PickedDead is returned by a helper whose result is never sunk:
 	// returning is not charging, so the analyzer must flag it.
 	PickedDead Time
+
+	// WorldCharged is read through the World accessor in sub/world.go
+	// and charged there.
+	WorldCharged Time
+
+	// WorldRead is read through the World accessor but only compared:
+	// the analyzer must flag it.
+	WorldRead Time
 }
 
 // Actor is the fixture actor.

@@ -90,7 +90,6 @@ func (n *Node) Modules() []*core.Module {
 // Cluster is a built multi-node world.
 type Cluster struct {
 	W     *sim.World
-	Costs *sim.Costs
 	Fab   *rdma.Fabric
 	Nodes []*Node
 	// Map is the installed shard layout, nil in flat clusters. It is
@@ -114,10 +113,9 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 	if err := cfg.withDefaults(); err != nil {
 		return nil, err
 	}
-	costs := sim.DefaultCosts()
 	cl := &Cluster{
-		W: w, Costs: costs, cfg: cfg,
-		Fab:    rdma.NewFabric("cluster", costs, cfg.Nodes),
+		W: w, cfg: cfg,
+		Fab:    rdma.NewFabric("cluster", cfg.Nodes),
 		links:  make([][]*rlink, cfg.Nodes),
 		nodeOf: make(map[xproto.EnclaveID]int),
 	}
@@ -128,7 +126,6 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 		x := xemem.NewNodeInWorld(w, xemem.NodeConfig{
 			Name:         fmt.Sprintf("node%d", i),
 			MemBytes:     cfg.MemBytes,
-			Costs:        costs,
 			NoNameServer: i > 0,
 		})
 		n := &Node{Index: i, X: x}
@@ -154,8 +151,8 @@ func NewInWorld(w *sim.World, cfg Config) (*Cluster, error) {
 // the links themselves carry no mutable state.
 func (cl *Cluster) connect(i, j int) {
 	a, b := cl.Nodes[i].X.LinuxModule(), cl.Nodes[j].X.LinuxModule()
-	ij := &rlink{name: fmt.Sprintf("ib:node%d->node%d", i, j), c: cl.Costs, fab: cl.Fab, src: i, dst: j, in: b.In}
-	ji := &rlink{name: fmt.Sprintf("ib:node%d->node%d", j, i), c: cl.Costs, fab: cl.Fab, src: j, dst: i, in: a.In}
+	ij := &rlink{name: fmt.Sprintf("ib:node%d->node%d", i, j), fab: cl.Fab, src: i, dst: j, in: b.In}
+	ji := &rlink{name: fmt.Sprintf("ib:node%d->node%d", j, i), fab: cl.Fab, src: j, dst: i, in: a.In}
 	ij.peer, ji.peer = ji, ij
 	core.Connect(a, b, ij, ji)
 	cl.links[i][j], cl.links[j][i] = ij, ji
@@ -177,7 +174,7 @@ func (cl *Cluster) setup(a *sim.Actor) {
 	for i := range cl.Nodes {
 		for j := range cl.Nodes {
 			if i != j {
-				a.Charge("rdma-setup", cl.Costs.RDMASetup)
+				a.Charge("rdma-setup", a.World().Costs().RDMASetup)
 			}
 		}
 	}
@@ -291,7 +288,6 @@ func (n *nic) FreeMirror(list extent.List) {
 // is stateless.
 type rlink struct {
 	name     string
-	c        *sim.Costs
 	fab      *rdma.Fabric
 	src, dst int
 	peer     *rlink
@@ -304,7 +300,7 @@ func (l *rlink) Send(a *sim.Actor, m *xproto.Message) {
 	if err := l.fab.Transfer(a, l.src, l.dst, m.WireSize()); err != nil {
 		panic(fmt.Sprintf("cluster: %s: %v", l.name, err)) // static topology: unreachable
 	}
-	a.Charge("ipi", l.c.IPILatency)
+	a.Charge("ipi", a.World().Costs().IPILatency)
 	l.in.Put(a, m, l.peer)
 }
 

@@ -232,7 +232,7 @@ func New(members []Member, bufBytes uint64, o Opts) (*Communicator, error) {
 	c := &Communicator{
 		opts:     o,
 		members:  members,
-		costs:    members[0].Sess.Module().Costs(),
+		costs:    members[0].Sess.Module().World().Costs(),
 		bufBytes: (bufBytes + mem.PageSize - 1) &^ uint64(mem.PageSize-1),
 		chunk:    o.ChunkBytes,
 		levels:   o.Levels,

@@ -20,7 +20,6 @@ import (
 // server, ready to grow co-kernels.
 type testNode struct {
 	w     *sim.World
-	costs *sim.Costs
 	pm    *mem.PhysMem
 	linux *linuxos.Linux
 	lmod  *core.Module
@@ -29,12 +28,11 @@ type testNode struct {
 func newTestNode(t *testing.T) *testNode {
 	t.Helper()
 	w := sim.NewWorld(42)
-	costs := sim.DefaultCosts()
 	pm := mem.NewPhysMem("node0", 1<<30)
-	linux := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
-	lmod := core.New("linux", w, costs, linux, true)
+	linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
+	lmod := core.New("linux", w, linux, true)
 	auditAtEnd(t, w, pm)
-	return &testNode{w: w, costs: costs, pm: pm, linux: linux, lmod: lmod}
+	return &testNode{w: w, pm: pm, linux: linux, lmod: lmod}
 }
 
 // auditAtEnd registers pm's audit on w and, when the test ends without
@@ -53,7 +51,7 @@ func auditAtEnd(t *testing.T, w *sim.World, pm *mem.PhysMem) {
 
 func (n *testNode) addKitten(t *testing.T, name string, bytes uint64) *pisces.CoKernel {
 	t.Helper()
-	ck, err := pisces.CreateCoKernel(name, n.w, n.costs, n.pm, n.linux.Zone(), bytes, n.lmod)
+	ck, err := pisces.CreateCoKernel(name, n.w, n.pm, n.linux.Zone(), bytes, n.lmod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,8 +411,8 @@ func TestDeepTopologyRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 		zone := n.pm.ZoneFromExtent(0, block)
-		k := kitten.New(name, n.w, n.costs, n.pm, zone)
-		mod := core.New(name, n.w, n.costs, k, false)
+		k := kitten.New(name, n.w, n.pm, zone)
+		mod := core.New(name, n.w, k, false)
 		pisces.Connect(mod, parent)
 		mod.Start()
 		return &pisces.CoKernel{OS: k, Module: mod, Block: block}

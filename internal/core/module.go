@@ -265,11 +265,11 @@ type pendingPing struct {
 
 // New creates a module for one enclave. hostNS selects the enclave that
 // hosts the centralized name server (normally the management enclave).
-func New(name string, w *sim.World, costs *sim.Costs, os OS, hostNS bool) *Module {
+func New(name string, w *sim.World, os OS, hostNS bool) *Module {
 	m := &Module{
 		name:         name,
 		w:            w,
-		c:            costs,
+		c:            w.Costs(),
 		os:           os,
 		R:            router.New(),
 		In:           xproto.NewInbox(name),
@@ -296,9 +296,6 @@ func (m *Module) Name() string { return m.name }
 // page tables (DESIGN.md §6.3), so there is no frame-list cache to count.
 // It stays for the repository benchmark's layer report, which reads it.
 func (m *Module) FrameCacheStats() sim.CacheStats { return sim.CacheStats{} }
-
-// Costs exposes the cost model (used by channel implementations).
-func (m *Module) Costs() *sim.Costs { return m.c }
 
 // World exposes the simulation world.
 func (m *Module) World() *sim.World { return m.w }

@@ -23,7 +23,7 @@ func addChain(t *testing.T, n *testNode, depth int) []*pisces.CoKernel {
 	parent := n.lmod
 	for i := 0; i < depth; i++ {
 		ck, err := pisces.CreateCoKernel(
-			"kitten"+string(rune('0'+i)), n.w, n.costs, n.pm, n.linux.Zone(), 32<<20, parent)
+			"kitten"+string(rune('0'+i)), n.w, n.pm, n.linux.Zone(), 32<<20, parent)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -70,7 +70,7 @@ func TestDynamicTeardown(t *testing.T) {
 			return
 		}
 		// The partition can be re-provisioned within the same run.
-		ck2, err := pisces.CreateCoKernel("kitten1", n.w, n.costs, n.pm, n.linux.Zone(), 64<<20, n.lmod)
+		ck2, err := pisces.CreateCoKernel("kitten1", n.w, n.pm, n.linux.Zone(), 64<<20, n.lmod)
 		if err != nil {
 			t.Error(err)
 			return

@@ -38,8 +38,8 @@ func clusterShards(nodes int) int { return nodes / 2 }
 // clusterCrashAt places the churn-cell crash after cluster setup (whose
 // serial queue-pair charges grow quadratically with node count) but
 // inside the measurement window at every node count.
-func clusterCrashAt(nodes int, c *sim.Costs) sim.Time {
-	return sim.Time(nodes*(nodes-1))*c.RDMASetup + 3*sim.Millisecond
+func clusterCrashAt(w *sim.World, nodes int) sim.Time {
+	return sim.Time(nodes*(nodes-1))*w.Costs().RDMASetup + 3*sim.Millisecond
 }
 
 // ClusterCell is one (nodes, shards, churn) point: how lookups degraded,
@@ -159,7 +159,7 @@ func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, round
 	if churn {
 		victim := cl.Nodes[1%nodes].CK.Module
 		inj := fault.New(w, fault.Plan{Crashes: []fault.Crash{
-			{At: clusterCrashAt(nodes, cl.Costs), Module: victim.Name()},
+			{At: clusterCrashAt(w, nodes), Module: victim.Name()},
 		}})
 		inj.Register(cl.Modules()...)
 		inj.Arm()

@@ -65,7 +65,7 @@ func fig5Attach(obs observeFn, seed uint64, sizes []int, reps int) ([]Fig5Row, e
 		return nil, err
 	}
 	attSess, _ := node.LinuxProcess("attacher", 1)
-	costs := node.Costs()
+	costs := node.World().Costs()
 
 	var rows []Fig5Row
 	var runErr error
@@ -143,7 +143,7 @@ func timedAttaches(a *sim.Actor, sess *xpmem.Session, segid xpmem.Segid, apid xp
 func fig5RDMA(obs observeFn, seed uint64, sizes []int) ([]float64, error) {
 	w := sim.NewWorld(seed)
 	announce(obs, "fig5/rdma", w)
-	dev := rdma.NewDevice("cx3", sim.DefaultCosts())
+	dev := rdma.NewDevice("cx3")
 	vf := dev.NewVF("vf0")
 	var rdmaErr error
 	rdmaBW := make([]float64, len(sizes))

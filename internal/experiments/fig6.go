@@ -22,8 +22,8 @@ type Fig6Cell struct {
 type Fig6Result struct {
 	Reps  int
 	Cells []Fig6Cell
-	// Core0Waits reports, per enclave count, how many IPI handlings on
-	// the management enclave's core 0 had to queue — the §5.3 contention
+	// Core0Busy reports, per enclave count, the management enclave's
+	// core-0 busy time at the 1 GB point — the §5.3 contention
 	// diagnostic.
 	Core0Busy map[int]sim.Time
 }

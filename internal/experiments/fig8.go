@@ -85,7 +85,7 @@ func Fig8Single(seed uint64, cfg Fig8Config, sync, recurring bool, runs int) (Fi
 func fig8Run(obs observeFn, seed uint64, config Fig8Config, sync, recurring bool) (sim.Time, error) {
 	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 16 << 30, LinuxCores: 8})
 	announce(obs, fmt.Sprintf("fig8/%s/sync=%v/recurring=%v/seed=%d", config, sync, recurring, seed), node.World())
-	costs := node.Costs()
+	w := node.World()
 	regionBytes := uint64(fig8DataBytes) + 64<<10 // data + control page slack
 
 	var simSide, anSide insitu.Side
@@ -104,7 +104,7 @@ func fig8Run(obs observeFn, seed uint64, config Fig8Config, sync, recurring bool
 		simSide = insitu.Side{Mod: node.LinuxModule(), Proc: sp, Core: node.Linux().Cores()[1]}
 		anSide = insitu.Side{Mod: node.LinuxModule(), Proc: ap, Core: node.Linux().Cores()[2]}
 		simModel = linuxSim(fig8IterLinux)
-		anModel = nativeAnalytics(costs)
+		anModel = nativeAnalytics(w)
 		simRegion = region
 
 	case KittenLinux, KittenVMOnLx, KittenVMOnKt:
@@ -124,7 +124,7 @@ func fig8Run(obs observeFn, seed uint64, config Fig8Config, sync, recurring bool
 		case KittenLinux:
 			ap := node.Linux().NewProcess("analytics", 2)
 			anSide = insitu.Side{Mod: node.LinuxModule(), Proc: ap, Core: node.Linux().Cores()[2]}
-			anModel = nativeAnalytics(costs)
+			anModel = nativeAnalytics(w)
 		case KittenVMOnLx:
 			vm, err := node.BootVM("vm-an", 2<<30, 2)
 			if err != nil {
@@ -132,7 +132,7 @@ func fig8Run(obs observeFn, seed uint64, config Fig8Config, sync, recurring bool
 			}
 			ap := vm.Guest.NewProcess("analytics", 1)
 			anSide = insitu.Side{Mod: vm.Module, Proc: ap, Core: vm.Guest.Cores()[1]}
-			anModel = vmAnalytics(costs, vmLinuxHostEff)
+			anModel = vmAnalytics(w, vmLinuxHostEff)
 		case KittenVMOnKt:
 			ckHost, err := node.BootCoKernel("kitten-host", 3<<30)
 			if err != nil {
@@ -144,7 +144,7 @@ func fig8Run(obs observeFn, seed uint64, config Fig8Config, sync, recurring bool
 			}
 			ap := vm.Guest.NewProcess("analytics", 1)
 			anSide = insitu.Side{Mod: vm.Module, Proc: ap, Core: vm.Guest.Cores()[1]}
-			anModel = vmAnalytics(costs, vmKittenHostEff)
+			anModel = vmAnalytics(w, vmKittenHostEff)
 		}
 	default:
 		return 0, fmt.Errorf("unknown config %q", config)

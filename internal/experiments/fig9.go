@@ -73,9 +73,9 @@ func Fig9Run(seed uint64, nodes int, multiEnclave, recurring bool) (sim.Time, er
 // simulation's Palacios VM — and wires its composed pair with the
 // standard Figure 9 geometry. The returned function yields the pair's
 // result after the world has run.
-func fig9BuildNode(w *sim.World, costs *sim.Costs, i int, seed uint64, multiEnclave, recurring bool, bar insitu.Barrier) (func() *insitu.Result, error) {
+func fig9BuildNode(w *sim.World, i int, multiEnclave, recurring bool, bar insitu.Barrier) (func() *insitu.Result, error) {
 	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{
-		Name: fmt.Sprintf("node%d", i), Seed: seed, MemBytes: 32 << 30, LinuxCores: 8, Costs: costs,
+		Name: fmt.Sprintf("node%d", i), MemBytes: 32 << 30, LinuxCores: 8,
 	})
 	regionBytes := uint64(fig9DataBytes) + 64<<10
 	ap := node.Linux().NewProcess("analytics", 2)
@@ -116,7 +116,7 @@ func fig9BuildNode(w *sim.World, costs *sim.Costs, i int, seed uint64, multiEncl
 		SameOS:    !multiEnclave,
 		Barrier:   bar,
 	}
-	return insitu.Run(w, cfg, simSide, simModel, anSide, nativeAnalytics(costs), region)
+	return insitu.Run(w, cfg, simSide, simModel, anSide, nativeAnalytics(w), region)
 }
 
 // fig9Run executes one weak-scaled run: `nodes` simulated machines in one
@@ -126,12 +126,11 @@ func fig9BuildNode(w *sim.World, costs *sim.Costs, i int, seed uint64, multiEncl
 func fig9Run(obs observeFn, seed uint64, nodes int, multiEnclave, recurring bool) (sim.Time, error) {
 	w := sim.NewWorld(seed)
 	announce(obs, fmt.Sprintf("fig9/nodes=%d/multi=%v/recurring=%v/seed=%d", nodes, multiEnclave, recurring, seed), w)
-	costs := sim.DefaultCosts()
 	bar := cluster.NewAllreduce(nodes, fig9AllreduceNs)
 	results := make([]func() *insitu.Result, nodes)
 
 	for i := 0; i < nodes; i++ {
-		get, err := fig9BuildNode(w, costs, i, seed, multiEnclave, recurring, bar)
+		get, err := fig9BuildNode(w, i, multiEnclave, recurring, bar)
 		if err != nil {
 			return 0, err
 		}

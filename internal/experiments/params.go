@@ -96,22 +96,22 @@ const (
 	vmLinuxHostEff  = 0.72
 )
 
-func nativeAnalytics(costs *sim.Costs) insitu.AnalyticsModel {
+func nativeAnalytics(w *sim.World) insitu.AnalyticsModel {
 	return insitu.AnalyticsModel{
 		CopyBW:              anCopyBW,
 		StreamBW:            anStreamBW,
 		StreamTrafficFactor: anTrafficFactor,
-		FaultPerPage:        costs.FaultLinux,
+		FaultPerPage:        w.Costs().FaultLinux,
 		FaultPressureProb:   0.4,
 		FaultPressureFactor: 2.5,
 	}
 }
 
-func vmAnalytics(costs *sim.Costs, eff float64) insitu.AnalyticsModel {
+func vmAnalytics(w *sim.World, eff float64) insitu.AnalyticsModel {
 	return insitu.AnalyticsModel{
 		CopyBW:              anCopyBW * eff,
 		StreamBW:            anStreamBW * eff,
 		StreamTrafficFactor: anTrafficFactor,
-		FaultPerPage:        costs.FaultLinux,
+		FaultPerPage:        w.Costs().FaultLinux,
 	}
 }

@@ -19,7 +19,6 @@ import (
 // Run needs.
 type rig struct {
 	w       *sim.World
-	costs   *sim.Costs
 	simSide insitu.Side
 	anSide  insitu.Side
 	region  *proc.Region
@@ -28,12 +27,11 @@ type rig struct {
 func buildKittenLinux(t *testing.T, seed uint64, dataPages uint64) *rig {
 	t.Helper()
 	w := sim.NewWorld(seed)
-	costs := sim.DefaultCosts()
 	pm := mem.NewPhysMem("node0", 1<<30)
-	linux := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
-	lmod := core.New("linux", w, costs, linux, true)
+	linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
+	lmod := core.New("linux", w, linux, true)
 	lmod.Start()
-	ck, err := pisces.CreateCoKernel("kitten0", w, costs, pm, linux.Zone(), 128<<20, lmod)
+	ck, err := pisces.CreateCoKernel("kitten0", w, pm, linux.Zone(), 128<<20, lmod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,8 +41,7 @@ func buildKittenLinux(t *testing.T, seed uint64, dataPages uint64) *rig {
 	}
 	lp := linux.NewProcess("analytics", 1)
 	return &rig{
-		w:     w,
-		costs: costs,
+		w: w,
 		simSide: insitu.Side{
 			Mod: ck.Module, Proc: kp, Core: ck.OS.Core(),
 		},
@@ -55,13 +52,13 @@ func buildKittenLinux(t *testing.T, seed uint64, dataPages uint64) *rig {
 	}
 }
 
-func models(costs *sim.Costs) (insitu.ComputeModel, insitu.AnalyticsModel) {
+func models(w *sim.World) (insitu.ComputeModel, insitu.AnalyticsModel) {
 	sim := insitu.ComputeModel{IterBase: 2 * 1e6, RelJitter: 0.001} // 2 ms iterations
 	an := insitu.AnalyticsModel{
 		CopyBW:              8e9,
 		StreamBW:            8e9,
 		StreamTrafficFactor: 10,
-		FaultPerPage:        costs.FaultLinux,
+		FaultPerPage:        w.Costs().FaultLinux,
 	}
 	return sim, an
 }
@@ -69,7 +66,7 @@ func models(costs *sim.Costs) (insitu.ComputeModel, insitu.AnalyticsModel) {
 func runOne(t *testing.T, sync, recurring bool, seed uint64) *insitu.Result {
 	t.Helper()
 	r := buildKittenLinux(t, seed, 64)
-	simModel, anModel := models(r.costs)
+	simModel, anModel := models(r.w)
 	cfg := insitu.Config{
 		Sync: sync, Recurring: recurring,
 		Iters: 40, SignalEvery: 10,
@@ -140,10 +137,9 @@ func TestLinuxOnlyConfigurationFaultsOnTouch(t *testing.T) {
 	// faults per point in the recurring model.
 	build := func(recurring bool) sim.Time {
 		w := sim.NewWorld(3)
-		costs := sim.DefaultCosts()
 		pm := mem.NewPhysMem("node0", 1<<30)
-		linux := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
-		lmod := core.New("linux", w, costs, linux, true)
+		linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
+		lmod := core.New("linux", w, linux, true)
 		lmod.Start()
 		sp := linux.NewProcess("sim", 1)
 		ap := linux.NewProcess("analytics", 2)
@@ -151,7 +147,7 @@ func TestLinuxOnlyConfigurationFaultsOnTouch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simModel, anModel := models(costs)
+		simModel, anModel := models(w)
 		cfg := insitu.Config{
 			Sync: true, Recurring: recurring,
 			Iters: 40, SignalEvery: 10,
@@ -182,7 +178,7 @@ func TestLinuxOnlyConfigurationFaultsOnTouch(t *testing.T) {
 
 func TestRegionTooSmallRejected(t *testing.T) {
 	r := buildKittenLinux(t, 1, 4)
-	simModel, anModel := models(r.costs)
+	simModel, anModel := models(r.w)
 	cfg := insitu.Config{
 		Sync: true, Iters: 10, SignalEvery: 5,
 		DataBytes: 64 * extent.PageSize, CtrlName: "x",

@@ -50,11 +50,11 @@ type Kitten struct {
 
 // New creates a Kitten instance over the given memory partition with a
 // single core, the standard co-kernel configuration.
-func New(name string, w *sim.World, costs *sim.Costs, pm *mem.PhysMem, zone *mem.Zone) *Kitten {
+func New(name string, w *sim.World, pm *mem.PhysMem, zone *mem.Zone) *Kitten {
 	return &Kitten{
 		name: name,
 		w:    w,
-		c:    costs,
+		c:    w.Costs(),
 		core: sim.NewCore(name + "/core"),
 		pm:   pm,
 		zone: zone,

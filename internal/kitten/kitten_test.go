@@ -14,7 +14,7 @@ func newKitten(t *testing.T) (*kitten.Kitten, *sim.World) {
 	t.Helper()
 	w := sim.NewWorld(1)
 	pm := mem.NewPhysMem("node", 1<<30)
-	return kitten.New("kitten0", w, sim.DefaultCosts(), pm, pm.Zone(0)), w
+	return kitten.New("kitten0", w, pm, pm.Zone(0)), w
 }
 
 func TestStaticLayout(t *testing.T) {
@@ -72,7 +72,7 @@ func TestWalkForExportChargesPerPage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs := sim.DefaultCosts()
+	costs := w.Costs()
 	var elapsed sim.Time
 	w.Spawn("serve", func(a *sim.Actor) {
 		start := a.Now()
@@ -124,7 +124,7 @@ func TestMapRemoteUsesHeapExtensionArea(t *testing.T) {
 func TestProcessExhaustsPartition(t *testing.T) {
 	w := sim.NewWorld(1)
 	pm := mem.NewPhysMem("node", 64<<20)
-	k := kitten.New("tiny", w, sim.DefaultCosts(), pm, pm.Zone(0))
+	k := kitten.New("tiny", w, pm, pm.Zone(0))
 	// 64 MB partition cannot hold a 128 MB heap.
 	if _, _, err := k.NewProcess("big", (128<<20)/4096); err == nil {
 		t.Fatal("oversized process accepted")

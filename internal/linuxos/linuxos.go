@@ -60,12 +60,12 @@ type Linux struct {
 // New creates a Linux instance with ncores cores over the given zone and
 // physical domain (HostDomain natively, the Palacios guest domain in a
 // VM).
-func New(name string, w *sim.World, costs *sim.Costs, zone *mem.Zone, dom proc.Domain, ncores int) *Linux {
+func New(name string, w *sim.World, zone *mem.Zone, dom proc.Domain, ncores int) *Linux {
 	if ncores < 1 {
 		ncores = 1
 	}
 	l := &Linux{
-		name: name, w: w, c: costs, zone: zone, dom: dom,
+		name: name, w: w, c: w.Costs(), zone: zone, dom: dom,
 		procCore: make(map[*proc.Process]*sim.Core),
 	}
 	for i := 0; i < ncores; i++ {

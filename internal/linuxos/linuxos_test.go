@@ -14,7 +14,7 @@ func newLinux(t *testing.T, cores int) (*linuxos.Linux, *sim.World, *mem.PhysMem
 	t.Helper()
 	w := sim.NewWorld(1)
 	pm := mem.NewPhysMem("node", 1<<30)
-	l := linuxos.New("linux", w, sim.DefaultCosts(), pm.Zone(0), proc.HostDomain{Mem: pm}, cores)
+	l := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, cores)
 	return l, w, pm
 }
 
@@ -48,7 +48,7 @@ func TestAllocContiguousAligned(t *testing.T) {
 
 func TestWalkForExportChargesPinAndFaults(t *testing.T) {
 	l, w, _ := newLinux(t, 2)
-	costs := sim.DefaultCosts()
+	costs := w.Costs()
 	p := l.NewProcess("app", 1)
 	r, err := l.Alloc(p, "buf", 64, false) // lazy: serve must populate
 	if err != nil {
@@ -74,7 +74,7 @@ func TestWalkForExportChargesPinAndFaults(t *testing.T) {
 
 func TestMapRemoteCoherencePenaltyWhenConcurrent(t *testing.T) {
 	l, w, _ := newLinux(t, 4)
-	costs := sim.DefaultCosts()
+	costs := w.Costs()
 	list1 := extent.FromExtents(extent.Extent{First: 0x200, Count: 4096})
 	list2 := extent.FromExtents(extent.Extent{First: 0x200 + 4096, Count: 4096})
 	p1 := l.NewProcess("a", 1)
@@ -146,7 +146,7 @@ func TestProcessCoreAssignmentClamped(t *testing.T) {
 
 func TestChargeFaults(t *testing.T) {
 	l, w, _ := newLinux(t, 2)
-	costs := sim.DefaultCosts()
+	costs := w.Costs()
 	p := l.NewProcess("app", 1)
 	var elapsed sim.Time
 	w.Spawn("touch", func(a *sim.Actor) {

@@ -26,13 +26,13 @@ type refMap struct {
 // newRefMap returns a reference map holding a VM's RAM entry, as Launch
 // inserts it: one interval in the rb-tree, one leaf per page in the
 // radix map.
-func newRefMap(kind MapKind, c *sim.Costs, ramPages uint64) *refMap {
+func newRefMap(kind MapKind, w *sim.World, ramPages uint64) *refMap {
 	if kind == Radix {
-		r := &refMap{rx: radix.New(), c: c}
+		r := &refMap{rx: radix.New(), c: w.Costs()}
 		r.insert(uint64(ramBase), ramPages, 0)
 		return r
 	}
-	r := &refMap{rb: rbtree.New(), c: c}
+	r := &refMap{rb: rbtree.New(), c: w.Costs()}
 	_, r.err = r.rb.Insert(uint64(ramBase), ramPages, 0)
 	return r
 }
@@ -94,16 +94,15 @@ func TestLiveImportChargesPerPageReference(t *testing.T) {
 		for _, name := range []string{"single-extent", "multi-extent"} {
 			host := lists[name]
 			w := sim.NewWorld(7)
-			costs := sim.DefaultCosts()
 			pm := mem.NewPhysMem("node0", 256<<20)
-			linux := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
-			lmod := core.New("linux", w, costs, linux, true)
+			linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
+			lmod := core.New("linux", w, linux, true)
 			lmod.Start()
-			vm, err := Launch("vm0", w, costs, pm, linux.Zone(), ramBytes, 1, lmod, kind)
+			vm, err := Launch("vm0", w, pm, linux.Zone(), ramBytes, 1, lmod, kind)
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref := newRefMap(kind, costs, ramBytes/extent.PageSize)
+			ref := newRefMap(kind, w, ramBytes/extent.PageSize)
 			var wantIns, wantRem, gotIns, gotRem sim.Time
 			w.Spawn("driver", func(a *sim.Actor) {
 				if _, err := vm.importList(a, kept); err != nil {

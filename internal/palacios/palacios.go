@@ -168,14 +168,14 @@ type VM struct {
 // hostZone, boots a Linux guest with guestCores vcpus, wires the virtual
 // PCI channel to the host enclave's module, and starts the guest's XEMEM
 // module.
-func Launch(name string, w *sim.World, costs *sim.Costs, pm *mem.PhysMem, hostZone *mem.Zone, memBytes uint64, guestCores int, host *core.Module, kind MapKind) (*VM, error) {
+func Launch(name string, w *sim.World, pm *mem.PhysMem, hostZone *mem.Zone, memBytes uint64, guestCores int, host *core.Module, kind MapKind) (*VM, error) {
 	pages := memBytes / extent.PageSize
 	block, err := hostZone.AllocContigAligned(pages, 512)
 	if err != nil {
 		return nil, fmt.Errorf("palacios: cannot allocate %d bytes of guest RAM for %s: %w", memBytes, name, err)
 	}
 	vm := &VM{
-		name: name, w: w, c: costs, pm: pm, kind: kind,
+		name: name, w: w, c: w.Costs(), pm: pm, kind: kind,
 		gpaNext:    importBase,
 		imports:    make(map[extent.PFN]*importRec),
 		insertMemo: make(map[memoKey]sim.Time),
@@ -196,9 +196,9 @@ func Launch(name string, w *sim.World, costs *sim.Costs, pm *mem.PhysMem, hostZo
 	}
 
 	guestZone := mem.NewDetachedZone(0, extent.Extent{First: ramBase, Count: pages})
-	vm.Guest = linuxos.New(name+"-guest", w, costs, guestZone, guestDomain{vm: vm}, guestCores)
+	vm.Guest = linuxos.New(name+"-guest", w, guestZone, guestDomain{vm: vm}, guestCores)
 	vm.Guest.SetVirtHooks(vm)
-	vm.Module = core.New(name+"-guest", w, costs, vm.Guest, false)
+	vm.Module = core.New(name+"-guest", w, vm.Guest, false)
 	connectPCI(vm, host)
 	vm.Module.Start()
 	return vm, nil

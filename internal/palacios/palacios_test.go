@@ -16,7 +16,6 @@ import (
 
 type vmNode struct {
 	w     *sim.World
-	costs *sim.Costs
 	pm    *mem.PhysMem
 	linux *linuxos.Linux
 	lmod  *core.Module
@@ -25,17 +24,16 @@ type vmNode struct {
 func newVMNode(t *testing.T) *vmNode {
 	t.Helper()
 	w := sim.NewWorld(7)
-	costs := sim.DefaultCosts()
 	pm := mem.NewPhysMem("node0", 1<<30)
-	linux := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
-	lmod := core.New("linux", w, costs, linux, true)
+	linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
+	lmod := core.New("linux", w, linux, true)
 	lmod.Start()
-	return &vmNode{w: w, costs: costs, pm: pm, linux: linux, lmod: lmod}
+	return &vmNode{w: w, pm: pm, linux: linux, lmod: lmod}
 }
 
 func (n *vmNode) launchVM(t *testing.T, name string, bytes uint64, kind palacios.MapKind) *palacios.VM {
 	t.Helper()
-	vm, err := palacios.Launch(name, n.w, n.costs, n.pm, n.linux.Zone(), bytes, 2, n.lmod, kind)
+	vm, err := palacios.Launch(name, n.w, n.pm, n.linux.Zone(), bytes, 2, n.lmod, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,11 +232,11 @@ func TestVMToVMAttachment(t *testing.T) {
 // attach path crosses both the PCI channel and the Pisces IPI channel.
 func TestVMOnKittenHost(t *testing.T) {
 	n := newVMNode(t)
-	ck, err := pisces.CreateCoKernel("kitten0", n.w, n.costs, n.pm, n.linux.Zone(), 128<<20, n.lmod)
+	ck, err := pisces.CreateCoKernel("kitten0", n.w, n.pm, n.linux.Zone(), 128<<20, n.lmod)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := palacios.Launch("vm0", n.w, n.costs, n.pm, ck.OS.Zone(), 32<<20, 1, ck.Module, palacios.RBTree)
+	vm, err := palacios.Launch("vm0", n.w, n.pm, ck.OS.Zone(), 32<<20, 1, ck.Module, palacios.RBTree)
 	if err != nil {
 		t.Fatal(err)
 	}

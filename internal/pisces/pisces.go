@@ -25,7 +25,6 @@ import (
 // link is one direction of an IPI channel.
 type link struct {
 	name string
-	c    *sim.Costs
 	peer *link         // the endpoint handed to the peer as the arrival link
 	in   *xproto.Inbox // peer's inbox
 	wire *sim.Resource // the shared message region, serializing transfers
@@ -36,8 +35,9 @@ type link struct {
 // into the shared memory region…").
 func (l *link) Send(a *sim.Actor, m *xproto.Message) {
 	// The shared region admits one in-flight message at a time.
-	l.wire.AcquireOp(a, sim.CopyTime(m.WireSize(), l.c.ChanBW), "chan-copy")
-	a.Charge("ipi", l.c.IPILatency)
+	c := a.World().Costs()
+	l.wire.AcquireOp(a, sim.CopyTime(m.WireSize(), c.ChanBW), "chan-copy")
+	a.Charge("ipi", c.IPILatency)
 	l.in.Put(a, m, l.peer)
 }
 
@@ -47,10 +47,9 @@ func (l *link) String() string { return l.name }
 // Connect wires an IPI channel between two enclave modules. It must be
 // called before either module starts.
 func Connect(a, b *core.Module) {
-	costs := a.Costs()
 	wire := sim.NewResource(fmt.Sprintf("pisces-wire:%s<->%s", a.Name(), b.Name()))
-	ab := &link{name: fmt.Sprintf("ipi:%s->%s", a.Name(), b.Name()), c: costs, in: b.In, wire: wire}
-	ba := &link{name: fmt.Sprintf("ipi:%s->%s", b.Name(), a.Name()), c: costs, in: a.In, wire: wire}
+	ab := &link{name: fmt.Sprintf("ipi:%s->%s", a.Name(), b.Name()), in: b.In, wire: wire}
+	ba := &link{name: fmt.Sprintf("ipi:%s->%s", b.Name(), a.Name()), in: a.In, wire: wire}
 	ab.peer = ba
 	ba.peer = ab
 	core.Connect(a, b, ab, ba)
@@ -91,14 +90,14 @@ func (ck *CoKernel) Crash(a *sim.Actor) {
 // enclave's module, and starts the co-kernel's XEMEM module. The parent
 // is normally the Linux management enclave but may be any enclave — the
 // topology is arbitrary (§3.2).
-func CreateCoKernel(name string, w *sim.World, costs *sim.Costs, pm *mem.PhysMem, hostZone *mem.Zone, memBytes uint64, parent *core.Module) (*CoKernel, error) {
+func CreateCoKernel(name string, w *sim.World, pm *mem.PhysMem, hostZone *mem.Zone, memBytes uint64, parent *core.Module) (*CoKernel, error) {
 	block, err := hostZone.AllocContigAligned(memBytes/extent.PageSize, 512)
 	if err != nil {
 		return nil, fmt.Errorf("pisces: cannot offline %d bytes for %s: %w", memBytes, name, err)
 	}
 	zone := pm.ZoneFromExtent(0, block)
-	k := kitten.New(name, w, costs, pm, zone)
-	mod := core.New(name, w, costs, k, false)
+	k := kitten.New(name, w, pm, zone)
+	mod := core.New(name, w, k, false)
 	Connect(mod, parent)
 	mod.Start()
 	return &CoKernel{OS: k, Module: mod, Block: block, host: hostZone}, nil

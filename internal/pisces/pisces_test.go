@@ -13,20 +13,19 @@ import (
 	"xemem/internal/xproto"
 )
 
-func mgmt(t *testing.T) (*sim.World, *sim.Costs, *mem.PhysMem, *linuxos.Linux, *core.Module) {
+func mgmt(t *testing.T) (*sim.World, *mem.PhysMem, *linuxos.Linux, *core.Module) {
 	t.Helper()
 	w := sim.NewWorld(1)
-	costs := sim.DefaultCosts()
 	pm := mem.NewPhysMem("node", 2<<30)
-	l := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
-	m := core.New("linux", w, costs, l, true)
+	l := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
+	m := core.New("linux", w, l, true)
 	m.Start()
-	return w, costs, pm, l, m
+	return w, pm, l, m
 }
 
 func TestCoKernelBootsAndBootstraps(t *testing.T) {
-	w, costs, pm, l, m := mgmt(t)
-	ck, err := pisces.CreateCoKernel("kitten0", w, costs, pm, l.Zone(), 256<<20, m)
+	w, pm, l, m := mgmt(t)
+	ck, err := pisces.CreateCoKernel("kitten0", w, pm, l.Zone(), 256<<20, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +49,9 @@ func TestCoKernelBootsAndBootstraps(t *testing.T) {
 }
 
 func TestCoKernelMemoryComesOutOfLinux(t *testing.T) {
-	w, costs, pm, l, m := mgmt(t)
+	w, pm, l, m := mgmt(t)
 	before := l.Zone().FreePages()
-	_, err := pisces.CreateCoKernel("kitten0", w, costs, pm, l.Zone(), 256<<20, m)
+	_, err := pisces.CreateCoKernel("kitten0", w, pm, l.Zone(), 256<<20, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,16 +61,16 @@ func TestCoKernelMemoryComesOutOfLinux(t *testing.T) {
 }
 
 func TestCoKernelAllocationFailure(t *testing.T) {
-	w, costs, pm, l, m := mgmt(t)
-	if _, err := pisces.CreateCoKernel("huge", w, costs, pm, l.Zone(), 64<<30, m); err == nil {
+	w, pm, l, m := mgmt(t)
+	if _, err := pisces.CreateCoKernel("huge", w, pm, l.Zone(), 64<<30, m); err == nil {
 		t.Fatal("oversized co-kernel accepted")
 	}
 	_ = w
 }
 
 func TestIPIChannelChargesSender(t *testing.T) {
-	w, costs, pm, l, m := mgmt(t)
-	ck, err := pisces.CreateCoKernel("kitten0", w, costs, pm, l.Zone(), 128<<20, m)
+	w, pm, l, m := mgmt(t)
+	ck, err := pisces.CreateCoKernel("kitten0", w, pm, l.Zone(), 128<<20, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +87,17 @@ func TestIPIChannelChargesSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sender paid at least the IPI latency plus the message copy.
-	min := costs.IPILatency
+	min := w.Costs().IPILatency
 	if elapsed < min {
 		t.Fatalf("send charged %v, want ≥ %v", elapsed, min)
 	}
 }
 
 func TestManyCoKernels(t *testing.T) {
-	w, costs, pm, l, m := mgmt(t)
+	w, pm, l, m := mgmt(t)
 	var cks []*pisces.CoKernel
 	for i := 0; i < 6; i++ {
-		ck, err := pisces.CreateCoKernel(fmt.Sprintf("kitten%d", i), w, costs, pm, l.Zone(), 64<<20, m)
+		ck, err := pisces.CreateCoKernel(fmt.Sprintf("kitten%d", i), w, pm, l.Zone(), 64<<20, m)
 		if err != nil {
 			t.Fatal(err)
 		}

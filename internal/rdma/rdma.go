@@ -17,15 +17,15 @@ import (
 	"xemem/internal/sim"
 )
 
-// Device is one InfiniBand device shared by its virtual functions.
+// Device is one InfiniBand device shared by its virtual functions. Its
+// RDMA envelope is the acting actor's world's cost model.
 type Device struct {
-	c    *sim.Costs
 	wire *sim.Resource
 }
 
-// NewDevice creates an idle device using the cost model's RDMA envelope.
-func NewDevice(name string, costs *sim.Costs) *Device {
-	return &Device{c: costs, wire: sim.NewResource("ib:" + name)}
+// NewDevice creates an idle device.
+func NewDevice(name string) *Device {
+	return &Device{wire: sim.NewResource("ib:" + name)}
 }
 
 // VF is a virtual function assigned to one VM (SR-IOV).
@@ -43,11 +43,8 @@ func (v *VF) Write(a *sim.Actor, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("rdma: write of %d bytes", n)
 	}
-	c := v.dev.c
-	a.Charge("rdma-setup", c.RDMASetup)
-	msgs := (n + c.RDMAMTU - 1) / c.RDMAMTU
-	wireTime := sim.Time(msgs)*c.RDMAMsgOverhead + sim.CopyTime(n, c.RDMABandwidth)
-	v.dev.wire.AcquireOp(a, wireTime, "rdma-write")
+	a.Charge("rdma-setup", a.World().Costs().RDMASetup)
+	v.dev.wire.AcquireOp(a, wireTime(a, n), "rdma-write")
 	return nil
 }
 
@@ -71,29 +68,30 @@ func (v *VF) BandwidthTest(a *sim.Actor, size, reps int) (float64, error) {
 // pairs proceed concurrently — only a shared endpoint serializes them,
 // which is exactly the contention a multi-node sweep needs to observe.
 type Fabric struct {
-	c       *sim.Costs
 	egress  []*Device
 	ingress []*sim.Resource
 }
 
 // NewFabric builds a fabric of nodes HCAs around one switch.
-func NewFabric(name string, costs *sim.Costs, nodes int) *Fabric {
+func NewFabric(name string, nodes int) *Fabric {
 	if nodes <= 0 {
 		panic(fmt.Sprintf("rdma: fabric with %d nodes", nodes))
 	}
-	f := &Fabric{c: costs}
+	f := &Fabric{}
 	for i := 0; i < nodes; i++ {
-		f.egress = append(f.egress, NewDevice(fmt.Sprintf("%s/node%d", name, i), costs))
+		f.egress = append(f.egress, NewDevice(fmt.Sprintf("%s/node%d", name, i)))
 		f.ingress = append(f.ingress, sim.NewResource(fmt.Sprintf("ib-in:%s/node%d", name, i)))
 	}
 	return f
 }
 
-// wireTime is the occupancy one n-byte transfer imposes on each wire it
-// crosses: per-MTU initiation plus serialization at the link bandwidth.
-func (f *Fabric) wireTime(n int) sim.Time {
-	msgs := (n + f.c.RDMAMTU - 1) / f.c.RDMAMTU
-	return sim.Time(msgs)*f.c.RDMAMsgOverhead + sim.CopyTime(n, f.c.RDMABandwidth)
+// wireTime is the occupancy one n-byte transfer by a imposes on each
+// wire it crosses: per-MTU initiation plus serialization at the link
+// bandwidth.
+func wireTime(a *sim.Actor, n int) sim.Time {
+	c := a.World().Costs()
+	msgs := (n + c.RDMAMTU - 1) / c.RDMAMTU
+	return sim.Time(msgs)*c.RDMAMsgOverhead + sim.CopyTime(n, c.RDMABandwidth)
 }
 
 // Transfer moves n bytes from node src to node dst: source HCA egress,
@@ -112,9 +110,9 @@ func (f *Fabric) Transfer(a *sim.Actor, src, dst, n int) error {
 	if src == dst {
 		return fmt.Errorf("rdma: loopback transfer on node %d", src)
 	}
-	wt := f.wireTime(n)
+	wt := wireTime(a, n)
 	f.egress[src].wire.AcquireOp(a, wt, "rdma-egress")
-	a.Charge("rdma-switch", f.c.RDMASwitchLatency)
+	a.Charge("rdma-switch", a.World().Costs().RDMASwitchLatency)
 	f.ingress[dst].AcquireOp(a, wt, "rdma-ingress")
 	return nil
 }

@@ -8,8 +8,8 @@ import (
 
 func TestBandwidthApproachesLine(t *testing.T) {
 	w := sim.NewWorld(1)
-	costs := sim.DefaultCosts()
-	dev := NewDevice("ib0", costs)
+	costs := w.Costs()
+	dev := NewDevice("ib0")
 	vf := dev.NewVF("vf0")
 	var bw float64
 	w.Spawn("tester", func(a *sim.Actor) {
@@ -34,8 +34,7 @@ func TestBandwidthApproachesLine(t *testing.T) {
 
 func TestSmallTransfersOverheadBound(t *testing.T) {
 	w := sim.NewWorld(1)
-	costs := sim.DefaultCosts()
-	dev := NewDevice("ib0", costs)
+	dev := NewDevice("ib0")
 	vf := dev.NewVF("vf0")
 	var small, large float64
 	w.Spawn("tester", func(a *sim.Actor) {
@@ -62,8 +61,8 @@ func TestSmallTransfersOverheadBound(t *testing.T) {
 
 func TestSharedWireSerializes(t *testing.T) {
 	w := sim.NewWorld(1)
-	costs := sim.DefaultCosts()
-	dev := NewDevice("ib0", costs)
+	costs := w.Costs()
+	dev := NewDevice("ib0")
 	vfA, vfB := dev.NewVF("a"), dev.NewVF("b")
 	var aBW, bBW float64
 	w.Spawn("a", func(a *sim.Actor) {
@@ -108,24 +107,22 @@ func fabricStream(t *testing.T, f *Fabric, pairs [][2]int, size, reps int) []sim
 }
 
 func TestFabricDisjointPairsStream(t *testing.T) {
-	costs := sim.DefaultCosts()
 	// 0->1 alone, then 0->1 and 2->3 together: disjoint pairs share no
 	// wire, so adding the second stream must not slow the first.
-	solo := fabricStream(t, NewFabric("f", costs, 4), [][2]int{{0, 1}}, 32<<20, 10)
-	both := fabricStream(t, NewFabric("f", costs, 4), [][2]int{{0, 1}, {2, 3}}, 32<<20, 10)
+	solo := fabricStream(t, NewFabric("f", 4), [][2]int{{0, 1}}, 32<<20, 10)
+	both := fabricStream(t, NewFabric("f", 4), [][2]int{{0, 1}, {2, 3}}, 32<<20, 10)
 	if both[0] != solo[0] || both[1] != solo[0] {
 		t.Fatalf("disjoint pairs interfered: solo %v, together %v", solo[0], both)
 	}
 }
 
 func TestFabricSharedIngressSerializes(t *testing.T) {
-	costs := sim.DefaultCosts()
 	// Each sender alternates its own egress and the destination ingress,
 	// so one port sustains two interleaved senders; three oversubscribe
 	// it (demand 1.5x capacity) and must back up behind each other.
-	disjoint := fabricStream(t, NewFabric("f", costs, 6),
+	disjoint := fabricStream(t, NewFabric("f", 6),
 		[][2]int{{0, 3}, {1, 4}, {2, 5}}, 32<<20, 10)
-	hot := fabricStream(t, NewFabric("f", costs, 6),
+	hot := fabricStream(t, NewFabric("f", 6),
 		[][2]int{{0, 3}, {1, 3}, {2, 3}}, 32<<20, 10)
 	var dMax, hMax sim.Time
 	for i := range hot {
@@ -142,7 +139,7 @@ func TestFabricSharedIngressSerializes(t *testing.T) {
 }
 
 func TestFabricInvalidTransfers(t *testing.T) {
-	f := NewFabric("f", sim.DefaultCosts(), 2)
+	f := NewFabric("f", 2)
 	w := sim.NewWorld(1)
 	w.Spawn("tester", func(a *sim.Actor) {
 		for _, c := range []struct {
@@ -165,7 +162,7 @@ func TestFabricInvalidTransfers(t *testing.T) {
 
 func TestInvalidWrite(t *testing.T) {
 	w := sim.NewWorld(1)
-	dev := NewDevice("ib0", sim.DefaultCosts())
+	dev := NewDevice("ib0")
 	vf := dev.NewVF("vf0")
 	w.Spawn("tester", func(a *sim.Actor) {
 		if err := vf.Write(a, 0); err == nil {

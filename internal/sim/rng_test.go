@@ -116,20 +116,11 @@ func TestSampleStats(t *testing.T) {
 	if got := s.Stddev(); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("stddev = %v, want %v", got, want)
 	}
-	if s.Min() != 2 || s.Max() != 9 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
-	}
-	if got := s.Percentile(50); got != 4 {
-		t.Fatalf("p50 = %v, want 4", got)
-	}
-	if got := s.Percentile(100); got != 9 {
-		t.Fatalf("p100 = %v, want 9", got)
-	}
 }
 
 func TestSampleEmpty(t *testing.T) {
 	var s Sample
-	if s.Mean() != 0 || s.Stddev() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.Stddev() != 0 {
 		t.Fatal("empty sample should report zeros")
 	}
 }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // CacheStats counts the traffic of a memoization cache — hits, misses,
 // and invalidations. The attacher-side registration cache
@@ -40,13 +37,6 @@ func (s *Sample) AddTime(t Time) { s.Add(t.Seconds()) }
 // N reports the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
 
-// Values returns a copy of the observations.
-func (s *Sample) Values() []float64 {
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
 // Mean reports the arithmetic mean (0 when empty).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -72,53 +62,4 @@ func (s *Sample) Stddev() float64 {
 		ss += d * d
 	}
 	return math.Sqrt(ss / float64(n-1))
-}
-
-// Min reports the smallest observation (0 when empty).
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max reports the largest observation (0 when empty).
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Percentile reports the p-th percentile (0 <= p <= 100) by nearest-rank
-// on a sorted copy.
-func (s *Sample) Percentile(p float64) float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sorted := s.Values()
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return sorted[rank]
 }

@@ -71,12 +71,20 @@ type World struct {
 	// holds the per-world values components meet at (World.Shared).
 	audits []audit
 	shared map[any]any
+
+	// costs is the world's one cost model. Every component built in the
+	// world reads it through Costs, so a world cannot hold two models.
+	costs *Costs
 }
 
-// NewWorld returns an empty world whose RNG streams derive from seed.
+// NewWorld returns an empty world whose RNG streams derive from seed and
+// whose components run on the calibrated cost model, DefaultCosts.
 func NewWorld(seed uint64) *World {
-	return &World{seed: seed}
+	return &World{seed: seed, costs: DefaultCosts()}
 }
+
+// Costs returns the world's cost model.
+func (w *World) Costs() *Costs { return w.costs }
 
 // Now reports the current global virtual time: the clock of the most
 // recently dispatched actor.

@@ -31,6 +31,23 @@ func TestAdvanceOrdering(t *testing.T) {
 	}
 }
 
+// TestWorldOwnsCostModel: a world runs on the calibrated model, and an
+// actor reaches the same model through its world.
+func TestWorldOwnsCostModel(t *testing.T) {
+	w := NewWorld(1)
+	if *w.Costs() != *DefaultCosts() {
+		t.Fatal("NewWorld's cost model differs from DefaultCosts")
+	}
+	w.Spawn("reader", func(a *Actor) {
+		if a.World().Costs() != w.Costs() {
+			t.Error("actor sees a second cost model")
+		}
+	})
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestTieBreakByID(t *testing.T) {
 	w := NewWorld(1)
 	var order []string

@@ -39,7 +39,7 @@ type regKey struct {
 // observer (reg-cache-hit / reg-cache-miss / reg-cache-invalidate
 // counter events) and via RegCacheStats.
 func (s *Session) AttachCached(a *sim.Actor, segid Segid, apid Apid, opts AttachOpts) (pagetable.VA, error) {
-	a.Charge("reg-cache-probe", s.mod.Costs().RegProbe)
+	a.Charge("reg-cache-probe", a.World().Costs().RegProbe)
 	key := regKey{segid: segid, apid: apid, offset: opts.Offset, bytes: opts.Bytes, perm: opts.Perm}
 	if va, ok := s.reg[key]; ok {
 		if s.mod.AttachmentLive(s.p, va, key.segid, key.apid) {

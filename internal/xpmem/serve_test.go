@@ -30,12 +30,11 @@ type serveNode struct {
 func newServeNode(t *testing.T) *serveNode {
 	t.Helper()
 	w := sim.NewWorld(42)
-	costs := sim.DefaultCosts()
 	pm := mem.NewPhysMem("node0", 1<<30)
-	linux := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
-	lmod := core.New("linux", w, costs, linux, true)
+	linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 4)
+	lmod := core.New("linux", w, linux, true)
 	lmod.Start()
-	ck, err := pisces.CreateCoKernel("kitten0", w, costs, pm, linux.Zone(), 64<<20, lmod)
+	ck, err := pisces.CreateCoKernel("kitten0", w, pm, linux.Zone(), 64<<20, lmod)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,10 +18,9 @@ import (
 // integration tests).
 func TestTable1APISurface(t *testing.T) {
 	w := sim.NewWorld(1)
-	costs := sim.DefaultCosts()
 	pm := mem.NewPhysMem("node", 1<<30)
-	l := linuxos.New("linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
-	m := core.New("linux", w, costs, l, true)
+	l := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
+	m := core.New("linux", w, l, true)
 	m.Start()
 
 	expProc := l.NewProcess("exporter", 1)

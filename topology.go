@@ -255,7 +255,7 @@ func (t *Topology) Build(n *Node) ([]*Enclave, error) {
 				if parent == nil {
 					ck, err = n.BootCoKernel(name, kittenBytes)
 				} else {
-					ck, err = pisces.CreateCoKernel(name, n.World(), n.Costs(), n.Phys(),
+					ck, err = pisces.CreateCoKernel(name, n.World(), n.Phys(),
 						parent.OS.Zone(), nestedBytes, parent.Module)
 				}
 				if err != nil {

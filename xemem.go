@@ -40,7 +40,8 @@ type NodeConfig struct {
 	// Name prefixes the node's enclaves (defaults to "node0").
 	Name string
 	// Seed drives every random stream on the node; equal seeds replay
-	// identical runs.
+	// identical runs. Only NewNode reads it: a node built by
+	// NewNodeInWorld draws from its world's seed.
 	Seed uint64
 	// MemBytes is the node's physical memory (defaults to 32 GB — the
 	// paper's evaluation machine).
@@ -48,8 +49,6 @@ type NodeConfig struct {
 	// LinuxCores is the management enclave's core count (defaults to 4;
 	// core 0 handles cross-enclave IPIs).
 	LinuxCores int
-	// Costs overrides the calibrated cost model (nil = DefaultCosts).
-	Costs *sim.Costs
 	// KernelWorkers configures distributed cross-enclave interrupt
 	// handling on the management enclave (§5.3 future work). Default 1:
 	// the measured Pisces behaviour, everything on core 0.
@@ -66,7 +65,6 @@ type NodeConfig struct {
 type Node struct {
 	name  string
 	w     *sim.World
-	costs *sim.Costs
 	pm    *mem.PhysMem
 	linux *linuxos.Linux
 	lmod  *core.Module
@@ -80,12 +78,8 @@ func NewNode(cfg NodeConfig) *Node {
 
 // NewNodeInWorld creates a node inside an existing world — the multi-node
 // experiments (§7) place several nodes in one world coupled by an
-// interconnect, and share one cost model through cfg.Costs.
+// interconnect. Every node in a world runs on the world's cost model.
 func NewNodeInWorld(w *sim.World, cfg NodeConfig) *Node {
-	costs := cfg.Costs
-	if costs == nil {
-		costs = sim.DefaultCosts()
-	}
 	name := cfg.Name
 	if name == "" {
 		name = "node0"
@@ -100,20 +94,17 @@ func NewNodeInWorld(w *sim.World, cfg NodeConfig) *Node {
 	}
 	pm := mem.NewPhysMem(name, memBytes)
 	w.AddAudit("phys/"+name, pm.Audit)
-	linux := linuxos.New(name+"/linux", w, costs, pm.Zone(0), proc.HostDomain{Mem: pm}, cores)
-	lmod := core.New(name+"/linux", w, costs, linux, !cfg.NoNameServer)
+	linux := linuxos.New(name+"/linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, cores)
+	lmod := core.New(name+"/linux", w, linux, !cfg.NoNameServer)
 	if cfg.KernelWorkers > 1 {
 		lmod.SetKernelWorkers(cfg.KernelWorkers)
 	}
 	lmod.Start()
-	return &Node{name: name, w: w, costs: costs, pm: pm, linux: linux, lmod: lmod}
+	return &Node{name: name, w: w, pm: pm, linux: linux, lmod: lmod}
 }
 
 // World returns the node's simulation world.
 func (n *Node) World() *sim.World { return n.w }
-
-// Costs returns the node's cost model.
-func (n *Node) Costs() *sim.Costs { return n.costs }
 
 // Phys returns the node's physical memory.
 func (n *Node) Phys() *mem.PhysMem { return n.pm }
@@ -131,18 +122,18 @@ func (n *Node) Run() error { return n.w.Run() }
 // BootCoKernel offlines memBytes from the management enclave and boots a
 // Kitten co-kernel enclave on it (Pisces, §4).
 func (n *Node) BootCoKernel(name string, memBytes uint64) (*pisces.CoKernel, error) {
-	return pisces.CreateCoKernel(n.name+"/"+name, n.w, n.costs, n.pm, n.linux.Zone(), memBytes, n.lmod)
+	return pisces.CreateCoKernel(n.name+"/"+name, n.w, n.pm, n.linux.Zone(), memBytes, n.lmod)
 }
 
 // BootVM launches a Palacios VM on the management enclave (§4.4).
 func (n *Node) BootVM(name string, memBytes uint64, guestCores int) (*palacios.VM, error) {
-	return palacios.Launch(n.name+"/"+name, n.w, n.costs, n.pm, n.linux.Zone(), memBytes, guestCores, n.lmod, palacios.RBTree)
+	return palacios.Launch(n.name+"/"+name, n.w, n.pm, n.linux.Zone(), memBytes, guestCores, n.lmod, palacios.RBTree)
 }
 
 // BootVMOnCoKernel launches a Palacios VM hosted by a Kitten co-kernel —
 // the Table 3 "Linux VM (Kitten Host)" configuration.
 func (n *Node) BootVMOnCoKernel(name string, ck *pisces.CoKernel, memBytes uint64, guestCores int) (*palacios.VM, error) {
-	return palacios.Launch(n.name+"/"+name, n.w, n.costs, n.pm, ck.OS.Zone(), memBytes, guestCores, ck.Module, palacios.RBTree)
+	return palacios.Launch(n.name+"/"+name, n.w, n.pm, ck.OS.Zone(), memBytes, guestCores, ck.Module, palacios.RBTree)
 }
 
 // LinuxProcess creates a process in the management enclave on the given

@@ -221,7 +221,7 @@ func TestNodeDefaults(t *testing.T) {
 	if len(node.Linux().Cores()) != 4 {
 		t.Fatalf("default cores = %d", len(node.Linux().Cores()))
 	}
-	if node.Costs() == nil || node.World() == nil || node.LinuxModule() == nil {
+	if node.World() == nil || node.World().Costs() == nil || node.LinuxModule() == nil {
 		t.Fatal("accessors returned nil")
 	}
 }
@@ -255,9 +255,8 @@ func TestBootFailuresSurface(t *testing.T) {
 // enclave ID spaces).
 func TestTwoNodesOneWorld(t *testing.T) {
 	w := sim.NewWorld(4)
-	costs := sim.DefaultCosts()
-	nodeA := xemem.NewNodeInWorld(w, xemem.NodeConfig{Name: "nodeA", MemBytes: 2 << 30, Costs: costs})
-	nodeB := xemem.NewNodeInWorld(w, xemem.NodeConfig{Name: "nodeB", MemBytes: 2 << 30, Costs: costs})
+	nodeA := xemem.NewNodeInWorld(w, xemem.NodeConfig{Name: "nodeA", MemBytes: 2 << 30})
+	nodeB := xemem.NewNodeInWorld(w, xemem.NodeConfig{Name: "nodeB", MemBytes: 2 << 30})
 	ckA, err := nodeA.BootCoKernel("k", 128<<20)
 	if err != nil {
 		t.Fatal(err)
