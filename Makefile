@@ -97,9 +97,11 @@ fuzz:
 # Coverage floors for the load-bearing packages: the sim engine, the
 # XPMEM API layer, the cross-enclave plumbing (router, nameserver), the
 # static-analysis framework the rest of the tree's invariants lean on,
-# and the guest memory map (rbtree, palacios, radix), whose page runs
-# and their per-page fallbacks set the charge of every VM attach — each
-# group holds its own >=80% floor.
+# the guest memory map (rbtree, palacios, radix), whose page runs and
+# their per-page fallbacks set the charge of every VM attach, and the
+# memory substrate (mem, pagetable, proc): frame backing, page tables
+# and address spaces under every attach — each group holds its own
+# >=80% floor.
 cover:
 	@mkdir -p $(COVER_DIR)
 	$(GO) test -coverprofile=$(COVER_DIR)/cover.out ./internal/sim/... ./internal/xpmem ./internal/router ./internal/nameserver
@@ -122,6 +124,13 @@ cover:
 	floor=80; \
 	if [ "$${total%.*}" -lt "$$floor" ]; then \
 		echo "guest memory map coverage $$total% is below the $$floor% floor"; exit 1; \
+	fi
+	$(GO) test -coverprofile=$(COVER_DIR)/substrate.out ./internal/mem ./internal/pagetable ./internal/proc
+	$(GO) tool cover -func=$(COVER_DIR)/substrate.out | tail -1
+	@total=$$($(GO) tool cover -func=$(COVER_DIR)/substrate.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
+	floor=80; \
+	if [ "$${total%.*}" -lt "$$floor" ]; then \
+		echo "memory substrate coverage $$total% is below the $$floor% floor"; exit 1; \
 	fi
 
 # Replay every checked-in repro bundle through the CLI: each bundle

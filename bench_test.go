@@ -31,8 +31,10 @@ import (
 // BenchmarkAttach1GB measures the host cost of the attach hot path — the
 // serve walk, frame-list transfer, and batched map install for a 1 GB
 // cross-enclave attachment — with allocations reported so the diet
-// (slab frame backing, recycled wire buffers, batched map ops) is
-// regression-visible.
+// (recycled wire buffers, batched map ops) is regression-visible. Nothing
+// writes the segment, so no frame is materialized and frame backing
+// costs it nothing: mem's growing slabs show in BenchmarkFig9Cell, whose
+// worlds write a control page per node.
 func BenchmarkAttach1GB(b *testing.B) {
 	node := xemem.NewNode(xemem.NodeConfig{Seed: 5, MemBytes: 32 << 30, LinuxCores: 4})
 	ck, err := node.BootCoKernel("kitten0", 2<<30)

@@ -78,6 +78,15 @@ func (m *Module) rpc(a *sim.Actor, msg *xproto.Message, pol RetryPolicy) (*xprot
 	}
 }
 
+// rpcReasons holds each message type's block reason, "rpc:<type>",
+// built once: a reason built per request escapes into the actor.
+var rpcReasons = func() (r [256]string) {
+	for t := range r {
+		r[t] = "rpc:" + xproto.MsgType(t).String()
+	}
+	return r
+}()
+
 // rpcOnce sends one attempt with a fresh ReqID and waits for its response
 // until timeout: polling when the timeout is finite, blocking until
 // complete or failPending wakes it when it is sim.Forever. A late
@@ -89,7 +98,7 @@ func (m *Module) rpcOnce(a *sim.Actor, msg *xproto.Message, l xproto.Link, timeo
 	p := &pendingReq{waiter: a, dst: msg.Dst}
 	m.pending[msg.ReqID] = p
 	m.sendOn(a, l, msg)
-	answered := a.Await("rpc:"+msg.Type.String(), rpcPollInterval, a.Deadline(timeout), func() bool { return p.resp != nil })
+	answered := a.Await(rpcReasons[msg.Type], rpcPollInterval, a.Deadline(timeout), func() bool { return p.resp != nil })
 	delete(m.pending, msg.ReqID)
 	if !answered {
 		m.Stats.Timeouts++

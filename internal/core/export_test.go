@@ -15,3 +15,6 @@ func SetLease(m *Module, segid xproto.Segid, owner xproto.EnclaveID) {
 	}
 	m.leases[segid] = lease{owner: owner, expiry: m.w.Now()}
 }
+
+// RPCReason is the block reason a request of type t waits under.
+func RPCReason(t xproto.MsgType) string { return rpcReasons[t] }

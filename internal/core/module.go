@@ -320,8 +320,13 @@ func (m *Module) Links() []xproto.Link { return m.links }
 
 // WaitReady polls until the module's kernel finishes bootstrapping — or
 // until the enclave crashes, so callers do not poll a corpse forever
-// (the subsequent operation then fails with ErrEnclaveDown).
+// (the subsequent operation then fails with ErrEnclaveDown). A ready
+// module returns at once, without building the poll condition that
+// every public call would otherwise allocate.
 func (m *Module) WaitReady(a *sim.Actor) {
+	if m.ready || m.crashed {
+		return
+	}
 	a.PollDeadline(10*sim.Microsecond, sim.Forever, func() bool { return m.ready || m.crashed })
 }
 

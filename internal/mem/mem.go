@@ -32,10 +32,10 @@ type PhysMem struct {
 	zones  []*Zone
 	frames map[PFN][]byte
 	// slab is the bump allocator backing newly materialized frames: one
-	// slabPages-page host allocation is carved into page-sized backing
-	// arrays instead of a make per frame. Only NEW frames draw from it —
-	// a freed-and-reallocated frame keeps its old array (and stale
-	// contents), exactly as before.
+	// host allocation is carved into page-sized backing arrays instead of
+	// a make per frame. Only NEW frames draw from it — a freed-and-
+	// reallocated frame keeps its old array (and stale contents), exactly
+	// as before.
 	slab []byte
 	// pins counts pin references per extent. Pin/Unpin operate on whole
 	// frame lists and must be symmetric (unpin what was pinned); keeping
@@ -44,9 +44,13 @@ type PhysMem struct {
 	pins map[extent.Extent]int
 }
 
-// slabPages is how many frame backings one slab allocation yields: 64
-// pages = 256 KB per host allocation, amortizing a 1 GB attach's
-// materialization from 262144 allocations to 4096.
+// slabPages caps how many frame backings one slab allocation yields: 64
+// pages = 256 KB per host allocation. Below the cap a slab is as large
+// as all the frames materialized before it (the first is one page), so
+// a node that writes a few control pages allocates kilobytes, the
+// backing doubles with each slab, and a power-of-two frame count leaves
+// no slab tail idle. A 1 GB materialization takes 4,102 allocations:
+// seven slabs up to 64 frames, then full ones.
 const slabPages = 64
 
 // NewPhysMem creates physical memory with one zone per given size (in
@@ -106,7 +110,7 @@ func (m *PhysMem) Frame(f PFN) []byte {
 	b, ok := m.frames[f]
 	if !ok {
 		if len(m.slab) < PageSize {
-			m.slab = make([]byte, slabPages*PageSize)
+			m.slab = make([]byte, min(max(1, len(m.frames)), slabPages)*PageSize)
 		}
 		// Full slice-cap so appends through one frame's slice can never
 		// bleed into its slab neighbour.
@@ -154,7 +158,7 @@ func (m *PhysMem) WriteAt(l extent.List, off uint64, p []byte) error {
 // frames lookup per page; writes and adds materialize (a fresh frame is
 // zero, so an add into it stores p).
 func (m *PhysMem) Access(l extent.List, off uint64, p []byte, op Op) error {
-	if off+uint64(len(p)) > l.Bytes() {
+	if off > l.Bytes() || uint64(len(p)) > l.Bytes()-off {
 		return fmt.Errorf("mem: access [%d,+%d) beyond %d-byte region", off, len(p), l.Bytes())
 	}
 	// Iterate the extent runs directly rather than resolving every page

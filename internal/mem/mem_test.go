@@ -190,6 +190,13 @@ func TestAccessBeyondRegionFails(t *testing.T) {
 	if err := m.ReadAt(l, 0, make([]byte, PageSize+1)); err == nil {
 		t.Fatal("overflowing read should fail")
 	}
+	// An offset near the top of the range must not wrap past the check.
+	if err := m.ReadAt(l, ^uint64(0)-1, make([]byte, 4)); err == nil {
+		t.Fatal("read at a wrapping offset should fail")
+	}
+	if err := m.WriteAt(l, ^uint64(0)-1, []byte{1, 2, 3, 4}); err == nil {
+		t.Fatal("write at a wrapping offset should fail")
+	}
 }
 
 func TestSameFramesTwoViews(t *testing.T) {
