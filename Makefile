@@ -13,14 +13,19 @@ COVER_DIR ?= .cover
 # every command, the repro-bundle replay, and the coverage floors.
 check: vet build benchmark-build race test benchsmoke examples cli replay fuzz cover
 
-# vet is three gates: formatting, the stock toolchain vet, and
-# xemem-vet — the in-tree analyzer suite (cmd/xemem-vet) that enforces
+# vet is four gates: formatting, the stock toolchain vet, xemem-vet —
+# the in-tree analyzer suite (cmd/xemem-vet) that enforces
 # the simulator's determinism (including: no go statement outside
 # tests), cost-charging, resource-pairing, map-ordering (exporters and
-# world-end audits), hook-state, and partition-isolation invariants.
-# Every run loads and type-checks the
-# whole module (standard library from compiler export data, under a
-# second on 2 CPUs) and fails on a package that does not type-check.
+# world-end audits), hook-state, and partition-isolation invariants —
+# and a fused multiply-add scan. Every xemem-vet run loads and
+# type-checks the whole module (standard library from compiler export
+# data, under a second on 2 CPUs) and fails on a package that does not
+# type-check. The scan cross-compiles the module for arm64, whose
+# compiler fuses x*y + z, and fails on any fused instruction outside
+# internal/hpccg and internal/stream (their fusions only touch example
+# data): a fused site makes virtual time depend on the CPU (DESIGN.md
+# §5). About 16 s on 2 CPUs with an empty build cache, 1-4 s warm.
 vet:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
@@ -28,6 +33,14 @@ vet:
 	fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/xemem-vet ./...
+	@mkdir -p $(COVER_DIR)
+	@GOARCH=arm64 $(GO) build -gcflags='xemem/...=-S' -o /dev/null ./... > $(COVER_DIR)/arm64.s 2>&1 || \
+		{ grep -v '^[[:space:]]' $(COVER_DIR)/arm64.s | head -20; exit 1; }
+	@fused=$$(grep -E '[[:space:]]FN?M(ADD|SUB)[SD][[:space:]]' $(COVER_DIR)/arm64.s | grep -vE '/internal/(hpccg|stream)/[^/]*\.go:'); \
+	if [ -n "$$fused" ]; then \
+		echo "fused multiply-add outside internal/hpccg and internal/stream; round the product with float64(...):"; \
+		echo "$$fused"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...
@@ -56,7 +69,7 @@ test:
 	$(GO) test ./...
 
 # Run every go test benchmark once. They hold every host-time number of
-# the simulator (dispatch, the 1 GB attach, the -fast figure
+# the simulator (dispatch, the 1 GB attach, the -fast artifact
 # regeneration, the ablations): a benchmark that fails or panics fails
 # here. About 6 s on 2 CPUs.
 benchsmoke:
@@ -70,8 +83,9 @@ examples:
 		echo "== $$d"; $(GO) run ./$$d; \
 	done
 
-# Run each command once at a small setting (xemem-bench: every figure at
-# -fast counts): a CLI that panics, exits non-zero or breaks its -metrics
+# Run each command once at a small setting (xemem-bench: every artifact,
+# the paper's figures and the fault, cluster and coll sweeps, at -fast
+# counts): a CLI that panics, exits non-zero or breaks its -metrics
 # export fails here, and so does an xemem-bench that accepts -trace with
 # -replay (a bundle replay cannot export a trace; it must exit 2).
 # xemem-vet already runs under vet.
@@ -145,12 +159,14 @@ replay:
 	done
 
 # Regenerate every checked-in BENCH_<name>.json from its entry in the
-# one artifact table, experiments.Artifacts, at full counts: fault
-# (protocol degradation under message loss and enclave crashes), cluster
-# (flat vs sharded name-service lookups across node counts) and coll
-# (hierarchical bcast/allreduce across depth, enclave mix and size).
+# one artifact table, experiments.Artifacts, at full counts: the paper's
+# Figs. 5-9 and Table 2 (fig5, fig6, table2, fig7, fig8, fig9), then
+# fault (protocol degradation under message loss and enclave crashes),
+# cluster (flat vs sharded name-service lookups across node counts) and
+# coll (hierarchical bcast/allreduce across depth, enclave mix and size).
 # Each file is a pure function of the seed and byte-identical on rerun
-# on any machine; host time lives in the go test benchmarks
-# (benchsmoke) and in benchmark/.
+# on any machine (vet's fused multiply-add scan keeps it so); host time
+# lives in the go test benchmarks (benchsmoke) and in benchmark/. About
+# 3.5 s on 2 CPUs.
 bench:
 	$(GO) run ./cmd/xemem-bench -bench all

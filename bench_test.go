@@ -151,16 +151,13 @@ func BenchmarkFig9Cell(b *testing.B) {
 }
 
 // BenchmarkFigures measures the end-to-end host cost of the evaluation:
-// one op regenerates every figure and Table 2 (each non-BENCH entry of
-// the artifact table) at its -fast count, as `xemem-bench -experiment
-// all -fast` does.
+// one op regenerates every entry of the artifact table (the paper's
+// figures and Table 2, then the fault, cluster and coll sweeps) at its
+// -fast count, as `xemem-bench -experiment all -fast` does.
 func BenchmarkFigures(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, a := range experiments.Artifacts() {
-			if a.Bench {
-				continue
-			}
 			if _, err := a.Run(42, a.Fast); err != nil {
 				b.Fatalf("%s: %v", a.Name, err)
 			}

@@ -9,36 +9,30 @@ import (
 	"xemem/internal/experiments"
 )
 
-// names lists the -bench entries of the artifact table (bench) or its
-// -experiment entries, comma-separated in table order.
-func names(bench bool) string {
+// names lists the artifact table's names, comma-separated in table
+// order.
+func names() string {
 	var s []string
 	for _, a := range experiments.Artifacts() {
-		if a.Bench == bench {
-			s = append(s, a.Name)
-		}
+		s = append(s, a.Name)
 	}
 	return strings.Join(s, ", ")
 }
 
-// selectNamed resolves a -bench (bench) or -experiment value against the
-// artifact table's entries of that kind: all is every one in table
-// order, a name is its one entry, anything else is an unknown kind.
-func selectNamed(want string, bench bool) ([]experiments.Artifact, error) {
+// selectNamed resolves a -bench or -experiment value against the
+// artifact table: all is every entry in table order, a name is its one
+// entry, anything else is unknown.
+func selectNamed(want string) ([]experiments.Artifact, error) {
 	var sel []experiments.Artifact
 	for _, a := range experiments.Artifacts() {
-		if a.Bench == bench && (want == "all" || want == a.Name) {
+		if want == "all" || want == a.Name {
 			sel = append(sel, a)
 		}
 	}
-	if len(sel) > 0 {
-		return sel, nil
+	if len(sel) == 0 {
+		return nil, fmt.Errorf("unknown artifact %q (want one of %s, all)", want, names())
 	}
-	kind := "experiment"
-	if bench {
-		kind = "bench"
-	}
-	return nil, fmt.Errorf("unknown %s %q (want one of %s, all)", kind, want, names(bench))
+	return sel, nil
 }
 
 // writeJSON writes v to path as indented JSON with a trailing newline:

@@ -14,26 +14,25 @@ import (
 	"xemem/internal/experiments"
 )
 
-// artifactNames lists the artifact table's names by kind: false for
-// -experiment entries, true for -bench entries, each in table order.
-func artifactNames() map[bool][]string {
-	kinds := map[bool][]string{}
+// artifactNames lists the artifact table's names in table order.
+func artifactNames() []string {
+	var names []string
 	for _, a := range experiments.Artifacts() {
-		kinds[a.Bench] = append(kinds[a.Bench], a.Name)
+		names = append(names, a.Name)
 	}
-	return kinds
+	return names
 }
 
-// TestBenchRegistry holds the -bench entries of the artifact table and
-// the checked-in BENCH files in step: every entry's BENCH file is
-// checked in at the repo root, and every root BENCH file has an entry
-// that regenerates it (a leftover from a retired benchmark fails here).
+// TestBenchRegistry holds the artifact table and the checked-in BENCH
+// files in step: every entry's BENCH file is checked in at the repo
+// root, and every root BENCH file has an entry that regenerates it (a
+// leftover from a retired artifact fails here).
 func TestBenchRegistry(t *testing.T) {
 	root := filepath.Join("..", "..")
-	benchNames := artifactNames()[true]
-	for _, name := range benchNames {
+	names := artifactNames()
+	for _, name := range names {
 		if _, err := os.Stat(filepath.Join(root, "BENCH_"+name+".json")); err != nil {
-			t.Errorf("bench %q: %v", name, err)
+			t.Errorf("artifact %q: %v", name, err)
 		}
 	}
 	files, err := filepath.Glob(filepath.Join(root, "BENCH_*.json"))
@@ -41,15 +40,15 @@ func TestBenchRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json"); !slices.Contains(benchNames, name) {
-			t.Errorf("%s has no -bench entry that regenerates it", filepath.Base(f))
+		if name := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(f), "BENCH_"), ".json"); !slices.Contains(names, name) {
+			t.Errorf("%s has no artifact entry that regenerates it", filepath.Base(f))
 		}
 	}
 }
 
-// TestFigureTable checks the artifact table: names are unique across
-// both kinds, a fast count never exceeds the full one, and only the
-// entries that take no count have zero counts.
+// TestFigureTable checks the artifact table: names are unique, a fast
+// count never exceeds the full one, and only the entries that take no
+// count have zero counts.
 func TestFigureTable(t *testing.T) {
 	countless := map[string]bool{"fig7": true, "coll": true}
 	seen := map[string]bool{}
@@ -67,35 +66,28 @@ func TestFigureTable(t *testing.T) {
 	}
 }
 
-// TestSelectBenches checks name resolution for -experiment and -bench
-// alike: all resolves that kind's entries in table order, a name its one
-// entry, and anything else, the other kind's names included, is
-// rejected. engine, a retired BENCH entry, is unknown to both kinds.
+// TestSelectBenches checks the name resolution -experiment and -bench
+// share: all resolves every entry in table order, a name its one entry,
+// and anything else is rejected. engine, a retired BENCH entry, is
+// unknown.
 func TestSelectBenches(t *testing.T) {
-	kinds := artifactNames()
-	unknown := map[bool][]string{
-		false: {"sweep", "ALL", "fig5,fig6", "fig10", "engine"},
-		true:  {"sweep", "json", "ALL", "fault,coll", "fig5", "engine"},
+	table := artifactNames()
+	all, err := selectNamed("all")
+	if err != nil || len(all) != len(table) {
+		t.Fatalf("all = %d entries, %v; want %d", len(all), err, len(table))
 	}
-	for _, bench := range []bool{false, true} {
-		table := kinds[bench]
-		all, err := selectNamed("all", bench)
-		if err != nil || len(all) != len(table) {
-			t.Fatalf("bench=%v all = %d entries, %v; want %d", bench, len(all), err, len(table))
+	for i, name := range table {
+		if all[i].Name != name {
+			t.Fatalf("all[%d] = %q, want table order %q", i, all[i].Name, name)
 		}
-		for i, name := range table {
-			if all[i].Name != name {
-				t.Fatalf("bench=%v all[%d] = %q, want table order %q", bench, i, all[i].Name, name)
-			}
-			one, err := selectNamed(name, bench)
-			if err != nil || len(one) != 1 || one[0].Name != name {
-				t.Fatalf("bench=%v %q = %d entries, %v", bench, name, len(one), err)
-			}
+		one, err := selectNamed(name)
+		if err != nil || len(one) != 1 || one[0].Name != name {
+			t.Fatalf("%q = %d entries, %v", name, len(one), err)
 		}
-		for _, name := range unknown[bench] {
-			if _, err := selectNamed(name, bench); err == nil {
-				t.Errorf("bench=%v %q accepted an unknown name", bench, name)
-			}
+	}
+	for _, name := range []string{"sweep", "json", "ALL", "fig5,fig6", "fault,coll", "fig10", "engine"} {
+		if _, err := selectNamed(name); err == nil {
+			t.Errorf("%q accepted an unknown name", name)
 		}
 	}
 }
@@ -106,9 +98,6 @@ func TestSelectBenches(t *testing.T) {
 // same change. A mismatch is named by its first differing key path.
 func TestBenchValues(t *testing.T) {
 	for _, a := range experiments.Artifacts() {
-		if !a.Bench {
-			continue
-		}
 		res, err := a.Run(42, a.Full)
 		if err != nil {
 			t.Fatalf("%s bench: %v", a.Name, err)

@@ -1,18 +1,20 @@
-// Command xemem-bench regenerates the paper's evaluation (§5–§7): every
-// table and figure, printed as the rows/series the paper reports.
+// Command xemem-bench regenerates the paper's evaluation (§5–§7: every
+// table and figure, printed as the rows/series the paper reports) and
+// the sweeps beyond it (fault, cluster, coll).
 //
 // Usage:
 //
-//	xemem-bench -experiment fig5|fig6|table2|fig7|fig8|fig9|all [flags]
-//	xemem-bench -bench fault|cluster|coll|all [flags]
+//	xemem-bench -experiment fig5|fig6|table2|fig7|fig8|fig9|fault|cluster|coll|all [flags]
+//	xemem-bench -bench fig5|...|coll|all [flags]
 //
 // Both select from one table, experiments.Artifacts, which holds each
-// artifact's name, repetition counts and run function. -bench
-// regenerates the named BENCH_<name>.json files in the current
-// directory at full counts and takes precedence over -experiment.
-// Every BENCH file is a pure function of the seed: it regenerates
-// byte-for-byte on any machine. Host time is measured by the go test
-// benchmarks and the benchmark/ module, never here.
+// artifact's name, repetition counts and run function. -experiment
+// prints the named artifacts; -bench prints them at full counts, writes
+// each one's BENCH_<name>.json into the current directory and takes
+// precedence over -experiment. Every BENCH file is a pure function of
+// the seed: it regenerates byte-for-byte on any machine. Host time is
+// measured by the go test benchmarks and the benchmark/ module, never
+// here.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
 // identical numbers. -experiment -fast trades repetition count for wall
@@ -33,10 +35,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("experiment", "all", "which experiment to run: "+names(false)+", all")
+	exp := flag.String("experiment", "all", "which artifact to print: "+names()+", all")
 	seed := flag.Uint64("seed", 42, "simulation seed")
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
-	benchName := flag.String("bench", "", "regenerate BENCH_<name>.json for one benchmark, or all of them: "+names(true)+", all")
+	benchName := flag.String("bench", "", "print an artifact and write its BENCH_<name>.json at full counts, or all of them: "+names()+", all")
 	replayPath := flag.String("replay", "", "re-run the repro bundle at this path, verify its window and final trace digests, and audit the ended world")
 	reproPath := flag.String("repro", "", "capture a repro bundle to this path: the trace digest at the end of each of 16 equal windows of the run (see -recipe, -recipe-params)")
 	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
@@ -96,7 +98,7 @@ func main() {
 	if bench {
 		want = *benchName
 	}
-	sel, err := selectNamed(want, bench)
+	sel, err := selectNamed(want)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)

@@ -11,8 +11,8 @@ import (
 //
 //  1. Dead cost constants: every field of sim.Costs must somewhere flow
 //     into a charge — an Actor.Charge/Advance/AdvanceTo, a Resource
-//     acquisition (Acquire/AcquireOp/TryAcquire/Exec), or a
-//     sim.CopyTime conversion feeding one. A calibrated constant nothing
+//     acquisition (Acquire/AcquireOp/Exec), or a sim.CopyTime
+//     conversion feeding one. A calibrated constant nothing
 //     charges is drift waiting to happen: the model documents a cost the
 //     simulation silently omits. Flow is tracked through local
 //     assignments, stores, and composite literals — and, via the
@@ -37,7 +37,7 @@ import (
 // leaks).
 var chargeSinks = map[string]bool{
 	"Charge": true, "Advance": true, "AdvanceTo": true,
-	"Acquire": true, "AcquireOp": true, "TryAcquire": true, "Exec": true,
+	"Acquire": true, "AcquireOp": true, "Exec": true,
 	"CopyTime": true,
 	// The timeout primitives: interval and deadline both become
 	// virtual-time advances on the polling actor.

@@ -95,19 +95,38 @@ var rpcReasons = func() (r [256]string) {
 // never complete the wrong attempt.
 func (m *Module) rpcOnce(a *sim.Actor, msg *xproto.Message, l xproto.Link, timeout sim.Time) (*xproto.Message, error) {
 	msg.ReqID = m.newReqID()
-	p := &pendingReq{waiter: a, dst: msg.Dst}
+	p := m.newPending(a, msg.Dst)
 	m.pending[msg.ReqID] = p
 	m.sendOn(a, l, msg)
-	answered := a.Await(rpcReasons[msg.Type], rpcPollInterval, a.Deadline(timeout), func() bool { return p.resp != nil })
+	answered := a.Await(rpcReasons[msg.Type], rpcPollInterval, a.Deadline(timeout), p.answered)
 	delete(m.pending, msg.ReqID)
+	// Out of m.pending, the entry can take no response: a late one misses
+	// the map, so the entry is free for the next request.
+	resp := p.resp
+	m.freeReqs = append(m.freeReqs, p)
 	if !answered {
 		m.Stats.Timeouts++
 		return nil, opErr(msg.Type.String(), ErrTimeout, msg.Segid, msg.Apid)
 	}
-	if err := statusErr(p.resp.Status); err != nil {
+	if err := statusErr(resp.Status); err != nil {
 		return nil, opErr(msg.Type.String(), err, msg.Segid, msg.Apid)
 	}
-	return p.resp, nil
+	return resp, nil
+}
+
+// newPending returns a pending entry for waiter's request to dst: a
+// recycled one when rpcOnce has freed any, else a new one with its
+// condition bound.
+func (m *Module) newPending(waiter *sim.Actor, dst xproto.EnclaveID) *pendingReq {
+	var p *pendingReq
+	if n := len(m.freeReqs); n > 0 {
+		p, m.freeReqs = m.freeReqs[n-1], m.freeReqs[:n-1]
+	} else {
+		p = &pendingReq{}
+		p.answered = func() bool { return p.resp != nil }
+	}
+	p.waiter, p.dst, p.resp = waiter, dst, nil
+	return p
 }
 
 // notify sends a fire-and-forget command toward the name server.

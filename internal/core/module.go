@@ -76,8 +76,9 @@ type Segment struct {
 	Removed bool
 
 	permits map[xproto.Apid]*Permit
-	// pinned tracks host-frame pins taken per remote serve so detach can
-	// release them.
+	// attaches counts the live attachments that map the segment: local
+	// ones and remote serves, each of which pinned its host frames. Stop
+	// refuses while it is nonzero; the world-end audit checks it.
 	attaches int
 }
 
@@ -186,6 +187,10 @@ type pendingReq struct {
 	// was deferred to the name server for resolution); crash fanout uses
 	// it to fail requests whose target died.
 	dst xproto.EnclaveID
+	// answered is the waiter's condition, bound to this entry once: the
+	// scheduler keeps a parked condition, so a closure made per request
+	// would be a heap allocation per request.
+	answered func() bool
 }
 
 // Module is one enclave's XEMEM kernel module.
@@ -225,6 +230,7 @@ type Module struct {
 	attachments  map[*proc.Region]*Attachment
 	remoteGrants map[grantKey]*remoteGrant
 	pending      map[uint64]*pendingReq
+	freeReqs     []*pendingReq // finished pendingReqs, reused by rpcOnce
 	nextReq      uint64
 	nextApid     xproto.Apid
 

@@ -14,16 +14,16 @@ import (
 // XEMEM attachments (with and without reading the contents out) next to
 // the RDMA-write baseline over the virtualized InfiniBand device.
 type Fig5Row struct {
-	SizeMB        int
-	AttachGBs     float64
-	AttachReadGBs float64
-	RDMAGBs       float64
+	SizeMB        int     `json:"size_mb"`
+	AttachGBs     float64 `json:"attach_gbs"`
+	AttachReadGBs float64 `json:"attach_read_gbs"`
+	RDMAGBs       float64 `json:"rdma_gbs"`
 }
 
 // Fig5Result holds the regenerated figure.
 type Fig5Result struct {
-	Reps int
-	Rows []Fig5Row
+	Reps int       `json:"reps"`
+	Rows []Fig5Row `json:"rows"`
 }
 
 // Fig5 reproduces §5.2: one Kitten co-kernel exports regions of

@@ -13,19 +13,19 @@ import (
 // Fig6Cell is the per-attacher throughput for one (enclave count, size)
 // point of Figure 6.
 type Fig6Cell struct {
-	Enclaves int
-	SizeMB   int
-	GBs      float64
+	Enclaves int     `json:"enclaves"`
+	SizeMB   int     `json:"size_mb"`
+	GBs      float64 `json:"gbs"`
 }
 
 // Fig6Result holds the regenerated figure.
 type Fig6Result struct {
-	Reps  int
-	Cells []Fig6Cell
+	Reps  int        `json:"reps"`
+	Cells []Fig6Cell `json:"cells"`
 	// Core0Busy reports, per enclave count, the management enclave's
 	// core-0 busy time at the 1 GB point — the §5.3 contention
 	// diagnostic.
-	Core0Busy map[int]sim.Time
+	Core0Busy map[int]sim.Time `json:"core0_busy_ns"`
 }
 
 // Fig6 reproduces §5.3: 1, 2, 4 or 8 Kitten co-kernel enclaves (one core,

@@ -12,24 +12,24 @@ import (
 
 // Fig7Class summarizes one detour class of the noise profile.
 type Fig7Class struct {
-	Name  string
-	Count int
-	MinUS float64
-	AvgUS float64
-	MaxUS float64
+	Name  string  `json:"name"`
+	Count int     `json:"count"`
+	MinUS float64 `json:"min_us"`
+	AvgUS float64 `json:"avg_us"`
+	MaxUS float64 `json:"max_us"`
 }
 
 // Fig7Phase is the noise profile of one attachment size.
 type Fig7Phase struct {
-	Size    string
-	Classes []Fig7Class
+	Size    string      `json:"size"`
+	Classes []Fig7Class `json:"classes"`
 	// Detours is the raw (time, duration) series for plotting.
-	Detours []noise.Detour
+	Detours []noise.Detour `json:"-"`
 }
 
 // Fig7Result holds the regenerated figure.
 type Fig7Result struct {
-	Phases []Fig7Phase
+	Phases []Fig7Phase `json:"phases"`
 }
 
 // Fig7 reproduces §5.5: a single-core Kitten enclave exports regions of

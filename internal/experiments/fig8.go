@@ -27,17 +27,17 @@ var Fig8Configs = []Fig8Config{LinuxLinux, KittenLinux, KittenVMOnLx, KittenVMOn
 // Fig8Cell is one bar of Figure 8: mean ± stddev of the HPC simulation's
 // completion time over the runs.
 type Fig8Cell struct {
-	Config    Fig8Config
-	Sync      bool
-	Recurring bool
-	MeanS     float64
-	StdS      float64
+	Config    Fig8Config `json:"config"`
+	Sync      bool       `json:"sync"`
+	Recurring bool       `json:"recurring"`
+	MeanS     float64    `json:"mean_s"`
+	StdS      float64    `json:"std_s"`
 }
 
 // Fig8Result holds the regenerated figure (both subfigures).
 type Fig8Result struct {
-	Runs  int
-	Cells []Fig8Cell
+	Runs  int        `json:"runs"`
+	Cells []Fig8Cell `json:"cells"`
 }
 
 // Fig8 reproduces §6.4: the composed HPCCG+STREAM benchmark on a single

@@ -14,17 +14,17 @@ import (
 // Fig9Cell is one point of Figure 9: mean ± stddev completion time of the
 // weak-scaled composed benchmark at a node count.
 type Fig9Cell struct {
-	Nodes        int
-	MultiEnclave bool
-	Recurring    bool
-	MeanS        float64
-	StdS         float64
+	Nodes        int     `json:"nodes"`
+	MultiEnclave bool    `json:"multi_enclave"`
+	Recurring    bool    `json:"recurring"`
+	MeanS        float64 `json:"mean_s"`
+	StdS         float64 `json:"std_s"`
 }
 
 // Fig9Result holds the regenerated figure (both subfigures).
 type Fig9Result struct {
-	Runs  int
-	Cells []Fig9Cell
+	Runs  int        `json:"runs"`
+	Cells []Fig9Cell `json:"cells"`
 }
 
 // Fig9NodeCounts is the paper's x-axis.

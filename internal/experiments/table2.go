@@ -14,17 +14,17 @@ import (
 // of 1 GB attachments, and — for the guest-attachment direction — what
 // the throughput becomes when the rb-tree insertion time is excluded.
 type Table2Row struct {
-	Exporting string
-	Attaching string
-	GBs       float64
+	Exporting string  `json:"exporting"`
+	Attaching string  `json:"attaching"`
+	GBs       float64 `json:"gbs"`
 	// NoRBTreeGBs is >0 only for the guest-attachment row.
-	NoRBTreeGBs float64
+	NoRBTreeGBs float64 `json:"no_rbtree_gbs"`
 }
 
 // Table2Result holds the regenerated table.
 type Table2Result struct {
-	Reps int
-	Rows []Table2Row
+	Reps int         `json:"reps"`
+	Rows []Table2Row `json:"rows"`
 }
 
 // Table2 reproduces §5.4: throughput of 1 GB attachments between a Linux

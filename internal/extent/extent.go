@@ -62,16 +62,6 @@ func FromExtents(exts ...Extent) List {
 	return l
 }
 
-// FromPages builds a list from individual frame numbers in mapping order,
-// coalescing adjacent runs.
-func FromPages(pfns []PFN) List {
-	var l List
-	for _, p := range pfns {
-		l.Append(p, 1)
-	}
-	return l
-}
-
 // Append adds a run of count frames starting at first, merging with the
 // tail extent when physically adjacent.
 func (l *List) Append(first PFN, count uint64) {

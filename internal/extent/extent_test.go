@@ -53,16 +53,6 @@ func TestResetKeepsStorage(t *testing.T) {
 	}
 }
 
-func TestFromPagesCoalesces(t *testing.T) {
-	l := FromPages([]PFN{1, 2, 3, 7, 8, 100})
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
-	}
-	if l.Pages() != 6 {
-		t.Fatalf("Pages = %d, want 6", l.Pages())
-	}
-}
-
 func TestPageIndexing(t *testing.T) {
 	l := FromExtents(Extent{10, 3}, Extent{100, 2})
 	want := []PFN{10, 11, 12, 100, 101}

@@ -237,13 +237,4 @@ func (l *Linux) DetachLocal(a *sim.Actor, p *proc.Process, r *proc.Region) error
 	return p.AS.RemoveRegion(r)
 }
 
-// ChargeFaults bills demand faults taken by a user-level access on the
-// process's core. Workload drivers call it with the fault counts returned
-// by AddressSpace accessors.
-func (l *Linux) ChargeFaults(a *sim.Actor, p *proc.Process, faults int) {
-	if faults > 0 {
-		l.CoreOf(p).Exec(a, sim.Time(faults)*l.c.FaultLinux, "fault")
-	}
-}
-
 var _ core.OS = (*Linux)(nil)

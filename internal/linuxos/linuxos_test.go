@@ -143,22 +143,3 @@ func TestProcessCoreAssignmentClamped(t *testing.T) {
 		t.Fatal("negative core index not clamped")
 	}
 }
-
-func TestChargeFaults(t *testing.T) {
-	l, w, _ := newLinux(t, 2)
-	costs := w.Costs()
-	p := l.NewProcess("app", 1)
-	var elapsed sim.Time
-	w.Spawn("touch", func(a *sim.Actor) {
-		start := a.Now()
-		l.ChargeFaults(a, p, 10)
-		l.ChargeFaults(a, p, 0) // no-op
-		elapsed = a.Now() - start
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed != 10*costs.FaultLinux {
-		t.Errorf("charged %v, want %v", elapsed, 10*costs.FaultLinux)
-	}
-}

@@ -66,21 +66,6 @@ func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
 	return start
 }
 
-// TryAcquire occupies the resource only if it is idle at a's current time.
-// It reports whether the acquisition happened.
-func (r *Resource) TryAcquire(a *Actor, d Time) bool {
-	if r.nextFree > a.now {
-		return false
-	}
-	if obs := a.Observer(); obs != nil {
-		obs.AcquireRes(r, a, "", a.now, a.now, d, 0)
-	}
-	r.nextFree = a.now + d
-	r.busy += d
-	a.Advance(d)
-	return true
-}
-
 // BusyTime reports the total virtual time the resource has been occupied.
 func (r *Resource) BusyTime() Time { return r.busy }
 

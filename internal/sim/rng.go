@@ -50,6 +50,12 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// signedFloat64 returns a uniform value in [-1, 1): exactly 2*Float64()-1,
+// computed in integers so no architecture can fuse it.
+func (r *RNG) signedFloat64() float64 {
+	return float64(int64(r.Uint64()>>11)*2-(1<<53)) / (1 << 53)
+}
+
 // NormFloat64 returns a standard normal deviate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	if r.spareOK {
@@ -57,9 +63,9 @@ func (r *RNG) NormFloat64() float64 {
 		return r.spare
 	}
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := r.signedFloat64()
+		v := r.signedFloat64()
+		s := float64(u*u) + float64(v*v)
 		if s >= 1 || s == 0 {
 			continue
 		}
@@ -70,20 +76,10 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponentially distributed deviate with mean 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Normal returns a normal deviate with the given mean and standard
 // deviation, truncated at zero (negative durations are meaningless).
 func (r *RNG) Normal(mean, stddev float64) float64 {
-	v := mean + stddev*r.NormFloat64()
+	v := mean + float64(stddev*r.NormFloat64())
 	if v < 0 {
 		return 0
 	}
@@ -92,6 +88,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 
 // Jitter returns d scaled by a uniform factor in [1-f, 1+f].
 func (r *RNG) Jitter(d Time, f float64) Time {
-	scale := 1 + f*(2*r.Float64()-1)
+	scale := 1 + float64(f*r.signedFloat64())
 	return Time(float64(d) * scale)
 }

@@ -70,19 +70,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := NewRNG(11)
-	n := 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	mean := sum / float64(n)
-	if math.Abs(mean-1) > 0.02 {
-		t.Fatalf("exp mean = %v, want ~1", mean)
-	}
-}
-
 func TestNormalTruncatesAtZero(t *testing.T) {
 	r := NewRNG(3)
 	for i := 0; i < 10000; i++ {
@@ -161,5 +148,34 @@ func TestPerSecond(t *testing.T) {
 	}
 	if got := PerSecond(1, 0); got != 0 {
 		t.Fatalf("PerSecond(d=0) = %v", got)
+	}
+}
+
+// TestFloatResultsPinned pins sample outputs of the float arithmetic
+// behind every noise model. Go may fuse x*y + z into one multiply-add
+// instruction that skips the rounding of x*y (arm64 does, amd64 does
+// not); the explicit float64 conversions in Normal, NormFloat64, Jitter
+// and Stddev forbid that, so virtual time does not depend on the CPU.
+// Fusing any of those sites changes at least one of these values.
+func TestFloatResultsPinned(t *testing.T) {
+	const wantJitter, wantNormal, wantStddev = 0x7650357cfb1cbdc5, 0x2e02741203f1a808, 5.36358559990497
+	fold := func(h, bits uint64) uint64 { return (h ^ bits) * 1099511628211 }
+	jitter, normal := uint64(14695981039346656037), uint64(14695981039346656037)
+	r := NewRNG(42)
+	for i := 0; i < 1000; i++ {
+		jitter = fold(jitter, uint64(r.Jitter(1<<60, 0.05)))
+	}
+	r = NewRNG(42)
+	for i := 0; i < 1000; i++ {
+		normal = fold(normal, math.Float64bits(r.Normal(10, 0.3)))
+	}
+	r = NewRNG(1)
+	var s Sample
+	for i := 0; i < 10; i++ {
+		s.Add(r.Normal(100, 7))
+	}
+	if jitter != wantJitter || normal != wantNormal || s.Stddev() != wantStddev {
+		t.Errorf("jitter digest %#x, normal digest %#x, stddev %v; want %#x, %#x, %v",
+			jitter, normal, s.Stddev(), wantJitter, wantNormal, wantStddev)
 	}
 }

@@ -59,7 +59,7 @@ func (s *Sample) Stddev() float64 {
 	ss := 0.0
 	for _, x := range s.xs {
 		d := x - m
-		ss += d * d
+		ss += float64(d * d)
 	}
 	return math.Sqrt(ss / float64(n-1))
 }

@@ -451,25 +451,6 @@ func TestCoreRecordsSpans(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	w := NewWorld(1)
-	res := NewResource("r")
-	var first, second bool
-	w.Spawn("a", func(a *Actor) {
-		first = res.TryAcquire(a, 100)
-	})
-	w.Spawn("b", func(a *Actor) {
-		a.Advance(10)
-		second = res.TryAcquire(a, 100)
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !first || second {
-		t.Fatalf("first=%v second=%v, want true/false", first, second)
-	}
-}
-
 func TestWorldNowTracksDispatch(t *testing.T) {
 	w := NewWorld(1)
 	w.Spawn("a", func(a *Actor) { a.Advance(123) })

@@ -67,13 +67,6 @@ func (s *Arrays) Run(reps int) error {
 	return s.Validate(reps)
 }
 
-// BytesMoved reports the total memory traffic of reps repetitions, using
-// STREAM's standard accounting (2, 2, 3, 3 words per element).
-func (s *Arrays) BytesMoved(reps int) uint64 {
-	perRep := uint64(len(s.A)) * 8 * (2 + 2 + 3 + 3)
-	return perRep * uint64(reps)
-}
-
 // Validate checks the arrays against the analytically propagated values,
 // as the reference STREAM implementation does.
 func (s *Arrays) Validate(reps int) error {

@@ -40,10 +40,3 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		t.Fatal("corruption not detected")
 	}
 }
-
-func TestBytesMoved(t *testing.T) {
-	s := New(1000)
-	if got := s.BytesMoved(2); got != 1000*8*10*2 {
-		t.Fatalf("bytes = %d", got)
-	}
-}
