@@ -87,8 +87,10 @@ examples:
 # the paper's figures and the fault, cluster and coll sweeps, at -fast
 # counts): a CLI that panics, exits non-zero or breaks its -metrics
 # export fails here, and so does an xemem-bench that accepts -trace with
-# -replay (a bundle replay cannot export a trace; it must exit 2).
-# xemem-vet already runs under vet.
+# -replay (a bundle replay cannot export a trace; it must exit 2). A
+# collective cell is captured by its label and replayed, and -repro must
+# exit 2 without -cell and for a label no artifact lists. xemem-vet
+# already runs under vet.
 cli:
 	@mkdir -p $(COVER_DIR)
 	$(GO) run ./cmd/xemem-topo
@@ -97,6 +99,12 @@ cli:
 	$(GO) build -o $(COVER_DIR)/xemem-bench ./cmd/xemem-bench
 	@$(COVER_DIR)/xemem-bench -replay internal/experiments/testdata/repro/fault.json -trace $(COVER_DIR)/replay.json; \
 	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -replay -trace exited $$status, want 2"; exit 1; fi
+	$(COVER_DIR)/xemem-bench -repro $(COVER_DIR)/cell.json -cell 'coll/d=1/uniform/b=4096/zero-copy' -fast -seed 7
+	$(COVER_DIR)/xemem-bench -replay $(COVER_DIR)/cell.json
+	@$(COVER_DIR)/xemem-bench -repro $(COVER_DIR)/cell.json; \
+	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -repro without -cell exited $$status, want 2"; exit 1; fi
+	@$(COVER_DIR)/xemem-bench -repro $(COVER_DIR)/cell.json -cell fig6/enclaves=3/size=128MB; \
+	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -repro -cell with an unknown label exited $$status, want 2"; exit 1; fi
 
 # Short fuzz smoke over the two guest-memory-map structures, the page
 # table against its per-page oracle, and physical memory's eight-lane

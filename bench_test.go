@@ -158,7 +158,7 @@ func BenchmarkFigures(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		for _, a := range experiments.Artifacts() {
-			if _, err := a.Run(42, a.Fast); err != nil {
+			if _, err := a.Grid(42, a.Fast).Run(nil); err != nil {
 				b.Fatalf("%s: %v", a.Name, err)
 			}
 		}

@@ -98,7 +98,7 @@ func TestSelectBenches(t *testing.T) {
 // same change. A mismatch is named by its first differing key path.
 func TestBenchValues(t *testing.T) {
 	for _, a := range experiments.Artifacts() {
-		res, err := a.Run(42, a.Full)
+		res, err := a.Grid(42, a.Full).Run(nil)
 		if err != nil {
 			t.Fatalf("%s bench: %v", a.Name, err)
 		}

@@ -6,15 +6,22 @@
 //
 //	xemem-bench -experiment fig5|fig6|table2|fig7|fig8|fig9|fault|cluster|coll|all [flags]
 //	xemem-bench -bench fig5|...|coll|all [flags]
+//	xemem-bench -repro bundle.json -cell <label> [-fast] [-seed n]
+//	xemem-bench -replay bundle.json
 //
-// Both select from one table, experiments.Artifacts, which holds each
-// artifact's name, repetition counts and run function. -experiment
+// -experiment and -bench select from one table, experiments.Artifacts,
+// which holds each artifact's name, repetition counts and grid of cells
+// (one cell per simulated world). -experiment
 // prints the named artifacts; -bench prints them at full counts, writes
 // each one's BENCH_<name>.json into the current directory and takes
 // precedence over -experiment. Every BENCH file is a pure function of
 // the seed: it regenerates byte-for-byte on any machine. Host time is
 // measured by the go test benchmarks and the benchmark/ module, never
 // here.
+//
+// -repro captures one world, named by its cell label (the label it has
+// in -trace and -metrics), as a repro bundle; -replay re-runs a bundle
+// and verifies its digests. Both take precedence over -bench.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
 // identical numbers. -experiment -fast trades repetition count for wall
@@ -23,10 +30,11 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"xemem/internal/experiments"
@@ -40,9 +48,8 @@ func main() {
 	fast := flag.Bool("fast", false, "reduced repetition counts for quick runs")
 	benchName := flag.String("bench", "", "print an artifact and write its BENCH_<name>.json at full counts, or all of them: "+names()+", all")
 	replayPath := flag.String("replay", "", "re-run the repro bundle at this path, verify its window and final trace digests, and audit the ended world")
-	reproPath := flag.String("repro", "", "capture a repro bundle to this path: the trace digest at the end of each of 16 equal windows of the run (see -recipe, -recipe-params)")
-	recipeName := flag.String("recipe", "fig9", "recipe for -repro: one of "+experiments.RecipeNames())
-	recipeParams := flag.String("recipe-params", "", "JSON parameter blob for -repro (recipe defaults when empty)")
+	reproPath := flag.String("repro", "", "capture a repro bundle of the -cell world to this path: the trace digest at the end of each of 16 equal windows of the run")
+	cellLabel := flag.String("cell", "", "the world -repro captures, by its label in -trace and -metrics (e.g. fig6/enclaves=2/size=128MB), at its artifact's full count or, with -fast, its fast count")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of every simulated world to this file (open in chrome://tracing or Perfetto; combine with -fast)")
 	metricsOut := flag.String("metrics", "", "write per-world contention metrics JSON to this file and print the per-figure breakdown tables")
 	flag.Parse()
@@ -55,10 +62,11 @@ func main() {
 	}
 
 	var set *trace.Set
+	var obs func(label string, w *sim.World)
 	if *traceOut != "" || *metricsOut != "" {
 		set = trace.NewSet()
 		set.SetKeepEvents(*traceOut != "") // metrics-only runs keep memory flat
-		experiments.Observe = set.Observe
+		obs = set.Observe
 	}
 
 	if *replayPath != "" {
@@ -70,27 +78,35 @@ func main() {
 			fmt.Fprintf(os.Stderr, "replay: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("replay ok: recipe %s seed %d reproduced %d windows of %v and digest %s…, audit passed\n",
-			b.Recipe, b.Seed, len(b.Windows), sim.Time(b.WindowNs), b.Digest.SHA256[:16])
+		fmt.Printf("replay ok: %s count %d seed %d reproduced %d windows of %v and digest %s…, audit passed\n",
+			b.Cell, b.Count, b.Seed, len(b.Windows), sim.Time(b.WindowNs), b.Digest.SHA256[:16])
 		return
 	}
 
 	if *reproPath != "" {
-		var params json.RawMessage
-		if *recipeParams != "" {
-			params = json.RawMessage(*recipeParams)
+		name, _, _ := strings.Cut(*cellLabel, "/")
+		sel, err := selectNamed(name)
+		if err != nil || len(sel) != 1 {
+			fmt.Fprintf(os.Stderr, "-repro needs -cell <label> of one artifact's world (%s), got %q\n", names(), *cellLabel)
+			os.Exit(2)
 		}
-		b, err := experiments.CaptureBundle(*recipeName, params, *seed)
+		n := sel[0].Full
+		if *fast {
+			n = sel[0].Fast
+		}
+		b, err := experiments.CaptureBundle(*cellLabel, n, *seed)
+		if err == nil {
+			err = writeJSON(*reproPath, b)
+		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+			if errors.Is(err, experiments.ErrNoCell) {
+				os.Exit(2)
+			}
 			os.Exit(1)
 		}
-		if err := writeJSON(*reproPath, b); err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s: recipe %s seed %d, %d windows of %v, digest %s…\n",
-			*reproPath, b.Recipe, b.Seed, len(b.Windows), sim.Time(b.WindowNs), b.Digest.SHA256[:16])
+		fmt.Printf("wrote %s: %s count %d seed %d, %d windows of %v, digest %s…\n",
+			*reproPath, b.Cell, b.Count, b.Seed, len(b.Windows), sim.Time(b.WindowNs), b.Digest.SHA256[:16])
 		return
 	}
 
@@ -109,7 +125,7 @@ func main() {
 			n = a.Fast
 		}
 		start := time.Now() //xemem:wallclock -- reports wall time of figure regeneration to the operator
-		res, err := a.Run(*seed, n)
+		res, err := a.Grid(*seed, n).Run(obs)
 		if err == nil {
 			fmt.Println(res.String())
 			if bench {

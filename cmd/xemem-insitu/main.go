@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"xemem/internal/experiments"
+	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
 )
 
@@ -31,10 +32,11 @@ func main() {
 	flag.Parse()
 
 	var set *trace.Set
+	var obs func(label string, w *sim.World)
 	if *traceOut != "" || *metricsOut != "" {
 		set = trace.NewSet()
 		set.SetKeepEvents(*traceOut != "")
-		experiments.Observe = set.Observe
+		obs = set.Observe
 	}
 
 	names := map[string]experiments.Fig8Config{
@@ -53,7 +55,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	res, err := experiments.Fig8Single(*seed, cfg, *sync, *recurring, *runs)
+	res, err := experiments.Fig8Bar(*seed, cfg, *sync, *recurring, *runs).Run(obs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -89,16 +89,17 @@ type ClusterSweepResult struct {
 	ShardedP99Growth float64 `json:"sharded_p99_growth"`
 }
 
-// ClusterSweep runs the cluster-scale name-service sweep: every node
+// clusterGrid is the cluster-scale name-service sweep: every node
 // count × {flat, sharded} × {quiet, churn}, each cell a closed world
 // with its own fabric, injector, and tracer. The result is a pure
 // function of (seed, rounds): rerunning yields a byte-identical
 // BENCH_cluster.json.
-func ClusterSweep(seed uint64, rounds int) (*ClusterSweepResult, error) {
+func clusterGrid(seed uint64, rounds int) Grid[*ClusterSweepResult] {
 	res := &ClusterSweepResult{
 		Seed: seed, Rounds: rounds,
 		ConsumersPerNode: clusterConsumers, NodeCounts: ClusterNodeCounts,
 	}
+	var cells []Cell
 	for _, churn := range []bool{false, true} {
 		for _, sharded := range []bool{false, true} {
 			for _, n := range ClusterNodeCounts {
@@ -106,15 +107,20 @@ func ClusterSweep(seed uint64, rounds int) (*ClusterSweepResult, error) {
 				if sharded {
 					shards = clusterShards(n)
 				}
-				c, err := clusterRun(Observe, seed, n, shards, churn, rounds)
-				if err != nil {
-					return nil, fmt.Errorf("cluster nodes=%d shards=%d churn=%v: %w", n, shards, churn, err)
-				}
-				res.Cells = append(res.Cells, c)
+				i, label := len(cells), fmt.Sprintf("cluster/n=%d/s=%d/churn=%v", n, shards, churn)
+				cells = append(cells, Cell{label, seed, func(w *sim.World) (err error) {
+					res.Cells[i], err = clusterRun(w, label, n, shards, churn, rounds)
+					return err
+				}})
 			}
 		}
 	}
+	res.Cells = make([]ClusterCell, len(cells))
+	return Grid[*ClusterSweepResult]{cells, res.fold}
+}
 
+// fold derives the p99 ratios once every cell has run.
+func (res *ClusterSweepResult) fold() *ClusterSweepResult {
 	minN := ClusterNodeCounts[0]
 	maxN := ClusterNodeCounts[len(ClusterNodeCounts)-1]
 	var flatMin, flatMax, shardMin, shardMax int64
@@ -142,15 +148,13 @@ func ClusterSweep(seed uint64, rounds int) (*ClusterSweepResult, error) {
 	if shardMin > 0 {
 		res.ShardedP99Growth = float64(shardMax) / float64(shardMin)
 	}
-	return res, nil
+	return res
 }
 
-// clusterRun executes one cluster-sweep cell in a fresh world.
-func clusterRun(obs observeFn, seed uint64, nodes, shards int, churn bool, rounds int) (ClusterCell, error) {
+// clusterRun builds and runs one cluster-sweep cell.
+func clusterRun(w *sim.World, label string, nodes, shards int, churn bool, rounds int) (ClusterCell, error) {
 	cell := ClusterCell{Nodes: nodes, Shards: shards, Churn: churn}
-	label := fmt.Sprintf("cluster/n=%d/s=%d/churn=%v", nodes, shards, churn)
-	w := sim.NewWorld(seed)
-	tr := cellTracer(obs, label, w)
+	tr := cellTracer(label, w)
 
 	cl, err := cluster.NewInWorld(w, cluster.Config{Nodes: nodes, Shards: shards})
 	if err != nil {

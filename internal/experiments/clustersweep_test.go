@@ -13,11 +13,11 @@ import (
 // shard counters actually move.
 func TestClusterSweepDeterministic(t *testing.T) {
 	rounds := fastCount(t, "cluster")
-	r1, err := ClusterSweep(1234, rounds)
+	r1, err := clusterGrid(1234, rounds).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := ClusterSweep(1234, rounds)
+	r2, err := clusterGrid(1234, rounds).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

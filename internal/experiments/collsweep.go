@@ -107,30 +107,35 @@ type CollSweepResult struct {
 	Crossover CollCrossover `json:"crossover"`
 }
 
-// CollSweep runs the hierarchical-collective sweep: hierarchy depth
+// collGrid is the hierarchical-collective sweep: hierarchy depth
 // {1,2,3} × enclave mix {uniform, mixed} × message size across the
 // switchover × forced data plane {zero-copy, CICO}, each cell a closed
 // world. The result is a pure function of seed: rerunning yields a
-// byte-identical BENCH_coll.json.
-func CollSweep(seed uint64) (*CollSweepResult, error) {
+// byte-identical BENCH_coll.json. The sweep takes no count.
+func collGrid(seed uint64, _ int) Grid[*CollSweepResult] {
 	res := &CollSweepResult{
 		Seed: seed, Ranks: 6, Iters: collIters, Sizes: CollSizes,
 	}
-	mixes := []string{"uniform", "mixed"}
+	var cells []Cell
 	for _, depth := range []int{1, 2, 3} {
-		for _, mix := range mixes {
+		for _, mix := range []string{"uniform", "mixed"} {
 			for _, bytes := range CollSizes {
 				for _, mode := range []coll.Mode{coll.ModeZeroCopy, coll.ModeCICO} {
-					c, err := collRun(Observe, seed, depth, mix, bytes, mode)
-					if err != nil {
-						return nil, fmt.Errorf("coll depth=%d mix=%s bytes=%d mode=%s: %w", depth, mix, bytes, collModeName(mode), err)
-					}
-					res.Cells = append(res.Cells, c)
+					i, label := len(cells), fmt.Sprintf("coll/d=%d/%s/b=%d/%s", depth, mix, bytes, collModeName(mode))
+					cells = append(cells, Cell{label, seed, func(w *sim.World) (err error) {
+						res.Cells[i], err = collRun(w, label, depth, mix, bytes, mode)
+						return err
+					}})
 				}
 			}
 		}
 	}
+	res.Cells = make([]CollCell, len(cells))
+	return Grid[*CollSweepResult]{cells, res.fold}
+}
 
+// fold derives the switchover summary once every cell has run.
+func (res *CollSweepResult) fold() *CollSweepResult {
 	for _, c := range res.Cells {
 		if c.Mix != "uniform" || c.Depth != 3 {
 			continue
@@ -149,16 +154,14 @@ func CollSweep(seed uint64) (*CollSweepResult, error) {
 	}
 	res.Crossover.CICOWinsSmall = res.Crossover.SmallCICONs < res.Crossover.SmallZCNs
 	res.Crossover.ZCWinsLarge = res.Crossover.LargeZCNs < res.Crossover.LargeCICONs
-	return res, nil
+	return res
 }
 
-// collRun executes one collective-sweep cell in a fresh world.
-func collRun(obs observeFn, seed uint64, depth int, mix string, bytes uint64, mode coll.Mode) (CollCell, error) {
+// collRun builds and runs one collective-sweep cell.
+func collRun(w *sim.World, label string, depth int, mix string, bytes uint64, mode coll.Mode) (CollCell, error) {
 	cell := CollCell{Depth: depth, Mix: mix, Bytes: bytes, Mode: collModeName(mode)}
-	label := fmt.Sprintf("coll/d=%d/%s/b=%d/%s", depth, mix, bytes, cell.Mode)
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 8 << 30})
-	w := node.World()
-	tr := cellTracer(obs, label, w)
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 8 << 30})
+	tr := cellTracer(label, w)
 
 	topo, err := xemem.ParseTopology(CollMixes[mix])
 	if err != nil {

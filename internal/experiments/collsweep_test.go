@@ -12,11 +12,11 @@ import (
 // cache turns first-iteration misses into warm hits; and per-level
 // attribution actually lands time on every hierarchy tier.
 func TestCollSweepDeterministic(t *testing.T) {
-	r1, err := CollSweep(1234)
+	r1, err := collGrid(1234, 0).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := CollSweep(1234)
+	r2, err := collGrid(1234, 0).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 func TestFig5Shape(t *testing.T) {
-	res, err := Fig5(1, 25)
+	res, err := fig5Grid(1, 25).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	res, err := Fig6(1, 40)
+	res, err := fig6Grid(1, 40).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	res, err := Fig7(1)
+	res, err := fig7Grid(1, 0).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFig8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("composed benchmark sweep")
 	}
-	res, err := Fig8(1, 4)
+	res, err := fig8Grid(1, 4).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Error("Linux-only recurring sync not worse than one-time")
 	}
 	// xemem-insitu's single-bar runner reports exactly the figure's bar.
-	bar, err := Fig8Single(1, KittenLinux, true, false, 4)
+	bar, err := Fig8Bar(1, KittenLinux, true, false, 4).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFig9Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node sweep")
 	}
-	res, err := Fig9(1, 3)
+	res, err := fig9Grid(1, 3).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

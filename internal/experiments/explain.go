@@ -51,20 +51,20 @@ func (e *Fig6Explanation) Coverage() float64 {
 	return float64(e.ExplainedDeltaNs) / float64(e.ObservedDeltaNs)
 }
 
-// Fig6Explain reruns the Figure 6 szMB point at 1 and 2 enclaves with a
+// Fig6Explain reruns the Figure 6 szMB cells at 1 and 2 enclaves with a
 // metrics-only tracer attached and decomposes the latency dip. The
-// tracers are threaded per world, so it leaves the package Observe hook
-// alone and adds nothing to a trace set installed there.
+// tracers are threaded per world, so it adds nothing to a trace set an
+// outer run uses.
 func Fig6Explain(seed uint64, szMB, reps int) (*Fig6Explanation, error) {
 	run := func(enclaves int) (sim.Time, *trace.Tracer, error) {
-		tr := trace.NewTracer(fmt.Sprintf("fig6/enclaves=%d/size=%dMB", enclaves, szMB))
+		pt := &fig6Out{enclaves: enclaves, szMB: szMB}
+		c := fig6Cell(seed, reps, pt)
+		tr := trace.NewTracer(c.Label)
 		tr.SetKeepEvents(false)
-		obs := func(label string, w *sim.World) { w.SetObserver(tr) }
-		_, meanAttach, _, err := fig6Point(obs, seed, enclaves, szMB, reps)
-		if err != nil {
+		if err := runCell(func(_ string, w *sim.World) { w.SetObserver(tr) }, c); err != nil {
 			return 0, nil, err
 		}
-		return meanAttach, tr, nil
+		return pt.meanAttach, tr, nil
 	}
 
 	attach1, tr1, err := run(1)

@@ -55,30 +55,32 @@ type FaultSweepResult struct {
 	Cells  []FaultCell `json:"cells"`
 }
 
-// FaultSweep runs the fault-injection sweep: every drop rate × {no
+// faultGrid is the fault-injection sweep: every drop rate × {no
 // crash, mid-sweep exporter crash}, each cell a closed world with its
 // own injector and tracer. The entire result — per-cell counts,
 // latency percentiles, and digests — is a pure function of (seed,
 // rounds): rerunning yields a byte-identical BENCH_fault.json.
-func FaultSweep(seed uint64, rounds int) (*FaultSweepResult, error) {
+func faultGrid(seed uint64, rounds int) Grid[*FaultSweepResult] {
 	res := &FaultSweepResult{Seed: seed, Rounds: rounds}
+	var cells []Cell
 	for _, crash := range []bool{false, true} {
 		for _, drop := range FaultDropRates {
-			c, err := faultRun(Observe, seed, drop, crash, rounds)
-			if err != nil {
-				return nil, fmt.Errorf("fault drop=%.2f crash=%v: %w", drop, crash, err)
-			}
-			res.Cells = append(res.Cells, c)
+			i, label := len(cells), fmt.Sprintf("fault/drop=%.2f/crash=%v", drop, crash)
+			cells = append(cells, Cell{label, seed, func(w *sim.World) (err error) {
+				res.Cells[i], err = faultRun(w, label, drop, crash, rounds)
+				return err
+			}})
 		}
 	}
-	return res, nil
+	res.Cells = make([]FaultCell, len(cells))
+	return Grid[*FaultSweepResult]{cells, func() *FaultSweepResult { return res }}
 }
 
-// faultRun executes one fault-sweep cell in a fresh world.
-func faultRun(obs observeFn, seed uint64, drop float64, crash bool, rounds int) (FaultCell, error) {
+// faultRun builds and runs one fault-sweep cell.
+func faultRun(w *sim.World, label string, drop float64, crash bool, rounds int) (FaultCell, error) {
 	cell := FaultCell{DropProb: drop, Crash: crash}
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 2 << 30})
-	tr := cellTracer(obs, fmt.Sprintf("fault/drop=%.2f/crash=%v", drop, crash), node.World())
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 2 << 30})
+	tr := cellTracer(label, w)
 
 	plan := fault.Plan{DropProb: drop, DelayProb: drop, DelayMax: 5 * sim.Microsecond}
 	ck, err := node.BootCoKernel("victim", 256<<20)

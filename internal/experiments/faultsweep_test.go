@@ -14,11 +14,11 @@ import (
 // actually lose messages.
 func TestFaultSweepDeterministic(t *testing.T) {
 	rounds := fastCount(t, "fault")
-	r1, err := FaultSweep(1234, rounds)
+	r1, err := faultGrid(1234, rounds).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := FaultSweep(1234, rounds)
+	r2, err := faultGrid(1234, rounds).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

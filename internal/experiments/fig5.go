@@ -26,36 +26,40 @@ type Fig5Result struct {
 	Rows []Fig5Row `json:"rows"`
 }
 
-// Fig5 reproduces §5.2: one Kitten co-kernel exports regions of
+// fig5Grid reproduces §5.2: one Kitten co-kernel exports regions of
 // 128 MB–1 GB; a native Linux process attaches each region reps times
 // (the paper uses 500), once timing the attachment alone and once
 // including a full read-out; the RDMA column runs the write bandwidth
 // test between two VMs with SR-IOV virtual functions. The attach node
-// and the RDMA baseline are two independent worlds, run in that order.
-func Fig5(seed uint64, reps int) (*Fig5Result, error) {
-	res := &Fig5Result{Reps: reps}
+// and the RDMA baseline are two cells, run in that order.
+func fig5Grid(seed uint64, reps int) Grid[*Fig5Result] {
 	sizes := []int{128, 256, 512, 1024}
-
-	rows, err := fig5Attach(Observe, seed, sizes, reps)
-	if err != nil {
-		return nil, fmt.Errorf("fig5: %w", err)
+	var rows []Fig5Row
+	var rdma []float64
+	return Grid[*Fig5Result]{
+		Cells: []Cell{
+			{"fig5", seed, func(w *sim.World) (err error) {
+				rows, err = fig5Attach(w, sizes, reps)
+				return err
+			}},
+			{"fig5/rdma", seed + 1, func(w *sim.World) (err error) {
+				rdma, err = fig5RDMA(w, sizes)
+				return err
+			}},
+		},
+		Fold: func() *Fig5Result {
+			for i := range rows {
+				rows[i].RDMAGBs = rdma[i]
+			}
+			return &Fig5Result{Reps: reps, Rows: rows}
+		},
 	}
-	rdma, err := fig5RDMA(Observe, seed+1, sizes)
-	if err != nil {
-		return nil, fmt.Errorf("fig5/rdma: %w", err)
-	}
-	res.Rows = rows
-	for i := range res.Rows {
-		res.Rows[i].RDMAGBs = rdma[i]
-	}
-	return res, nil
 }
 
 // fig5Attach runs the XEMEM attach world: per size, the attach-only and
 // attach+read throughputs.
-func fig5Attach(obs observeFn, seed uint64, sizes []int, reps int) ([]Fig5Row, error) {
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 32 << 30, LinuxCores: 4})
-	announce(obs, "fig5", node.World())
+func fig5Attach(w *sim.World, sizes []int, reps int) ([]Fig5Row, error) {
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 32 << 30, LinuxCores: 4})
 	ck, err := node.BootCoKernel("kitten0", 2<<30)
 	if err != nil {
 		return nil, err
@@ -140,9 +144,7 @@ func timedAttaches(a *sim.Actor, sess *xpmem.Session, segid xpmem.Segid, apid xp
 
 // fig5RDMA runs the RDMA baseline: a bandwidth test between two KVM
 // virtual machines, each owning one virtual function (§5.2).
-func fig5RDMA(obs observeFn, seed uint64, sizes []int) ([]float64, error) {
-	w := sim.NewWorld(seed)
-	announce(obs, "fig5/rdma", w)
+func fig5RDMA(w *sim.World, sizes []int) ([]float64, error) {
 	dev := rdma.NewDevice("cx3")
 	vf := dev.NewVF("vf0")
 	var rdmaErr error

@@ -23,8 +23,6 @@ type Fig7Class struct {
 type Fig7Phase struct {
 	Size    string      `json:"size"`
 	Classes []Fig7Class `json:"classes"`
-	// Detours is the raw (time, duration) series for plotting.
-	Detours []noise.Detour `json:"-"`
 }
 
 // Fig7Result holds the regenerated figure.
@@ -32,13 +30,13 @@ type Fig7Result struct {
 	Phases []Fig7Phase `json:"phases"`
 }
 
-// Fig7 reproduces §5.5: a single-core Kitten enclave exports regions of
-// 4 KB, 2 MB and 1 GB; a Linux process attaches once per second for 10
-// seconds while the Selfish Detour benchmark profiles the Kitten core.
-// Detours caused by XEMEM serves are classified apart from the baseline
-// hardware noise and periodic SMIs. Each size phase is an independent
-// world.
-func Fig7(seed uint64) (*Fig7Result, error) {
+// fig7Grid reproduces §5.5: a single-core Kitten enclave exports
+// regions of 4 KB, 2 MB and 1 GB; a Linux process attaches once per
+// second for 10 seconds while the Selfish Detour benchmark profiles the
+// Kitten core. Detours caused by XEMEM serves are classified apart from
+// the baseline hardware noise and periodic SMIs. Each size phase is an
+// independent world; the figure takes no count.
+func fig7Grid(seed uint64, _ int) Grid[*Fig7Result] {
 	phases := []struct {
 		name  string
 		bytes uint64
@@ -47,21 +45,20 @@ func Fig7(seed uint64) (*Fig7Result, error) {
 		{"2MB", 2 << 20},
 		{"1GB", 1 << 30},
 	}
-	res := &Fig7Result{}
-	for _, phase := range phases {
-		p, err := fig7Phase(Observe, seed, phase.name, phase.bytes)
-		if err != nil {
-			return nil, fmt.Errorf("fig7/%s: %w", phase.name, err)
-		}
-		res.Phases = append(res.Phases, p)
+	res := &Fig7Result{Phases: make([]Fig7Phase, len(phases))}
+	var cells []Cell
+	for i, ph := range phases {
+		cells = append(cells, Cell{"fig7/" + ph.name, seed, func(w *sim.World) (err error) {
+			res.Phases[i], err = fig7Phase(w, ph.name, ph.bytes)
+			return err
+		}})
 	}
-	return res, nil
+	return Grid[*Fig7Result]{cells, func() *Fig7Result { return res }}
 }
 
 // fig7Phase runs the noise profile for one attachment size.
-func fig7Phase(obs observeFn, seed uint64, name string, bytes uint64) (Fig7Phase, error) {
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 32 << 30})
-	announce(obs, "fig7/"+name, node.World())
+func fig7Phase(w *sim.World, name string, bytes uint64) (Fig7Phase, error) {
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 32 << 30})
 	ck, err := node.BootCoKernel("kitten0", 2<<30)
 	if err != nil {
 		return Fig7Phase{}, err
@@ -107,8 +104,7 @@ func fig7Phase(obs observeFn, seed uint64, name string, bytes uint64) (Fig7Phase
 		return Fig7Phase{}, runErr
 	}
 	spans := ck.OS.Core().StopRecording()
-	detours := noise.Detours(spans, "app")
-	return Fig7Phase{Size: name, Classes: classify(detours), Detours: detours}, nil
+	return Fig7Phase{Size: name, Classes: classify(noise.Detours(spans, "app"))}, nil
 }
 
 // classify buckets detours into attachment serves, SMIs, and baseline

@@ -40,52 +40,62 @@ type Fig8Result struct {
 	Cells []Fig8Cell `json:"cells"`
 }
 
-// Fig8 reproduces §6.4: the composed HPCCG+STREAM benchmark on a single
-// node, across the four Table 3 enclave configurations, the
+// fig8Grid reproduces §6.4: the composed HPCCG+STREAM benchmark on a
+// single node, across the four Table 3 enclave configurations, the
 // synchronous/asynchronous execution models, and the one-time/recurring
 // attachment models — runs repetitions of each (the paper reports 10).
-// Every (configuration, model, repetition) run is one world with its
-// own fixed seed.
-func Fig8(seed uint64, runs int) (*Fig8Result, error) {
-	res := &Fig8Result{Runs: runs}
+// Every (configuration, model, repetition) run is one cell with its own
+// fixed seed.
+func fig8Grid(seed uint64, runs int) Grid[*Fig8Result] {
+	var cells []Cell
+	var bars []func() Fig8Cell
 	for _, recurring := range []bool{false, true} {
 		for _, sync := range []bool{true, false} {
 			for _, cfg := range Fig8Configs {
-				bar, err := Fig8Single(seed, cfg, sync, recurring, runs)
-				if err != nil {
-					return nil, err
-				}
-				res.Cells = append(res.Cells, bar)
+				g := Fig8Bar(seed, cfg, sync, recurring, runs)
+				cells, bars = append(cells, g.Cells...), append(bars, g.Fold)
 			}
 		}
 	}
-	return res, nil
-}
-
-// Fig8Single runs one configuration/workflow combination (a single
-// Figure 8 bar) with the given repetitions, run r seeded seed+r*7919,
-// and folds them into the bar's mean ± stddev. It backs both Fig8 and
-// the xemem-insitu command.
-func Fig8Single(seed uint64, cfg Fig8Config, sync, recurring bool, runs int) (Fig8Cell, error) {
-	bar := Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring}
-	var s sim.Sample
-	for r := 0; r < runs; r++ {
-		t, err := fig8Run(Observe, seed+uint64(r)*7919, cfg, sync, recurring)
-		if err != nil {
-			return Fig8Cell{}, fmt.Errorf("fig8 %s sync=%v rec=%v run %d: %w", cfg, sync, recurring, r, err)
+	return Grid[*Fig8Result]{cells, func() *Fig8Result {
+		res := &Fig8Result{Runs: runs}
+		for _, bar := range bars {
+			res.Cells = append(res.Cells, bar())
 		}
-		s.AddTime(t)
-	}
-	bar.MeanS, bar.StdS = s.Mean(), s.Stddev()
-	return bar, nil
+		return res
+	}}
 }
 
-// fig8Run executes one composed run in a fresh world and returns the HPC
+// Fig8Bar is one configuration/workflow combination (a single Figure 8
+// bar) at the given repetitions, run r seeded seed+r*7919, folded into
+// the bar's mean ± stddev. It backs both Figure 8 and the xemem-insitu
+// command.
+func Fig8Bar(seed uint64, cfg Fig8Config, sync, recurring bool, runs int) Grid[Fig8Cell] {
+	times := make([]sim.Time, runs)
+	var cells []Cell
+	for r := range times {
+		s := seed + uint64(r)*7919
+		cells = append(cells, Cell{
+			fmt.Sprintf("fig8/%s/sync=%v/recurring=%v/seed=%d", cfg, sync, recurring, s), s,
+			func(w *sim.World) (err error) {
+				times[r], err = fig8Run(w, cfg, sync, recurring)
+				return err
+			},
+		})
+	}
+	return Grid[Fig8Cell]{cells, func() Fig8Cell {
+		var s sim.Sample
+		for _, t := range times {
+			s.AddTime(t)
+		}
+		return Fig8Cell{Config: cfg, Sync: sync, Recurring: recurring, MeanS: s.Mean(), StdS: s.Stddev()}
+	}}
+}
+
+// fig8Run builds and runs one composed run and returns the HPC
 // simulation's completion time.
-func fig8Run(obs observeFn, seed uint64, config Fig8Config, sync, recurring bool) (sim.Time, error) {
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 16 << 30, LinuxCores: 8})
-	announce(obs, fmt.Sprintf("fig8/%s/sync=%v/recurring=%v/seed=%d", config, sync, recurring, seed), node.World())
-	w := node.World()
+func fig8Run(w *sim.World, config Fig8Config, sync, recurring bool) (sim.Time, error) {
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 16 << 30, LinuxCores: 8})
 	regionBytes := uint64(fig8DataBytes) + 64<<10 // data + control page slack
 
 	var simSide, anSide insitu.Side

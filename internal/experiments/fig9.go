@@ -30,41 +30,77 @@ type Fig9Result struct {
 // Fig9NodeCounts is the paper's x-axis.
 var Fig9NodeCounts = []int{1, 2, 4, 8}
 
-// Fig9 reproduces §7: the composed benchmark in weak-scaling mode on
+// fig9Grid reproduces §7: the composed benchmark in weak-scaling mode on
 // 1–8 nodes, asynchronous execution, with the Linux-only configuration
 // against the multi-enclave one (HPC simulation in a Palacios VM on an
 // isolated Kitten co-kernel host, analytics in the native Linux enclave),
 // for both attachment models. runs repetitions (the paper reports 5).
-// Every (model, configuration, node count, repetition) run is one world
-// with its own fixed seed.
-func Fig9(seed uint64, runs int) (*Fig9Result, error) {
-	res := &Fig9Result{Runs: runs}
+// Every (model, configuration, node count, repetition) run is one cell,
+// run r seeded seed+r*104729.
+func fig9Grid(seed uint64, runs int) Grid[*Fig9Result] {
+	var cells []Cell
+	var pts []Fig9Cell
+	var times [][]sim.Time
 	for _, recurring := range []bool{false, true} {
 		for _, multi := range []bool{false, true} {
 			for _, nodes := range Fig9NodeCounts {
-				var s sim.Sample
-				for r := 0; r < runs; r++ {
-					t, err := fig9Run(Observe, seed+uint64(r)*104729, nodes, multi, recurring)
-					if err != nil {
-						return nil, fmt.Errorf("fig9 nodes=%d multi=%v rec=%v run %d: %w", nodes, multi, recurring, r, err)
-					}
-					s.AddTime(t)
+				ts := make([]sim.Time, runs)
+				for r := range ts {
+					cells = append(cells, fig9Cell(seed+uint64(r)*104729, nodes, multi, recurring, &ts[r]))
 				}
-				res.Cells = append(res.Cells, Fig9Cell{
-					Nodes: nodes, MultiEnclave: multi, Recurring: recurring,
-					MeanS: s.Mean(), StdS: s.Stddev(),
-				})
+				pts = append(pts, Fig9Cell{Nodes: nodes, MultiEnclave: multi, Recurring: recurring})
+				times = append(times, ts)
 			}
 		}
 	}
-	return res, nil
+	return Grid[*Fig9Result]{cells, func() *Fig9Result {
+		for i, ts := range times {
+			var s sim.Sample
+			for _, t := range ts {
+				s.AddTime(t)
+			}
+			pts[i].MeanS, pts[i].StdS = s.Mean(), s.Stddev()
+		}
+		return &Fig9Result{Runs: runs, Cells: pts}
+	}}
 }
 
 // Fig9Run executes a single Figure 9 cell — one weak-scaled run at the
-// given node count — and returns the completion time. It is the
-// benchmark-facing wrapper around the sweep's per-cell function.
+// given node count, its world announced to Observe — and returns the
+// completion time. It is the benchmark-facing entry to the figure's
+// cells.
 func Fig9Run(seed uint64, nodes int, multiEnclave, recurring bool) (sim.Time, error) {
-	return fig9Run(nil, seed, nodes, multiEnclave, recurring)
+	var t sim.Time
+	err := runCell(Observe, fig9Cell(seed, nodes, multiEnclave, recurring, &t))
+	return t, err
+}
+
+// fig9Cell is one weak-scaled run: `nodes` simulated machines in one
+// world, coupled by the allreduce at every CG iteration, each running its
+// own composed pair. Running it stores the slowest node's simulation
+// completion time (they coincide up to the final partial interval) in
+// *out.
+func fig9Cell(seed uint64, nodes int, multiEnclave, recurring bool, out *sim.Time) Cell {
+	label := fmt.Sprintf("fig9/nodes=%d/multi=%v/recurring=%v/seed=%d", nodes, multiEnclave, recurring, seed)
+	return Cell{label, seed, func(w *sim.World) error {
+		bar := cluster.NewAllreduce(nodes, fig9AllreduceNs)
+		results := make([]func() *insitu.Result, nodes)
+		for i := range results {
+			get, err := fig9BuildNode(w, i, multiEnclave, recurring, bar)
+			if err != nil {
+				return err
+			}
+			results[i] = get
+		}
+		if err := w.Run(); err != nil {
+			return err
+		}
+		*out = 0
+		for _, get := range results {
+			*out = max(*out, get().SimTime)
+		}
+		return nil
+	}}
 }
 
 // fig9BuildNode constructs node i of a Figure 9 world — the Linux
@@ -117,35 +153,6 @@ func fig9BuildNode(w *sim.World, i int, multiEnclave, recurring bool, bar insitu
 		Barrier:   bar,
 	}
 	return insitu.Run(w, cfg, simSide, simModel, anSide, nativeAnalytics(w), region)
-}
-
-// fig9Run executes one weak-scaled run: `nodes` simulated machines in one
-// world, coupled by the allreduce at every CG iteration, each running its
-// own composed pair. It returns the slowest node's simulation completion
-// time (they coincide up to the final partial interval).
-func fig9Run(obs observeFn, seed uint64, nodes int, multiEnclave, recurring bool) (sim.Time, error) {
-	w := sim.NewWorld(seed)
-	announce(obs, fmt.Sprintf("fig9/nodes=%d/multi=%v/recurring=%v/seed=%d", nodes, multiEnclave, recurring, seed), w)
-	bar := cluster.NewAllreduce(nodes, fig9AllreduceNs)
-	results := make([]func() *insitu.Result, nodes)
-
-	for i := 0; i < nodes; i++ {
-		get, err := fig9BuildNode(w, i, multiEnclave, recurring, bar)
-		if err != nil {
-			return 0, err
-		}
-		results[i] = get
-	}
-	if err := w.Run(); err != nil {
-		return 0, err
-	}
-	var slowest sim.Time
-	for _, get := range results {
-		if t := get().SimTime; t > slowest {
-			slowest = t
-		}
-	}
-	return slowest, nil
 }
 
 // Cell fetches one figure point.

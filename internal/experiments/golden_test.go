@@ -23,19 +23,29 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace digests")
 
-// runTraced executes fn with a fresh metrics-only trace.Set installed
-// as the Observe hook and returns the digests of every traced world.
-func runTraced(t *testing.T, fn func() error) []trace.Digest {
+// runTraced runs cells in order, each announced to one fresh
+// metrics-only trace set, and returns the digests of every traced world.
+func runTraced(t *testing.T, cells ...Cell) []trace.Digest {
 	t.Helper()
 	s := trace.NewSet()
 	s.SetKeepEvents(false)
-	saved := Observe
-	Observe = s.Observe
-	defer func() { Observe = saved }()
-	if err := fn(); err != nil {
-		t.Fatal(err)
+	for _, c := range cells {
+		if err := runCell(s.Observe, c); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return s.Digests()
+}
+
+// cellAt is the cell labelled label among its artifact's cells at
+// (seed, n).
+func cellAt(t *testing.T, label string, seed uint64, n int) Cell {
+	t.Helper()
+	c, err := cellNamed(label, seed, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // checkGolden compares digests against testdata/golden/<name>.json,
@@ -79,48 +89,29 @@ func checkGolden(t *testing.T, name string, got []trace.Digest) {
 }
 
 func TestGoldenFig5(t *testing.T) {
-	checkGolden(t, "fig5", runTraced(t, func() error {
-		_, err := Fig5(1, 2)
-		return err
-	}))
+	checkGolden(t, "fig5", runTraced(t, fig5Grid(1, 2).Cells...))
 }
 
 func TestGoldenFig6(t *testing.T) {
-	checkGolden(t, "fig6", runTraced(t, func() error {
-		_, _, _, err := fig6Point(nil, 1, 2, 128, 2)
-		return err
-	}))
+	checkGolden(t, "fig6", runTraced(t, cellAt(t, "fig6/enclaves=2/size=128MB", 1, 2)))
 }
 
 func TestGoldenFig7(t *testing.T) {
-	checkGolden(t, "fig7", runTraced(t, func() error {
-		_, err := Fig7(1)
-		return err
-	}))
+	checkGolden(t, "fig7", runTraced(t, fig7Grid(1, 0).Cells...))
 }
 
 func TestGoldenFig8(t *testing.T) {
-	checkGolden(t, "fig8", runTraced(t, func() error {
-		if _, err := fig8Run(nil, 1, KittenLinux, true, false); err != nil {
-			return err
-		}
-		_, err := fig8Run(nil, 1, KittenVMOnKt, false, true)
-		return err
-	}))
+	checkGolden(t, "fig8", runTraced(t,
+		cellAt(t, "fig8/Kitten/Linux/sync=true/recurring=false/seed=1", 1, 1),
+		cellAt(t, "fig8/Kitten/Linux VM (Kitten Host)/sync=false/recurring=true/seed=1", 1, 1)))
 }
 
 func TestGoldenFig9(t *testing.T) {
-	checkGolden(t, "fig9", runTraced(t, func() error {
-		_, err := fig9Run(nil, 1, 2, true, false)
-		return err
-	}))
+	checkGolden(t, "fig9", runTraced(t, cellAt(t, "fig9/nodes=2/multi=true/recurring=false/seed=1", 1, 1)))
 }
 
 func TestGoldenTable2(t *testing.T) {
-	checkGolden(t, "table2", runTraced(t, func() error {
-		_, err := Table2(1, 1, 0)
-		return err
-	}))
+	checkGolden(t, "table2", runTraced(t, table2Grid(1, 1).Cells...))
 }
 
 // TestGoldenRepeatable guards the digest itself: two traced runs of the
@@ -128,10 +119,7 @@ func TestGoldenTable2(t *testing.T) {
 // order, or allocation address leaks into the hash).
 func TestGoldenRepeatable(t *testing.T) {
 	run := func() []trace.Digest {
-		return runTraced(t, func() error {
-			_, _, _, err := fig6Point(nil, 3, 2, 128, 2)
-			return err
-		})
+		return runTraced(t, cellAt(t, "fig6/enclaves=2/size=128MB", 3, 2))
 	}
 	a, b := run(), run()
 	if len(a) != len(b) {

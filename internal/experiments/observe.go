@@ -8,39 +8,21 @@ import (
 	"xemem/internal/sim/trace"
 )
 
-// Observe, when non-nil, is invoked for every simulation world an
-// experiment constructs, with a label identifying the configuration the
-// world runs (e.g. "fig6/enclaves=2/size=1024MB"). Installing a
-// sim.Observer on the world — typically trace.Set.Observe — captures
-// that configuration's full event stream, and the set exports the worlds
-// in run order. Leave nil for zero overhead; the simulated results are
-// bit-identical either way. The hook is a package variable because
-// experiments construct their worlds internally, one per configuration
-// point; set it before an experiment starts and leave it alone until the
-// experiment returns.
+// Observe is the observer Fig9Run and Table2 announce their worlds to,
+// as every other run takes its observer as an argument (Grid.Run). It
+// exists only because the benchmark/ module's composed workload
+// installs its probe here and calls those two functions; nothing else
+// should set it.
 var Observe func(label string, w *sim.World)
 
-// observeFn announces one world to whatever hook is installed; nil means
-// no tracing.
+// observeFn is what a world is announced to: a label and the world,
+// right after creation (trace.Set.Observe installs the label's tracer).
 type observeFn = func(label string, w *sim.World)
 
-// announce invokes obs, falling back to the package Observe hook when
-// obs is nil (the path for direct calls to per-cell run functions, e.g.
-// from the golden-trace tests).
-func announce(obs observeFn, label string, w *sim.World) {
-	if obs == nil {
-		obs = Observe
-	}
-	if obs != nil {
-		obs(label, w)
-	}
-}
-
-// cellTracer announces a sweep cell's world and returns the tracer its
-// digest comes from: the one the installed hook put on the world, else a
-// private digest-only tracer installed here.
-func cellTracer(obs observeFn, label string, w *sim.World) *trace.Tracer {
-	announce(obs, label, w)
+// cellTracer returns the tracer a sweep cell's digest comes from: the
+// one its observer put on the world, else a private digest-only tracer
+// installed here.
+func cellTracer(label string, w *sim.World) *trace.Tracer {
 	switch o := w.Observer().(type) {
 	case *trace.Tracer:
 		return o

@@ -10,41 +10,29 @@ import (
 	"strings"
 	"testing"
 
-	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
 )
 
-// traced runs fn with a metrics-only tracer installed, restoring the
-// Observe hook afterwards, and returns the set for inspection.
-func traced(fn func() error) (*trace.Set, error) {
+// newSet is a metrics-only trace set.
+func newSet() *trace.Set {
 	s := trace.NewSet()
 	s.SetKeepEvents(false)
-	saved := Observe
-	Observe = s.Observe
-	defer func() { Observe = saved }()
-	return s, fn()
+	return s
 }
 
-// TestTracingDoesNotPerturbFig6 runs the same Figure 6 point bare and
+// TestTracingDoesNotPerturbFig6 runs the same Figure 6 cell bare and
 // traced; every simulated output must be bit-identical.
 func TestTracingDoesNotPerturbFig6(t *testing.T) {
-	bw0, at0, busy0, err := fig6Point(nil, 7, 2, 128, 3)
-	if err != nil {
-		t.Fatal(err)
+	run := func(obs observeFn) fig6Out {
+		pt := fig6Out{enclaves: 2, szMB: 128}
+		if err := runCell(obs, fig6Cell(7, 3, &pt)); err != nil {
+			t.Fatal(err)
+		}
+		return pt
 	}
-	var bw1 float64
-	var at1, busy1 sim.Time
-	s, err := traced(func() error {
-		var err error
-		bw1, at1, busy1, err = fig6Point(nil, 7, 2, 128, 3)
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bw0 != bw1 || at0 != at1 || busy0 != busy1 {
-		t.Errorf("tracing changed fig6 results: (%v,%v,%v) vs (%v,%v,%v)",
-			bw0, at0, busy0, bw1, at1, busy1)
+	s := newSet()
+	if bare, traced := run(nil), run(s.Observe); bare != traced {
+		t.Errorf("tracing changed fig6 results: %+v vs %+v", bare, traced)
 	}
 	if len(s.Tracers()) != 1 || s.Digests()[0].Spans == 0 {
 		t.Errorf("tracer captured nothing: %+v", s.Digests())
@@ -53,35 +41,26 @@ func TestTracingDoesNotPerturbFig6(t *testing.T) {
 
 // TestTracingDoesNotPerturbFig8 does the same for a full composed run.
 func TestTracingDoesNotPerturbFig8(t *testing.T) {
-	t0, err := fig8Run(nil, 7, KittenLinux, false, true)
-	if err != nil {
-		t.Fatal(err)
+	run := func(obs observeFn) Fig8Cell {
+		bar, err := Fig8Bar(7, KittenLinux, false, true, 1).Run(obs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bar
 	}
-	var t1 sim.Time
-	if _, err := traced(func() error {
-		var err error
-		t1, err = fig8Run(nil, 7, KittenLinux, false, true)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if t0 != t1 {
-		t.Errorf("tracing changed fig8 completion: %v vs %v", t0, t1)
+	if bare, traced := run(nil), run(newSet().Observe); bare != traced {
+		t.Errorf("tracing changed fig8 completion: %+v vs %+v", bare, traced)
 	}
 }
 
 // TestTracingDoesNotPerturbTable2 compares whole result structs.
 func TestTracingDoesNotPerturbTable2(t *testing.T) {
-	r0, err := Table2(7, 1, 0)
+	r0, err := table2Grid(7, 1).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var r1 *Table2Result
-	if _, err := traced(func() error {
-		var err error
-		r1, err = Table2(7, 1, 0)
-		return err
-	}); err != nil {
+	r1, err := table2Grid(7, 1).Run(newSet().Observe)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(r0, r1) {
@@ -93,14 +72,11 @@ func TestTracingDoesNotPerturbTable2(t *testing.T) {
 // `xemem-bench -experiment all` does: every world of the first must
 // export before any world of the second, in run order.
 func TestTraceOrderFollowsRunOrder(t *testing.T) {
-	s, err := traced(func() error {
-		if _, err := Fig7(11); err != nil {
-			return err
-		}
-		_, err := Table2(11, 1, 0)
-		return err
-	})
-	if err != nil {
+	s := newSet()
+	if _, err := fig7Grid(11, 0).Run(s.Observe); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := table2Grid(11, 1).Run(s.Observe); err != nil {
 		t.Fatal(err)
 	}
 	want := []string{"fig7/4KB", "fig7/2MB", "fig7/1GB",
@@ -114,9 +90,14 @@ func TestTraceOrderFollowsRunOrder(t *testing.T) {
 	}
 }
 
-// TestFig6Explain is the acceptance criterion: the exported core-0
-// funnel wait and coherence metrics must quantitatively explain the
-// Figure 6 1→2 enclave latency growth (sum of components ≈ delta).
+// TestFig6Explain is the acceptance criterion: the exported contention
+// metrics must quantitatively explain the Figure 6 1→2 enclave latency
+// growth (sum of components ≈ delta), and they pin which mechanism
+// carries it. The dip is the mm-coherence charge: it carries at least
+// 99% of the growth, and the core-0 funnel (inbox residency plus core-0
+// queueing), modelled but idle at this load, under 1%. A model change
+// that moves the dip onto the funnel changes this test and the prose
+// that describes the dip (DESIGN.md, EXPERIMENTS.md) together.
 func TestFig6Explain(t *testing.T) {
 	e, err := Fig6Explain(1, 1024, 3)
 	if err != nil {
@@ -125,10 +106,12 @@ func TestFig6Explain(t *testing.T) {
 	if e.ObservedDeltaNs <= 0 {
 		t.Fatalf("no 1→2 dip observed: %+v", e)
 	}
-	// The dip must be dominated by contention that only exists with a
-	// second enclave: coherence on the shared mm and funnel queueing.
-	if e.Coherence2Ns <= e.Coherence1Ns {
-		t.Errorf("coherence did not grow: %v → %v", e.Coherence1Ns, e.Coherence2Ns)
+	if coh := e.Coherence2Ns - e.Coherence1Ns; float64(coh) < 0.99*float64(e.ObservedDeltaNs) {
+		t.Errorf("coherence grew %v, under 99%% of the %v dip\n%s", coh, e.ObservedDeltaNs, e)
+	}
+	funnel := (e.InboxWait2Ns - e.InboxWait1Ns) + (e.Core0Wait2Ns - e.Core0Wait1Ns)
+	if float64(funnel) >= 0.01*float64(e.ObservedDeltaNs) {
+		t.Errorf("inbox plus core-0 queueing grew %v, not under 1%% of the %v dip\n%s", funnel, e.ObservedDeltaNs, e)
 	}
 	cov := e.Coverage()
 	if math.Abs(cov-1) > 0.2 {

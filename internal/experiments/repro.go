@@ -1,10 +1,11 @@
 package experiments
 
 // Repro bundles: a self-contained, replayable fingerprint of one
-// experiment world. A bundle pins the recipe, its parameter blob, the
-// seed, the cumulative trace digest at the end of each of 16 equal
-// virtual-time windows of the run, and the end-of-run digest. Replaying
-// re-runs the recipe from scratch, audits the world once it has ended
+// experiment world. A bundle names a cell by its label, the count and
+// the seed its artifact's grid was listed at, and pins the cumulative
+// trace digest at the end of each of 16 equal virtual-time windows of
+// the run and the end-of-run digest. Replaying re-runs the cell from
+// scratch, audits the world once it has ended
 // (sim.World.Audit), and compares the windows in order. A bundle that
 // verifies on another machine (or another commit) is a machine-checked
 // claim that the simulated behaviour reproduced exactly; one that fails
@@ -27,22 +28,24 @@ import (
 // bundleWindows is how many equal virtual-time windows a bundle pins.
 const bundleWindows = 16
 
-// Bundle is the repro bundle format (JSON on disk). Window k covers
+// Bundle is the repro bundle format (JSON on disk). Cell is the world's
+// label, whose first path element names its artifact; Count and Seed
+// are what the artifact's grid was listed at. Window k covers
 // [k·WindowNs, (k+1)·WindowNs); Windows[k] is the SHA-256 of the whole
 // trace digest — counts, dispatches, final time and event hash — as it
 // stood on the first dispatch at or past its end (the whole run, for a
 // window the run never reaches past).
 type Bundle struct {
-	Recipe   string          `json:"recipe"`
-	Params   json.RawMessage `json:"params,omitempty"`
-	Seed     uint64          `json:"seed"`
-	WindowNs int64           `json:"window_ns"`
-	Windows  []string        `json:"windows"`
-	Digest   trace.Digest    `json:"digest"`
+	Cell     string       `json:"cell"`
+	Count    int          `json:"count"`
+	Seed     uint64       `json:"seed"`
+	WindowNs int64        `json:"window_ns"`
+	Windows  []string     `json:"windows"`
+	Digest   trace.Digest `json:"digest"`
 }
 
 // LoadBundle reads a bundle file strictly: an unknown field, a missing
-// recipe or an empty window list is an error, so a file in an older
+// cell or an empty window list is an error, so a file in an older
 // format cannot verify only part of what it pins.
 func LoadBundle(path string) (*Bundle, error) {
 	buf, err := os.ReadFile(path)
@@ -56,8 +59,8 @@ func LoadBundle(path string) (*Bundle, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	switch {
-	case b.Recipe == "":
-		return nil, fmt.Errorf("%s: bundle names no recipe", path)
+	case b.Cell == "":
+		return nil, fmt.Errorf("%s: bundle names no cell", path)
 	case len(b.Windows) == 0 || b.WindowNs <= 0:
 		return nil, fmt.Errorf("%s: bundle pins no windows", path)
 	}
@@ -105,37 +108,29 @@ func windowEnds(n int, ns int64) []sim.Time {
 	return ends
 }
 
-// probe is one observed recipe run: its world and its windowed tracer.
+// probe is one observed cell run: its world and its windowed tracer.
 type probe struct {
-	worlds int
-	w      *sim.World
-	tr     *windowTracer
+	w  *sim.World
+	tr *windowTracer
 }
 
-// runRecipe executes a registered recipe with a windowed tracer on its
-// world (closing windows at ends; keep retains raw events) and returns
-// the probe once the world has ended.
-func runRecipe(name string, params json.RawMessage, seed uint64, ends []sim.Time, keep bool) (*probe, error) {
-	fn, ok := recipes[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown recipe %q (have: %s)", name, RecipeNames())
+// runProbe runs the cell labelled label at (seed, count) with a
+// windowed tracer on its world (closing windows at ends; keep retains
+// raw events) and returns the probe once the world has ended.
+func runProbe(label string, count int, seed uint64, ends []sim.Time, keep bool) (*probe, error) {
+	c, err := cellNamed(label, seed, count)
+	if err != nil {
+		return nil, err
 	}
 	p := &probe{}
-	hook := func(label string, w *sim.World) {
-		p.worlds++
-		if p.worlds > 1 {
-			return // rejected below, after the run
-		}
+	err = runCell(func(label string, w *sim.World) {
 		tr := trace.NewTracer(label)
 		tr.SetKeepEvents(keep)
 		p.w, p.tr = w, &windowTracer{Tracer: tr, ends: ends}
 		w.SetObserver(p.tr)
-	}
-	if err := fn(params, seed, hook); err != nil {
-		return nil, fmt.Errorf("recipe %s: %w", name, err)
-	}
-	if p.worlds != 1 {
-		return nil, fmt.Errorf("recipe %s announced %d worlds; bundles need exactly one", name, p.worlds)
+	}, c)
+	if err != nil {
+		return nil, err
 	}
 	for len(p.tr.sums) < len(ends) {
 		p.tr.close() // a window the run ended before reaching
@@ -143,36 +138,38 @@ func runRecipe(name string, params json.RawMessage, seed uint64, ends []sim.Time
 	return p, nil
 }
 
-// CaptureBundle runs a recipe twice and packages the result: the first
-// run measures the virtual duration, the second records the digest at
-// the end of each of its 16 windows and audits the ended world. The two
-// runs must produce the same digest — a recipe that fails that is not
-// deterministic and cannot be bundled.
-func CaptureBundle(recipe string, params json.RawMessage, seed uint64) (*Bundle, error) {
-	ref, err := runRecipe(recipe, params, seed, nil, false)
+// CaptureBundle runs the cell labelled label, among its artifact's cells
+// at (seed, count), twice and packages the result: the first run
+// measures the virtual duration, the second records the digest at the
+// end of each of its 16 windows and audits the ended world. The two
+// runs must produce the same digest — a cell that fails that is not
+// deterministic and cannot be bundled. A label that names no cell is
+// ErrNoCell.
+func CaptureBundle(label string, count int, seed uint64) (*Bundle, error) {
+	ref, err := runProbe(label, count, seed, nil, false)
 	if err != nil {
 		return nil, err
 	}
 	d := ref.tr.Digest()
 	width := max(d.FinalNs/bundleWindows, 1)
-	run, err := runRecipe(recipe, params, seed, windowEnds(bundleWindows, width), false)
+	run, err := runProbe(label, count, seed, windowEnds(bundleWindows, width), false)
 	if err != nil {
 		return nil, err
 	}
 	if rd := run.tr.Digest(); rd != d {
-		return nil, fmt.Errorf("recipe %s is not deterministic: digest %s vs %s across identical runs",
-			recipe, d.SHA256, rd.SHA256)
+		return nil, fmt.Errorf("%s is not deterministic: digest %s vs %s across identical runs",
+			label, d.SHA256, rd.SHA256)
 	}
 	if err := run.w.Audit(); err != nil {
-		return nil, fmt.Errorf("recipe %s: %w", recipe, err)
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 	return &Bundle{
-		Recipe: recipe, Params: params, Seed: seed,
+		Cell: label, Count: count, Seed: seed,
 		WindowNs: width, Windows: run.tr.sums, Digest: d,
 	}, nil
 }
 
-// RunBundle replays a bundle: re-run its recipe, compare each window's
+// RunBundle replays a bundle: re-run its cell, compare each window's
 // digest in order and then the end-of-run digest, and audit the ended
 // world. nil means the run reproduced the bundled behaviour bit-exactly
 // and left its state consistent. The first window that differs is
@@ -180,7 +177,7 @@ func CaptureBundle(recipe string, params json.RawMessage, seed uint64) (*Bundle,
 // run with events kept recovers.
 func RunBundle(b *Bundle) error {
 	ends := windowEnds(len(b.Windows), b.WindowNs)
-	p, err := runRecipe(b.Recipe, b.Params, b.Seed, ends, false)
+	p, err := runProbe(b.Cell, b.Count, b.Seed, ends, false)
 	if err != nil {
 		return err
 	}
@@ -190,24 +187,24 @@ func RunBundle(b *Bundle) error {
 			if err != nil {
 				return err
 			}
-			return fmt.Errorf("recipe %s: window %d of %d [%v, %v) digests %.16s…, bundle pinned %.16s… — behaviour first diverged there; spans in it: %s",
-				b.Recipe, k, len(ends), ends[k]-sim.Time(b.WindowNs), ends[k], got, want, spans)
+			return fmt.Errorf("%s: window %d of %d [%v, %v) digests %.16s…, bundle pinned %.16s… — behaviour first diverged there; spans in it: %s",
+				b.Cell, k, len(ends), ends[k]-sim.Time(b.WindowNs), ends[k], got, want, spans)
 		}
 	}
 	if d := p.tr.Digest(); d != b.Digest {
-		return fmt.Errorf("recipe %s: trace digest %+v, bundle pinned %+v — behaviour diverged after the last window, past %v",
-			b.Recipe, d, b.Digest, sim.Time(int64(len(ends))*b.WindowNs))
+		return fmt.Errorf("%s: trace digest %+v, bundle pinned %+v — behaviour diverged after the last window, past %v",
+			b.Cell, d, b.Digest, sim.Time(int64(len(ends))*b.WindowNs))
 	}
 	if err := p.w.Audit(); err != nil {
-		return fmt.Errorf("recipe %s: %w", b.Recipe, err)
+		return fmt.Errorf("%s: %w", b.Cell, err)
 	}
 	return nil
 }
 
-// windowSpans re-runs the bundle's recipe with events kept and lists,
+// windowSpans re-runs the bundle's cell with events kept and lists,
 // sorted, the distinct span names recorded in window k.
 func windowSpans(b *Bundle, ends []sim.Time, k int) (string, error) {
-	p, err := runRecipe(b.Recipe, b.Params, b.Seed, ends, true)
+	p, err := runProbe(b.Cell, b.Count, b.Seed, ends, true)
 	if err != nil {
 		return "", err
 	}

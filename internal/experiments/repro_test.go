@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -44,7 +43,7 @@ func TestReplayBundle(t *testing.T) {
 // end-of-run digest. A replay must fail, naming the corrupted window —
 // with its spans — or the stretch after the last window.
 func TestReplayBundleDetectsDrift(t *testing.T) {
-	b, err := CaptureBundle("fig6point", json.RawMessage(`{"size_mb":128,"reps":2}`), 5)
+	b, err := CaptureBundle("fig6/enclaves=2/size=128MB", 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,16 +120,51 @@ const parentFaultBundle = `{
   }
 }`
 
+// paramsFaultBundle is testdata/repro/fault.json in the format before
+// bundles named a cell: a recipe name and its parameter blob.
+const paramsFaultBundle = `{
+  "recipe": "fault",
+  "params": {"drop": 0.05, "crash": true, "rounds": 10},
+  "seed": 11,
+  "window_ns": 31488,
+  "windows": [
+    "dc89ec1f75413a500b41be0f72e5df9b6c4a7217fbadf6dcf17153ac12325865",
+    "9f78e196db4a316a5529461008e3094892a0ad87a672cf5b82d9f8f16a4ea5dc",
+    "cb758ae4c0ab7c0cabfb1af440c665737de5469d661155b2ee34414f67349c50",
+    "d798396f71bb6e6f42b4195ca8e27b05f98f76eb143bbaffc040dd991919f781",
+    "02432ec3a8bfe0cde81a7c6605852251477ad6bc1e35fd8861f23db8f003ffe6",
+    "350f19f93665084ebef56dd4ca834ce95f09e1aa428d667e1a8705e1c212f645",
+    "6ca4e895b4547c8c942042f7836ab37165d75094a4c0eef97f58807ac3628060",
+    "614986fb2f2134aeb775df60a6bf23ce7e53585eb863178e9bbb8917672104e9",
+    "e9d63267a8891ec1530a4724ab3c17051ad39a004add3c165a068583e0fb30c7",
+    "6d68cfcab2b295f774ab0237c3a9c49a451f203349f3baa65a1c3655f690aad0",
+    "104034d34bad82e1956862db10baf5d8a17995c617ddb8bf043b6b31148b8f81",
+    "b50f6a0ae14c9a530b4546e77af9da8a1d306d9d3740359d09ef2b5caad6cd3b",
+    "60bcfdc8af9c4fe975e842da198c2cb2d1998b252a3c7c6cc81e5ae89f9fe8a4",
+    "9b95cfebbbc99fc9554f7f361166ccd69508b684868ce59d95118890b4b1c76b",
+    "f3b5516fa707dcbf77b98a93e285d9050d3a57aee0931083cf8e016dae9652c5",
+    "87638d366a4788f8892406d6f2c4a1ecd4ea38fcb28003c6fbcbb58a8941d1d2"
+  ],
+  "digest": {
+    "label": "fault/drop=0.05/crash=true",
+    "spans": 45, "acquires": 14, "queue_waits": 6, "counts": 2, "dispatches": 318,
+    "span_time_ns": 55786, "wait_time_ns": 6476, "final_ns": 503820,
+    "sha256": "d3f526125f19d16c6c5d3f59c91f91f44e9fe568cbab2d094a93207e4d54d246"
+  }
+}`
+
 // TestLoadBundleStrict feeds LoadBundle files it must refuse: the
-// fault bundle in its old state-hash format (which a lenient decoder
-// would accept and verify by its final digest alone), a bundle naming
-// no recipe, and one pinning no windows.
+// fault bundle in its state-hash format (which a lenient decoder would
+// accept and verify by its final digest alone) and in its recipe format
+// (both now fail on their first field), a bundle naming no cell, and
+// one pinning no windows.
 func TestLoadBundleStrict(t *testing.T) {
 	dir := t.TempDir()
 	for name, tc := range map[string]struct{ body, want string }{
-		"old format": {parentFaultBundle, `unknown field "cut_ns"`},
-		"no recipe":  {`{"seed": 1, "window_ns": 5, "windows": ["x"]}`, "names no recipe"},
-		"no windows": {`{"recipe": "fault", "seed": 1}`, "pins no windows"},
+		"state-hash format": {parentFaultBundle, `unknown field "recipe"`},
+		"recipe format":     {paramsFaultBundle, `unknown field "recipe"`},
+		"no cell":           {`{"count": 1, "seed": 1, "window_ns": 5, "windows": ["x"]}`, "names no cell"},
+		"no windows":        {`{"cell": "fault/drop=0.05/crash=true", "count": 10, "seed": 1}`, "pins no windows"},
 	} {
 		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "-")+".json")
 		if err := os.WriteFile(path, []byte(tc.body), 0o644); err != nil {

@@ -32,42 +32,36 @@ type Table2Result struct {
 // guest attaching native memory (Fig. 4(a), rb-tree dominated), and
 // native attaching guest memory (Fig. 4(b), cheap translation). The
 // simulator is deterministic, so reps beyond a handful only confirm the
-// steady state (the paper used ≥500 to average hardware noise).
-// Each row is an independent world. The third parameter is ignored; it
+// steady state (the paper used ≥500 to average hardware noise). Its
+// worlds are announced to Observe. The third parameter is ignored; it
 // remains only for the benchmark module's caller, which still passes it.
 func Table2(seed uint64, reps, _ int) (*Table2Result, error) {
-	res := &Table2Result{Reps: reps}
-	const bytes = 1 << 30
+	return table2Grid(seed, reps).Run(Observe)
+}
 
-	rows := []struct {
-		label string
-		run   func() (Table2Row, error)
-	}{
-		{"table2/kitten-to-linux", func() (Table2Row, error) {
-			return table2KittenToLinux(Observe, seed, bytes, reps)
-		}},
-		{"table2/kitten-to-vm", func() (Table2Row, error) {
-			return table2KittenToVM(Observe, seed+1, bytes, reps)
-		}},
-		{"table2/vm-to-kitten", func() (Table2Row, error) {
-			return table2VMToKitten(Observe, seed+2, bytes, reps)
-		}},
+// table2Grid is Table 2's three rows, each an independent world.
+func table2Grid(seed uint64, reps int) Grid[*Table2Result] {
+	rows := make([]Table2Row, 3)
+	cell := func(i int, pairing string, run func(*sim.World, uint64, int) (Table2Row, error)) Cell {
+		return Cell{"table2/" + pairing, seed + uint64(i), func(w *sim.World) (err error) {
+			rows[i], err = run(w, 1<<30, reps)
+			return err
+		}}
 	}
-	for _, row := range rows {
-		r, err := row.run()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", row.label, err)
-		}
-		res.Rows = append(res.Rows, r)
+	return Grid[*Table2Result]{
+		Cells: []Cell{
+			cell(0, "kitten-to-linux", table2KittenToLinux),
+			cell(1, "kitten-to-vm", table2KittenToVM),
+			cell(2, "vm-to-kitten", table2VMToKitten),
+		},
+		Fold: func() *Table2Result { return &Table2Result{Reps: reps, Rows: rows} },
 	}
-	return res, nil
 }
 
 // table2KittenToLinux: Kitten exports, native Linux attaches (Fig. 5's
 // 1 GB point).
-func table2KittenToLinux(obs observeFn, seed uint64, bytes uint64, reps int) (Table2Row, error) {
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 32 << 30})
-	announce(obs, "table2/kitten-to-linux", node.World())
+func table2KittenToLinux(w *sim.World, bytes uint64, reps int) (Table2Row, error) {
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 32 << 30})
 	ck, err := node.BootCoKernel("kitten0", 2<<30)
 	if err != nil {
 		return Table2Row{}, err
@@ -87,9 +81,8 @@ func table2KittenToLinux(obs observeFn, seed uint64, bytes uint64, reps int) (Ta
 // table2KittenToVM: Kitten exports, a Linux VM (on the Linux host)
 // attaches — the Fig. 4(a) path whose cost is dominated by per-page
 // rb-tree insertion.
-func table2KittenToVM(obs observeFn, seed uint64, bytes uint64, reps int) (Table2Row, error) {
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 32 << 30})
-	announce(obs, "table2/kitten-to-vm", node.World())
+func table2KittenToVM(w *sim.World, bytes uint64, reps int) (Table2Row, error) {
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 32 << 30})
 	ck, err := node.BootCoKernel("kitten0", 2<<30)
 	if err != nil {
 		return Table2Row{}, err
@@ -118,9 +111,8 @@ func table2KittenToVM(obs observeFn, seed uint64, bytes uint64, reps int) (Table
 
 // table2VMToKitten: a Linux VM exports, the native Kitten process
 // attaches — the Fig. 4(b) path, cheap memory-map walks.
-func table2VMToKitten(obs observeFn, seed uint64, bytes uint64, reps int) (Table2Row, error) {
-	node := xemem.NewNode(xemem.NodeConfig{Seed: seed, MemBytes: 32 << 30})
-	announce(obs, "table2/vm-to-kitten", node.World())
+func table2VMToKitten(w *sim.World, bytes uint64, reps int) (Table2Row, error) {
+	node := xemem.NewNodeInWorld(w, xemem.NodeConfig{MemBytes: 32 << 30})
 	ck, err := node.BootCoKernel("kitten0", 4<<30)
 	if err != nil {
 		return Table2Row{}, err

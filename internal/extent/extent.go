@@ -85,13 +85,6 @@ func (l *List) Reset() {
 	l.pages = 0
 }
 
-// AppendList appends every extent of other, coalescing at the seam.
-func (l *List) AppendList(other List) {
-	for _, e := range other.exts {
-		l.Append(e.First, e.Count)
-	}
-}
-
 // Pages reports the total number of frames in the list.
 func (l List) Pages() uint64 { return l.pages }
 

@@ -140,7 +140,9 @@ func TestSliceConcatProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		a.AppendList(b)
+		for _, e := range b.Extents() {
+			a.Append(e.First, e.Count)
+		}
 		return a.Equal(l)
 	}, cfg)
 	if err != nil {

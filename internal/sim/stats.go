@@ -12,15 +12,6 @@ type CacheStats struct {
 	Invalidations uint64
 }
 
-// HitRate reports hits / (hits + misses), or 0 when the cache is unused.
-func (c CacheStats) HitRate() float64 {
-	total := c.Hits + c.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.Hits) / float64(total)
-}
-
 // Sample accumulates observations and reports summary statistics. The
 // experiment harnesses use it for the mean ± stddev values the paper's
 // figures report.
