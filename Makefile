@@ -76,25 +76,27 @@ benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Run every program under examples/: build compiles them, this proves
-# each still runs to a zero exit (quickstart and topology exercise
-# name-server lookups from the hosting enclave and from remote ones).
+# each still runs to a zero exit.
 examples:
 	@set -e; for d in examples/*/; do \
 		echo "== $$d"; $(GO) run ./$$d; \
 	done
 
-# Run each command once at a small setting (xemem-bench: every artifact,
-# the paper's figures and the fault, cluster and coll sweeps, at -fast
-# counts): a CLI that panics, exits non-zero or breaks its -metrics
-# export fails here, and so does an xemem-bench that accepts -trace with
-# -replay (a bundle replay cannot export a trace; it must exit 2). A
-# collective cell is captured by its label and replayed, and -repro must
-# exit 2 without -cell and for a label no artifact lists. xemem-vet
-# already runs under vet.
+# Run each command once at a small setting (xemem-topo: Figure 1's node,
+# its default spec; xemem-bench: every artifact, the paper's figures and
+# the fault, cluster and coll sweeps, at -fast counts): a CLI that
+# panics, exits non-zero or breaks its -metrics export fails here, and so
+# does an xemem-topo whose C → F demo is not forwarded by co-kernel D
+# (node0/kitten4) or an xemem-bench that accepts -trace with -replay (a
+# bundle replay cannot export a trace; it must exit 2). A collective cell
+# is captured by its label and replayed; -repro must exit 2 without -cell
+# and for a label no artifact lists, and -cell must exit 2 without
+# -repro. xemem-vet already runs under vet.
 cli:
 	@mkdir -p $(COVER_DIR)
-	$(GO) run ./cmd/xemem-topo
-	$(GO) run ./cmd/xemem-insitu -runs 1
+	$(GO) run ./cmd/xemem-topo > $(COVER_DIR)/topo.txt
+	@cat $(COVER_DIR)/topo.txt; grep -q '^  node0/kitten4 *forwarded [1-9]' $(COVER_DIR)/topo.txt || \
+		{ echo "xemem-topo: no forwarding line for node0/kitten4"; exit 1; }
 	$(GO) run ./cmd/xemem-bench -experiment all -fast -metrics $(COVER_DIR)/metrics.json
 	$(GO) build -o $(COVER_DIR)/xemem-bench ./cmd/xemem-bench
 	@$(COVER_DIR)/xemem-bench -replay internal/experiments/testdata/repro/fault.json -trace $(COVER_DIR)/replay.json; \
@@ -105,6 +107,8 @@ cli:
 	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -repro without -cell exited $$status, want 2"; exit 1; fi
 	@$(COVER_DIR)/xemem-bench -repro $(COVER_DIR)/cell.json -cell fig6/enclaves=3/size=128MB; \
 	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -repro -cell with an unknown label exited $$status, want 2"; exit 1; fi
+	@$(COVER_DIR)/xemem-bench -experiment fig7 -fast -cell fig7/4KB; \
+	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -cell without -repro exited $$status, want 2"; exit 1; fi
 
 # Short fuzz smoke over the two guest-memory-map structures, the page
 # table against its per-page oracle, and physical memory's eight-lane

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -76,6 +77,94 @@ func TestExperimentsQuoteFigs8And9(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExperimentsQuoteFigs5To7 checks the "Regenerated" columns of
+// EXPERIMENTS.md's Fig. 5, 6 and 7 tables against BENCH_fig5.json,
+// BENCH_fig6.json and BENCH_fig7.json. A cell's figure is its text up to
+// the first ", "; what follows is commentary, so the "~" event counts of
+// Fig. 7 ("~4000 events/10 s") stay unchecked: they are rounded by hand.
+// It reads files only.
+func TestExperimentsQuoteFigs5To7(t *testing.T) {
+	var fig5 experiments.Fig5Result
+	var fig6 experiments.Fig6Result
+	var fig7 experiments.Fig7Result
+	readBench(t, "BENCH_fig5.json", &fig5)
+	readBench(t, "BENCH_fig6.json", &fig6)
+	readBench(t, "BENCH_fig7.json", &fig7)
+	doc := experimentsDoc(t)
+	check := func(fig string, quoted map[string]string, row, want string) {
+		t.Helper()
+		cell, ok := quoted[row]
+		if got, _, _ := strings.Cut(cell, ", "); !ok || got != want {
+			t.Errorf("EXPERIMENTS.md's %s row %q reads %q; its BENCH file gives %q", fig, row, cell, want)
+		}
+	}
+
+	// Fig. 5: each series from 128 MB to 1 GB.
+	quoted := markdownTable(t, doc, "## Figure 5 ", 0, "Regenerated (128 MB → 1 GB)")
+	var lo, hi experiments.Fig5Row
+	for _, r := range fig5.Rows {
+		switch r.SizeMB {
+		case 128:
+			lo = r
+		case 1024:
+			hi = r
+		}
+	}
+	check("Fig. 5", quoted, "XEMEM attach", fmt.Sprintf("%.2f → %.2f GB/s", lo.AttachGBs, hi.AttachGBs))
+	check("Fig. 5", quoted, "XEMEM attach+read", fmt.Sprintf("%.2f → %.2f GB/s", lo.AttachReadGBs, hi.AttachReadGBs))
+	check("Fig. 5", quoted, "RDMA verbs/IB", fmt.Sprintf("%.2f → %.2f GB/s", lo.RDMAGBs, hi.RDMAGBs))
+
+	// Fig. 6: the 1 GB row per enclave count, rows such as "4, 8"
+	// quoting one value for several counts; 2 enclaves add the dip from 1.
+	quoted = markdownTable(t, doc, "## Figure 6 ", 0, "Regenerated (1 GB row)")
+	rowOf := map[string]string{}
+	for label := range quoted {
+		for _, n := range strings.Split(label, ", ") {
+			rowOf[n] = label
+		}
+	}
+	gbs := map[int]float64{}
+	for _, c := range fig6.Cells {
+		if c.SizeMB == 1024 {
+			gbs[c.Enclaves] = c.GBs
+		}
+	}
+	for _, n := range []int{1, 2, 4, 8} {
+		want := fmt.Sprintf("%.2f GB/s", gbs[n])
+		if n == 2 {
+			want += fmt.Sprintf(" (−%.0f %%)", (1-gbs[2]/gbs[1])*100)
+		}
+		check("Fig. 6", quoted, rowOf[fmt.Sprint(n)], want)
+	}
+
+	// Fig. 7, in µs: each serve size's maximum (the 1 GB serves as a
+	// range), and the baseline and SMI bands over all three phases.
+	quoted = markdownTable(t, doc, "## Figure 7 ", 0, "Regenerated")
+	band := func(class string) (lo, hi float64) {
+		for i, p := range fig7.Phases {
+			c := p.Class(class)
+			if i == 0 || c.MinUS < lo {
+				lo = c.MinUS
+			}
+			hi = max(hi, c.MaxUS)
+		}
+		return lo, hi
+	}
+	// thousands renders a value of 1,000–999,999 µs as the table does.
+	thousands := func(us float64) string {
+		n := int(math.Round(us))
+		return fmt.Sprintf("%d,%03d", n/1000, n%1000)
+	}
+	serve := func(i int) experiments.Fig7Class { return fig7.Phases[i].Class("xemem-attach") }
+	lo7, hi7 := band("hw-baseline")
+	check("Fig. 7", quoted, "Frequent hardware baseline", fmt.Sprintf("%.1f–%.1f µs", lo7, hi7))
+	lo7, hi7 = band("smi")
+	check("Fig. 7", quoted, "Periodic events (SMIs)", fmt.Sprintf("%.0f–%.0f µs", lo7, hi7))
+	check("Fig. 7", quoted, "4 KB attach serves", fmt.Sprintf("%.1f µs", serve(0).MaxUS))
+	check("Fig. 7", quoted, "2 MB attach serves", fmt.Sprintf("%.1f µs", serve(1).MaxUS))
+	check("Fig. 7", quoted, "1 GB attach serves", thousands(serve(2).MinUS)+"–"+thousands(serve(2).MaxUS)+" µs")
 }
 
 // readBench decodes the checked-in root BENCH file name into v.

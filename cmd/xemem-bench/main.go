@@ -21,7 +21,8 @@
 //
 // -repro captures one world, named by its cell label (the label it has
 // in -trace and -metrics), as a repro bundle; -replay re-runs a bundle
-// and verifies its digests. Both take precedence over -bench.
+// and verifies its digests. Both take precedence over -bench; -cell
+// without -repro exits 2.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
 // identical numbers. -experiment -fast trades repetition count for wall
@@ -58,6 +59,10 @@ func main() {
 	// observer, so -replay and -repro cannot also export a trace.
 	if (*replayPath != "" || *reproPath != "") && (*traceOut != "" || *metricsOut != "") {
 		fmt.Fprintln(os.Stderr, "-trace and -metrics do not apply to -replay or -repro")
+		os.Exit(2)
+	}
+	if *cellLabel != "" && *reproPath == "" {
+		fmt.Fprintln(os.Stderr, "-cell names the world -repro captures; it needs -repro <bundle.json>")
 		os.Exit(2)
 	}
 

@@ -1,12 +1,15 @@
 // Command xemem-topo boots an arbitrary enclave topology described by a
 // compact spec, runs the §3.2 bootstrap (name-server discovery, enclave-ID
 // allocation, passive route learning), and prints the resulting IDs and
-// per-enclave routing tables. With -demo it also runs a shared-memory
-// exchange between the first and last leaf enclaves.
+// per-enclave routing tables and the modules that forwarded messages for
+// other enclaves. With -demo it also runs a shared-memory exchange
+// between the first and last enclaves.
 //
 // The spec grammar and builder are the public xemem.Topology API
-// (xemem.ParseTopology / Topology.Build); see its doc comment. Example:
-// -spec "kitten,kitten(vm,vm),vm" reproduces Figure 1's node.
+// (xemem.ParseTopology / Topology.Build); see its doc comment. The
+// default spec, "vm,kitten,kitten,kitten(vm,vm)", is Figure 1's node:
+// the demo exports from VM C and attaches from VM F, so its commands
+// route C → Linux → D → F and back (§3.2).
 package main
 
 import (
@@ -17,6 +20,7 @@ import (
 	"strings"
 
 	"xemem"
+	"xemem/internal/core"
 	"xemem/internal/pagetable"
 	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
@@ -24,7 +28,7 @@ import (
 )
 
 func main() {
-	spec := flag.String("spec", "kitten,kitten(vm,vm),vm", "topology spec (see doc comment)")
+	spec := flag.String("spec", "vm,kitten,kitten,kitten(vm,vm)", "topology spec (see doc comment)")
 	demo := flag.Bool("demo", true, "run a shared-memory exchange between the first and last enclaves")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	traceOut := flag.String("trace", "", "write a Chrome trace_event JSON of the bootstrap and demo to this file (open in chrome://tracing or Perfetto)")
@@ -72,19 +76,28 @@ func main() {
 	}
 }
 
-// fingerprint renders the bootstrap outcome: enclave IDs and routing
-// tables.
+// fingerprint renders the bootstrap outcome: enclave IDs, routing
+// tables and the modules that relayed messages for other enclaves.
 func fingerprint(node *xemem.Node, enclaves []*xemem.Enclave) string {
+	modules := []*core.Module{node.LinuxModule()}
+	for _, e := range enclaves {
+		modules = append(modules, e.Module)
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Enclave IDs (name-server allocated):\n")
-	fmt.Fprintf(&b, "  %-16s enclave %d (name server)\n", node.LinuxModule().Name(), node.LinuxModule().EnclaveID())
-	for _, e := range enclaves {
-		fmt.Fprintf(&b, "  %-16s enclave %d\n", e.Module.Name(), e.Module.EnclaveID())
+	fmt.Fprintf(&b, "  %-16s enclave %d (name server)\n", modules[0].Name(), modules[0].EnclaveID())
+	for _, m := range modules[1:] {
+		fmt.Fprintf(&b, "  %-16s enclave %d\n", m.Name(), m.EnclaveID())
 	}
 	fmt.Fprintf(&b, "\nRouting tables:\n")
-	fmt.Fprintf(&b, "  %s\n", node.LinuxModule().R.RouteTable())
-	for _, e := range enclaves {
-		fmt.Fprintf(&b, "  %s\n", e.Module.R.RouteTable())
+	for _, m := range modules {
+		fmt.Fprintf(&b, "  %s\n", m.R.RouteTable())
+	}
+	fmt.Fprintf(&b, "\nForwarding (messages relayed for other enclaves):\n")
+	for _, m := range modules {
+		if f := m.Stats.MsgsForwarded; f > 0 {
+			fmt.Fprintf(&b, "  %-16s forwarded %d\n", m.Name(), f)
+		}
 	}
 	return b.String()
 }

@@ -221,13 +221,13 @@ func TestFig8Shape(t *testing.T) {
 	if res.Cell(LinuxLinux, true, true).MeanS <= res.Cell(LinuxLinux, true, false).MeanS {
 		t.Error("Linux-only recurring sync not worse than one-time")
 	}
-	// xemem-insitu's single-bar runner reports exactly the figure's bar.
-	bar, err := Fig8Bar(1, KittenLinux, true, false, 4).Run(nil)
+	// One bar run on its own reports exactly the figure's bar.
+	bar, err := fig8Bar(1, KittenLinux, true, false, 4).Run(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := res.Cell(KittenLinux, true, false); bar != want {
-		t.Errorf("Fig8Single = %+v, Fig8 bar = %+v", bar, want)
+		t.Errorf("fig8Bar = %+v, Fig8 bar = %+v", bar, want)
 	}
 }
 

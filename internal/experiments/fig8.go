@@ -52,7 +52,7 @@ func fig8Grid(seed uint64, runs int) Grid[*Fig8Result] {
 	for _, recurring := range []bool{false, true} {
 		for _, sync := range []bool{true, false} {
 			for _, cfg := range Fig8Configs {
-				g := Fig8Bar(seed, cfg, sync, recurring, runs)
+				g := fig8Bar(seed, cfg, sync, recurring, runs)
 				cells, bars = append(cells, g.Cells...), append(bars, g.Fold)
 			}
 		}
@@ -66,11 +66,10 @@ func fig8Grid(seed uint64, runs int) Grid[*Fig8Result] {
 	}}
 }
 
-// Fig8Bar is one configuration/workflow combination (a single Figure 8
+// fig8Bar is one configuration/workflow combination (a single Figure 8
 // bar) at the given repetitions, run r seeded seed+r*7919, folded into
-// the bar's mean ± stddev. It backs both Figure 8 and the xemem-insitu
-// command.
-func Fig8Bar(seed uint64, cfg Fig8Config, sync, recurring bool, runs int) Grid[Fig8Cell] {
+// the bar's mean ± stddev.
+func fig8Bar(seed uint64, cfg Fig8Config, sync, recurring bool, runs int) Grid[Fig8Cell] {
 	times := make([]sim.Time, runs)
 	var cells []Cell
 	for r := range times {

@@ -42,7 +42,7 @@ func TestTracingDoesNotPerturbFig6(t *testing.T) {
 // TestTracingDoesNotPerturbFig8 does the same for a full composed run.
 func TestTracingDoesNotPerturbFig8(t *testing.T) {
 	run := func(obs observeFn) Fig8Cell {
-		bar, err := Fig8Bar(7, KittenLinux, false, true, 1).Run(obs)
+		bar, err := fig8Bar(7, KittenLinux, false, true, 1).Run(obs)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"xemem"
+	"xemem/internal/core"
 	"xemem/internal/fault"
 	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
@@ -286,5 +287,39 @@ func TestDelayDefaulting(t *testing.T) {
 	}
 	if max := sim.Time(res.stats.Delays) * (10*sim.Microsecond + 1); res.stats.DelayTime > max {
 		t.Fatalf("total delay %v exceeds %d × default bound", res.stats.DelayTime, res.stats.Delays)
+	}
+}
+
+// TestBootFailsUnderTotalLoss: a co-kernel whose every bootstrap message
+// is dropped exhausts its ping and ID attempts and marks itself crashed.
+// Calls from its processes then fail with ErrEnclaveDown instead of
+// hanging, the run ends, and the ended world still audits clean.
+func TestBootFailsUnderTotalLoss(t *testing.T) {
+	node := xemem.NewNode(xemem.NodeConfig{Seed: 3, MemBytes: 1 << 30})
+	inj := fault.New(node.World(), fault.Plan{DropProb: 1})
+	ck, err := node.BootCoKernel("lwk", 256<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj.Register(node.LinuxModule(), ck.Module)
+	inj.Arm()
+	sess, heap, err := node.KittenProcess(ck, "maker", 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	node.Spawn("maker", func(a *sim.Actor) {
+		_, err := sess.Make(a, heap.Base, 4096, xpmem.PermRead, "unreachable")
+		if !errors.Is(err, core.ErrEnclaveDown) {
+			t.Errorf("Make from a co-kernel that never booted = %v, want ErrEnclaveDown", err)
+		}
+	})
+	if err := node.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Module.Crashed() {
+		t.Fatal("co-kernel survived a bootstrap that lost every message")
+	}
+	if err := node.World().Audit(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -96,15 +96,3 @@ func Detours(spans []sim.Span, appTag string) []Detour {
 	}
 	return out
 }
-
-// Split partitions detours into those containing the tag and the rest.
-func Split(ds []Detour, tag string) (with, without []Detour) {
-	for _, d := range ds {
-		if d.Tagged(tag) {
-			with = append(with, d)
-		} else {
-			without = append(without, d)
-		}
-	}
-	return with, without
-}

@@ -39,18 +39,6 @@ func TestDetoursIgnoreAppAndEmpty(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	ds := []Detour{
-		{Dur: 1, Tags: []string{"hw"}},
-		{Dur: 2, Tags: []string{"xemem-serve"}},
-		{Dur: 3, Tags: []string{"smi"}},
-	}
-	with, without := Split(ds, "xemem-serve")
-	if len(with) != 1 || len(without) != 2 {
-		t.Fatalf("split = %d/%d", len(with), len(without))
-	}
-}
-
 func TestInjectProducesBaselineProfile(t *testing.T) {
 	w := sim.NewWorld(99)
 	core := sim.NewCore("kitten")

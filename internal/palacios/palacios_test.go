@@ -122,58 +122,61 @@ func TestGuestAttachesHostMemory(t *testing.T) {
 
 // TestHostAttachesGuestMemory is Fig. 4(b): a guest process exports; a
 // native process attaches. The frame list is translated guest→host as it
-// crosses the PCI channel.
+// crosses the PCI channel, through the rb-tree and then the radix guest
+// memory map.
 func TestHostAttachesGuestMemory(t *testing.T) {
-	n := newVMNode(t)
-	vm := n.launchVM(t, "vm0", 64<<20, palacios.RBTree)
+	for _, kind := range []palacios.MapKind{palacios.RBTree, palacios.Radix} {
+		n := newVMNode(t)
+		vm := n.launchVM(t, "vm0", 64<<20, kind)
 
-	gp := vm.Guest.NewProcess("sim", 1)
-	hp := n.linux.NewProcess("analytics", 1)
-	const pages = 16
+		gp := vm.Guest.NewProcess("sim", 1)
+		hp := n.linux.NewProcess("analytics", 1)
+		const pages = 16
 
-	n.w.Spawn("driver", func(a *sim.Actor) {
-		region, err := vm.Guest.Alloc(gp, "buf", pages, true)
-		if err != nil {
-			t.Error(err)
-			return
+		n.w.Spawn("driver", func(a *sim.Actor) {
+			region, err := vm.Guest.Alloc(gp, "buf", pages, true)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := gp.AS.Write(region.Base, []byte("guest export")); err != nil {
+				t.Error(err)
+				return
+			}
+			segid, err := vm.Module.Make(a, gp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			apid, err := n.lmod.GetWith(a, hp, segid, core.GetOpts{Perm: xproto.PermRead})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			va, err := n.lmod.AttachWith(a, hp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got := make([]byte, 12)
+			if _, err := hp.AS.Read(va, got); err != nil {
+				t.Error(err)
+				return
+			}
+			if string(got) != "guest export" {
+				t.Errorf("host read %q", got)
+			}
+			// The attacher's region backing must be HOST frames (valid in the
+			// host frame space), not guest-physical numbers.
+			r := hp.AS.FindRegion(va)
+			f, _ := r.Backing.Page(0)
+			if n.pm.Pinned(f) == 0 {
+				t.Error("backing host frame not pinned by the serve")
+			}
+		})
+		if err := n.w.Run(); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := gp.AS.Write(region.Base, []byte("guest export")); err != nil {
-			t.Error(err)
-			return
-		}
-		segid, err := vm.Module.Make(a, gp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		apid, err := n.lmod.GetWith(a, hp, segid, core.GetOpts{Perm: xproto.PermRead})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		va, err := n.lmod.AttachWith(a, hp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		got := make([]byte, 12)
-		if _, err := hp.AS.Read(va, got); err != nil {
-			t.Error(err)
-			return
-		}
-		if string(got) != "guest export" {
-			t.Errorf("host read %q", got)
-		}
-		// The attacher's region backing must be HOST frames (valid in the
-		// host frame space), not guest-physical numbers.
-		r := hp.AS.FindRegion(va)
-		f, _ := r.Backing.Page(0)
-		if n.pm.Pinned(f) == 0 {
-			t.Error("backing host frame not pinned by the serve")
-		}
-	})
-	if err := n.w.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -19,7 +19,8 @@ import (
 //
 // kitten children may be kittens (nested co-kernels) or vms (Palacios on
 // a Kitten host); vm nodes are leaves. Example:
-// "kitten,kitten(vm,vm),vm" reproduces Figure 1's node.
+// "vm,kitten,kitten,kitten(vm,vm)" reproduces Figure 1's node: VM C on
+// the Linux host, co-kernels A, G and D, and VMs E and F on D.
 //
 // Beyond the enclave tree, a Topology carries the physical locality grid
 // Build places enclaves on: Sockets × NUMAPerSocket NUMA domains,

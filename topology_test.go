@@ -117,7 +117,7 @@ func TestLocalityKeys(t *testing.T) {
 func TestBuildReproducible(t *testing.T) {
 	boot := func() string {
 		node := xemem.NewNode(xemem.NodeConfig{Seed: 1, MemBytes: 16 << 30})
-		topo, err := xemem.ParseTopology("kitten,kitten(vm,vm),vm")
+		topo, err := xemem.ParseTopology("vm,kitten,kitten,kitten(vm,vm)")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestBuildReproducible(t *testing.T) {
 	if first != second {
 		t.Fatalf("same seed bootstrapped differently:\n%s\nvs\n%s", first, second)
 	}
-	if n := strings.Count(first, "\n"); n != 6 {
-		t.Fatalf("rendered %d enclaves, want 6:\n%s", n, first)
+	if n := strings.Count(first, "\n"); n != 7 {
+		t.Fatalf("rendered %d enclaves, want 7:\n%s", n, first)
 	}
 }
