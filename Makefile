@@ -22,9 +22,8 @@ check: vet build benchmark-build race test benchsmoke examples cli replay fuzz c
 # type-checks the whole module (standard library from compiler export
 # data, under a second on 2 CPUs) and fails on a package that does not
 # type-check. The scan cross-compiles the module for arm64, whose
-# compiler fuses x*y + z, and fails on any fused instruction outside
-# internal/hpccg and internal/stream (their fusions only touch example
-# data): a fused site makes virtual time depend on the CPU (DESIGN.md
+# compiler fuses x*y + z, and fails on any fused instruction in the
+# module: a fused site makes virtual time depend on the CPU (DESIGN.md
 # §5). About 16 s on 2 CPUs with an empty build cache, 1-4 s warm.
 vet:
 	@unformatted=$$(gofmt -l .); \
@@ -36,9 +35,9 @@ vet:
 	@mkdir -p $(COVER_DIR)
 	@GOARCH=arm64 $(GO) build -gcflags='xemem/...=-S' -o /dev/null ./... > $(COVER_DIR)/arm64.s 2>&1 || \
 		{ grep -v '^[[:space:]]' $(COVER_DIR)/arm64.s | head -20; exit 1; }
-	@fused=$$(grep -E '[[:space:]]FN?M(ADD|SUB)[SD][[:space:]]' $(COVER_DIR)/arm64.s | grep -vE '/internal/(hpccg|stream)/[^/]*\.go:'); \
+	@fused=$$(grep -E '[[:space:]]FN?M(ADD|SUB)[SD][[:space:]]' $(COVER_DIR)/arm64.s); \
 	if [ -n "$$fused" ]; then \
-		echo "fused multiply-add outside internal/hpccg and internal/stream; round the product with float64(...):"; \
+		echo "fused multiply-add; round the product with float64(...):"; \
 		echo "$$fused"; exit 1; \
 	fi
 
@@ -90,8 +89,10 @@ examples:
 # (node0/kitten4) or an xemem-bench that accepts -trace with -replay (a
 # bundle replay cannot export a trace; it must exit 2). A collective cell
 # is captured by its label and replayed; -repro must exit 2 without -cell
-# and for a label no artifact lists, and -cell must exit 2 without
-# -repro. xemem-vet already runs under vet.
+# and for a label no artifact lists, and a flag the mode does not read
+# must exit 2: -cell without -repro, -fast with -bench (BENCH files are
+# at full counts), -seed and -fast with -replay (the bundle fixes both).
+# xemem-vet already runs under vet.
 cli:
 	@mkdir -p $(COVER_DIR)
 	$(GO) run ./cmd/xemem-topo > $(COVER_DIR)/topo.txt
@@ -109,6 +110,10 @@ cli:
 	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -repro -cell with an unknown label exited $$status, want 2"; exit 1; fi
 	@$(COVER_DIR)/xemem-bench -experiment fig7 -fast -cell fig7/4KB; \
 	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -cell without -repro exited $$status, want 2"; exit 1; fi
+	@$(COVER_DIR)/xemem-bench -bench fig7 -fast; \
+	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -bench -fast exited $$status, want 2"; exit 1; fi
+	@$(COVER_DIR)/xemem-bench -replay $(COVER_DIR)/cell.json -seed 5 -fast; \
+	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -replay -seed -fast exited $$status, want 2"; exit 1; fi
 
 # Short fuzz smoke over the two guest-memory-map structures, the page
 # table against its per-page oracle, and physical memory's eight-lane

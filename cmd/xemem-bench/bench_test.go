@@ -92,6 +92,33 @@ func TestSelectBenches(t *testing.T) {
 	}
 }
 
+// TestStrayFlag checks the mode resolution over explicitly set flags (in
+// flag.Visit's lexical order): -replay beats -repro beats -bench, the
+// default is -experiment, and a set flag the mode does not read is named.
+func TestStrayFlag(t *testing.T) {
+	for _, tc := range []struct {
+		set         []string
+		mode, stray string
+	}{
+		{nil, "experiment", ""},
+		{[]string{"fast", "metrics", "seed", "trace"}, "experiment", ""},
+		{[]string{"cell", "experiment", "fast"}, "experiment", "cell"},
+		{[]string{"bench", "metrics", "seed", "trace"}, "bench", ""},
+		{[]string{"bench", "fast"}, "bench", "fast"},
+		{[]string{"bench", "experiment"}, "bench", "experiment"},
+		{[]string{"cell", "fast", "repro", "seed"}, "repro", ""},
+		{[]string{"cell", "metrics", "repro"}, "repro", "metrics"},
+		{[]string{"replay"}, "replay", ""},
+		{[]string{"fast", "replay", "seed"}, "replay", "fast"},
+		{[]string{"bench", "replay"}, "replay", "bench"},
+	} {
+		m, stray := strayFlag(tc.set)
+		if m.name != tc.mode || stray != tc.stray {
+			t.Errorf("%v: mode %q stray %q, want %q %q", tc.set, m.name, stray, tc.mode, tc.stray)
+		}
+	}
+}
+
 // TestBenchValues regenerates every BENCH file at the `make bench` seed
 // and checks it byte for byte against the checked-in copy, so a change
 // that moves a quoted simulated number must regenerate its file in the

@@ -4,25 +4,25 @@
 //
 // Usage:
 //
-//	xemem-bench -experiment fig5|fig6|table2|fig7|fig8|fig9|fault|cluster|coll|all [flags]
-//	xemem-bench -bench fig5|...|coll|all [flags]
+//	xemem-bench -experiment fig5|fig6|table2|fig7|fig8|fig9|fault|cluster|coll|all [-seed n] [-fast] [-trace f] [-metrics f]
+//	xemem-bench -bench fig5|...|coll|all [-seed n] [-trace f] [-metrics f]
 //	xemem-bench -repro bundle.json -cell <label> [-fast] [-seed n]
 //	xemem-bench -replay bundle.json
 //
 // -experiment and -bench select from one table, experiments.Artifacts,
 // which holds each artifact's name, repetition counts and grid of cells
-// (one cell per simulated world). -experiment
-// prints the named artifacts; -bench prints them at full counts, writes
-// each one's BENCH_<name>.json into the current directory and takes
-// precedence over -experiment. Every BENCH file is a pure function of
-// the seed: it regenerates byte-for-byte on any machine. Host time is
-// measured by the go test benchmarks and the benchmark/ module, never
-// here.
+// (one cell per simulated world). -experiment prints the named
+// artifacts; -bench prints them at full counts and writes each one's
+// BENCH_<name>.json into the current directory. Every BENCH file is a
+// pure function of the seed: it regenerates byte-for-byte on any
+// machine. Host time is measured by the go test benchmarks and the
+// benchmark/ module, never here.
 //
 // -repro captures one world, named by its cell label (the label it has
 // in -trace and -metrics), as a repro bundle; -replay re-runs a bundle
-// and verifies its digests. Both take precedence over -bench; -cell
-// without -repro exits 2.
+// and verifies its digests. The mode is the first of -replay, -repro,
+// -bench set, else -experiment; a flag the mode does not read (see
+// Usage) exits 2 instead of being ignored.
 //
 // The simulator is deterministic: rerunning with the same -seed reproduces
 // identical numbers. -experiment -fast trades repetition count for wall
@@ -55,14 +55,10 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write per-world contention metrics JSON to this file and print the per-figure breakdown tables")
 	flag.Parse()
 
-	// A bundle's windowed digest probe takes the place of the trace set's
-	// observer, so -replay and -repro cannot also export a trace.
-	if (*replayPath != "" || *reproPath != "") && (*traceOut != "" || *metricsOut != "") {
-		fmt.Fprintln(os.Stderr, "-trace and -metrics do not apply to -replay or -repro")
-		os.Exit(2)
-	}
-	if *cellLabel != "" && *reproPath == "" {
-		fmt.Fprintln(os.Stderr, "-cell names the world -repro captures; it needs -repro <bundle.json>")
+	var given []string
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	if m, stray := strayFlag(given); stray != "" {
+		fmt.Fprintf(os.Stderr, "-%s does not apply to -%s, which reads -%s\n", stray, m.name, strings.Join(m.reads, " -"))
 		os.Exit(2)
 	}
 

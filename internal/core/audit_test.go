@@ -167,6 +167,77 @@ func TestWorldEndAuditMutations(t *testing.T) {
 	}
 }
 
+// TestDroppedDetachNotices forges two detach notices at an owner holding
+// served attachments of two segments, the second twice the first's size
+// at the same address: one notice for a segid it never exported, and one
+// for the first segment whose range runs past it onto exactly the pages
+// the second's attachment pinned. Each is dropped and counted, the
+// owner's pins and attach counts stay as they were, and the world-end
+// audit (run by newTestNode's cleanup) still passes with both
+// attachments live.
+func TestDroppedDetachNotices(t *testing.T) {
+	n := newTestNode(t)
+	n.lmod.Start()
+	ck := n.addKitten(t, "kitten0", 64<<20)
+	const pages = 8
+	kp, heap, err := ck.OS.NewProcess("exporter", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	latt := n.linux.NewProcess("latt", 1)
+	n.w.Spawn("driver", func(a *sim.Actor) {
+		rw := xproto.PermRead | xproto.PermWrite
+		var segs [2]xproto.Segid
+		for i := range segs {
+			segid, err := ck.Module.Make(a, kp, heap.Base, uint64(i+1)*pages*extent.PageSize, rw, "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			apid, err := n.lmod.GetWith(a, latt, segid, core.GetOpts{Perm: rw})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := n.lmod.AttachWith(a, latt, segid, apid, core.AttachOpts{Perm: rw}); err != nil {
+				t.Error(err)
+				return
+			}
+			segs[i] = segid
+		}
+		if len(n.pm.PinnedExtents()) == 0 {
+			t.Error("the served attachments pinned nothing")
+		}
+		pins := fmt.Sprint(n.pm.PinnedExtents())
+		for _, tc := range []struct {
+			name          string
+			segid         xproto.Segid
+			offset, pages uint64
+		}{
+			{"unknown segid", segs[1] + 1000, 0, pages},
+			{"range past the segment", segs[0], 0, 2 * pages},
+		} {
+			dropped := ck.Module.Stats.DroppedMessages
+			core.NotifyDetach(n.lmod, a, ck.Module.EnclaveID(), tc.segid, tc.offset, tc.pages)
+			a.Advance(sim.Millisecond)
+			if got := ck.Module.Stats.DroppedMessages - dropped; got != 1 {
+				t.Errorf("%s: owner dropped %d message(s), want 1", tc.name, got)
+			}
+			for _, segid := range segs {
+				if got := core.Attaches(ck.Module, segid); got != 1 {
+					t.Errorf("%s: segment %d: attaches = %d, want 1", tc.name, segid, got)
+				}
+			}
+			if got := fmt.Sprint(n.pm.PinnedExtents()); got != pins {
+				t.Errorf("%s: pins %s, want %s", tc.name, got, pins)
+			}
+		}
+	})
+	if err := n.w.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWorldEndAuditShards ends a two-node sharded cluster world after a
 // cross-node attach, detach and lease-cached get, checks that the audit
 // passes, then breaks the shard state one invariant at a time.

@@ -34,9 +34,6 @@ import (
 // methods charge their own simulated costs (the per-page prices differ
 // between kernels, which is much of what the evaluation measures).
 type OS interface {
-	// OSName identifies the kernel ("kitten0", "linux", "vm1-guest").
-	OSName() string
-
 	// KernelCore is the core on which kernel-level XEMEM work (message
 	// handling, serve-side walks) executes. For the Linux management
 	// enclave under Pisces this is core 0 (§5.3).

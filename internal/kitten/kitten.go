@@ -114,9 +114,6 @@ func permFlags(perm xproto.Perm) pagetable.Flags {
 
 // --- core.OS implementation -------------------------------------------
 
-// OSName identifies the kernel instance.
-func (k *Kitten) OSName() string { return k.name }
-
 // KernelCore is the core XEMEM kernel work runs on — the enclave's only
 // core, which is why serves are visible in the §5.5 noise profile.
 func (k *Kitten) KernelCore() *sim.Core { return k.core }

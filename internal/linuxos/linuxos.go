@@ -41,7 +41,6 @@ type VirtHooks interface {
 
 // Linux is one Linux kernel instance.
 type Linux struct {
-	name    string
 	w       *sim.World
 	c       *sim.Costs
 	cores   []*sim.Core
@@ -65,7 +64,7 @@ func New(name string, w *sim.World, zone *mem.Zone, dom proc.Domain, ncores int)
 		ncores = 1
 	}
 	l := &Linux{
-		name: name, w: w, c: w.Costs(), zone: zone, dom: dom,
+		w: w, c: w.Costs(), zone: zone, dom: dom,
 		procCore: make(map[*proc.Process]*sim.Core),
 	}
 	for i := 0; i < ncores; i++ {
@@ -76,9 +75,6 @@ func New(name string, w *sim.World, zone *mem.Zone, dom proc.Domain, ncores int)
 
 // SetVirtHooks marks this instance as a Palacios guest.
 func (l *Linux) SetVirtHooks(v VirtHooks) { l.virt = v }
-
-// Name reports the instance name.
-func (l *Linux) Name() string { return l.name }
 
 // Zone returns the instance's memory zone.
 func (l *Linux) Zone() *mem.Zone { return l.zone }
@@ -140,9 +136,6 @@ func permFlags(perm xproto.Perm) pagetable.Flags {
 }
 
 // --- core.OS implementation -------------------------------------------
-
-// OSName identifies the kernel instance.
-func (l *Linux) OSName() string { return l.name }
 
 // KernelCore is core 0: under Pisces, every cross-enclave IPI lands there
 // (§5.3).

@@ -94,7 +94,7 @@ func TestMapRemoteCoherencePenaltyWhenConcurrent(t *testing.T) {
 		}
 		// Now map concurrently with another process.
 		done := false
-		a.Spawn("other", func(b *sim.Actor) {
+		w.Spawn("other", func(b *sim.Actor) {
 			r2, err := l.MapRemote(b, p2, list2, 3)
 			if err != nil {
 				t.Error(err)

@@ -378,9 +378,6 @@ type Zone struct {
 	rotor int
 }
 
-// ID reports the zone's NUMA index.
-func (z *Zone) ID() int { return z.id }
-
 // Pages reports the zone's total page count.
 func (z *Zone) Pages() uint64 { return uint64(z.limit - z.start) }
 

@@ -204,9 +204,6 @@ func Launch(name string, w *sim.World, pm *mem.PhysMem, hostZone *mem.Zone, memB
 	return vm, nil
 }
 
-// Name reports the VM's name.
-func (vm *VM) Name() string { return vm.name }
-
 // MapEntries reports the guest memory map's current entry count.
 func (vm *VM) MapEntries() int { return vm.mmap.entries() }
 

@@ -188,6 +188,42 @@ func TestWalkExtentsMappedRange(t *testing.T) {
 	}
 }
 
+// TestPopulateAllPartlyPopulated: on a region some of whose pages were
+// demand-faulted already, PopulateAll installs exactly the missing pages,
+// reports their count, and leaves the faulted pages' mappings as they
+// were; a second call installs nothing.
+func TestPopulateAllPartlyPopulated(t *testing.T) {
+	as, _, z := newAS(t)
+	backing, _ := z.AllocScattered(64, 8)
+	r, _ := as.AddRegion("attach", 0, backing, pagetable.Read|pagetable.Write, true)
+
+	msg := []byte("touched before the burst")
+	if _, err := as.Write(r.Base+3*extent.PageSize, msg); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := as.Write(r.Base+10*extent.PageSize, make([]byte, 3*extent.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if r.Populated != 4 {
+		t.Fatalf("populated = %d before the burst, want 4", r.Populated)
+	}
+	n, err := as.PopulateAll(r)
+	if err != nil || n != 60 || r.Populated != 64 {
+		t.Fatalf("PopulateAll = (%d, %v), populated %d; want (60, nil), 64", n, err, r.Populated)
+	}
+	got, faults, err := as.WalkExtents(r.Base, 64)
+	if err != nil || faults != 0 || !got.Equal(backing) {
+		t.Fatalf("walk after PopulateAll = (%v, %d faults, %v), want (%v, 0 faults)", got, faults, err, backing)
+	}
+	back := make([]byte, len(msg))
+	if _, err := as.Read(r.Base+3*extent.PageSize, back); err != nil || !bytes.Equal(back, msg) {
+		t.Fatalf("pre-touched page reads %q, %v; want %q", back, err, msg)
+	}
+	if n, err := as.PopulateAll(r); err != nil || n != 0 {
+		t.Fatalf("second PopulateAll = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
 func TestRemoveRegion(t *testing.T) {
 	as, _, z := newAS(t)
 	backing, _ := z.AllocScattered(8, 4)

@@ -150,8 +150,3 @@ func (a *Actor) Unblock(b *Actor) {
 	}
 	a.w.heap.push(b)
 }
-
-// Spawn creates a child actor starting at the caller's current time.
-func (a *Actor) Spawn(name string, fn func(*Actor)) *Actor {
-	return a.w.SpawnAt(name, a.now, fn)
-}

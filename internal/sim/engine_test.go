@@ -37,7 +37,7 @@ func mixedWorkload(w *World) {
 	})
 	w.Spawn("spawner", func(a *Actor) {
 		a.Advance(7 * Nanosecond * 100) // one batched charge of 700ns
-		a.Spawn("child", func(c *Actor) {
+		w.Spawn("child", func(c *Actor) {
 			c.Advance(3 * Nanosecond * 33)
 			c.Advance(Nanosecond)
 		})
@@ -125,14 +125,14 @@ func TestKillAllTeardownOrder(t *testing.T) {
 }
 
 // TestSpawnDuringRunScheduling verifies a child spawned mid-run inherits
-// the parent's clock and is scheduled against it correctly (Actor.Spawn
-// must fix the child's heap position after setting its start time).
+// the parent's clock and is scheduled against it correctly (World.Spawn
+// must queue the child at that clock, not at zero).
 func TestSpawnDuringRunScheduling(t *testing.T) {
 	w := NewWorld(1)
 	var events []string
 	w.Spawn("parent", func(a *Actor) {
 		a.Advance(10 * Nanosecond)
-		a.Spawn("child", func(c *Actor) {
+		w.Spawn("child", func(c *Actor) {
 			events = append(events, fmt.Sprintf("child-start@%v", c.Now()))
 			c.Advance(Nanosecond)
 			events = append(events, fmt.Sprintf("child@%v", c.Now()))

@@ -176,7 +176,7 @@ func TestPollConditionMustOnlyRead(t *testing.T) {
 	}{
 		{"charge", func(a, _ *Actor) { a.Charge("sneaky", 1) }},
 		{"unblock", func(a, other *Actor) { a.Unblock(other) }},
-		{"spawn", func(a, _ *Actor) { a.Spawn("child", func(*Actor) {}) }},
+		{"spawn", func(a, _ *Actor) { a.w.Spawn("child", func(*Actor) {}) }},
 	}
 	stacks := []struct {
 		name      string

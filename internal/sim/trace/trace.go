@@ -169,9 +169,6 @@ func NewTracer(label string) *Tracer {
 	}
 }
 
-// Label reports the tracer's configuration label.
-func (t *Tracer) Label() string { return t.label }
-
 // SetKeepEvents toggles raw event retention. Metrics and the digest are
 // unaffected; only WriteChromeTrace needs retained events.
 func (t *Tracer) SetKeepEvents(on bool) { t.keep = on }

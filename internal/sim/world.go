@@ -52,6 +52,9 @@ type World struct {
 	// handoff is the successor a yielding actor's dispatchFrom already
 	// dispatched; resume runs it next.
 	handoff *Actor
+	// current is the actor resume last ran: while the world runs, the
+	// one whose code is executing.
+	current *Actor
 	// polling is the poller whose condition is being evaluated (holds),
 	// nil otherwise. While it is set, pause, Unblock and Spawn panic: a
 	// condition may only read state.
@@ -109,6 +112,9 @@ func (w *World) Spawn(name string, fn func(*Actor)) *Actor {
 		w:       w,
 		state:   ready,
 		heapIdx: -1,
+	}
+	if w.running {
+		a.now = w.current.now
 	}
 	a.start(fn)
 	w.actors = append(w.actors, a)
@@ -252,6 +258,7 @@ func (w *World) runLoop(kill bool) error {
 // in w.handoff, and so on until an actor yields without one.
 func (w *World) resume(a *Actor) {
 	for a != nil {
+		w.current = a
 		a.next()
 		a, w.handoff = w.handoff, nil
 	}

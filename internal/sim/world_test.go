@@ -188,19 +188,23 @@ func TestDaemonDoesNotKeepWorldAlive(t *testing.T) {
 	}
 }
 
+// A child spawned by a running actor starts at that actor's clock, not
+// at zero, even when the parent advanced without yielding since its
+// last dispatch (the world's clock still reads the dispatch time).
 func TestSpawnDuringRunInheritsTime(t *testing.T) {
 	w := NewWorld(1)
-	var childStart Time
+	var parentAt, childStart Time
 	w.Spawn("parent", func(a *Actor) {
-		a.Advance(33)
-		a.Spawn("child", func(c *Actor) { childStart = c.Now() })
+		a.Advance(5 * Microsecond)
+		parentAt = a.Now()
+		w.Spawn("child", func(c *Actor) { childStart = c.Now() })
 		a.Advance(1)
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if childStart != 33 {
-		t.Fatalf("child started at %d, want 33", childStart)
+	if parentAt != 5*Microsecond || childStart != parentAt {
+		t.Fatalf("child started at %v, want the parent's %v", childStart, parentAt)
 	}
 }
 

@@ -22,35 +22,34 @@ import (
 // "vm,kitten,kitten,kitten(vm,vm)" reproduces Figure 1's node: VM C on
 // the Linux host, co-kernels A, G and D, and VMs E and F on D.
 //
-// Beyond the enclave tree, a Topology carries the physical locality grid
-// Build places enclaves on: Sockets × NUMAPerSocket NUMA domains,
-// assigned round-robin in boot order. The zero values of every knob
-// reproduce the historical xemem-topo behaviour (2×2 grid, 1 GB
-// top-level co-kernels, 512 MB nested co-kernels, 256 MB single-core
-// VMs).
+// Build places the enclaves on a fixed locality grid of 2 sockets × 2
+// NUMA domains, assigned round-robin in boot order, and gives every VM
+// one vCPU. The zero values of the memory knobs reproduce the historical
+// xemem-topo behaviour (1 GB top-level co-kernels, 512 MB nested
+// co-kernels, 256 MB VMs).
 type Topology struct {
 	// Spec is the source text the topology was parsed from.
 	Spec string
 	// Roots are the top-level nodes, in spec order.
 	Roots []*TopoNode
 
-	// Sockets and NUMAPerSocket describe the locality grid (defaults 2
-	// and 2). Build assigns the i-th enclave (boot order) the NUMA
-	// domain i mod (Sockets·NUMAPerSocket); NUMA domain ids are global,
-	// so two Localities share a socket iff their domains divide into the
-	// same socket.
-	Sockets       int
-	NUMAPerSocket int
-
-	// Memory and core sizing. Zero means the default in parentheses:
-	// KittenBytes (1 GB) sizes top-level co-kernels, NestedKittenBytes
-	// (512 MB) co-kernels nested under a co-kernel, VMBytes (256 MB) and
-	// VMCores (1) the Palacios VMs.
+	// Memory sizing. Zero means the default in parentheses: KittenBytes
+	// (1 GB) sizes top-level co-kernels, NestedKittenBytes (512 MB)
+	// co-kernels nested under a co-kernel, VMBytes (256 MB) the Palacios
+	// VMs.
 	KittenBytes       uint64
 	NestedKittenBytes uint64
 	VMBytes           uint64
-	VMCores           int
 }
+
+// Build assigns the i-th enclave (boot order) the NUMA domain i mod
+// numaDomains. NUMA domain ids are global, so two Localities share a
+// socket iff their domains divide into the same socket.
+const (
+	numaPerSocket = 2
+	numaDomains   = 2 * numaPerSocket
+	vmCores       = 1
+)
 
 // TopoNode is one node of the parsed enclave tree.
 type TopoNode struct {
@@ -61,8 +60,7 @@ type TopoNode struct {
 }
 
 // ParseTopology parses a topology spec. The returned Topology carries
-// default locality-grid and sizing knobs; adjust its fields before Build
-// to override them.
+// default sizing knobs; adjust its fields before Build to override them.
 func ParseTopology(spec string) (*Topology, error) {
 	roots, err := parseNodes(spec)
 	if err != nil {
@@ -200,20 +198,6 @@ type Enclave struct {
 	Loc    Locality
 }
 
-func (t *Topology) sockets() int {
-	if t.Sockets > 0 {
-		return t.Sockets
-	}
-	return 2
-}
-
-func (t *Topology) numaPerSocket() int {
-	if t.NUMAPerSocket > 0 {
-		return t.NUMAPerSocket
-	}
-	return 2
-}
-
 // Build boots the topology's enclave tree under n's management enclave,
 // returning the enclaves in spec (pre-)order. Naming, sizing, and boot
 // order are exactly the historical xemem-topo behaviour: enclaves are
@@ -234,11 +218,6 @@ func (t *Topology) Build(n *Node) ([]*Enclave, error) {
 	if vmBytes == 0 {
 		vmBytes = 256 << 20
 	}
-	vmCores := t.VMCores
-	if vmCores == 0 {
-		vmCores = 1
-	}
-	domains := t.sockets() * t.numaPerSocket()
 
 	var enclaves []*Enclave
 	counter := 0
@@ -247,8 +226,8 @@ func (t *Topology) Build(n *Node) ([]*Enclave, error) {
 		for _, tn := range nodes {
 			counter++
 			name := fmt.Sprintf("%s%d", tn.Kind, counter)
-			d := (counter - 1) % domains
-			loc := Locality{Socket: d / t.numaPerSocket(), NUMA: d}
+			d := (counter - 1) % numaDomains
+			loc := Locality{Socket: d / numaPerSocket, NUMA: d}
 			switch tn.Kind {
 			case "kitten":
 				var ck *pisces.CoKernel
