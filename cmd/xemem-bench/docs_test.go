@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -142,9 +143,13 @@ func TestExperimentsQuoteFigs5To7(t *testing.T) {
 	// Fig. 7, in µs: each serve size's maximum (the 1 GB serves as a
 	// range), and the baseline and SMI bands over all three phases.
 	quoted = markdownTable(t, doc, "## Figure 7 ", 0, "Regenerated")
-	band := func(class string) (lo, hi float64) {
-		for i, p := range fig7.Phases {
-			c := p.Class(class)
+	class := func(i int, name string) experiments.Fig7Class {
+		cs := fig7.Phases[i].Classes
+		return cs[slices.IndexFunc(cs, func(c experiments.Fig7Class) bool { return c.Name == name })]
+	}
+	band := func(name string) (lo, hi float64) {
+		for i := range fig7.Phases {
+			c := class(i, name)
 			if i == 0 || c.MinUS < lo {
 				lo = c.MinUS
 			}
@@ -157,7 +162,7 @@ func TestExperimentsQuoteFigs5To7(t *testing.T) {
 		n := int(math.Round(us))
 		return fmt.Sprintf("%d,%03d", n/1000, n%1000)
 	}
-	serve := func(i int) experiments.Fig7Class { return fig7.Phases[i].Class("xemem-attach") }
+	serve := func(i int) experiments.Fig7Class { return class(i, "xemem-attach") }
 	lo7, hi7 := band("hw-baseline")
 	check("Fig. 7", quoted, "Frequent hardware baseline", fmt.Sprintf("%.1f–%.1f µs", lo7, hi7))
 	lo7, hi7 = band("smi")

@@ -42,7 +42,6 @@ func main() {
 		NSOutages: []fault.Window{{Start: 200 * sim.Microsecond, End: 400 * sim.Microsecond}},
 		Crashes:   []fault.Crash{{At: crashAt, Module: ck.Module.Name()}},
 	})
-	inj.Register(node.LinuxModule(), ck.Module)
 	inj.Arm()
 
 	producer, heap, err := node.KittenProcess(ck, "producer", 1<<20)

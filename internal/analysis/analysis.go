@@ -101,16 +101,6 @@ func All() []*Analyzer {
 	}
 }
 
-// Names reports the analyzer names in suite order (the vocabulary the
-// //xemem:allow directive accepts).
-func Names() []string {
-	var names []string
-	for _, a := range All() {
-		names = append(names, a.Name)
-	}
-	return names
-}
-
 // Run executes the given analyzers over a loaded module, applies the
 // suppression directives found in the module's sources, and returns the
 // surviving diagnostics sorted by position. Directive misuse (missing

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"xemem/internal/core"
 	"xemem/internal/nameserver"
 	"xemem/internal/sim"
 	"xemem/internal/sim/trace"
@@ -117,8 +118,8 @@ func TestClusterFlatExchange(t *testing.T) {
 	if root.NS == nil || root.NS.SegidAllocs == 0 {
 		t.Fatal("flat cluster did not allocate through the root name server")
 	}
-	if cl.Nodes[0].CK.Module.Sharded() {
-		t.Fatal("flat cluster module reports sharded")
+	if ss := cl.Nodes[0].CK.Module.ShardStats; ss != (core.ShardStats{}) {
+		t.Fatalf("flat cluster module counted shard traffic: %+v", ss)
 	}
 }
 
@@ -137,7 +138,7 @@ func TestClusterShardedExchange(t *testing.T) {
 	var registered int
 	for _, n := range cl.Nodes {
 		if m := n.X.LinuxModule(); m.NS != nil {
-			registered += m.NS.LiveSegids()
+			registered += len(m.NS.Segids())
 		}
 	}
 	if registered == 0 {

@@ -338,10 +338,6 @@ func (c *Communicator) bw(l int) float64 {
 	}
 }
 
-// ScratchNeed reports how many scratch bytes rank's led-group arenas
-// occupy — the minimum capacity its Member.Scratch window must have.
-func (c *Communicator) ScratchNeed(rank int) uint64 { return c.need[rank] }
-
 // Setup exports rank's application buffer, exports and permanently
 // attaches the CICO arenas (the XHC init-time attachment), and waits for
 // every other rank to do the same. Collectives call it lazily; calling

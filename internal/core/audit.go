@@ -22,6 +22,7 @@ import (
 	"xemem/internal/mem"
 	"xemem/internal/nameserver"
 	"xemem/internal/pagetable"
+	"xemem/internal/sim"
 	"xemem/internal/xproto"
 )
 
@@ -31,16 +32,31 @@ type registry struct{ mods []*Module }
 
 type registryKey struct{}
 
-// join adds m to its world's registry, registering the world's core
-// audit with the first module.
-func (m *Module) join() {
-	r := m.w.Shared(registryKey{}, func() any {
+// registryOf returns w's registry, creating it (and registering the
+// world's core audit) on first use.
+func registryOf(w *sim.World) *registry {
+	return w.Shared(registryKey{}, func() any {
 		r := &registry{}
-		m.w.AddAudit("core", r.audit)
+		w.AddAudit("core", r.audit)
 		return r
 	}).(*registry)
+}
+
+// join adds m to its world's registry.
+func (m *Module) join() {
+	r := registryOf(m.w)
 	m.order = len(r.mods)
 	r.mods = append(r.mods, m)
+}
+
+// Named returns the module of w called name, nil when w has none.
+func Named(w *sim.World, name string) *Module {
+	for _, m := range registryOf(w).mods {
+		if m.name == name {
+			return m
+		}
+	}
+	return nil
 }
 
 // audit checks each domain of the world — the modules Connect joined by

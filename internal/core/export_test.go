@@ -9,6 +9,9 @@ import (
 // for the audit's mutation tests.
 func BumpAttaches(m *Module, segid xproto.Segid, d int) { m.segs[segid].attaches += d }
 
+// Links reports the module's channel endpoints.
+func (m *Module) Links() []xproto.Link { return m.links }
+
 // Attaches reports a segment's attach count.
 func Attaches(m *Module, segid xproto.Segid) int { return m.segs[segid].attaches }
 

@@ -176,17 +176,10 @@ func TestProtocolRandomizedWorkload(t *testing.T) {
 	}
 
 	// Invariants.
-	for _, heap := range []struct {
-		backing extent.List
-	}{{heap0.Backing}, {heap1.Backing}} {
-		for i := uint64(0); i < heap.backing.Pages(); i += 7 {
-			f, _ := heap.backing.Page(i)
-			if n.pm.Pinned(f) != 0 {
-				t.Fatalf("frame %#x still pinned after full drain", uint64(f))
-			}
-		}
+	if pinned := n.pm.PinnedExtents(); len(pinned) != 0 {
+		t.Fatalf("frames %v still pinned after full drain", pinned)
 	}
-	if live := n.lmod.NS.LiveSegids(); live != 0 {
+	if live := len(n.lmod.NS.Segids()); live != 0 {
 		t.Fatalf("%d segids survive removal", live)
 	}
 }

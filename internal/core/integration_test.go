@@ -144,7 +144,7 @@ func TestCrossEnclaveAttachKittenToLinux(t *testing.T) {
 		}
 		// The detach notification is asynchronous; wait until the owner
 		// has released the pins before the world shuts down.
-		f, _ := heap.Backing.Page(0)
+		f := heap.Backing.Extents()[0].First
 		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool { return n.pm.Pinned(f) == 0 })
 	})
 
@@ -195,7 +195,7 @@ func TestAttachPinsFramesWhileMapped(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		f, _ := heap.Backing.Page(0)
+		f := heap.Backing.Extents()[0].First
 		if n.pm.Pinned(f) != 1 {
 			t.Errorf("frame not pinned during attachment: %d", n.pm.Pinned(f))
 		}
@@ -406,7 +406,7 @@ func TestDeepTopologyRouting(t *testing.T) {
 	ck0 := n.addKitten(t, "kitten0", 32<<20)
 
 	mkChild := func(name string, parent *core.Module) *pisces.CoKernel {
-		block, err := n.linux.Zone().AllocContig((32 << 20) / extent.PageSize)
+		block, err := n.linux.Zone().AllocContigAligned((32<<20)/extent.PageSize, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

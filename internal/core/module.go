@@ -318,9 +318,6 @@ func Connect(a, b *Module, ab, ba xproto.Link) {
 	b.peers = append(b.peers, a)
 }
 
-// Links reports the module's channel endpoints.
-func (m *Module) Links() []xproto.Link { return m.links }
-
 // WaitReady polls until the module's kernel finishes bootstrapping — or
 // until the enclave crashes, so callers do not poll a corpse forever
 // (the subsequent operation then fails with ErrEnclaveDown). A ready
@@ -439,10 +436,6 @@ func (m *Module) Stop(a *sim.Actor) error {
 // Stopped reports whether the module has been torn down.
 func (m *Module) Stopped() bool { return m.stopped }
 
-// Crashed reports whether the module's enclave died by fault injection
-// (or a failed bootstrap) rather than an orderly Stop.
-func (m *Module) Crashed() bool { return m.crashed }
-
 // Crash kills the module's enclave mid-protocol — the co-kernel dying
 // under its processes, not an orderly Stop. Unlike Stop it never refuses:
 // live attachments, pinned frames, and in-flight requests are simply
@@ -494,6 +487,18 @@ func (m *Module) OnEnclaveDown(a *sim.Actor, dead xproto.EnclaveID) {
 			if permit.Holder == dead {
 				delete(seg.permits, apid)
 			}
+		}
+	}
+}
+
+// AnnounceDown fans m's death out to every other module of its world,
+// in creation order: each runs OnEnclaveDown for m's enclave. A crash
+// sends it, and so does an orderly teardown, so requests toward a
+// destroyed enclave fail with ErrEnclaveDown instead of waiting on it.
+func (m *Module) AnnounceDown(a *sim.Actor) {
+	for _, o := range registryOf(m.w).mods {
+		if o != m {
+			o.OnEnclaveDown(a, m.EnclaveID())
 		}
 	}
 }

@@ -72,14 +72,14 @@ func (m *Module) nsLocal(a *sim.Actor, req *xproto.Message) (*xproto.Message, er
 // the budget. A nil injector — the zero-fault world — costs one branch.
 func (m *Module) nsWait(a *sim.Actor) error {
 	inj := m.w.Injector()
-	if inj == nil || !inj.ServiceDown("nameserver", a.Now()) {
+	if inj == nil || !inj.NameServerDown(a.Now()) {
 		return nil
 	}
 	wait := nsOutageBaseWait
 	for i := 0; i < nsOutageRetries; i++ {
 		a.Charge("ns-outage-wait", wait)
 		m.Stats.NSRetries++
-		if !inj.ServiceDown("nameserver", a.Now()) {
+		if !inj.NameServerDown(a.Now()) {
 			return nil
 		}
 		wait *= 2
@@ -107,7 +107,7 @@ const (
 // and requesters recover via their timeout/retry policies once the
 // window passes.
 func (m *Module) handleNS(a *sim.Actor, msg *xproto.Message) {
-	if inj := m.w.Injector(); inj != nil && inj.ServiceDown("nameserver", a.Now()) {
+	if inj := m.w.Injector(); inj != nil && inj.NameServerDown(a.Now()) {
 		m.Stats.NSOutageDrops++
 		if obs := a.Observer(); obs != nil {
 			obs.Count("fault-ns-drop", a, 0)

@@ -239,7 +239,7 @@ func TestForwardedRequestRefusals(t *testing.T) {
 		}
 		// Only the name server learns of the crash, so the requester
 		// still sends its commands there.
-		owner.Crash(a)
+		owner.Module.Crash(a)
 		n.lmod.OnEnclaveDown(a, owner.Module.EnclaveID())
 		probe(t, a, segid, core.ErrEnclaveDown)
 	})

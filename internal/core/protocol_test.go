@@ -89,8 +89,8 @@ func TestFig3MessageSequence(t *testing.T) {
 // single delivery.
 type noFaults struct{}
 
-func (noFaults) DeliveryFault(string, *sim.Actor, int) (bool, sim.Time) { return false, 0 }
-func (noFaults) ServiceDown(string, sim.Time) bool                      { return false }
+func (noFaults) DeliveryFault() (bool, sim.Time) { return false, 0 }
+func (noFaults) NameServerDown(sim.Time) bool    { return false }
 
 // TestRequestBoundOnlyUnderInjection pins the one request path's policy
 // resolution. In the zero-fault world a request's wait is unbounded: a

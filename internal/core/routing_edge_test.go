@@ -145,7 +145,7 @@ func TestDetachMidRoute(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		f, _ := vheap.Backing.Page(0)
+		f := vheap.Backing.Extents()[0].First
 		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool { return n.pm.Pinned(f) == 0 })
 		if err := victim.Destroy(a); err != nil {
 			t.Errorf("destroy after drain: %v", err)

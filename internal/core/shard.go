@@ -67,9 +67,6 @@ func (m *Module) SetShardMap(sm *ShardMap) {
 	m.leases = make(map[xproto.Segid]lease)
 }
 
-// Sharded reports whether the module resolves names through shards.
-func (m *Module) Sharded() bool { return m.shards != nil }
-
 // HostShardNS makes this module host replica r (of nr) of shard k (of
 // n): a name-service instance allocating segids in shard k's residue
 // class. The root module's existing instance is re-striped in place (it

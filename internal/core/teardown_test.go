@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"testing"
 
 	"xemem/internal/core"
@@ -53,7 +54,7 @@ func TestDynamicTeardown(t *testing.T) {
 			return
 		}
 		// Let the detach notification drain (the owner must unpin).
-		f, _ := heap.Backing.Page(0)
+		f := heap.Backing.Extents()[0].First
 		a.PollDeadline(5*sim.Microsecond, sim.Forever, func() bool { return n.pm.Pinned(f) == 0 })
 		if err := ck.Destroy(a); err != nil {
 			t.Errorf("destroy after detach: %v", err)
@@ -86,40 +87,43 @@ func TestDynamicTeardown(t *testing.T) {
 	}
 }
 
-// TestMessagesToDeadEnclaveDropped: routes toward a destroyed enclave go
-// stale; requests into it fail rather than hang.
+// TestMessagesToDeadEnclaveDropped: a get toward a destroyed enclave
+// fails with ErrEnclaveDown instead of waiting on it forever, also when
+// the segment was removed just before the teardown (the remove notice
+// is still queued at the name server when the get arrives).
 func TestMessagesToDeadEnclaveDropped(t *testing.T) {
-	n := newTestNode(t)
-	n.lmod.Start()
-	ck := n.addKitten(t, "kitten0", 64<<20)
-	kp, heap, err := ck.OS.NewProcess("sim", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.w.Spawn("driver", func(a *sim.Actor) {
-		segid, err := ck.Module.Make(a, kp, heap.Base, extent.PageSize, xproto.PermRead, "")
+	for _, remove := range []bool{false, true} {
+		n := newTestNode(t)
+		n.lmod.Start()
+		ck := n.addKitten(t, "kitten0", 64<<20)
+		kp, heap, err := ck.OS.NewProcess("sim", 64)
 		if err != nil {
-			t.Error(err)
-			return
+			t.Fatal(err)
 		}
-		if err := ck.Destroy(a); err != nil {
-			t.Error(err)
-			return
+		lp := n.linux.NewProcess("an", 1)
+		n.w.Spawn("driver", func(a *sim.Actor) {
+			segid, err := ck.Module.Make(a, kp, heap.Base, extent.PageSize, xproto.PermRead, "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if remove {
+				if err := ck.Module.Remove(a, kp, segid); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if err := ck.Destroy(a); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead}); !errors.Is(err, core.ErrEnclaveDown) {
+				t.Errorf("remove=%v: get into a destroyed enclave = %v, want ErrEnclaveDown", remove, err)
+			}
+		})
+		if err := n.w.Run(); err != nil {
+			t.Fatalf("remove=%v: %v", remove, err)
 		}
-		// A get routed to the dead enclave is dropped on its floor; the
-		// requester would block forever, so probe with a bounded wait:
-		// send the request as a notify-style probe instead.
-		before := n.lmod.Stats.MsgsSent
-		_ = segid
-		_ = before
-		// The segment is still registered at the NS, but the owner is
-		// gone — the NS forwards and the message dies in the dead inbox.
-		// (A production system would garbage-collect the registration;
-		// we assert the route still resolves and nothing crashes.)
-		a.Advance(sim.Millisecond)
-	})
-	if err := n.w.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

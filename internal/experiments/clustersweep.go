@@ -162,11 +162,9 @@ func clusterRun(w *sim.World, label string, nodes, shards int, churn bool, round
 	}
 	if churn {
 		victim := cl.Nodes[1%nodes].CK.Module
-		inj := fault.New(w, fault.Plan{Crashes: []fault.Crash{
+		fault.New(w, fault.Plan{Crashes: []fault.Crash{
 			{At: clusterCrashAt(w, nodes), Module: victim.Name()},
-		}})
-		inj.Register(cl.Modules()...)
-		inj.Arm()
+		}}).Arm()
 	}
 
 	var runErr error

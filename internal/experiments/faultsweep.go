@@ -91,7 +91,6 @@ func faultRun(w *sim.World, label string, drop float64, crash bool, rounds int) 
 		plan.Crashes = []fault.Crash{{At: faultCrashAt, Module: ck.Module.Name()}}
 	}
 	inj := fault.New(node.World(), plan)
-	inj.Register(node.LinuxModule(), ck.Module)
 	inj.Arm()
 
 	exp, heap, err := node.KittenProcess(ck, "producer", faultSegBytes+1<<16)

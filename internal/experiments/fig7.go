@@ -141,16 +141,6 @@ func classify(ds []noise.Detour) []Fig7Class {
 	}
 }
 
-// Class fetches a phase's class summary by name.
-func (p Fig7Phase) Class(name string) Fig7Class {
-	for _, c := range p.Classes {
-		if c.Name == name {
-			return c
-		}
-	}
-	return Fig7Class{}
-}
-
 // String renders the profile summary.
 func (r *Fig7Result) String() string {
 	var b strings.Builder

@@ -34,7 +34,11 @@ func runTraced(t *testing.T, cells ...Cell) []trace.Digest {
 			t.Fatal(err)
 		}
 	}
-	return s.Digests()
+	var ds []trace.Digest
+	for _, tr := range s.Tracers() {
+		ds = append(ds, tr.Digest())
+	}
+	return ds
 }
 
 // cellAt is the cell labelled label among its artifact's cells at

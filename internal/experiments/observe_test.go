@@ -34,8 +34,8 @@ func TestTracingDoesNotPerturbFig6(t *testing.T) {
 	if bare, traced := run(nil), run(s.Observe); bare != traced {
 		t.Errorf("tracing changed fig6 results: %+v vs %+v", bare, traced)
 	}
-	if len(s.Tracers()) != 1 || s.Digests()[0].Spans == 0 {
-		t.Errorf("tracer captured nothing: %+v", s.Digests())
+	if ts := s.Tracers(); len(ts) != 1 || ts[0].Digest().Spans == 0 {
+		t.Errorf("tracer captured nothing: %d tracers", len(ts))
 	}
 }
 
@@ -82,8 +82,8 @@ func TestTraceOrderFollowsRunOrder(t *testing.T) {
 	want := []string{"fig7/4KB", "fig7/2MB", "fig7/1GB",
 		"table2/kitten-to-linux", "table2/kitten-to-vm", "table2/vm-to-kitten"}
 	var got []string
-	for _, d := range s.Digests() {
-		got = append(got, d.Label)
+	for _, tr := range s.Tracers() {
+		got = append(got, tr.Digest().Label)
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("trace order %q, want %q", got, want)

@@ -35,9 +35,6 @@ type Extent struct {
 // End reports the first frame past the extent.
 func (e Extent) End() PFN { return e.First + PFN(e.Count) }
 
-// Bytes reports the extent's size in bytes.
-func (e Extent) Bytes() uint64 { return e.Count * PageSize }
-
 // Contains reports whether the extent covers frame f.
 func (e Extent) Contains(f PFN) bool { return f >= e.First && f < e.End() }
 
@@ -97,20 +94,6 @@ func (l List) Len() int { return len(l.exts) }
 // Extents returns the underlying extents. The caller must not modify them.
 func (l List) Extents() []Extent { return l.exts }
 
-// Page returns the frame of the i-th page of the list.
-func (l List) Page(i uint64) (PFN, error) {
-	if i >= l.pages {
-		return 0, fmt.Errorf("extent: page %d out of range (%d pages)", i, l.pages)
-	}
-	for _, e := range l.exts {
-		if i < e.Count {
-			return e.First + PFN(i), nil
-		}
-		i -= e.Count
-	}
-	panic("extent: inconsistent page count") // unreachable if pages is consistent
-}
-
 // Slice returns the sub-list covering pages [off, off+n) of the region.
 // It is how partial attachments (xpmem_attach with offset/size) carve the
 // exported frame list.
@@ -139,20 +122,6 @@ func (l List) Slice(off, n uint64) (List, error) {
 		need -= take
 	}
 	return out, nil
-}
-
-// Equal reports whether two lists map the same frames in the same order.
-// Coalescing is canonical, so structural equality suffices.
-func (l List) Equal(other List) bool {
-	if l.pages != other.pages || len(l.exts) != len(other.exts) {
-		return false
-	}
-	for i, e := range l.exts {
-		if other.exts[i] != e {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders a compact human-readable form.

@@ -57,7 +57,6 @@ func TestShardOutageFailsOver(t *testing.T) {
 		}
 		victim := cl.Nodes[2].X.LinuxModule()
 		inj := fault.New(w, fault.Plan{Crashes: []fault.Crash{{At: clusterCrashAt, Module: victim.Name()}}})
-		inj.Register(cl.Modules()...)
 		inj.Arm()
 
 		prod, heap, err := cl.Nodes[1].X.KittenProcess(cl.Nodes[1].CK, "prod", 1<<20)
@@ -105,7 +104,7 @@ func TestShardOutageFailsOver(t *testing.T) {
 		if err := w.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if !victim.Crashed() {
+		if !victim.Stopped() {
 			t.Fatal("victim replica not marked crashed")
 		}
 		if cl.Nodes[0].X.LinuxModule().ShardStats.ShardFailovers == 0 {
@@ -135,7 +134,6 @@ func TestShardOutageExhaustsReplicas(t *testing.T) {
 		}
 		victim := cl.Nodes[1].X.LinuxModule()
 		inj := fault.New(w, fault.Plan{Crashes: []fault.Crash{{At: clusterCrashAt, Module: victim.Name()}}})
-		inj.Register(cl.Modules()...)
 		inj.Arm()
 
 		prod, heap, err := cl.Nodes[0].X.KittenProcess(cl.Nodes[0].CK, "prod", 1<<20)
@@ -195,10 +193,16 @@ func TestStaleLeaseSurfacesTimeout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The victim dies without announcing it: survivors learn
+		// nothing, so leases dangle. The installed injector bounds every
+		// request's wait.
+		fault.New(w, fault.Plan{})
 		victim := cl.Nodes[1].CK.Module
-		inj := fault.New(w, fault.Plan{Crashes: []fault.Crash{{At: clusterCrashAt, Module: victim.Name()}}})
-		inj.Register(victim) // survivors learn nothing: leases dangle
-		inj.Arm()
+		w.Spawn("crash", func(a *sim.Actor) {
+			a.SetDaemon()
+			a.AdvanceTo(clusterCrashAt)
+			victim.Crash(a)
+		})
 
 		prod, heap, err := cl.Nodes[1].X.KittenProcess(cl.Nodes[1].CK, "prod", 1<<20)
 		if err != nil {

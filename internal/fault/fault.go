@@ -66,14 +66,13 @@ type Stats struct {
 }
 
 // Injector implements sim.Injector for one world. Create it with New
-// (which installs it on the world), Register the modules that should
-// learn about crashes, and Arm it to start the crash schedule.
+// (which installs it on the world) and Arm it to start the crash
+// schedule; a crash reaches every module of the world.
 type Injector struct {
 	w     *sim.World
 	plan  Plan
 	rng   *sim.RNG
 	stats Stats
-	mods  []*core.Module
 }
 
 // New creates an injector for plan and installs it on w. The injector
@@ -89,18 +88,10 @@ func New(w *sim.World, plan Plan) *Injector {
 	return inj
 }
 
-// Register tells the injector which modules exist, so a crash can fan
-// out: the victim is killed and every survivor runs its OnEnclaveDown
-// invalidation (routes forgotten, segids marked dead at the name server,
-// pending requests failed, attachments poisoned).
-func (i *Injector) Register(mods ...*core.Module) {
-	i.mods = append(i.mods, mods...)
-}
-
 // Arm spawns the crash-schedule daemon: one "fault/injector" actor that
-// kills each victim and fans OnEnclaveDown out to every survivor at the
-// crash instant. Call after the victims are Registered and before the
-// run; with no planned crashes it is a no-op.
+// kills each victim and fans its death out to every survivor at the
+// crash instant. Call it before the run; with no planned crashes it is
+// a no-op.
 func (i *Injector) Arm() {
 	if len(i.plan.Crashes) == 0 {
 		return
@@ -121,36 +112,27 @@ func (i *Injector) Arm() {
 	})
 }
 
-// crash kills the named module and fans the death out to every other
-// registered module. Unknown or already-down victims are ignored.
+// crash kills the named module of the world and fans the death out to
+// every other module (Module.AnnounceDown: routes forgotten, segids
+// marked dead at the name server, pending requests failed, attachments
+// poisoned). Unknown or already-down victims are ignored.
 func (i *Injector) crash(a *sim.Actor, name string) {
-	var victim *core.Module
-	for _, m := range i.mods {
-		if m.Name() == name {
-			victim = m
-			break
-		}
-	}
+	victim := core.Named(i.w, name)
 	if victim == nil || victim.Stopped() {
 		return
 	}
-	dead := victim.EnclaveID()
 	victim.Crash(a)
 	i.stats.Crashes++
 	if obs := a.Observer(); obs != nil {
 		obs.Count("fault-crash:"+name, a, 0)
 	}
-	for _, m := range i.mods {
-		if m != victim {
-			m.OnEnclaveDown(a, dead)
-		}
-	}
+	victim.AnnounceDown(a)
 }
 
 // DeliveryFault implements sim.Injector: one RNG draw per configured
 // hazard per delivery, in a fixed order, so the schedule of faults is a
 // deterministic function of the delivery sequence.
-func (i *Injector) DeliveryFault(queue string, a *sim.Actor, bytes int) (drop bool, delay sim.Time) {
+func (i *Injector) DeliveryFault() (drop bool, delay sim.Time) {
 	i.stats.Deliveries++
 	if i.plan.DropProb > 0 && i.rng.Float64() < i.plan.DropProb {
 		i.stats.Drops++
@@ -164,11 +146,8 @@ func (i *Injector) DeliveryFault(queue string, a *sim.Actor, bytes int) (drop bo
 	return false, delay
 }
 
-// ServiceDown implements sim.Injector.
-func (i *Injector) ServiceDown(service string, t sim.Time) bool {
-	if service != "nameserver" {
-		return false
-	}
+// NameServerDown implements sim.Injector.
+func (i *Injector) NameServerDown(t sim.Time) bool {
 	for _, w := range i.plan.NSOutages {
 		if w.contains(t) {
 			return true

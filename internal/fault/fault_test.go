@@ -42,7 +42,6 @@ func runScenario(t *testing.T, seed uint64, plan fault.Plan, rounds int) scenari
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Register(node.LinuxModule(), ck.Module)
 	inj.Arm()
 
 	exp, heap, err := node.KittenProcess(ck, "producer", 1<<20)
@@ -189,7 +188,7 @@ func TestFaultCountersReachTrace(t *testing.T) {
 }
 
 // TestServiceDownWindows pins the outage-window semantics: half-open
-// [Start, End), name-server only.
+// [Start, End).
 func TestServiceDownWindows(t *testing.T) {
 	w := sim.NewWorld(1)
 	inj := fault.New(w, fault.Plan{NSOutages: []fault.Window{
@@ -204,12 +203,9 @@ func TestServiceDownWindows(t *testing.T) {
 		{499, false}, {500, true}, {599, true}, {600, false}, {1000, false},
 	}
 	for _, c := range cases {
-		if got := inj.ServiceDown("nameserver", c.t); got != c.down {
-			t.Errorf("ServiceDown(nameserver, %d) = %v, want %v", c.t, got, c.down)
+		if got := inj.NameServerDown(c.t); got != c.down {
+			t.Errorf("NameServerDown(%d) = %v, want %v", c.t, got, c.down)
 		}
-	}
-	if inj.ServiceDown("router", 150) {
-		t.Error("outage windows leaked onto a non-nameserver service")
 	}
 }
 
@@ -219,10 +215,9 @@ func TestServiceDownWindows(t *testing.T) {
 // trace would be, had any remote request hit the window.
 func TestNSOutageBackoff(t *testing.T) {
 	node := xemem.NewNode(xemem.NodeConfig{Seed: 11, MemBytes: 1 << 30})
-	inj := fault.New(node.World(), fault.Plan{
+	fault.New(node.World(), fault.Plan{
 		NSOutages: []fault.Window{{Start: 0, End: 250 * sim.Microsecond}},
 	})
-	inj.Register(node.LinuxModule())
 
 	sess, p := node.LinuxProcess("maker", 1)
 	region, err := xemem.AllocLinux(node.Linux(), p, "buf", 4096, true)
@@ -301,7 +296,6 @@ func TestBootFailsUnderTotalLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj.Register(node.LinuxModule(), ck.Module)
 	inj.Arm()
 	sess, heap, err := node.KittenProcess(ck, "maker", 1<<20)
 	if err != nil {
@@ -316,7 +310,7 @@ func TestBootFailsUnderTotalLoss(t *testing.T) {
 	if err := node.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !ck.Module.Crashed() {
+	if !ck.Module.Stopped() {
 		t.Fatal("co-kernel survived a bootstrap that lost every message")
 	}
 	if err := node.World().Audit(); err != nil {

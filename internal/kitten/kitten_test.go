@@ -1,6 +1,7 @@
 package kitten_test
 
 import (
+	"slices"
 	"testing"
 
 	"xemem/internal/extent"
@@ -60,7 +61,7 @@ func TestLargeHeapAlignedForLargePages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, _ := heap.Backing.Page(0)
+	f := heap.Backing.Extents()[0].First
 	if uint64(f)%512 != 0 {
 		t.Errorf("large heap not 2MB-aligned: first frame %#x", uint64(f))
 	}
@@ -82,7 +83,7 @@ func TestWalkForExportChargesPerPage(t *testing.T) {
 			return
 		}
 		elapsed = a.Now() - start
-		if !list.Equal(heap.Backing) {
+		if !slices.Equal(list.Extents(), heap.Backing.Extents()) {
 			t.Errorf("walk = %v, want %v", list, heap.Backing)
 		}
 	})

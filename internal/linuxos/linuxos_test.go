@@ -40,7 +40,7 @@ func TestAllocContiguousAligned(t *testing.T) {
 	if r.Backing.Len() != 1 {
 		t.Fatalf("not contiguous: %v", r.Backing)
 	}
-	f, _ := r.Backing.Page(0)
+	f := r.Backing.Extents()[0].First
 	if uint64(f)%512 != 0 {
 		t.Errorf("not 2MB aligned: %#x", uint64(f))
 	}

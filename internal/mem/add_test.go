@@ -107,7 +107,7 @@ func FuzzAddBytes(f *testing.F) {
 // frame is zero), and a second add sums byte-wise mod 256.
 func TestAccessAddInPlace(t *testing.T) {
 	m := newTestMem()
-	a, _ := m.Zone(0).AllocContig(3)
+	a, _ := m.Zone(0).AllocContigAligned(3, 1)
 	l := extent.FromExtents(a)
 	p := bytes.Repeat([]byte{0x81, 0x7f, 0x01}, 100)
 	off := uint64(PageSize - 150)

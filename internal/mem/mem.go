@@ -17,11 +17,8 @@ import (
 	"xemem/internal/extent"
 )
 
-// PageSize and PageShift mirror the extent package's base granularity.
-const (
-	PageSize  = extent.PageSize
-	PageShift = extent.PageShift
-)
+// PageSize mirrors the extent package's base granularity.
+const PageSize = extent.PageSize
 
 // PFN is re-exported for convenience.
 type PFN = extent.PFN
@@ -84,9 +81,6 @@ func NewPhysMem(name string, zoneBytes ...uint64) *PhysMem {
 // Name reports the node name this memory belongs to.
 func (m *PhysMem) Name() string { return m.name }
 
-// NumZones reports the number of NUMA zones.
-func (m *PhysMem) NumZones() int { return len(m.zones) }
-
 // Zone returns NUMA zone i.
 func (m *PhysMem) Zone(i int) *Zone { return m.zones[i] }
 
@@ -119,14 +113,6 @@ func (m *PhysMem) Frame(f PFN) []byte {
 		m.frames[f] = b
 	}
 	return b
-}
-
-// Materialized reports whether frame f has backing bytes yet (i.e. has
-// ever been written). Reading an unmaterialized frame yields zeros without
-// materializing it.
-func (m *PhysMem) Materialized(f PFN) bool {
-	_, ok := m.frames[f]
-	return ok
 }
 
 // Op is what an access does with the bytes it addresses.
@@ -263,7 +249,9 @@ func (m *PhysMem) Unpin(l extent.List) error {
 }
 
 // Pinned reports the pin count covering frame f (the sum over pinned
-// intervals containing it).
+// intervals containing it). Only tests read it, across packages: core's,
+// xpmem's and palacios's tests wait on it to see a detach release the
+// exporter's pins.
 func (m *PhysMem) Pinned(f PFN) int {
 	n := 0
 	for e, c := range m.pins {
@@ -378,18 +366,11 @@ type Zone struct {
 	rotor int
 }
 
-// Pages reports the zone's total page count.
-func (z *Zone) Pages() uint64 { return uint64(z.limit - z.start) }
-
-// FreePages reports the number of currently free pages.
+// FreePages reports the number of currently free pages. Only tests read
+// it, across packages: pisces's and core's co-kernel tests count free
+// pages to show a partition's block leaves its host zone and comes back
+// whole.
 func (z *Zone) FreePages() uint64 { return z.freePages }
-
-// AllocContig allocates n physically contiguous pages (first fit). This is
-// how co-kernel enclaves receive their memory blocks: Pisces hands whole
-// contiguous regions to Kitten instances.
-func (z *Zone) AllocContig(n uint64) (extent.Extent, error) {
-	return z.AllocContigAligned(n, 1)
-}
 
 // AllocContigAligned allocates n physically contiguous pages whose first
 // frame is a multiple of align. Large allocations use 2 MB alignment
@@ -514,11 +495,4 @@ func (z *Zone) insertFree(e extent.Extent) error {
 		z.free = append(z.free[:i], z.free[i+1:]...)
 	}
 	return nil
-}
-
-// FreeExtents reports a copy of the free list (diagnostics and tests).
-func (z *Zone) FreeExtents() []extent.Extent {
-	out := make([]extent.Extent, len(z.free))
-	copy(out, z.free)
-	return out
 }

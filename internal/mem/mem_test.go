@@ -29,14 +29,14 @@ func TestZoneGeometry(t *testing.T) {
 
 func TestAllocContigAndFree(t *testing.T) {
 	z := newTestMem().Zone(0)
-	a, err := z.AllocContig(100)
+	a, err := z.AllocContigAligned(100, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.Count != 100 {
 		t.Fatalf("count = %d", a.Count)
 	}
-	b, err := z.AllocContig(50)
+	b, err := z.AllocContigAligned(50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,17 +62,17 @@ func TestAllocContigAndFree(t *testing.T) {
 
 func TestAllocContigExhaustion(t *testing.T) {
 	z := newTestMem().Zone(0)
-	if _, err := z.AllocContig(4097); err == nil {
+	if _, err := z.AllocContigAligned(4097, 1); err == nil {
 		t.Fatal("oversized allocation should fail")
 	}
-	if _, err := z.AllocContig(0); err == nil {
+	if _, err := z.AllocContigAligned(0, 1); err == nil {
 		t.Fatal("zero allocation should fail")
 	}
 }
 
 func TestDoubleFreeDetected(t *testing.T) {
 	z := newTestMem().Zone(0)
-	a, _ := z.AllocContig(10)
+	a, _ := z.AllocContigAligned(10, 1)
 	l := extent.FromExtents(a)
 	if err := z.Free(l); err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestDoubleFreeDetected(t *testing.T) {
 func TestFreeOutsideZoneRejected(t *testing.T) {
 	m := newTestMem()
 	z0, z1 := m.Zone(0), m.Zone(1)
-	a, _ := z1.AllocContig(1)
+	a, _ := z1.AllocContigAligned(1, 1)
 	if err := z0.Free(extent.FromExtents(a)); err == nil {
 		t.Fatal("freeing zone-1 frames into zone 0 should fail")
 	}
@@ -105,12 +105,13 @@ func TestAllocScatteredFragmentation(t *testing.T) {
 	}
 	// All pages distinct.
 	seen := map[PFN]bool{}
-	for i := uint64(0); i < l.Pages(); i++ {
-		f, _ := l.Page(i)
-		if seen[f] {
-			t.Fatalf("duplicate frame %#x", uint64(f))
+	for _, e := range l.Extents() {
+		for f := e.First; f < e.End(); f++ {
+			if seen[f] {
+				t.Fatalf("duplicate frame %#x", uint64(f))
+			}
+			seen[f] = true
 		}
-		seen[f] = true
 	}
 	if err := z.Free(l); err != nil {
 		t.Fatal(err)
@@ -126,7 +127,7 @@ func TestScatteredThenContigInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := z.AllocContig(200)
+	c, err := z.AllocContigAligned(200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestScatteredThenContigInterleave(t *testing.T) {
 func TestFrameContentsSharedAndSparse(t *testing.T) {
 	m := newTestMem()
 	z := m.Zone(0)
-	a, _ := z.AllocContig(4)
+	a, _ := z.AllocContigAligned(4, 1)
 	l := extent.FromExtents(a)
 
 	// Reads before any write see zeros and do not materialize.
@@ -182,7 +183,7 @@ func TestFrameContentsSharedAndSparse(t *testing.T) {
 
 func TestAccessBeyondRegionFails(t *testing.T) {
 	m := newTestMem()
-	a, _ := m.Zone(0).AllocContig(1)
+	a, _ := m.Zone(0).AllocContigAligned(1, 1)
 	l := extent.FromExtents(a)
 	if err := m.WriteAt(l, PageSize-1, []byte{1, 2}); err == nil {
 		t.Fatal("overflowing write should fail")
@@ -203,7 +204,7 @@ func TestSameFramesTwoViews(t *testing.T) {
 	// The zero-copy property: two lists naming the same frames observe the
 	// same bytes — this is what an XEMEM attachment ultimately relies on.
 	m := newTestMem()
-	a, _ := m.Zone(0).AllocContig(8)
+	a, _ := m.Zone(0).AllocContigAligned(8, 1)
 	exporter := extent.FromExtents(a)
 	attacher, err := exporter.Slice(2, 4)
 	if err != nil {
@@ -224,7 +225,7 @@ func TestSameFramesTwoViews(t *testing.T) {
 func TestPinPreventsFree(t *testing.T) {
 	m := newTestMem()
 	z := m.Zone(0)
-	a, _ := z.AllocContig(4)
+	a, _ := z.AllocContigAligned(4, 1)
 	l := extent.FromExtents(a)
 	m.Pin(l)
 	if err := z.Free(l); err == nil {
@@ -240,7 +241,7 @@ func TestPinPreventsFree(t *testing.T) {
 
 func TestUnpinUnpinnedFails(t *testing.T) {
 	m := newTestMem()
-	a, _ := m.Zone(0).AllocContig(1)
+	a, _ := m.Zone(0).AllocContigAligned(1, 1)
 	if err := m.Unpin(extent.FromExtents(a)); err == nil {
 		t.Fatal("unpinning unpinned frame should fail")
 	}
@@ -248,7 +249,7 @@ func TestUnpinUnpinnedFails(t *testing.T) {
 
 func TestPinNesting(t *testing.T) {
 	m := newTestMem()
-	a, _ := m.Zone(0).AllocContig(1)
+	a, _ := m.Zone(0).AllocContigAligned(1, 1)
 	l := extent.FromExtents(a)
 	m.Pin(l)
 	m.Pin(l)
@@ -288,7 +289,7 @@ func TestAllocatorConservationProperty(t *testing.T) {
 			switch op % 3 {
 			case 0: // contig alloc
 				n := uint64(op%128) + 1
-				e, err := z.AllocContig(n)
+				e, err := z.AllocContigAligned(n, 1)
 				if err != nil {
 					continue
 				}
@@ -302,7 +303,7 @@ func TestAllocatorConservationProperty(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				f, _ := l.Page(0)
+				f := l.Extents()[0].First
 				live[f] = l
 				liveKeys = append(liveKeys, f)
 				livePages += n
@@ -328,12 +329,13 @@ func TestAllocatorConservationProperty(t *testing.T) {
 		// All live frames must be distinct across allocations.
 		seen := map[PFN]bool{}
 		for _, l := range live {
-			for i := uint64(0); i < l.Pages(); i++ {
-				f, _ := l.Page(i)
-				if seen[f] {
-					return false
+			for _, e := range l.Extents() {
+				for f := e.First; f < e.End(); f++ {
+					if seen[f] {
+						return false
+					}
+					seen[f] = true
 				}
-				seen[f] = true
 			}
 		}
 		return true
@@ -350,7 +352,7 @@ func TestAudit(t *testing.T) {
 	build := func() (*PhysMem, extent.List, *sim.World) {
 		m := NewPhysMem("node0", 8<<20, 8<<20)
 		z := m.Zone(1)
-		a, err := z.AllocContig(16)
+		a, err := z.AllocContigAligned(16, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // page of backing, not a full 256 KB slab.
 func TestFirstWriteAllocatesLittle(t *testing.T) {
 	m := newTestMem()
-	a, _ := m.Zone(0).AllocContig(1)
+	a, _ := m.Zone(0).AllocContigAligned(1, 1)
 	l := extent.FromExtents(a)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -35,7 +35,7 @@ func TestBulkWriteKeepsSlabAmortization(t *testing.T) {
 	const pages = 8192
 	buf := make([]byte, pages*PageSize)
 	// Every fresh PhysMem of this geometry hands out the same frames.
-	a, _ := NewPhysMem("node0", 64<<20).Zone(0).AllocContig(pages)
+	a, _ := NewPhysMem("node0", 64<<20).Zone(0).AllocContigAligned(pages, 1)
 	l := extent.FromExtents(a)
 	write := testing.AllocsPerRun(1, func() {
 		if err := NewPhysMem("node0", 64<<20).WriteAt(l, 0, buf); err != nil {
@@ -60,7 +60,7 @@ func TestBulkWriteKeepsSlabAmortization(t *testing.T) {
 // into the next frame carved from the same slab.
 func TestFrameAppendLeavesNeighbourAlone(t *testing.T) {
 	m := newTestMem()
-	a, _ := m.Zone(0).AllocContig(16)
+	a, _ := m.Zone(0).AllocContigAligned(16, 1)
 	for i := uint64(0); i+1 < a.Count; i++ {
 		f := a.First + PFN(i)
 		b := m.Frame(f)

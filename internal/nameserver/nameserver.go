@@ -214,9 +214,6 @@ func (ns *NS) Binding(name string) (xproto.Segid, bool) {
 	return s, ok
 }
 
-// LiveSegids reports the number of live segment registrations.
-func (ns *NS) LiveSegids() int { return len(ns.owners) }
-
 // MarkEnclaveDown records that enclave e crashed. Its segid
 // registrations are deliberately retained: subsequent gets and attaches
 // of its segments fail with an attributable "enclave down" rather than

@@ -120,7 +120,7 @@ func TestSegidUniquenessProperty(t *testing.T) {
 			}
 			seen[s] = true
 		}
-		return ns.LiveSegids() == len(seen)
+		return len(ns.Segids()) == len(seen)
 	}, &quick.Config{MaxCount: 100})
 	if err != nil {
 		t.Fatal(err)

@@ -123,7 +123,10 @@ func New() *Table {
 	return &Table{root: &table{}, tables: 1}
 }
 
-// Mapped reports the number of 4 KB pages currently mapped.
+// Mapped reports the number of 4 KB pages currently mapped. Mapped and
+// Tables are test oracles for other packages: proc's tests compare the
+// counts between its batched and per-page populate paths and check that
+// a removed region leaves no PTE behind.
 func (t *Table) Mapped() uint64 { return t.mapped }
 
 // Tables reports the number of radix nodes allocated, counting each run

@@ -204,7 +204,9 @@ func Launch(name string, w *sim.World, pm *mem.PhysMem, hostZone *mem.Zone, memB
 	return vm, nil
 }
 
-// MapEntries reports the guest memory map's current entry count.
+// MapEntries reports the guest memory map's current entry count. Only
+// tests read it: palacios's external tests and the root package's check
+// that maps and unmaps leave no stray entry.
 func (vm *VM) MapEntries() int { return vm.mmap.entries() }
 
 // translateOut converts a guest-physical frame list to host frames by

@@ -169,7 +169,7 @@ func TestHostAttachesGuestMemory(t *testing.T) {
 			// The attacher's region backing must be HOST frames (valid in the
 			// host frame space), not guest-physical numbers.
 			r := hp.AS.FindRegion(va)
-			f, _ := r.Backing.Page(0)
+			f := r.Backing.Extents()[0].First
 			if n.pm.Pinned(f) == 0 {
 				t.Error("backing host frame not pinned by the serve")
 			}
@@ -338,7 +338,7 @@ func TestMemoizedImportChargesIdentically(t *testing.T) {
 	n.w.Spawn("driver", func(a *sim.Actor) {
 		// A contiguous (Kitten-like) export: allocate contiguously so the
 		// served list is a single extent.
-		e, err := n.linux.Zone().AllocContig(pages)
+		e, err := n.linux.Zone().AllocContigAligned(pages, 1)
 		if err != nil {
 			t.Error(err)
 			return

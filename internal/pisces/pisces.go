@@ -66,23 +66,15 @@ type CoKernel struct {
 // Destroy tears the co-kernel down and onlines its memory block back to
 // the host enclave — the dynamic repartitioning §3.2 envisions. It fails
 // while the enclave's exports are still attached anywhere (their frames
-// are pinned) or any of its frames remain pinned.
+// are pinned) or any of its frames remain pinned. Every other module of
+// the world hears that the enclave is down, as after a crash, so a
+// request toward it fails with ErrEnclaveDown instead of waiting on it.
 func (ck *CoKernel) Destroy(a *sim.Actor) error {
 	if err := ck.Module.Stop(a); err != nil {
 		return err
 	}
+	ck.Module.AnnounceDown(a)
 	return ck.host.Free(extent.FromExtents(ck.Block))
-}
-
-// Crash kills the co-kernel mid-flight — a Pisces partition dying with
-// its kernel, not the orderly Destroy. The enclave's memory block is NOT
-// returned to the host zone: remote attachers may still hold (poisoned)
-// mappings into it, and on real hardware a crashed partition's memory
-// cannot be onlined until an operator reclaims it. The fault subsystem's
-// fanout (Module.OnEnclaveDown on the survivors) propagates the segid
-// and route invalidation.
-func (ck *CoKernel) Crash(a *sim.Actor) {
-	ck.Module.Crash(a)
 }
 
 // CreateCoKernel offlines a contiguous block of memBytes from hostZone,

@@ -68,31 +68,6 @@ func TestCoKernelAllocationFailure(t *testing.T) {
 	_ = w
 }
 
-func TestIPIChannelChargesSender(t *testing.T) {
-	w, pm, l, m := mgmt(t)
-	ck, err := pisces.CreateCoKernel("kitten0", w, pm, l.Zone(), 128<<20, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var elapsed sim.Time
-	w.Spawn("sender", func(a *sim.Actor) {
-		ck.Module.WaitReady(a)
-		link := ck.Module.Links()[0]
-		msg := &xproto.Message{Type: xproto.MsgPingNS, ReqID: 42}
-		start := a.Now()
-		link.Send(a, msg)
-		elapsed = a.Now() - start
-	})
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The sender paid at least the IPI latency plus the message copy.
-	min := w.Costs().IPILatency
-	if elapsed < min {
-		t.Fatalf("send charged %v, want ≥ %v", elapsed, min)
-	}
-}
-
 func TestManyCoKernels(t *testing.T) {
 	w, pm, l, m := mgmt(t)
 	var cks []*pisces.CoKernel

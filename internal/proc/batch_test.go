@@ -73,10 +73,11 @@ func (as *AddressSpace) populateRangeLegacy(va pagetable.VA, npages uint64) (fau
 			return faults, fmt.Errorf("proc: fault at %#x outside any region", uint64(cur))
 		}
 		idx := (cur - r.Base).Page()
-		f, err := r.Backing.Page(idx)
+		page, err := r.Backing.Slice(idx, 1)
 		if err != nil {
 			return faults, err
 		}
+		f := page.Extents()[0].First
 		if err := as.pt.Map(cur, f, r.Flags); err != nil {
 			return faults, err
 		}

@@ -94,7 +94,8 @@ func (as *AddressSpace) Domain() Domain { return as.dom }
 // top-level slots between local processes).
 func (as *AddressSpace) PageTable() *pagetable.Table { return as.pt }
 
-// Regions returns the regions sorted by base address.
+// Regions returns the regions sorted by base address. Only tests read
+// it: kitten's tests check every static region of a new process.
 func (as *AddressSpace) Regions() []*Region {
 	out := make([]*Region, len(as.regions))
 	copy(out, as.regions)

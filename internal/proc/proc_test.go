@@ -3,6 +3,7 @@ package proc
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -140,7 +141,7 @@ func TestWalkExtentsServePath(t *testing.T) {
 	if faults != 32 {
 		t.Fatalf("faults = %d, want 32", faults)
 	}
-	if !got.Equal(backing) {
+	if !slices.Equal(got.Extents(), backing.Extents()) {
 		t.Fatalf("walked = %v, want %v", got, backing)
 	}
 	// Sub-range.
@@ -149,7 +150,7 @@ func TestWalkExtentsServePath(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := backing.Slice(4, 8)
-	if !sub.Equal(want) {
+	if !slices.Equal(sub.Extents(), want.Extents()) {
 		t.Fatalf("sub walk = %v, want %v", sub, want)
 	}
 }
@@ -169,18 +170,18 @@ func TestWalkExtentsMappedRange(t *testing.T) {
 	if err != nil || faults != 2048-600 {
 		t.Fatalf("populating serve: faults = %d, err = %v; want %d", faults, err, 2048-600)
 	}
-	if !first.Equal(backing) {
+	if !slices.Equal(first.Extents(), backing.Extents()) {
 		t.Fatalf("populating serve = %v, want %v", first, backing)
 	}
 	again, faults, err := as.WalkExtents(r.Base, 2048)
-	if err != nil || faults != 0 || !again.Equal(first) {
+	if err != nil || faults != 0 || !slices.Equal(again.Extents(), first.Extents()) {
 		t.Fatalf("mapped serve = (%v, %d faults, %v), want (%v, 0 faults)", again, faults, err, first)
 	}
 
 	eager, _ := z.AllocScattered(64, 8)
 	e, _ := as.AddRegion("eager", 0, eager, pagetable.Read, false)
 	got, faults, err := as.WalkExtents(e.Base, 64)
-	if err != nil || faults != 0 || !got.Equal(eager) {
+	if err != nil || faults != 0 || !slices.Equal(got.Extents(), eager.Extents()) {
 		t.Fatalf("eager serve = (%v, %d faults, %v), want (%v, 0 faults)", got, faults, err, eager)
 	}
 	if _, _, err := as.WalkExtents(e.Base+1, 1); err == nil || !strings.Contains(err.Error(), "unaligned populate") {
@@ -212,7 +213,7 @@ func TestPopulateAllPartlyPopulated(t *testing.T) {
 		t.Fatalf("PopulateAll = (%d, %v), populated %d; want (60, nil), 64", n, err, r.Populated)
 	}
 	got, faults, err := as.WalkExtents(r.Base, 64)
-	if err != nil || faults != 0 || !got.Equal(backing) {
+	if err != nil || faults != 0 || !slices.Equal(got.Extents(), backing.Extents()) {
 		t.Fatalf("walk after PopulateAll = (%v, %d faults, %v), want (%v, 0 faults)", got, faults, err, backing)
 	}
 	back := make([]byte, len(msg))
@@ -258,7 +259,7 @@ func TestCrossProcessSharing(t *testing.T) {
 	asA := NewAddressSpace(HostDomain{Mem: pm}, 0x7f00_0000_0000)
 	asB := NewAddressSpace(HostDomain{Mem: pm}, 0x7f00_0000_0000)
 
-	backing, _ := z.AllocContig(16)
+	backing, _ := z.AllocContigAligned(16, 1)
 	list := extent.FromExtents(backing)
 	rA, err := asA.AddRegion("export", 0, list, pagetable.Read|pagetable.Write, false)
 	if err != nil {

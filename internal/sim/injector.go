@@ -14,18 +14,18 @@ package sim
 // short-circuits on a nil check, so simulations without an injector are
 // bit-identical to builds that predate it.
 type Injector interface {
-	// DeliveryFault is consulted once per message delivery into a named
+	// DeliveryFault is consulted once per message delivery into a
 	// receive queue (xproto.Inbox.Put), before the delivery is enqueued.
 	// Returning drop discards the message (the sender is not told — lost
 	// IPIs look exactly like this); a positive delay charges the sending
 	// actor that much extra wire time first, modelling a stalled or
-	// retried interrupt. bytes is the message's modelled wire size.
-	DeliveryFault(queue string, a *Actor, bytes int) (drop bool, delay Time)
+	// retried interrupt.
+	DeliveryFault() (drop bool, delay Time)
 
-	// ServiceDown reports whether the named service ("nameserver") is
-	// inside an injected outage window at virtual time t. Protocol code
-	// consults it before serving requests on behalf of that service.
-	ServiceDown(service string, t Time) bool
+	// NameServerDown reports whether the name server is inside an
+	// injected outage window at virtual time t. Protocol code consults it
+	// before serving name-server requests.
+	NameServerDown(t Time) bool
 }
 
 // SetInjector installs (or, with nil, removes) the world's fault

@@ -10,10 +10,7 @@ type Resource struct {
 	name     string
 	nextFree Time
 
-	// Accumulated statistics.
-	busy   Time // total occupied time
-	waited Time // total queueing delay experienced by acquirers
-	waits  int  // acquisitions that had to queue
+	busy Time // total occupied time
 	// queued counts acquirers currently waiting for the resource — the
 	// instantaneous queue depth the observer sees.
 	queued int
@@ -25,16 +22,10 @@ func NewResource(name string) *Resource { return &Resource{name: name} }
 // Name reports the resource's diagnostic name.
 func (r *Resource) Name() string { return r.name }
 
-// Acquire occupies the resource for d of a's virtual time, queueing first
-// if the resource is busy. It returns the time at which the work actually
-// started. The actor's clock ends at start+d.
-func (r *Resource) Acquire(a *Actor, d Time) (start Time) {
-	return r.AcquireOp(a, d, "")
-}
-
-// AcquireOp is Acquire with an operation label for the observer: traces
-// attribute the occupancy (and any queueing delay) to op. The simulated
-// outcome is identical to Acquire.
+// AcquireOp occupies the resource for d of a's virtual time, queueing
+// first if the resource is busy. It returns the time at which the work
+// actually started; the actor's clock ends at start+d. op labels the
+// occupancy (and any queueing delay) for the observer's traces.
 func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
 	arrival := a.now
 	depth := 0
@@ -48,13 +39,10 @@ func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
 			r.queued++
 			depth = r.queued
 		}
-		delta := r.nextFree - a.now
-		r.waited += delta
-		a.Advance(delta)
+		a.Advance(r.nextFree - a.now)
 	}
 	if waitedHere {
 		r.queued--
-		r.waits++
 	}
 	start = a.now
 	if obs := a.Observer(); obs != nil {
@@ -68,12 +56,6 @@ func (r *Resource) AcquireOp(a *Actor, d Time, op string) (start Time) {
 
 // BusyTime reports the total virtual time the resource has been occupied.
 func (r *Resource) BusyTime() Time { return r.busy }
-
-// WaitTime reports the total queueing delay acquirers experienced.
-func (r *Resource) WaitTime() Time { return r.waited }
-
-// ContendedAcquires reports how many acquisitions had to queue.
-func (r *Resource) ContendedAcquires() int { return r.waits }
 
 // Span records one occupancy interval of a Core, tagged with its cause.
 // The noise analysis (§5.5) reconstructs the Selfish Detour profile from

@@ -25,7 +25,8 @@ func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 // AddTime appends a duration observation in seconds.
 func (s *Sample) AddTime(t Time) { s.Add(t.Seconds()) }
 
-// N reports the number of observations.
+// N reports the number of observations. Only tests read it: insitu's
+// tests count the attachments a run sampled.
 func (s *Sample) N() int { return len(s.xs) }
 
 // Mean reports the arithmetic mean (0 when empty).

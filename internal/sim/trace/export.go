@@ -50,16 +50,6 @@ func (s *Set) Observe(label string, w *sim.World) { w.SetObserver(s.Get(label)) 
 // Tracers returns the set's tracers in export order.
 func (s *Set) Tracers() []*Tracer { return s.tracers }
 
-// Digests returns every tracer's digest in export order.
-func (s *Set) Digests() []Digest {
-	ts := s.Tracers()
-	out := make([]Digest, 0, len(ts))
-	for _, t := range ts {
-		out = append(out, t.Digest())
-	}
-	return out
-}
-
 // --- Chrome trace_event export ------------------------------------------
 
 // chromeEvent is one trace_event record. Timestamps and durations are in
@@ -257,13 +247,6 @@ func (s *Set) WriteFiles(tracePath, metricsPath string) error {
 		}
 	}
 	return nil
-}
-
-// WriteMetricsJSON writes this tracer's metrics as one JSON object.
-func (t *Tracer) WriteMetricsJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.metrics())
 }
 
 // Summary renders a short human-readable profile: top operations by

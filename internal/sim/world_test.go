@@ -356,7 +356,7 @@ func TestDeterministicReplay(t *testing.T) {
 				r := a.RNG()
 				for j := 0; j < 20; j++ {
 					a.Advance(Time(r.Uint64n(1000)))
-					res.Acquire(a, Time(r.Uint64n(500)))
+					res.AcquireOp(a, Time(r.Uint64n(500)), "")
 					log = append(log, a.Now())
 				}
 			})
@@ -383,7 +383,7 @@ func TestResourceSerializes(t *testing.T) {
 	var spans []Span
 	for i := 0; i < 3; i++ {
 		w.Spawn(fmt.Sprintf("a%d", i), func(a *Actor) {
-			start := res.Acquire(a, 100)
+			start := res.AcquireOp(a, 100, "")
 			spans = append(spans, Span{Start: start, Dur: 100})
 		})
 	}
@@ -401,24 +401,22 @@ func TestResourceSerializes(t *testing.T) {
 	if res.BusyTime() != 300 {
 		t.Fatalf("busy = %v, want 300", res.BusyTime())
 	}
-	if res.ContendedAcquires() != 2 {
-		t.Fatalf("contended = %d, want 2", res.ContendedAcquires())
-	}
 }
 
 func TestResourceIdleNoWait(t *testing.T) {
 	w := NewWorld(1)
 	res := NewResource("idle")
+	var starts []Time
 	w.Spawn("a", func(a *Actor) {
-		res.Acquire(a, 50)
+		starts = append(starts, res.AcquireOp(a, 50, ""))
 		a.Advance(1000)
-		res.Acquire(a, 50)
+		starts = append(starts, res.AcquireOp(a, 50, ""))
 	})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if res.WaitTime() != 0 {
-		t.Fatalf("wait = %v, want 0", res.WaitTime())
+	if want := []Time{0, 1050}; fmt.Sprint(starts) != fmt.Sprint(want) {
+		t.Fatalf("starts = %v, want %v: an idle resource makes no one wait", starts, want)
 	}
 }
 

@@ -13,7 +13,7 @@ import (
 func mkProc(t *testing.T, pm *mem.PhysMem, pages uint64) (*proc.AddressSpace, *proc.Region) {
 	t.Helper()
 	as := proc.NewAddressSpace(proc.HostDomain{Mem: pm}, 0x10_0000_0000)
-	backing, err := pm.Zone(0).AllocContig(pages)
+	backing, err := pm.Zone(0).AllocContigAligned(pages, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,10 @@ import (
 	"xemem/internal/xpmem"
 )
 
-// regNode mirrors cacheNode but keeps the Linux module handle so the
-// crash test can register a fault injector over both enclaves.
+// regNode mirrors cacheNode but keeps the co-kernel handle so the
+// crash test can name it as the fault plan's victim.
 type regNode struct {
 	w       *sim.World
-	lmod    *core.Module
 	ck      *pisces.CoKernel
 	expSess *xpmem.Session
 	attSess *xpmem.Session
@@ -46,7 +45,6 @@ func newRegNode(t *testing.T, seed uint64) *regNode {
 	auditAtEnd(t, w, pm)
 	return &regNode{
 		w:       w,
-		lmod:    lmod,
 		ck:      ck,
 		expSess: xpmem.NewSession(ck.Module, kp),
 		attSess: xpmem.NewSession(lmod, lp),
@@ -203,7 +201,6 @@ func TestRegCacheCrashInvalidation(t *testing.T) {
 	inj := fault.New(n.w, fault.Plan{
 		Crashes: []fault.Crash{{At: crashAt, Module: n.ck.Module.Name()}},
 	})
-	inj.Register(n.lmod, n.ck.Module)
 	inj.Arm()
 
 	const bytes = 8 * extent.PageSize
@@ -239,7 +236,7 @@ func TestRegCacheCrashInvalidation(t *testing.T) {
 	if err := n.w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !n.ck.Module.Crashed() {
+	if !n.ck.Module.Stopped() {
 		t.Fatal("victim module not marked crashed")
 	}
 }

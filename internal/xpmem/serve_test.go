@@ -72,7 +72,8 @@ func auditAtEnd(t *testing.T, w *sim.World, pm *mem.PhysMem) {
 // arrives, after Detach has returned to the attacher.
 func (n *serveNode) waitPinned(t *testing.T, a *sim.Actor, page uint64, want int) {
 	t.Helper()
-	f, _ := n.heap.Backing.Page(page)
+	pg, _ := n.heap.Backing.Slice(page, 1)
+	f := pg.Extents()[0].First
 	if !a.PollDeadline(5*sim.Microsecond, a.Now()+sim.Millisecond, func() bool { return n.pm.Pinned(f) == want }) {
 		t.Errorf("page %d: %d pins, want %d", page, n.pm.Pinned(f), want)
 	}

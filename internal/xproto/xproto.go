@@ -243,7 +243,7 @@ func NewInbox(name string) *Inbox {
 func (in *Inbox) Put(a *sim.Actor, m *Message, via Link) {
 	if m != nil {
 		if inj := a.World().Injector(); inj != nil {
-			drop, delay := inj.DeliveryFault(in.name, a, m.WireSize())
+			drop, delay := inj.DeliveryFault()
 			if delay > 0 {
 				a.Charge("fault-delay", delay)
 			}

@@ -125,21 +125,6 @@ func splitTop(s string) []string {
 	return out
 }
 
-// Count reports the number of enclaves the topology describes (the
-// management enclave not included).
-func (t *Topology) Count() int {
-	n := 0
-	var walk func(nodes []*TopoNode)
-	walk = func(nodes []*TopoNode) {
-		for _, tn := range nodes {
-			n++
-			walk(tn.Children)
-		}
-	}
-	walk(t.Roots)
-	return n
-}
-
 // Locality places an enclave on the node's physical topology: which
 // socket it runs on and which NUMA domain its memory lives in. NUMA
 // domain ids are global across sockets.

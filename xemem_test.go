@@ -215,8 +215,8 @@ func TestManyEnclavesMixed(t *testing.T) {
 
 func TestNodeDefaults(t *testing.T) {
 	node := xemem.NewNode(xemem.NodeConfig{Seed: 1})
-	if node.Phys().Zone(0).Pages() != (32<<30)/4096 {
-		t.Fatalf("default memory = %d pages", node.Phys().Zone(0).Pages())
+	if free := node.Phys().Zone(0).FreePages(); free != (32<<30)/4096 {
+		t.Fatalf("default memory = %d free pages", free)
 	}
 	if len(node.Linux().Cores()) != 4 {
 		t.Fatalf("default cores = %d", len(node.Linux().Cores()))
@@ -309,9 +309,8 @@ func TestTwoNodesOneWorld(t *testing.T) {
 	}
 	// Both name servers independently allocated segids under the same
 	// published name — no cross-node interference.
-	if nodeA.LinuxModule().NS.LiveSegids() != 1 || nodeB.LinuxModule().NS.LiveSegids() != 1 {
-		t.Fatalf("NS registries: %d / %d",
-			nodeA.LinuxModule().NS.LiveSegids(), nodeB.LinuxModule().NS.LiveSegids())
+	if a, b := nodeA.LinuxModule().NS.Segids(), nodeB.LinuxModule().NS.Segids(); len(a) != 1 || len(b) != 1 {
+		t.Fatalf("NS registries: %v / %v", a, b)
 	}
 }
 
