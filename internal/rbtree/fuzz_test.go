@@ -48,9 +48,10 @@ func modelLookup(model map[uint64]modelEntry, key uint64) (val, runStart, runCou
 // every run as the per-page Insert or Delete calls it replaces, and
 // checks after every operation that the red-black and interval
 // invariants hold, that every insert, delete and run reports the
-// reference's OpStats and leaves the same tree, and that the tree agrees
-// with the model — including the balanced-height bound the simulator's
-// cost model depends on (§5.4 charges per visit).
+// reference's OpStats and leaves the same tree, that every node slot is
+// in the tree or on the free list, and that the tree agrees with the
+// model — including the balanced-height bound the simulator's cost model
+// depends on (§5.4 charges per visit).
 func FuzzOps(f *testing.F) {
 	f.Add([]byte("\x00AAAAAAAA\x03\x00BBBBBBBB\x01\x02AAAAAAAA\x00\x01AAAAAAAA\x00"))
 	f.Add([]byte{})
@@ -211,6 +212,9 @@ func FuzzOps(f *testing.F) {
 
 			if err := m.Validate(); err != nil {
 				t.Fatalf("invariant violated after op %d on %#x: %v", op, key, err)
+			}
+			if err := slots(m); err != nil {
+				t.Fatalf("op %d on %#x: %v", op, key, err)
 			}
 			if m.Size() != len(model) {
 				t.Fatalf("size %d, model %d", m.Size(), len(model))

@@ -22,22 +22,48 @@ func contents(m *Map) []interval {
 // with equal walks have the same nodes in the same places and colours.
 type shapeNode struct {
 	start, count, val uint64
-	c                 color
+	red               bool
 }
 
+// shape walks the links and reads each node through its fields, not
+// through count() and red(), so a fault in those accessors still shows.
 func shape(m *Map) []shapeNode {
 	var out []shapeNode
-	var walk func(n *node)
-	walk = func(n *node) {
-		if n == m.nilNode {
+	var walk func(x uint32)
+	walk = func(x uint32) {
+		if x == 0 {
 			return
 		}
-		out = append(out, shapeNode{n.start, n.count, n.val, n.c})
+		n := m.nodes[x]
+		out = append(out, shapeNode{n.start, uint64(n.cc &^ redBit), n.val, n.cc&redBit != 0})
 		walk(n.l)
 		walk(n.r)
 	}
 	walk(m.root)
 	return out
+}
+
+// slots checks the node slice's bookkeeping: the sentinel is a black
+// leaf of no pages, every free slot is zeroed, and every slot past the
+// sentinel is in the tree or on the free list, so the slice grows only
+// past what the free list can supply.
+func slots(m *Map) error {
+	if s := m.nodes[0]; s.cc != 0 || s.l != 0 || s.r != 0 {
+		return fmt.Errorf("sentinel %+v, want a black leaf of no pages", s)
+	}
+	free := 0
+	for x := m.free; x != 0; x = m.nodes[x].r {
+		if n := m.nodes[x]; n.start != 0 || n.val != 0 || n.cc != 0 || n.l != 0 || n.p != 0 {
+			return fmt.Errorf("free slot %d not zeroed: %+v", x, n)
+		}
+		if free++; free >= len(m.nodes) {
+			return fmt.Errorf("free list cycles")
+		}
+	}
+	if len(m.nodes)-1 != m.size+free {
+		return fmt.Errorf("%d slots past the sentinel, %d live and %d free", len(m.nodes)-1, m.size, free)
+	}
+	return nil
 }
 
 // sameTree reports the first difference between two trees' shapes,
@@ -87,7 +113,8 @@ func deletePages(m *Map, start, n uint64) (OpStats, error) {
 // or Delete calls the run replaces. Single-interval operations go to
 // both through Insert and Delete. After every operation both must report
 // the same OpStats and error, hold the same tree (shape, contents and
-// colours), and pass Validate.
+// colours), and pass Validate, and got's node slice must account for
+// every slot.
 type lockstep struct {
 	t         *testing.T
 	got, want *Map
@@ -137,6 +164,9 @@ func (ls *lockstep) same(call func() string, gst, wst OpStats, gerr, werr error)
 	if err := ls.got.Validate(); err != nil {
 		ls.t.Fatalf("%s: %v", what(), err)
 	}
+	if err := slots(ls.got); err != nil {
+		ls.t.Fatalf("%s: %v", what(), err)
+	}
 	if err := ls.want.Validate(); err != nil {
 		ls.t.Fatalf("%s: reference: %v", what(), err)
 	}
@@ -151,13 +181,13 @@ func (ls *lockstep) same(call func() string, gst, wst OpStats, gerr, werr error)
 // maxEnd reports the end of the highest interval, or 0 in an empty map.
 func maxEnd(m *Map) uint64 {
 	x := m.root
-	if x == m.nilNode {
+	if x == 0 {
 		return 0
 	}
-	for x.r != m.nilNode {
-		x = x.r
+	for m.nodes[x].r != 0 {
+		x = m.nodes[x].r
 	}
-	return x.end()
+	return m.nodes[x].end()
 }
 
 // TestInsertRunMatchesPerPage runs seeded mixes of insert runs at, just

@@ -23,11 +23,21 @@
 // page's descent, for the length of the run. The Map keeps no spine or
 // successor between calls, so Insert and Delete always descend.
 //
-// Deleted nodes go on a free list that later inserts take from. Nodes the
-// free list cannot supply come from per-Map chunks that double from one
-// node up to maxChunk, so a map that only ever holds a VM's RAM entry
-// allocates one node, and a cold import of a 1 GB window (262,144 pages)
-// allocates 30 chunks instead of 262,144 nodes.
+// A Map's nodes live in one slice that holds no pointers, so the garbage
+// collector neither scans nor write-barriers them. Links are 32-bit slot
+// indices and slot 0 is the black sentinel leaf; the colour is the top
+// bit of a 32-bit count, which makes a node 32 bytes, two to a cache
+// line. Deleted nodes go on a free list that later inserts take from.
+// The slice grows only when the free list runs short: InsertRun reserves
+// what its run needs beyond the free list in one step, and Insert
+// appends. So a map that only ever holds a VM's RAM entry holds one node,
+// and a cold import of a 1 GB window (262,144 pages) allocates once.
+//
+// The packed count bounds a map: an interval spans at most maxCount
+// pages (2³¹−1, 8 TB of 4 KB pages) and a map holds at most maxCount
+// intervals. The largest VM in the tree, 32 GB of RAM, is one entry of
+// 8 Mi pages, 256 times below the bound. Insert and InsertRun reject
+// what the bound cannot hold and leave the map untouched.
 package rbtree
 
 import (
@@ -47,40 +57,39 @@ func (s *OpStats) Add(other OpStats) {
 	s.Rotations += other.Rotations
 }
 
-type color bool
-
 const (
-	red   color = true
-	black color = false
+	redBit   = 1 << 31
+	maxCount = redBit - 1 // the largest interval, and the most intervals
 )
 
+// node is one interval. l, r and p are slots in the map's node slice, 0
+// the sentinel. cc holds the count in its low 31 bits and is red when
+// its top bit is set.
 type node struct {
-	start, count, val uint64
-	c                 color
-	l, r, p           *node
+	start, val uint64
+	cc         uint32
+	l, r, p    uint32
 }
 
-func (n *node) end() uint64 { return n.start + n.count }
+func (n *node) count() uint64 { return uint64(n.cc & maxCount) }
+func (n *node) end() uint64   { return n.start + n.count() }
+func (n *node) red() bool     { return n.cc&redBit != 0 }
+func (n *node) setRed()       { n.cc |= redBit }
+func (n *node) setBlack()     { n.cc &^= redBit }
+
+// setColor gives n the colour of o.
+func (n *node) setColor(o *node) { n.cc = n.cc&maxCount | o.cc&redBit }
 
 // Map is a red-black interval map. The zero value is not usable; call New.
 type Map struct {
-	nilNode  *node // shared sentinel leaf
-	root     *node
-	size     int
-	free     *node  // deleted nodes, zeroed, linked through r
-	chunk    []node // unused nodes of the newest chunk
-	chunkLen int    // length of the newest chunk
+	nodes []node // slot 0 the sentinel; the rest live or on the free list
+	root  uint32
+	size  int
+	free  uint32 // deleted nodes, zeroed, linked through r; 0 when none
 }
 
-// maxChunk caps the chunks fresh nodes come from (16,384 nodes, 896 KB),
-// which bounds the unused tail of a grown map.
-const maxChunk = 1 << 14
-
-// New returns an empty map.
-func New() *Map {
-	sentinel := &node{c: black}
-	return &Map{nilNode: sentinel, root: sentinel}
-}
+// New returns an empty map, with room for the one entry most maps hold.
+func New() *Map { return &Map{nodes: make([]node, 1, 2)} }
 
 // Size reports the number of intervals stored.
 func (m *Map) Size() int { return m.size }
@@ -88,36 +97,49 @@ func (m *Map) Size() int { return m.size }
 // ErrOverlap is returned when an insert would overlap an existing interval.
 var ErrOverlap = errors.New("rbtree: interval overlaps existing entry")
 
+// tooLarge reports the error for pages the packed count cannot hold.
+func tooLarge(what string, pages uint64) error {
+	return fmt.Errorf("rbtree: %s of %d pages does not fit: an interval holds at most %d pages, a map at most %[3]d intervals", what, pages, maxCount)
+}
+
 // Insert adds the mapping [start, start+count) → [val, val+count).
 func (m *Map) Insert(start, count, val uint64) (OpStats, error) {
 	var st OpStats
 	if count == 0 {
 		return st, errors.New("rbtree: zero-length interval")
 	}
-	y := m.nilNode
-	for x := m.root; x != m.nilNode; {
+	if count > maxCount || m.size == maxCount {
+		return st, tooLarge("an interval", count)
+	}
+	ns := m.nodes
+	y := uint32(0)
+	for x := m.root; x != 0; {
+		n := &ns[x]
 		st.Visits++
 		y = x
-		if start < x.end() && x.start < start+count {
-			return st, fmt.Errorf("%w: [%#x,+%d) vs [%#x,+%d)", ErrOverlap, start, count, x.start, x.count)
+		if start < n.end() && n.start < start+count {
+			return st, fmt.Errorf("%w: [%#x,+%d) vs [%#x,+%d)", ErrOverlap, start, count, n.start, n.count())
 		}
-		if start < x.start {
-			x = x.l
+		if start < n.start {
+			x = n.l
 		} else {
-			x = x.r
+			x = n.r
 		}
 	}
-	z := m.newNode(start, count, val, y)
+	// Taking a node may move the slice: index it afresh.
+	z := m.newNode()
+	ns = m.nodes
+	ns[z] = node{start: start, val: val, cc: uint32(count) | redBit, p: y}
 	switch {
-	case y == m.nilNode:
+	case y == 0:
 		m.root = z
-	case start < y.start:
-		y.l = z
+	case start < ns[y].start:
+		ns[y].l = z
 	default:
-		y.r = z
+		ns[y].r = z
 	}
 	m.size++
-	m.insertFixup(z, &st)
+	m.insertFixup(ns, z, &st)
 	return st, nil
 }
 
@@ -126,18 +148,23 @@ func (m *Map) Insert(start, count, val uint64) (OpStats, error) {
 // Insert(start+i, 1, val+i) it replaces and, like them, stops at the
 // first page that fails, whose work is in the sum. A run starting at or
 // past the maximum's end takes a loop specialised to maximum inserts;
-// any other run makes those calls.
+// any other run makes those calls. A run that would take the map past
+// maxCount intervals fails before any page, with zero OpStats.
 func (m *Map) InsertRun(start, n, val uint64) (OpStats, error) {
 	var st OpStats
+	if n > maxCount-uint64(m.size) {
+		return st, tooLarge("a run", n)
+	}
 	// The right spine: every node on it ends at or before the maximum's
 	// end, so a key at or past that end overlaps none and goes right at
 	// each. Its length is that key's descent, and the maximum its parent.
-	spine, top := 0, m.nilNode
-	for x := m.root; x != m.nilNode; x = x.r {
+	ns := m.nodes
+	spine, top := 0, uint32(0)
+	for x := m.root; x != 0; x = ns[x].r {
 		spine++
 		top = x
 	}
-	if top != m.nilNode && start < top.end() {
+	if top != 0 && start < ns[top].end() {
 		for i := uint64(0); i < n; i++ {
 			s, err := m.Insert(start+i, 1, val+i)
 			st.Add(s)
@@ -147,12 +174,25 @@ func (m *Map) InsertRun(start, n, val uint64) (OpStats, error) {
 		}
 		return st, nil
 	}
+	// After the reserve the slice stays put until the run ends, so the
+	// loop holds it and node pointers into it. It takes the free list
+	// first, then the reserved slots past the slice's length.
+	m.reserve(n)
+	ns = m.nodes
 	for i := uint64(0); i < n; i++ {
-		z := m.newNode(start+i, 1, val+i, top)
-		if top == m.nilNode {
+		z := m.free
+		if z != 0 {
+			m.free = ns[z].r
+		} else {
+			z = uint32(len(ns))
+			ns = ns[:z+1]
+		}
+		zn := &ns[z]
+		*zn = node{start: start + i, val: val + i, cc: 1 | redBit, p: top}
+		if top == 0 {
 			m.root = z
 		} else {
-			top.r = z
+			ns[top].r = z
 		}
 		m.size++
 		st.Visits += spine
@@ -161,123 +201,146 @@ func (m *Map) InsertRun(start, n, val uint64) (OpStats, error) {
 		// insertFixup's parent-is-a-right-child branch: z and its
 		// parent are on the spine, so z is never a left child and the
 		// one rotation, at the grandparent, takes it off the spine.
-		for z.p.c == red {
+		for {
+			pn := &ns[zn.p]
+			if !pn.red() {
+				break
+			}
 			st.Visits++
-			g := z.p.p
-			if u := g.l; u.c == red {
-				z.p.c = black
-				u.c = black
-				g.c = red
-				z = g
+			g := pn.p
+			gn := &ns[g]
+			if u := &ns[gn.l]; u.red() {
+				pn.setBlack()
+				u.setBlack()
+				gn.setRed()
+				zn = gn
 				continue
 			}
-			z.p.c = black
-			g.c = red
-			m.leftRotate(g, &st)
+			pn.setBlack()
+			gn.setRed()
+			m.leftRotate(ns, g, &st)
 			spine--
 			break
 		}
-		m.root.c = black
+		ns[m.root].setBlack()
 	}
+	m.nodes = ns
 	return st, nil
 }
 
-// newNode returns a red node under parent p, reusing a deleted node when
-// there is one and otherwise taking the next node of the newest chunk.
-func (m *Map) newNode(start, count, val uint64, p *node) *node {
-	z := m.free
-	if z != nil {
-		m.free = z.r
-	} else {
-		if len(m.chunk) == 0 {
-			m.chunkLen = min(max(1, 2*m.chunkLen), maxChunk)
-			m.chunk = make([]node, m.chunkLen)
+// reserve makes room for n new nodes: what the free list cannot supply
+// becomes spare capacity past the slice's length, grown by exactly the
+// shortfall.
+func (m *Map) reserve(n uint64) {
+	free := len(m.nodes) - 1 - m.size
+	need := int(n) - free - (cap(m.nodes) - len(m.nodes))
+	if need > 0 {
+		grown := make([]node, len(m.nodes), cap(m.nodes)+need)
+		copy(grown, m.nodes)
+		m.nodes = grown
+	}
+}
+
+// newNode returns the slot of a deleted node when there is one and
+// otherwise appends one, which may move the slice.
+func (m *Map) newNode() uint32 {
+	if z := m.free; z != 0 {
+		m.free = m.nodes[z].r
+		return z
+	}
+	m.nodes = append(m.nodes, node{})
+	return uint32(len(m.nodes) - 1)
+}
+
+func (m *Map) leftRotate(ns []node, x uint32, st *OpStats) {
+	st.Rotations++
+	xn := &ns[x]
+	y := xn.r
+	yn := &ns[y]
+	xn.r = yn.l
+	if yn.l != 0 {
+		ns[yn.l].p = x
+	}
+	yn.p = xn.p
+	switch p := &ns[xn.p]; {
+	case xn.p == 0:
+		m.root = y
+	case x == p.l:
+		p.l = y
+	default:
+		p.r = y
+	}
+	yn.l = x
+	xn.p = y
+}
+
+func (m *Map) rightRotate(ns []node, x uint32, st *OpStats) {
+	st.Rotations++
+	xn := &ns[x]
+	y := xn.l
+	yn := &ns[y]
+	xn.l = yn.r
+	if yn.r != 0 {
+		ns[yn.r].p = x
+	}
+	yn.p = xn.p
+	switch p := &ns[xn.p]; {
+	case xn.p == 0:
+		m.root = y
+	case x == p.r:
+		p.r = y
+	default:
+		p.l = y
+	}
+	yn.r = x
+	xn.p = y
+}
+
+func (m *Map) insertFixup(ns []node, z uint32, st *OpStats) {
+	for {
+		p := ns[z].p
+		pn := &ns[p]
+		if !pn.red() {
+			break
 		}
-		z = &m.chunk[0]
-		m.chunk = m.chunk[1:]
-	}
-	*z = node{start: start, count: count, val: val, c: red, l: m.nilNode, r: m.nilNode, p: p}
-	return z
-}
-
-func (m *Map) leftRotate(x *node, st *OpStats) {
-	st.Rotations++
-	y := x.r
-	x.r = y.l
-	if y.l != m.nilNode {
-		y.l.p = x
-	}
-	y.p = x.p
-	switch {
-	case x.p == m.nilNode:
-		m.root = y
-	case x == x.p.l:
-		x.p.l = y
-	default:
-		x.p.r = y
-	}
-	y.l = x
-	x.p = y
-}
-
-func (m *Map) rightRotate(x *node, st *OpStats) {
-	st.Rotations++
-	y := x.l
-	x.l = y.r
-	if y.r != m.nilNode {
-		y.r.p = x
-	}
-	y.p = x.p
-	switch {
-	case x.p == m.nilNode:
-		m.root = y
-	case x == x.p.r:
-		x.p.r = y
-	default:
-		x.p.l = y
-	}
-	y.r = x
-	x.p = y
-}
-
-func (m *Map) insertFixup(z *node, st *OpStats) {
-	for z.p.c == red {
 		st.Visits++
-		if z.p == z.p.p.l {
-			y := z.p.p.r
-			if y.c == red {
-				z.p.c = black
-				y.c = black
-				z.p.p.c = red
-				z = z.p.p
-			} else {
-				if z == z.p.r {
-					z = z.p
-					m.leftRotate(z, st)
-				}
-				z.p.c = black
-				z.p.p.c = red
-				m.rightRotate(z.p.p, st)
+		g := pn.p
+		gn := &ns[g]
+		if p == gn.l {
+			if y := &ns[gn.r]; y.red() {
+				pn.setBlack()
+				y.setBlack()
+				gn.setRed()
+				z = g
+				continue
 			}
+			if z == pn.r {
+				z = p
+				m.leftRotate(ns, z, st)
+			}
+			zp := &ns[ns[z].p]
+			zp.setBlack()
+			ns[zp.p].setRed()
+			m.rightRotate(ns, zp.p, st)
 		} else {
-			y := z.p.p.l
-			if y.c == red {
-				z.p.c = black
-				y.c = black
-				z.p.p.c = red
-				z = z.p.p
-			} else {
-				if z == z.p.l {
-					z = z.p
-					m.rightRotate(z, st)
-				}
-				z.p.c = black
-				z.p.p.c = red
-				m.leftRotate(z.p.p, st)
+			if y := &ns[gn.l]; y.red() {
+				pn.setBlack()
+				y.setBlack()
+				gn.setRed()
+				z = g
+				continue
 			}
+			if z == pn.l {
+				z = p
+				m.rightRotate(ns, z, st)
+			}
+			zp := &ns[ns[z].p]
+			zp.setBlack()
+			ns[zp.p].setRed()
+			m.leftRotate(ns, zp.p, st)
 		}
 	}
-	m.root.c = black
+	ns[m.root].setBlack()
 }
 
 // Lookup translates key (a guest frame) through the interval containing
@@ -285,16 +348,17 @@ func (m *Map) insertFixup(z *node, st *OpStats) {
 // start and count (so callers can batch-translate contiguous runs), and
 // whether the frame is mapped.
 func (m *Map) Lookup(key uint64) (val, runStart, runCount uint64, st OpStats, ok bool) {
-	x := m.root
-	for x != m.nilNode {
+	ns := m.nodes
+	for x := m.root; x != 0; {
+		n := &ns[x]
 		st.Visits++
 		switch {
-		case key < x.start:
-			x = x.l
-		case key >= x.end():
-			x = x.r
+		case key < n.start:
+			x = n.l
+		case key >= n.end():
+			x = n.r
 		default:
-			return x.val + (key - x.start), x.start, x.count, st, true
+			return n.val + (key - n.start), n.start, n.count(), st, true
 		}
 	}
 	return 0, 0, 0, st, false
@@ -322,7 +386,7 @@ func (m *Map) DeleteRun(start, n uint64) (OpStats, error) {
 	var f finger
 	for i := uint64(0); i < n; i++ {
 		z := f.n
-		if z == nil || z.start != start+i {
+		if z == 0 || m.nodes[z].start != start+i {
 			var err error
 			if z, f.depth, err = m.find(start + i); err != nil {
 				st.Visits += f.depth
@@ -338,77 +402,81 @@ func (m *Map) DeleteRun(start, n uint64) (OpStats, error) {
 // find descends to the node starting at start and reports its depth,
 // the nodes above it, which are the descent's visits (on a miss, the
 // nodes the descent passed).
-func (m *Map) find(start uint64) (*node, int, error) {
+func (m *Map) find(start uint64) (uint32, int, error) {
+	ns := m.nodes
 	z, depth := m.root, 0
-	for z != m.nilNode && z.start != start {
+	for z != 0 {
+		n := &ns[z]
+		if n.start == start {
+			return z, depth, nil
+		}
 		depth++
-		if start < z.start {
-			z = z.l
+		if start < n.start {
+			z = n.l
 		} else {
-			z = z.r
+			z = n.r
 		}
 	}
-	if z == m.nilNode {
-		return nil, depth, fmt.Errorf("rbtree: no interval starting at %#x", start)
-	}
-	return z, depth, nil
+	return 0, depth, fmt.Errorf("rbtree: no interval starting at %#x", start)
 }
 
 // finger is a node and its depth, the number of nodes above it: the
-// visits of a descent to it. n is nil when there is none.
+// visits of a descent to it. n is 0 when there is none.
 type finger struct {
-	n     *node
+	n     uint32
 	depth int
 }
 
 // remove splices z, at the given depth, out of the tree, rebalances, puts
 // z on the free list, and returns z's in-order successor with its depth
 // in the rebalanced tree.
-func (m *Map) remove(z *node, depth int, st *OpStats) finger {
+func (m *Map) remove(z uint32, depth int, st *OpStats) finger {
 	m.size--
+	ns := m.nodes
+	zn := &ns[z]
 	// The successor is the child spliced into z's place (a node with one
 	// child has a red leaf there), the nearest ancestor holding z in its
 	// left subtree, or the y that takes z's place. below records whether
 	// it sits at or under x, the node the fixup starts from.
 	var f finger
-	y := z
-	yOrig := y.c
-	var x *node
+	yRed := zn.red()
+	var x uint32
 	below := false
 	switch {
-	case z.l == m.nilNode:
-		x = z.r
-		if x != m.nilNode {
+	case zn.l == 0:
+		x = zn.r
+		if x != 0 {
 			f, below = finger{x, depth}, true
 		} else {
-			f = m.ancestorFinger(z, depth)
+			f = ancestorFinger(ns, z, depth)
 		}
-		m.transplant(z, z.r)
-	case z.r == m.nilNode:
-		x = z.l
-		f = m.ancestorFinger(z, depth)
-		m.transplant(z, z.l)
+		m.transplant(ns, z, zn.r)
+	case zn.r == 0:
+		x = zn.l
+		f = ancestorFinger(ns, z, depth)
+		m.transplant(ns, z, zn.l)
 	default:
-		y = m.minimum(z.r, st)
+		y := minimum(ns, zn.r, st)
+		yn := &ns[y]
 		f = finger{y, depth}
-		yOrig = y.c
-		x = y.r
-		if y.p == z {
-			x.p = y
+		yRed = yn.red()
+		x = yn.r
+		if yn.p == z {
+			ns[x].p = y
 		} else {
-			m.transplant(y, y.r)
-			y.r = z.r
-			y.r.p = y
+			m.transplant(ns, y, yn.r)
+			yn.r = zn.r
+			ns[yn.r].p = y
 		}
-		m.transplant(z, y)
-		y.l = z.l
-		y.l.p = y
-		y.c = z.c
+		m.transplant(ns, z, y)
+		yn.l = zn.l
+		ns[yn.l].p = y
+		yn.setColor(zn)
 	}
-	if yOrig == black {
-		m.deleteFixup(x, below, &f, st)
+	if !yRed {
+		m.deleteFixup(ns, x, below, &f, st)
 	}
-	*z = node{r: m.free}
+	*zn = node{r: m.free}
 	m.free = z
 	return f
 }
@@ -416,32 +484,35 @@ func (m *Map) remove(z *node, depth int, st *OpStats) finger {
 // ancestorFinger returns z's nearest ancestor that holds z in its left
 // subtree, or none when z is the maximum. depth is z's. Nodes above z
 // keep their depth when z is spliced out.
-func (m *Map) ancestorFinger(z *node, depth int) finger {
-	for c := z; c.p != m.nilNode; c = c.p {
+func ancestorFinger(ns []node, z uint32, depth int) finger {
+	for c := z; ns[c].p != 0; c = ns[c].p {
 		depth--
-		if c == c.p.l {
-			return finger{c.p, depth}
+		if p := ns[c].p; c == ns[p].l {
+			return finger{p, depth}
 		}
 	}
 	return finger{}
 }
 
-func (m *Map) transplant(u, v *node) {
+// transplant puts v in u's place under u's parent. v may be the
+// sentinel, whose parent it sets too: deleteFixup starts from there.
+func (m *Map) transplant(ns []node, u, v uint32) {
+	p := ns[u].p
 	switch {
-	case u.p == m.nilNode:
+	case p == 0:
 		m.root = v
-	case u == u.p.l:
-		u.p.l = v
+	case u == ns[p].l:
+		ns[p].l = v
 	default:
-		u.p.r = v
+		ns[p].r = v
 	}
-	v.p = u.p
+	ns[v].p = p
 }
 
-func (m *Map) minimum(x *node, st *OpStats) *node {
-	for x.l != m.nilNode {
+func minimum(ns []node, x uint32, st *OpStats) uint32 {
+	for ns[x].l != 0 {
 		st.Visits++
-		x = x.l
+		x = ns[x].l
 	}
 	return x
 }
@@ -452,88 +523,89 @@ func (m *Map) minimum(x *node, st *OpStats) *node {
 // rotation at x.p moves x, its subtree and x.p itself down one level and
 // leaves every node above x.p where it was, so it deepens f when f is
 // x.p or below. Rotations at the sibling w move only w's subtree, which
-// never holds f.
-func (m *Map) deleteFixup(x *node, below bool, f *finger, st *OpStats) {
-	sink := func() {
-		if below || x.p == f.n {
-			f.depth++
-		}
-	}
-	for x != m.root && x.c == black {
+// never holds f. A rotation at x.p leaves it x's parent.
+func (m *Map) deleteFixup(ns []node, x uint32, below bool, f *finger, st *OpStats) {
+	for x != m.root && !ns[x].red() {
 		st.Visits++
-		if x == x.p.l {
-			w := x.p.r
-			if w.c == red {
-				w.c = black
-				x.p.c = red
-				sink()
-				m.leftRotate(x.p, st)
-				w = x.p.r
-			}
-			if w.l.c == black && w.r.c == black {
-				w.c = red
-				below = below || x.p == f.n
-				x = x.p
-			} else {
-				if w.r.c == black {
-					w.l.c = black
-					w.c = red
-					m.rightRotate(w, st)
-					w = x.p.r
+		p := ns[x].p
+		pn := &ns[p]
+		sink := below || p == f.n
+		if x == pn.l {
+			wn := &ns[pn.r]
+			if wn.red() {
+				wn.setBlack()
+				pn.setRed()
+				if sink {
+					f.depth++
 				}
-				w.c = x.p.c
-				x.p.c = black
-				w.r.c = black
-				sink()
-				m.leftRotate(x.p, st)
-				x = m.root
+				m.leftRotate(ns, p, st)
+				wn = &ns[pn.r]
 			}
+			if !ns[wn.l].red() && !ns[wn.r].red() {
+				wn.setRed()
+				below = sink
+				x = p
+				continue
+			}
+			if !ns[wn.r].red() {
+				ns[wn.l].setBlack()
+				wn.setRed()
+				m.rightRotate(ns, pn.r, st)
+				wn = &ns[pn.r]
+			}
+			wn.setColor(pn)
+			pn.setBlack()
+			ns[wn.r].setBlack()
+			if sink {
+				f.depth++
+			}
+			m.leftRotate(ns, p, st)
 		} else {
-			w := x.p.l
-			if w.c == red {
-				w.c = black
-				x.p.c = red
-				sink()
-				m.rightRotate(x.p, st)
-				w = x.p.l
-			}
-			if w.r.c == black && w.l.c == black {
-				w.c = red
-				below = below || x.p == f.n
-				x = x.p
-			} else {
-				if w.l.c == black {
-					w.r.c = black
-					w.c = red
-					m.leftRotate(w, st)
-					w = x.p.l
+			wn := &ns[pn.l]
+			if wn.red() {
+				wn.setBlack()
+				pn.setRed()
+				if sink {
+					f.depth++
 				}
-				w.c = x.p.c
-				x.p.c = black
-				w.l.c = black
-				sink()
-				m.rightRotate(x.p, st)
-				x = m.root
+				m.rightRotate(ns, p, st)
+				wn = &ns[pn.l]
 			}
+			if !ns[wn.r].red() && !ns[wn.l].red() {
+				wn.setRed()
+				below = sink
+				x = p
+				continue
+			}
+			if !ns[wn.l].red() {
+				ns[wn.r].setBlack()
+				wn.setRed()
+				m.leftRotate(ns, pn.l, st)
+				wn = &ns[pn.l]
+			}
+			wn.setColor(pn)
+			pn.setBlack()
+			ns[wn.l].setBlack()
+			if sink {
+				f.depth++
+			}
+			m.rightRotate(ns, p, st)
 		}
+		x = m.root
 	}
-	x.c = black
+	ns[x].setBlack()
 }
 
 // InOrder visits intervals in ascending start order until fn returns false.
 func (m *Map) InOrder(fn func(start, count, val uint64) bool) {
-	var walk func(n *node) bool
-	walk = func(n *node) bool {
-		if n == m.nilNode {
+	ns := m.nodes
+	var walk func(x uint32) bool
+	walk = func(x uint32) bool {
+		if x == 0 {
 			return true
 		}
-		if !walk(n.l) {
-			return false
-		}
-		if !fn(n.start, n.count, n.val) {
-			return false
-		}
-		return walk(n.r)
+		n := &ns[x]
+		return walk(n.l) && fn(n.start, n.count(), n.val) && walk(n.r)
 	}
 	walk(m.root)
 }
@@ -543,7 +615,7 @@ func (m *Map) InOrder(fn func(start, count, val uint64) bool) {
 // black height on every root-to-leaf path. It returns the first
 // violation.
 func (m *Map) Validate() error {
-	if m.root.c != black {
+	if m.nodes[m.root].red() {
 		return errors.New("rbtree: root is red")
 	}
 	var prevEnd uint64
@@ -565,11 +637,12 @@ func (m *Map) Validate() error {
 	return err
 }
 
-func (m *Map) blackHeight(n *node) (int, error) {
-	if n == m.nilNode {
+func (m *Map) blackHeight(x uint32) (int, error) {
+	if x == 0 {
 		return 1, nil
 	}
-	if n.c == red && (n.l.c == red || n.r.c == red) {
+	n := &m.nodes[x]
+	if n.red() && (m.nodes[n.l].red() || m.nodes[n.r].red()) {
 		return 0, fmt.Errorf("rbtree: red node %#x has red child", n.start)
 	}
 	lh, err := m.blackHeight(n.l)
@@ -583,7 +656,7 @@ func (m *Map) blackHeight(n *node) (int, error) {
 	if lh != rh {
 		return 0, fmt.Errorf("rbtree: black height mismatch at %#x (%d vs %d)", n.start, lh, rh)
 	}
-	if n.c == black {
+	if !n.red() {
 		lh++
 	}
 	return lh, nil
@@ -591,16 +664,12 @@ func (m *Map) blackHeight(n *node) (int, error) {
 
 // Height reports the tree's actual height (diagnostics; O(n)).
 func (m *Map) Height() int {
-	var h func(n *node) int
-	h = func(n *node) int {
-		if n == m.nilNode {
+	var h func(x uint32) int
+	h = func(x uint32) int {
+		if x == 0 {
 			return 0
 		}
-		l, r := h(n.l), h(n.r)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
+		return max(h(m.nodes[x].l), h(m.nodes[x].r)) + 1
 	}
 	return h(m.root)
 }
