@@ -68,9 +68,9 @@ test:
 	$(GO) test ./...
 
 # Run every go test benchmark once. They hold every host-time number of
-# the simulator (dispatch, the 1 GB attach, the -fast artifact
-# regeneration, the ablations): a benchmark that fails or panics fails
-# here. About 6 s on 2 CPUs.
+# the simulator (dispatch, the 1 GB attach, a warm collective, one
+# Figure 9 cell, the -fast artifact regeneration): a benchmark that
+# fails or panics fails here. About 6 s on 2 CPUs.
 benchsmoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
@@ -115,20 +115,19 @@ cli:
 	@$(COVER_DIR)/xemem-bench -replay $(COVER_DIR)/cell.json -seed 5 -fast; \
 	status=$$?; if [ $$status -ne 2 ]; then echo "xemem-bench -replay -seed -fast exited $$status, want 2"; exit 1; fi
 
-# Short fuzz smoke over the two guest-memory-map structures, the page
+# Short fuzz smoke over the guest memory map's rb-tree, the page
 # table against its per-page oracle, and physical memory's eight-lane
 # in-place add (the collectives' reduce) against the byte loop (the full
 # corpora replay in `test`; this explores a little beyond them).
 fuzz:
 	$(GO) test ./internal/rbtree -fuzz=FuzzOps -fuzztime=10s
-	$(GO) test ./internal/radix -fuzz=FuzzOps -fuzztime=10s
 	$(GO) test ./internal/pagetable -fuzz=FuzzMapUnmap -fuzztime=10s
 	$(GO) test ./internal/mem -fuzz=FuzzAddBytes -fuzztime=10s
 
 # Coverage floors for the load-bearing packages: the sim engine, the
 # XPMEM API layer, the cross-enclave plumbing (router, nameserver), the
 # static-analysis framework the rest of the tree's invariants lean on,
-# the guest memory map (rbtree, palacios, radix), whose page runs and
+# the guest memory map (rbtree, palacios), whose page runs and
 # their per-page fallbacks set the charge of every VM attach, and the
 # memory substrate (mem, pagetable, proc): frame backing, page tables
 # and address spaces under every attach — each group holds its own
@@ -149,7 +148,7 @@ cover:
 	if [ "$${total%.*}" -lt "$$floor" ]; then \
 		echo "analysis coverage $$total% is below the $$floor% floor"; exit 1; \
 	fi
-	$(GO) test -coverprofile=$(COVER_DIR)/memmap.out ./internal/rbtree ./internal/palacios ./internal/radix
+	$(GO) test -coverprofile=$(COVER_DIR)/memmap.out ./internal/rbtree ./internal/palacios
 	$(GO) tool cover -func=$(COVER_DIR)/memmap.out | tail -1
 	@total=$$($(GO) tool cover -func=$(COVER_DIR)/memmap.out | tail -1 | awk '{print $$3}' | tr -d '%'); \
 	floor=80; \

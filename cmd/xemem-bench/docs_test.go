@@ -94,13 +94,6 @@ func TestExperimentsQuoteFigs5To7(t *testing.T) {
 	readBench(t, "BENCH_fig6.json", &fig6)
 	readBench(t, "BENCH_fig7.json", &fig7)
 	doc := experimentsDoc(t)
-	check := func(fig string, quoted map[string]string, row, want string) {
-		t.Helper()
-		cell, ok := quoted[row]
-		if got, _, _ := strings.Cut(cell, ", "); !ok || got != want {
-			t.Errorf("EXPERIMENTS.md's %s row %q reads %q; its BENCH file gives %q", fig, row, cell, want)
-		}
-	}
 
 	// Fig. 5: each series from 128 MB to 1 GB.
 	quoted := markdownTable(t, doc, "## Figure 5 ", 0, "Regenerated (128 MB → 1 GB)")
@@ -113,9 +106,9 @@ func TestExperimentsQuoteFigs5To7(t *testing.T) {
 			hi = r
 		}
 	}
-	check("Fig. 5", quoted, "XEMEM attach", fmt.Sprintf("%.2f → %.2f GB/s", lo.AttachGBs, hi.AttachGBs))
-	check("Fig. 5", quoted, "XEMEM attach+read", fmt.Sprintf("%.2f → %.2f GB/s", lo.AttachReadGBs, hi.AttachReadGBs))
-	check("Fig. 5", quoted, "RDMA verbs/IB", fmt.Sprintf("%.2f → %.2f GB/s", lo.RDMAGBs, hi.RDMAGBs))
+	checkQuote(t, "Fig. 5", quoted, "XEMEM attach", fmt.Sprintf("%.2f → %.2f GB/s", lo.AttachGBs, hi.AttachGBs))
+	checkQuote(t, "Fig. 5", quoted, "XEMEM attach+read", fmt.Sprintf("%.2f → %.2f GB/s", lo.AttachReadGBs, hi.AttachReadGBs))
+	checkQuote(t, "Fig. 5", quoted, "RDMA verbs/IB", fmt.Sprintf("%.2f → %.2f GB/s", lo.RDMAGBs, hi.RDMAGBs))
 
 	// Fig. 6: the 1 GB row per enclave count, rows such as "4, 8"
 	// quoting one value for several counts; 2 enclaves add the dip from 1.
@@ -137,7 +130,7 @@ func TestExperimentsQuoteFigs5To7(t *testing.T) {
 		if n == 2 {
 			want += fmt.Sprintf(" (−%.0f %%)", (1-gbs[2]/gbs[1])*100)
 		}
-		check("Fig. 6", quoted, rowOf[fmt.Sprint(n)], want)
+		checkQuote(t, "Fig. 6", quoted, rowOf[fmt.Sprint(n)], want)
 	}
 
 	// Fig. 7, in µs: each serve size's maximum (the 1 GB serves as a
@@ -164,12 +157,64 @@ func TestExperimentsQuoteFigs5To7(t *testing.T) {
 	}
 	serve := func(i int) experiments.Fig7Class { return class(i, "xemem-attach") }
 	lo7, hi7 := band("hw-baseline")
-	check("Fig. 7", quoted, "Frequent hardware baseline", fmt.Sprintf("%.1f–%.1f µs", lo7, hi7))
+	checkQuote(t, "Fig. 7", quoted, "Frequent hardware baseline", fmt.Sprintf("%.1f–%.1f µs", lo7, hi7))
 	lo7, hi7 = band("smi")
-	check("Fig. 7", quoted, "Periodic events (SMIs)", fmt.Sprintf("%.0f–%.0f µs", lo7, hi7))
-	check("Fig. 7", quoted, "4 KB attach serves", fmt.Sprintf("%.1f µs", serve(0).MaxUS))
-	check("Fig. 7", quoted, "2 MB attach serves", fmt.Sprintf("%.1f µs", serve(1).MaxUS))
-	check("Fig. 7", quoted, "1 GB attach serves", thousands(serve(2).MinUS)+"–"+thousands(serve(2).MaxUS)+" µs")
+	checkQuote(t, "Fig. 7", quoted, "Periodic events (SMIs)", fmt.Sprintf("%.0f–%.0f µs", lo7, hi7))
+	checkQuote(t, "Fig. 7", quoted, "4 KB attach serves", fmt.Sprintf("%.1f µs", serve(0).MaxUS))
+	checkQuote(t, "Fig. 7", quoted, "2 MB attach serves", fmt.Sprintf("%.1f µs", serve(1).MaxUS))
+	checkQuote(t, "Fig. 7", quoted, "1 GB attach serves", thousands(serve(2).MinUS)+"–"+thousands(serve(2).MaxUS)+" µs")
+}
+
+// TestExperimentsQuoteFault checks the "Regenerated" column of
+// EXPERIMENTS.md's fault-sweep table against BENCH_fault.json: the
+// success-rate floor and p99 range of the lossy cells without a crash,
+// the lossless crash cell's split, the lossy crash cells' successes and
+// the count of errors outside the typed model. A cell's figure is its
+// text up to the first ", ". It also holds the prose's "every cell
+// accounts for all its attempts". It reads files only.
+func TestExperimentsQuoteFault(t *testing.T) {
+	var bench experiments.FaultSweepResult
+	readBench(t, "BENCH_fault.json", &bench)
+	quoted := markdownTable(t, experimentsDoc(t), "## Fault sweep ", 0, "Regenerated")
+	floor, lossless, worst := 1.0, int64(0), int64(0)
+	var crash experiments.FaultCell
+	lossyCrashSuccesses, other := 0, 0
+	for _, c := range bench.Cells {
+		if n := c.Successes + c.Timeouts + c.EnclaveDown + c.OtherErrors; n != c.Attempts || n != bench.Rounds {
+			t.Errorf("fault cell drop=%.2f crash=%v accounts for %d of %d attempts, %d rounds", c.DropProb, c.Crash, n, c.Attempts, bench.Rounds)
+		}
+		other += c.OtherErrors
+		switch {
+		case c.Crash && c.DropProb == 0:
+			crash = c
+		case c.Crash:
+			lossyCrashSuccesses = max(lossyCrashSuccesses, c.Successes)
+		case c.DropProb == 0:
+			lossless = c.P99AttachNs
+		default:
+			floor = min(floor, c.SuccessRate)
+			worst = max(worst, c.P99AttachNs)
+		}
+	}
+	check := func(row, want string) {
+		t.Helper()
+		checkQuote(t, "fault-sweep", quoted, row, want)
+	}
+	check("Success rate, 2–10% loss, no crash", fmt.Sprintf("≥%.1f %%", floor*100))
+	check("p99 attach latency, lossless → 10% loss, no crash", fmt.Sprintf("%.1f µs → %.2f ms", float64(lossless)/1e3, float64(worst)/1e6))
+	check("Lossless crash cell", fmt.Sprintf("%d successes then %d ErrEnclaveDown", crash.Successes, crash.EnclaveDown))
+	check("Lossy crash cells, 2–10% loss", fmt.Sprintf("%d successes", lossyCrashSuccesses))
+	check("Failures outside the typed model", fmt.Sprint(other))
+}
+
+// checkQuote fails unless the named row of a quoted table reads want up
+// to its first ", ": what follows is commentary.
+func checkQuote(t *testing.T, table string, quoted map[string]string, row, want string) {
+	t.Helper()
+	cell, ok := quoted[row]
+	if got, _, _ := strings.Cut(cell, ", "); !ok || got != want {
+		t.Errorf("EXPERIMENTS.md's %s row %q reads %q; its BENCH file gives %q", table, row, cell, want)
+	}
 }
 
 // readBench decodes the checked-in root BENCH file name into v.

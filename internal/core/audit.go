@@ -107,7 +107,7 @@ func auditDomain(dom []*Module) error {
 	}
 
 	// A world ends when its last workload actor does, which can leave a
-	// one-way notice queued in an inbox or held by a kernel worker
+	// one-way notice queued in an inbox or held by a kernel actor
 	// stopped mid-handling. It counts as handled: a detach notice has
 	// released its attachment, a remove notice retired its segid.
 	detaching := make(map[xproto.Segid]int)
@@ -122,9 +122,7 @@ func auditDomain(dom []*Module) error {
 		}
 	}
 	for _, m := range dom {
-		for _, msg := range m.held {
-			note(msg)
-		}
+		note(m.held)
 		for _, d := range m.In.Queued() {
 			note(d.Msg)
 		}

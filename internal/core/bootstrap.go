@@ -108,7 +108,7 @@ func (m *Module) drainUntil(a *sim.Actor, window sim.Time, done func() bool) boo
 			continue
 		}
 		m.handle(a, msg, via)
-		m.held[0] = nil
+		m.held = nil
 	}
 	return true
 }

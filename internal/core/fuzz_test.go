@@ -31,7 +31,7 @@ func TestProtocolRandomizedWorkload(t *testing.T) {
 	n.lmod.Start()
 	ck0 := n.addKitten(t, "kitten0", 128<<20)
 	ck1 := n.addKitten(t, "kitten1", 128<<20)
-	vm, err := palacios.Launch("vm0", n.w, n.pm, n.linux.Zone(), 128<<20, 1, n.lmod, palacios.RBTree)
+	vm, err := palacios.Launch("vm0", n.w, n.pm, n.linux.Zone(), 128<<20, 1, n.lmod)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -210,15 +210,14 @@ type Module struct {
 	peers        []*Module // the modules at the far end of links, in order
 	order        int       // creation index among the world's modules
 	kernel       *sim.Actor
-	workers      int
 	ready        bool
 	stopped      bool
 	crashed      bool
 	pendingPings []pendingPing
-	// held[i] is the message kernel worker i has dequeued and not yet
+	// held is the message the kernel actor has dequeued and not yet
 	// finished handling. A world that ends mid-handling leaves it there,
 	// and the world-end audit counts it with the inbox's queue.
-	held []*xproto.Message
+	held *xproto.Message
 	// bootIDReq is the outstanding enclave-ID request during bootstrap (0
 	// otherwise).
 	bootIDReq uint64
@@ -330,47 +329,13 @@ func (m *Module) WaitReady(a *sim.Actor) {
 	a.PollDeadline(10*sim.Microsecond, sim.Forever, func() bool { return m.ready || m.crashed })
 }
 
-// SetKernelWorkers configures how many kernel actors serve the message
-// loop — the paper's §5.3 future work ("more intelligent mechanisms for
-// interrupt handling"): with 1 (the default, and the Pisces behaviour the
-// paper measures), every cross-enclave message is handled on the kernel
-// core; with n > 1, handling spreads over the OS's kernel cores. Must be
-// called before Start.
-func (m *Module) SetKernelWorkers(n int) {
-	if m.kernel != nil {
-		panic("core: SetKernelWorkers after Start")
-	}
-	if n < 1 {
-		n = 1
-	}
-	m.workers = n
-}
-
-// kernelCores resolves the cores the workers handle messages on: the
-// OS's kernel core for worker 0, spreading over KernelCores when the OS
-// exposes more.
-func (m *Module) kernelCores() []*sim.Core {
-	type multi interface{ KernelCores() []*sim.Core }
-	if mc, ok := m.os.(multi); ok {
-		if cores := mc.KernelCores(); len(cores) > 0 {
-			return cores
-		}
-	}
-	return []*sim.Core{m.os.KernelCore()}
-}
-
-// Start spawns the enclave's kernel actor(s): worker 0 bootstraps onto
-// the name server (unless this enclave hosts it) and then all workers
-// serve the message loop forever.
+// Start spawns the enclave's kernel actor: it bootstraps onto the name
+// server (unless this enclave hosts it) and then serves the message loop
+// forever.
 func (m *Module) Start() {
 	if m.kernel != nil {
 		panic("core: module started twice")
 	}
-	if m.workers == 0 {
-		m.workers = 1
-	}
-	cores := m.kernelCores()
-	m.held = make([]*xproto.Message, m.workers)
 	m.kernel = m.w.Spawn(m.name+"/kernel", func(a *sim.Actor) {
 		a.SetDaemon()
 		if m.NS == nil {
@@ -381,23 +346,14 @@ func (m *Module) Start() {
 		}
 		m.ready = true
 		m.flushPendingPings(a)
-		m.loop(a, cores[0], 0)
+		m.loop(a)
 	})
-	for i := 1; i < m.workers; i++ {
-		core := cores[i%len(cores)]
-		m.w.Spawn(fmt.Sprintf("%s/kernel%d", m.name, i), func(a *sim.Actor) {
-			a.SetDaemon()
-			m.WaitReady(a)
-			m.loop(a, core, i)
-		})
-	}
 }
 
-// loop serves deliveries until a shutdown poison arrives, charging
-// receive handling on core. worker indexes the worker's held slot.
-func (m *Module) loop(a *sim.Actor, core *sim.Core, worker int) {
+// loop serves deliveries until a shutdown poison arrives.
+func (m *Module) loop(a *sim.Actor) {
 	for {
-		msg, via, ok := m.receiveOn(a, core, worker)
+		msg, via, ok := m.receive(a)
 		if !ok {
 			if m.stopped {
 				return
@@ -405,7 +361,7 @@ func (m *Module) loop(a *sim.Actor, core *sim.Core, worker int) {
 			continue
 		}
 		m.handle(a, msg, via)
-		m.held[worker] = nil
+		m.held = nil
 	}
 }
 
@@ -427,9 +383,7 @@ func (m *Module) Stop(a *sim.Actor) error {
 		return fmt.Errorf("core: %d local attachment(s) to remote memory still mapped", len(m.attachments))
 	}
 	m.stopped = true
-	for i := 0; i < m.workers; i++ {
-		m.In.PutShutdown(a)
-	}
+	m.In.PutShutdown(a)
 	return nil
 }
 
@@ -440,7 +394,7 @@ func (m *Module) Stopped() bool { return m.stopped }
 // under its processes, not an orderly Stop. Unlike Stop it never refuses:
 // live attachments, pinned frames, and in-flight requests are simply
 // abandoned, exactly as a kernel panic would leave them. The kernel
-// workers drain their shutdown poisons and exit; local requesters still
+// actor drains its shutdown poison and exits; local requesters still
 // waiting on responses are woken with StatusEnclaveDown. a is the actor
 // performing the crash (normally the fault injector's daemon).
 func (m *Module) Crash(a *sim.Actor) {
@@ -449,9 +403,7 @@ func (m *Module) Crash(a *sim.Actor) {
 	}
 	m.stopped = true
 	m.crashed = true
-	for i := 0; i < m.workers; i++ {
-		m.In.PutShutdown(a)
-	}
+	m.In.PutShutdown(a)
 	m.failPending(a, func(*pendingReq) bool { return true })
 }
 
@@ -530,19 +482,13 @@ func (m *Module) newReqID() uint64 {
 // (IPI handler plus copying the message out of the channel) on the kernel
 // core, and returns the delivered message.
 func (m *Module) receive(a *sim.Actor) (*xproto.Message, xproto.Link, bool) {
-	return m.receiveOn(a, m.os.KernelCore(), 0)
-}
-
-// receiveOn is receive with an explicit handling core (distributed
-// interrupt handling runs workers on several cores).
-func (m *Module) receiveOn(a *sim.Actor, core *sim.Core, worker int) (*xproto.Message, xproto.Link, bool) {
 	d := m.In.Get(a)
 	if d.Msg == nil {
 		return nil, nil, false // shutdown poison
 	}
-	m.held[worker] = d.Msg
+	m.held = d.Msg
 	m.Stats.MsgsReceived++
-	core.Exec(a, m.c.IPIHandler+sim.CopyTime(d.Msg.WireSize(), m.c.ChanBW), "xemem-msg")
+	m.os.KernelCore().Exec(a, m.c.IPIHandler+sim.CopyTime(d.Msg.WireSize(), m.c.ChanBW), "xemem-msg")
 	return d.Msg, d.Via, true
 }
 

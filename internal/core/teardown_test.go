@@ -126,60 +126,3 @@ func TestMessagesToDeadEnclaveDropped(t *testing.T) {
 		}
 	}
 }
-
-// TestDistributedKernelWorkers: the §5.3 future-work configuration keeps
-// full protocol correctness with multiple kernel actors.
-func TestDistributedKernelWorkers(t *testing.T) {
-	n := newTestNode(t)
-	n.lmod.SetKernelWorkers(3)
-	n.lmod.Start()
-	ck := n.addKitten(t, "kitten0", 64<<20)
-	kp, heap, err := ck.OS.NewProcess("sim", 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Several attachers hammering concurrently through the multi-worker
-	// management enclave.
-	for i := 0; i < 3; i++ {
-		lp := n.linux.NewProcess("an", 1+i)
-		n.w.Spawn("attacher", func(a *sim.Actor) {
-			var segid xproto.Segid
-			a.Retry(10*sim.Microsecond, sim.Forever, func() bool {
-				s, err := n.lmod.Lookup(a, "mw-data")
-				if err != nil {
-					return false
-				}
-				segid = s
-				return true
-			})
-			for r := 0; r < 20; r++ {
-				apid, err := n.lmod.GetWith(a, lp, segid, core.GetOpts{Perm: xproto.PermRead})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				va, err := n.lmod.AttachWith(a, lp, segid, apid, core.AttachOpts{Bytes: 64 * extent.PageSize, Perm: xproto.PermRead})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if err := n.lmod.Detach(a, lp, va); err != nil {
-					t.Error(err)
-					return
-				}
-				if err := n.lmod.Release(a, lp, segid, apid); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		})
-	}
-	n.w.Spawn("exporter", func(a *sim.Actor) {
-		if _, err := ck.Module.Make(a, kp, heap.Base, 64*extent.PageSize, xproto.PermRead, "mw-data"); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := n.w.Run(); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -141,11 +141,6 @@ func permFlags(perm xproto.Perm) pagetable.Flags {
 // (§5.3).
 func (l *Linux) KernelCore() *sim.Core { return l.cores[0] }
 
-// KernelCores exposes every core for distributed interrupt handling —
-// only used when the module is configured with multiple kernel workers
-// (the §5.3 future work); the default single worker stays on core 0.
-func (l *Linux) KernelCores() []*sim.Core { return l.cores }
-
 // WalkForExport pins (get_user_pages) and walks the exporting process's
 // pages, charging fullweight per-page pin+walk costs plus any demand
 // faults population triggers.

@@ -8,30 +8,22 @@ import (
 	"xemem/internal/linuxos"
 	"xemem/internal/mem"
 	"xemem/internal/proc"
-	"xemem/internal/radix"
 	"xemem/internal/rbtree"
 	"xemem/internal/sim"
 )
 
 // refMap is the per-page reference for a VM's guest memory map: a
-// standalone map of the same kind on which every page is its own Insert
-// or Delete call, charged at the VM's per-visit and per-rotation costs.
+// standalone rb-tree on which every page is its own Insert or Delete
+// call, charged at the VM's per-visit and per-rotation costs.
 type refMap struct {
 	rb  *rbtree.Map
-	rx  *radix.Map
 	c   *sim.Costs
 	err error
 }
 
-// newRefMap returns a reference map holding a VM's RAM entry, as Launch
-// inserts it: one interval in the rb-tree, one leaf per page in the
-// radix map.
-func newRefMap(kind MapKind, w *sim.World, ramPages uint64) *refMap {
-	if kind == Radix {
-		r := &refMap{rx: radix.New(), c: w.Costs()}
-		r.insert(uint64(ramBase), ramPages, 0)
-		return r
-	}
+// newRefMap returns a reference map holding a VM's RAM entry as one
+// interval, as Launch inserts it.
+func newRefMap(w *sim.World, ramPages uint64) *refMap {
 	r := &refMap{rb: rbtree.New(), c: w.Costs()}
 	_, r.err = r.rb.Insert(uint64(ramBase), ramPages, 0)
 	return r
@@ -42,12 +34,6 @@ func newRefMap(kind MapKind, w *sim.World, ramPages uint64) *refMap {
 func (r *refMap) insert(gpa, n, hpa uint64) sim.Time {
 	var spent sim.Time
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		if r.rx != nil {
-			var st radix.OpStats
-			st, r.err = r.rx.Insert(gpa+i, hpa+i)
-			spent += sim.Time(st.Visits) * r.c.RadixVisit
-			continue
-		}
 		var st rbtree.OpStats
 		st, r.err = r.rb.Insert(gpa+i, 1, hpa+i)
 		spent += sim.Time(st.Visits)*r.c.RBVisit + sim.Time(st.Rotations)*r.c.RBRotate
@@ -60,12 +46,6 @@ func (r *refMap) insert(gpa, n, hpa uint64) sim.Time {
 func (r *refMap) remove(gpa, n uint64) sim.Time {
 	var spent sim.Time
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		if r.rx != nil {
-			var st radix.OpStats
-			st, r.err = r.rx.Delete(gpa + i)
-			spent += sim.Time(st.Visits) * r.c.RadixVisit
-			continue
-		}
 		var st rbtree.OpStats
 		st, r.err = r.rb.Delete(gpa + i)
 		spent += sim.Time(st.Visits+st.Rotations) * r.c.RBVisit
@@ -75,7 +55,7 @@ func (r *refMap) remove(gpa, n uint64) sim.Time {
 
 // TestLiveImportChargesPerPageReference: a live import (no memo entry)
 // and its release charge exactly what one Insert and one Delete per page
-// would on a map holding the same entries, on both map kinds. Each world
+// would on a map holding the same entries. Each world
 // first imports a small multi-extent list it keeps, so the measured
 // import and release run over more than the RAM entry; the measured list
 // is one extent of a few hundred pages or several non-contiguous ones.
@@ -90,63 +70,61 @@ func TestLiveImportChargesPerPageReference(t *testing.T) {
 			extent.Extent{First: 0x21000, Count: 157},
 			extent.Extent{First: 0x30000, Count: 42}),
 	}
-	for _, kind := range []MapKind{RBTree, Radix} {
-		for _, name := range []string{"single-extent", "multi-extent"} {
-			host := lists[name]
-			w := sim.NewWorld(7)
-			pm := mem.NewPhysMem("node0", 256<<20)
-			linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
-			lmod := core.New("linux", w, linux, true)
-			lmod.Start()
-			vm, err := Launch("vm0", w, pm, linux.Zone(), ramBytes, 1, lmod, kind)
-			if err != nil {
-				t.Fatal(err)
+	for _, name := range []string{"single-extent", "multi-extent"} {
+		host := lists[name]
+		w := sim.NewWorld(7)
+		pm := mem.NewPhysMem("node0", 256<<20)
+		linux := linuxos.New("linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, 2)
+		lmod := core.New("linux", w, linux, true)
+		lmod.Start()
+		vm, err := Launch("vm0", w, pm, linux.Zone(), ramBytes, 1, lmod)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefMap(w, ramBytes/extent.PageSize)
+		var wantIns, wantRem, gotIns, gotRem sim.Time
+		w.Spawn("driver", func(a *sim.Actor) {
+			if _, err := vm.importList(a, kept); err != nil {
+				t.Error(err)
+				return
 			}
-			ref := newRefMap(kind, w, ramBytes/extent.PageSize)
-			var wantIns, wantRem, gotIns, gotRem sim.Time
-			w.Spawn("driver", func(a *sim.Actor) {
-				if _, err := vm.importList(a, kept); err != nil {
-					t.Error(err)
-					return
-				}
-				ref.insert(importBase, kept.Pages(), 0)
-				gpa := importBase + kept.Pages()
-				for _, e := range host.Extents() {
-					wantIns += ref.insert(gpa, e.Count, uint64(e.First))
-					gpa += e.Count
-				}
-				wantRem = ref.remove(importBase+kept.Pages(), host.Pages())
+			ref.insert(importBase, kept.Pages(), 0)
+			gpa := importBase + kept.Pages()
+			for _, e := range host.Extents() {
+				wantIns += ref.insert(gpa, e.Count, uint64(e.First))
+				gpa += e.Count
+			}
+			wantRem = ref.remove(importBase+kept.Pages(), host.Pages())
 
-				start, before := a.Now(), vm.MapInsertTime
-				guest, err := vm.importList(a, host)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				gotIns = a.Now() - start
-				if vm.MapInsertTime-before != gotIns {
-					t.Errorf("MapInsertTime grew by %v, the actor was charged %v", vm.MapInsertTime-before, gotIns)
-				}
-				if rec := vm.imports[guest.Extents()[0].First]; rec == nil || rec.compressed {
-					t.Errorf("import record %+v: want a live import", rec)
-				}
-				start = a.Now()
-				if err := vm.ReleaseImport(a, guest); err != nil {
-					t.Error(err)
-					return
-				}
-				gotRem = a.Now() - start
-			})
-			if err := w.Run(); err != nil {
-				t.Fatal(err)
+			start, before := a.Now(), vm.MapInsertTime
+			guest, err := vm.importList(a, host)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			if ref.err != nil {
-				t.Fatalf("kind %d %s: reference: %v", kind, name, ref.err)
+			gotIns = a.Now() - start
+			if vm.MapInsertTime-before != gotIns {
+				t.Errorf("MapInsertTime grew by %v, the actor was charged %v", vm.MapInsertTime-before, gotIns)
 			}
-			if gotIns != wantIns || gotRem != wantRem || wantIns == 0 || wantRem == 0 {
-				t.Errorf("kind %d %s: map-insert %v, map-remove %v; per-page reference %v, %v",
-					kind, name, gotIns, gotRem, wantIns, wantRem)
+			if rec := vm.imports[guest.Extents()[0].First]; rec == nil || rec.compressed {
+				t.Errorf("import record %+v: want a live import", rec)
 			}
+			start = a.Now()
+			if err := vm.ReleaseImport(a, guest); err != nil {
+				t.Error(err)
+				return
+			}
+			gotRem = a.Now() - start
+		})
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if ref.err != nil {
+			t.Fatalf("%s: reference: %v", name, ref.err)
+		}
+		if gotIns != wantIns || gotRem != wantRem || wantIns == 0 || wantRem == 0 {
+			t.Errorf("%s: map-insert %v, map-remove %v; per-page reference %v, %v",
+				name, gotIns, gotRem, wantIns, wantRem)
 		}
 	}
 }

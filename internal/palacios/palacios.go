@@ -12,7 +12,7 @@
 // result (≈80 % of guest-attachment time spent updating the tree, 3.99 vs
 // 8.79 GB/s) is regenerated from the real visit and rotation counts of
 // those inserts. The radix-tree map the paper proposes as future work is
-// selectable for the ablation benchmark.
+// not modelled.
 package palacios
 
 import (
@@ -23,19 +23,9 @@ import (
 	"xemem/internal/linuxos"
 	"xemem/internal/mem"
 	"xemem/internal/proc"
-	"xemem/internal/radix"
 	"xemem/internal/rbtree"
 	"xemem/internal/sim"
 	"xemem/internal/xproto"
-)
-
-// MapKind selects the guest memory map implementation.
-type MapKind int
-
-// Memory map kinds.
-const (
-	RBTree MapKind = iota // Palacios' production structure (§4.4)
-	Radix                 // the paper's proposed future-work replacement (§5.4)
 )
 
 // guest-physical layout: RAM frames start at ramBase; imported XEMEM
@@ -45,99 +35,14 @@ const (
 	importBase = uint64(1) << 32
 )
 
-// memmap abstracts the two guest-map structures behind visit-counted
-// ops. insert maps [gpa, gpa+count) as one entry where the structure
-// holds intervals (the radix map, which does not, maps it page by page),
-// and remove unmaps what one insert mapped; insertRun maps it one entry
-// per page, the way Palacios imports an XEMEM attachment, and removeRun
-// releases such a run in ascending order. Each run reports the summed
-// work of the per-page operations it stands for and stops, as they
-// would, at the first page that fails.
-type memmap interface {
-	insert(gpa, count, hpa uint64) (visits, rotations int, err error)
-	insertRun(gpa, n, hpa uint64) (visits, rotations int, err error)
-	lookupRun(gpa uint64) (hpa, runStart, runCount uint64, visits int, ok bool)
-	remove(gpa, count uint64) (visits int, err error)
-	removeRun(gpa, n uint64) (visits int, err error)
-	entries() int
-}
-
-type rbMap struct{ m *rbtree.Map }
-
-func (r rbMap) insert(gpa, count, hpa uint64) (int, int, error) {
-	st, err := r.m.Insert(gpa, count, hpa)
-	return st.Visits, st.Rotations, err
-}
-
-func (r rbMap) insertRun(gpa, n, hpa uint64) (int, int, error) {
-	st, err := r.m.InsertRun(gpa, n, hpa)
-	return st.Visits, st.Rotations, err
-}
-
-func (r rbMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
-	hpa, runStart, runCount, st, ok := r.m.Lookup(gpa)
-	return hpa, runStart, runCount, st.Visits, ok
-}
-
-func (r rbMap) remove(gpa, _ uint64) (int, error) {
-	st, err := r.m.Delete(gpa)
-	return st.Visits + st.Rotations, err
-}
-
-func (r rbMap) removeRun(gpa, n uint64) (int, error) {
-	st, err := r.m.DeleteRun(gpa, n)
-	return st.Visits + st.Rotations, err
-}
-
-func (r rbMap) entries() int { return r.m.Size() }
-
-type radixMap struct{ m *radix.Map }
-
-func (r radixMap) insert(gpa, count, hpa uint64) (int, int, error) {
-	visits := 0
-	for i := uint64(0); i < count; i++ {
-		st, err := r.m.Insert(gpa+i, hpa+i)
-		visits += st.Visits
-		if err != nil {
-			return visits, 0, err
-		}
-	}
-	return visits, 0, nil
-}
-
-func (r radixMap) insertRun(gpa, n, hpa uint64) (int, int, error) { return r.insert(gpa, n, hpa) }
-
-func (r radixMap) lookupRun(gpa uint64) (uint64, uint64, uint64, int, bool) {
-	hpa, st, ok := r.m.Lookup(gpa)
-	return hpa, gpa, 1, st.Visits, ok
-}
-
-func (r radixMap) remove(gpa, count uint64) (int, error) {
-	visits := 0
-	for i := uint64(0); i < count; i++ {
-		st, err := r.m.Delete(gpa + i)
-		visits += st.Visits
-		if err != nil {
-			return visits, err
-		}
-	}
-	return visits, nil
-}
-
-func (r radixMap) removeRun(gpa, n uint64) (int, error) { return r.remove(gpa, n) }
-
-func (r radixMap) entries() int { return r.m.Size() }
-
 // VM is one Palacios virtual machine: a Linux guest enclave whose
 // physical address space translates through the VMM memory map, connected
 // to its host enclave by the virtual PCI channel.
 type VM struct {
 	name string
-	w    *sim.World
 	c    *sim.Costs
 	pm   *mem.PhysMem
-	kind MapKind
-	mmap memmap
+	mmap *rbtree.Map
 
 	Guest  *linuxos.Linux
 	Module *core.Module
@@ -168,30 +73,23 @@ type VM struct {
 // hostZone, boots a Linux guest with guestCores vcpus, wires the virtual
 // PCI channel to the host enclave's module, and starts the guest's XEMEM
 // module.
-func Launch(name string, w *sim.World, pm *mem.PhysMem, hostZone *mem.Zone, memBytes uint64, guestCores int, host *core.Module, kind MapKind) (*VM, error) {
+func Launch(name string, w *sim.World, pm *mem.PhysMem, hostZone *mem.Zone, memBytes uint64, guestCores int, host *core.Module) (*VM, error) {
 	pages := memBytes / extent.PageSize
 	block, err := hostZone.AllocContigAligned(pages, 512)
 	if err != nil {
 		return nil, fmt.Errorf("palacios: cannot allocate %d bytes of guest RAM for %s: %w", memBytes, name, err)
 	}
 	vm := &VM{
-		name: name, w: w, c: w.Costs(), pm: pm, kind: kind,
+		name: name, c: w.Costs(), pm: pm,
+		mmap:       rbtree.New(),
 		gpaNext:    importBase,
 		imports:    make(map[extent.PFN]*importRec),
 		insertMemo: make(map[memoKey]sim.Time),
 		removeMemo: make(map[memoKey]sim.Time),
 	}
-	switch kind {
-	case RBTree:
-		vm.mmap = rbMap{m: rbtree.New()}
-	case Radix:
-		vm.mmap = radixMap{m: radix.New()}
-	default:
-		return nil, fmt.Errorf("palacios: unknown map kind %d", kind)
-	}
 	// Guest RAM: one large contiguous entry, the common Palacios case
 	// where "the size of the memory map is limited" (§5.4).
-	if _, _, err := vm.mmap.insert(uint64(ramBase), pages, uint64(block.First)); err != nil {
+	if _, err := vm.mmap.Insert(uint64(ramBase), pages, uint64(block.First)); err != nil {
 		return nil, err
 	}
 
@@ -207,7 +105,7 @@ func Launch(name string, w *sim.World, pm *mem.PhysMem, hostZone *mem.Zone, memB
 // MapEntries reports the guest memory map's current entry count. Only
 // tests read it: palacios's external tests and the root package's check
 // that maps and unmaps leave no stray entry.
-func (vm *VM) MapEntries() int { return vm.mmap.entries() }
+func (vm *VM) MapEntries() int { return vm.mmap.Size() }
 
 // translateOut converts a guest-physical frame list to host frames by
 // walking the memory map (Fig. 4(b)), charging a per-run map walk plus a
@@ -217,12 +115,12 @@ func (vm *VM) translateOut(a *sim.Actor, gpa extent.List) (extent.List, error) {
 	if err != nil {
 		return extent.List{}, err
 	}
-	a.Charge("gpa-xlate", sim.Time(visits)*vm.visitCost()+sim.Time(gpa.Pages())*vm.c.PalaciosXlatePerPage)
+	a.Charge("gpa-xlate", sim.Time(visits)*vm.c.RBVisit+sim.Time(gpa.Pages())*vm.c.PalaciosXlatePerPage)
 	return out, nil
 }
 
 // walk resolves a guest-physical frame list run by run through the
-// memory map, reporting the map nodes (or levels) the lookups visited.
+// memory map, reporting the map nodes the lookups visited.
 func (vm *VM) walk(gpa extent.List) (extent.List, int, error) {
 	var out extent.List
 	visits := 0
@@ -230,8 +128,8 @@ func (vm *VM) walk(gpa extent.List) (extent.List, int, error) {
 		g := uint64(e.First)
 		rem := e.Count
 		for rem > 0 {
-			hpa, runStart, runCount, v, ok := vm.mmap.lookupRun(g)
-			visits += v
+			hpa, runStart, runCount, st, ok := vm.mmap.Lookup(g)
+			visits += st.Visits
 			if !ok {
 				return extent.List{}, visits, fmt.Errorf("palacios %s: guest frame %#x unmapped", vm.name, g)
 			}
@@ -242,18 +140,6 @@ func (vm *VM) walk(gpa extent.List) (extent.List, int, error) {
 		}
 	}
 	return out, visits, nil
-}
-
-// visitCost is the per-node (rb-tree, §5.3) or per-level (radix, §5.4)
-// traversal cost of the VM's memory-map structure. The radix map's
-// slightly higher per-visit cost is more than repaid by its constant
-// depth — the §5.4 future-work tradeoff TestRadixMapCheaperThanRBTree
-// quantifies.
-func (vm *VM) visitCost() sim.Time {
-	if vm.kind == Radix {
-		return vm.c.RadixVisit
-	}
-	return vm.c.RBVisit
 }
 
 type memoKey struct {
@@ -273,7 +159,7 @@ type importRec struct {
 // equal in size to the shared memory, and update the memory map to point
 // it at the host frames — one entry per page, since the frame list
 // carries no contiguity guarantee. Each host extent goes into the map as
-// one insertRun, whose summed visits and rotations are what the per-page
+// one InsertRun, whose summed visits and rotations are what the per-page
 // inserts would charge. The insert time is charged to the acting actor
 // and accumulated in MapInsertTime.
 func (vm *VM) importList(a *sim.Actor, host extent.List) (extent.List, error) {
@@ -281,12 +167,12 @@ func (vm *VM) importList(a *sim.Actor, host extent.List) (extent.List, error) {
 	gpaFirst := vm.gpaNext
 	vm.gpaNext += pages
 	rec := &importRec{pages: pages}
-	key := memoKey{baseEntries: vm.mmap.entries(), pages: pages}
+	key := memoKey{baseEntries: vm.mmap.Size(), pages: pages}
 
 	var spent sim.Time
 	if cached, ok := vm.insertMemo[key]; ok && host.Len() == 1 {
 		// Replay an identical earlier cycle against one compressed entry.
-		if _, _, err := vm.mmap.insert(gpaFirst, pages, uint64(host.Extents()[0].First)); err != nil {
+		if _, err := vm.mmap.Insert(gpaFirst, pages, uint64(host.Extents()[0].First)); err != nil {
 			return extent.List{}, err
 		}
 		spent = cached
@@ -295,11 +181,11 @@ func (vm *VM) importList(a *sim.Actor, host extent.List) (extent.List, error) {
 	} else {
 		g := gpaFirst
 		for _, e := range host.Extents() {
-			visits, rotations, err := vm.mmap.insertRun(g, e.Count, uint64(e.First))
+			st, err := vm.mmap.InsertRun(g, e.Count, uint64(e.First))
 			if err != nil {
 				return extent.List{}, err
 			}
-			spent += sim.Time(visits)*vm.visitCost() + sim.Time(rotations)*vm.c.RBRotate
+			spent += sim.Time(st.Visits)*vm.c.RBVisit + sim.Time(st.Rotations)*vm.c.RBRotate
 			g += e.Count
 		}
 		if host.Len() == 1 {
@@ -316,7 +202,8 @@ func (vm *VM) importList(a *sim.Actor, host extent.List) (extent.List, error) {
 
 // ReleaseImport tears down the memory-map entries behind an imported
 // guest-physical list (the guest detached): a live import's pages as one
-// removeRun, a memoized import's compressed entry as one remove.
+// DeleteRun, a memoized import's compressed entry as one Delete. A
+// removal charges its visits and rotations alike at RBVisit.
 // Implements linuxos.VirtHooks.
 func (vm *VM) ReleaseImport(a *sim.Actor, list extent.List) error {
 	var spent sim.Time
@@ -327,21 +214,21 @@ func (vm *VM) ReleaseImport(a *sim.Actor, list extent.List) error {
 			return fmt.Errorf("palacios %s: release of unknown import %v", vm.name, e)
 		}
 		if rec.compressed {
-			v, err := vm.mmap.remove(uint64(base), e.Count)
+			st, err := vm.mmap.Delete(uint64(base))
 			if err != nil {
 				return err
 			}
 			if cached, ok := vm.removeMemo[rec.memo]; ok {
 				spent += cached
 			} else {
-				spent += sim.Time(v) * vm.visitCost()
+				spent += sim.Time(st.Visits+st.Rotations) * vm.c.RBVisit
 			}
 		} else {
-			visits, err := vm.mmap.removeRun(uint64(base), e.Count)
+			st, err := vm.mmap.DeleteRun(uint64(base), e.Count)
 			if err != nil {
 				return err
 			}
-			cost := sim.Time(visits) * vm.visitCost()
+			cost := sim.Time(st.Visits+st.Rotations) * vm.c.RBVisit
 			spent += cost
 			if rec.memo != (memoKey{}) {
 				vm.removeMemo[rec.memo] = cost

@@ -31,9 +31,9 @@ func newVMNode(t *testing.T) *vmNode {
 	return &vmNode{w: w, pm: pm, linux: linux, lmod: lmod}
 }
 
-func (n *vmNode) launchVM(t *testing.T, name string, bytes uint64, kind palacios.MapKind) *palacios.VM {
+func (n *vmNode) launchVM(t *testing.T, name string, bytes uint64) *palacios.VM {
 	t.Helper()
-	vm, err := palacios.Launch(name, n.w, n.pm, n.linux.Zone(), bytes, 2, n.lmod, kind)
+	vm, err := palacios.Launch(name, n.w, n.pm, n.linux.Zone(), bytes, 2, n.lmod)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func (n *vmNode) launchVM(t *testing.T, name string, bytes uint64, kind palacios
 // must see the host's bytes.
 func TestGuestAttachesHostMemory(t *testing.T) {
 	n := newVMNode(t)
-	vm := n.launchVM(t, "vm0", 64<<20, palacios.RBTree)
+	vm := n.launchVM(t, "vm0", 64<<20)
 
 	hp := n.linux.NewProcess("exporter", 1)
 	gp := vm.Guest.NewProcess("analytics", 1)
@@ -122,61 +122,58 @@ func TestGuestAttachesHostMemory(t *testing.T) {
 
 // TestHostAttachesGuestMemory is Fig. 4(b): a guest process exports; a
 // native process attaches. The frame list is translated guest→host as it
-// crosses the PCI channel, through the rb-tree and then the radix guest
-// memory map.
+// crosses the PCI channel, through the guest memory map.
 func TestHostAttachesGuestMemory(t *testing.T) {
-	for _, kind := range []palacios.MapKind{palacios.RBTree, palacios.Radix} {
-		n := newVMNode(t)
-		vm := n.launchVM(t, "vm0", 64<<20, kind)
+	n := newVMNode(t)
+	vm := n.launchVM(t, "vm0", 64<<20)
 
-		gp := vm.Guest.NewProcess("sim", 1)
-		hp := n.linux.NewProcess("analytics", 1)
-		const pages = 16
+	gp := vm.Guest.NewProcess("sim", 1)
+	hp := n.linux.NewProcess("analytics", 1)
+	const pages = 16
 
-		n.w.Spawn("driver", func(a *sim.Actor) {
-			region, err := vm.Guest.Alloc(gp, "buf", pages, true)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := gp.AS.Write(region.Base, []byte("guest export")); err != nil {
-				t.Error(err)
-				return
-			}
-			segid, err := vm.Module.Make(a, gp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			apid, err := n.lmod.GetWith(a, hp, segid, core.GetOpts{Perm: xproto.PermRead})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			va, err := n.lmod.AttachWith(a, hp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			got := make([]byte, 12)
-			if _, err := hp.AS.Read(va, got); err != nil {
-				t.Error(err)
-				return
-			}
-			if string(got) != "guest export" {
-				t.Errorf("host read %q", got)
-			}
-			// The attacher's region backing must be HOST frames (valid in the
-			// host frame space), not guest-physical numbers.
-			r := hp.AS.FindRegion(va)
-			f := r.Backing.Extents()[0].First
-			if n.pm.Pinned(f) == 0 {
-				t.Error("backing host frame not pinned by the serve")
-			}
-		})
-		if err := n.w.Run(); err != nil {
-			t.Fatal(err)
+	n.w.Spawn("driver", func(a *sim.Actor) {
+		region, err := vm.Guest.Alloc(gp, "buf", pages, true)
+		if err != nil {
+			t.Error(err)
+			return
 		}
+		if _, err := gp.AS.Write(region.Base, []byte("guest export")); err != nil {
+			t.Error(err)
+			return
+		}
+		segid, err := vm.Module.Make(a, gp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		apid, err := n.lmod.GetWith(a, hp, segid, core.GetOpts{Perm: xproto.PermRead})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		va, err := n.lmod.AttachWith(a, hp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		got := make([]byte, 12)
+		if _, err := hp.AS.Read(va, got); err != nil {
+			t.Error(err)
+			return
+		}
+		if string(got) != "guest export" {
+			t.Errorf("host read %q", got)
+		}
+		// The attacher's region backing must be HOST frames (valid in the
+		// host frame space), not guest-physical numbers.
+		r := hp.AS.FindRegion(va)
+		f := r.Backing.Extents()[0].First
+		if n.pm.Pinned(f) == 0 {
+			t.Error("backing host frame not pinned by the serve")
+		}
+	})
+	if err := n.w.Run(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -185,8 +182,8 @@ func TestHostAttachesGuestMemory(t *testing.T) {
 // attacher's.
 func TestVMToVMAttachment(t *testing.T) {
 	n := newVMNode(t)
-	vmA := n.launchVM(t, "vmA", 32<<20, palacios.RBTree)
-	vmB := n.launchVM(t, "vmB", 32<<20, palacios.RBTree)
+	vmA := n.launchVM(t, "vmA", 32<<20)
+	vmB := n.launchVM(t, "vmB", 32<<20)
 
 	pa := vmA.Guest.NewProcess("exp", 1)
 	pb := vmB.Guest.NewProcess("att", 1)
@@ -239,7 +236,7 @@ func TestVMOnKittenHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vm, err := palacios.Launch("vm0", n.w, n.pm, ck.OS.Zone(), 32<<20, 1, ck.Module, palacios.RBTree)
+	vm, err := palacios.Launch("vm0", n.w, n.pm, ck.OS.Zone(), 32<<20, 1, ck.Module)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,54 +281,12 @@ func TestVMOnKittenHost(t *testing.T) {
 	}
 }
 
-// TestRadixMapCheaperThanRBTree is the §5.4 future-work claim: replacing
-// the rb-tree with a page-table-shaped radix map removes the growth of
-// insert cost with attachment size.
-func TestRadixMapCheaperThanRBTree(t *testing.T) {
-	attachOnce := func(kind palacios.MapKind) sim.Time {
-		n := newVMNode(t)
-		vm := n.launchVM(t, "vm0", 64<<20, kind)
-		hp := n.linux.NewProcess("exp", 1)
-		gp := vm.Guest.NewProcess("att", 1)
-		const pages = 2048 // 8 MB
-		n.w.Spawn("driver", func(a *sim.Actor) {
-			region, err := n.linux.Alloc(hp, "buf", pages, true)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			segid, err := n.lmod.Make(a, hp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead}); err != nil {
-				t.Error(err)
-			}
-		})
-		if err := n.w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return vm.MapInsertTime
-	}
-	rb := attachOnce(palacios.RBTree)
-	rx := attachOnce(palacios.Radix)
-	if rx >= rb {
-		t.Fatalf("radix insert time %v not cheaper than rb-tree %v", rx, rb)
-	}
-}
-
 // TestMemoizedImportChargesIdentically: the second and later
 // attach/detach cycles replay exactly the first cycle's measured insert
 // charge, so timing results are independent of the memoization.
 func TestMemoizedImportChargesIdentically(t *testing.T) {
 	n := newVMNode(t)
-	vm := n.launchVM(t, "vm0", 64<<20, palacios.RBTree)
+	vm := n.launchVM(t, "vm0", 64<<20)
 	hp := n.linux.NewProcess("exp", 1)
 	gp := vm.Guest.NewProcess("att", 1)
 	const pages = 1024
@@ -386,54 +341,52 @@ func TestMemoizedImportChargesIdentically(t *testing.T) {
 
 func TestGuestMapGrowthAcrossAttachments(t *testing.T) {
 	// Repeated attach/detach cycles return the map to its base size —
-	// no entry leaks — on both map kinds, for a scattered export (live
+	// no entry leaks — for a scattered export (live
 	// inserts every cycle) and a contiguous one (one extent, so every
 	// cycle after the first replays the import memo).
-	for _, kind := range []palacios.MapKind{palacios.RBTree, palacios.Radix} {
-		for _, contiguous := range []bool{false, true} {
-			n := newVMNode(t)
-			vm := n.launchVM(t, "vm0", 64<<20, kind)
-			hp := n.linux.NewProcess("exp", 1)
-			gp := vm.Guest.NewProcess("att", 1)
-			alloc, pages := n.linux.Alloc, uint64(600)
-			if contiguous {
-				alloc, pages = n.linux.AllocContiguous, 300
+	for _, contiguous := range []bool{false, true} {
+		n := newVMNode(t)
+		vm := n.launchVM(t, "vm0", 64<<20)
+		hp := n.linux.NewProcess("exp", 1)
+		gp := vm.Guest.NewProcess("att", 1)
+		alloc, pages := n.linux.Alloc, uint64(600)
+		if contiguous {
+			alloc, pages = n.linux.AllocContiguous, 300
+		}
+		n.w.Spawn("driver", func(a *sim.Actor) {
+			region, err := alloc(hp, "buf", pages, true)
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			n.w.Spawn("driver", func(a *sim.Actor) {
-				region, err := alloc(hp, "buf", pages, true)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				segid, err := n.lmod.Make(a, hp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				base := vm.MapEntries()
-				for i := 0; i < 10; i++ {
-					va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					if err := vm.Module.Detach(a, gp, va); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-				if vm.MapEntries() != base {
-					t.Errorf("kind %v contiguous %v: map leaked entries: %d vs %d", kind, contiguous, vm.MapEntries(), base)
-				}
-			})
-			if err := n.w.Run(); err != nil {
-				t.Fatal(err)
+			segid, err := n.lmod.Make(a, hp, region.Base, pages*extent.PageSize, xproto.PermRead, "")
+			if err != nil {
+				t.Error(err)
+				return
 			}
+			apid, err := vm.Module.GetWith(a, gp, segid, core.GetOpts{Perm: xproto.PermRead})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			base := vm.MapEntries()
+			for i := 0; i < 10; i++ {
+				va, err := vm.Module.AttachWith(a, gp, segid, apid, core.AttachOpts{Bytes: pages * extent.PageSize, Perm: xproto.PermRead})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := vm.Module.Detach(a, gp, va); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if vm.MapEntries() != base {
+				t.Errorf("contiguous %v: map leaked entries: %d vs %d", contiguous, vm.MapEntries(), base)
+			}
+		})
+		if err := n.w.Run(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

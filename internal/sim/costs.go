@@ -107,10 +107,6 @@ type Costs struct {
 	// rebalancing.
 	RBRotate Time
 
-	// RadixVisit is the cost per level visited in the radix-tree guest
-	// memory map (the paper's proposed future-work replacement, §5.4).
-	RadixVisit Time
-
 	// PalaciosXlatePerPage is the amortized per-page cost of translating
 	// guest frames to host frames when the memory map contains only a few
 	// large entries (Fig. 4(b), the cheap direction).
@@ -224,7 +220,6 @@ func DefaultCosts() *Costs {
 		IRQInject:            3 * Microsecond,
 		RBVisit:              17 * Nanosecond,
 		RBRotate:             28 * Nanosecond,
-		RadixVisit:           18 * Nanosecond,
 		PalaciosXlatePerPage: 12 * Nanosecond,
 		NestedMapPerPage:     145 * Nanosecond,
 		PCICopyBW:            12e9,

@@ -9,8 +9,8 @@
 // paper keeps SMARTMAP for Kitten-local sharing while adding the dynamic
 // per-region protocol for cross-enclave sharing, because slot sharing
 // cannot cross heterogeneous address-space managers (§3.3); this package
-// is both that local fast path and the baseline for the ablation
-// benchmark comparing the two approaches.
+// is that local fast path, which the root package's
+// TestSmartmapCheaperThanDynamicAttach compares with the protocol.
 package smartmap
 
 import (

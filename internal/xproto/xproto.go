@@ -198,9 +198,8 @@ type Delivery struct {
 }
 
 // Inbox is a kernel's receive queue. Channel implementations Put into it;
-// the kernel's message loop (one actor by default, several when the §5.3
-// future-work distributed interrupt handling is enabled) Gets from it,
-// blocking while empty.
+// the kernel's message loop (one actor) Gets from it, blocking while
+// empty.
 type Inbox struct {
 	name string
 	// reason and queue are the block reason a waiting Get reports and

@@ -25,8 +25,8 @@ import (
 // Build places the enclaves on a fixed locality grid of 2 sockets × 2
 // NUMA domains, assigned round-robin in boot order, and gives every VM
 // one vCPU. The zero values of the memory knobs reproduce the historical
-// xemem-topo behaviour (1 GB top-level co-kernels, 512 MB nested
-// co-kernels, 256 MB VMs).
+// xemem-topo behaviour (1 GB top-level co-kernels, 256 MB VMs); nested
+// co-kernels always take nestedKittenBytes (512 MB).
 type Topology struct {
 	// Spec is the source text the topology was parsed from.
 	Spec string
@@ -34,12 +34,10 @@ type Topology struct {
 	Roots []*TopoNode
 
 	// Memory sizing. Zero means the default in parentheses: KittenBytes
-	// (1 GB) sizes top-level co-kernels, NestedKittenBytes (512 MB)
-	// co-kernels nested under a co-kernel, VMBytes (256 MB) the Palacios
+	// (1 GB) sizes top-level co-kernels, VMBytes (256 MB) the Palacios
 	// VMs.
-	KittenBytes       uint64
-	NestedKittenBytes uint64
-	VMBytes           uint64
+	KittenBytes uint64
+	VMBytes     uint64
 }
 
 // Build assigns the i-th enclave (boot order) the NUMA domain i mod
@@ -50,6 +48,10 @@ const (
 	numaDomains   = 2 * numaPerSocket
 	vmCores       = 1
 )
+
+// nestedKittenBytes sizes every co-kernel nested under a co-kernel,
+// carved from its parent's zone.
+const nestedKittenBytes = 512 << 20
 
 // TopoNode is one node of the parsed enclave tree.
 type TopoNode struct {
@@ -188,16 +190,12 @@ type Enclave struct {
 // order are exactly the historical xemem-topo behaviour: enclaves are
 // named kind+counter with a single pre-order counter, top-level
 // co-kernels take KittenBytes carved from the management enclave,
-// nested co-kernels take NestedKittenBytes from their parent kitten's
+// nested co-kernels take nestedKittenBytes from their parent kitten's
 // zone, and VMs take VMBytes wherever they are hosted.
 func (t *Topology) Build(n *Node) ([]*Enclave, error) {
 	kittenBytes := t.KittenBytes
 	if kittenBytes == 0 {
 		kittenBytes = 1 << 30
-	}
-	nestedBytes := t.NestedKittenBytes
-	if nestedBytes == 0 {
-		nestedBytes = 512 << 20
 	}
 	vmBytes := t.VMBytes
 	if vmBytes == 0 {
@@ -221,7 +219,7 @@ func (t *Topology) Build(n *Node) ([]*Enclave, error) {
 					ck, err = n.BootCoKernel(name, kittenBytes)
 				} else {
 					ck, err = pisces.CreateCoKernel(name, n.World(), n.Phys(),
-						parent.OS.Zone(), nestedBytes, parent.Module)
+						parent.OS.Zone(), nestedKittenBytes, parent.Module)
 				}
 				if err != nil {
 					return err

@@ -56,7 +56,6 @@ func TestBuildNamingAndLocality(t *testing.T) {
 		t.Fatal(err)
 	}
 	topo.KittenBytes = 128 << 20
-	topo.NestedKittenBytes = 64 << 20
 	topo.VMBytes = 64 << 20
 	encl, err := topo.Build(node)
 	if err != nil {

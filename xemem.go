@@ -49,10 +49,6 @@ type NodeConfig struct {
 	// LinuxCores is the management enclave's core count (defaults to 4;
 	// core 0 handles cross-enclave IPIs).
 	LinuxCores int
-	// KernelWorkers configures distributed cross-enclave interrupt
-	// handling on the management enclave (§5.3 future work). Default 1:
-	// the measured Pisces behaviour, everything on core 0.
-	KernelWorkers int
 	// NoNameServer creates the management enclave without the root name
 	// server. Cluster member nodes beyond the first set this and
 	// bootstrap onto the first node's name service over the interconnect
@@ -96,9 +92,6 @@ func NewNodeInWorld(w *sim.World, cfg NodeConfig) *Node {
 	w.AddAudit("phys/"+name, pm.Audit)
 	linux := linuxos.New(name+"/linux", w, pm.Zone(0), proc.HostDomain{Mem: pm}, cores)
 	lmod := core.New(name+"/linux", w, linux, !cfg.NoNameServer)
-	if cfg.KernelWorkers > 1 {
-		lmod.SetKernelWorkers(cfg.KernelWorkers)
-	}
 	lmod.Start()
 	return &Node{name: name, w: w, pm: pm, linux: linux, lmod: lmod}
 }
@@ -127,13 +120,13 @@ func (n *Node) BootCoKernel(name string, memBytes uint64) (*pisces.CoKernel, err
 
 // BootVM launches a Palacios VM on the management enclave (§4.4).
 func (n *Node) BootVM(name string, memBytes uint64, guestCores int) (*palacios.VM, error) {
-	return palacios.Launch(n.name+"/"+name, n.w, n.pm, n.linux.Zone(), memBytes, guestCores, n.lmod, palacios.RBTree)
+	return palacios.Launch(n.name+"/"+name, n.w, n.pm, n.linux.Zone(), memBytes, guestCores, n.lmod)
 }
 
 // BootVMOnCoKernel launches a Palacios VM hosted by a Kitten co-kernel —
 // the Table 3 "Linux VM (Kitten Host)" configuration.
 func (n *Node) BootVMOnCoKernel(name string, ck *pisces.CoKernel, memBytes uint64, guestCores int) (*palacios.VM, error) {
-	return palacios.Launch(n.name+"/"+name, n.w, n.pm, ck.OS.Zone(), memBytes, guestCores, ck.Module, palacios.RBTree)
+	return palacios.Launch(n.name+"/"+name, n.w, n.pm, ck.OS.Zone(), memBytes, guestCores, ck.Module)
 }
 
 // LinuxProcess creates a process in the management enclave on the given

@@ -2,11 +2,11 @@ package xemem_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"xemem"
 	"xemem/internal/pagetable"
-	"xemem/internal/palacios"
 	"xemem/internal/sim"
 	"xemem/internal/xpmem"
 	"xemem/internal/xproto"
@@ -314,7 +314,9 @@ func TestTwoNodesOneWorld(t *testing.T) {
 	}
 }
 
-func TestVMMapKindDefault(t *testing.T) {
+// TestVMBootsWithOneMapEntry: a fresh VM's guest memory map holds its
+// RAM as one contiguous entry.
+func TestVMBootsWithOneMapEntry(t *testing.T) {
 	node := xemem.NewNode(xemem.NodeConfig{Seed: 2, MemBytes: 2 << 30})
 	vm, err := node.BootVM("vm0", 128<<20, 1)
 	if err != nil {
@@ -323,5 +325,97 @@ func TestVMMapKindDefault(t *testing.T) {
 	if vm.MapEntries() != 1 {
 		t.Fatalf("fresh VM has %d map entries, want 1 contiguous RAM entry", vm.MapEntries())
 	}
-	_ = palacios.RBTree
+}
+
+// attachTime exports bytes at base through exp, then times one attach
+// of the whole segment through att in virtual time.
+func attachTime(t *testing.T, node *xemem.Node, exp *xpmem.Session, base pagetable.VA, att *xpmem.Session, bytes uint64) sim.Time {
+	t.Helper()
+	var took sim.Time
+	node.Spawn("attach", func(a *sim.Actor) {
+		segid, err := exp.Make(a, base, bytes, xpmem.PermRead, "")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		apid, err := att.GetWith(a, segid, xpmem.GetOpts{Perm: xpmem.PermRead})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		start := a.Now()
+		if _, err := att.AttachWith(a, segid, apid, xpmem.AttachOpts{Bytes: bytes, Perm: xpmem.PermRead}); err != nil {
+			t.Error(err)
+			return
+		}
+		took = a.Now() - start
+	})
+	if err := node.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return took
+}
+
+// TestSmartmapCheaperThanDynamicAttach is §3.3's design trade-off: a
+// 64 MB attach inside one co-kernel takes Kitten's SMARTMAP slot share,
+// at least 1,000 times cheaper in virtual time than the same attach
+// from a Linux process, which runs the cross-enclave protocol and maps
+// every page.
+func TestSmartmapCheaperThanDynamicAttach(t *testing.T) {
+	const bytes = 64 << 20
+	attach := func(local bool) sim.Time {
+		node := xemem.NewNode(xemem.NodeConfig{Seed: 5, MemBytes: 8 << 30})
+		ck, err := node.BootCoKernel("kitten0", 1<<30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, heap, err := node.KittenProcess(ck, "exp", bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, _ := node.LinuxProcess("att", 1)
+		if local {
+			if att, _, err = node.KittenProcess(ck, "att", 1<<20); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return attachTime(t, node, exp, heap.Base, att, bytes)
+	}
+	smartmap, dynamic := attach(true), attach(false)
+	if smartmap <= 0 || dynamic < 1000*smartmap {
+		t.Fatalf("SMARTMAP attach %v, dynamic attach %v: want SMARTMAP positive and at least 1000x cheaper", smartmap, dynamic)
+	}
+	t.Logf("SMARTMAP attach %v, dynamic attach %v", smartmap, dynamic)
+}
+
+// TestRoutingDepthAddsFixedHopCost is §3.2's routing cost: with the
+// exporter nested 1 to 4 co-kernels deep under Linux, each extra hop
+// adds the same positive cost to a 4 KB attach from Linux, within 10 ns.
+func TestRoutingDepthAddsFixedHopCost(t *testing.T) {
+	var took []sim.Time
+	for depth := 1; depth <= 4; depth++ {
+		node := xemem.NewNode(xemem.NodeConfig{Seed: 9, MemBytes: 16 << 30})
+		spec := strings.Repeat("kitten(", depth-1) + "kitten" + strings.Repeat(")", depth-1)
+		topo, err := xemem.ParseTopology(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		encl, err := topo.Build(node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exp, heap, err := node.KittenProcess(encl[depth-1].Kitten, "exp", 16<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		att, _ := node.LinuxProcess("att", 1)
+		took = append(took, attachTime(t, node, exp, heap.Base, att, 4096))
+	}
+	hop := took[1] - took[0]
+	for d := 1; d < len(took); d++ {
+		if step := took[d] - took[d-1]; step <= 0 || step-hop > 10*sim.Nanosecond || hop-step > 10*sim.Nanosecond {
+			t.Fatalf("attach times by depth %v: hop %d adds %v, want a positive cost within 10ns of %v", took, d+1, step, hop)
+		}
+	}
+	t.Logf("attach times by depth 1-4: %v", took)
 }
